@@ -11,9 +11,12 @@ all: check
 build:
 	$(GO) build ./...
 
+# benchmark/ is its own module (the driver builds it from its own go.mod),
+# so `go test ./...` at the root neither builds nor tests it.
 test: build
 	$(GO) vet ./...
 	$(GO) test ./...
+	cd benchmark && $(GO) test ./...
 	$(MAKE) fuzz-smoke
 
 # Race-check the concurrency-bearing packages: the scheduler, the kernel

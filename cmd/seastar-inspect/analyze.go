@@ -37,9 +37,10 @@ type analyzeOptions struct {
 	PlanPath string
 }
 
-// UnitProfile is the measured attribution of one execution unit.
+// UnitProfile is the measured attribution of one execution unit, or of
+// one part of the harness around the program (Pass "harness").
 type UnitProfile struct {
-	Pass     string           `json:"pass"` // "fwd" or "bwd"
+	Pass     string           `json:"pass"` // "fwd", "bwd" or "harness"
 	Label    string           `json:"label"`
 	Kind     string           `json:"kind"`
 	Count    int64            `json:"count"`
@@ -192,7 +193,15 @@ func runAnalyze(opts analyzeOptions) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		eng.Backward(eng.SumAll(out))
+		// The harness is inside the measured wall, so it is spanned too:
+		// the SumAll loss, and the autograd sweep that encloses the
+		// backward units.
+		sp := obs.Begin("harness", "loss")
+		loss := eng.SumAll(out)
+		sp.End()
+		sp = obs.Begin("harness", "backward")
+		eng.Backward(loss)
+		sp.End()
 		eng.EndIteration()
 		return nil
 	}
@@ -262,6 +271,37 @@ func runAnalyze(opts analyzeOptions) (*Report, error) {
 	addUnits("fwd", fwdLabels, unitKinds(c, "fwd"))
 	if c.BwdPlan != nil {
 		addUnits("bwd", bwdLabels, unitKinds(c, "bwd"))
+	}
+	// Harness rows: the loss, and the autograd sweep's own time and
+	// allocations — what eng.Backward spends outside the backward units it
+	// encloses (seeding dOut, the gradient hand-off copy, accumulating
+	// into every input).
+	var bwdNs, bwdAllocs int64
+	for _, u := range rep.Units {
+		if u.Pass == "bwd" {
+			bwdNs += u.TotalNs
+			bwdAllocs += u.Allocs
+		}
+	}
+	loss, sweep := timing["harness\x00loss"], timing["harness\x00backward"]
+	for _, h := range []struct {
+		label      string
+		count      int64
+		ns, allocs int64
+	}{
+		{"loss (SumAll)", loss.Count, loss.TotalNs,
+			allocs["harness\x00loss"].Counters["allocs"]},
+		{"autograd (seed + hand-off)", sweep.Count, sweep.TotalNs - bwdNs,
+			allocs["harness\x00backward"].Counters["allocs"] - bwdAllocs},
+	} {
+		rep.UnitsNs += h.ns
+		rep.Units = append(rep.Units, UnitProfile{
+			Pass: "harness", Label: h.label, Kind: "harness",
+			Count: h.count, TotalNs: h.ns,
+			NsPerIt:  h.ns / int64(opts.Iters),
+			Fraction: float64(h.ns) / float64(wallNs),
+			Allocs:   h.allocs,
+		})
 	}
 	if wallNs > 0 {
 		rep.Coverage = float64(rep.UnitsNs) / float64(wallNs)
@@ -353,7 +393,7 @@ func writeAnalyze(w io.Writer, rep *Report) {
 		fmt.Fprintln(w)
 	}
 	writePlan(w, rep)
-	for _, pass := range []string{"fwd", "bwd"} {
+	for _, pass := range []string{"fwd", "bwd", "harness"} {
 		var units []UnitProfile
 		for _, u := range rep.Units {
 			if u.Pass == pass {
@@ -364,7 +404,7 @@ func writeAnalyze(w io.Writer, rep *Report) {
 			continue
 		}
 		sort.SliceStable(units, func(i, j int) bool { return units[i].TotalNs > units[j].TotalNs })
-		fmt.Fprintf(w, "\n%s units by time:\n", passName(pass))
+		fmt.Fprintf(w, "\n%s by time:\n", passName(pass))
 		for _, u := range units {
 			fmt.Fprintf(w, "  %-28s %6.1f%%  %10s/iter  allocs/iter %-5d",
 				u.Label, u.Fraction*100, fmtDur(u.NsPerIt), u.Allocs)
@@ -381,8 +421,16 @@ func writeAnalyze(w io.Writer, rep *Report) {
 			fmt.Fprintln(w)
 		}
 	}
-	fmt.Fprintf(w, "\nattribution: %.1f%% of wall %s attributed to %d execution units\n",
-		rep.Coverage*100, fmtDur(rep.WallNs), len(rep.Units))
+	units, harness := 0, ""
+	for _, u := range rep.Units {
+		if u.Pass == "harness" {
+			harness = " and the harness"
+		} else {
+			units++
+		}
+	}
+	fmt.Fprintf(w, "\nattribution: %.1f%% of wall %s attributed to %d execution units%s\n",
+		rep.Coverage*100, fmtDur(rep.WallNs), units, harness)
 	fmt.Fprintf(w, "pool: hits=%d misses=%d\n", rep.PoolHits, rep.PoolMisses)
 }
 
@@ -418,10 +466,13 @@ func writePlan(w io.Writer, rep *Report) {
 }
 
 func passName(p string) string {
-	if p == "fwd" {
-		return "forward"
+	switch p {
+	case "fwd":
+		return "forward units"
+	case "bwd":
+		return "backward units"
 	}
-	return "backward"
+	return p
 }
 
 func fmtDur(ns int64) string {

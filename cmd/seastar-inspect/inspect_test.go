@@ -133,10 +133,12 @@ func TestBuildModelUnknown(t *testing.T) {
 
 // TestAnalyzeAttribution gates the PR's acceptance criterion: EXPLAIN
 // ANALYZE on the GAT model must attribute at least 95% of the measured
-// wall time to named execution units, and the per-unit sum must agree
-// with the end-to-end timing within 10%. The graph is smaller than the
-// CLI default to keep the test quick, but large enough that kernel time
-// dominates fixed overhead the way it does at the default scale.
+// wall time to named rows — the execution units plus the two harness
+// rows (the SumAll loss and the autograd sweep's own time) — and the
+// per-row sum must agree with the end-to-end timing within 10%. The graph
+// is smaller than the CLI default to keep the test quick, but large
+// enough that kernel time dominates fixed overhead the way it does at the
+// default scale.
 func TestAnalyzeAttribution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full engine for several iterations")

@@ -7,20 +7,23 @@ import (
 	"math"
 	"math/rand"
 
+	"seastar/internal/autodiff"
 	"seastar/internal/device"
 	"seastar/internal/fusion"
 	"seastar/internal/gir"
 	"seastar/internal/graph"
 	"seastar/internal/kernels"
+	"seastar/internal/refinterp"
 	"seastar/internal/sched"
 	"seastar/internal/tensor"
 )
 
 // FusedConfig scopes the closure-compiler A/B benchmark: the three
 // canonical specialized edge-loop patterns (GAT edge softmax + weighted
-// aggregate, GCN scaled gather, R-GCN typed transform-aggregate) run
-// interpreted and specialized at each worker count, with a bitwise
-// equality check between the two paths on every pattern.
+// aggregate, GCN scaled gather, R-GCN typed transform-aggregate) and the
+// backward plans of the first two (gat-bwd, gcn-bwd) run interpreted and
+// specialized at each worker count, with a bitwise equality check between
+// the two paths on every pattern.
 type FusedConfig struct {
 	// Vertices, AvgDegree and Alpha size the Zipf benchmark graph.
 	Vertices, AvgDegree int
@@ -74,70 +77,103 @@ type FusedReport struct {
 
 // fusedPattern builds one benchmark workload: a Zipf graph (typed for
 // R-GCN) and a pure-seastar GIR whose fused units the closure compiler
-// must match.
+// must match. A backward pattern measures the units of the program's
+// autodiff instead (see backwardOf).
 type fusedPattern struct {
-	name  string
-	build func(cfg FusedConfig, rng *rand.Rand) (*graph.Graph, *gir.DAG, *kernels.Bindings, error)
+	name     string
+	build    fusedBuild
+	backward bool
 }
+
+type fusedBuild func(cfg FusedConfig, rng *rand.Rand) (*graph.Graph, *gir.DAG, *kernels.Bindings, error)
 
 func fusedPatterns() []fusedPattern {
 	return []fusedPattern{
-		{"gat", func(cfg FusedConfig, rng *rand.Rand) (*graph.Graph, *gir.DAG, *kernels.Bindings, error) {
-			g := graph.ZipfDegree(rng, cfg.Vertices, cfg.AvgDegree, cfg.Alpha).SortByDegree()
-			b := gir.NewBuilder()
-			b.VFeature("eu", 1)
-			b.VFeature("ev", 1)
-			b.VFeature("h", cfg.Hidden)
-			dag, err := b.Build(func(v *gir.Vertex) *gir.Value {
-				e := v.Nbr("eu").Add(v.Self("ev")).LeakyReLU(0.2).Exp()
-				a := e.Div(e.AggSum())
-				return a.Mul(v.Nbr("h")).AggSum()
-			})
-			bind := &kernels.Bindings{VFeat: map[string]*tensor.Tensor{
-				"eu": tensor.Randn(rng, 1, g.N, 1),
-				"ev": tensor.Randn(rng, 1, g.N, 1),
-				"h":  tensor.Randn(rng, 1, g.N, cfg.Hidden),
-			}}
-			return g, dag, bind, err
-		}},
-		// The GCN seastar unit after the dense transform: gather the
-		// transformed neighbour row, scale by the symmetric norm, sum.
-		{"gcn", func(cfg FusedConfig, rng *rand.Rand) (*graph.Graph, *gir.DAG, *kernels.Bindings, error) {
-			g := graph.ZipfDegree(rng, cfg.Vertices, cfg.AvgDegree, cfg.Alpha).SortByDegree()
-			b := gir.NewBuilder()
-			b.VFeature("x", cfg.Hidden)
-			b.VFeature("norm", 1)
-			dag, err := b.Build(func(v *gir.Vertex) *gir.Value {
-				return v.Nbr("x").Mul(v.Nbr("norm")).AggSum()
-			})
-			bind := &kernels.Bindings{VFeat: map[string]*tensor.Tensor{
-				"x":    tensor.Randn(rng, 1, g.N, cfg.Hidden),
-				"norm": tensor.Uniform(rng, 0.2, 1, g.N, 1),
-			}}
-			return g, dag, bind, err
-		}},
-		{"rgcn", func(cfg FusedConfig, rng *rand.Rand) (*graph.Graph, *gir.DAG, *kernels.Bindings, error) {
-			g := graph.ZipfDegree(rng, cfg.Vertices, cfg.AvgDegree, cfg.Alpha)
-			graph.RandomEdgeTypes(rng, g, cfg.Rels)
-			if err := g.SortEdgesByType(); err != nil {
-				return nil, nil, nil, err
-			}
-			g = g.SortByDegree()
-			b := gir.NewBuilder()
-			b.VFeature("h", cfg.Hidden)
-			b.EFeature("norm", 1)
-			Ws := b.Param("W", cfg.Rels, cfg.Hidden, cfg.Hidden)
-			dag, err := b.Build(func(v *gir.Vertex) *gir.Value {
-				return v.Nbr("h").MatMulTyped(Ws).Mul(v.Edge("norm")).AggHier(gir.AggSum, gir.AggSum)
-			})
-			bind := &kernels.Bindings{
-				VFeat:  map[string]*tensor.Tensor{"h": tensor.Randn(rng, 1, g.N, cfg.Hidden)},
-				EFeat:  map[string]*tensor.Tensor{"norm": tensor.Uniform(rng, 0.2, 1, g.M, 1)},
-				Params: map[string]*tensor.Tensor{"W": tensor.Randn(rng, 1, cfg.Rels, cfg.Hidden, cfg.Hidden)},
-			}
-			return g, dag, bind, err
-		}},
+		{name: "gat", build: fusedGAT},
+		{name: "gcn", build: fusedGCN},
+		{name: "rgcn", build: fusedRGCN},
+		{name: "gat-bwd", build: fusedGAT, backward: true},
+		{name: "gcn-bwd", build: fusedGCN, backward: true},
 	}
+}
+
+// backwardOf turns a forward pattern into its backward plan: the autodiff
+// of the optimized forward program, with a random seed gradient and the
+// forward values it saves — evaluated once by the definitional
+// interpreter — bound in bind.
+func backwardOf(g *graph.Graph, dag *gir.DAG, bind *kernels.Bindings, rng *rand.Rand) (*gir.DAG, error) {
+	fwd := fusion.Optimize(dag)
+	grads, err := autodiff.Backward(fwd)
+	if err != nil {
+		return nil, err
+	}
+	saved, err := refinterp.Eval(fwd, g, &refinterp.Bindings{
+		VFeat: bind.VFeat, EFeat: bind.EFeat, Params: bind.Params,
+	})
+	if err != nil {
+		return nil, err
+	}
+	bind.Saved = saved
+	bind.Grad = tensor.Randn(rng, 1, g.N, fwd.Outputs[0].Dim())
+	return grads.DAG, nil
+}
+
+func fusedGAT(cfg FusedConfig, rng *rand.Rand) (*graph.Graph, *gir.DAG, *kernels.Bindings, error) {
+	g := graph.ZipfDegree(rng, cfg.Vertices, cfg.AvgDegree, cfg.Alpha).SortByDegree()
+	b := gir.NewBuilder()
+	b.VFeature("eu", 1)
+	b.VFeature("ev", 1)
+	b.VFeature("h", cfg.Hidden)
+	dag, err := b.Build(func(v *gir.Vertex) *gir.Value {
+		e := v.Nbr("eu").Add(v.Self("ev")).LeakyReLU(0.2).Exp()
+		a := e.Div(e.AggSum())
+		return a.Mul(v.Nbr("h")).AggSum()
+	})
+	bind := &kernels.Bindings{VFeat: map[string]*tensor.Tensor{
+		"eu": tensor.Randn(rng, 1, g.N, 1),
+		"ev": tensor.Randn(rng, 1, g.N, 1),
+		"h":  tensor.Randn(rng, 1, g.N, cfg.Hidden),
+	}}
+	return g, dag, bind, err
+}
+
+// fusedGCN is the GCN seastar unit after the dense transform: gather the
+// transformed neighbour row, scale by the symmetric norm, sum.
+func fusedGCN(cfg FusedConfig, rng *rand.Rand) (*graph.Graph, *gir.DAG, *kernels.Bindings, error) {
+	g := graph.ZipfDegree(rng, cfg.Vertices, cfg.AvgDegree, cfg.Alpha).SortByDegree()
+	b := gir.NewBuilder()
+	b.VFeature("x", cfg.Hidden)
+	b.VFeature("norm", 1)
+	dag, err := b.Build(func(v *gir.Vertex) *gir.Value {
+		return v.Nbr("x").Mul(v.Nbr("norm")).AggSum()
+	})
+	bind := &kernels.Bindings{VFeat: map[string]*tensor.Tensor{
+		"x":    tensor.Randn(rng, 1, g.N, cfg.Hidden),
+		"norm": tensor.Uniform(rng, 0.2, 1, g.N, 1),
+	}}
+	return g, dag, bind, err
+}
+
+func fusedRGCN(cfg FusedConfig, rng *rand.Rand) (*graph.Graph, *gir.DAG, *kernels.Bindings, error) {
+	g := graph.ZipfDegree(rng, cfg.Vertices, cfg.AvgDegree, cfg.Alpha)
+	graph.RandomEdgeTypes(rng, g, cfg.Rels)
+	if err := g.SortEdgesByType(); err != nil {
+		return nil, nil, nil, err
+	}
+	g = g.SortByDegree()
+	b := gir.NewBuilder()
+	b.VFeature("h", cfg.Hidden)
+	b.EFeature("norm", 1)
+	Ws := b.Param("W", cfg.Rels, cfg.Hidden, cfg.Hidden)
+	dag, err := b.Build(func(v *gir.Vertex) *gir.Value {
+		return v.Nbr("h").MatMulTyped(Ws).Mul(v.Edge("norm")).AggHier(gir.AggSum, gir.AggSum)
+	})
+	bind := &kernels.Bindings{
+		VFeat:  map[string]*tensor.Tensor{"h": tensor.Randn(rng, 1, g.N, cfg.Hidden)},
+		EFeat:  map[string]*tensor.Tensor{"norm": tensor.Uniform(rng, 0.2, 1, g.M, 1)},
+		Params: map[string]*tensor.Tensor{"W": tensor.Randn(rng, 1, cfg.Rels, cfg.Hidden, cfg.Hidden)},
+	}
+	return g, dag, bind, err
 }
 
 // compileSeastarUnits partitions dag and compiles every unit; the whole
@@ -251,6 +287,11 @@ func FusedBench(cfg FusedConfig) (*FusedReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", pat.name, err)
 		}
+		if pat.backward {
+			if dag, err = backwardOf(g, dag, bind, rng); err != nil {
+				return nil, fmt.Errorf("bench: %s: %w", pat.name, err)
+			}
+		}
 		rep.Graph.Edges = g.M
 		runs, err := compileSeastarUnits(g, dag, bind)
 		if err != nil {
@@ -310,10 +351,10 @@ func WriteFusedText(w io.Writer, rep *FusedReport) {
 	fmt.Fprintf(w, "graph: %s n=%d m=%d alpha=%.2f; simd=%v (%s)\n\n",
 		rep.Graph.Kind, rep.Graph.Vertices, rep.Graph.Edges, rep.Graph.Alpha,
 		rep.SIMD, rep.GemmKernel)
-	fmt.Fprintf(w, "%-6s %4s %6s %14s %14s %8s %8s  %s\n",
+	fmt.Fprintf(w, "%-8s %4s %6s %14s %14s %8s %8s  %s\n",
 		"model", "unit", "procs", "interp ns/op", "spec ns/op", "speedup", "bitwise", "kernel")
 	for _, r := range rep.Rows {
-		fmt.Fprintf(w, "%-6s %4d %6d %14d %14d %7.2fx %8v  %s\n",
+		fmt.Fprintf(w, "%-8s %4d %6d %14d %14d %7.2fx %8v  %s\n",
 			r.Pattern, r.Unit, r.MaxProcs, r.InterpNsPerOp, r.SpecNsPerOp, r.Speedup,
 			r.BitwiseEqual, r.Spec)
 	}

@@ -277,6 +277,11 @@ func FuzzFusionEquivalence(f *testing.F) {
 	f.Add([]byte{7, 6, 36, 66, 80, 106, 103, 150, 154}) // GAT-shaped: scalar edge chain → softmax div → scaled gather
 	f.Add([]byte{9, 6, 54, 74})                         // GCN-shaped: row-scalar × wide gather → aggsum
 	f.Add([]byte{5, 7, 66, 86, 106})                    // R-GCN-shaped: hetero scalar chain → scaled gather → hier agg
+	// GAT-backward-shaped: the dot production RowSum(Mul(nbr h, self h))
+	// feeding a chain and a scaled gather — columnar, then on the
+	// hierarchical edge-at-a-time walk.
+	f.Add([]byte{21, 6, 6, 68, 86, 102, 118})
+	f.Add([]byte{5, 7, 36, 6, 104, 114, 130})
 	f.Fuzz(checkFusionEquivalence)
 }
 

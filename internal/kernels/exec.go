@@ -382,6 +382,9 @@ type runArena struct {
 	// rowLeafData caches the launch's row-leaf backing arrays for the
 	// direct-row fast path, rebuilt per chunk.
 	rowLeafData [][]float32
+	// rowVec holds the current row's row-constant wide vectors (the
+	// plan's rowVecs), rebound at every row.
+	rowVec [][]float32
 }
 
 // arena returns worker w's arena, creating it on first use. Growth of
@@ -422,6 +425,7 @@ func (k *Kernel) arena(w int) *runArena {
 				}
 			}
 			a.rowLeafData = make([][]float32, 0, len(k.rowLeaves))
+			a.rowVec = make([][]float32, len(k.spec.rowVecs))
 		}
 		k.arenas[w] = a
 	}

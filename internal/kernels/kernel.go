@@ -259,6 +259,28 @@ func Compile(u *fusion.Unit, materialized []*gir.Node, available map[*gir.Node]b
 	for _, n := range u.Nodes {
 		inUnit[n] = true
 	}
+	// Dead-step pruning: a unit node is lowered only if it reaches an
+	// aggregation or a materialized value. The fusion pass groups nodes by
+	// graph type, so a backward unit routinely carries edge chains whose
+	// only consumers live in other units — which recompute them inline
+	// rather than read them from here.
+	live := make(map[*gir.Node]bool, len(u.Nodes))
+	for _, m := range materialized {
+		live[m] = true
+	}
+	for i := len(u.Nodes) - 1; i >= 0; i-- {
+		n := u.Nodes[i]
+		if n.Op.IsAgg() {
+			live[n] = true
+		}
+		if live[n] {
+			for _, in := range n.Inputs {
+				if inUnit[in] {
+					live[in] = true
+				}
+			}
+		}
+	}
 	// dependsOnAgg marks unit nodes downstream of an aggregation.
 	dependsOnAgg := make(map[*gir.Node]bool)
 	for _, n := range u.Nodes {
@@ -377,6 +399,9 @@ func Compile(u *fusion.Unit, materialized []*gir.Node, available map[*gir.Node]b
 	}
 
 	for _, n := range u.Nodes {
+		if !live[n] {
+			continue
+		}
 		markSpecial(n)
 		ins, param, err := lowerInputs(n)
 		if err != nil {

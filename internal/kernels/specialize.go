@@ -2,43 +2,58 @@ package kernels
 
 // The per-unit closure compiler (DESIGN.md §12): at Compile time, the
 // edge stage of a fused seastar unit is pattern-matched against a small
-// grammar and, when it fits, lowered into a table of Go closures and
-// gather-accumulate calls that run the whole edge loop in one pass —
-// with op dispatch, operand resolution and feature-dim bounds checks
-// hoisted out of the inner loop, and the wide accumulations routed
-// through tensor.VecAdd / tensor.VecMulAdd (AVX2 on capable hosts).
+// grammar and, when it fits, lowered into a columnar edge program that
+// runs the whole edge loop in one pass — op dispatch, operand resolution
+// and feature-dim bounds checks hoisted out of the inner loop, per-edge
+// scalars held in block columns, and the wide work routed through
+// tensor.GatherDot / VecAdd / VecMulAdd / GatherMulAdd (AVX2 on capable
+// hosts).
 //
 // The grammar over one edge iteration is
 //
-//	edge   := load* chain* mat* term+
-//	load   := scalar edge-leaf → scalar bank          (eu, norm, …)
-//	chain  := scalar op over the scalar bank          (Add, LeakyReLU, Exp, Div, …)
+//	edge   := load* dot* chain* mat* term+
+//	load   := scalar edge-leaf → scalar bank          (eu, norm, saved α, …)
+//	dot    := RowSum(Mul(A, B)) → scalar bank         (per-edge dot, GAT backward)
+//	chain  := scalar op over the scalar bank          (Add, LeakyReLU, Exp, Div, grads, …)
 //	mat    := scalar bank → per-edge materialization
 //	term   := agg ⊕= scalar                           (GAT edge-softmax sums)
-//	        | agg ⊕= leaf[nbr|eid]                    (plain gather)
-//	        | agg ⊕= scalar · leaf[nbr|eid]           (GCN/GAT weighted gather)
-//	        | agg ⊕= [scalar ·] MatMulTyped(leaf)     (R-GCN per-relation transform)
+//	        | agg ⊕= W                                (plain gather)
+//	        | agg ⊕= scalar · W                       (GCN/GAT weighted gather)
+//	        | agg ⊕= [scalar ·] MatMulTyped(W)        (R-GCN per-relation transform)
+//	A, B, W := leaf[nbr|eid] | row-constant wide      (equal widths in a dot)
 //
-// which covers the paper's three canonical models: the GCN mean/sum
-// aggregate, both GAT units (edge-softmax chain + weighted aggregate)
-// and the R-GCN per-relation transform-aggregate, forward and most of
-// backward. Scalar values that are constant within a row (row leaves,
-// consts, pre-row outputs) are hoisted to a once-per-row copy.
+// Wide operands are read in place, never staged: leaf[nbr|eid] is a row
+// of a bound tensor selected by the CSR's own neighbour or edge ids, and a
+// row-constant wide vector (row leaf, const leaf, pre-row output) is the
+// same row for every edge. EdgeView is not an instruction at all — it is
+// a pure re-indexing, so a view of a neighbour or edge leaf *is* that
+// gather leaf and a view of a row value *is* that row-constant vector.
+// Scalar values that are constant within a row are hoisted to a
+// once-per-row copy.
 //
-// Anything outside the grammar — wide elementwise chains, wide per-edge
-// materializations, RowSum over wide rows, OpMatMulTypedT (an
-// order-sensitive horizontal reduction that cannot be vectorized
-// bitwise) — leaves the kernel on the interpreter, transparently. The
-// decision and the fallback reason are recorded on the kernel so
-// `seastar-inspect` EXPLAIN can attribute them.
+// This covers every aggregating unit of GCN, GAT and GraphSAGE, forward
+// and backward (the coverage test in internal/models pins the list).
+// What still falls back to the step interpreter, with the reason
+// recorded on the kernel for `seastar-inspect` EXPLAIN:
 //
-// Bitwise contract: every closure is an exact transliteration of the
+//   - wide per-edge materialization (R-GCN saves its [M, d] typed
+//     transform and edge gradient);
+//   - OpMatMulTypedT, an order-sensitive horizontal reduction per output
+//     that the row-axpy trick of the forward transform does not fit;
+//   - wide elementwise chains over a per-edge value (APPNP backward's
+//     neighbour-typed MulConst·Mul, Sigmoid(nbr) and the like);
+//   - units with no aggregation (row-wise only: nothing to fuse into).
+//
+// Bitwise contract: every chain arm is an exact transliteration of the
 // corresponding evalStep arm at width 1, the accumulate calls are the
-// interpreter's own, and VecMulAdd rounds the multiply and the add
-// separately (no FMA) exactly like an interpreted Mul step followed by
-// VecAdd. Specialized and interpreted execution are therefore bitwise
-// equal, which FuzzFusionEquivalence and the property tests in
-// specialize_test.go enforce.
+// interpreter's own, VecMulAdd rounds the multiply and the add separately
+// (no FMA) exactly like an interpreted Mul step followed by VecAdd, and
+// GatherDot rounds each product to float32 and folds it from +0 for j
+// ascending exactly like an interpreted wide Mul step followed by RowSum —
+// its speed comes from running several edges' chains in lockstep, never
+// from reassociating one. Specialized and interpreted execution are
+// therefore bitwise equal, which FuzzFusionEquivalence and the property
+// tests in specialize_test.go / backward_test.go enforce.
 
 import (
 	"fmt"
@@ -56,10 +71,65 @@ type specTermKind int
 
 const (
 	termScalar       specTermKind = iota // width-1 value from the scalar bank
-	termGather                           // wide edge-leaf row
-	termScaledGather                     // wide edge-leaf row × scalar
-	termTyped                            // MatMulTyped(wide edge-leaf row) [× scalar]
+	termGather                           // wide source row
+	termScaledGather                     // wide source row × scalar
+	termTyped                            // MatMulTyped(wide source row) [× scalar]
 )
+
+// wideSrc names a wide per-edge operand in place — nothing is copied per
+// edge: either a row of an edge leaf's tensor, selected by neighbour or
+// edge id, or a vector that is constant within the row (a row leaf, const
+// leaf or pre-row output; what a wide EdgeView of a row value aliases to).
+type wideSrc struct {
+	leaf     int // k.edgeLeaves index; -1 for a row-constant vector
+	byEdgeID bool
+	rowVec   int // sp.rowVecs index when leaf < 0
+	w        int // row width
+}
+
+// zeroIdx is the gather index vector of a row-constant source: every
+// edge of the block reads row 0 of the vector itself.
+var zeroIdx [specBlock]int32
+
+// row returns ws's row of data for the edge reaching neighbour nbr over
+// edge eid.
+func (ws wideSrc) row(data []float32, nbr int32, eid int) []float32 {
+	base := 0 // a row-constant vector is its own row 0
+	if ws.leaf >= 0 {
+		base = int(nbr) * ws.w
+		if ws.byEdgeID {
+			base = eid * ws.w
+		}
+	}
+	return data[base : base+ws.w]
+}
+
+// index picks the index vector that selects ws's row for each edge of a
+// block whose neighbour and edge ids are nbrs and eids.
+func (ws wideSrc) index(nbrs, eids []int32) []int32 {
+	switch {
+	case ws.leaf < 0:
+		return zeroIdx[:len(nbrs)]
+	case ws.byEdgeID:
+		return eids
+	}
+	return nbrs
+}
+
+// specRowVec is one row-constant wide vector, rebound at every row: a
+// row leaf's tensor row (leaf ≥ 0) or the scratch slot a const leaf or
+// pre-row step fills.
+type specRowVec struct {
+	leaf int // k.rowLeaves index; -1 reads scratch[slot]
+	slot int
+}
+
+// specDot is one dot production: bank[dst] = Σ_j a[j]·b[j] per edge, the
+// fused form of RowSum(Mul(a, b)) over two wide sources.
+type specDot struct {
+	a, b wideSrc
+	dst  int
+}
 
 // specTerm drives one aggregation accumulator per edge.
 type specTerm struct {
@@ -70,10 +140,9 @@ type specTerm struct {
 	inner, outer gir.AggKind // per-edge fold kind is inner when hier, outer otherwise
 	width        int         // accumulator width
 
-	src      int // termScalar: scalar-bank index; gather/typed: edgeLeaves index
-	lw       int // leaf row width (gather: == width; typed: din)
-	byEdgeID bool
-	scale    int // scalar-bank index of the per-edge factor; -1 when absent
+	src   int     // termScalar: scalar-bank index
+	wide  wideSrc // gather/typed: the source row (gather: w == width; typed: din)
+	scale int     // scalar-bank index of the per-edge factor; -1 when absent
 
 	// Typed-transform fields (termTyped).
 	param     *gir.Node // weight leaf, shape [R, din, dout]
@@ -123,6 +192,7 @@ type specOpCode uint8
 const (
 	opLoadNbr       specOpCode = iota // v[o] = data[nbr]
 	opLoadEdge                        // v[o] = data[eid]
+	opDot                             // v[o] = Σ_j A[j]·B[j] over two wide sources
 	opAdd                             // v[o] = v[a] + v[b]
 	opSub                             // v[o] = v[a] - v[b]
 	opMul                             // v[o] = v[a] * v[b]
@@ -140,16 +210,16 @@ const (
 	opReLUGrad                        // v[o] = v[a] > 0 ? v[b] : 0
 	opSigmoidGrad                     // v[o] = v[b] * v[a] * (1 - v[a])
 	opTanhGrad                        // v[o] = v[b] * (1 - v[a]*v[a])
-	opCopy                            // v[o] = v[a] (RowSum/EdgeView at width 1)
+	opCopy                            // v[o] = v[a] (RowSum at width 1)
 	opStoreMat                        // data[eid] = v[a]
 	opAccScalar                       // data[0] += v[a] (sum/mean scalar term)
 	opStoreBuf                        // data[i-b0] = v[a] (batched term's scale)
 )
 
 // specProgOp is one static instruction of the edge program: an opcode,
-// scalar-bank operand indexes, an immediate, and — for loads, stores and
-// folds — a reference resolved to a data slice at launch time (leaf index,
-// materialization index, or term index respectively).
+// scalar-bank operand indexes, an immediate, and — for loads, dots, stores
+// and folds — a reference resolved at launch time (leaf index, sp.dots
+// index, materialization index, or term index respectively).
 //
 // On the columnar path aSc/bSc mark operands that are row-constant
 // scalars (read from the bank) rather than per-edge columns, and a
@@ -174,6 +244,7 @@ type specOp struct {
 	aSc, bSc   bool
 	data       []float32
 	oc, ac, bc []float32
+	dot        *specDot
 }
 
 // specPlan is the compiled closure program for a specialized unit. It is
@@ -185,12 +256,14 @@ type specPlan struct {
 	nScalar int
 
 	rowCopies []specCopy
+	rowVecs   []specRowVec
 	edgeLoads []specLoad
+	dots      []specDot
 	edgeMats  []specMat
 	terms     []specTerm
 	batched   bool // some term takes the blocked gather path
 
-	// prog is the flat per-edge instruction array: loads, then the scalar
+	// prog is the flat per-edge instruction array: loads, dots, then the scalar
 	// chain, then materialization stores, then in-program term folds
 	// (opAccScalar/opStoreBuf). chainLen counts the chain instructions for
 	// the pattern name; rest indexes the terms the program does not fold —
@@ -237,6 +310,110 @@ func (k *Kernel) Specialized() (bool, string) {
 	return false, k.specReason
 }
 
+// specMatcher is the state of one buildSpecPlan run: the slot
+// classification of the compiled stages and the scalar bank / row-vector
+// tables the plan accumulates while operands are resolved.
+type specMatcher struct {
+	k  *Kernel
+	sp *specPlan
+
+	edgeLeafBySlot map[int]int  // slot → k.edgeLeaves index
+	rowConst       map[int]int  // row-constant slot → k.rowLeaves index, -1 when scratch-resident
+	viewOf         map[int]int  // EdgeView output slot → its operand's slot
+	wideBySlot     map[int]step // edge steps that are neither chain, dot nor view
+	usedWide       map[int]bool // wide steps some dot or term consumed
+	sval           map[int]int  // slot → scalar-bank index
+	rowVecOf       map[int]int  // row-constant slot → sp.rowVecs index
+}
+
+// view follows a slot through EdgeView steps to the value it re-indexes.
+// EdgeView is a pure copy of its operand's row for the current edge, so
+// the alias is exact: a view of a neighbour or edge leaf is that gather
+// leaf, a view of a row value is row-constant.
+func (m *specMatcher) view(slot int) int {
+	for {
+		in, ok := m.viewOf[slot]
+		if !ok {
+			return slot
+		}
+		slot = in
+	}
+}
+
+// resolveScalar returns the bank index holding a width-1 slot, allocating
+// a per-edge load or a per-row copy on first use.
+func (m *specMatcher) resolveScalar(slot int) (int, string) {
+	k, sp := m.k, m.sp
+	slot = m.view(slot)
+	if k.widths[slot] != 1 {
+		return 0, fmt.Sprintf("slot %d is not scalar", slot)
+	}
+	if i, ok := m.sval[slot]; ok {
+		return i, ""
+	}
+	if st, bad := m.wideBySlot[slot]; bad {
+		return 0, fmt.Sprintf("scalar from unsupported op %s", st.node.Op)
+	}
+	i := sp.nScalar
+	sp.nScalar++
+	m.sval[slot] = i
+	if li, ok := m.edgeLeafBySlot[slot]; ok {
+		sp.edgeLoads = append(sp.edgeLoads, specLoad{
+			leaf: li, byEdgeID: k.edgeLeaves[li].byEdgeID, dst: i,
+		})
+	} else {
+		// Row leaf, const leaf or pre-row output: constant within a
+		// row, hoisted to one copy per row.
+		sp.rowCopies = append(sp.rowCopies, specCopy{slot: slot, dst: i, leaf: -1})
+	}
+	return i, ""
+}
+
+// resolveWide validates a wide operand of width w as readable in place:
+// an edge-leaf row or a row-constant vector.
+func (m *specMatcher) resolveWide(slot, w int) (wideSrc, bool) {
+	k, sp := m.k, m.sp
+	slot = m.view(slot)
+	if k.widths[slot] != w {
+		return wideSrc{}, false
+	}
+	if li, ok := m.edgeLeafBySlot[slot]; ok {
+		return wideSrc{leaf: li, byEdgeID: k.edgeLeaves[li].byEdgeID, w: w}, true
+	}
+	li, ok := m.rowConst[slot]
+	if !ok {
+		return wideSrc{}, false
+	}
+	rv, seen := m.rowVecOf[slot]
+	if !seen {
+		rv = len(sp.rowVecs)
+		m.rowVecOf[slot] = rv
+		sp.rowVecs = append(sp.rowVecs, specRowVec{leaf: li, slot: slot})
+	}
+	return wideSrc{leaf: -1, rowVec: rv, w: w}, true
+}
+
+// matchDot recognizes st as the reduction of a dot production: a RowSum
+// whose operand is the wide Mul of two equal-width wide sources.
+func (m *specMatcher) matchDot(st step) (specDot, bool) {
+	if st.node.Op != gir.OpRowSum {
+		return specDot{}, false
+	}
+	in := m.view(st.ins[0])
+	w := m.k.widths[in]
+	mul, ok := m.wideBySlot[in]
+	if !ok || w == 1 || mul.node.Op != gir.OpMul || len(mul.ins) != 2 || mul.ins[0] < 0 || mul.ins[1] < 0 {
+		return specDot{}, false
+	}
+	a, okA := m.resolveWide(mul.ins[0], w)
+	b, okB := m.resolveWide(mul.ins[1], w)
+	if !okA || !okB {
+		return specDot{}, false
+	}
+	m.usedWide[mul.out] = true
+	return specDot{a: a, b: b}, true
+}
+
 // buildSpecPlan pattern-matches the compiled stages against the grammar
 // above; a nil plan plus reason means interpreter fallback.
 func (k *Kernel) buildSpecPlan() (*specPlan, string) {
@@ -244,18 +421,41 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 		return nil, "no aggregation to fuse into"
 	}
 	sp := &specPlan{}
-
-	edgeLeafBySlot := make(map[int]int, len(k.edgeLeaves))
+	m := &specMatcher{
+		k: k, sp: sp,
+		edgeLeafBySlot: make(map[int]int, len(k.edgeLeaves)),
+		rowConst:       make(map[int]int),
+		viewOf:         make(map[int]int),
+		wideBySlot:     make(map[int]step),
+		usedWide:       make(map[int]bool),
+		sval:           make(map[int]int),
+		rowVecOf:       make(map[int]int),
+	}
 	for li, ld := range k.edgeLeaves {
-		edgeLeafBySlot[ld.slot] = li
+		m.edgeLeafBySlot[ld.slot] = li
+	}
+	for li, ld := range k.rowLeaves {
+		m.rowConst[ld.slot] = li
+	}
+	for _, ld := range k.constLeaves {
+		m.rowConst[ld.slot] = -1
+	}
+	for _, st := range k.preRow {
+		m.rowConst[st.out] = -1
 	}
 
-	// Partition the edge steps: width-1 elementwise ops over width-1
-	// operands form the scalar chain; everything else is a wide step
-	// that must be consumed by a recognized term.
+	// Partition the edge steps (k.edge lists producers before consumers):
+	// EdgeViews alias their operand; width-1 elementwise ops over width-1
+	// operands form the scalar chain; RowSum(Mul(A,B)) over two wide
+	// sources is a dot; everything else is a wide step that must be
+	// consumed by a recognized dot or term.
 	var chainSteps []step
-	wideBySlot := make(map[int]step)
+	var dotOuts []int // output slot of sp.dots[i]
 	for _, st := range k.edge {
+		if st.node.Op == gir.OpEdgeView && k.widths[st.ins[0]] == k.widths[st.out] {
+			m.viewOf[st.out] = st.ins[0]
+			continue
+		}
 		if k.widths[st.out] == 1 && scalarClosureOp(st.node.Op) {
 			allScalar := true
 			for _, s := range st.ins {
@@ -269,50 +469,32 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 				continue
 			}
 		}
-		wideBySlot[st.out] = st
+		if d, ok := m.matchDot(st); ok {
+			sp.dots = append(sp.dots, d)
+			dotOuts = append(dotOuts, st.out)
+			continue
+		}
+		m.wideBySlot[st.out] = st
 	}
 
-	// The scalar bank: chain outputs first (pre-registered so operand
-	// resolution never sees a forward reference), then demand-allocated
-	// loads and row copies.
-	sval := make(map[int]int)
+	// The scalar bank: chain and dot outputs first (pre-registered so
+	// operand resolution never sees a forward reference), then
+	// demand-allocated loads and row copies.
 	for _, st := range chainSteps {
-		sval[st.out] = sp.nScalar
+		m.sval[st.out] = sp.nScalar
 		sp.nScalar++
 	}
-	resolveScalar := func(slot int) (int, string) {
-		if k.widths[slot] != 1 {
-			return 0, fmt.Sprintf("slot %d is not scalar", slot)
-		}
-		if i, ok := sval[slot]; ok {
-			return i, ""
-		}
-		if st, bad := wideBySlot[slot]; bad {
-			return 0, fmt.Sprintf("scalar from unsupported op %s", st.node.Op)
-		}
-		i := sp.nScalar
+	for i, out := range dotOuts {
+		sp.dots[i].dst = sp.nScalar
+		m.sval[out] = sp.nScalar
 		sp.nScalar++
-		sval[slot] = i
-		if li, ok := edgeLeafBySlot[slot]; ok {
-			sp.edgeLoads = append(sp.edgeLoads, specLoad{
-				leaf: li, byEdgeID: k.edgeLeaves[li].byEdgeID, dst: i,
-			})
-		} else {
-			// Row leaf, const leaf or pre-row output: constant within a
-			// row, hoisted to one copy per row.
-			sp.rowCopies = append(sp.rowCopies, specCopy{slot: slot, dst: i, leaf: -1})
-		}
-		return i, ""
 	}
 
 	// The pre-row and post stages stay interpreted (they run once per
 	// row); they must not read per-edge state, which the stage split
 	// already guarantees — verified here rather than assumed.
 	edgeStage := make(map[int]bool)
-	for s := range wideBySlot {
-		edgeStage[s] = true
-	}
-	for _, st := range chainSteps {
+	for _, st := range k.edge {
 		edgeStage[st.out] = true
 	}
 	for _, ld := range k.edgeLeaves {
@@ -331,7 +513,7 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 	// Compile the chain instructions.
 	var chainOps []specProgOp
 	for _, st := range chainSteps {
-		op, reason := buildScalarOp(st, sval, resolveScalar)
+		op, reason := m.buildScalarOp(st)
 		if reason != "" {
 			return nil, reason
 		}
@@ -340,14 +522,14 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 	sp.chainLen = len(chainOps)
 
 	// Per-edge materializations must come from the scalar bank.
-	for mi, m := range k.mats {
-		if !m.perEdge {
+	for mi, mo := range k.mats {
+		if !mo.perEdge {
 			continue
 		}
-		if k.widths[m.slot] != 1 {
-			return nil, fmt.Sprintf("wide per-edge materialization of slot %d", m.slot)
+		if k.widths[mo.slot] != 1 {
+			return nil, fmt.Sprintf("wide per-edge materialization of slot %d", mo.slot)
 		}
-		src, reason := resolveScalar(m.slot)
+		src, reason := m.resolveScalar(mo.slot)
 		if reason != "" {
 			return nil, "per-edge materialization: " + reason
 		}
@@ -355,7 +537,6 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 	}
 
 	// Match each aggregation input to a term.
-	usedWide := make(map[int]bool)
 	for ai, ag := range k.aggs {
 		t := specTerm{agg: ai, width: ag.node.Dim(), src: -1, scale: -1}
 		if ag.node.Op == gir.OpAggHier {
@@ -364,17 +545,16 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 		} else {
 			t.outer = ag.node.Attr.AggOp
 		}
-		reason := k.matchTerm(&t, ag.in, sp, edgeLeafBySlot, wideBySlot, usedWide, resolveScalar)
-		if reason != "" {
+		if reason := m.matchTerm(&t, ag.in); reason != "" {
 			return nil, reason
 		}
 		sp.terms = append(sp.terms, t)
 	}
 
-	// Every wide step must have been consumed by some term; a leftover
-	// means a wide value we cannot produce.
-	for slot, st := range wideBySlot {
-		if !usedWide[slot] {
+	// Every wide step must have been consumed by some dot or term; a
+	// leftover means a wide value we cannot produce.
+	for slot, st := range m.wideBySlot {
+		if !m.usedWide[slot] {
 			return nil, fmt.Sprintf("wide op %s (slot %d) has no specialized consumer", st.node.Op, slot)
 		}
 	}
@@ -404,14 +584,17 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 		}
 	}
 
-	// Classify bank slots: load outputs vary per edge, and so does any
-	// chain output with at least one per-edge operand. A chain op whose
+	// Classify bank slots: load and dot outputs vary per edge, and so does
+	// any chain output with at least one per-edge operand. A chain op whose
 	// operands are all row-constant is itself row-invariant — it is
 	// hoisted into rowProg and computed once per row, which stores the
 	// identical value the per-edge recomputation would have.
 	sp.colSlot = make([]bool, sp.nScalar)
 	for _, ld := range sp.edgeLoads {
 		sp.colSlot[ld.dst] = true
+	}
+	for _, d := range sp.dots {
+		sp.colSlot[d.dst] = true
 	}
 	var edgeChain []specProgOp
 	for _, op := range chainOps {
@@ -431,7 +614,7 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 		edgeChain = append(edgeChain, op)
 	}
 
-	// Assemble the flat edge program: loads, chain, materialization
+	// Assemble the flat edge program: loads, dots, chain, materialization
 	// stores, then the in-program term folds. Terms fold independent
 	// accumulators, so hoisting the program-handled ones ahead of the
 	// generic term switch cannot change any accumulator's edge sequence.
@@ -441,6 +624,9 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 			code = opLoadEdge
 		}
 		sp.prog = append(sp.prog, specProgOp{code: code, o: int32(ld.dst), ref: int32(ld.leaf), sink: -1})
+	}
+	for di, d := range sp.dots {
+		sp.prog = append(sp.prog, specProgOp{code: opDot, o: int32(d.dst), ref: int32(di), sink: -1})
 	}
 	for _, op := range edgeChain {
 		op.sink = -1
@@ -501,8 +687,8 @@ func (sp *specPlan) fuseBufSinks() {
 	uses := make([]int, sp.nScalar)
 	for _, op := range sp.prog {
 		switch op.code {
-		case opLoadNbr, opLoadEdge:
-			continue
+		case opLoadNbr, opLoadEdge, opDot:
+			continue // no bank operands
 		}
 		if !op.aSc {
 			uses[op.a]++
@@ -595,12 +781,11 @@ func (k *Kernel) planRowFastPaths(sp *specPlan) {
 }
 
 // matchTerm resolves one aggregation input slot to a term form.
-func (k *Kernel) matchTerm(t *specTerm, inSlot int, sp *specPlan,
-	edgeLeafBySlot map[int]int, wideBySlot map[int]step, usedWide map[int]bool,
-	resolveScalar func(int) (int, string)) string {
-
+func (m *specMatcher) matchTerm(t *specTerm, inSlot int) string {
+	k := m.k
+	inSlot = m.view(inSlot)
 	if k.widths[inSlot] == 1 {
-		src, reason := resolveScalar(inSlot)
+		src, reason := m.resolveScalar(inSlot)
 		if reason != "" {
 			return "aggregation input: " + reason
 		}
@@ -608,28 +793,18 @@ func (k *Kernel) matchTerm(t *specTerm, inSlot int, sp *specPlan,
 		return ""
 	}
 
-	// gatherLeaf validates a wide operand as a direct edge-leaf row.
-	gatherLeaf := func(slot, wantW int) (int, bool) {
-		li, ok := edgeLeafBySlot[slot]
-		if !ok || k.widths[slot] != wantW {
-			return 0, false
-		}
-		return li, true
-	}
-
-	if li, ok := gatherLeaf(inSlot, t.width); ok {
-		t.kind, t.src, t.lw = termGather, li, t.width
-		t.byEdgeID = k.edgeLeaves[li].byEdgeID
+	if ws, ok := m.resolveWide(inSlot, t.width); ok {
+		t.kind, t.wide = termGather, ws
 		return ""
 	}
 
-	st, ok := wideBySlot[inSlot]
+	st, ok := m.wideBySlot[inSlot]
 	if !ok {
 		return fmt.Sprintf("wide aggregation input from slot %d has no recognized producer", inSlot)
 	}
 
 	// typedTransform validates a MatMulTyped step whose input is a wide
-	// edge leaf and fills the typed-term fields.
+	// source and fills the typed-term fields.
 	typedTransform := func(mm step) string {
 		din, dout := mm.param.Shape[1], mm.param.Shape[2]
 		if k.widths[mm.out] != dout {
@@ -639,14 +814,13 @@ func (k *Kernel) matchTerm(t *specTerm, inSlot int, sp *specPlan,
 		if xSlot < 0 {
 			xSlot = mm.ins[1]
 		}
-		li, ok := gatherLeaf(xSlot, din)
+		ws, ok := m.resolveWide(xSlot, din)
 		if !ok {
-			return "typed transform input is not a wide edge leaf"
+			return "typed transform input is not an in-place wide source"
 		}
-		t.kind, t.src, t.lw = termTyped, li, din
-		t.byEdgeID = k.edgeLeaves[li].byEdgeID
+		t.kind, t.wide = termTyped, ws
 		t.param, t.tmpSlot, t.din, t.dout = mm.param, mm.out, din, dout
-		usedWide[mm.out] = true
+		m.usedWide[mm.out] = true
 		return ""
 	}
 
@@ -655,39 +829,39 @@ func (k *Kernel) matchTerm(t *specTerm, inSlot int, sp *specPlan,
 		if reason := typedTransform(st); reason != "" {
 			return reason
 		}
-		usedWide[inSlot] = true
+		m.usedWide[inSlot] = true
 		return ""
 	case gir.OpMul:
 		if len(st.ins) != 2 {
 			return "wide Mul with unexpected arity"
 		}
-		// One operand wide (leaf gather or typed transform), the other a
+		// One operand wide (source row or typed transform), the other a
 		// bank scalar.
 		for side := 0; side < 2; side++ {
 			wideIn, scalarIn := st.ins[side], st.ins[1-side]
 			if wideIn < 0 || scalarIn < 0 || k.widths[scalarIn] != 1 {
 				continue
 			}
-			if li, ok := gatherLeaf(wideIn, t.width); ok {
-				scale, reason := resolveScalar(scalarIn)
+			wideIn = m.view(wideIn)
+			if ws, ok := m.resolveWide(wideIn, t.width); ok {
+				scale, reason := m.resolveScalar(scalarIn)
 				if reason != "" {
 					return "gather scale: " + reason
 				}
-				t.kind, t.src, t.lw, t.scale = termScaledGather, li, t.width, scale
-				t.byEdgeID = k.edgeLeaves[li].byEdgeID
-				usedWide[inSlot] = true
+				t.kind, t.wide, t.scale = termScaledGather, ws, scale
+				m.usedWide[inSlot] = true
 				return ""
 			}
-			if mm, ok := wideBySlot[wideIn]; ok && mm.node.Op == gir.OpMatMulTyped {
+			if mm, ok := m.wideBySlot[wideIn]; ok && mm.node.Op == gir.OpMatMulTyped {
 				if reason := typedTransform(mm); reason != "" {
 					return reason
 				}
-				scale, reason := resolveScalar(scalarIn)
+				scale, reason := m.resolveScalar(scalarIn)
 				if reason != "" {
 					return "typed transform scale: " + reason
 				}
 				t.scale = scale
-				usedWide[inSlot] = true
+				m.usedWide[inSlot] = true
 				return ""
 			}
 		}
@@ -704,7 +878,7 @@ func scalarClosureOp(op gir.OpKind) bool {
 		gir.OpExp, gir.OpLog, gir.OpLeakyReLU, gir.OpReLU,
 		gir.OpSigmoid, gir.OpTanh, gir.OpMulConst, gir.OpAddConst,
 		gir.OpLeakyReLUGrad, gir.OpReLUGrad, gir.OpSigmoidGrad,
-		gir.OpTanhGrad, gir.OpRowSum, gir.OpEdgeView:
+		gir.OpTanhGrad, gir.OpRowSum:
 		return true
 	}
 	return false
@@ -714,11 +888,11 @@ func scalarClosureOp(op gir.OpKind) bool {
 // instruction over the scalar bank. Each opcode's executor arm is the
 // evalStep arm at width 1, with the slot indirection resolved here at
 // compile time.
-func buildScalarOp(st step, sval map[int]int, resolveScalar func(int) (int, string)) (specProgOp, string) {
-	op := specProgOp{o: int32(sval[st.out])}
+func (m *specMatcher) buildScalarOp(st step) (specProgOp, string) {
+	op := specProgOp{o: int32(m.sval[st.out])}
 	idx := make([]int, len(st.ins))
 	for i, s := range st.ins {
-		j, reason := resolveScalar(s)
+		j, reason := m.resolveScalar(s)
 		if reason != "" {
 			return op, fmt.Sprintf("chain %s operand: %s", st.node.Op, reason)
 		}
@@ -765,8 +939,8 @@ func buildScalarOp(st step, sval map[int]int, resolveScalar func(int) (int, stri
 		op.code = opSigmoidGrad
 	case gir.OpTanhGrad:
 		op.code = opTanhGrad
-	case gir.OpRowSum, gir.OpEdgeView:
-		// At width 1 both are identity copies.
+	case gir.OpRowSum:
+		// At width 1 the sum is an identity copy.
 		op.code = opCopy
 	default:
 		return op, fmt.Sprintf("op %s has no scalar instruction", st.node.Op)
@@ -775,9 +949,14 @@ func buildScalarOp(st step, sval map[int]int, resolveScalar func(int) (int, stri
 }
 
 // specPlanName renders the matched pattern for EXPLAIN, e.g.
-// "chain[4]+scaled-gather" (GAT) or "typed-gather→hier" (R-GCN).
+// "chain[4]+scaled-gather" (GAT), "dot[1]+chain[6]+scalar-agg" (GAT
+// backward) or "typed-gather→hier" (R-GCN). A term over a row-constant
+// vector reads "rowvec" where a leaf term reads "gather".
 func specPlanName(sp *specPlan) string {
 	var parts []string
+	if len(sp.dots) > 0 {
+		parts = append(parts, fmt.Sprintf("dot[%d]", len(sp.dots)))
+	}
 	if sp.chainLen > 0 {
 		parts = append(parts, fmt.Sprintf("chain[%d]", sp.chainLen))
 	}
@@ -794,6 +973,9 @@ func specPlanName(sp *specPlan) string {
 			s = "scaled-gather"
 		case termTyped:
 			s = "typed-gather"
+		}
+		if t.kind != termScalar && t.wide.leaf < 0 {
+			s = strings.Replace(s, "gather", "rowvec", 1)
 		}
 		if !seen[s] {
 			seen[s] = true
@@ -847,7 +1029,7 @@ type specTermState struct {
 // reordering work across independent accumulators stays bitwise-equal.
 func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi int) error {
 	sp := k.spec
-	scratch, accs, inner, v := a.scratch, a.accs, a.inner, a.svals
+	scratch, accs, inner, v, rowVec := a.scratch, a.accs, a.inner, a.svals, a.rowVec
 	rowT, matT, params := k.rowT, k.matT, k.paramT
 	leafData := k.specLeafData
 	matData := k.specMatData
@@ -862,8 +1044,8 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 			s.target, s.kind = inner[t.agg], t.inner
 		}
 		s.data = nil
-		if t.kind != termScalar {
-			s.data = leafData[t.src]
+		if t.kind != termScalar && t.wide.leaf >= 0 {
+			s.data = leafData[t.wide.leaf] // row-constant sources rebind per row
 		}
 		if t.kind == termTyped {
 			s.wd = k.specWd[ti]
@@ -880,6 +1062,8 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 		switch p.code {
 		case opLoadNbr, opLoadEdge:
 			b.data = leafData[p.ref]
+		case opDot:
+			b.dot = &sp.dots[p.ref]
 		case opStoreMat:
 			b.data = matData[p.ref]
 		case opAccScalar:
@@ -932,6 +1116,20 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 		for pi := range sp.rowProg {
 			runScalarOp(&sp.rowProg[pi], v)
 		}
+		if len(sp.rowVecs) > 0 {
+			for i, rv := range sp.rowVecs {
+				if rv.leaf >= 0 {
+					rowVec[i] = rowT[rv.leaf].Row(vid)
+				} else {
+					rowVec[i] = scratch[rv.slot]
+				}
+			}
+			for ti := range sp.terms {
+				if t := &sp.terms[ti]; t.kind != termScalar && t.wide.leaf < 0 {
+					ts[ti].data = rowVec[t.wide.rowVec]
+				}
+			}
+		}
 		for i, ag := range k.aggs {
 			initAcc(accs[i], outerKind(ag.node))
 			if ag.node.Op == gir.OpAggHier {
@@ -942,9 +1140,9 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 		deg := len(nbrs)
 		started := false
 		if sp.columnar {
-			k.runEdgesCol(sp, ts, prog, v, cols, nbrs, eids, g)
+			k.runEdgesCol(sp, ts, prog, v, cols, rowVec, nbrs, eids, g)
 		} else {
-			started = k.runEdgesHier(sp, ts, prog, v, nbrs, eids, g, accs, inner)
+			started = k.runEdgesHier(sp, ts, prog, v, rowVec, nbrs, eids, g, accs, inner)
 		}
 		for ai, ag := range k.aggs {
 			if ag.node.Op == gir.OpAggHier {
@@ -979,7 +1177,7 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 // element), then the leftover terms walk the block per edge, then every
 // batched term drains through GatherMulAdd.
 func (k *Kernel) runEdgesCol(sp *specPlan, ts []specTermState, prog []specOp,
-	v []float32, cols [][]float32, nbrs, eids []int32, g *graph.Graph) {
+	v []float32, cols, rowVec [][]float32, nbrs, eids []int32, g *graph.Graph) {
 
 	typed := k.usesEdgeType
 	for b0 := 0; b0 < len(nbrs); b0 += specBlock {
@@ -1003,6 +1201,11 @@ func (k *Kernel) runEdgesCol(sp *specPlan, ts []specTermState, prog []specOp,
 				for j, ix := range eidsB {
 					o[j] = d[ix]
 				}
+			case opDot:
+				d := p.dot
+				tensor.GatherDot(p.oc[:n],
+					k.wideData(d.a, rowVec), d.a.index(nbrsB, eidsB),
+					k.wideData(d.b, rowVec), d.b.index(nbrsB, eidsB), d.a.w)
 			case opAdd:
 				o := p.oc[:n]
 				switch {
@@ -1205,10 +1408,8 @@ func (k *Kernel) runEdgesCol(sp *specPlan, ts []specTermState, prog []specOp,
 		for _, si := range sp.rest {
 			s := &ts[si]
 			t := s.t
-			idx := nbrsB
-			if t.byEdgeID {
-				idx = eidsB
-			}
+			idx := t.wide.index(nbrsB, eidsB)
+			lw := t.wide.w
 			switch t.kind {
 			case termScalar:
 				if sp.colSlot[t.src] {
@@ -1223,8 +1424,8 @@ func (k *Kernel) runEdgesCol(sp *specPlan, ts []specTermState, prog []specOp,
 				}
 			case termGather:
 				for _, ix := range idx {
-					base := int(ix) * t.lw
-					accumulate(s.target, s.data[base:base+t.lw], s.kind, t.lw)
+					base := int(ix) * lw
+					accumulate(s.target, s.data[base:base+lw], s.kind, lw)
 				}
 			case termScaledGather:
 				var scCol []float32
@@ -1236,8 +1437,8 @@ func (k *Kernel) runEdgesCol(sp *specPlan, ts []specTermState, prog []specOp,
 					if scCol != nil {
 						sc = scCol[j]
 					}
-					base := int(ix) * t.lw
-					scaledAccumulate(s.target, s.data[base:base+t.lw], sc, s.kind)
+					base := int(ix) * lw
+					scaledAccumulate(s.target, s.data[base:base+lw], sc, s.kind)
 				}
 			default: // termTyped
 				var scCol []float32
@@ -1247,10 +1448,10 @@ func (k *Kernel) runEdgesCol(sp *specPlan, ts []specTermState, prog []specOp,
 				for j, ix := range idx {
 					if j+1 < n {
 						nb := int(idx[j+1])
-						tensor.Prefetch(s.data[nb*t.lw : nb*t.lw+t.lw])
+						tensor.Prefetch(s.data[nb*lw : nb*lw+lw])
 					}
-					base := int(ix) * t.lw
-					x := s.data[base : base+t.lw]
+					base := int(ix) * lw
+					x := s.data[base : base+lw]
 					et := 0
 					if typed {
 						et = int(g.EdgeTypes[eidsB[j]])
@@ -1297,14 +1498,19 @@ func (k *Kernel) runEdgesCol(sp *specPlan, ts []specTermState, prog []specOp,
 				if !s.t.batch {
 					continue
 				}
-				idx := nbrsB
-				if s.t.byEdgeID {
-					idx = eidsB
-				}
-				tensor.GatherMulAdd(s.target, s.data, idx, s.buf[:n])
+				tensor.GatherMulAdd(s.target, s.data, s.t.wide.index(nbrsB, eidsB), s.buf[:n])
 			}
 		}
 	}
+}
+
+// wideData returns the backing data ws indexes into: the bound edge
+// leaf's tensor, or the current row's vector.
+func (k *Kernel) wideData(ws wideSrc, rowVec [][]float32) []float32 {
+	if ws.leaf >= 0 {
+		return k.specLeafData[ws.leaf]
+	}
+	return rowVec[ws.rowVec]
 }
 
 // opA reads instruction operand a for block element j.
@@ -1327,7 +1533,7 @@ func (p *specOp) opB(v []float32, j int) float32 {
 // the path hierarchical kernels take, whose type-boundary folds
 // interleave with the edge sequence. It reports whether any edge ran.
 func (k *Kernel) runEdgesHier(sp *specPlan, ts []specTermState, prog []specOp,
-	v []float32, nbrs, eids []int32, g *graph.Graph, accs, inner [][]float32) bool {
+	v []float32, rowVec [][]float32, nbrs, eids []int32, g *graph.Graph, accs, inner [][]float32) bool {
 
 	hier, typed := k.hier, k.usesEdgeType
 	deg := len(nbrs)
@@ -1358,6 +1564,11 @@ func (k *Kernel) runEdgesHier(sp *specPlan, ts []specTermState, prog []specOp,
 				v[p.o] = p.data[nbr]
 			case opLoadEdge:
 				v[p.o] = p.data[eid]
+			case opDot:
+				d, nb, ed := p.dot, nbrs[i:i+1], eids[i:i+1]
+				tensor.GatherDot(v[p.o:p.o+1],
+					k.wideData(d.a, rowVec), d.a.index(nb, ed),
+					k.wideData(d.b, rowVec), d.b.index(nb, ed), d.a.w)
 			case opStoreMat:
 				p.data[eid] = v[p.a]
 			case opAccScalar:
@@ -1373,30 +1584,14 @@ func (k *Kernel) runEdgesHier(sp *specPlan, ts []specTermState, prog []specOp,
 			case t.kind == termScalar:
 				accumulate(s.target, v[t.src:t.src+1], s.kind, 1)
 			case t.kind == termGather:
-				base := int(nbr) * t.lw
-				if t.byEdgeID {
-					base = eid * t.lw
-				}
-				accumulate(s.target, s.data[base:base+t.lw], s.kind, t.lw)
+				accumulate(s.target, t.wide.row(s.data, nbr, eid), s.kind, t.wide.w)
 			case t.kind == termScaledGather:
-				base := int(nbr) * t.lw
-				if t.byEdgeID {
-					base = eid * t.lw
-				}
-				scaledAccumulate(s.target, s.data[base:base+t.lw], v[t.scale], s.kind)
+				scaledAccumulate(s.target, t.wide.row(s.data, nbr, eid), v[t.scale], s.kind)
 			default: // termTyped
-				base := int(nbr) * t.lw
-				if t.byEdgeID {
-					base = eid * t.lw
-				}
 				if i+1 < deg {
-					nb := int(nbrs[i+1])
-					if t.byEdgeID {
-						nb = int(eids[i+1])
-					}
-					tensor.Prefetch(s.data[nb*t.lw : nb*t.lw+t.lw])
+					tensor.Prefetch(t.wide.row(s.data, nbrs[i+1], int(eids[i+1])))
 				}
-				x := s.data[base : base+t.lw]
+				x := t.wide.row(s.data, nbr, eid)
 				wbase := et * t.din * t.dout
 				wd := s.wd[wbase : wbase+t.din*t.dout]
 				if t.gemv {

@@ -9,8 +9,10 @@
 package kernels_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"seastar/internal/exec"
@@ -385,5 +387,71 @@ func TestSpecializeOpSweep(t *testing.T) {
 			seastarSpecNames(t, c)
 			checkBitwise(t, c, g, vfeat, nil, nil)
 		})
+	}
+
+	// The dot production RowSum(Mul(A,B)) in its three operand forms —
+	// row-constant × neighbour leaf, row-constant × edge leaf, neighbour ×
+	// edge leaf — feeding a sink-fused scaled gather, the in-program sum
+	// fold and a chain + max fold, plus the hierarchical edge-at-a-time
+	// walk. Widths cover the scalar degenerate case, sub-vector, exact
+	// vector, the benchmark's 64 and a vector tail; the ladder graph's
+	// degrees cover 0, 1 and every remainder of the 4- and 8-edge lockstep;
+	// the payloads put NaN, ±Inf and −0 on both sides of the products (a
+	// −0 product must still sum to +0: the fold starts from +0).
+	dots := []struct {
+		name      string
+		relations int
+		body      func(v *gir.Vertex) *gir.Value
+	}{
+		{"dot-rownbr", 0, func(v *gir.Vertex) *gir.Value {
+			return v.Self("p").Mul(v.Nbr("p")).RowSum().Mul(v.Nbr("x")).AggSum()
+		}},
+		{"dot-roweid", 0, func(v *gir.Vertex) *gir.Value {
+			return v.Self("p").Mul(v.Edge("q")).RowSum().AggSum()
+		}},
+		{"dot-nbreid", 0, func(v *gir.Vertex) *gir.Value {
+			return v.Nbr("p").Mul(v.Edge("q")).RowSum().Tanh().AggMax()
+		}},
+		{"dot-hier", 3, func(v *gir.Vertex) *gir.Value {
+			return v.Self("p").Mul(v.Nbr("p")).RowSum().Mul(v.Edge("q")).AggHier(gir.AggSum, gir.AggSum)
+		}},
+	}
+	negZero := float32(math.Copysign(0, -1))
+	payloads := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), negZero, 0}
+	for _, w := range []int{1, 3, 8, 64, 65} {
+		for _, d := range dots {
+			t.Run(fmt.Sprintf("%s-w%d", d.name, w), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(72 + w)))
+				g := ladderGraph(t, rng, d.relations)
+				p := tensor.Randn(rng, 0.5, g.N, w)
+				q := tensor.Randn(rng, 0.5, g.M, w)
+				for i, pl := range payloads {
+					p.Set1((7*i+3)%p.Size(), pl)
+					q.Set1((131*i+17)%q.Size(), pl)
+				}
+				// Whole rows of −0 products: x·(−0) for x > 0.
+				for j := 0; j < w; j++ {
+					p.Set1(5*w+j, negZero)
+				}
+				b := gir.NewBuilder()
+				b.VFeature("p", w)
+				b.VFeature("x", 16)
+				b.EFeature("q", w)
+				dag, err := b.Build(d.body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := exec.CompileInference(dag)
+				if err != nil {
+					t.Fatal(err)
+				}
+				names := seastarSpecNames(t, c)
+				if w > 1 && !strings.HasPrefix(names[0], "dot[1]") {
+					t.Fatalf("compiled as %v, want a dot production", names)
+				}
+				vfeat := map[string]*tensor.Tensor{"p": p, "x": tensor.Randn(rng, 0.5, g.N, 16)}
+				checkBitwise(t, c, g, vfeat, map[string]*tensor.Tensor{"q": q}, nil)
+			})
+		}
 	}
 }

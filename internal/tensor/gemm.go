@@ -374,6 +374,63 @@ func gatherMulAddGo(acc, src []float32, idx []int32, scale []float32) {
 	}
 }
 
+// gatherDotImpl is the active per-edge dot kernel; amd64 init swaps in
+// the AVX2 version.
+var gatherDotImpl = gatherDotGo
+
+// GatherDot computes one dot product of two gathered rows per edge of a
+// block (FeatGraph's generalized-SDDMM template):
+//
+//	out[e] = Σ_j a[ai[e]·w+j] · b[bi[e]·w+j]        e < len(out)
+//
+// with exactly the rounding of an interpreted wide Mul step followed by
+// RowSum: each product is rounded to float32, then folded into a sum that
+// starts at +0, for j ascending — never an FMA, never a reassociated
+// tree. One edge's sum is a serial chain of dependent adds, so the speed
+// comes from running several edges' chains in lockstep (4 in portable Go;
+// the AVX2 backend runs 8, one per lane, transposing 8×8 product tiles so
+// that every lane still adds its own products in j order).
+func GatherDot(out, a []float32, ai []int32, b []float32, bi []int32, w int) {
+	if len(out) == 0 {
+		return
+	}
+	gatherDotImpl(out, a, ai, b, bi, w)
+}
+
+func gatherDotGo(out, a []float32, ai []int32, b []float32, bi []int32, w int) {
+	n := len(out)
+	ai, bi = ai[:n], bi[:n]
+	e := 0
+	for ; e+4 <= n; e += 4 {
+		a0, b0 := a[int(ai[e])*w:][:w], b[int(bi[e])*w:][:w]
+		a1, b1 := a[int(ai[e+1])*w:][:w], b[int(bi[e+1])*w:][:w]
+		a2, b2 := a[int(ai[e+2])*w:][:w], b[int(bi[e+2])*w:][:w]
+		a3, b3 := a[int(ai[e+3])*w:][:w], b[int(bi[e+3])*w:][:w]
+		var s0, s1, s2, s3 float32
+		for j := range a0 {
+			// The explicit conversions pin the product's rounding: the
+			// spec lets a compiler fuse x*y+z across statements otherwise.
+			s0 += float32(a0[j] * b0[j])
+			s1 += float32(a1[j] * b1[j])
+			s2 += float32(a2[j] * b2[j])
+			s3 += float32(a3[j] * b3[j])
+		}
+		out[e], out[e+1], out[e+2], out[e+3] = s0, s1, s2, s3
+	}
+	for ; e < n; e++ {
+		out[e] = dotTail(0, a[int(ai[e])*w:][:w], b[int(bi[e])*w:][:w])
+	}
+}
+
+// dotTail continues one edge's order-preserving dot from partial sum s.
+func dotTail(s float32, a, b []float32) float32 {
+	b = b[:len(a)]
+	for j := range a {
+		s += float32(a[j] * b[j])
+	}
+	return s
+}
+
 // gemvAddImpl / gemvMulAddImpl are the active per-edge transform-
 // accumulate kernels; amd64 init swaps in the AVX2 versions.
 var (

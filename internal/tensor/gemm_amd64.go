@@ -59,6 +59,14 @@ func gemvAddAsm16(acc, w, x *float32, din int64)
 //go:noescape
 func gemvMulAddAsm16(acc, w, x *float32, din int64, s float32)
 
+// gatherDotAsm8 computes eight order-preserving dot products in lockstep
+// over columns [0, w8) of the rows starting at elements aoff[e], boff[e];
+// w8 must be a positive multiple of 8. See GatherDot for the rounding
+// contract.
+//
+//go:noescape
+func gatherDotAsm8(out, a *float32, aoff *int64, b *float32, boff *int64, w8 int64)
+
 // prefetchT0 hints p's cache line into L1.
 //
 //go:noescape
@@ -98,6 +106,7 @@ func init() {
 			vecAddImpl = vecAddFMA
 			vecMulAddImpl = vecMulAddAVX
 			gatherMulAddImpl = gatherMulAddAVX
+			gatherDotImpl = gatherDotAVX
 			gemvAddImpl = gemvAddAVX
 			gemvMulAddImpl = gemvMulAddAVX
 		} else {
@@ -105,6 +114,7 @@ func init() {
 			vecAddImpl = vecAddGo
 			vecMulAddImpl = vecMulAddGo
 			gatherMulAddImpl = gatherMulAddGo
+			gatherDotImpl = gatherDotGo
 			gemvAddImpl = gemvAddGo
 			gemvMulAddImpl = gemvMulAddGo
 		}
@@ -148,6 +158,35 @@ func gatherMulAddAVX(acc, src []float32, idx []int32, scale []float32) {
 		gatherMulAddAsm8(&acc[0], &src[0], &idx[0], &scale[0], int64(len(idx)))
 	default:
 		gatherMulAddGo(acc, src, idx, scale)
+	}
+}
+
+func gatherDotAVX(out, a []float32, ai []int32, b []float32, bi []int32, w int) {
+	w8 := w &^ 7
+	if w8 == 0 {
+		gatherDotGo(out, a, ai, b, bi, w)
+		return
+	}
+	n := len(out)
+	ai, bi = ai[:n], bi[:n]
+	var aoff, boff [8]int64
+	e := 0
+	for ; e+8 <= n; e += 8 {
+		for l := 0; l < 8; l++ {
+			ao, bo := int(ai[e+l])*w, int(bi[e+l])*w
+			_, _ = a[ao+w-1], b[bo+w-1] // the assembly does not bounds-check
+			aoff[l], boff[l] = int64(ao), int64(bo)
+		}
+		gatherDotAsm8(&out[e], &a[0], &aoff[0], &b[0], &boff[0], int64(w8))
+		if w8 < w {
+			for l := 0; l < 8; l++ {
+				ao, bo := int(aoff[l]), int(boff[l])
+				out[e+l] = dotTail(out[e+l], a[ao+w8:ao+w], b[bo+w8:bo+w])
+			}
+		}
+	}
+	if e < n {
+		gatherDotGo(out[e:], a, ai[e:], b, bi[e:], w)
 	}
 }
 

@@ -323,6 +323,110 @@ gvmdone:
 	VZEROUPPER
 	RET
 
+// func gatherDotAsm8(out, a *float32, aoff *int64, b *float32, boff *int64, w8 int64)
+// Eight order-preserving dot products in lockstep, one edge per lane:
+//
+//	out[e] = sum_{j<w8} a[aoff[e]+j] * b[boff[e]+j]      e < 8
+//
+// aoff/boff are the element offsets of each edge's row; w8 > 0 is a
+// multiple of 8. Per group of eight columns every edge's products are formed with
+// one VMULPS (each product rounded to float32), the 8x8 tile is transposed
+// so that Tj holds column j of all eight edges, and the tile's columns are
+// folded into the lane sums with VADDPS for j ascending. Every lane
+// therefore sees exactly the scalar sequence s = 0; s += p_j — never an
+// FMA, never a reassociated tree — which is the bitwise contract with the
+// interpreter's Mul step + RowSum.
+TEXT ·gatherDotAsm8(SB), NOSPLIT, $0-48
+	MOVQ   out+0(FP), DI
+	MOVQ   a+8(FP), SI
+	MOVQ   aoff+16(FP), R8
+	MOVQ   b+24(FP), DX
+	MOVQ   boff+32(FP), R9
+	MOVQ   w8+40(FP), CX
+	VXORPS Y15, Y15, Y15
+
+dot8loop:
+	// Ye = a_e[j..j+8) * b_e[j..j+8)
+	MOVQ    0(R8), R10
+	MOVQ    0(R9), R11
+	VMOVUPS (SI)(R10*4), Y0
+	VMULPS  (DX)(R11*4), Y0, Y0
+	MOVQ    8(R8), R10
+	MOVQ    8(R9), R11
+	VMOVUPS (SI)(R10*4), Y1
+	VMULPS  (DX)(R11*4), Y1, Y1
+	MOVQ    16(R8), R10
+	MOVQ    16(R9), R11
+	VMOVUPS (SI)(R10*4), Y2
+	VMULPS  (DX)(R11*4), Y2, Y2
+	MOVQ    24(R8), R10
+	MOVQ    24(R9), R11
+	VMOVUPS (SI)(R10*4), Y3
+	VMULPS  (DX)(R11*4), Y3, Y3
+	MOVQ    32(R8), R10
+	MOVQ    32(R9), R11
+	VMOVUPS (SI)(R10*4), Y4
+	VMULPS  (DX)(R11*4), Y4, Y4
+	MOVQ    40(R8), R10
+	MOVQ    40(R9), R11
+	VMOVUPS (SI)(R10*4), Y5
+	VMULPS  (DX)(R11*4), Y5, Y5
+	MOVQ    48(R8), R10
+	MOVQ    48(R9), R11
+	VMOVUPS (SI)(R10*4), Y6
+	VMULPS  (DX)(R11*4), Y6, Y6
+	MOVQ    56(R8), R10
+	MOVQ    56(R9), R11
+	VMOVUPS (SI)(R10*4), Y7
+	VMULPS  (DX)(R11*4), Y7, Y7
+
+	// 8x8 transpose, in place plus Y6/Y8 as spill: unpack pairs …
+	VUNPCKLPS Y1, Y0, Y8 // t0
+	VUNPCKHPS Y1, Y0, Y1 // t1
+	VUNPCKLPS Y3, Y2, Y0 // t2
+	VUNPCKHPS Y3, Y2, Y3 // t3
+	VUNPCKLPS Y5, Y4, Y2 // t4
+	VUNPCKHPS Y5, Y4, Y5 // t5
+	VUNPCKLPS Y7, Y6, Y4 // t6
+	VUNPCKHPS Y7, Y6, Y7 // t7
+
+	// … shuffle quads …
+	VSHUFPS $0x44, Y0, Y8, Y6 // tt0
+	VSHUFPS $0xEE, Y0, Y8, Y8 // tt1
+	VSHUFPS $0x44, Y3, Y1, Y0 // tt2
+	VSHUFPS $0xEE, Y3, Y1, Y1 // tt3
+	VSHUFPS $0x44, Y4, Y2, Y3 // tt4
+	VSHUFPS $0xEE, Y4, Y2, Y2 // tt5
+	VSHUFPS $0x44, Y7, Y5, Y4 // tt6
+	VSHUFPS $0xEE, Y7, Y5, Y5 // tt7
+
+	// … and join 128-bit halves, folding column j as soon as it exists.
+	VPERM2F128 $0x20, Y3, Y6, Y7
+	VADDPS     Y7, Y15, Y15      // j+0
+	VPERM2F128 $0x20, Y2, Y8, Y9
+	VADDPS     Y9, Y15, Y15      // j+1
+	VPERM2F128 $0x20, Y4, Y0, Y7
+	VADDPS     Y7, Y15, Y15      // j+2
+	VPERM2F128 $0x20, Y5, Y1, Y9
+	VADDPS     Y9, Y15, Y15      // j+3
+	VPERM2F128 $0x31, Y3, Y6, Y7
+	VADDPS     Y7, Y15, Y15      // j+4
+	VPERM2F128 $0x31, Y2, Y8, Y9
+	VADDPS     Y9, Y15, Y15      // j+5
+	VPERM2F128 $0x31, Y4, Y0, Y7
+	VADDPS     Y7, Y15, Y15      // j+6
+	VPERM2F128 $0x31, Y5, Y1, Y9
+	VADDPS     Y9, Y15, Y15      // j+7
+
+	ADDQ $32, SI
+	ADDQ $32, DX
+	SUBQ $8, CX
+	JNZ  dot8loop
+
+	VMOVUPS Y15, (DI)
+	VZEROUPPER
+	RET
+
 // func prefetchT0(p *float32)
 // Hints the cache line of p into L1; a pure scheduling hint with no
 // architectural effect, so it stays active even with SIMD disabled.

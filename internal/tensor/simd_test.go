@@ -126,6 +126,101 @@ func TestGatherMulAddBitwise(t *testing.T) {
 	}
 }
 
+// TestGatherDotBitwise proves both GatherDot backends equal the
+// definitional loop — product rounded to float32, folded from +0 for j
+// ascending — across widths covering the sub-vector case, exact 8-column
+// tiles and a scalar column tail; edge counts covering every remainder of
+// the 4- and 8-edge lockstep; repeated and all-zero index vectors (the
+// row-constant operand form); and special values, including whole rows of
+// −0 products whose sum must be +0.
+func TestGatherDotBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	negZero := float32(math.Copysign(0, -1))
+	specials := []float32{
+		0, negZero, 1, -1,
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		math.SmallestNonzeroFloat32, 3.4e38, 1e-39,
+	}
+	for _, w := range []int{1, 3, 7, 8, 9, 16, 24, 64, 65} {
+		for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33} {
+			rows := 20
+			a := make([]float32, rows*w)
+			b := make([]float32, rows*w)
+			for i := range a {
+				a[i] = rng.Float32()*4 - 2
+				b[i] = rng.Float32()*4 - 2
+			}
+			for k := 0; k < 6; k++ {
+				a[rng.Intn(len(a))] = specials[rng.Intn(len(specials))]
+				b[rng.Intn(len(b))] = specials[rng.Intn(len(specials))]
+			}
+			for j := 0; j < w; j++ {
+				a[j] = negZero // row 0 of a: every product is ±0
+			}
+			ai := make([]int32, n)
+			bi := make([]int32, n)
+			for e := range ai {
+				ai[e] = int32(rng.Intn(rows))
+				if e%3 == 0 {
+					ai[e] = 0
+				}
+			}
+			want := make([]float32, n)
+			for e := range want {
+				var s float32
+				for j := 0; j < w; j++ {
+					p := a[int(ai[e])*w+j] * b[int(bi[e])*w+j]
+					s += p
+				}
+				want[e] = s
+			}
+			for name, impl := range map[string]func(out, a []float32, ai []int32, b []float32, bi []int32, w int){
+				"active": GatherDot, "portable": gatherDotGo,
+			} {
+				got := make([]float32, n)
+				for e := range got {
+					got[e] = float32(math.NaN()) // must be overwritten, not accumulated into
+				}
+				impl(got, a, ai, b, bi, w)
+				for e := range got {
+					if !sameF32(got[e], want[e]) {
+						t.Fatalf("%s w=%d n=%d edge %d: %08x vs definition %08x",
+							name, w, n, e, math.Float32bits(got[e]), math.Float32bits(want[e]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGatherDotNotFusedNotReassociated feeds GatherDot rows on which a
+// fused multiply-add or a tree-shaped sum produces a different float32
+// than the sequential definition.
+func TestGatherDotNotFusedNotReassociated(t *testing.T) {
+	const n, w = 9, 16
+	a := make([]float32, 2*w)
+	b := make([]float32, 2*w)
+	// Row 0: p0 = −1, p1 = (1+2⁻²³)(1−2⁻²³) rounds to 1, so the
+	// sequential sum is exactly 0; an FMA keeps −2⁻⁴⁶.
+	a[0], b[0] = -1, 1
+	a[1], b[1] = float32(1+1.0/(1<<23)), float32(1-1.0/(1<<23))
+	// Row 1: 1e8, 1, −1e8, 1 sum to 1 in order (the first 1 is absorbed),
+	// to 0 pairwise.
+	a[w+8], a[w+9], a[w+10], a[w+11] = 1e8, 1, -1e8, 1
+	b[w+8], b[w+9], b[w+10], b[w+11] = 1, 1, 1, 1
+	idx := make([]int32, n)
+	for e := range idx {
+		idx[e] = int32(e % 2)
+	}
+	out := make([]float32, n)
+	GatherDot(out, a, idx, b, idx, w)
+	for e, v := range out {
+		if want := float32(e % 2); v != want {
+			t.Fatalf("edge %d: got %g, want %g — GatherDot fused or reordered the sum", e, v, want)
+		}
+	}
+}
+
 // TestGemvBitwise proves GemvAdd/GemvMulAdd match their reference form —
 // zeroed scratch, one portable VecMulAdd per input row in i order, then
 // the accumulate — across output widths covering the 16-wide register
@@ -205,5 +300,27 @@ func TestSetSIMD(t *testing.T) {
 	}
 	if GemmKernelName() != "avx2-fma-4x16" {
 		t.Fatalf("vector gemm kernel not installed: %s", GemmKernelName())
+	}
+}
+
+// BenchmarkGatherDot times one GAT-backward-shaped pass: a row-constant
+// vector against 256-edge blocks of gathered width-64 rows.
+func BenchmarkGatherDot(b *testing.B) {
+	const rows, w, block = 7651, 64, 256
+	rng := rand.New(rand.NewSource(13))
+	src := make([]float32, rows*w)
+	for i := range src {
+		src[i] = rng.Float32()
+	}
+	row := src[:w]
+	idx := make([]int32, block)
+	for e := range idx {
+		idx[e] = int32(rng.Intn(rows))
+	}
+	zero := make([]int32, block)
+	out := make([]float32, block)
+	b.SetBytes(block * w * 4)
+	for i := 0; i < b.N; i++ {
+		GatherDot(out, row, zero, src, idx, w)
 	}
 }

@@ -9,7 +9,11 @@ import (
 	"testing"
 
 	"seastar/internal/datasets"
+	"seastar/internal/device"
+	"seastar/internal/fusion"
 	"seastar/internal/graph"
+	"seastar/internal/kernels"
+	"seastar/internal/nn"
 	"seastar/internal/tensor"
 )
 
@@ -37,6 +41,39 @@ func heteroDS(t *testing.T) *datasets.Dataset {
 		t.Fatal(err)
 	}
 	return ds
+}
+
+// TestSAGEProgramRunsOnTheVM pins the mini-batch model's edge loops to the
+// columnar VM in both passes: the forward gather and the backward
+// Agg<S>(EdgeView(dy)), which specializes only because EdgeView aliases
+// its operand. This is newSAGE's row of models.TestSpecializationCoverage:
+// it is not that table's "sage" program (the MatMul sits inside the vertex
+// function here, and there is no 1/deg scale), and models cannot import
+// this package to list it.
+func TestSAGEProgramRunsOnTheVM(t *testing.T) {
+	prog, err := newSAGE(nn.NewEngine(device.New(device.V100)), rand.New(rand.NewSource(1)), 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := prog.udf
+	units := 0
+	for _, pass := range []struct {
+		plan *fusion.Plan
+		kern func(*fusion.Unit) *kernels.Kernel
+	}{{c.FwdPlan, c.FwdKernel}, {c.BwdPlan, c.BwdKernel}} {
+		for _, u := range pass.plan.Units {
+			if u.Kind != fusion.KindSeastar {
+				continue
+			}
+			units++
+			if ok, name := pass.kern(u).Specialized(); !ok || name != "gather" {
+				t.Errorf("unit %d: specialized=%v %q, want the gather pattern", u.ID, ok, name)
+			}
+		}
+	}
+	if units != 2 {
+		t.Errorf("program has %d seastar units, want 2 (forward and backward aggregation)", units)
+	}
 }
 
 // TestMiniBatchPipelinedEqualsSerial is the paper-facing property test:

@@ -253,8 +253,10 @@ func checkFused(path string, tol, gatMin float64) error {
 		unit    int
 	}
 	baseline := map[key]float64{}
+	patterns := map[string]bool{}
 	gatAggSpeedup := 0.0
 	for _, r := range base.Rows {
+		patterns[r.Pattern] = true
 		if !r.BitwiseEqual {
 			return fmt.Errorf("baseline %s row %s unit %d @%d records a bitwise mismatch — the committed report is broken",
 				path, r.Pattern, r.Unit, r.MaxProcs)
@@ -264,6 +266,11 @@ func checkFused(path string, tol, gatMin float64) error {
 			if r.Pattern == "gat" && strings.Contains(r.Spec, "gather") {
 				gatAggSpeedup = r.Speedup
 			}
+		}
+	}
+	for _, p := range []string{"gat-bwd", "gcn-bwd"} {
+		if !patterns[p] {
+			return fmt.Errorf("baseline %s has no %s rows — the backward units are not gated; regenerate it", path, p)
 		}
 	}
 	if gatMin > 0 {

@@ -38,6 +38,9 @@ fi
 echo "== go test (with coverage) =="
 go test -coverprofile=cover.out ./...
 
+echo "== go test (benchmark module: its own go.mod, invisible to ./... above) =="
+(cd benchmark && go test ./...)
+
 echo "== coverage ratchet =="
 cov=$(go tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $3); print $3 }')
 floor=$(cat scripts/coverage_floor.txt)
