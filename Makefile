@@ -20,9 +20,10 @@ test: build
 	$(MAKE) fuzz-smoke
 
 # Race-check the concurrency-bearing packages: the scheduler, the kernel
-# engine that dispatches onto it, and the tensor ops/pool it parallelizes.
+# engine that dispatches onto it, the tensor ops it parallelizes, and the
+# tensor pool with the engine and runtime that draw from it.
 race:
-	$(GO) test -race ./internal/kernels/... ./internal/tensor/... ./internal/sched/...
+	$(GO) test -race -count=1 ./internal/kernels/... ./internal/tensor/... ./internal/sched/... ./internal/nn/... ./internal/exec/...
 
 # Race-check the serving layer, including the 64-goroutine mixed
 # cold/warm stress test with concurrent graph swaps.
@@ -30,7 +31,8 @@ race-serve:
 	$(GO) test -race -count=1 ./internal/serve/...
 
 # Race-check the mini-batch training pipeline and its feeding layers,
-# including the mmap store's concurrent prefetcher.
+# including the mmap store's concurrent prefetcher and the heap-flat
+# regression test (TestMiniBatchHeapFlat).
 race-pipeline:
 	$(GO) test -race -count=1 ./internal/pipeline/... ./internal/train/... ./internal/sampling/... ./internal/store/...
 

@@ -237,7 +237,8 @@ func runAnalyze(opts analyzeOptions) (*Report, error) {
 		Iters: opts.Iters, WallNs: wallNs, CompileNs: compileNs,
 		PlanKey: planKey, Plan: plan, PlanDiag: planDiag,
 	}
-	rep.PoolHits, rep.PoolMisses = rt.PoolStats()
+	pool := eng.PoolStats()
+	rep.PoolHits, rep.PoolMisses = pool.Hits, pool.Misses
 
 	fwdLabels, bwdLabels := c.UnitLabels()
 	addUnits := func(pass string, labels []string, units []fmtUnit) {

@@ -192,5 +192,7 @@ func (p *Program) PlanSummary() string {
 	return out
 }
 
-// EndIteration frees iteration-scoped device memory and resets the tape.
+// EndIteration frees iteration-scoped device memory, recycles the storage
+// of every value and gradient the iteration computed (read or copy what
+// must outlive it first), and resets the tape.
 func (s *Session) EndIteration() { s.Engine.EndIteration() }

@@ -144,3 +144,58 @@ func TestWideFeatures(t *testing.T) {
 		t.Fatalf("wide feature sum off by %v", diff)
 	}
 }
+
+// TestLeafGradientContributionsSum: a feature read both as Self and as
+// Nbr has two gradient outputs for one input. Backward aliases the first
+// and must add the second into a buffer of its own — the result equals
+// the two gradients of the same program over two separately named inputs,
+// and neither of those is modified.
+func TestLeafGradientContributionsSum(t *testing.T) {
+	build := func(self, nbr string) *CompiledUDF {
+		b := gir.NewBuilder()
+		b.VFeature(self, 4)
+		if nbr != self {
+			b.VFeature(nbr, 4)
+		}
+		dag, err := b.Build(func(v *gir.Vertex) *gir.Value {
+			return v.Nbr(nbr).AggSum().Add(v.Self(self).MulScalar(3))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Compile(dag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	rng := rand.New(rand.NewSource(5))
+	g := graph.PowerLaw(rng, 50, 3).SortByDegree()
+	val := tensor.Randn(rng, 1, 50, 4)
+	run := func(c *CompiledUDF, keys ...string) []*tensor.Tensor {
+		e := nn.NewEngine(device.New(device.V100))
+		in := map[string]*nn.Variable{}
+		for _, k := range keys {
+			in[k] = e.Param(val.Clone(), k)
+		}
+		out, err := c.Apply(NewRuntime(e, g), in, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Backward(e.SumAll(e.Sigmoid(out)))
+		var grads []*tensor.Tensor
+		for _, k := range keys {
+			grads = append(grads, in[k].Grad)
+		}
+		return grads
+	}
+	both := run(build("h", "h"), "h")[0]
+	parts := run(build("hs", "hn"), "hs", "hn")
+	want := tensor.Add(parts[0], parts[1])
+	if tensor.MaxAbsDiff(both, want) > 1e-6 {
+		t.Fatalf("summed gradient differs from the sum of its parts by %g", tensor.MaxAbsDiff(both, want))
+	}
+	if tensor.MaxAbsDiff(parts[0], parts[1]) == 0 {
+		t.Fatal("the two contributions are equal: the test cannot tell them apart")
+	}
+}

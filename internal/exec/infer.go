@@ -73,25 +73,29 @@ func (c *CompiledUDF) Infer(env *InferEnv, vfeat, efeat, params map[string]*tens
 		}
 	}
 
-	var allocated []*tensor.Tensor
-	alloc := func(n *gir.Node) *tensor.Tensor {
-		var t *tensor.Tensor
-		shape := n.Shape
-		switch n.Type {
-		case gir.TypeE:
-			shape = append([]int{env.G.M}, shape...)
-		case gir.TypeP:
-		default:
-			shape = append([]int{env.G.N}, shape...)
+	get := tensor.New
+	if env.Pool != nil {
+		var drawn []*tensor.Tensor
+		get = func(shape ...int) *tensor.Tensor {
+			t := env.Pool.Get(shape...)
+			drawn = append(drawn, t)
+			return t
 		}
-		if env.Pool != nil {
-			t = env.Pool.Get(shape...)
-		} else {
-			t = tensor.New(shape...)
-		}
-		allocated = append(allocated, t)
-		return t
+		defer func() {
+			for _, t := range drawn {
+				env.Pool.Put(t)
+			}
+		}()
 	}
+	// The result is the caller's to keep, so it alone is never pooled.
+	result := c.Fwd.Outputs[0]
+	getFor := func(n *gir.Node) func(shape ...int) *tensor.Tensor {
+		if n == result {
+			return tensor.New
+		}
+		return get
+	}
+	alloc := func(n *gir.Node) *tensor.Tensor { return getFor(n)(matShape(env.G, n)...) }
 
 	for ui, u := range c.FwdPlan.Units {
 		sp := obs.Begin("exec", c.fwdLabels[ui])
@@ -118,11 +122,10 @@ func (c *CompiledUDF) Infer(env *InferEnv, vfeat, efeat, params map[string]*tens
 					}
 					ins[i] = t
 				}
-				out, err := inferDense(dev, n, ins)
+				out, err := denseOp(dev, n, ins, getFor(n))
 				if err != nil {
 					return nil, fmt.Errorf("exec: infer unit %d: %w", u.ID, err)
 				}
-				allocated = append(allocated, out)
 				b.Inter[n] = out
 			}
 		default:
@@ -132,45 +135,84 @@ func (c *CompiledUDF) Infer(env *InferEnv, vfeat, efeat, params map[string]*tens
 		sp.End()
 	}
 
-	out, err := b.Resolve(c.Fwd.Outputs[0])
+	out, err := b.Resolve(result)
 	if err != nil {
 		return nil, err
 	}
-	// Detach the result from intermediate storage before recycling it.
-	out = out.Clone()
-	if env.Pool != nil {
-		for _, t := range allocated {
-			env.Pool.Put(t)
-		}
+	if result.Op == gir.OpLeaf {
+		out = out.Clone() // a UDF returning a bare input: detach from it
 	}
 	return out, nil
 }
 
-// inferDense evaluates one dense-unit operator, charging dev with the
-// same cost model the training runtime uses.
-func inferDense(dev *device.Device, n *gir.Node, ins []*tensor.Tensor) (*tensor.Tensor, error) {
+// matShape is the shape of a materialized node's tensor over g: one row
+// per edge, per vertex, or the bare parameter shape.
+func matShape(g *graph.Graph, n *gir.Node) []int {
+	switch n.Type {
+	case gir.TypeE:
+		return append([]int{g.M}, n.Shape...)
+	case gir.TypeP:
+		return n.Shape
+	default:
+		return append([]int{g.N}, n.Shape...)
+	}
+}
+
+// denseOp evaluates one dense-unit operator into storage drawn from get,
+// charging dev; training and inference share it, so they share one cost
+// model.
+func denseOp(dev *device.Device, n *gir.Node, ins []*tensor.Tensor, get func(shape ...int) *tensor.Tensor) (*tensor.Tensor, error) {
 	switch n.Op {
 	case gir.OpMatMulP:
-		out := tensor.MatMul(ins[0], ins[1])
+		out := tensor.MatMul(ins[0], ins[1], get(ins[0].Rows(), ins[1].Cols()))
 		ChargeDense(dev, "dense.matmul",
 			float64(ins[0].Rows())*float64(ins[1].Rows())*float64(ins[1].Cols()),
 			int64(ins[0].Size()+ins[1].Size())*4, int64(out.Size())*4)
 		return out, nil
 	case gir.OpMatMulPT:
-		out := tensor.MatMulT(ins[0], ins[1])
+		out := tensor.MatMulT(ins[0], ins[1], get(ins[0].Rows(), ins[1].Rows())) // g @ Wᵀ
 		ChargeDense(dev, "dense.matmulT",
 			float64(ins[0].Rows())*float64(ins[1].Rows())*float64(ins[1].Cols()),
 			int64(ins[0].Size()+ins[1].Size())*4, int64(out.Size())*4)
 		return out, nil
-	default:
-		out, err := denseElementwise(n, ins)
-		if err != nil {
-			return nil, err
-		}
-		ChargeDense(dev, "dense."+n.Op.String(), float64(out.Size()),
-			int64(out.Size())*8, int64(out.Size())*4)
-		return out, nil
 	}
+	// P-typed elementwise ops: whole-tensor backend kernels (gradient
+	// accumulation between parameter-gradient units, scaling, and the
+	// like).
+	out := get(ins[0].Shape()...)
+	switch n.Op {
+	case gir.OpAdd:
+		tensor.Add(ins[0], ins[1], out)
+	case gir.OpSub:
+		tensor.Sub(ins[0], ins[1], out)
+	case gir.OpMul:
+		tensor.Mul(ins[0], ins[1], out)
+	case gir.OpDiv:
+		tensor.Div(ins[0], ins[1], out)
+	case gir.OpNeg:
+		tensor.MulScalar(ins[0], -1, out)
+	case gir.OpMulConst:
+		tensor.MulScalar(ins[0], n.Attr.C, out)
+	case gir.OpAddConst:
+		tensor.AddScalar(ins[0], n.Attr.C, out)
+	case gir.OpExp:
+		tensor.Exp(ins[0], out)
+	case gir.OpLog:
+		tensor.Log(ins[0], out)
+	case gir.OpSigmoid:
+		tensor.Sigmoid(ins[0], out)
+	case gir.OpTanh:
+		tensor.Tanh(ins[0], out)
+	case gir.OpReLU:
+		tensor.ReLU(ins[0], out)
+	case gir.OpLeakyReLU:
+		tensor.LeakyReLU(ins[0], n.Attr.Slope, out)
+	default:
+		return nil, fmt.Errorf("exec: dense unit cannot run %s", n.Op)
+	}
+	ChargeDense(dev, "dense."+n.Op.String(), float64(out.Size()),
+		int64(out.Size())*8, int64(out.Size())*4)
+	return out, nil
 }
 
 // ChargeDense charges a dense compute kernel of `ops` multiply-adds

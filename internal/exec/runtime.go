@@ -14,31 +14,20 @@ import (
 )
 
 // Runtime binds a compiled UDF to a device (through the nn engine), a
-// graph, and a kernel configuration.
+// graph, and a kernel configuration. It is a cheap view: every
+// materialized value is drawn from the engine's tensor pool, so a
+// mini-batch trainer can build one per batch subgraph and still reuse
+// the previous batch's storage.
 type Runtime struct {
 	G   *graph.Graph
 	Cfg kernels.Config
 	E   *nn.Engine
-
-	// pool recycles the storage of eager-freed backward intermediates
-	// (§5.3) across launches and iterations, so the steady-state
-	// training step re-allocates none of them.
-	pool *tensor.Pool
 }
 
 // NewRuntime creates a runtime with the default (full-Seastar) kernel
 // configuration.
 func NewRuntime(e *nn.Engine, g *graph.Graph) *Runtime {
-	return &Runtime{G: g, Cfg: kernels.DefaultConfig(), E: e, pool: tensor.NewPool()}
-}
-
-// PoolStats reports the intermediate-tensor pool's lifetime hit/miss
-// counts (diagnostics and tests).
-func (rt *Runtime) PoolStats() (hits, misses int64) {
-	if rt.pool == nil {
-		return 0, 0
-	}
-	return rt.pool.Stats()
+	return &Runtime{G: g, Cfg: kernels.DefaultConfig(), E: e}
 }
 
 // Apply executes the compiled UDF as an autograd function over the given
@@ -79,17 +68,10 @@ type udfFunction struct {
 	needGrad []bool
 
 	fwdBind *kernels.Bindings // kept alive for the backward pass
-	// bufs maps materialized nodes to their device buffers — and, for
-	// pool-allocated tensors, the host storage — so the backward pass
-	// can free intermediates eagerly (§5.3) and recycle their memory.
-	bufs map[*gir.Node]matBuf
-}
-
-// matBuf pairs a materialized node's device accounting handle with its
-// host tensor (nil when the tensor did not come from the pool).
-type matBuf struct {
-	buf *device.Buffer
-	t   *tensor.Tensor
+	// bufs maps materialized nodes to their device buffers, so the
+	// backward pass can free intermediates eagerly (§5.3). The host
+	// storage behind them goes back to the pool at EndIteration.
+	bufs map[*gir.Node]*device.Buffer
 }
 
 func (f *udfFunction) bindingsFrom(vals []*tensor.Tensor) *kernels.Bindings {
@@ -114,27 +96,12 @@ func (f *udfFunction) bindingsFrom(vals []*tensor.Tensor) *kernels.Bindings {
 
 // allocOut creates (and charges) the output tensor for a materialized
 // node, remembering its buffer for eager freeing. Storage is drawn from
-// the runtime's free list, so in steady state this recycles the buffers
-// released by the previous iteration's backward pass.
+// the engine's pool, so in steady state this recycles the buffers the
+// previous iteration handed back.
 func (f *udfFunction) allocOut(n *gir.Node) *tensor.Tensor {
-	var t *tensor.Tensor
-	switch n.Type {
-	case gir.TypeE:
-		t = f.poolGet(append([]int{f.rt.G.M}, n.Shape...)...)
-	case gir.TypeP:
-		t = f.poolGet(n.Shape...)
-	default:
-		t = f.poolGet(append([]int{f.rt.G.N}, n.Shape...)...)
-	}
-	f.record(n, matBuf{buf: f.rt.E.AllocBytesHandle(int64(t.Size()) * 4), t: t})
+	t := f.rt.E.Get(matShape(f.rt.G, n)...)
+	f.record(n, t)
 	return t
-}
-
-func (f *udfFunction) poolGet(shape ...int) *tensor.Tensor {
-	if f.rt.pool == nil {
-		return tensor.New(shape...)
-	}
-	return f.rt.pool.Get(shape...)
 }
 
 // runUnit dispatches one execution unit.
@@ -171,85 +138,23 @@ func (f *udfFunction) runDense(u *fusion.Unit, b *kernels.Bindings) error {
 			}
 			ins[i] = t
 		}
-		var out *tensor.Tensor
-		switch n.Op {
-		case gir.OpMatMulP:
-			out = tensor.MatMul(ins[0], ins[1])
-			f.rt.E.ChargeDense("dense.matmul",
-				float64(ins[0].Rows())*float64(ins[1].Rows())*float64(ins[1].Cols()),
-				int64(ins[0].Size()+ins[1].Size())*4, int64(out.Size())*4)
-		case gir.OpMatMulPT:
-			out = tensor.MatMulT(ins[0], ins[1]) // g @ Wᵀ
-			f.rt.E.ChargeDense("dense.matmulT",
-				float64(ins[0].Rows())*float64(ins[1].Rows())*float64(ins[1].Cols()),
-				int64(ins[0].Size()+ins[1].Size())*4, int64(out.Size())*4)
-		default:
-			// P-typed elementwise ops: whole-tensor backend kernels
-			// (gradient accumulation between parameter-gradient units,
-			// scaling, and the like).
-			var err error
-			out, err = denseElementwise(n, ins)
-			if err != nil {
-				return err
-			}
-			f.rt.E.ChargeDense("dense."+n.Op.String(), float64(out.Size()),
-				int64(out.Size())*8, int64(out.Size())*4)
+		out, err := denseOp(f.rt.E.Dev, n, ins, f.rt.E.Get)
+		if err != nil {
+			return err
 		}
-		f.recordBuf(n, f.rt.E.AllocBytesHandle(int64(out.Size())*4))
+		f.record(n, out)
 		b.Inter[n] = out
 	}
 	return nil
 }
 
-// record remembers a materialized node's buffers for eager freeing.
-func (f *udfFunction) record(n *gir.Node, mb matBuf) {
-	if mb.buf == nil && mb.t == nil {
-		return
-	}
+// record charges a materialized node's output to the device and
+// remembers the buffer for eager freeing.
+func (f *udfFunction) record(n *gir.Node, t *tensor.Tensor) {
 	if f.bufs == nil {
-		f.bufs = make(map[*gir.Node]matBuf)
+		f.bufs = make(map[*gir.Node]*device.Buffer)
 	}
-	f.bufs[n] = mb
-}
-
-// recordBuf remembers a device-only buffer (no pooled host storage).
-func (f *udfFunction) recordBuf(n *gir.Node, buf *device.Buffer) {
-	f.record(n, matBuf{buf: buf})
-}
-
-// denseElementwise evaluates a P-typed elementwise operator on whole
-// tensors.
-func denseElementwise(n *gir.Node, ins []*tensor.Tensor) (*tensor.Tensor, error) {
-	switch n.Op {
-	case gir.OpAdd:
-		return tensor.Add(ins[0], ins[1]), nil
-	case gir.OpSub:
-		return tensor.Sub(ins[0], ins[1]), nil
-	case gir.OpMul:
-		return tensor.Mul(ins[0], ins[1]), nil
-	case gir.OpDiv:
-		return tensor.Div(ins[0], ins[1]), nil
-	case gir.OpNeg:
-		return tensor.MulScalar(ins[0], -1), nil
-	case gir.OpMulConst:
-		return tensor.MulScalar(ins[0], n.Attr.C), nil
-	case gir.OpAddConst:
-		return tensor.AddScalar(ins[0], n.Attr.C), nil
-	case gir.OpExp:
-		return tensor.Exp(ins[0]), nil
-	case gir.OpLog:
-		return tensor.Log(ins[0]), nil
-	case gir.OpSigmoid:
-		return tensor.Sigmoid(ins[0]), nil
-	case gir.OpTanh:
-		return tensor.Tanh(ins[0]), nil
-	case gir.OpReLU:
-		return tensor.ReLU(ins[0]), nil
-	case gir.OpLeakyReLU:
-		return tensor.LeakyReLU(ins[0], n.Attr.Slope), nil
-	default:
-		return nil, fmt.Errorf("exec: dense unit cannot run %s", n.Op)
-	}
+	f.bufs[n] = f.rt.E.AllocBytesHandle(int64(t.Size()) * 4)
 }
 
 // runParamGrad executes dW = Σ xᵀ g reductions. Vertex-typed operands
@@ -270,7 +175,7 @@ func (f *udfFunction) runParamGrad(u *fusion.Unit, b *kernels.Bindings) error {
 		switch n.Op {
 		case gir.OpParamGradMM:
 			if xNode.Type != gir.TypeE && gNode.Type != gir.TypeE {
-				out = tensor.TMatMul(x, gT)
+				out = tensor.TMatMul(x, gT, f.rt.E.Get(x.Cols(), gT.Cols()))
 			} else {
 				out = f.edgeParamGrad(xNode, gNode, x, gT, n.Shape, false)
 			}
@@ -279,7 +184,6 @@ func (f *udfFunction) runParamGrad(u *fusion.Unit, b *kernels.Bindings) error {
 		default:
 			return fmt.Errorf("exec: paramgrad unit cannot run %s", n.Op)
 		}
-		out = out.Reshape(n.Shape...)
 		rows := f.rt.G.M
 		if xNode.Type != gir.TypeE && gNode.Type != gir.TypeE {
 			rows = x.Rows()
@@ -289,8 +193,8 @@ func (f *udfFunction) runParamGrad(u *fusion.Unit, b *kernels.Bindings) error {
 		f.rt.E.ChargeDense("paramgrad",
 			float64(rows)*float64(din)*float64(dout),
 			int64(x.Size()+gT.Size())*4, int64(out.Size())*4*2)
-		f.recordBuf(n, f.rt.E.AllocBytesHandle(int64(out.Size())*4))
-		b.Inter[n] = out
+		f.record(n, out)
+		b.Inter[n] = out.Reshape(n.Shape...)
 	}
 	return nil
 }
@@ -301,7 +205,7 @@ func (f *udfFunction) edgeParamGrad(xNode, gNode *gir.Node, x, g *tensor.Tensor,
 	gg := f.rt.G
 	din := wShape[len(wShape)-2]
 	dout := wShape[len(wShape)-1]
-	out := tensor.New(wShape...)
+	out := f.rt.E.Get(wShape...)
 	od := out.Data()
 	rowFor := func(n *gir.Node, t *tensor.Tensor, src, dst, eid int) []float32 {
 		typ := n.Type
@@ -464,24 +368,14 @@ func (f *udfFunction) Backward(ctx *nn.FuncCtx, gradOut *tensor.Tensor) []*tenso
 		for _, n := range readsOf(u) {
 			readers[n]--
 			if readers[n] == 0 && !keep[n] {
-				if mb, ok := f.bufs[n]; ok {
-					if mb.buf != nil {
-						mb.buf.Free()
-					}
-					// Recycle the host storage: only backward-DAG
-					// intermediates reach this point (forward values
-					// resolve through LeafSaved leaves, which readsOf
-					// excludes), so nothing reads the tensor again.
-					if mb.t != nil && f.rt.pool != nil {
-						f.rt.pool.Put(mb.t)
-					}
-					delete(f.bufs, n)
-				}
+				f.bufs[n].Free()
+				delete(f.bufs, n)
 			}
 		}
 	}
 
 	f.reportPool()
+	summed := make([]bool, len(c.Inputs))
 	for i := range c.Grads.LeafOrder {
 		idx := c.leafInput[i]
 		if !f.needGrad[idx] {
@@ -494,24 +388,34 @@ func (f *udfFunction) Backward(ctx *nn.FuncCtx, gradOut *tensor.Tensor) []*tenso
 		if err != nil {
 			panic(fmt.Errorf("exec: gradient output %%%d not materialized: %w", gnode.ID, err))
 		}
+		// The caller only reads what it is handed (nn accumulates into
+		// its own buffer), so the first contribution to a leaf is
+		// aliased; a second one needs a buffer of its own to add into.
 		if grads[idx] == nil {
-			grads[idx] = t.Clone()
-		} else {
-			tensor.AddInPlace(grads[idx], t)
+			grads[idx] = t
+			continue
 		}
+		if !summed[idx] {
+			sum := f.rt.E.Get(t.Shape()...)
+			sum.CopyFrom(grads[idx])
+			grads[idx], summed[idx] = sum, true
+		}
+		tensor.AddInPlace(grads[idx], t)
 	}
 	return grads
 }
 
-// reportPool publishes the runtime pool's lifetime hit/miss counters to
+// reportPool publishes the engine pool's gauges and lifetime counters to
 // the obs registry (no-op with tracing disabled).
 func (f *udfFunction) reportPool() {
-	if !obs.Enabled() || f.rt.pool == nil {
+	if !obs.Enabled() {
 		return
 	}
-	hits, misses := f.rt.pool.Stats()
-	obs.Set("exec", "pool", "hits", hits)
-	obs.Set("exec", "pool", "misses", misses)
+	st := f.rt.E.PoolStats()
+	obs.Set("exec", "pool", "hits", st.Hits)
+	obs.Set("exec", "pool", "misses", st.Misses)
+	obs.Set("exec", "pool", "bytes_out", st.BytesOut)
+	obs.Set("exec", "pool", "bytes_idle", st.BytesIdle)
 }
 
 // inputsOf reconstructs the ordered input tensors from the forward

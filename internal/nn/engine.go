@@ -36,17 +36,36 @@ type Variable struct {
 func (v *Variable) Name() string { return v.name }
 
 // Engine owns an autograd tape, the simulated device, and iteration-scoped
-// memory tracking.
+// memory: device accounting and the host storage behind it.
 type Engine struct {
 	Dev *device.Device // nil disables cost accounting
 
 	tape    []*Variable
 	buffers []*device.Buffer
 	visitID int
+
+	// pool supplies every iteration-scoped tensor (op outputs, gradients
+	// of tape nodes, the execution runtime's materialized values);
+	// scratch lists what the current iteration drew, for EndIteration to
+	// hand back.
+	pool    *tensor.Pool
+	scratch []*tensor.Tensor
 }
 
 // NewEngine creates an engine charging costs to dev (which may be nil).
-func NewEngine(dev *device.Device) *Engine { return &Engine{Dev: dev} }
+func NewEngine(dev *device.Device) *Engine { return &Engine{Dev: dev, pool: tensor.NewPool()} }
+
+// Get returns a zeroed tensor that lives until EndIteration, which
+// recycles its storage: callers copy out whatever must outlive the
+// iteration.
+func (e *Engine) Get(shape ...int) *tensor.Tensor {
+	t := e.pool.Get(shape...)
+	e.scratch = append(e.scratch, t)
+	return t
+}
+
+// PoolStats reads the engine's tensor pool (diagnostics and tests).
+func (e *Engine) PoolStats() tensor.PoolStats { return e.pool.Stats() }
 
 // alloc reserves device memory for t's data and tracks it for the current
 // iteration. Allocation failure panics with *device.ErrOOM; harness code
@@ -84,13 +103,20 @@ func (e *Engine) AllocBytesHandle(n int64) *device.Buffer {
 	return buf
 }
 
-// EndIteration frees all iteration-scoped device buffers and clears the
-// tape. Parameters (allocated with Param) persist.
+// EndIteration frees all iteration-scoped device buffers, recycles every
+// tensor the iteration drew — the values and gradients of all tape
+// nodes — and clears the tape. Parameters (allocated with Param) and
+// their gradients persist.
 func (e *Engine) EndIteration() {
 	for _, b := range e.buffers {
 		b.Free()
 	}
 	e.buffers = e.buffers[:0]
+	for i, t := range e.scratch {
+		e.pool.Put(t)
+		e.scratch[i] = nil
+	}
+	e.scratch = e.scratch[:0]
 	e.tape = nil
 }
 
@@ -164,13 +190,18 @@ func (e *Engine) node(name string, value *tensor.Tensor, inputs []*Variable, bac
 	return v
 }
 
-// accumulate adds g into v.Grad, allocating it on first use.
+// accumulate adds g into v.Grad, allocating it on first use: from the
+// iteration's pool for a tape node, for keeps for a parameter.
 func (v *Variable) accumulate(g *tensor.Tensor) {
 	if !v.RequiresGrad {
 		return
 	}
 	if v.Grad == nil {
-		v.Grad = tensor.New(v.Value.Shape()...)
+		if v.back != nil {
+			v.Grad = v.engine.Get(v.Value.Shape()...)
+		} else {
+			v.Grad = tensor.New(v.Value.Shape()...)
+		}
 		if v.engine != nil {
 			v.engine.alloc(v.Grad)
 		}
@@ -209,7 +240,9 @@ func (e *Engine) Backward(root *Variable) {
 	}
 	visit(root)
 
-	root.accumulate(tensor.Ones(root.Value.Shape()...))
+	seed := e.Get(root.Value.Shape()...)
+	seed.Fill(1)
+	root.accumulate(seed)
 	for i := len(order) - 1; i >= 0; i-- {
 		v := order[i]
 		if v.back != nil && v.Grad != nil {

@@ -16,7 +16,7 @@ func (e *Engine) CrossEntropyMasked(logits *Variable, labels []int, mask []bool)
 	if len(labels) != n || len(mask) != n {
 		panic(fmt.Sprintf("nn: cross entropy over %d rows with %d labels, %d mask", n, len(labels), len(mask)))
 	}
-	logp := tensor.LogSoftmaxRows(logits.Value)
+	logp := tensor.LogSoftmaxRows(logits.Value, e.like(logits.Value))
 	count := 0
 	var loss float64
 	for i := 0; i < n; i++ {
@@ -34,7 +34,7 @@ func (e *Engine) CrossEntropyMasked(logits *Variable, labels []int, mask []bool)
 	out := tensor.Scalar(float32(loss))
 	return e.node("xent", out, []*Variable{logits}, func(g *tensor.Tensor) {
 		scale := g.At1(0) / float32(count)
-		d := tensor.New(logits.Value.Shape()...)
+		d := e.like(logits.Value)
 		for i := 0; i < n; i++ {
 			if !mask[i] {
 				continue

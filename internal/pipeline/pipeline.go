@@ -85,8 +85,9 @@ func DefaultConfig() Config {
 }
 
 // Batch is one gathered mini-batch, delivered to the compute step in
-// index order. Feat is pooled storage owned by the engine; the step must
-// not retain it (or any view of it) after returning.
+// index order. The batch, its Feat storage and its Labels and Mask slices
+// are recycled by the engine: the step must not retain any of them (or a
+// view of them) after returning.
 type Batch struct {
 	Epoch, Index int
 	// B is the sampled subgraph with compact-id bookkeeping.
@@ -116,8 +117,9 @@ type Engine struct {
 	// after New.
 	Metrics *Metrics
 
-	pool  *tensor.Pool
-	trace *StageTrace
+	pool    *tensor.Pool
+	batches sync.Pool // released *Batch values, for their Labels/Mask capacity
+	trace   *StageTrace
 }
 
 // New validates the configuration and builds an engine.
@@ -277,13 +279,16 @@ func (e *Engine) gather(epoch, idx int, sb *sampling.Batch) *Batch {
 	if e.Cfg.DegreeSort {
 		sub = sub.SortByDegree()
 	}
-	feat := e.pool.Get(len(sb.Vertices), e.Feat.Cols())
-	sb.GatherFeaturesInto(feat, e.Feat)
-	b := &Batch{
-		Epoch: epoch, Index: idx, B: sb, Sub: sub,
-		Feat:   feat,
-		Labels: sb.GatherLabels(e.Labels),
-		Mask:   sb.SeedMask(),
+	b, _ := e.batches.Get().(*Batch)
+	if b == nil {
+		b = new(Batch)
+	}
+	b.Epoch, b.Index, b.B, b.Sub = epoch, idx, sb, sub
+	b.Feat = e.pool.Get(len(sb.Vertices), e.Feat.Cols())
+	sb.GatherFeaturesInto(b.Feat, e.Feat)
+	for i, v := range sb.Vertices {
+		b.Labels = append(b.Labels, e.Labels[v])
+		b.Mask = append(b.Mask, i < sb.SeedCount)
 	}
 	d := time.Since(start)
 	e.Metrics.GatherTime.Observe(d)
@@ -298,13 +303,21 @@ func (e *Engine) gather(epoch, idx int, sb *sampling.Batch) *Batch {
 	return b
 }
 
-// release returns a batch's pooled storage.
+// release recycles a batch and its storage.
 func (e *Engine) release(b *Batch) {
 	if b == nil {
 		return
 	}
 	e.pool.Put(b.Feat)
-	b.Feat = nil
+	*b = Batch{Labels: b.Labels[:0], Mask: b.Mask[:0]}
+	e.batches.Put(b)
+	if obs.Enabled() {
+		st := e.pool.Stats()
+		obs.Set("pipeline", "pool", "hits", st.Hits)
+		obs.Set("pipeline", "pool", "misses", st.Misses)
+		obs.Set("pipeline", "pool", "bytes_out", st.BytesOut)
+		obs.Set("pipeline", "pool", "bytes_idle", st.BytesIdle)
+	}
 }
 
 // compute runs the caller's step with timing.

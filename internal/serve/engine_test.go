@@ -599,6 +599,9 @@ func TestHTTPEndpoints(t *testing.T) {
 		"seastar_serve_requests_completed_total",
 		"seastar_serve_infer_latency_seconds_bucket",
 		"seastar_serve_queue_depth",
+		"seastar_serve_pool_hits_total",
+		"seastar_serve_pool_bytes_out 0",
+		"seastar_serve_pool_bytes_idle",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, metrics)

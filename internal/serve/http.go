@@ -34,7 +34,7 @@ func Handler(e *Engine) http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		e.Metrics().Write(w, e.Cache())
+		e.Metrics().Write(w, e.Cache(), e.pool)
 		obs.WritePrometheus(w)
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {

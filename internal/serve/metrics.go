@@ -5,6 +5,8 @@ import (
 	"io"
 	"sync/atomic"
 	"time"
+
+	"seastar/internal/tensor"
 )
 
 // histBounds are the latency bucket upper bounds in seconds, log-spaced
@@ -104,8 +106,9 @@ func NewMetrics() *Metrics {
 }
 
 // Write emits every metric in Prometheus text exposition format,
-// including the plan-cache counters when pc is non-nil.
-func (m *Metrics) Write(w io.Writer, pc *PlanCache) {
+// including the plan-cache counters when pc is non-nil and the tensor
+// pool's hit counters and byte gauges when pool is non-nil.
+func (m *Metrics) Write(w io.Writer, pc *PlanCache, pool *tensor.Pool) {
 	g := func(name string, v int64) {
 		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, v)
 	}
@@ -136,6 +139,13 @@ func (m *Metrics) Write(w io.Writer, pc *PlanCache) {
 		g("seastar_serve_plan_cache_compiles_total", compiles)
 		fmt.Fprintf(w, "# TYPE seastar_serve_plan_cache_entries gauge\nseastar_serve_plan_cache_entries %d\n",
 			pc.Len())
+	}
+	if pool != nil {
+		st := pool.Stats()
+		g("seastar_serve_pool_hits_total", st.Hits)
+		g("seastar_serve_pool_misses_total", st.Misses)
+		fmt.Fprintf(w, "# TYPE seastar_serve_pool_bytes_out gauge\nseastar_serve_pool_bytes_out %d\n", st.BytesOut)
+		fmt.Fprintf(w, "# TYPE seastar_serve_pool_bytes_idle gauge\nseastar_serve_pool_bytes_idle %d\n", st.BytesIdle)
 	}
 	m.QueueWait.write(w, "seastar_serve_queue_wait_seconds")
 	m.InferLatency.write(w, "seastar_serve_infer_latency_seconds")

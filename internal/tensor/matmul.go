@@ -26,7 +26,7 @@ func parallelElems(n int, f func(lo, hi int)) { sched.For(n, elemGrain, f) }
 // Products below gemmSerialMACs multiply-accumulates run the naive
 // serial reference; larger ones take the packed, blocked, register-tiled
 // path in gemm.go.
-func MatMul(a, b *Tensor) *Tensor {
+func MatMul(a, b *Tensor, into ...*Tensor) *Tensor {
 	a.check2d()
 	b.check2d()
 	m, k := a.shape[0], a.shape[1]
@@ -34,7 +34,7 @@ func MatMul(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %v x %v", a.shape, b.shape))
 	}
-	out := New(m, n)
+	out := dstOr(into, m, n)
 	if m*k*n < gemmSerialMACs {
 		refMatMulInto(out.data, a.data, b.data, m, k, n)
 	} else {
@@ -84,7 +84,7 @@ func MatMulSameKernel(m1, m2, k, n int) bool {
 }
 
 // MatMulT returns a@bᵀ: [m,k] x [n,k] -> [m,n].
-func MatMulT(a, b *Tensor) *Tensor {
+func MatMulT(a, b *Tensor, into ...*Tensor) *Tensor {
 	a.check2d()
 	b.check2d()
 	m, k := a.shape[0], a.shape[1]
@@ -92,7 +92,7 @@ func MatMulT(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulT inner dims %v x %v", a.shape, b.shape))
 	}
-	out := New(m, n)
+	out := dstOr(into, m, n)
 	if m*k*n < gemmSerialMACs {
 		refMatMulTInto(out.data, a.data, b.data, m, k, n)
 	} else {
@@ -102,7 +102,7 @@ func MatMulT(a, b *Tensor) *Tensor {
 }
 
 // TMatMul returns aᵀ@b: [k,m] x [k,n] -> [m,n].
-func TMatMul(a, b *Tensor) *Tensor {
+func TMatMul(a, b *Tensor, into ...*Tensor) *Tensor {
 	a.check2d()
 	b.check2d()
 	k, m := a.shape[0], a.shape[1]
@@ -110,7 +110,7 @@ func TMatMul(a, b *Tensor) *Tensor {
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: TMatMul inner dims %v x %v", a.shape, b.shape))
 	}
-	out := New(m, n)
+	out := dstOr(into, m, n)
 	if m*k*n < gemmSerialMACs {
 		refTMatMulInto(out.data, a.data, b.data, m, k, n)
 	} else {

@@ -3,25 +3,52 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
+// The ops that training and inference run every iteration take an
+// optional trailing destination: Add(a, b, dst) writes into dst instead of
+// allocating. dst must be zeroed and of the result's shape, as Pool.Get
+// returns it; that is how a caller with a pool keeps op outputs away from
+// the garbage collector.
+
+// dstOr returns the caller's destination for a result of the given shape,
+// or a new tensor when there is none.
+func dstOr(into []*Tensor, shape ...int) *Tensor {
+	if len(into) == 0 {
+		return New(shape...)
+	}
+	if len(into) > 1 || !slices.Equal(into[0].shape, shape) {
+		panic(fmt.Sprintf("tensor: destination %v for a result of shape %v", into[0].shape, shape))
+	}
+	return into[0]
+}
+
 // Add returns a + b elementwise. Shapes must match.
-func Add(a, b *Tensor) *Tensor { return zipNew(a, b, func(x, y float32) float32 { return x + y }) }
+func Add(a, b *Tensor, into ...*Tensor) *Tensor {
+	return zip(a, b, into, func(x, y float32) float32 { return x + y })
+}
 
 // Sub returns a - b elementwise.
-func Sub(a, b *Tensor) *Tensor { return zipNew(a, b, func(x, y float32) float32 { return x - y }) }
+func Sub(a, b *Tensor, into ...*Tensor) *Tensor {
+	return zip(a, b, into, func(x, y float32) float32 { return x - y })
+}
 
 // Mul returns a * b elementwise (Hadamard product).
-func Mul(a, b *Tensor) *Tensor { return zipNew(a, b, func(x, y float32) float32 { return x * y }) }
+func Mul(a, b *Tensor, into ...*Tensor) *Tensor {
+	return zip(a, b, into, func(x, y float32) float32 { return x * y })
+}
 
 // Div returns a / b elementwise.
-func Div(a, b *Tensor) *Tensor { return zipNew(a, b, func(x, y float32) float32 { return x / y }) }
+func Div(a, b *Tensor, into ...*Tensor) *Tensor {
+	return zip(a, b, into, func(x, y float32) float32 { return x / y })
+}
 
-func zipNew(a, b *Tensor, f func(x, y float32) float32) *Tensor {
+func zip(a, b *Tensor, into []*Tensor, f func(x, y float32) float32) *Tensor {
 	if !SameShape(a, b) {
 		panic(fmt.Sprintf("tensor: elementwise op shape mismatch %v vs %v", a.shape, b.shape))
 	}
-	out := New(a.shape...)
+	out := dstOr(into, a.shape...)
 	ad, bd, od := a.data, b.data, out.data
 	parallelElems(len(od), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -54,13 +81,13 @@ func AxpyInPlace(dst *Tensor, alpha float32, src *Tensor) {
 }
 
 // AddScalar returns a + s.
-func AddScalar(a *Tensor, s float32) *Tensor {
-	return a.Apply(func(x float32) float32 { return x + s })
+func AddScalar(a *Tensor, s float32, into ...*Tensor) *Tensor {
+	return a.Apply(func(x float32) float32 { return x + s }, into...)
 }
 
 // MulScalar returns a * s.
-func MulScalar(a *Tensor, s float32) *Tensor {
-	return a.Apply(func(x float32) float32 { return x * s })
+func MulScalar(a *Tensor, s float32, into ...*Tensor) *Tensor {
+	return a.Apply(func(x float32) float32 { return x * s }, into...)
 }
 
 // ScaleInPlace multiplies every element by s.
@@ -71,8 +98,8 @@ func (t *Tensor) ScaleInPlace(s float32) {
 }
 
 // Apply returns f applied to every element.
-func (t *Tensor) Apply(f func(float32) float32) *Tensor {
-	out := New(t.shape...)
+func (t *Tensor) Apply(f func(float32) float32, into ...*Tensor) *Tensor {
+	out := dstOr(into, t.shape...)
 	td, od := t.data, out.data
 	parallelElems(len(od), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -83,22 +110,22 @@ func (t *Tensor) Apply(f func(float32) float32) *Tensor {
 }
 
 // AddRow returns m with row vector v (shape [1,C] or [C]) added to every row.
-func AddRow(m, v *Tensor) *Tensor {
-	return broadcastRow(m, v, func(x, y float32) float32 { return x + y })
+func AddRow(m, v *Tensor, into ...*Tensor) *Tensor {
+	return broadcastRow(m, v, into, func(x, y float32) float32 { return x + y })
 }
 
 // MulRow returns m with row vector v multiplied into every row.
 func MulRow(m, v *Tensor) *Tensor {
-	return broadcastRow(m, v, func(x, y float32) float32 { return x * y })
+	return broadcastRow(m, v, nil, func(x, y float32) float32 { return x * y })
 }
 
-func broadcastRow(m, v *Tensor, f func(x, y float32) float32) *Tensor {
+func broadcastRow(m, v *Tensor, into []*Tensor, f func(x, y float32) float32) *Tensor {
 	m.check2d()
 	c := m.shape[1]
 	if v.Size() != c {
 		panic(fmt.Sprintf("tensor: row broadcast needs %d elems, got shape %v", c, v.shape))
 	}
-	out := New(m.shape...)
+	out := dstOr(into, m.shape...)
 	parallelRows(m.shape[0], func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			mr, or := m.Row(i), out.Row(i)
@@ -112,13 +139,13 @@ func broadcastRow(m, v *Tensor, f func(x, y float32) float32) *Tensor {
 
 // MulColVec returns m scaled per row by column vector v (shape [R] or [R,1]):
 // out[i,j] = m[i,j] * v[i].
-func MulColVec(m, v *Tensor) *Tensor {
+func MulColVec(m, v *Tensor, into ...*Tensor) *Tensor {
 	m.check2d()
 	r := m.shape[0]
 	if v.Size() != r {
 		panic(fmt.Sprintf("tensor: col broadcast needs %d elems, got shape %v", r, v.shape))
 	}
-	out := New(m.shape...)
+	out := dstOr(into, m.shape...)
 	for i := 0; i < r; i++ {
 		s := v.data[i]
 		mr, or := m.Row(i), out.Row(i)
@@ -130,43 +157,43 @@ func MulColVec(m, v *Tensor) *Tensor {
 }
 
 // Exp returns e^x elementwise.
-func Exp(a *Tensor) *Tensor {
-	return a.Apply(func(x float32) float32 { return float32(math.Exp(float64(x))) })
+func Exp(a *Tensor, into ...*Tensor) *Tensor {
+	return a.Apply(func(x float32) float32 { return float32(math.Exp(float64(x))) }, into...)
 }
 
 // Log returns ln(x) elementwise.
-func Log(a *Tensor) *Tensor {
-	return a.Apply(func(x float32) float32 { return float32(math.Log(float64(x))) })
+func Log(a *Tensor, into ...*Tensor) *Tensor {
+	return a.Apply(func(x float32) float32 { return float32(math.Log(float64(x))) }, into...)
 }
 
 // Sigmoid returns 1/(1+e^-x) elementwise.
-func Sigmoid(a *Tensor) *Tensor {
-	return a.Apply(func(x float32) float32 { return 1 / (1 + float32(math.Exp(float64(-x)))) })
+func Sigmoid(a *Tensor, into ...*Tensor) *Tensor {
+	return a.Apply(func(x float32) float32 { return 1 / (1 + float32(math.Exp(float64(-x)))) }, into...)
 }
 
 // Tanh returns tanh(x) elementwise.
-func Tanh(a *Tensor) *Tensor {
-	return a.Apply(func(x float32) float32 { return float32(math.Tanh(float64(x))) })
+func Tanh(a *Tensor, into ...*Tensor) *Tensor {
+	return a.Apply(func(x float32) float32 { return float32(math.Tanh(float64(x))) }, into...)
 }
 
 // ReLU returns max(0, x) elementwise.
-func ReLU(a *Tensor) *Tensor {
+func ReLU(a *Tensor, into ...*Tensor) *Tensor {
 	return a.Apply(func(x float32) float32 {
 		if x > 0 {
 			return x
 		}
 		return 0
-	})
+	}, into...)
 }
 
 // LeakyReLU returns x for x>0 and slope*x otherwise.
-func LeakyReLU(a *Tensor, slope float32) *Tensor {
+func LeakyReLU(a *Tensor, slope float32, into ...*Tensor) *Tensor {
 	return a.Apply(func(x float32) float32 {
 		if x > 0 {
 			return x
 		}
 		return slope * x
-	})
+	}, into...)
 }
 
 // Transpose returns the matrix transpose of a 2-D tensor.

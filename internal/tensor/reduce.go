@@ -21,10 +21,10 @@ func Mean(t *Tensor) float32 {
 
 // SumRows reduces a matrix over its rows, returning a [C] vector:
 // out[j] = Σ_i m[i,j].
-func SumRows(m *Tensor) *Tensor {
+func SumRows(m *Tensor, into ...*Tensor) *Tensor {
 	m.check2d()
 	r, c := m.shape[0], m.shape[1]
-	out := New(c)
+	out := dstOr(into, c)
 	for i := 0; i < r; i++ {
 		mr := m.Row(i)
 		for j := 0; j < c; j++ {
@@ -36,10 +36,10 @@ func SumRows(m *Tensor) *Tensor {
 
 // SumCols reduces a matrix over its columns, returning an [R] vector:
 // out[i] = Σ_j m[i,j].
-func SumCols(m *Tensor) *Tensor {
+func SumCols(m *Tensor, into ...*Tensor) *Tensor {
 	m.check2d()
 	r := m.shape[0]
-	out := New(r)
+	out := dstOr(into, r)
 	for i := 0; i < r; i++ {
 		var s float32
 		for _, v := range m.Row(i) {
@@ -108,9 +108,9 @@ func SoftmaxRows(m *Tensor) *Tensor {
 }
 
 // LogSoftmaxRows returns the row-wise log-softmax of a matrix.
-func LogSoftmaxRows(m *Tensor) *Tensor {
+func LogSoftmaxRows(m *Tensor, into ...*Tensor) *Tensor {
 	m.check2d()
-	out := New(m.shape...)
+	out := dstOr(into, m.shape...)
 	parallelRows(m.shape[0], func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			mr, or := m.Row(i), out.Row(i)

@@ -19,8 +19,8 @@ type Tensor struct {
 	data  []float32
 }
 
-// New allocates a zero-filled tensor of the given shape.
-func New(shape ...int) *Tensor {
+// volume returns the element count of shape.
+func volume(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
@@ -28,7 +28,12 @@ func New(shape ...int) *Tensor {
 		}
 		n *= d
 	}
-	return &Tensor{shape: append([]int(nil), shape...), data: make([]float32, n)}
+	return n
+}
+
+// New allocates a zero-filled tensor of the given shape.
+func New(shape ...int) *Tensor {
+	return &Tensor{shape: append([]int(nil), shape...), data: make([]float32, volume(shape))}
 }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used

@@ -335,3 +335,59 @@ func TestStringAbbreviation(t *testing.T) {
 		t.Fatalf("String: %q", s)
 	}
 }
+
+// TestOpsIntoDestination: with a destination (as Pool.Get returns one, so
+// with spare capacity behind it) every op returns that tensor holding
+// bitwise what it would have allocated; a destination of another shape is
+// a bug and panics.
+func TestOpsIntoDestination(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a, b := Randn(rng, 1, 70, 40), Randn(rng, 1, 70, 40)
+	w, row, col := Randn(rng, 1, 40, 24), Randn(rng, 1, 40), Randn(rng, 1, 70)
+	pos := a.Apply(func(x float32) float32 { return x*x + 1 })
+	p := NewPool()
+	ops := map[string]func(into ...*Tensor) *Tensor{
+		"Add":            func(into ...*Tensor) *Tensor { return Add(a, b, into...) },
+		"Sub":            func(into ...*Tensor) *Tensor { return Sub(a, b, into...) },
+		"Mul":            func(into ...*Tensor) *Tensor { return Mul(a, b, into...) },
+		"Div":            func(into ...*Tensor) *Tensor { return Div(a, pos, into...) },
+		"AddScalar":      func(into ...*Tensor) *Tensor { return AddScalar(a, 3, into...) },
+		"MulScalar":      func(into ...*Tensor) *Tensor { return MulScalar(a, -2, into...) },
+		"AddRow":         func(into ...*Tensor) *Tensor { return AddRow(a, row, into...) },
+		"MulColVec":      func(into ...*Tensor) *Tensor { return MulColVec(a, col, into...) },
+		"Exp":            func(into ...*Tensor) *Tensor { return Exp(a, into...) },
+		"Log":            func(into ...*Tensor) *Tensor { return Log(pos, into...) },
+		"Sigmoid":        func(into ...*Tensor) *Tensor { return Sigmoid(a, into...) },
+		"Tanh":           func(into ...*Tensor) *Tensor { return Tanh(a, into...) },
+		"ReLU":           func(into ...*Tensor) *Tensor { return ReLU(a, into...) },
+		"LeakyReLU":      func(into ...*Tensor) *Tensor { return LeakyReLU(a, 0.2, into...) },
+		"MatMul":         func(into ...*Tensor) *Tensor { return MatMul(a, w, into...) },
+		"MatMulT":        func(into ...*Tensor) *Tensor { return MatMulT(a, b, into...) },
+		"TMatMul":        func(into ...*Tensor) *Tensor { return TMatMul(a, b, into...) },
+		"SumRows":        func(into ...*Tensor) *Tensor { return SumRows(a, into...) },
+		"SumCols":        func(into ...*Tensor) *Tensor { return SumCols(a, into...) },
+		"LogSoftmaxRows": func(into ...*Tensor) *Tensor { return LogSoftmaxRows(a, into...) },
+	}
+	for name, op := range ops {
+		want := op()
+		dst := p.Get(want.Shape()...)
+		got := op(dst)
+		if got != dst {
+			t.Errorf("%s did not return its destination", name)
+		}
+		for i, v := range want.Data() {
+			if math.Float32bits(got.Data()[i]) != math.Float32bits(v) {
+				t.Errorf("%s into a destination: element %d is %v, want %v", name, i, got.Data()[i], v)
+				break
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a destination of the wrong shape", name)
+				}
+			}()
+			op(New(3, 3, 3))
+		}()
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"seastar/internal/datasets"
@@ -14,6 +15,7 @@ import (
 	"seastar/internal/graph"
 	"seastar/internal/kernels"
 	"seastar/internal/nn"
+	"seastar/internal/obs"
 	"seastar/internal/tensor"
 )
 
@@ -211,5 +213,57 @@ func TestMiniBatchCancel(t *testing.T) {
 	_, err := RunMiniBatch(ctx, ds, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+}
+
+// TestMiniBatchHeapFlat is the regression test for the mini-batch leak: a
+// sampled batch almost never repeats a shape, and a free list keyed by
+// exact shape kept a buffer for every one it had ever seen. From the third
+// epoch on, neither the live heap nor the pools' idle bytes may grow by
+// more than a few MB.
+func TestMiniBatchHeapFlat(t *testing.T) {
+	ds := synthZipf(t, 5, 20000, 8, 32, 8)
+	obs.Reset()
+	obs.Enable()
+	defer obs.Disable()
+	defer obs.Reset()
+
+	idleBytes := func() int64 {
+		var idle int64
+		for _, e := range obs.Snapshot() {
+			if e.Name == "pool" && (e.Cat == "exec" || e.Cat == "pipeline") {
+				idle += e.Counters["bytes_idle"]
+			}
+		}
+		return idle
+	}
+	const slack = 4 << 20
+	var heap0, idle0 int64
+	opts := DefaultMiniBatchOptions()
+	opts.Epochs, opts.BatchSize, opts.Prefetch = 10, 512, 2
+	opts.Progress = func(st EpochStats) {
+		if st.Epoch < 2 {
+			return
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		heap, idle := int64(ms.HeapAlloc), idleBytes()
+		if st.Epoch == 2 {
+			heap0, idle0 = heap, idle
+			if idle == 0 {
+				t.Error("no pool published its idle bytes")
+			}
+			return
+		}
+		if heap-heap0 > slack {
+			t.Errorf("epoch %d: live heap grew from %d to %d bytes since epoch 2", st.Epoch, heap0, heap)
+		}
+		if idle-idle0 > slack {
+			t.Errorf("epoch %d: pooled idle bytes grew from %d to %d since epoch 2", st.Epoch, idle0, idle)
+		}
+	}
+	if _, err := RunMiniBatch(context.Background(), ds, opts); err != nil {
+		t.Fatal(err)
 	}
 }

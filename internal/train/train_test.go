@@ -1,12 +1,14 @@
 package train
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"seastar/internal/datasets"
 	"seastar/internal/device"
 	"seastar/internal/models"
+	"seastar/internal/nn"
 )
 
 func TestRunTrainsGCN(t *testing.T) {
@@ -111,4 +113,62 @@ func TestOptionsClamping(t *testing.T) {
 	if len(res.EpochNs) != 1 || res.AvgEpochNs <= 0 {
 		t.Fatalf("clamped run: %+v", res)
 	}
+}
+
+// TestFullGraphEpochAllocatesNoTensors: once warm, a full-graph GCN epoch
+// draws every op output, gradient and materialized value from the engine's
+// pool. What it still allocates is bookkeeping (tape nodes, closures,
+// binding maps, GEMM tile scratch): many small objects, none the size of
+// an activation.
+func TestFullGraphEpochAllocatesNoTensors(t *testing.T) {
+	// Record every allocation, so the profile can be asked for sizes.
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+
+	ds := datasets.MustLoad("pubmed", 0.5, 3)
+	env := models.NewEnv(device.New(device.V100), ds, 1)
+	m, err := models.NewGCN(env, models.SysSeastar, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := nn.NewAdam(m.Params(), 0.01)
+	epoch := func() {
+		loss := env.E.CrossEntropyMasked(m.Forward(true), ds.Labels, ds.TrainMask)
+		env.E.Backward(loss)
+		opt.Step()
+		env.E.EndIteration()
+	}
+	// tensorSized counts the objects allocated so far that are at least
+	// as large as the logits, the smallest activation. Profile buckets are
+	// keyed by stack and size, and lag allocation by two collections.
+	smallest := int64(env.G.N * ds.NumClasses * 4)
+	recs := make([]runtime.MemProfileRecord, 1<<13) // once: it is tensor-sized itself
+	tensorSized := func() (objects int64) {
+		runtime.GC()
+		runtime.GC()
+		n, ok := runtime.MemProfile(recs, true)
+		if !ok {
+			t.Fatalf("memory profile has %d records, the buffer %d", n, len(recs))
+		}
+		for _, r := range recs[:n] {
+			if r.AllocObjects > 0 && r.AllocBytes/r.AllocObjects >= smallest {
+				objects += r.AllocObjects
+			}
+		}
+		return objects
+	}
+	epoch()
+	if tensorSized() == 0 {
+		t.Fatal("the profile missed the first epoch's tensors")
+	}
+	epoch()
+	warm, before := env.E.PoolStats(), tensorSized()
+	allocs := testing.AllocsPerRun(5, epoch)
+	if n := tensorSized() - before; n != 0 {
+		t.Errorf("warmed epochs made %d allocations of %d bytes or more", n, smallest)
+	}
+	if st := env.E.PoolStats(); st.Misses != warm.Misses || st.Hits == warm.Hits || st.BytesOut != 0 {
+		t.Errorf("warmed epochs missed the pool: %+v after warm-up, %+v now", warm, st)
+	}
+	t.Logf("%.0f small allocations per warmed epoch", allocs)
 }

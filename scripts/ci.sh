@@ -62,13 +62,13 @@ go test -run='^$' -fuzz=FuzzStoreEquivalence -fuzztime="$FUZZ_TIME" ./internal/s
 if [ -n "$CI_SKIP_RACE" ]; then
 	echo "== race suites skipped (CI_SKIP_RACE set; the workflow race job runs them) =="
 else
-	echo "== race: kernels/tensor/sched =="
-	go test -race ./internal/kernels/... ./internal/tensor/... ./internal/sched/...
+	echo "== race: kernels/tensor (incl. the pool's concurrent and bound tests)/sched/nn/exec =="
+	go test -race -count=1 ./internal/kernels/... ./internal/tensor/... ./internal/sched/... ./internal/nn/... ./internal/exec/...
 
 	echo "== race: serve stress (incl. concurrent delta+infer soak) =="
 	go test -race -count=1 ./internal/serve/...
 
-	echo "== race: pipeline/train/sampling/store =="
+	echo "== race: pipeline/train (incl. TestMiniBatchHeapFlat)/sampling/store =="
 	go test -race -count=1 ./internal/pipeline/... ./internal/train/... ./internal/sampling/... ./internal/store/...
 
 	echo "== race: sharded serving (coordinator + workers, killed-worker fault) =="
