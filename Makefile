@@ -2,9 +2,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
 .PHONY: all build test race race-serve race-pipeline race-delta race-shard \
-	fuzz-smoke fmt vet staticcheck coverage check ci bench-kernels \
-	bench-pipeline bench-gemm bench-serve bench-delta bench-shard \
-	bench-oocore oocore-smoke profile-kernels bench-check
+	fuzz-smoke fmt vet staticcheck coverage check ci bench
 
 all: check
 
@@ -88,56 +86,7 @@ check: fmt vet test race race-serve race-pipeline race-delta race-shard
 ci:
 	./scripts/ci.sh
 
-# Regenerate BENCH_kernels.json (CPU kernel-engine microbenchmark).
-bench-kernels:
-	$(GO) run ./cmd/seastar-bench -exp kernels -kernels-out BENCH_kernels.json
-
-# Regenerate BENCH_pipeline.json (mini-batch pipeline overlap benchmark,
-# including the adaptive re-planning evidence the CI gate reads).
-bench-pipeline:
-	$(GO) run ./cmd/seastar-bench -exp pipeline -pipeline-out BENCH_pipeline.json -adapt-vertices 100000 -adapt-epochs 60 -adapt-explore 5
-
-# Regenerate BENCH_gemm.json (blocked GEMM + tiled aggregation benchmark).
-bench-gemm:
-	$(GO) run ./cmd/seastar-bench -exp gemm -gemm-out BENCH_gemm.json
-
-# Regenerate BENCH_serve.json (adaptive micro-batch re-planning under
-# saturating load — the committed evidence the adaptive CI gate reads).
-# Runs for a minute-plus: the tuner needs measurement windows that
-# dominate per-request latency on a 100k-vertex graph.
-bench-serve:
-	$(GO) run ./cmd/seastar-bench -exp serve -serve-out BENCH_serve.json
-
-# Regenerate BENCH_delta.json (incremental k-hop recompute vs full
-# forward and rebuild-from-scratch on a power-law delta stream — the
-# committed evidence the delta CI gate reads). Each delta pays a full
-# rebuild baseline on a 100k-vertex graph, so this takes ~10s.
-bench-delta:
-	$(GO) run ./cmd/seastar-bench -exp delta -delta-out BENCH_delta.json
-
-# Regenerate BENCH_shard.json (edge-balanced vertex-cut partitioning +
-# sharded serving vs single-process — the committed evidence the shard
-# CI gate reads). Deploys 4 workers + a single-shard baseline in-process
-# on a 100k-vertex graph, so this takes ~1 min.
-bench-shard:
-	$(GO) run ./cmd/seastar-bench -exp shard -shard-out BENCH_shard.json
-
-# Regenerate BENCH_oocore.json (mmap-backed store vs in-memory training —
-# the committed evidence the oocore CI gate reads). Converts a 150k-vertex
-# graph to a store file and trains two epochs each way, so this takes ~10s.
-bench-oocore:
-	$(GO) run ./cmd/seastar-bench -exp oocore -oocore-out BENCH_oocore.json
-
-# Run the oocore bench under a cgroup-v2 memory cap when the host allows
-# it (model-only fallback otherwise). Does not overwrite the committed JSON.
-oocore-smoke:
-	./scripts/oocore_smoke.sh
-
-# CPU-profile the kernel and gemm benchmarks for go tool pprof.
-profile-kernels:
-	$(GO) run ./cmd/seastar-bench -exp kernels -exp gemm -cpuprofile cpu.pprof -memprofile mem.pprof
-	@echo "inspect with: go tool pprof cpu.pprof"
-
-# Fail if the modeled benchmark speedups regress vs the committed JSON.
-bench-check:
-	$(GO) run ./scripts -kernels BENCH_kernels.json -pipeline BENCH_pipeline.json -gemm BENCH_gemm.json -fused BENCH_fused.json -serve BENCH_serve.json -delta BENCH_delta.json -shard BENCH_shard.json -oocore BENCH_oocore.json
+# The repository benchmark: every workload in a process of its own, every
+# metric by name and unit (≈ 1.5 min; see benchmark/README.md).
+bench:
+	bash benchmark/run.sh -workload all

@@ -1,5 +1,8 @@
 // Command seastar-bench regenerates the paper's evaluation tables and
-// figures (§7) from the simulated device:
+// figures (§7) on the simulated GPU. Every time and memory figure it
+// prints is simulated device time or memory from the cost model, not
+// wall clock; what a user waits for on this host is measured by the
+// repository benchmark (bash benchmark/run.sh, see benchmark/README.md).
 //
 //	seastar-bench -exp table2              # dataset table
 //	seastar-bench -exp fig10               # per-epoch time, 3 models × 9 datasets
@@ -14,99 +17,115 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"seastar/internal/bench"
 	"seastar/internal/datasets"
 )
 
-func main() {
+// experiments lists the valid -exp names in the order they run.
+var experiments = []string{"table2", "fig10", "fig11", "table3", "table4", "correctness", "fig12"}
+
+// removed maps the -exp names deleted with the second evidence system to
+// the benchmark workload that measures the same thing end to end.
+var removed = map[string]string{
+	"kernels":  "--workload train-full-gat (kernels.* per-layer metrics)",
+	"fused":    "--workload train-full-gat (kernels.specialized_units, kernels.fwd_busy_ms, kernels.bwd_busy_ms)",
+	"gemm":     "--workload train-full-gcn (tensor.gemm_gflops, exec.dense_ms)",
+	"pipeline": "--workload train-mb-sage (pipeline.* per-layer metrics)",
+	"serve":    "--workload serve-sampled",
+	"delta":    "--workload serve-embed-mixed (delta_ms_p50)",
+	"shard":    "--workload serve-shard2",
+	"obs":      "--workload all --trace 1 (obs.trace_overhead_ratio)",
+	"oocore":   "--workload train-mb-sage (the in-memory epoch; no workload runs the store-backed epoch yet)",
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters; it returns the
+// process exit code (2 for a usage error, 1 for a failed experiment).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("seastar-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var exps multiFlag
-	flag.Var(&exps, "exp", "experiment to run: table2|fig10|fig11|fig12|table3|table4|correctness|kernels|gemm|pipeline|fused|serve|delta|shard|oocore|all (repeatable; serve, delta, shard and oocore are explicit-only)")
-	gpus := flag.String("gpus", "V100,2080Ti,1080Ti", "comma-separated simulated GPUs")
-	dss := flag.String("datasets", "", "comma-separated dataset subset (default: the experiment's full set)")
-	mdls := flag.String("models", "", "comma-separated model subset for fig10/fig11")
-	epochs := flag.Int("epochs", 5, "epochs per measurement")
-	warmup := flag.Int("warmup", 2, "warm-up epochs discarded from the average")
-	hidden := flag.Int("hidden", 16, "hidden size")
-	seed := flag.Int64("seed", 1, "dataset and weight seed")
-	scale := flag.Float64("scale", 1, "multiplier on each dataset's default instantiation scale")
-	csv := flag.Bool("csv", false, "emit CSV instead of formatted tables")
-	cacheDir := flag.String("cachedir", "", "directory for cached graph structures (speeds up repeated runs)")
-	kernelsOut := flag.String("kernels-out", "", "write the kernels experiment report as JSON to this path (e.g. BENCH_kernels.json)")
-	kernelsVerts := flag.Int("kernels-vertices", 100000, "Zipf graph size for the kernels experiment")
-	kernelsModelOnly := flag.Bool("kernels-model-only", false, "kernels experiment: skip measured benchmarks, emit only the deterministic makespan model (fast CI-gate path)")
-	gemmOut := flag.String("gemm-out", "", "write the gemm experiment report as JSON to this path (e.g. BENCH_gemm.json)")
-	gemmRows := flag.Int("gemm-rows", 1024, "GEMM row count (M) for the gemm experiment")
-	gemmModelOnly := flag.Bool("gemm-model-only", false, "gemm experiment: skip measured benchmarks, emit only the deterministic AI model and tile plans (fast CI-gate path)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path (inspect with go tool pprof)")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this path on exit")
-	fusedOut := flag.String("fused-out", "", "write the fused experiment report as JSON to this path (e.g. BENCH_fused.json)")
-	fusedVerts := flag.Int("fused-vertices", 100000, "Zipf graph size for the fused experiment")
-	pipelineOut := flag.String("pipeline-out", "", "write the pipeline experiment report as JSON to this path (e.g. BENCH_pipeline.json)")
-	pipelineVerts := flag.Int("pipeline-vertices", 20000, "Zipf graph size for the pipeline experiment")
-	prefetch := flag.Int("prefetch", 4, "pipeline experiment: prefetch depth")
-	sampleWorkers := flag.Int("sample-workers", 4, "pipeline experiment: sampling workers")
-	adaptVerts := flag.Int("adapt-vertices", 0, "pipeline experiment: also run the adaptive re-planning trial on a Zipf graph of this size (0 = skip)")
-	adaptEpochs := flag.Int("adapt-epochs", 36, "pipeline experiment: exploration epoch budget for -adapt-vertices")
-	adaptExplore := flag.Int("adapt-explore", 0, "pipeline experiment: trials per candidate per round (0 = tuner default; raise on noisy hosts)")
-	serveOut := flag.String("serve-out", "", "write the serve experiment report as JSON to this path (e.g. BENCH_serve.json)")
-	serveVerts := flag.Int("serve-vertices", 100000, "Zipf graph size for the serve experiment")
-	deltaOut := flag.String("delta-out", "", "write the delta experiment report as JSON to this path (e.g. BENCH_delta.json)")
-	deltaVerts := flag.Int("delta-vertices", 100000, "Zipf graph size for the delta experiment")
-	shardOut := flag.String("shard-out", "", "write the shard experiment report as JSON to this path (e.g. BENCH_shard.json)")
-	oocoreOut := flag.String("oocore-out", "", "write the oocore experiment report as JSON to this path (e.g. BENCH_oocore.json)")
-	oocoreVerts := flag.Int("oocore-vertices", 150000, "Zipf graph size for the oocore experiment")
-	oocoreFeatDim := flag.Int("oocore-feat-dim", 64, "oocore experiment: stored feature dimensionality")
-	oocoreDir := flag.String("oocore-dir", "", "oocore experiment: directory for the store file (default: a temp dir; point at a real disk to measure cold I/O)")
-	oocoreCap := flag.Int64("oocore-cap", 0, "oocore experiment: externally applied memory cap in bytes, recorded in the report (set by scripts/oocore_smoke.sh when it created a cgroup)")
-	shardVerts := flag.Int("shard-vertices", 100000, "Zipf graph size for the shard experiment")
-	shardCount := flag.Int("shards", 4, "shard experiment: worker count")
-	shardMode := flag.String("shard-mode", "greedy", "shard experiment: partition mode (greedy|range)")
-	flag.Parse()
+	fs.Var(&exps, "exp", "experiment to run: "+strings.Join(experiments, "|")+"|all (repeatable)")
+	gpus := fs.String("gpus", "V100,2080Ti,1080Ti", "comma-separated simulated GPUs")
+	dss := fs.String("datasets", "", "comma-separated dataset subset (default: the experiment's full set)")
+	mdls := fs.String("models", "", "comma-separated model subset for fig10/fig11")
+	epochs := fs.Int("epochs", 5, "epochs per measurement")
+	warmup := fs.Int("warmup", 2, "warm-up epochs discarded from the average")
+	hidden := fs.Int("hidden", 16, "hidden size")
+	seed := fs.Int64("seed", 1, "dataset and weight seed")
+	scale := fs.Float64("scale", 1, "multiplier on each dataset's default instantiation scale")
+	csv := fs.Bool("csv", false, "emit CSV instead of formatted tables")
+	cacheDir := fs.String("cachedir", "", "directory for cached graph structures (speeds up repeated runs)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this path (inspect with go tool pprof)")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this path on exit")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if len(exps) == 0 {
 		exps = multiFlag{"all"}
 	}
-	// Profiles flush on normal return only; error paths exit(1) without
-	// them, which is fine — profiles matter on successful runs.
+	want := map[string]bool{}
+	for _, e := range exps {
+		if e == "all" {
+			for _, name := range experiments {
+				want[name] = true
+			}
+			continue
+		}
+		if !slices.Contains(experiments, e) {
+			fmt.Fprintf(stderr, "seastar-bench: unknown experiment %q (valid: %s, all)\n", e, strings.Join(experiments, ", "))
+			if w, ok := removed[e]; ok {
+				fmt.Fprintf(stderr, "  -exp %s was removed; the repository benchmark measures it: bash benchmark/run.sh %s\n", e, w)
+			}
+			return 2
+		}
+		want[e] = true
+	}
+
+	// Profiles flush on return, error paths included.
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "cpuprofile:", err)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "cpuprofile:", err)
+			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
 			f.Close()
-			fmt.Printf("wrote CPU profile %s\n", *cpuprofile)
+			fmt.Fprintf(stdout, "wrote CPU profile %s\n", *cpuprofile)
 		}()
 	}
 	if *memprofile != "" {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
+				fmt.Fprintln(stderr, "memprofile:", err)
 				return
 			}
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
+				fmt.Fprintln(stderr, "memprofile:", err)
 			}
 			f.Close()
-			fmt.Printf("wrote heap profile %s\n", *memprofile)
+			fmt.Fprintf(stdout, "wrote heap profile %s\n", *memprofile)
 		}()
 	}
+
 	cfg := bench.DefaultConfig()
 	cfg.Epochs, cfg.Warmup, cfg.Hidden, cfg.Seed = *epochs, *warmup, *hidden, *seed
 	cfg.GPUs = split(*gpus)
@@ -128,286 +147,57 @@ func main() {
 		}
 	}
 
-	run := map[string]bool{}
-	for _, e := range exps {
-		run[e] = true
-	}
-	all := run["all"]
-
-	if all || run["table2"] {
-		fmt.Println("=== Table 2: datasets ===")
-		bench.WriteTable2(os.Stdout)
-		if rs, err := bench.TypeRatios(cfg); err == nil {
-			fmt.Println("\n=== §6.3.5 edge-type storage analysis ===")
-			bench.WriteTypeRatios(os.Stdout, rs)
-		}
-	}
 	emit := func(title string, ms []bench.Measurement, memory bool) {
 		if *csv {
-			bench.WriteCSV(os.Stdout, ms)
+			bench.WriteCSV(stdout, ms)
 			return
 		}
-		fmt.Println("\n" + title)
-		bench.FormatMeasurements(os.Stdout, ms, memory)
+		fmt.Fprintln(stdout, "\n"+title)
+		bench.FormatMeasurements(stdout, ms, memory)
 	}
-	if all || run["fig10"] {
-		emit("=== Figure 10: per-epoch training time ===", bench.Fig10(cfg), false)
-	}
-	if all || run["fig11"] {
-		emit("=== Figure 11: peak memory (11 GB device) ===", bench.Fig11(cfg), true)
-	}
-	if all || run["table3"] {
-		emit("=== Table 3: R-GCN per-epoch time ===", bench.Table3(cfg), false)
-	}
-	if all || run["table4"] {
-		emit("=== Table 4: R-GCN peak memory ===", bench.Table4(cfg), true)
-	}
-	if all || run["correctness"] {
-		rows, err := bench.Correctness(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "correctness:", err)
-			os.Exit(1)
+	for _, name := range experiments {
+		if !want[name] {
+			continue
 		}
-		fmt.Println("\n=== Correctness: baseline deviation from Seastar ===")
-		bench.WriteCorrectness(os.Stdout, rows)
-	}
-	if all || run["kernels"] {
-		kcfg := bench.DefaultKernelsConfig()
-		kcfg.Seed = *seed
-		kcfg.Vertices = *kernelsVerts
-		kcfg.ModelOnly = *kernelsModelOnly
-		rep, err := bench.KernelsBench(kcfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "kernels:", err)
-			os.Exit(1)
-		}
-		fmt.Println("\n=== CPU kernel engine: edge-balanced stealing vs uniform rows ===")
-		bench.WriteKernelsText(os.Stdout, rep)
-		if *kernelsOut != "" {
-			f, err := os.Create(*kernelsOut)
+		switch name {
+		case "table2":
+			fmt.Fprintln(stdout, "=== Table 2: datasets (full-size statistics; the simulated runs instantiate them at default scale × -scale) ===")
+			bench.WriteTable2(stdout)
+			if rs, err := bench.TypeRatios(cfg); err == nil {
+				fmt.Fprintln(stdout, "\n=== §6.3.5 edge-type storage analysis ===")
+				bench.WriteTypeRatios(stdout, rs)
+			}
+		case "fig10":
+			emit("=== Figure 10: per-epoch training time (simulated device time, not wall clock) ===", bench.Fig10(cfg), false)
+		case "fig11":
+			emit("=== Figure 11: peak memory (simulated 11 GB device, not host RSS) ===", bench.Fig11(cfg), true)
+		case "table3":
+			emit("=== Table 3: R-GCN per-epoch time (simulated device time, not wall clock) ===", bench.Table3(cfg), false)
+		case "table4":
+			emit("=== Table 4: R-GCN peak memory (simulated 11 GB device, not host RSS) ===", bench.Table4(cfg), true)
+		case "correctness":
+			rows, err := bench.Correctness(cfg)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "kernels:", err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, "correctness:", err)
+				return 1
 			}
-			if err := bench.WriteKernelsJSON(f, rep); err != nil {
-				fmt.Fprintln(os.Stderr, "kernels:", err)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Printf("wrote %s\n", *kernelsOut)
-		}
-	}
-	if all || run["gemm"] {
-		gcfg := bench.DefaultGemmConfig()
-		gcfg.Seed = *seed
-		gcfg.Rows = *gemmRows
-		gcfg.ModelOnly = *gemmModelOnly
-		rep, err := bench.GemmBench(gcfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gemm:", err)
-			os.Exit(1)
-		}
-		fmt.Println("\n=== Cache-blocked GEMM + feature-tiled aggregation ===")
-		bench.WriteGemmText(os.Stdout, rep)
-		if *gemmOut != "" {
-			f, err := os.Create(*gemmOut)
+			fmt.Fprintln(stdout, "\n=== Correctness: baseline deviation from Seastar ===")
+			bench.WriteCorrectness(stdout, rows)
+		case "fig12":
+			pts, err := bench.Fig12(cfg, nil)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "gemm:", err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, "fig12:", err)
+				return 1
 			}
-			if err := bench.WriteGemmJSON(f, rep); err != nil {
-				fmt.Fprintln(os.Stderr, "gemm:", err)
-				os.Exit(1)
+			if *csv {
+				bench.WriteFig12CSV(stdout, pts)
+			} else {
+				fmt.Fprintln(stdout, "\n=== Figure 12: neighbour-access microbenchmark (simulated device time, not wall clock) ===")
+				bench.WriteFig12(stdout, pts)
 			}
-			f.Close()
-			fmt.Printf("wrote %s\n", *gemmOut)
 		}
 	}
-	if all || run["fused"] {
-		fcfg := bench.DefaultFusedConfig()
-		fcfg.Seed = *seed
-		fcfg.Vertices = *fusedVerts
-		rep, err := bench.FusedBench(fcfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fused:", err)
-			os.Exit(1)
-		}
-		fmt.Println("\n=== Closure compiler: specialized edge loops vs interpreter ===")
-		bench.WriteFusedText(os.Stdout, rep)
-		if *fusedOut != "" {
-			f, err := os.Create(*fusedOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fused:", err)
-				os.Exit(1)
-			}
-			if err := bench.WriteFusedJSON(f, rep); err != nil {
-				fmt.Fprintln(os.Stderr, "fused:", err)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Printf("wrote %s\n", *fusedOut)
-		}
-	}
-	if all || run["pipeline"] {
-		pcfg := bench.DefaultPipelineBenchConfig()
-		pcfg.Seed = *seed
-		pcfg.Vertices = *pipelineVerts
-		pcfg.Prefetch, pcfg.SampleWorkers = *prefetch, *sampleWorkers
-		pcfg.AdaptVertices, pcfg.AdaptEpochs = *adaptVerts, *adaptEpochs
-		pcfg.AdaptConfig.Explore = *adaptExplore
-		rep, err := bench.PipelineBench(pcfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pipeline:", err)
-			os.Exit(1)
-		}
-		fmt.Println("\n=== Mini-batch pipeline: overlapped sampling vs serial ===")
-		bench.WritePipelineText(os.Stdout, rep)
-		if *pipelineOut != "" {
-			f, err := os.Create(*pipelineOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "pipeline:", err)
-				os.Exit(1)
-			}
-			if err := bench.WritePipelineJSON(f, rep); err != nil {
-				fmt.Fprintln(os.Stderr, "pipeline:", err)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Printf("wrote %s\n", *pipelineOut)
-		}
-	}
-	// The serve experiment is explicit-only (not part of -exp all): it
-	// saturates the host with closed-loop load until the engine's tuner
-	// settles, which takes tens of seconds at the acceptance size.
-	if run["serve"] {
-		scfg := bench.DefaultServeBenchConfig()
-		scfg.Seed = *seed
-		scfg.Vertices = *serveVerts
-		rep, err := bench.ServeBench(scfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "serve:", err)
-			os.Exit(1)
-		}
-		fmt.Println("\n=== Serving: adaptive micro-batch re-planning under load ===")
-		bench.WriteServeText(os.Stdout, rep)
-		if *serveOut != "" {
-			f, err := os.Create(*serveOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "serve:", err)
-				os.Exit(1)
-			}
-			if err := bench.WriteServeJSON(f, rep); err != nil {
-				fmt.Fprintln(os.Stderr, "serve:", err)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Printf("wrote %s\n", *serveOut)
-		}
-	}
-	// The delta experiment is explicit-only for the same reason: each of
-	// the 30 deltas pays a full rebuild-from-scratch baseline on a 100k
-	// graph to prove bitwise equivalence.
-	if run["delta"] {
-		dcfg := bench.DefaultDeltaBenchConfig()
-		dcfg.Seed = *seed
-		dcfg.Vertices = *deltaVerts
-		rep, err := bench.DeltaBench(dcfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "delta:", err)
-			os.Exit(1)
-		}
-		fmt.Println("\n=== Graph deltas: incremental k-hop recompute vs full refresh ===")
-		bench.WriteDeltaText(os.Stdout, rep)
-		if *deltaOut != "" {
-			f, err := os.Create(*deltaOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "delta:", err)
-				os.Exit(1)
-			}
-			if err := bench.WriteDeltaJSON(f, rep); err != nil {
-				fmt.Fprintln(os.Stderr, "delta:", err)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Printf("wrote %s\n", *deltaOut)
-		}
-	}
-	// The shard experiment is explicit-only too: it partitions the 100k
-	// acceptance graph five times (4 workers + coordinator), proves the
-	// bitwise gate over every vertex through loopback HTTP, and races
-	// interior-vertex latency against a single-shard deployment.
-	if run["shard"] {
-		hcfg := bench.DefaultShardBenchConfig()
-		hcfg.Seed = *seed
-		hcfg.Vertices = *shardVerts
-		hcfg.Shards = *shardCount
-		hcfg.Mode = *shardMode
-		rep, err := bench.ShardBench(hcfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "shard:", err)
-			os.Exit(1)
-		}
-		fmt.Println("\n=== Sharded serving: vertex-cut workers behind a coordinator ===")
-		bench.WriteShardText(os.Stdout, rep)
-		if *shardOut != "" {
-			f, err := os.Create(*shardOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "shard:", err)
-				os.Exit(1)
-			}
-			if err := bench.WriteShardJSON(f, rep); err != nil {
-				fmt.Fprintln(os.Stderr, "shard:", err)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Printf("wrote %s\n", *shardOut)
-		}
-	}
-	// The oocore experiment is explicit-only as well: it converts a
-	// 150k-vertex graph to the on-disk store, trains over the mmap twice
-	// (in-memory baseline + store-backed with prefetch) and prices the
-	// capped-cache regime with the I/O overlap model.
-	if run["oocore"] {
-		ocfg := bench.DefaultOOCoreBenchConfig()
-		ocfg.Seed = *seed
-		ocfg.Vertices = *oocoreVerts
-		ocfg.FeatDim = *oocoreFeatDim
-		ocfg.Dir = *oocoreDir
-		ocfg.MemCapBytes = *oocoreCap
-		rep, err := bench.RunOOCoreBench(context.Background(), ocfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "oocore:", err)
-			os.Exit(1)
-		}
-		fmt.Println("\n=== Out-of-core store: mmap-backed training ===")
-		bench.WriteOOCoreText(os.Stdout, rep)
-		if *oocoreOut != "" {
-			f, err := os.Create(*oocoreOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "oocore:", err)
-				os.Exit(1)
-			}
-			if err := bench.WriteOOCoreJSON(f, rep); err != nil {
-				fmt.Fprintln(os.Stderr, "oocore:", err)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Printf("wrote %s\n", *oocoreOut)
-		}
-	}
-	if all || run["fig12"] {
-		pts, err := bench.Fig12(cfg, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fig12:", err)
-			os.Exit(1)
-		}
-		if *csv {
-			bench.WriteFig12CSV(os.Stdout, pts)
-		} else {
-			fmt.Println("\n=== Figure 12: neighbour-access microbenchmark ===")
-			bench.WriteFig12(os.Stdout, pts)
-		}
-	}
+	return 0
 }
 
 type multiFlag []string

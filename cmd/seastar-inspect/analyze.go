@@ -7,16 +7,13 @@ import (
 	"sort"
 	"time"
 
-	"seastar/internal/adapt"
 	"seastar/internal/datasets"
 	"seastar/internal/device"
 	"seastar/internal/exec"
 	"seastar/internal/gir"
 	"seastar/internal/graph"
-	"seastar/internal/kernels"
 	"seastar/internal/nn"
 	"seastar/internal/obs"
-	"seastar/internal/sched"
 	"seastar/internal/tensor"
 )
 
@@ -30,11 +27,6 @@ type analyzeOptions struct {
 	Iters   int    // measured forward+backward iterations
 	Seed    int64
 	GPU     string
-	// PlanPath, when set, loads the adaptive plan store and applies the
-	// learned kernel tunings for this (model, graph, host) key before
-	// measuring; the report then carries the plan for the
-	// "plan: learned(gen=K)" annotation.
-	PlanPath string
 }
 
 // UnitProfile is the measured attribution of one execution unit, or of
@@ -65,13 +57,6 @@ type Report struct {
 	Units      []UnitProfile    `json:"units"`
 	PoolHits   int64            `json:"pool_hits"`
 	PoolMisses int64            `json:"pool_misses"`
-	// PlanKey is the adaptive-plan slot this run would use; Plan is the
-	// learned plan that was applied, nil when the run used the static
-	// plan. PlanDiag records a plan file that could not be read (the run
-	// falls back to static).
-	PlanKey  adapt.Key   `json:"plan_key"`
-	Plan     *adapt.Plan `json:"plan,omitempty"`
-	PlanDiag string      `json:"plan_diag,omitempty"`
 }
 
 // runAnalyze compiles the model, executes Iters training iterations
@@ -137,34 +122,6 @@ func runAnalyze(opts analyzeOptions) (*Report, error) {
 	for _, e := range obs.Snapshot() {
 		if e.Cat == "compile" {
 			compileNs[e.Name] = e.TotalNs
-		}
-	}
-
-	// Adaptive plan: apply the learned kernel tunings for this slot
-	// before measuring, so the profile reflects the plan the annotation
-	// names. A missing or corrupt plan file falls back to static.
-	planKey := adapt.Key{
-		Model:   opts.Model,
-		GraphFP: adapt.GraphFP(g.N, g.M, g.Srcs, g.Dsts),
-		InDim:   opts.Params.in,
-		Procs:   sched.MaxProcs,
-		Host:    adapt.HostID(),
-	}
-	var plan *adapt.Plan
-	planDiag := ""
-	if opts.PlanPath != "" {
-		if p, ok, diag := adapt.NewStore(opts.PlanPath).Load(planKey); ok {
-			tn := map[string]kernels.Tuning{}
-			for label, u := range p.Tuning.Units {
-				tn[label] = kernels.Tuning{
-					TileWidth: u.TileWidth, Serial: u.Serial,
-					ChunksPerWorker: u.ChunksPerWorker,
-				}
-			}
-			c.ApplyTuning(tn)
-			plan = &p
-		} else if diag != nil {
-			planDiag = diag.Error()
 		}
 	}
 
@@ -235,7 +192,6 @@ func runAnalyze(opts analyzeOptions) (*Report, error) {
 	rep := &Report{
 		Model: opts.Model, Dataset: dsName, N: g.N, M: g.M,
 		Iters: opts.Iters, WallNs: wallNs, CompileNs: compileNs,
-		PlanKey: planKey, Plan: plan, PlanDiag: planDiag,
 	}
 	pool := eng.PoolStats()
 	rep.PoolHits, rep.PoolMisses = pool.Hits, pool.Misses
@@ -393,7 +349,6 @@ func writeAnalyze(w io.Writer, rep *Report) {
 		}
 		fmt.Fprintln(w)
 	}
-	writePlan(w, rep)
 	for _, pass := range []string{"fwd", "bwd", "harness"} {
 		var units []UnitProfile
 		for _, u := range rep.Units {
@@ -433,37 +388,6 @@ func writeAnalyze(w io.Writer, rep *Report) {
 	fmt.Fprintf(w, "\nattribution: %.1f%% of wall %s attributed to %d execution units%s\n",
 		rep.Coverage*100, fmtDur(rep.WallNs), units, harness)
 	fmt.Fprintf(w, "pool: hits=%d misses=%d\n", rep.PoolHits, rep.PoolMisses)
-}
-
-// writePlan renders the adaptive-planning annotation: which plan the
-// run executed (static, measured-validated static, or learned), and for
-// a settled plan the per-knob decisions with their measured rationale.
-func writePlan(w io.Writer, rep *Report) {
-	if rep.Plan == nil {
-		if rep.PlanDiag != "" {
-			fmt.Fprintf(w, "plan: static (plan store unreadable: %s)\n", rep.PlanDiag)
-		}
-		// Static with no plan store in play: stay silent, the line would
-		// be noise on every non-adaptive run.
-		return
-	}
-	p := rep.Plan
-	if p.Learned() {
-		fmt.Fprintf(w, "plan: learned(gen=%d) — measured %+.1f%% vs static\n", p.Gen, p.WinPct())
-	} else {
-		fmt.Fprintf(w, "plan: static (measured-validated, gen=%d)\n", p.Gen)
-	}
-	for _, d := range p.Decisions {
-		unit := ""
-		if d.Unit != "" {
-			unit = d.Unit + " "
-		}
-		if d.Diverged() {
-			fmt.Fprintf(w, "  %s%s: static %d → learned %d — %s\n", unit, d.Knob, d.Static, d.Learned, d.Why)
-		} else {
-			fmt.Fprintf(w, "  %s%s: kept %d — %s\n", unit, d.Knob, d.Static, d.Why)
-		}
-	}
 }
 
 func passName(p string) string {

@@ -48,7 +48,6 @@ func main() {
 	iters := flag.Int("iters", 5, "measured iterations (-analyze)")
 	seed := flag.Int64("seed", 1, "graph + feature seed (-analyze)")
 	gpu := flag.String("gpu", "V100", "simulated GPU profile (-analyze)")
-	plans := flag.String("plans", "", "adaptive plan store: apply the learned plan for this model/graph/host and annotate the report (-analyze)")
 	jsonOut := flag.String("json", "", "also write the -analyze report as JSON to this file (\"-\" = stdout)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the -analyze run")
 	flag.Parse()
@@ -70,7 +69,6 @@ func main() {
 		rep, err := runAnalyze(analyzeOptions{
 			Model: *model, Params: p, Dataset: *dataset,
 			N: *n, Deg: *deg, Iters: *iters, Seed: *seed, GPU: *gpu,
-			PlanPath: *plans,
 		})
 		if err != nil {
 			fatal(err)

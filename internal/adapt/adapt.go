@@ -1,27 +1,19 @@
-// Package adapt closes the observability loop: it turns measured
-// execution profiles (internal/obs spans and wall-clock trials) into
-// re-planned knob settings for the static planners — feature-tile width
-// and chunk granularity in kernels, serial-vs-parallel collapse in
-// sched's dispatch, micro-batch size in serve, and prefetch depth in the
-// training pipeline.
+// Package adapt closes the observability loop for the one planner
+// decision measurement has shown to pay: the serve micro-batch size. It
+// turns wall-clock trials into a re-planned setting for that knob.
 //
 // The design is trial-based, not model-based: a Tuner hands out
 // candidate tunings round-robin, the caller measures each trial with the
-// wall clock (or per-unit obs deltas via Recorder), and a candidate is
-// committed only after it beats the static plan by a sustained margin
-// (Config.Win, default 10%) over Config.Rounds consecutive evaluation
-// rounds — the hysteresis that keeps a noisy host from flapping plans.
-// Within each round every candidate is measured Config.Explore times
-// interleaved and scored by its minimum, the standard robust metric for
-// shared-host timing noise.
+// wall clock, and a candidate is committed only after it beats the
+// static plan by a sustained margin (Config.Win, default 10%) over
+// Config.Rounds consecutive evaluation rounds — the hysteresis that
+// keeps a noisy host from flapping plans. Within each round every
+// candidate is measured Config.Explore times interleaved and scored by
+// its minimum, the standard robust metric for shared-host timing noise.
 //
-// Every candidate must stay inside the bitwise-safe envelope: knobs may
-// move work between tiles, chunks, workers, batches or prefetch slots,
-// but never change per-element arithmetic order. Tiling and chunking are
-// proven bitwise-safe by the kernels property tests; prefetch and
-// micro-batch sizing never touch kernel arithmetic at all. A re-planned
-// program therefore produces byte-identical outputs to its static plan
-// (enforced by the fusion fuzzer's re-planned third run).
+// Every candidate must stay inside the bitwise-safe envelope: micro-batch
+// sizing regroups queued requests and never touches kernel arithmetic,
+// so a re-planned server answers byte-identically to its static plan.
 //
 // Settled plans persist as JSON keyed by (model, graph fingerprint,
 // feature dim, GOMAXPROCS, host) with atomic-rename writes, so a warm
@@ -29,9 +21,7 @@
 package adapt
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"runtime"
 	"strconv"
@@ -70,85 +60,25 @@ func HostID() string {
 	return runtime.GOOS + "/" + runtime.GOARCH + "/" + hn + "/c" + strconv.Itoa(runtime.NumCPU())
 }
 
-// GraphFP fingerprints a graph topology for plan keying: FNV-1a over
-// the vertex/edge counts and a strided sample of the edge list — the
-// same scheme the serving snapshot uses, cheap enough to run per job.
-// Callers pass raw counts and edge slices so this package stays free of
-// a graph dependency.
-func GraphFP(n, m int, srcs, dsts []int32) uint64 {
-	h := fnv.New64a()
-	var b [4]byte
-	w32 := func(v int32) {
-		binary.LittleEndian.PutUint32(b[:], uint32(v))
-		h.Write(b[:])
-	}
-	w32(int32(n))
-	w32(int32(m))
-	stride := m/64 + 1
-	for i := 0; i < m && i < len(srcs) && i < len(dsts); i += stride {
-		w32(srcs[i])
-		w32(dsts[i])
-	}
-	return h.Sum64()
-}
-
-// UnitTuning overrides one kernel's static plan. Zero values mean "keep
-// the static decision". All fields stay inside the bitwise-safe
-// envelope.
-type UnitTuning struct {
-	// TileWidth pins the feature-tile width of the interpreted edge loop
-	// (ignored on untileable kernels and on the specialized path, which
-	// streams full width by construction).
-	TileWidth int `json:"tile_width,omitempty"`
-	// Serial collapses (+1) or forces (-1) parallel dispatch; 0 keeps
-	// the static cost-model threshold.
-	Serial int8 `json:"serial,omitempty"`
-	// ChunksPerWorker overrides the partition oversubscription factor.
-	ChunksPerWorker int `json:"chunks_per_worker,omitempty"`
-}
-
-// IsZero reports whether the tuning keeps every static decision.
-func (u UnitTuning) IsZero() bool { return u == UnitTuning{} }
-
-// Tuning is one complete re-plan of a cached program: per-unit kernel
-// overrides plus the program-wide scheduling knobs. The zero value is
-// the static plan.
+// Tuning is one complete re-plan. The zero value is the static plan.
+// Plan files written before the kernel and pipeline decision kinds were
+// removed also carry "units", "prefetch" and "sample_workers" here and a
+// "profile" on the plan; decoding ignores them and keeps max_batch.
 type Tuning struct {
-	// Units maps exec unit labels (e.g. "fwd/unit 3 [seastar]") to their
-	// kernel overrides.
-	Units map[string]UnitTuning `json:"units,omitempty"`
 	// MaxBatch overrides the serve micro-batch cap (0 = static).
 	MaxBatch int `json:"max_batch,omitempty"`
-	// Prefetch overrides the pipeline prefetch depth; -1 means "keep
-	// static" because 0 is a meaningful value (serial, no pipeline).
-	Prefetch int `json:"prefetch,omitempty"`
-	// SampleWorkers overrides the pipeline sampling worker count
-	// (0 = static).
-	SampleWorkers int `json:"sample_workers,omitempty"`
 }
 
 // IsZero reports whether the tuning is the static plan.
-func (t Tuning) IsZero() bool {
-	if t.MaxBatch != 0 || t.SampleWorkers != 0 || (t.Prefetch != 0 && t.Prefetch != -1) {
-		return false
-	}
-	for _, u := range t.Units {
-		if !u.IsZero() {
-			return false
-		}
-	}
-	return true
-}
+func (t Tuning) IsZero() bool { return t == Tuning{} }
 
 // Decision records one knob the tuner evaluated: what the static model
 // chose, what the measurements chose, and why. EXPLAIN ANALYZE renders
 // these under the learned(gen=K) annotation.
 type Decision struct {
-	// Unit is the kernel label for per-unit knobs, empty for
-	// program-wide ones.
+	// Unit names the component the knob belongs to ("serve/batcher").
 	Unit string `json:"unit,omitempty"`
-	// Knob names the planner decision ("tile_width", "chunks_per_worker",
-	// "serial", "max_batch", "prefetch", "sample_workers").
+	// Knob names the planner decision ("max_batch").
 	Knob string `json:"knob"`
 	// Static and Learned are the knob values before and after
 	// adaptation; equal when the measurements validated the static model.
@@ -160,9 +90,6 @@ type Decision struct {
 	// Why is the one-line human rationale.
 	Why string `json:"why"`
 }
-
-// Diverged reports whether the measurements overrode the static model.
-func (d Decision) Diverged() bool { return d.Static != d.Learned }
 
 // Plan is a settled adaptation: the committed tuning, the decisions
 // that produced it, and the measured evidence. Plans serialize to the
@@ -180,9 +107,6 @@ type Plan struct {
 	// best observed trial (equal when the static plan won).
 	BaseNs int64 `json:"base_ns"`
 	BestNs int64 `json:"best_ns"`
-	// Profile is the per-unit measured profile recorded while tuning
-	// (empty when the caller measured wall clock only).
-	Profile map[string]UnitProfile `json:"profile,omitempty"`
 }
 
 // planVersion is the current persistence format.

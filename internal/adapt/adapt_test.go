@@ -4,25 +4,24 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
-
-	"seastar/internal/obs"
 )
 
 func testKey() Key {
 	return Key{Model: "sage-h16", GraphFP: 0xabcdef0123456789, InDim: 16, Procs: 4, Host: "test/amd64/h/c4"}
 }
 
-func prefetchCands() []Candidate {
+func batchCands() []Candidate {
 	return []Candidate{
 		{Name: "static"},
-		{Name: "prefetch=1 workers=1",
-			Tuning: Tuning{Prefetch: 1, SampleWorkers: 1},
-			Knob:   "prefetch", Static: 4, Learned: 1},
-		{Name: "prefetch=8",
-			Tuning: Tuning{Prefetch: 8},
-			Knob:   "prefetch", Static: 4, Learned: 8},
+		{Name: "max_batch=4",
+			Tuning: Tuning{MaxBatch: 4},
+			Knob:   "max_batch", Static: 8, Learned: 4},
+		{Name: "max_batch=16",
+			Tuning: Tuning{MaxBatch: 16},
+			Knob:   "max_batch", Static: 8, Learned: 16},
 	}
 }
 
@@ -43,7 +42,7 @@ func drive(t *testing.T, tn *Tuner, ns func(idx, trial int) int64, maxTrials int
 }
 
 func TestTunerCommitsSustainedWin(t *testing.T) {
-	tn := NewTuner(testKey(), Config{Explore: 3, Rounds: 2, Win: 0.10}, prefetchCands())
+	tn := NewTuner(testKey(), Config{Explore: 3, Rounds: 2, Win: 0.10}, batchCands())
 	// Candidate 1 is consistently 20% faster than static; candidate 2 is
 	// 5% slower. The tuner must commit candidate 1 after exactly two
 	// evaluation rounds (hysteresis), no sooner.
@@ -64,13 +63,13 @@ func TestTunerCommitsSustainedWin(t *testing.T) {
 	if p.Gen != 2 {
 		t.Fatalf("settled at gen %d, want 2 (two-round hysteresis)", p.Gen)
 	}
-	if p.Tuning.Prefetch != 1 || p.Tuning.SampleWorkers != 1 {
-		t.Fatalf("committed tuning %+v, want prefetch=1 workers=1", p.Tuning)
+	if p.Tuning.MaxBatch != 4 {
+		t.Fatalf("committed tuning %+v, want max_batch=4", p.Tuning)
 	}
 	if !p.Learned() {
 		t.Fatal("plan should report Learned")
 	}
-	if len(p.Decisions) != 1 || !p.Decisions[0].Diverged() {
+	if len(p.Decisions) != 1 || p.Decisions[0].Learned != 4 {
 		t.Fatalf("want one diverged decision, got %+v", p.Decisions)
 	}
 	if got := p.WinPct(); got < 19 || got > 21 {
@@ -79,7 +78,7 @@ func TestTunerCommitsSustainedWin(t *testing.T) {
 }
 
 func TestTunerValidatesStaticUnderThreshold(t *testing.T) {
-	tn := NewTuner(testKey(), Config{Explore: 2, Rounds: 2, Win: 0.10}, prefetchCands())
+	tn := NewTuner(testKey(), Config{Explore: 2, Rounds: 2, Win: 0.10}, batchCands())
 	// Best challenger is only 5% faster — below the 10% bar, so the
 	// static plan must win and the decisions must say "validated".
 	drive(t, tn, func(idx, trial int) int64 {
@@ -103,7 +102,7 @@ func TestTunerValidatesStaticUnderThreshold(t *testing.T) {
 		t.Fatalf("want one validation decision per knob, got %+v", p.Decisions)
 	}
 	d := p.Decisions[0]
-	if d.Diverged() || d.Knob != "prefetch" {
+	if d.Static != d.Learned || d.Knob != "max_batch" {
 		t.Fatalf("unexpected decision %+v", d)
 	}
 	if d.WinPct < 4 || d.WinPct > 6 {
@@ -112,7 +111,7 @@ func TestTunerValidatesStaticUnderThreshold(t *testing.T) {
 }
 
 func TestTunerHysteresisRejectsOneOffWin(t *testing.T) {
-	tn := NewTuner(testKey(), Config{Explore: 1, Rounds: 2, Win: 0.10}, prefetchCands())
+	tn := NewTuner(testKey(), Config{Explore: 1, Rounds: 2, Win: 0.10}, batchCands())
 	// Candidate 1 wins round 1 by 30% (a noise spike), then loses every
 	// later round. The streak must reset and the static plan settle.
 	round := 0
@@ -141,18 +140,18 @@ func TestTunerHysteresisRejectsOneOffWin(t *testing.T) {
 }
 
 func TestTunerAdoptSkipsExploration(t *testing.T) {
-	tn := NewTuner(testKey(), Config{}, prefetchCands())
+	tn := NewTuner(testKey(), Config{}, batchCands())
 	learned := Plan{Version: planVersion, Key: testKey(), Gen: 3,
-		Tuning: Tuning{Prefetch: 1, SampleWorkers: 1}, BaseNs: 100, BestNs: 80}
+		Tuning: Tuning{MaxBatch: 4}, BaseNs: 100, BestNs: 80}
 	tn.Adopt(learned)
-	if !tn.Settled() {
+	if _, ok := tn.Plan(); !ok {
 		t.Fatal("adopted tuner must be settled")
 	}
 	idx, tuning, done := tn.Next()
 	if !done || idx != -1 {
 		t.Fatalf("Next after Adopt = (%d, done=%v), want settled", idx, done)
 	}
-	if tuning.Prefetch != 1 {
+	if tuning.MaxBatch != 4 {
 		t.Fatalf("adopted tuning not returned: %+v", tuning)
 	}
 }
@@ -168,10 +167,9 @@ func TestStoreRoundTripAndCorruptFallback(t *testing.T) {
 	}
 
 	p := Plan{Version: planVersion, Key: key, Gen: 2,
-		Tuning:    Tuning{Prefetch: 1, SampleWorkers: 1},
-		Decisions: []Decision{{Knob: "prefetch", Static: 4, Learned: 1, WinPct: 16.5, Why: "measured"}},
+		Tuning:    Tuning{MaxBatch: 4},
+		Decisions: []Decision{{Knob: "max_batch", Static: 8, Learned: 4, WinPct: 16.5, Why: "measured"}},
 		BaseNs:    661_000_000, BestNs: 552_000_000,
-		Profile: map[string]UnitProfile{"fwd/unit 0 [seastar]": {Unit: "fwd/unit 0 [seastar]", Runs: 10, Ns: 1000, Edges: 500}},
 	}
 	if err := s.Save(p); err != nil {
 		t.Fatalf("Save: %v", err)
@@ -180,7 +178,7 @@ func TestStoreRoundTripAndCorruptFallback(t *testing.T) {
 	if !ok || err != nil {
 		t.Fatalf("Load after Save = ok=%v err=%v", ok, err)
 	}
-	if got.Gen != 2 || got.Tuning.Prefetch != 1 || len(got.Decisions) != 1 || got.Profile["fwd/unit 0 [seastar]"].Edges != 500 {
+	if got.Gen != 2 || got.Tuning.MaxBatch != 4 || len(got.Decisions) != 1 {
 		t.Fatalf("round-trip mangled plan: %+v", got)
 	}
 
@@ -236,54 +234,50 @@ func TestStoreDisabled(t *testing.T) {
 	}
 }
 
-func TestRecorderDeltas(t *testing.T) {
-	defer obs.Reset()
-	obs.Reset()
-	r := NewRecorder()
-	defer r.Close()
-
-	emit := func(ns int64, edges, rows int64) {
-		obs.Observe("exec", "fwd/unit 0 [seastar]", time.Duration(ns))
-		obs.Add("kern", "fwd/unit 0 [seastar]", "edges", edges)
-		obs.Add("kern", "fwd/unit 0 [seastar]", "rows", rows)
-		obs.Set("kern", "fwd/unit 0 [seastar]", "tile_width", 32)
-		obs.Set("kern", "fwd/unit 0 [seastar]", "specialized", 1)
+// TestStoreLoadsPlanFileFromBeforePR17 loads a plan file written by the
+// store as it was before the kernel and pipeline decision kinds were
+// removed (testdata generated at 8c6293b: "units", "prefetch",
+// "sample_workers" in the tuning, "profile" on the plan). The max_batch
+// decision must be adopted and the removed keys dropped on the next save.
+func TestStoreLoadsPlanFileFromBeforePR17(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "plans_before_pr17.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	emit(1000, 800, 100)
-	emit(1000, 800, 100)
-	d := r.Delta()
-	p := d["fwd/unit 0 [seastar]"]
-	if p.Runs != 2 || p.Ns != 2000 || p.Edges != 1600 || p.Rows != 200 {
-		t.Fatalf("first delta wrong: %+v", p)
+	path := filepath.Join(t.TempDir(), "plans.json")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if p.TileWidth != 32 || !p.Specialized {
-		t.Fatalf("plan facts missing from profile: %+v", p)
+	key := testKey()
+	key.Model = "gcn-h16"
+	s := NewStore(path)
+	p, ok, diag := s.Load(key)
+	if !ok || diag != nil {
+		t.Fatalf("Load = ok=%v diag=%v, want the persisted plan", ok, diag)
 	}
-	if got := p.NsPerEdge(); got != 2000.0/1600.0 {
-		t.Fatalf("NsPerEdge = %v", got)
+	if p.Gen != 3 || p.Tuning != (Tuning{MaxBatch: 16}) || !p.Learned() {
+		t.Fatalf("adopted plan %+v, want gen 3 with max_batch 16", p)
 	}
-	if got := p.NsPerRow(); got != 10 {
-		t.Fatalf("NsPerRow = %v", got)
+	if len(p.Decisions) != 1 || p.Decisions[0].Knob != "max_batch" || p.BaseNs != 1000000 {
+		t.Fatalf("evidence lost: %+v", p)
 	}
-
-	// Second window sees only what happened after the first Delta.
-	emit(500, 400, 50)
-	d = r.Delta()
-	p = d["fwd/unit 0 [seastar]"]
-	if p.Runs != 1 || p.Ns != 500 || p.Edges != 400 || p.Rows != 50 {
-		t.Fatalf("second delta not isolated: %+v", p)
+	tn := NewTuner(key, Config{}, batchCands())
+	tn.Adopt(p)
+	if _, tuning, done := tn.Next(); !done || tuning.MaxBatch != 16 {
+		t.Fatalf("Next after adopting = (%+v, done=%v)", tuning, done)
 	}
 
-	// Empty window → empty delta.
-	if d := r.Delta(); len(d) != 0 {
-		t.Fatalf("idle delta not empty: %+v", d)
+	if err := s.Save(p); err != nil {
+		t.Fatal(err)
 	}
-
-	run := map[string]UnitProfile{}
-	run = MergeProfiles(run, map[string]UnitProfile{"u": {Unit: "u", Runs: 1, Ns: 10, Allocs: 3}})
-	run = MergeProfiles(run, map[string]UnitProfile{"u": {Unit: "u", Runs: 1, Ns: 20, Allocs: 1}})
-	if p := run["u"]; p.Runs != 2 || p.Ns != 30 || p.Allocs != 4 || p.AllocsPerRun() != 2 {
-		t.Fatalf("MergeProfiles wrong: %+v", p)
+	saved, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range []string{"units", "prefetch", "sample_workers", "profile"} {
+		if strings.Contains(string(saved), `"`+gone+`"`) {
+			t.Fatalf("re-saved plan file still carries %q:\n%s", gone, saved)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // 0 must be the static plan (zero Tuning); challengers each describe
 // which knob they move so the settled plan can explain itself.
 type Candidate struct {
-	// Name labels the candidate in logs ("prefetch=1 workers=1").
+	// Name labels the candidate in logs ("max_batch=16").
 	Name   string
 	Tuning Tuning
 	// Knob, Unit, Static and Learned pre-fill the Decision this
@@ -52,7 +52,7 @@ func (c Config) withDefaults() Config {
 // Tuner runs the measured re-planning loop for one cached program: hand
 // out candidates round-robin with Next, report each trial's measured
 // nanoseconds with Report, and after enough sustained evidence the
-// tuner settles on a plan (Settled/Plan). All methods are safe for
+// tuner settles on a plan (Plan). All methods are safe for
 // concurrent use; the hot path after settling is one mutex-guarded
 // field read.
 type Tuner struct {
@@ -70,8 +70,6 @@ type Tuner struct {
 	streak  int     // consecutive rounds the leader has won
 	settled bool
 	plan    Plan
-
-	profile map[string]UnitProfile
 }
 
 // NewTuner creates an exploring tuner over the candidate set. cands[0]
@@ -147,14 +145,6 @@ func (t *Tuner) Report(idx int, ns int64) {
 	t.evaluateRound()
 }
 
-// AddProfile folds a per-unit measured window into the running profile
-// that the settled plan will carry.
-func (t *Tuner) AddProfile(delta map[string]UnitProfile) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.profile = MergeProfiles(t.profile, delta)
-}
-
 // evaluateRound closes the current round: pick the round winner, update
 // the streak, settle if the hysteresis is satisfied. Called with t.mu
 // held.
@@ -213,7 +203,6 @@ func (t *Tuner) settle(idx int) {
 		Tuning:  win.Tuning,
 		BaseNs:  t.bestNs[0],
 		BestNs:  t.bestNs[idx],
-		Profile: t.profile,
 	}
 	winPct := func(i int) float64 {
 		if t.bestNs[0] <= 0 || t.bestNs[i] <= 0 {
@@ -251,13 +240,6 @@ func (t *Tuner) settle(idx int) {
 		})
 	}
 	t.plan = p
-}
-
-// Settled reports whether the tuner has committed a plan.
-func (t *Tuner) Settled() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.settled
 }
 
 // Plan returns the committed plan; ok is false while still exploring.

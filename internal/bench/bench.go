@@ -4,7 +4,10 @@
 // (Figure 11); R-GCN time and memory across five systems (Tables 3 and
 // 4); the neighbour-access kernel microbenchmark (Figure 12); and the
 // dataset table (Table 2). Results are deterministic simulated
-// measurements from the device cost model.
+// measurements from the device cost model — simulated device time and
+// memory, never wall clock or host RSS; every header and CSV column says
+// so. What runs on this host is measured by the repository benchmark
+// (benchmark/README.md), not here.
 package bench
 
 import (
@@ -220,9 +223,9 @@ func WriteTable2(w io.Writer) {
 }
 
 // WriteCSV emits measurements as CSV (one row per cell) for external
-// plotting: model,dataset,system,gpu,epoch_ms,peak_mb,status.
+// plotting: model,dataset,system,gpu,simulated_epoch_ms,simulated_peak_mb,status.
 func WriteCSV(w io.Writer, ms []Measurement) {
-	fmt.Fprintln(w, "model,dataset,system,gpu,epoch_ms,peak_mb,status")
+	fmt.Fprintln(w, "model,dataset,system,gpu,simulated_epoch_ms,simulated_peak_mb,status")
 	for _, m := range ms {
 		status := "ok"
 		if m.Result.OOM {
@@ -237,7 +240,7 @@ func WriteCSV(w io.Writer, ms []Measurement) {
 
 // WriteFig12CSV emits the microbenchmark points as CSV.
 func WriteFig12CSV(w io.Writer, pts []Fig12Point) {
-	fmt.Fprintln(w, "gpu,feature_size,variant,time_ns,speedup")
+	fmt.Fprintln(w, "gpu,feature_size,variant,simulated_time_ns,speedup")
 	for _, p := range pts {
 		fmt.Fprintf(w, "%s,%d,%s,%.1f,%.3f\n", p.GPU, p.FeatureSize, p.Variant, p.TimeNs, p.Speedup)
 	}
@@ -259,9 +262,9 @@ func FormatMeasurements(w io.Writer, ms []Measurement, memory bool) {
 		groups[k] = append(groups[k], m)
 	}
 	for _, k := range order {
-		unit := "per-epoch ms"
+		unit := "simulated per-epoch ms"
 		if memory {
-			unit = "peak MB"
+			unit = "simulated peak MB"
 		}
 		fmt.Fprintf(w, "\n== %s on %s (%s) ==\n", strings.ToUpper(k.model), k.gpu, unit)
 		// Collect systems and datasets preserving order.

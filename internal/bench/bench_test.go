@@ -10,7 +10,10 @@ import (
 )
 
 // quickConfig shrinks everything so unit tests run in seconds while
-// keeping the shape properties intact.
+// keeping the shape properties intact. The figure-shape tests run in
+// parallel: each builds its own datasets, devices and models, and none
+// writes a package-level variable (sched.MaxProcs, the SIMD switch and
+// obs tracing are only read).
 func quickConfig() Config {
 	return Config{
 		Epochs: 3, Warmup: 1, Hidden: 8, Seed: 1,
@@ -39,6 +42,7 @@ func cellsOf(ms []Measurement) map[string]Measurement {
 }
 
 func TestFig10ShapeSeastarWins(t *testing.T) {
+	t.Parallel()
 	cfg := quickConfig()
 	cfg.Datasets = []string{"amz_photo", "pubmed"}
 	cfg.Epochs, cfg.Warmup = 2, 0
@@ -70,6 +74,7 @@ func TestFig10ShapeSeastarWins(t *testing.T) {
 }
 
 func TestFig11ShapePyGMemoryDominates(t *testing.T) {
+	t.Parallel()
 	cfg := quickConfig()
 	cfg.Datasets = []string{"ca_cs"}
 	cfg.ScaleOverride = func(string) float64 { return 0.1 }
@@ -86,13 +91,17 @@ func TestFig11ShapePyGMemoryDominates(t *testing.T) {
 }
 
 func TestFig11RedditPyGOOM(t *testing.T) {
+	t.Parallel()
 	// Even at reduced instantiation scale, the extrapolated allocator
 	// must reject PyG's edge tensors on the 11 GB device while Seastar
 	// and DGL fit — Figure 11's headline.
 	cfg := quickConfig()
 	cfg.Datasets = []string{"reddit"}
 	cfg.Models = []string{"gcn", "appnp"}
-	cfg.Epochs, cfg.Warmup = 2, 0
+	// One epoch reaches the peak: the simulated allocator is deterministic
+	// and frees everything between iterations
+	// (exec.TestMemoryFreedBetweenIterations).
+	cfg.Epochs, cfg.Warmup = 1, 0
 	cfg.ScaleOverride = func(string) float64 { return 1.0 / 128 }
 	ms := Fig11(cfg)
 	cells := cellsOf(ms)
@@ -116,6 +125,7 @@ func TestFig11RedditPyGOOM(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
+	t.Parallel()
 	cfg := quickConfig()
 	cfg.Datasets = []string{"aifb"}
 	ms := Table3(cfg)
@@ -144,6 +154,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
+	t.Parallel()
 	cfg := quickConfig()
 	cfg.Datasets = []string{"mutag"}
 	ms := Table4(cfg)
@@ -159,6 +170,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestFig12ShapeAndMonotonicity(t *testing.T) {
+	t.Parallel()
 	cfg := quickConfig()
 	pts, err := Fig12(cfg, []int{64, 16, 1})
 	if err != nil {
@@ -198,6 +210,7 @@ func TestFig12ShapeAndMonotonicity(t *testing.T) {
 }
 
 func TestWriteOutputs(t *testing.T) {
+	t.Parallel()
 	var b bytes.Buffer
 	WriteTable2(&b)
 	if !strings.Contains(b.String(), "reddit") || !strings.Contains(b.String(), "84120742") {

@@ -147,7 +147,7 @@ func WriteFig12(w io.Writer, pts []Fig12Point) {
 		byGPU[pt.GPU] = append(byGPU[pt.GPU], pt)
 	}
 	for _, gpu := range gpus {
-		fmt.Fprintf(w, "\n== Figure 12 on %s (speedup vs DGL baseline) ==\n", gpu)
+		fmt.Fprintf(w, "\n== Figure 12 on %s (simulated speedup vs DGL baseline) ==\n", gpu)
 		var sizes []int
 		seen := map[int]bool{}
 		for _, pt := range byGPU[gpu] {

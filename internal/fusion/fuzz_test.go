@@ -212,28 +212,19 @@ func checkFusionEquivalence(t *testing.T, data []byte) {
 		}
 	}
 
-	// Third run with an adaptive re-plan installed: learned tile-width,
-	// chunk-granularity and serial-path overrides (the bitwise-safe
-	// envelope the measured re-planner moves in) must leave every output
-	// bit where the static plan put it.
-	replan := map[string]kernels.Tuning{}
-	for _, u := range c.TuningSurface() {
-		tn := kernels.Tuning{ChunksPerWorker: 3, Serial: -1}
-		if u.Tileable {
-			tn.TileWidth = 1 + p.dim/2
-		}
-		replan[u.Label] = tn
-	}
-	c.ApplyTuning(replan)
-	gotTuned, err := c.Infer(&exec.InferEnv{G: g, Cfg: interpCfg}, vfeat, efeat, nil)
-	c.ResetTuning()
+	// Third run with a feature-tile width that splits every tileable
+	// edge loop into more than one tile: tiling must leave every output
+	// bit where the full-width interpreter put it.
+	tiledCfg := interpCfg
+	tiledCfg.ForceTileWidth = 1 + p.dim/2
+	gotTiled, err := c.Infer(&exec.InferEnv{G: g, Cfg: tiledCfg}, vfeat, efeat, nil)
 	if err != nil {
-		t.Fatalf("infer (re-planned): %v", err)
+		t.Fatalf("infer (tiled): %v", err)
 	}
 	for i := 0; i < got.Size(); i++ {
-		if !sameBits(gotTuned.At1(i), gotInterp.At1(i)) {
-			t.Fatalf("output[%d]: re-planned %v (bits %08x) != static %v (bits %08x); hetero=%v dim=%d data=%v",
-				i, gotTuned.At1(i), math.Float32bits(gotTuned.At1(i)),
+		if !sameBits(gotTiled.At1(i), gotInterp.At1(i)) {
+			t.Fatalf("output[%d]: tiled %v (bits %08x) != full-width %v (bits %08x); hetero=%v dim=%d data=%v",
+				i, gotTiled.At1(i), math.Float32bits(gotTiled.At1(i)),
 				gotInterp.At1(i), math.Float32bits(gotInterp.At1(i)), p.hetero, p.dim, data)
 		}
 	}

@@ -77,36 +77,46 @@ func newBackwardCase(t *testing.T, dag *gir.DAG, g *graph.Graph, rng *rand.Rand,
 	return &backwardCase{c: c, g: g, vfeat: vfeat, efeat: efeat, params: params, dy: dy, saved: saved}
 }
 
-// runSeastar executes the backward plan's seastar units in order under
-// cfg and returns every value they materialize. Dense and paramgrad
-// units are skipped: no seastar unit of the plans under test reads them.
-func (bc *backwardCase) runSeastar(t *testing.T, cfg kernels.Config) map[*gir.Node]*tensor.Tensor {
+// runSeastarUnits executes a plan's seastar units in order under cfg and
+// returns every value they materialize (bind.Inter, which later units
+// read). Dense and paramgrad units are skipped: no seastar unit of the
+// plans under test reads them.
+func runSeastarUnits(t *testing.T, g *graph.Graph, units []*fusion.Unit,
+	kernel func(*fusion.Unit) *kernels.Kernel, materialized func(*fusion.Unit) []*gir.Node,
+	cfg kernels.Config, bind *kernels.Bindings) map[*gir.Node]*tensor.Tensor {
 	t.Helper()
-	bind := &kernels.Bindings{
-		VFeat: bc.vfeat, EFeat: bc.efeat, Params: bc.params,
-		Grad: bc.dy, Saved: bc.saved, Inter: map[*gir.Node]*tensor.Tensor{},
-	}
+	bind.Inter = map[*gir.Node]*tensor.Tensor{}
 	dev := device.New(device.V100)
-	for _, u := range bc.c.BwdPlan.Units {
+	for _, u := range units {
 		if u.Kind != fusion.KindSeastar {
 			continue
 		}
 		outs := make(map[*gir.Node]*tensor.Tensor)
-		for _, n := range bc.c.MaterializedBwd(u) {
-			rows := bc.g.N
+		for _, n := range materialized(u) {
+			rows := g.N
 			if n.Type == gir.TypeE {
-				rows = bc.g.M
+				rows = g.M
 			}
 			outs[n] = tensor.New(rows, n.Dim())
 		}
-		if err := bc.c.BwdKernel(u).Run(dev, bc.g, cfg, bind, outs); err != nil {
-			t.Fatalf("bwd unit %d: %v", u.ID, err)
+		if err := kernel(u).Run(dev, g, cfg, bind, outs); err != nil {
+			t.Fatalf("unit %d: %v", u.ID, err)
 		}
 		for n, out := range outs {
 			bind.Inter[n] = out
 		}
 	}
 	return bind.Inter
+}
+
+// runSeastar runs the backward plan's seastar units under cfg.
+func (bc *backwardCase) runSeastar(t *testing.T, cfg kernels.Config) map[*gir.Node]*tensor.Tensor {
+	t.Helper()
+	bind := &kernels.Bindings{
+		VFeat: bc.vfeat, EFeat: bc.efeat, Params: bc.params,
+		Grad: bc.dy, Saved: bc.saved,
+	}
+	return runSeastarUnits(t, bc.g, bc.c.BwdPlan.Units, bc.c.BwdKernel, bc.c.MaterializedBwd, cfg, bind)
 }
 
 func sameTensors(t *testing.T, what string, got, want map[*gir.Node]*tensor.Tensor) {

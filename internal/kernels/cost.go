@@ -96,7 +96,7 @@ const serialCPUThreshold = 1 << 15
 // specEdgeFactor is how much cheaper one specialized edge is than one
 // interpreted edge in the serial-threshold model: the closure compiler
 // removes the per-edge op dispatch, operand resolution and leaf staging
-// copies, which the fused benchmark measures at 3-5x (BENCH_fused.json).
+// copies, measured at 3-5x per unit (EXPERIMENTS.md, fused-kernel section).
 // A conservative 3 keeps small specialized launches on the serial path
 // longer, where they belong.
 const specEdgeFactor = 3

@@ -61,7 +61,7 @@ func (b *Bindings) Resolve(n *gir.Node) (*tensor.Tensor, error) {
 // outs (pre-allocated [N,d] or [M,d] tensors) and charging dev. The CSR
 // direction is chosen by the unit's aggregation direction (§6.3.4).
 //
-// Row chunks are partitioned by edge count (cfg.Partition) and claimed by
+// Row chunks are partitioned by edge count and claimed by
 // a persistent worker pool through an atomic counter — the CPU analogue
 // of the paper's degree-sorting + dynamic-load-balancing design (§6.3.3).
 // Scratch arenas, the row partition and the cost-model buffer are all
@@ -86,16 +86,12 @@ func (k *Kernel) Run(dev *device.Device, g *graph.Graph, cfg Config, b *Bindings
 	defer k.releaseResolved()
 
 	// Effective feature-tile width for this launch: the compile-time plan
-	// unless the config disables tiling or pins a width for tests; a
-	// learned tuning may re-plan the width, but an explicit config pin
-	// always wins so equivalence tests stay in control.
+	// unless the config disables tiling or pins a width for tests.
 	k.curTileW = k.tileW
 	if cfg.NoFeatureTile || !k.tileable {
 		k.curTileW = 0
 	} else if cfg.ForceTileWidth > 0 {
 		k.curTileW = cfg.ForceTileWidth
-	} else if k.tuning.TileWidth > 0 {
-		k.curTileW = k.tuning.TileWidth
 	}
 	// Per-launch specialization decision: the compile-time plan unless
 	// the config forces the interpreter.
@@ -113,13 +109,6 @@ func (k *Kernel) Run(dev *device.Device, g *graph.Graph, cfg Config, b *Bindings
 		obs.Set("kern", k.obsLabel, "specialized", specialized)
 	}
 	serial := sched.MaxProcs == 1 || k.cpuWork(csr) < serialCPUThreshold
-	if sched.MaxProcs > 1 && k.tuning.Serial != 0 {
-		// Learned override of the serial/parallel gate: measurement beat
-		// the cost model's threshold on this host. Both paths compute
-		// bitwise-identical results (rows are independent), so this only
-		// moves where the work runs.
-		serial = k.tuning.Serial > 0
-	}
 	if serial {
 		// Serial fast path: the fan-out overhead exceeds the work.
 		a := k.arena(0)
@@ -131,7 +120,7 @@ func (k *Kernel) Run(dev *device.Device, g *graph.Graph, cfg Config, b *Bindings
 			return err
 		}
 	} else {
-		ranges := k.partition(csr, cfg.Partition)
+		ranges := k.partition(csr)
 		workers := sched.Workers(len(ranges))
 		for len(k.arenas) < workers {
 			k.arenas = append(k.arenas, nil) // grown serially; see arena
@@ -295,19 +284,13 @@ func (k *Kernel) releaseResolved() {
 	}
 }
 
-// partition returns (and caches) the row chunking for csr under mode,
-// honouring a learned chunk-granularity override.
-func (k *Kernel) partition(csr *graph.CSR, mode PartitionMode) []sched.Range {
-	chunks := chunksPerWorker
-	if k.tuning.ChunksPerWorker > 0 {
-		chunks = k.tuning.ChunksPerWorker
-	}
-	if k.rangeCSR == csr && k.rangeMode == mode && k.rangeProcs == sched.MaxProcs &&
-		k.rangeChunks == chunks && k.ranges != nil {
+// partition returns (and caches) the row chunking for csr.
+func (k *Kernel) partition(csr *graph.CSR) []sched.Range {
+	if k.rangeCSR == csr && k.rangeProcs == sched.MaxProcs && k.ranges != nil {
 		return k.ranges
 	}
-	rs := PartitionChunks(csr, mode, sched.MaxProcs, chunks)
-	k.rangeCSR, k.rangeMode, k.rangeProcs, k.rangeChunks, k.ranges = csr, mode, sched.MaxProcs, chunks, rs
+	rs := Partition(csr, sched.MaxProcs)
+	k.rangeCSR, k.rangeProcs, k.ranges = csr, sched.MaxProcs, rs
 	return rs
 }
 
@@ -322,35 +305,13 @@ const (
 	chunksPerWorker = 8
 )
 
-// Partition returns the row chunking Run uses on csr under mode for the
-// given worker count — exported so benchmarks and tests can analyse the
-// schedule offline.
-func Partition(csr *graph.CSR, mode PartitionMode, workers int) []sched.Range {
-	return PartitionChunks(csr, mode, workers, chunksPerWorker)
-}
-
-// PartitionChunks is Partition with an explicit chunk oversubscription
-// factor, the knob the measured re-planner moves: fewer chunks per
-// worker mean fewer atomic claims, more mean finer stealing balance.
-// Chunk boundaries never change which rows reduce together, so every
-// granularity computes bitwise-identical results.
-func PartitionChunks(csr *graph.CSR, mode PartitionMode, workers, perWorker int) []sched.Range {
-	switch mode {
-	case PartitionUniformRows:
-		return sched.Uniform(csr.NumRows(), workers)
-	default:
-		return sched.EdgeBalanced(csr.Offsets, rowCostEdges, sched.Oversubscribe(workers, perWorker))
-	}
-}
-
-// ScheduleModel partitions csr under mode for p workers and returns the
-// chunk count together with the modeled makespan in edge-cost units
-// (list scheduling of chunk weights onto p workers). Benchmarks use it to
-// compare partition strategies independently of the host's core count.
-func ScheduleModel(csr *graph.CSR, mode PartitionMode, p int) (chunks int, makespan float64) {
-	rs := Partition(csr, mode, p)
-	w := sched.ChunkWeights(csr.Offsets, rowCostEdges, rs)
-	return len(rs), sched.Makespan(w, p)
+// Partition returns the row chunking Run uses on csr for the given
+// worker count: rows split by edge count using the CSR offsets — the CPU
+// analogue of degree sorting + dynamic load balancing (§6.3.3). Chunk
+// boundaries never change which rows reduce together, so every worker
+// count computes bitwise-identical results.
+func Partition(csr *graph.CSR, workers int) []sched.Range {
+	return sched.EdgeBalanced(csr.Offsets, rowCostEdges, sched.Oversubscribe(workers, chunksPerWorker))
 }
 
 // runArena is one worker's private scratch state. Arenas are cached on

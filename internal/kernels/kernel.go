@@ -58,9 +58,6 @@ type Config struct {
 	FeatureAdaptive bool
 	// Sched selects the block scheduling strategy (§6.3.3).
 	Sched device.SchedMode
-	// Partition selects how the CPU interpreter splits rows into
-	// stealable chunks (independent of the simulated GPU's Sched mode).
-	Partition PartitionMode
 	// NoFeatureTile disables feature tiling of the edge loop, forcing
 	// the full-width path (for A/B benchmarks and equivalence tests).
 	NoFeatureTile bool
@@ -72,20 +69,6 @@ type Config struct {
 	// closure compiler matched (A/B benchmarks and equivalence tests).
 	NoSpecialize bool
 }
-
-// PartitionMode selects the CPU row-chunking strategy.
-type PartitionMode int
-
-const (
-	// PartitionEdgeBalanced splits rows by edge count using the CSR
-	// offsets — the CPU analogue of degree sorting + dynamic load
-	// balancing (§6.3.3). This is the default.
-	PartitionEdgeBalanced PartitionMode = iota
-	// PartitionUniformRows is the legacy equal-row-count static split
-	// (one chunk per worker), kept for A/B benchmarking: on power-law
-	// graphs it hands every hub vertex to the first workers.
-	PartitionUniformRows
-)
 
 // DefaultConfig is the full Seastar design: FAT groups + hardware dynamic
 // scheduling (degree sorting is a property of the graph passed to Run).
@@ -195,18 +178,11 @@ type Kernel struct {
 	arenas []*runArena
 	runID  uint64
 
-	// Cached row partition, keyed by CSR identity, partition mode, the
-	// worker bound it was built for (benchmarks vary sched.MaxProcs
-	// between launches) and the chunk oversubscription in effect.
-	ranges      []sched.Range
-	rangeCSR    *graph.CSR
-	rangeMode   PartitionMode
-	rangeProcs  int
-	rangeChunks int
-
-	// tuning holds the measured re-planner's overrides (see tuning.go);
-	// zero keeps the static plan.
-	tuning Tuning
+	// Cached row partition, keyed by CSR identity and the worker bound
+	// it was built for (tests vary sched.MaxProcs between launches).
+	ranges     []sched.Range
+	rangeCSR   *graph.CSR
+	rangeProcs int
 
 	// Resolved binding slices, reused between launches (cleared on
 	// return so tensors are not pinned past the call).
@@ -506,9 +482,6 @@ func (k *Kernel) analyzeTiling() {
 // SetObsLabel renames the kernel's obs attribution entry (category
 // "kern"). The exec compiler uses it to pass-qualify unit labels.
 func (k *Kernel) SetObsLabel(label string) { k.obsLabel = label }
-
-// ObsLabel reports the kernel's obs attribution name.
-func (k *Kernel) ObsLabel() string { return k.obsLabel }
 
 // TilePlan reports the compile-time feature-tiling decision: whether the
 // edge loop is tileable, the wide width it runs over, and the planned

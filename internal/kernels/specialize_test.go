@@ -195,6 +195,46 @@ func TestSpecializeGAT(t *testing.T) {
 	checkBitwise(t, c, g, vfeat, nil, nil)
 }
 
+// TestSpecializeGATForwardUnits compares what each forward unit
+// materializes, not only the layer output: what the edge-softmax unit
+// hands to the aggregate unit must match the interpreter bit for bit on
+// a skewed graph, serial and across workers, with SIMD on and off.
+func TestSpecializeGATForwardUnits(t *testing.T) {
+	c, err := exec.CompileInference(gatDAG(t, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seastarSpecNames(t, c)
+	rng := rand.New(rand.NewSource(65))
+	g := graph.ZipfDegree(rng, 6000, 8, 1.0).SortByDegree()
+	vfeat := map[string]*tensor.Tensor{
+		"eu": tensor.Randn(rng, 1, g.N, 1),
+		"ev": tensor.Randn(rng, 1, g.N, 1),
+		"h":  tensor.Randn(rng, 1, g.N, 8),
+	}
+	run := func(cfg kernels.Config) map[*gir.Node]*tensor.Tensor {
+		return runSeastarUnits(t, g, c.FwdPlan.Units, c.FwdKernel, c.MaterializedFwd,
+			cfg, &kernels.Bindings{VFeat: vfeat})
+	}
+	interp := kernels.DefaultConfig()
+	interp.NoSpecialize = true
+	want := run(interp)
+	if len(c.FwdPlan.Units) != 2 || len(want) < 2 {
+		t.Fatalf("GAT forward: %d units materializing %d values, want softmax + aggregate with a value each",
+			len(c.FwdPlan.Units), len(want))
+	}
+	for _, simd := range []bool{true, false} {
+		for _, procs := range []int{1, 2} {
+			prevSIMD := tensor.SetSIMD(simd)
+			prevProcs := sched.SetMaxProcs(procs)
+			got := run(kernels.DefaultConfig())
+			sched.SetMaxProcs(prevProcs)
+			tensor.SetSIMD(prevSIMD)
+			sameTensors(t, fmt.Sprintf("specialized vs interpreter (simd=%v procs=%d)", simd, procs), got, want)
+		}
+	}
+}
+
 func TestSpecializeGCN(t *testing.T) {
 	c, err := exec.CompileInference(gcnDAG(t, 8, 4))
 	if err != nil {

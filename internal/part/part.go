@@ -53,7 +53,7 @@ type Fragment struct {
 	Shard int
 	K     int
 
-	// G is the local-id graph. Rows 0..NumLocals()-1 correspond to
+	// G is the local-id graph. Rows 0..len(Locals)-1 correspond to
 	// Locals; only the first Owned rows carry in-edges (mirror rows are
 	// degree-0 placeholders whose values are imported, never computed).
 	// Per-row neighbour order is the full graph's: edges are emitted in
@@ -84,9 +84,6 @@ type Fragment struct {
 	ExportTo   [][]int32
 	ImportFrom [][]int32
 }
-
-// NumLocals returns the fragment's total row count (owned + mirrors).
-func (f *Fragment) NumLocals() int { return len(f.Locals) }
 
 // Mirrors returns the number of mirror rows.
 func (f *Fragment) Mirrors() int { return len(f.Locals) - f.Owned }

@@ -119,7 +119,6 @@ type Engine struct {
 
 	pool    *tensor.Pool
 	batches sync.Pool // released *Batch values, for their Labels/Mask capacity
-	trace   *StageTrace
 }
 
 // New validates the configuration and builds an engine.
@@ -148,79 +147,6 @@ func New(s *sampling.Sampler, feat *tensor.Tensor, labels []int, cfg Config) (*E
 	}, nil
 }
 
-// Retune re-plans the pipeline shape for subsequent epochs: prefetch
-// depth (0 collapses to the serial reference path) and sampling worker
-// count. It is the adaptive trainer's knob and must only be called
-// between RunEpoch calls — stage goroutines are spawned per epoch, so a
-// retune never races a running pipeline. Retuning moves work between
-// prefetch slots and workers but never reorders or reseeds batches, so
-// the loss curve stays bitwise-identical (the property tests in
-// internal/train assert this across retunes mid-run).
-func (e *Engine) Retune(prefetch, sampleWorkers int) error {
-	if prefetch < 0 {
-		return fmt.Errorf("pipeline: retune prefetch must be ≥ 0, got %d", prefetch)
-	}
-	if sampleWorkers < 1 {
-		sampleWorkers = 1
-	}
-	e.Cfg.Prefetch = prefetch
-	e.Cfg.SampleWorkers = sampleWorkers
-	return nil
-}
-
-// EnableTrace records per-batch stage durations for the next epochs;
-// LastTrace returns the most recent epoch's record. Benchmarks feed the
-// trace to the overlap model.
-func (e *Engine) EnableTrace() { e.trace = &StageTrace{} }
-
-// LastTrace returns the stage durations of the last traced epoch (nil
-// when tracing is off).
-func (e *Engine) LastTrace() *StageTrace {
-	if e.trace == nil {
-		return nil
-	}
-	return e.trace.snapshot()
-}
-
-// StageTrace holds per-batch stage durations for one epoch.
-type StageTrace struct {
-	mu      sync.Mutex
-	Sample  []time.Duration
-	Gather  []time.Duration
-	Compute []time.Duration
-}
-
-func (t *StageTrace) reset(n int) {
-	t.mu.Lock()
-	t.Sample = make([]time.Duration, n)
-	t.Gather = make([]time.Duration, n)
-	t.Compute = make([]time.Duration, n)
-	t.mu.Unlock()
-}
-
-func (t *StageTrace) set(stage int, idx int, d time.Duration) {
-	t.mu.Lock()
-	switch stage {
-	case 0:
-		t.Sample[idx] = d
-	case 1:
-		t.Gather[idx] = d
-	case 2:
-		t.Compute[idx] = d
-	}
-	t.mu.Unlock()
-}
-
-func (t *StageTrace) snapshot() *StageTrace {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return &StageTrace{
-		Sample:  append([]time.Duration(nil), t.Sample...),
-		Gather:  append([]time.Duration(nil), t.Gather...),
-		Compute: append([]time.Duration(nil), t.Compute...),
-	}
-}
-
 // RunEpoch trains one epoch: it plans the batch order for `epoch` (a
 // pure function of the sampler's base seed and the epoch number), then
 // streams every batch through the pipeline into step. It returns the
@@ -231,9 +157,6 @@ func (e *Engine) RunEpoch(ctx context.Context, epoch int, step Step) error {
 	plan, err := e.Sampler.PlanEpoch(epoch, e.Cfg.BatchSize)
 	if err != nil {
 		return err
-	}
-	if e.trace != nil {
-		e.trace.reset(len(plan))
 	}
 	if e.Cfg.Prefetch == 0 {
 		err = e.runSerial(ctx, epoch, plan, step)
@@ -264,9 +187,6 @@ func (e *Engine) sampleOne(epoch, idx int, seeds []int32) (*sampling.Batch, erro
 		e.Cfg.Hooks.PrefetchBatch(b.Vertices)
 	}
 	e.Metrics.Sampled.Add(1)
-	if e.trace != nil {
-		e.trace.set(0, idx, d)
-	}
 	return b, nil
 }
 
@@ -297,9 +217,6 @@ func (e *Engine) gather(epoch, idx int, sb *sampling.Batch) *Batch {
 		obs.Add("pipeline", "gather", "majflt", e.Cfg.Hooks.Faults()-f0)
 	}
 	e.Metrics.Gathered.Add(1)
-	if e.trace != nil {
-		e.trace.set(1, idx, d)
-	}
 	return b
 }
 
@@ -332,15 +249,12 @@ func (e *Engine) compute(b *Batch, step Step) error {
 		return err
 	}
 	e.Metrics.Trained.Add(1)
-	if e.trace != nil {
-		e.trace.set(2, b.Index, d)
-	}
 	return nil
 }
 
 // runSerial is the reference path: identical seeds and numerics, no
-// concurrency. Prefetch-0 engines and the overlap benchmark's baseline
-// use it.
+// concurrency. Prefetch-0 engines use it, and the pipelined path is
+// tested against it.
 func (e *Engine) runSerial(ctx context.Context, epoch int, plan [][]int32, step Step) error {
 	for idx, seeds := range plan {
 		if err := ctx.Err(); err != nil {

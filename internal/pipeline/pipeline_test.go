@@ -266,27 +266,6 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 }
 
-func TestStageTrace(t *testing.T) {
-	e := testEngine(t, Config{BatchSize: 64, Prefetch: 0, DegreeSort: true})
-	e.EnableTrace()
-	if err := e.RunEpoch(context.Background(), 0, func(*Batch) error {
-		time.Sleep(time.Millisecond)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	tr := e.LastTrace()
-	if tr == nil || len(tr.Sample) == 0 {
-		t.Fatal("no trace recorded")
-	}
-	for i := range tr.Sample {
-		if tr.Sample[i] <= 0 || tr.Gather[i] <= 0 || tr.Compute[i] < time.Millisecond {
-			t.Fatalf("batch %d has empty stage durations %v/%v/%v",
-				i, tr.Sample[i], tr.Gather[i], tr.Compute[i])
-		}
-	}
-}
-
 func TestCheckpointRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	e := nn.NewEngine(nil)

@@ -59,7 +59,7 @@ func batchCandidates(cfg Config) []adapt.Candidate {
 		seen[mb] = true
 		cands = append(cands, adapt.Candidate{
 			Name:    fmt.Sprintf("max_batch=%d", mb),
-			Tuning:  adapt.Tuning{MaxBatch: mb, Prefetch: -1},
+			Tuning:  adapt.Tuning{MaxBatch: mb},
 			Knob:    "max_batch",
 			Unit:    "serve/batcher",
 			Static:  int64(cfg.MaxBatch),

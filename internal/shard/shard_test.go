@@ -157,7 +157,8 @@ func TestHTTPContract(t *testing.T) {
 		t.Fatalf("out-of-range node: status %d", resp2.StatusCode)
 	}
 
-	// Topology endpoint names every worker.
+	// Topology endpoint names every worker, with the rounds the model
+	// needs and the wire traffic the infer above caused.
 	resp3, err := http.Get(front.URL + "/v1/shards")
 	if err != nil {
 		t.Fatal(err)
@@ -165,20 +166,26 @@ func TestHTTPContract(t *testing.T) {
 	defer resp3.Body.Close()
 	var topo struct {
 		Shards  int `json:"shards"`
+		Rounds  int `json:"rounds"`
 		Workers []struct {
-			Shard int `json:"shard"`
-			Owned int `json:"owned"`
+			Shard   int   `json:"shard"`
+			Owned   int   `json:"owned"`
+			BytesTx int64 `json:"bytes_tx"`
+			BytesRx int64 `json:"bytes_rx"`
 		} `json:"workers"`
 	}
 	if err := json.NewDecoder(resp3.Body).Decode(&topo); err != nil {
 		t.Fatal(err)
 	}
-	if topo.Shards != 2 || len(topo.Workers) != 2 {
+	if topo.Shards != 2 || len(topo.Workers) != 2 || topo.Rounds != 2 {
 		t.Fatalf("topology: %+v", topo)
 	}
 	owned := 0
 	for _, w := range topo.Workers {
 		owned += w.Owned
+		if w.BytesTx == 0 || w.BytesRx == 0 {
+			t.Fatalf("shard %d: no wire traffic recorded after an infer: %+v", w.Shard, w)
+		}
 	}
 	if owned != g.N {
 		t.Fatalf("masters cover %d of %d vertices", owned, g.N)

@@ -7,7 +7,6 @@ import (
 	"os"
 	"time"
 
-	"seastar/internal/adapt"
 	"seastar/internal/datasets"
 	"seastar/internal/device"
 	"seastar/internal/exec"
@@ -65,22 +64,6 @@ type MiniBatchOptions struct {
 	Metrics *pipeline.Metrics
 	// Progress, when non-nil, is called after every epoch.
 	Progress func(EpochStats)
-	// Trace enables per-batch stage timing (benchmarks read it back via
-	// MiniBatchResult.Trace).
-	Trace bool
-	// Adapt enables measured re-planning of the pipeline shape: every
-	// epoch is one wall-clock trial of a candidate (prefetch, workers)
-	// pair, and the trial tuner commits a shape only on a sustained
-	// measured win over the static plan. Retunes happen between epochs
-	// and never change the loss curve bitwise.
-	Adapt bool
-	// AdaptPlanPath persists settled plans so a warm restart adopts the
-	// learned shape immediately and skips exploration (empty: in-memory
-	// only).
-	AdaptPlanPath string
-	// AdaptConfig tunes the trial loop; the zero value uses the adapt
-	// package defaults (3 trials per round, 2-round hysteresis, 10% win).
-	AdaptConfig adapt.Config
 	// GraphStore, when non-nil, marks ds as backed by the mmap-backed
 	// on-disk store (DESIGN.md §16): the trainer registers pipeline
 	// hooks that prefetch upcoming batches' CSR rows and feature pages
@@ -132,19 +115,6 @@ type MiniBatchResult struct {
 	WallNs int64
 	// PeakBytes is the simulated device's high-water memory.
 	PeakBytes int64
-	// Trace is the last epoch's per-batch stage durations (when
-	// Options.Trace was set).
-	Trace *pipeline.StageTrace
-	// Plan is the settled adaptive plan (nil while still exploring or
-	// when Options.Adapt is off).
-	Plan *adapt.Plan
-	// AdaptWarm reports that a persisted plan was adopted at startup, so
-	// no exploration ran.
-	AdaptWarm bool
-	// AdaptDiag carries the most recent adaptive persistence diagnostic
-	// (corrupt plan file, failed save); it never fails the run — the
-	// trainer just explores from the static plan.
-	AdaptDiag error
 	// StoreStats holds the prefetcher's counters when the run was
 	// store-backed with prefetch enabled (nil otherwise).
 	StoreStats *store.PrefetchStats
@@ -243,9 +213,6 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 	if opts.Metrics != nil {
 		eng.Metrics = opts.Metrics
 	}
-	if opts.Trace {
-		eng.EnableTrace()
-	}
 
 	// Resume from a checkpoint when one exists.
 	start := 0
@@ -270,14 +237,6 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 		}
 	}
 	res.StartEpoch = start
-
-	// Adaptive pipeline-shape re-planning: warm restarts adopt the
-	// persisted shape before the first epoch; cold starts explore.
-	var ad *mbAdapt
-	if opts.Adapt {
-		ad = newMBAdapt(ds, opts)
-		res.AdaptWarm = ad.warm
-	}
 
 	var epochLoss float64
 	var epochBatches, correct, total int
@@ -313,9 +272,6 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 	}
 
 	for epoch := start; epoch < opts.Epochs; epoch++ {
-		if ad != nil {
-			ad.beforeEpoch(eng, opts)
-		}
 		epochLoss, epochBatches, correct, total = 0, 0, 0, 0
 		t0 := time.Now()
 		if err := eng.RunEpoch(ctx, epoch, step); err != nil {
@@ -324,9 +280,6 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 		}
 		wall := time.Since(t0).Nanoseconds()
 		res.WallNs += wall
-		if ad != nil {
-			ad.afterEpoch(wall)
-		}
 		st := EpochStats{
 			Epoch: epoch, Batches: epochBatches, WallNs: wall,
 			SeedAcc: ratio(correct, total),
@@ -354,19 +307,12 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 		}
 	}
 	res.PeakBytes = dev.PeakBytes()
-	res.Trace = eng.LastTrace()
 	if pf != nil {
 		s := pf.Stats()
 		res.StoreStats = &s
 	}
 	if opts.GraphStore != nil {
 		res.MajorFaults = store.MajorFaults() - faults0
-	}
-	if ad != nil {
-		if p, ok := ad.tuner.Plan(); ok {
-			res.Plan = &p
-		}
-		res.AdaptDiag = ad.diag
 	}
 	return res, nil
 }

@@ -62,6 +62,12 @@ func TestStoreBitwiseEquivalence(t *testing.T) {
 		if len(res.Losses) == 0 {
 			t.Fatalf("%s: no losses", name)
 		}
+		// The trainer must actually drive the prefetcher it was asked for.
+		if s := res.StoreStats; opts.StorePrefetch != (s != nil) {
+			t.Fatalf("%s: StorePrefetch=%v but StoreStats=%v", name, opts.StorePrefetch, s)
+		} else if s != nil && (s.Batches == 0 || s.Pages == 0) {
+			t.Fatalf("%s: prefetcher idle: %+v", name, *s)
+		}
 		return res.Losses
 	}
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI quality ladder, cheapest check first:
 #   gofmt → vet → staticcheck → tests+coverage ratchet → fuzz smoke →
-#   race suites → bench-regression gate.
+#   race suites → doc lint.
 #
 # Knobs:
 #   FUZZ_TIME     per-target fuzz duration (default 10s; nightly uses 5m)
@@ -80,8 +80,5 @@ go run ./scripts/doclint ./internal/gir ./internal/fusion ./internal/kernels ./i
 
 echo "== doc lint (flag docs in docs/operations.md match the binaries) =="
 go run ./scripts/doclint -flags docs/operations.md ./cmd/seastar-train ./cmd/seastar-serve ./cmd/seastar-bench ./cmd/seastar-inspect ./cmd/seastar-convert
-
-echo "== bench regression gate (incl. obs-overhead ceiling + delta + shard + oocore evidence) =="
-go run ./scripts -kernels BENCH_kernels.json -pipeline BENCH_pipeline.json -gemm BENCH_gemm.json -fused BENCH_fused.json -serve BENCH_serve.json -delta BENCH_delta.json -shard BENCH_shard.json -oocore BENCH_oocore.json
 
 echo "CI OK"

@@ -174,7 +174,8 @@ func lintFlags(docPath string, dirs []string) {
 }
 
 // cmdFlags parses the non-test Go files of a main package and returns
-// the names passed to flag.String/Bool/Int/.../Var definitions.
+// the names passed to flag.String/Bool/Int/.../Var definitions, on the
+// flag package or on a flag.FlagSet held in a variable named fs.
 func cmdFlags(dir string) ([]string, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
@@ -196,7 +197,7 @@ func cmdFlags(dir string) ([]string, error) {
 					return true
 				}
 				recv, ok := sel.X.(*ast.Ident)
-				if !ok || recv.Name != "flag" {
+				if !ok || (recv.Name != "flag" && recv.Name != "fs") {
 					return true
 				}
 				// Name is arg 0 for flag.String/Bool/... and flag.Func,
@@ -205,7 +206,7 @@ func cmdFlags(dir string) ([]string, error) {
 				if strings.HasSuffix(sel.Sel.Name, "Var") {
 					idx = 1
 				}
-				if sel.Sel.Name == "Parse" || len(call.Args) <= idx {
+				if sel.Sel.Name == "Parse" || sel.Sel.Name == "NewFlagSet" || len(call.Args) <= idx {
 					return true
 				}
 				if lit, ok := call.Args[idx].(*ast.BasicLit); ok && lit.Kind == token.STRING {
