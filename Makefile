@@ -2,7 +2,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
 .PHONY: all build test race race-serve race-pipeline race-delta race-shard \
-	fuzz-smoke fmt vet staticcheck coverage check ci bench
+	fuzz-smoke fmt vet staticcheck coverage check ci bench bench-serve
 
 all: check
 
@@ -90,3 +90,9 @@ ci:
 # metric by name and unit (≈ 1.5 min; see benchmark/README.md).
 bench:
 	bash benchmark/run.sh -workload all
+
+# One served request at a time on an idle engine, in the shapes of the
+# serve-sampled and serve-embed-mixed workloads: ns/op, B/op, allocs/op.
+# For looking while working on the read path; the gate is `make bench`.
+bench-serve:
+	$(GO) test -run='^$$' -bench=BenchmarkServeRequest -benchtime=2000x -benchmem ./internal/serve

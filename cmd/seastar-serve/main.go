@@ -41,8 +41,7 @@ func main() {
 	scale := flag.Float64("scale", 0, "dataset instantiation scale (0 = default)")
 	seed := flag.Int64("seed", 1, "dataset + weight seed")
 	queue := flag.Int("queue", 256, "admission queue depth")
-	batch := flag.Int("batch", 8, "max requests per micro-batch")
-	window := flag.Duration("window", time.Millisecond, "micro-batch collection window")
+	batch := flag.Int("batch", 8, "max requests per micro-batch (a batch is whatever is queued when a worker frees, never waited for)")
 	workers := flag.Int("workers", 4, "concurrent batch workers")
 	fanout := flag.String("fanout", "", "comma-separated per-layer fan-out for sampled inference (empty = full graph)")
 	timeout := flag.Duration("timeout", 5*time.Second, "default per-request deadline")
@@ -146,7 +145,6 @@ func main() {
 		},
 		QueueDepth:     *queue,
 		MaxBatch:       *batch,
-		BatchWindow:    *window,
 		Workers:        *workers,
 		DefaultTimeout: *timeout,
 		Profile:        prof,

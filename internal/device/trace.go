@@ -22,7 +22,7 @@ type KernelRecord struct {
 
 // EnableTrace starts recording every kernel launch. Tracing costs memory
 // proportional to the kernel count; disable for long sweeps.
-func (d *Device) EnableTrace() { d.trace = make([]KernelRecord, 0, 256) }
+func (d *Device) EnableTrace() { d.trace = []KernelRecord{} }
 
 // DisableTrace stops recording and drops the buffer.
 func (d *Device) DisableTrace() { d.trace = nil }

@@ -25,11 +25,15 @@ type InferEnv struct {
 	// Pool, when non-nil, supplies intermediate storage; every
 	// intermediate is returned to it before Infer returns.
 	Pool *tensor.Pool
+	// Result, when non-nil, supplies the (zeroed) storage of the returned
+	// tensor in place of tensor.New, for callers that recycle it themselves.
+	Result func(shape ...int) *tensor.Tensor
 }
 
 // Infer runs only the forward plan of a compiled UDF over plain tensors —
 // no tape, no gradients, no saved-value retention. It returns a freshly
-// owned [N, d] output tensor (never aliasing an input or pooled buffer).
+// owned [N, d] output tensor (never aliasing an input or a buffer Infer
+// itself returns to the pool).
 func (c *CompiledUDF) Infer(env *InferEnv, vfeat, efeat, params map[string]*tensor.Tensor) (*tensor.Tensor, error) {
 	if env == nil || env.G == nil {
 		return nil, fmt.Errorf("exec: Infer needs a graph")
@@ -87,11 +91,15 @@ func (c *CompiledUDF) Infer(env *InferEnv, vfeat, efeat, params map[string]*tens
 			}
 		}()
 	}
-	// The result is the caller's to keep, so it alone is never pooled.
+	// The result is the caller's to keep, so it alone is never put back.
 	result := c.Fwd.Outputs[0]
+	newResult := tensor.New
+	if env.Result != nil {
+		newResult = env.Result
+	}
 	getFor := func(n *gir.Node) func(shape ...int) *tensor.Tensor {
 		if n == result {
-			return tensor.New
+			return newResult
 		}
 		return get
 	}

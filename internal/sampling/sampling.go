@@ -96,7 +96,8 @@ type Batch struct {
 	Sub *graph.Graph
 	// Vertices maps compact ids back to base-graph ids.
 	Vertices []int32
-	// SeedCount seeds occupy compact ids 0..SeedCount-1 in seed order.
+	// SeedCount is the number of distinct seeds; they occupy compact ids
+	// 0..SeedCount-1 in order of first appearance.
 	SeedCount int
 }
 
@@ -111,6 +112,14 @@ func (s *Sampler) Sample(seeds []int32) (*Batch, error) {
 // workers: the batch depends only on (graph, fan-out, seeds, seed).
 func (s *Sampler) SampleSeeded(seeds []int32, seed int64) (*Batch, error) {
 	return s.SampleRNG(seeds, rand.New(rand.NewSource(seed)))
+}
+
+// SampleAs draws the batch NewSampler(G, FanOut, seed).Sample(seeds)
+// would draw first, without building that sampler: one RNG per call, and
+// the row index this sampler already holds. Serving keeps one sampler per
+// published graph and calls this per request with the request's seed.
+func (s *Sampler) SampleAs(seeds []int32, seed int64) (*Batch, error) {
+	return s.SampleSeeded(seeds, DeriveSeed(seed, streamSample, 0))
 }
 
 // SampleRNG draws one batch using the caller-supplied RNG. It is safe to
@@ -137,6 +146,7 @@ func (s *Sampler) SampleRNG(seeds []int32, rng *rand.Rand) (*Batch, error) {
 		}
 		add(v)
 	}
+	seedCount := len(vertices) // distinct seeds: a repeated one keeps its first id
 
 	// CSR rows are permuted when the base graph is degree-sorted; build
 	// a vertex→row index once.
@@ -168,7 +178,7 @@ func (s *Sampler) SampleRNG(seeds []int32, rng *rand.Rand) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Batch{Sub: sub, Vertices: vertices, SeedCount: len(seeds)}, nil
+	return &Batch{Sub: sub, Vertices: vertices, SeedCount: seedCount}, nil
 }
 
 // rowIndex maps vertex id → CSR row of the in-CSR. The graph is

@@ -55,6 +55,11 @@ func TestSampleStructure(t *testing.T) {
 	if b.SeedCount != 3 {
 		t.Fatalf("seed count %d", b.SeedCount)
 	}
+	// A repeated seed is one seed: the rows after SeedCount are sampled
+	// neighbours, which SeedMask must not select.
+	if r, err := s.Sample([]int32{10, 10, 20}); err != nil || r.SeedCount != 2 || r.Vertices[0] != 10 || r.Vertices[1] != 20 {
+		t.Fatalf("seeds [10 10 20]: count %d, vertices %v, err %v", r.SeedCount, r.Vertices, err)
+	}
 	// Seeds occupy the first compact ids, in order.
 	for i, v := range seeds {
 		if b.Vertices[i] != v {

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,11 +43,10 @@ type Config struct {
 	// arriving with the queue full are rejected with ErrQueueFull.
 	QueueDepth int
 	// MaxBatch caps how many queued requests one worker dispatch picks up
-	// (default 8).
+	// (default 8). A batch is whatever is already queued when a worker
+	// slot frees, never more: an idle engine dispatches every request
+	// alone and at once.
 	MaxBatch int
-	// BatchWindow is how long the batcher waits for a batch to fill after
-	// the first request arrives (default 1ms).
-	BatchWindow time.Duration
 	// Workers bounds concurrently executing batches (default 4).
 	Workers int
 	// FanOut, when non-empty, switches to sampled-subgraph inference with
@@ -100,9 +101,6 @@ func (c *Config) withDefaults() error {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = time.Millisecond
-	}
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
@@ -155,6 +153,11 @@ type request struct {
 type published struct {
 	snap *Snapshot
 	gen  uint64
+	// sampler is the sampled mode's neighbour sampler over snap's graph
+	// (nil in full-graph mode). It lives here, not on the Engine, because
+	// its vertex→row index is a function of this graph's degree-sort
+	// permutation; requests share it and bring only their own seed.
+	sampler *sampling.Sampler
 }
 
 // Engine is the concurrent inference engine: a bounded admission queue
@@ -218,8 +221,9 @@ func New(cfg Config, snap *Snapshot) (*Engine, error) {
 		stop:  make(chan struct{}),
 		sem:   make(chan struct{}, cfg.Workers),
 	}
-	e.pub.Store(&published{snap: snap, gen: 1})
-	e.met.Generation.Store(1)
+	if err := e.publish(snap, 1); err != nil {
+		return nil, err
+	}
 	e.maxBatch.Store(int64(cfg.MaxBatch))
 	if cfg.Adapt {
 		e.startAdapt(snap)
@@ -268,10 +272,29 @@ func (e *Engine) SwapGraph(snap *Snapshot) error {
 		return fmt.Errorf("serve: rgcn requires a heterogeneous snapshot")
 	}
 	e.deltaMu.Lock()
-	gen := e.pub.Load().gen + 1
-	e.pub.Store(&published{snap: snap, gen: gen})
+	err := e.publish(snap, e.pub.Load().gen+1)
 	e.deltaMu.Unlock()
+	if err != nil {
+		return err
+	}
 	e.met.GraphSwaps.Add(1)
+	return nil
+}
+
+// publish makes (snap, gen) what new batches read, with a sampler over it
+// in sampled mode. Callers other than New hold deltaMu.
+func (e *Engine) publish(snap *Snapshot, gen uint64) error {
+	p := &published{snap: snap, gen: gen}
+	if len(e.cfg.FanOut) > 0 {
+		// The sampler's own seed is never drawn from: every request
+		// samples under its own (SampleAs).
+		s, err := sampling.NewSampler(snap.Graph(), e.cfg.FanOut, 0)
+		if err != nil {
+			return err
+		}
+		p.sampler = s
+	}
+	e.pub.Store(p)
 	e.met.Generation.Store(int64(gen))
 	return nil
 }
@@ -316,7 +339,7 @@ func (e *Engine) ApplyDelta(d *Delta) (*DeltaStats, error) {
 	}
 	gen := cur.gen + 1
 	st.Gen = gen
-	e.pub.Store(&published{snap: child, gen: gen})
+	e.pub.Store(&published{snap: child, gen: gen}) // full-graph mode: no sampler to rebuild
 	e.met.Deltas.Add(1)
 	e.met.Generation.Store(int64(gen))
 	switch st.Recompute {
@@ -375,21 +398,25 @@ func (e *Engine) Infer(ctx context.Context, nodes []int32) (*Result, error) {
 	}
 }
 
-// batcher pulls admitted requests and groups them into micro-batches: up
-// to MaxBatch requests or BatchWindow after the first arrival, whichever
-// comes first. On stop it flushes everything still queued (graceful
-// drain) before exiting.
+// batcher forms micro-batches slot first: it takes one admitted request,
+// waits for a worker slot, and only then drains whatever else is already
+// queued, up to the live maxBatch, without waiting for more. With a
+// worker idle a request is dispatched alone and at once; with every
+// worker busy the batcher is parked on the slot while the queue fills
+// behind it (backpressure: a full queue answers ErrQueueFull), so batches
+// grow with load and cost no request a wait of their own. On stop it
+// flushes everything still queued (graceful drain) before exiting.
 func (e *Engine) batcher() {
 	defer e.batcherWG.Done()
 	for {
 		select {
 		case first := <-e.queue:
-			e.dispatch(e.collect(first))
+			e.dispatch(first)
 		case <-e.stop:
 			for {
 				select {
 				case r := <-e.queue:
-					e.dispatch(e.collectNoWait(r))
+					e.dispatch(r)
 				default:
 					return
 				}
@@ -398,32 +425,30 @@ func (e *Engine) batcher() {
 	}
 }
 
-func (e *Engine) collect(first *request) []*request {
-	batch := []*request{first}
-	// One atomic read per batch: the adaptive re-planner may swap the
-	// cap between batches, but a batch in progress keeps the cap it
-	// started with.
-	maxBatch := int(e.maxBatch.Load())
-	if maxBatch <= 1 {
-		return batch
-	}
-	timer := time.NewTimer(e.cfg.BatchWindow)
-	defer timer.Stop()
-	for len(batch) < maxBatch {
-		select {
-		case r := <-e.queue:
-			batch = append(batch, r)
-		case <-timer.C:
-			return batch
-		case <-e.stop:
-			return batch
-		}
-	}
-	return batch
+func (e *Engine) dispatch(first *request) {
+	e.sem <- struct{}{} // bounds concurrent batches; blocks the batcher when all workers are busy
+	// A sender's wake-up runs the batcher ahead of every other runnable
+	// goroutine, so on one processor callers that are ready to enqueue
+	// would each find it waiting and be dispatched alone, in lockstep,
+	// however many of them there are. Let them enqueue first.
+	runtime.Gosched()
+	batch := e.collectNoWait(first)
+	e.met.QueueDepth.Add(-int64(len(batch)))
+	e.workerWG.Add(1)
+	go func() {
+		defer func() {
+			<-e.sem
+			e.workerWG.Done()
+		}()
+		e.runBatch(batch)
+	}()
 }
 
 func (e *Engine) collectNoWait(first *request) []*request {
 	batch := []*request{first}
+	// One atomic read per batch: the adaptive re-planner may swap the
+	// cap between batches, but a batch in progress keeps the cap it
+	// started with.
 	maxBatch := int(e.maxBatch.Load())
 	for len(batch) < maxBatch {
 		select {
@@ -434,19 +459,6 @@ func (e *Engine) collectNoWait(first *request) []*request {
 		}
 	}
 	return batch
-}
-
-func (e *Engine) dispatch(batch []*request) {
-	e.met.QueueDepth.Add(-int64(len(batch)))
-	e.sem <- struct{}{} // bounds concurrent batches; blocks the batcher when all workers are busy
-	e.workerWG.Add(1)
-	go func() {
-		defer func() {
-			<-e.sem
-			e.workerWG.Done()
-		}()
-		e.runBatch(batch)
-	}()
 }
 
 // Close gracefully drains the engine: admission stops immediately,
@@ -533,22 +545,24 @@ func (e *Engine) model(snap *Snapshot) (*Model, error) {
 // and gathers each request's rows from it. Output depends only on
 // (model, snapshot), never on batch composition, so concurrent execution
 // is byte-identical to serial. With EmbedCache on, the forward runs at
-// most once per snapshot (delta children arrive pre-patched) and batches
-// only gather.
+// most once per snapshot (delta children arrive pre-patched), the
+// snapshot keeps its tensors and batches only gather; without it the
+// forward's tensors are the batch's own and go back to the pool once
+// every request has its rows.
 func (e *Engine) runFullBatch(batch []*request, pub *published, model *Model, dev *device.Device) {
 	if len(batch) == 0 {
 		return
 	}
 	snap := pub.snap
+	env := &ForwardEnv{Dev: dev, Pool: e.pool, scoped: !e.cfg.EmbedCache}
+	defer env.release()
 	var logits *tensor.Tensor
 	var err error
 	if e.cfg.EmbedCache {
-		logits, err = snap.EnsureEmbeddings(model,
-			&ForwardEnv{Dev: dev, Pool: e.pool})
+		logits, err = snap.EnsureEmbeddings(model, env)
 	} else {
-		g := snap.Graph()
-		env := &ForwardEnv{G: g, Feat: snap.Features(), Dev: dev, Pool: e.pool}
-		NormsFor(model.Spec.Arch, snap, g, env)
+		env.G, env.Feat = snap.Graph(), snap.Features()
+		NormsFor(model.Spec.Arch, snap, env.G, env)
 		logits, err = model.Forward(env)
 	}
 	if err != nil {
@@ -569,43 +583,57 @@ func (e *Engine) runFullBatch(batch []*request, pub *published, model *Model, de
 }
 
 // runSampledBatch serves each request from its own sampled subgraph. The
-// sampler seed is a pure function of (snapshot, requested nodes, config
+// sampling seed is a pure function of (snapshot, requested nodes, config
 // seed), so a request's answer does not depend on which batch it landed
 // in — concurrent and serial execution agree bit for bit.
 func (e *Engine) runSampledBatch(batch []*request, pub *published, model *Model, dev *device.Device) {
-	snap := pub.snap
-	g := snap.Graph()
-	feat := snap.Features()
 	for _, r := range batch {
-		if bad := checkNodes(r.nodes, snap.NumVertices()); bad != nil {
-			e.respond(r, nil, bad)
-			continue
-		}
-		s, err := sampling.NewSampler(g, e.cfg.FanOut, e.requestSeed(snap, r.nodes))
+		logits, err := e.inferSampled(r.nodes, pub, model, dev)
 		if err != nil {
 			e.respond(r, nil, err)
 			continue
 		}
-		b, err := s.Sample(r.nodes)
-		if err != nil {
-			e.respond(r, nil, err)
-			continue
-		}
-		sub := b.Sub.SortByDegree()
-		env := &ForwardEnv{G: sub, Feat: b.GatherFeatures(feat), Dev: dev, Pool: e.pool}
-		NormsFor(model.Spec.Arch, nil, sub, env)
-		logits, err := model.Forward(env)
-		if err != nil {
-			e.respond(r, nil, err)
-			continue
-		}
-		// Seeds occupy compact ids 0..SeedCount-1 in request order.
-		seedRows := make([]int32, b.SeedCount)
-		for i := range seedRows {
-			seedRows[i] = int32(i)
-		}
-		e.respond(r, &Result{Nodes: r.nodes, Logits: tensor.GatherRows(logits, seedRows), Gen: pub.gen}, nil)
+		e.respond(r, &Result{Nodes: r.nodes, Logits: logits, Gen: pub.gen}, nil)
 	}
+}
+
+// inferSampled answers one sampled request. Everything but the returned
+// [len(nodes), classes] rows — gathered features, dense products, layer
+// outputs — is drawn from the pool and back in it on return.
+func (e *Engine) inferSampled(nodes []int32, pub *published, model *Model, dev *device.Device) (*tensor.Tensor, error) {
+	snap := pub.snap
+	if err := checkNodes(nodes, snap.NumVertices()); err != nil {
+		return nil, err
+	}
+	b, err := pub.sampler.SampleAs(nodes, e.requestSeed(snap, nodes))
+	if err != nil {
+		return nil, err
+	}
+	feat := snap.Features()
+	env := &ForwardEnv{G: b.Sub.SortByDegree(), Dev: dev, Pool: e.pool, scoped: true}
+	defer env.release()
+	env.Feat = env.get(len(b.Vertices), feat.Cols())
+	b.GatherFeaturesInto(env.Feat, feat)
+	NormsFor(model.Spec.Arch, nil, env.G, env)
+	logits, err := model.Forward(env)
+	if err != nil {
+		return nil, err
+	}
+	// The sampler numbers distinct seeds 0, 1, 2, … in order of first
+	// appearance, so b.Vertices starts with them: a node seen for the
+	// first time is the next one there, a repeated node is further back.
+	out := tensor.New(len(nodes), logits.Cols())
+	distinct := 0
+	for i, v := range nodes {
+		row := distinct
+		if distinct < len(b.Vertices) && b.Vertices[distinct] == v {
+			distinct++
+		} else {
+			row = slices.Index(b.Vertices[:distinct], v)
+		}
+		copy(out.Row(i), logits.Row(row))
+	}
+	return out, nil
 }
 
 func (e *Engine) requestSeed(snap *Snapshot, nodes []int32) int64 {

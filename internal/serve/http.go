@@ -86,11 +86,10 @@ func handleInfer(e *Engine, w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	resp := inferResponse{Nodes: res.Nodes, Classes: res.Classes}
-	for i := 0; i < res.Logits.Rows(); i++ {
-		row := make([]float32, res.Logits.Cols())
-		copy(row, res.Logits.Row(i))
-		resp.Logits = append(resp.Logits, row)
+	// res.Logits is the request's own copy of its rows: encode it in place.
+	resp := inferResponse{Nodes: res.Nodes, Classes: res.Classes, Logits: make([][]float32, res.Logits.Rows())}
+	for i := range resp.Logits {
+		resp.Logits[i] = res.Logits.Row(i)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"seastar/internal/datasets"
@@ -95,6 +96,46 @@ type ForwardEnv struct {
 	Norm           *tensor.Tensor // gcn: 1/in-degree
 	SymSrc, SymDst *tensor.Tensor // appnp: symmetric pair
 	EdgeNorm       *tensor.Tensor // rgcn: per-edge 1/c_{v,r}
+
+	// scoped marks a forward whose every tensor dies with the request:
+	// get then draws from Pool and release hands it all back. The engine
+	// sets it on the sampled and per-batch paths; a forward whose state a
+	// snapshot retains (EnsureEmbeddings, deltas) leaves it off.
+	scoped bool
+	drawn  []*tensor.Tensor
+}
+
+// get returns a zeroed tensor for one forward intermediate or result:
+// ordinary memory, or pooled storage on a scoped env.
+func (env *ForwardEnv) get(shape ...int) *tensor.Tensor {
+	if !env.scoped {
+		return tensor.New(shape...)
+	}
+	t := env.Pool.Get(shape...)
+	env.drawn = append(env.drawn, t)
+	return t
+}
+
+// recycle hands back, ahead of release, tensors the forward has consumed,
+// so the next get of their class reuses the storage: a request then holds
+// a layer's input or its output, never both. Tensors env did not draw (a
+// snapshot's features, anything on an unscoped env) are left alone.
+func (env *ForwardEnv) recycle(ts ...*tensor.Tensor) {
+	for _, t := range ts {
+		if i := slices.Index(env.drawn, t); i >= 0 {
+			env.Pool.Put(t)
+			env.drawn = slices.Delete(env.drawn, i, i+1)
+		}
+	}
+}
+
+// release returns everything a scoped env drew to the pool. Nothing the
+// forward produced — logits included — may be read afterwards.
+func (env *ForwardEnv) release() {
+	for _, t := range env.drawn {
+		env.Pool.Put(t)
+	}
+	env.drawn = nil
 }
 
 // NormsFor fills the normalizers arch needs, from the snapshot's lazy
@@ -107,13 +148,14 @@ func NormsFor(arch string, snap *Snapshot, g *graph.Graph, env *ForwardEnv) {
 		if cached {
 			env.Norm = snap.Norm()
 		} else {
-			env.Norm = datasets.GCNNorm(g)
+			env.Norm = gcnNormFromDegrees(g.InDegrees(), env.get)
 		}
 	case "appnp":
 		if cached {
 			env.SymSrc, env.SymDst = snap.SymNorms()
 		} else {
-			env.SymSrc, env.SymDst = symNorms(g)
+			env.SymSrc = symNormFromDegrees(g.OutDegrees(), env.get)
+			env.SymDst = symNormFromDegrees(g.InDegrees(), env.get)
 		}
 	case "rgcn":
 		if cached {
@@ -268,8 +310,8 @@ func traceRGCN(r, in, out int) (*gir.DAG, error) {
 }
 
 // Forward runs the full inference pass over env.G, returning [N, classes]
-// logits. It allocates per call (device and pool come from env), so any
-// number of Forwards can run concurrently on the same Model.
+// logits. Every tensor it makes comes from env (see ForwardEnv.get), so
+// any number of Forwards can run concurrently on the same Model.
 func (m *Model) Forward(env *ForwardEnv) (*tensor.Tensor, error) {
 	st, err := m.forwardState(env)
 	if err != nil {
@@ -296,14 +338,14 @@ func (m *Model) forwardState(env *ForwardEnv) (*embedState, error) {
 }
 
 func (m *Model) inferEnv(env *ForwardEnv) *exec.InferEnv {
-	return &exec.InferEnv{G: env.G, Dev: env.Dev, Pool: env.Pool}
+	return &exec.InferEnv{G: env.G, Dev: env.Dev, Pool: env.Pool, Result: env.get}
 }
 
 // mm is a dense matmul charged to the batch device with the same cost
 // model the training runtime uses, so /debug/trace shows dense work too.
-func mm(dev *device.Device, a, b *tensor.Tensor) *tensor.Tensor {
-	out := tensor.MatMul(a, b)
-	exec.ChargeDense(dev, "dense.matmul",
+func mm(env *ForwardEnv, a, b *tensor.Tensor) *tensor.Tensor {
+	out := tensor.MatMul(a, b, env.get(a.Rows(), b.Cols()))
+	exec.ChargeDense(env.Dev, "dense.matmul",
 		float64(a.Rows())*float64(b.Rows())*float64(b.Cols()),
 		int64(a.Size()+b.Size())*4, int64(out.Size())*4)
 	return out
@@ -319,16 +361,17 @@ func (m *Model) forwardGCN(env *ForwardEnv) (*embedState, error) {
 	h := env.Feat
 	for l := 0; l < 2; l++ {
 		sfx := fmt.Sprintf("%d", l+1)
-		hw := mm(env.Dev, h, m.weights["W"+sfx])
+		hw := mm(env, h, m.weights["W"+sfx])
+		env.recycle(h)
 		st.aux["hw"+sfx] = hw
 		out, err := m.plans[l].Infer(ie,
 			map[string]*tensor.Tensor{"hw": hw, "norm": env.Norm}, nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		h = tensor.AddRow(out, m.weights["b"+sfx])
+		h = tensor.AddRow(out, m.weights["b"+sfx], out)
 		if l == 0 {
-			h = tensor.Sigmoid(h)
+			h = tensor.Sigmoid(h, h)
 			st.aux["h1"] = h
 		}
 	}
@@ -342,9 +385,10 @@ func (m *Model) forwardGAT(env *ForwardEnv) (*embedState, error) {
 	h := env.Feat
 	for l := 0; l < 2; l++ {
 		sfx := fmt.Sprintf("%d", l+1)
-		hw := mm(env.Dev, h, m.weights["W"+sfx])
-		eu := mm(env.Dev, hw, m.weights["aU"+sfx])
-		ev := mm(env.Dev, hw, m.weights["aV"+sfx])
+		hw := mm(env, h, m.weights["W"+sfx])
+		env.recycle(h)
+		eu := mm(env, hw, m.weights["aU"+sfx])
+		ev := mm(env, hw, m.weights["aV"+sfx])
 		st.aux["hw"+sfx] = hw
 		st.aux["eu"+sfx] = eu
 		st.aux["ev"+sfx] = ev
@@ -355,7 +399,7 @@ func (m *Model) forwardGAT(env *ForwardEnv) (*embedState, error) {
 		}
 		h = out
 		if l == 0 {
-			h = tensor.ReLU(h)
+			h = tensor.ReLU(h, h)
 			st.aux["h1"] = h
 		}
 	}
@@ -365,7 +409,10 @@ func (m *Model) forwardGAT(env *ForwardEnv) (*embedState, error) {
 
 func (m *Model) forwardAPPNP(env *ForwardEnv) (*embedState, error) {
 	ie := m.inferEnv(env)
-	h0 := mm(env.Dev, tensor.ReLU(mm(env.Dev, env.Feat, m.weights["W1"])), m.weights["W2"])
+	h1 := mm(env, env.Feat, m.weights["W1"])
+	env.recycle(env.Feat)
+	h0 := mm(env, tensor.ReLU(h1, h1), m.weights["W2"])
+	env.recycle(h1)
 	h := h0
 	for k := 0; k < m.Spec.K; k++ {
 		out, err := m.plans[0].Infer(ie,
@@ -373,6 +420,9 @@ func (m *Model) forwardAPPNP(env *ForwardEnv) (*embedState, error) {
 			nil, nil)
 		if err != nil {
 			return nil, err
+		}
+		if h != h0 {
+			env.recycle(h)
 		}
 		h = out
 	}
@@ -387,7 +437,7 @@ func (m *Model) forwardRGCN(env *ForwardEnv) (*embedState, error) {
 	h := env.Feat
 	for l := 0; l < 2; l++ {
 		sfx := fmt.Sprintf("%d", l+1)
-		self := mm(env.Dev, h, m.weights["Wself"+sfx])
+		self := mm(env, h, m.weights["Wself"+sfx])
 		agg, err := m.plans[l].Infer(ie,
 			map[string]*tensor.Tensor{"h": h},
 			map[string]*tensor.Tensor{"norm": env.EdgeNorm},
@@ -395,9 +445,11 @@ func (m *Model) forwardRGCN(env *ForwardEnv) (*embedState, error) {
 		if err != nil {
 			return nil, err
 		}
-		h = tensor.Add(self, agg)
+		env.recycle(h)
+		h = tensor.Add(self, agg, self)
+		env.recycle(agg)
 		if l == 0 {
-			h = tensor.ReLU(h)
+			h = tensor.ReLU(h, h)
 		}
 	}
 	return &embedState{logits: h}, nil

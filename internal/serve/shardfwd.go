@@ -111,13 +111,13 @@ func NewShardForward(m *Model, env *ShardEnv) (*ShardForward, error) {
 	}
 	switch m.Spec.Arch {
 	case "gcn":
-		sf.norm = gcnNormFromDegrees(env.Frag.GlobalInDeg)
+		sf.norm = gcnNormFromDegrees(env.Frag.GlobalInDeg, tensor.New)
 		sf.h = env.Feat
 	case "gat":
 		sf.h = env.Feat
 	case "appnp":
-		sf.sn = symNormFromDegrees(env.Frag.GlobalOutDeg)
-		sf.dn = symNormFromDegrees(env.Frag.GlobalInDeg)
+		sf.sn = symNormFromDegrees(env.Frag.GlobalOutDeg, tensor.New)
+		sf.dn = symNormFromDegrees(env.Frag.GlobalInDeg, tensor.New)
 		h1 := tensor.ReLU(sf.mmLike(env.Feat, m.weights["W1"]))
 		sf.h0 = sf.mmLike(h1, m.weights["W2"])
 		sf.h = sf.h0

@@ -202,7 +202,7 @@ func (s *Snapshot) Norm() *tensor.Tensor {
 		if s.G != nil {
 			s.norm = datasets.GCNNorm(s.G)
 		} else {
-			s.norm = gcnNormFromDegrees(s.dg.InDegrees())
+			s.norm = gcnNormFromDegrees(s.dg.InDegrees(), tensor.New)
 		}
 	}
 	return s.norm
@@ -214,12 +214,14 @@ func (s *Snapshot) SymNorms() (src, dst *tensor.Tensor) {
 	s.normMu.Lock()
 	defer s.normMu.Unlock()
 	if s.symSrc == nil {
+		var out, in []int32
 		if s.G != nil {
-			s.symSrc, s.symDst = symNorms(s.G)
+			out, in = s.G.OutDegrees(), s.G.InDegrees()
 		} else {
-			s.symSrc = symNormFromDegrees(s.dg.OutDegrees())
-			s.symDst = symNormFromDegrees(s.dg.InDegrees())
+			out, in = s.dg.OutDegrees(), s.dg.InDegrees()
 		}
+		s.symSrc = symNormFromDegrees(out, tensor.New)
+		s.symDst = symNormFromDegrees(in, tensor.New)
 	}
 	return s.symSrc, s.symDst
 }
@@ -231,29 +233,11 @@ func (s *Snapshot) EdgeNorm() *tensor.Tensor {
 	return s.edgeNorm
 }
 
-// symNorms computes the APPNP normalizer pair for any graph (snapshots
-// cache it; sampled subgraphs compute it fresh).
-func symNorms(g *graph.Graph) (src, dst *tensor.Tensor) {
-	out := g.OutDegrees()
-	in := g.InDegrees()
-	sn := tensor.New(g.N, 1)
-	dn := tensor.New(g.N, 1)
-	for v := 0; v < g.N; v++ {
-		if out[v] > 0 {
-			sn.Set(v, 0, float32(1/math.Sqrt(float64(out[v]))))
-		}
-		if in[v] > 0 {
-			dn.Set(v, 0, float32(1/math.Sqrt(float64(in[v]))))
-		}
-	}
-	return sn, dn
-}
-
 // gcnNormFromDegrees mirrors datasets.GCNNorm element for element, from a
 // degree vector instead of a graph — the arithmetic both the lazy child
 // path and the delta patch path share with the root path.
-func gcnNormFromDegrees(deg []int32) *tensor.Tensor {
-	t := tensor.New(len(deg), 1)
+func gcnNormFromDegrees(deg []int32, get func(shape ...int) *tensor.Tensor) *tensor.Tensor {
+	t := get(len(deg), 1)
 	for v, d := range deg {
 		if d > 0 {
 			t.Set(v, 0, 1/float32(d))
@@ -262,9 +246,10 @@ func gcnNormFromDegrees(deg []int32) *tensor.Tensor {
 	return t
 }
 
-// symNormFromDegrees mirrors one side of symNorms.
-func symNormFromDegrees(deg []int32) *tensor.Tensor {
-	t := tensor.New(len(deg), 1)
+// symNormFromDegrees is one side of the APPNP normalizer pair: 1/√degree,
+// 0 for an isolated vertex.
+func symNormFromDegrees(deg []int32, get func(shape ...int) *tensor.Tensor) *tensor.Tensor {
+	t := get(len(deg), 1)
 	for v, d := range deg {
 		if d > 0 {
 			t.Set(v, 0, float32(1/math.Sqrt(float64(d))))

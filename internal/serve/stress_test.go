@@ -49,11 +49,10 @@ func TestStress64MixedColdWarm(t *testing.T) {
 	}
 
 	eng, err := serve.New(serve.Config{
-		Spec:        spec,
-		QueueDepth:  512, // above the offered load: nothing may be rejected
-		MaxBatch:    8,
-		BatchWindow: 200 * time.Microsecond,
-		Workers:     8,
+		Spec:       spec,
+		QueueDepth: 512, // above the offered load: nothing may be rejected
+		MaxBatch:   8,
+		Workers:    8,
 	}, snaps[0])
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,10 @@ import (
 // optional trailing destination: Add(a, b, dst) writes into dst instead of
 // allocating. dst must be zeroed and of the result's shape, as Pool.Get
 // returns it; that is how a caller with a pool keeps op outputs away from
-// the garbage collector.
+// the garbage collector. The elementwise ops (Add to Div, the scalar ops,
+// Apply and the activations built on it, AddRow) read an element before
+// they write it, so there dst may also be an operand: ReLU(x, x) works in
+// place.
 
 // dstOr returns the caller's destination for a result of the given shape,
 // or a new tensor when there is none.

@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -389,5 +390,26 @@ func TestOpsIntoDestination(t *testing.T) {
 			}()
 			op(New(3, 3, 3))
 		}()
+	}
+}
+
+// TestElementwiseOpsInPlace: the elementwise ops accept an operand as
+// their destination (serving applies bias and activation in place) and
+// compute bitwise what they would have allocated.
+func TestElementwiseOpsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	b, row := Randn(rng, 1, 70, 40), Randn(rng, 1, 40)
+	ops := map[string]func(x *Tensor, into ...*Tensor) *Tensor{
+		"Add":     func(x *Tensor, into ...*Tensor) *Tensor { return Add(x, b, into...) },
+		"AddRow":  func(x *Tensor, into ...*Tensor) *Tensor { return AddRow(x, row, into...) },
+		"Sigmoid": func(x *Tensor, into ...*Tensor) *Tensor { return Sigmoid(x, into...) },
+		"ReLU":    func(x *Tensor, into ...*Tensor) *Tensor { return ReLU(x, into...) },
+	}
+	for name, op := range ops {
+		x := Randn(rng, 1, 70, 40)
+		want := op(x)
+		if got := op(x, x); got != x || !slices.Equal(got.Data(), want.Data()) {
+			t.Errorf("%s in place differs from %s into a new tensor", name, name)
+		}
 	}
 }
