@@ -92,7 +92,10 @@ bench:
 	bash benchmark/run.sh -workload all
 
 # One served request at a time on an idle engine, in the shapes of the
-# serve-sampled and serve-embed-mixed workloads: ns/op, B/op, allocs/op.
-# For looking while working on the read path; the gate is `make bench`.
+# serve-sampled and serve-embed-mixed workloads: ns/op, B/op, allocs/op;
+# then one delta at a time in serve-embed-mixed's writer shape: apply and
+# recompute ms, frontier rows, B/op. For looking while working on the
+# read or the delta path; the gate is `make bench`.
 bench-serve:
 	$(GO) test -run='^$$' -bench=BenchmarkServeRequest -benchtime=2000x -benchmem ./internal/serve
+	$(GO) test -run='^$$' -bench=BenchmarkDelta -benchtime=50x -benchmem ./internal/serve

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -268,6 +269,8 @@ func TestDeltaApplyErrors(t *testing.T) {
 		{"remove negative vertex", Delta{RemoveVertices: []int32{-1}}},
 		{"add edge out of range", Delta{AddEdges: []Edge{{Src: 0, Dst: 4}}}},
 		{"negative add vertices", Delta{AddVertices: -1}},
+		{"add vertices past int32", Delta{AddVertices: math.MaxInt32}},
+		{"add vertices more than doubling", Delta{AddVertices: DeltaChunkRows + 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

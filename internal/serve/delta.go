@@ -6,12 +6,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"seastar/internal/device"
 	"seastar/internal/exec"
 	"seastar/internal/graph"
+	"seastar/internal/obs"
 	"seastar/internal/tensor"
 )
 
@@ -87,27 +88,30 @@ type DeltaStats struct {
 // copy-on-write patches of every normalizer the parent had computed, and
 // — when opt.Model has settled cached embeddings — an incremental
 // recompute of only the dirty k-hop frontier, bitwise-identical to a full
-// forward on the child. Generation arithmetic (ParentGen) is the
-// engine's job; this function is pure snapshot → snapshot.
+// forward on the child. Everything a reader of the parent can see (graph,
+// features, normalizers, logits) is left untouched; the one thing handed
+// over is the embed state's aux, which only delta writers read: the child
+// takes it from the parent and overwrites the dirty rows in place, so a
+// second delta on the same parent (a fork) recomputes in full. Generation
+// arithmetic (ParentGen) is the engine's job. Each stage is an obs span:
+// serve/delta-graph, serve/delta-feat, serve/delta-recompute.
 func ApplyDelta(parent *Snapshot, d *Delta, opt *DeltaOptions) (*Snapshot, *DeltaStats, error) {
 	if parent.typed() {
 		return nil, nil, ErrDeltaUnsupported
 	}
 	start := time.Now()
+	sp := obs.Begin("serve", "delta-graph")
 	pdg, err := parent.deltaGraph()
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrDeltaUnsupported, err)
 	}
-	gd := graph.Delta{
-		AddVertices:    d.AddVertices,
-		RemoveVertices: d.RemoveVertices,
-		AddEdges:       d.AddEdges,
-		RemoveEdges:    d.RemoveEdges,
-	}
-	ndg, ast, err := pdg.Apply(&gd)
+	ndg, ast, err := pdg.Apply(&graph.Delta{AddVertices: d.AddVertices,
+		RemoveVertices: d.RemoveVertices, AddEdges: d.AddEdges, RemoveEdges: d.RemoveEdges})
+	sp.End()
 	if err != nil {
 		return nil, nil, err
 	}
+	sp = obs.Begin("serve", "delta-feat")
 	nfs, sharedP, copiedP, err := parent.featStore().Apply(d.Features, d.AddVertices)
 	if err != nil {
 		return nil, nil, err
@@ -119,6 +123,7 @@ func ApplyDelta(parent *Snapshot, d *Delta, opt *DeltaOptions) (*Snapshot, *Delt
 		fp: chainFingerprint(parent.fp, d),
 	}
 	patchNorms(parent, child, ast.Touched)
+	sp.End()
 
 	st := &DeltaStats{
 		Fingerprint: child.fp,
@@ -130,37 +135,31 @@ func ApplyDelta(parent *Snapshot, d *Delta, opt *DeltaOptions) (*Snapshot, *Delt
 		SharedPages:    sharedP,
 		CopiedPages:    copiedP,
 	}
-	seed := seedSet(parent.n, ast.Touched, d.Features)
+	seed := withUpdated(ast.Touched, d.Features) // the 0-hop dirty set
 	st.Touched = len(seed)
 	st.ApplyNs = time.Since(start).Nanoseconds()
 
 	if opt != nil && opt.Model != nil {
 		rstart := time.Now()
+		sp = obs.Begin("serve", "delta-recompute")
 		st.Recompute = recomputeEmbeddings(parent, child, d, opt, seed, st)
+		sp.End()
 		st.RecomputeNs = time.Since(rstart).Nanoseconds()
+		obs.Add("serve", "delta-recompute", "frontier_rows", int64(st.Frontier))
+		obs.Add("serve", "delta-recompute", st.Recompute, 1)
 	}
 	return child, st, nil
 }
 
-// seedSet is the sorted union of structurally touched vertices and
-// feature-updated vertices — the 0-hop dirty set.
-func seedSet(parentN int, touched []int32, ups []FeatureUpdate) []int32 {
-	if len(ups) == 0 {
-		return touched
-	}
-	set := make(map[int32]bool, len(touched)+len(ups))
-	for _, v := range touched {
-		set[v] = true
-	}
+// withUpdated returns the sorted union of ids and the feature-updated
+// vertices.
+func withUpdated(ids []int32, ups []FeatureUpdate) []int32 {
+	out := slices.Clone(ids)
 	for _, u := range ups {
-		set[u.Node] = true
+		out = append(out, u.Node)
 	}
-	out := make([]int32, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // recomputeEmbeddings carries the model's cached embeddings from parent
@@ -201,18 +200,35 @@ func recomputeEmbeddings(parent, child *Snapshot, d *Delta, opt *DeltaOptions, s
 	if len(d2) > maxDirty {
 		return full()
 	}
-	fd := featDirty(parent.n, child.n, d.Features)
-	var cs *embedState
-	switch m.Spec.Arch {
-	case "gcn":
-		cs = patchGCN(m, parent, child, ps, fd, d1, d2, opt)
-	case "gat":
-		cs = patchGAT(m, parent, child, ps, fd, d1, d2, opt)
-	}
-	if cs == nil {
+	// From here on the patch owns aux: a failure below drops it half
+	// written, and the child (like any later fork of parent) goes full.
+	aux := parent.takeAux(ps)
+	if aux == nil {
 		return full()
 	}
-	child.seedEmbeddings(key, cs)
+	if child.n != parent.n {
+		for k, t := range aux {
+			aux[k] = patchRows(t, child.n, nil, nil)
+		}
+	}
+	// fd is the rows whose raw features differ from the parent: explicit
+	// updates plus the vertices this delta created (seed's tail) — fresh
+	// zero rows the parent never had, whose dense products must be
+	// materialized even though they compute to zero-times-weight.
+	created, _ := slices.BinarySearch(seed, int32(parent.n))
+	fd := withUpdated(seed[created:], d.Features)
+	hops := dirtyFrontiers(child.dg, d1, d2)
+	var rows *tensor.Tensor // the child's logits over hops[1].rows
+	switch m.Spec.Arch {
+	case "gcn":
+		rows = patchGCN(m, child, aux, fd, hops, opt)
+	case "gat":
+		rows = patchGAT(m, child, aux, fd, hops, opt)
+	}
+	if rows == nil {
+		return full()
+	}
+	child.seedEmbeddings(key, &embedState{logits: patchRows(ps.logits, child.n, hops[1].rows, rows), aux: aux})
 	return "incremental"
 }
 
@@ -234,155 +250,143 @@ func kernelStable(m *Model, pn, cn int) bool {
 	return false
 }
 
-// featDirty is the sorted set of rows whose raw features differ from the
-// parent: explicit updates plus vertices created by this delta (their
-// rows are fresh zeros the parent never had, so their dense products must
-// be materialized even though they compute to zero-times-weight).
-func featDirty(parentN, childN int, ups []FeatureUpdate) []int32 {
-	set := make(map[int32]bool, len(ups)+childN-parentN)
-	for _, u := range ups {
-		set[u.Node] = true
+// setRows overwrites the given rows of t with vals ([len(rows), C]).
+func setRows(t *tensor.Tensor, rows []int32, vals *tensor.Tensor) {
+	for i, v := range rows {
+		copy(t.Row(int(v)), vals.Row(i))
 	}
-	for v := parentN; v < childN; v++ {
-		set[int32(v)] = true
-	}
-	out := make([]int32, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }
 
 // patchRows builds the child-size copy of a cached [parentN, C] tensor
-// with the given rows overwritten by vals ([len(rows), C]). Rows past the
-// parent start zero (new vertices must therefore always be in rows). With
-// nothing to change and no growth, the parent tensor is shared as-is.
+// with the given rows overwritten by vals. Rows past the parent start
+// zero (new vertices must therefore always be in rows). It is how logits
+// — which readers of the parent still hold — carry over, and how aux
+// grows when a delta adds vertices. With nothing to change and no growth
+// the parent tensor is shared as-is.
 func patchRows(parent *tensor.Tensor, newN int, rows []int32, vals *tensor.Tensor) *tensor.Tensor {
 	if len(rows) == 0 && parent.Rows() == newN {
 		return parent
 	}
-	c := parent.Cols()
-	out := tensor.New(newN, c)
+	out := tensor.New(newN, parent.Cols())
 	copy(out.Data(), parent.Data())
-	for i, v := range rows {
-		copy(out.Row(int(v)), vals.Row(i))
-	}
+	setRows(out, rows, vals)
 	return out
 }
 
-// dirtyRowsGraph builds a row-subset view of the child's in-CSR: one row
-// per dirty vertex, each keeping its FULL in-list in CSR slot order, with
-// RowIDs carrying the original vertex ids. The compiled plan then reads
-// its row and neighbour inputs from — and writes its outputs to —
-// full-graph tensors directly, so no compact-id remapping, no input
-// gathers and no out-CSR build happen on the hot path; per-row folds see
-// exactly the neighbour values and order the full graph would, which is
-// what keeps the patch bitwise. Edge ids renumber sequentially so
-// per-edge intermediates stay subgraph-sized.
-func dirtyRowsGraph(dg *graph.DeltaGraph, dirty []int32) *graph.Graph {
+// frontier is one layer's dirty rows with their destination-compact
+// in-CSR: row i of g is vertex rows[i] with its FULL in-list in CSR slot
+// order, g's row ids are the identity over [0, len(rows)) and neighbour
+// ids stay global. A compiled plan run over g reads its Nbr-side inputs
+// from the full-graph tensors unmapped and its Self-side inputs from
+// tensors gathered to rows, and writes a [len(rows), C] result — nothing
+// here or downstream is sized by N. Per-row folds see exactly the
+// neighbour values and order the full graph would, which is what keeps
+// the patch bitwise. Edge ids renumber sequentially so per-edge
+// intermediates stay subgraph-sized.
+type frontier struct {
+	rows []int32
+	g    *graph.Graph
+}
+
+// dirtyFrontiers builds both layers' frontiers from the sorted 1-hop and
+// 2-hop dirty sets (d1 ⊆ d2) with one copy of the in-lists: the rows are
+// d1 followed by what only the second hop reached, so layer 1's graph is
+// a prefix of layer 2's.
+func dirtyFrontiers(dg *graph.DeltaGraph, d1, d2 []int32) [2]frontier {
+	rows := append(make([]int32, 0, len(d2)), d1...)
+	i := 0
+	for _, v := range d2 {
+		if i < len(d1) && d1[i] == v {
+			i++
+		} else {
+			rows = append(rows, v)
+		}
+	}
 	in := dg.In()
-	m := 0
-	for _, v := range dirty {
-		m += in.Degree(v)
+	offsets := make([]int64, len(rows)+1)
+	for r, v := range rows {
+		offsets[r+1] = offsets[r] + int64(in.Degree(v))
 	}
-	csr := graph.CSR{
-		Offsets: make([]int64, len(dirty)+1),
-		Nbrs:    make([]int32, 0, m),
-		EdgeIDs: make([]int32, m),
-		RowIDs:  make([]int32, len(dirty)),
+	m := int(offsets[len(rows)])
+	// ident serves as both the edge ids and the row ids: each is 0, 1, 2, …
+	nbrs, ident := make([]int32, 0, m), make([]int32, max(m, len(rows)))
+	for _, v := range rows {
+		row, _ := in.Row(v)
+		nbrs = append(nbrs, row...)
 	}
-	for r, v := range dirty {
-		csr.RowIDs[r] = v
-		nbrs, _ := in.Row(v)
-		csr.Nbrs = append(csr.Nbrs, nbrs...)
-		csr.Offsets[r+1] = csr.Offsets[r] + int64(len(nbrs))
+	for i := range ident {
+		ident[i] = int32(i)
 	}
-	for i := range csr.EdgeIDs {
-		csr.EdgeIDs[i] = int32(i)
+	prefix := func(k int) frontier {
+		mk := int(offsets[k])
+		return frontier{rows[:k], &graph.Graph{N: k, M: mk, NumEdgeTypes: 1, In: graph.CSR{
+			Offsets: offsets[:k+1], Nbrs: nbrs[:mk], EdgeIDs: ident[:mk], RowIDs: ident[:k],
+		}}}
 	}
-	return &graph.Graph{N: in.NumRows(), M: m, In: csr, NumEdgeTypes: 1}
+	return [2]frontier{prefix(len(d1)), prefix(len(rows))}
 }
 
-// runAggPlan executes one aggregation plan over the dirty rows only,
-// feeding the full-graph input tensors unmapped, and returns the dirty
-// rows' outputs (row i of the result is dirty[i]).
-func runAggPlan(plan *exec.CompiledUDF, dg *graph.DeltaGraph, dirty []int32,
-	inputs map[string]*tensor.Tensor, opt *DeltaOptions) (*tensor.Tensor, error) {
-	sub := dirtyRowsGraph(dg, dirty)
-	ie := &exec.InferEnv{G: sub, Dev: device.New(opt.Profile), Pool: opt.Pool}
-	out, err := plan.Infer(ie, inputs, nil, nil)
-	if err != nil {
-		return nil, err
+// runAggPlan executes one aggregation plan over f's rows only and returns
+// their outputs (row i of the result is f.rows[i]). nbr holds the inputs
+// the plan reads through Nbr, as full-graph tensors; self the ones it
+// reads through Self, gathered here to the dirty rows.
+func runAggPlan(plan *exec.CompiledUDF, f frontier, nbr, self map[string]*tensor.Tensor, opt *DeltaOptions) (*tensor.Tensor, error) {
+	for k, t := range self {
+		nbr[k] = tensor.GatherRows(t, f.rows)
 	}
-	return tensor.GatherRows(out, dirty), nil
+	return plan.Infer(&exec.InferEnv{G: f.g, Dev: device.New(opt.Profile), Pool: opt.Pool}, nbr, nil, nil)
 }
 
-// patchGCN rebuilds the child's GCN embedding state from the parent's,
-// recomputing only dirty rows: feature-dirty rows of the dense products
-// (via MatMulRowsLike, bitwise-identical to full-size rows), the 1-hop
+// patchGCN brings aux (the parent's, already child-sized) up to date with
+// the child and returns the child's logits over hops[1].rows, recomputing
+// only dirty rows: feature-dirty rows of the dense products (via
+// MatMulRowsLike, bitwise-identical to full-size rows), the 1-hop
 // frontier of layer 1 and the 2-hop frontier of layer 2 via the
-// aggregation plans on induced subgraphs. Returns nil on any failure
-// (caller falls back to a full forward).
-func patchGCN(m *Model, parent, child *Snapshot, ps *embedState, fd, d1, d2 []int32, opt *DeltaOptions) *embedState {
-	n := child.n
-	norm := child.Norm()
-	w1, b1 := m.weights["W1"], m.weights["b1"]
-	w2, b2 := m.weights["W2"], m.weights["b2"]
-
-	hw1 := patchRows(ps.aux["hw1"], n, fd, tensor.MatMulRowsLike(child.fs.Gather(fd), w1, n))
-	agg1, err := runAggPlan(m.plans[0], child.dg, d1, map[string]*tensor.Tensor{"hw": hw1, "norm": norm}, opt)
-	if err != nil {
-		return nil
+// aggregation plans over the dirty rows' in-lists. Returns nil on any
+// failure (the caller drops aux and falls back to a full forward).
+func patchGCN(m *Model, child *Snapshot, aux map[string]*tensor.Tensor, fd []int32, hops [2]frontier, opt *DeltaOptions) *tensor.Tensor {
+	n, norm := child.n, child.Norm()
+	rows, dirty := child.fs.Gather(fd), fd
+	for l, hop := range hops {
+		sfx := fmt.Sprintf("%d", l+1)
+		hw := aux["hw"+sfx]
+		setRows(hw, dirty, tensor.MatMulRowsLike(rows, m.weights["W"+sfx], n))
+		agg, err := runAggPlan(m.plans[l], hop, map[string]*tensor.Tensor{"hw": hw, "norm": norm}, nil, opt)
+		if err != nil {
+			return nil
+		}
+		rows, dirty = tensor.AddRow(agg, m.weights["b"+sfx], agg), hop.rows
+		if l == 0 {
+			rows = tensor.Sigmoid(rows, rows)
+		}
 	}
-	h1rows := tensor.Sigmoid(tensor.AddRow(agg1, b1))
-	h1 := patchRows(ps.aux["h1"], n, d1, h1rows)
-	hw2 := patchRows(ps.aux["hw2"], n, d1, tensor.MatMulRowsLike(h1rows, w2, n))
-	agg2, err := runAggPlan(m.plans[1], child.dg, d2, map[string]*tensor.Tensor{"hw": hw2, "norm": norm}, opt)
-	if err != nil {
-		return nil
-	}
-	logits := patchRows(ps.logits, n, d2, tensor.AddRow(agg2, b2))
-	return &embedState{
-		logits: logits,
-		aux:    map[string]*tensor.Tensor{"hw1": hw1, "h1": h1, "hw2": hw2},
-	}
+	return rows
 }
 
 // patchGAT is patchGCN's GAT counterpart: per layer the dense hw/eu/ev
-// row patches, then the attention aggregation plan over the induced
-// subgraph of the layer's dirty frontier.
-func patchGAT(m *Model, parent, child *Snapshot, ps *embedState, fd, d1, d2 []int32, opt *DeltaOptions) *embedState {
+// row patches, then the attention aggregation plan over the layer's
+// frontier (ev is the plan's one Self-side input).
+func patchGAT(m *Model, child *Snapshot, aux map[string]*tensor.Tensor, fd []int32, hops [2]frontier, opt *DeltaOptions) *tensor.Tensor {
 	n := child.n
-
-	hw1rows := tensor.MatMulRowsLike(child.fs.Gather(fd), m.weights["W1"], n)
-	hw1 := patchRows(ps.aux["hw1"], n, fd, hw1rows)
-	eu1 := patchRows(ps.aux["eu1"], n, fd, tensor.MatMulRowsLike(hw1rows, m.weights["aU1"], n))
-	ev1 := patchRows(ps.aux["ev1"], n, fd, tensor.MatMulRowsLike(hw1rows, m.weights["aV1"], n))
-	agg1, err := runAggPlan(m.plans[0], child.dg, d1,
-		map[string]*tensor.Tensor{"eu": eu1, "ev": ev1, "h": hw1}, opt)
-	if err != nil {
-		return nil
+	rows, dirty := child.fs.Gather(fd), fd
+	for l, hop := range hops {
+		sfx := fmt.Sprintf("%d", l+1)
+		hw, eu, ev := aux["hw"+sfx], aux["eu"+sfx], aux["ev"+sfx]
+		hwRows := tensor.MatMulRowsLike(rows, m.weights["W"+sfx], n)
+		setRows(hw, dirty, hwRows)
+		setRows(eu, dirty, tensor.MatMulRowsLike(hwRows, m.weights["aU"+sfx], n))
+		setRows(ev, dirty, tensor.MatMulRowsLike(hwRows, m.weights["aV"+sfx], n))
+		agg, err := runAggPlan(m.plans[l], hop,
+			map[string]*tensor.Tensor{"eu": eu, "h": hw}, map[string]*tensor.Tensor{"ev": ev}, opt)
+		if err != nil {
+			return nil
+		}
+		rows, dirty = agg, hop.rows
+		if l == 0 {
+			rows = tensor.ReLU(rows, rows)
+		}
 	}
-	h1rows := tensor.ReLU(agg1)
-	h1 := patchRows(ps.aux["h1"], n, d1, h1rows)
-	hw2rows := tensor.MatMulRowsLike(h1rows, m.weights["W2"], n)
-	hw2 := patchRows(ps.aux["hw2"], n, d1, hw2rows)
-	eu2 := patchRows(ps.aux["eu2"], n, d1, tensor.MatMulRowsLike(hw2rows, m.weights["aU2"], n))
-	ev2 := patchRows(ps.aux["ev2"], n, d1, tensor.MatMulRowsLike(hw2rows, m.weights["aV2"], n))
-	agg2, err := runAggPlan(m.plans[1], child.dg, d2,
-		map[string]*tensor.Tensor{"eu": eu2, "ev": ev2, "h": hw2}, opt)
-	if err != nil {
-		return nil
-	}
-	logits := patchRows(ps.logits, n, d2, agg2)
-	return &embedState{
-		logits: logits,
-		aux: map[string]*tensor.Tensor{
-			"hw1": hw1, "eu1": eu1, "ev1": ev1, "h1": h1,
-			"hw2": hw2, "eu2": eu2, "ev2": ev2,
-		},
-	}
+	return rows
 }
 
 // patchNorms carries every normalizer the parent had already computed to
@@ -392,33 +396,26 @@ func patchGAT(m *Model, parent, child *Snapshot, ps *embedState, fd, d1, d2 []in
 func patchNorms(parent, child *Snapshot, touched []int32) {
 	pn, psrc, pdst := parent.normPeek()
 	if pn != nil {
-		indeg := child.dg.In()
-		norm := tensor.New(child.n, 1)
-		copy(norm.Data(), pn.Data())
-		for _, v := range touched {
-			if d := indeg.Degree(v); d > 0 {
-				norm.Set(int(v), 0, 1/float32(d))
-			} else {
-				norm.Set(int(v), 0, 0)
-			}
-		}
-		child.norm = norm
+		child.norm = patchNorm(pn, child.dg.In(), child.n, touched, func(d int) float32 { return 1 / float32(d) })
 	}
 	if psrc != nil {
-		child.symSrc = patchSymNorm(psrc, child.dg.Out(), child.n, touched)
-		child.symDst = patchSymNorm(pdst, child.dg.In(), child.n, touched)
+		invSqrt := func(d int) float32 { return float32(1 / math.Sqrt(float64(d))) }
+		child.symSrc = patchNorm(psrc, child.dg.Out(), child.n, touched, invSqrt)
+		child.symDst = patchNorm(pdst, child.dg.In(), child.n, touched, invSqrt)
 	}
 }
 
-func patchSymNorm(parent *tensor.Tensor, csr *graph.ChunkedCSR, n int, touched []int32) *tensor.Tensor {
+// patchNorm copies a per-vertex degree normalizer to child size and
+// re-evaluates f(degree) — 0 for an isolated vertex — at the touched rows.
+func patchNorm(parent *tensor.Tensor, csr *graph.ChunkedCSR, n int, touched []int32, f func(d int) float32) *tensor.Tensor {
 	out := tensor.New(n, 1)
 	copy(out.Data(), parent.Data())
 	for _, v := range touched {
+		var x float32
 		if d := csr.Degree(v); d > 0 {
-			out.Set(int(v), 0, float32(1/math.Sqrt(float64(d))))
-		} else {
-			out.Set(int(v), 0, 0)
+			x = f(d)
 		}
+		out.Set(int(v), 0, x)
 	}
 	return out
 }

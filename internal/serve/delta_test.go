@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +17,7 @@ import (
 
 	"seastar/internal/device"
 	"seastar/internal/graph"
+	"seastar/internal/obs"
 	"seastar/internal/serve"
 	"seastar/internal/tensor"
 )
@@ -71,6 +74,15 @@ func (m *deltaMirror) apply(d *serve.Delta) {
 	for _, u := range d.Features {
 		copy(m.feat[u.Node], u.Row)
 	}
+}
+
+// clone copies the mirror so a forked chain can be followed on its own.
+func (m *deltaMirror) clone() *deltaMirror {
+	c := &deltaMirror{n: m.n, d: m.d, edges: slices.Clone(m.edges)}
+	for _, row := range m.feat {
+		c.feat = append(c.feat, slices.Clone(row))
+	}
+	return c
 }
 
 func (m *deltaMirror) graph(t testing.TB) *graph.Graph {
@@ -251,6 +263,217 @@ func TestDeltaFallbackFullMatches(t *testing.T) {
 	runDeltaChain(t, serve.ModelSpec{Arch: "gcn", Hidden: 16, Classes: 5, Seed: 7}, 1e-9, false)
 }
 
+// deltaFixture is the setting the ownership tests share: a 300-vertex
+// mirror, its snapshot with arch's embeddings already settled — the state
+// an incremental delta patches from — and options under which every
+// delta patches incrementally (opt.Model is the model).
+func deltaFixture(t *testing.T, seed int64, arch string) (*rand.Rand, *deltaMirror, *serve.Snapshot, *serve.DeltaOptions) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	mir := newDeltaMirror(rng, 300, 16, 1500)
+	model, err := serve.BuildModel(serve.ModelSpec{Arch: arch, Hidden: 16, Classes: 5, Seed: 7}, mir.d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := serve.NewSnapshot(mir.graph(t), mir.featTensor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snap.EnsureEmbeddings(model, &serve.ForwardEnv{Dev: device.New(device.V100)}); err != nil {
+		t.Fatal(err)
+	}
+	return rng, mir, snap, &serve.DeltaOptions{Model: model, FrontierLimit: 1.0, Profile: device.V100}
+}
+
+// applyAndCheck applies d to snap, follows it on mir, and requires the
+// recompute mode and logits bitwise-equal to a rebuild from scratch.
+func applyAndCheck(t *testing.T, snap *serve.Snapshot, mir *deltaMirror, d *serve.Delta,
+	opt *serve.DeltaOptions, wantMode string) (*serve.Snapshot, *tensor.Tensor) {
+	t.Helper()
+	child, st, err := serve.ApplyDelta(snap, d, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Recompute != wantMode {
+		t.Fatalf("recompute mode %q, want %q", st.Recompute, wantMode)
+	}
+	mir.apply(d)
+	got, err := child.EnsureEmbeddings(opt.Model, &serve.ForwardEnv{Dev: device.New(device.V100)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameTensorBits(got, mir.scratchLogits(t, opt.Model)) {
+		t.Fatalf("%s child diverges from rebuild-from-scratch", st.Recompute)
+	}
+	return child, got
+}
+
+// TestDeltaForkSameParent pins who owns aux: the first delta on a parent
+// takes it and patches incrementally; a second, different delta on the
+// same parent finds it gone and recomputes in full. Both children are
+// bitwise-equal to a rebuild.
+func TestDeltaForkSameParent(t *testing.T) {
+	rng, mir, parent, opt := deltaFixture(t, 43, "gcn")
+	fork := mir.clone()
+	first, second := randomDelta(rng, mir, 0), randomDelta(rng, mir, 0)
+	applyAndCheck(t, parent, mir, first, opt, "incremental")
+	child, _ := applyAndCheck(t, parent, fork, second, opt, "full")
+	// The full recompute settled a fresh aux on the fork: its chain patches again.
+	applyAndCheck(t, child, fork, &serve.Delta{AddEdges: []graph.Edge{{Src: 1, Dst: 2}}}, opt, "incremental")
+}
+
+// TestDeltaForkRace applies four different deltas to one parent at once:
+// exactly one of them gets aux and patches incrementally, the others
+// recompute in full, and every child is bitwise-equal to a rebuild.
+func TestDeltaForkRace(t *testing.T) {
+	rng, mir, parent, opt := deltaFixture(t, 67, "gat")
+	model := opt.Model
+	const forks = 4
+	var (
+		deltas   [forks]*serve.Delta
+		children [forks]*serve.Snapshot
+		stats    [forks]*serve.DeltaStats
+		errs     [forks]error
+		wg       sync.WaitGroup
+	)
+	for i := range deltas {
+		deltas[i] = randomDelta(rng, mir, 0)
+	}
+	for i := range deltas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			children[i], stats[i], errs[i] = serve.ApplyDelta(parent, deltas[i], opt)
+		}()
+	}
+	wg.Wait()
+	incremental := 0
+	for i, child := range children {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if stats[i].Recompute == "incremental" {
+			incremental++
+		}
+		fork := mir.clone()
+		fork.apply(deltas[i])
+		got, err := child.EnsureEmbeddings(model, &serve.ForwardEnv{Dev: device.New(device.V100)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameTensorBits(got, fork.scratchLogits(t, model)) {
+			t.Fatalf("fork %d (%s) diverges from rebuild-from-scratch", i, stats[i].Recompute)
+		}
+	}
+	if incremental != 1 {
+		t.Fatalf("%d of %d forks patched incrementally, want exactly 1", incremental, forks)
+	}
+}
+
+// TestDeltaSpans: with tracing on, one delta leaves a span per stage and
+// the recompute span carries the frontier size and the mode, so a slow
+// delta can be explained from /debug/trace.
+func TestDeltaSpans(t *testing.T) {
+	rng, mir, snap, opt := deltaFixture(t, 59, "gcn")
+	obs.Reset()
+	obs.Enable()
+	defer obs.Disable()
+	defer obs.Reset()
+	_, st, err := serve.ApplyDelta(snap, randomDelta(rng, mir, 0), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]obs.Entry{}
+	for _, e := range obs.Snapshot() {
+		if e.Cat == "serve" {
+			spans[e.Name] = e
+		}
+	}
+	for _, name := range []string{"delta-graph", "delta-feat", "delta-recompute"} {
+		if spans[name].Count != 1 {
+			t.Errorf("span serve/%s recorded %d times, want 1", name, spans[name].Count)
+		}
+	}
+	if c := spans["delta-recompute"].Counters; c["frontier_rows"] != int64(st.Frontier) || c["incremental"] != 1 {
+		t.Errorf("serve/delta-recompute counters = %v, want frontier_rows %d and incremental 1", c, st.Frontier)
+	}
+}
+
+// TestDeltaReaderIsolation: the logits tensor a reader got at generation
+// g is byte-identical after every later delta — in-place patching touches
+// aux only, never what a reader can hold.
+func TestDeltaReaderIsolation(t *testing.T) {
+	for _, arch := range []string{"gcn", "gat"} {
+		t.Run(arch, func(t *testing.T) {
+			rng, mir, snap, opt := deltaFixture(t, 47, arch)
+			held, err := snap.EnsureEmbeddings(opt.Model, &serve.ForwardEnv{Dev: device.New(device.V100)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			type reading struct{ live, copied *tensor.Tensor }
+			readings := []reading{{held, held.Clone()}}
+			for step := 0; step < 5; step++ {
+				snap, held = applyAndCheck(t, snap, mir, randomDelta(rng, mir, 0), opt, "incremental")
+				readings = append(readings, reading{held, held.Clone()})
+			}
+			for g, r := range readings {
+				if !sameTensorBits(r.live, r.copied) {
+					t.Fatalf("logits read at step %d changed under later deltas", g)
+				}
+			}
+		})
+	}
+}
+
+// TestDeltaGrowthChain: every step adds vertices (so aux is reallocated,
+// not patched in place), wires them in and edits features, old and new.
+func TestDeltaGrowthChain(t *testing.T) {
+	rng, mir, snap, opt := deltaFixture(t, 53, "gat")
+	for step := 0; step < 5; step++ {
+		d := randomDelta(rng, mir, 0)
+		d.AddVertices = 1 + step%3
+		fresh := int32(mir.n + d.AddVertices - 1)
+		d.AddEdges = append(d.AddEdges, graph.Edge{Src: int32(rng.Intn(mir.n)), Dst: fresh}, graph.Edge{Src: fresh, Dst: int32(rng.Intn(mir.n))})
+		d.Features = append(d.Features, serve.FeatureUpdate{Node: fresh, Row: slices.Clone(mir.feat[step])})
+		snap, _ = applyAndCheck(t, snap, mir, d, opt, "incremental")
+	}
+}
+
+// TestDeltaAllocBudget: a 9-mutation incremental delta on a 20 k-vertex
+// Zipf snapshot allocates less than one [N, hidden] tensor, so a
+// whole-state clone cannot come back unnoticed.
+func TestDeltaAllocBudget(t *testing.T) {
+	const hidden = 64
+	snap := zipfSnapshot(t, 20000)
+	model, err := serve.BuildModel(serve.ModelSpec{Arch: "gcn", Hidden: hidden, Classes: 8, Seed: 1}, snap.FeatDim(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snap.EnsureEmbeddings(model, &serve.ForwardEnv{Dev: device.New(device.V100)}); err != nil {
+		t.Fatal(err)
+	}
+	opt := &serve.DeltaOptions{Model: model, Profile: device.V100, Pool: tensor.NewPool()}
+	deltas := mixedDeltas(snap, 3)
+	var before, after runtime.MemStats
+	for i, d := range deltas { // the first chunks the root and warms the pool
+		runtime.ReadMemStats(&before)
+		child, st, err := serve.ApplyDelta(snap, d, opt)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Recompute != "incremental" {
+			t.Fatalf("delta %d recomputed %q, want incremental", i, st.Recompute)
+		}
+		snap = child
+	}
+	got, budget := after.TotalAlloc-before.TotalAlloc, uint64(snap.NumVertices()*hidden*4)
+	t.Logf("delta allocated %d B (frontier budget: one [N,%d] tensor = %d B)", got, hidden, budget)
+	if got >= budget {
+		t.Fatalf("delta allocated %d B, want < %d B (one [N, hidden] tensor)", got, budget)
+	}
+}
+
 // TestDeltaErrorPaths is the table of rejections: stale generations at
 // the engine, bad feature shapes, out-of-range vertices, removing
 // nonexistent edges, and typed (R-GCN) snapshots.
@@ -272,6 +495,8 @@ func TestDeltaErrorPaths(t *testing.T) {
 		{"remove missing edge", serve.Delta{RemoveEdges: []graph.Edge{{Src: 39, Dst: 39}}}, "no such edge"},
 		{"add edge out of range", serve.Delta{AddEdges: []graph.Edge{{Src: 0, Dst: 41}}}, "out of range"},
 		{"negative add vertices", serve.Delta{AddVertices: -2}, "negative"},
+		{"hostile add vertices", serve.Delta{AddVertices: 2000000000}, "swap the graph"},
+		{"add vertices past int32", serve.Delta{AddVertices: math.MaxInt32}, "overflows int32"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -284,8 +509,8 @@ func TestDeltaErrorPaths(t *testing.T) {
 				}
 			}
 			_, _, err := serve.ApplyDelta(snap, &tc.d, nil)
-			if err == nil {
-				t.Fatalf("want error containing %q, got nil", tc.want)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want error containing %q, got %v", tc.want, err)
 			}
 		})
 	}
@@ -456,6 +681,12 @@ func TestHTTPDelta(t *testing.T) {
 	resp, _ = post(`{"parent_gen":2,"remove_edges":[{"src":59,"dst":60}]}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad delta: status %d, want 400", resp.StatusCode)
+	}
+	// A delta that would grow the graph without bound is refused before
+	// anything is allocated: a plain 400, and the server lives on.
+	resp, _ = post(`{"parent_gen":2,"add_vertices":2000000000}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("hostile add_vertices: status %d, want 400", resp.StatusCode)
 	}
 	if g := eng.Generation(); g != 2 {
 		t.Fatalf("generation after failed deltas = %d, want 2", g)

@@ -353,8 +353,9 @@ func mm(env *ForwardEnv, a, b *tensor.Tensor) *tensor.Tensor {
 
 // forwardGCN runs the hoisted two-layer GCN: per layer, a full-size dense
 // h·W (blocked GEMM), the aggregation-only plan, bias and activation. The
-// hw products and post-activation hidden state land in aux so the delta
-// patcher can reuse unchanged rows.
+// hw products land in aux so the delta patcher can reuse unchanged rows
+// (the hidden state itself is never read back: a dirty row's is
+// recomputed, a clean row's is already folded into hw2).
 func (m *Model) forwardGCN(env *ForwardEnv) (*embedState, error) {
 	ie := m.inferEnv(env)
 	st := &embedState{aux: map[string]*tensor.Tensor{}}
@@ -372,7 +373,6 @@ func (m *Model) forwardGCN(env *ForwardEnv) (*embedState, error) {
 		h = tensor.AddRow(out, m.weights["b"+sfx], out)
 		if l == 0 {
 			h = tensor.Sigmoid(h, h)
-			st.aux["h1"] = h
 		}
 	}
 	st.logits = h
@@ -400,7 +400,6 @@ func (m *Model) forwardGAT(env *ForwardEnv) (*embedState, error) {
 		h = out
 		if l == 0 {
 			h = tensor.ReLU(h, h)
-			st.aux["h1"] = h
 		}
 	}
 	st.logits = h

@@ -28,7 +28,9 @@ import (
 // reading the old one. Derived normalizers and cached embeddings are
 // computed lazily, at most once, and cached on the snapshot — safe
 // because they are pure functions of the frozen graph; delta children
-// inherit them patched copy-on-write instead of recomputing.
+// inherit them patched copy-on-write instead of recomputing. The one
+// exception no reader can observe: the embed state's aux (see embedState)
+// is handed to the first delta child instead of copied.
 type Snapshot struct {
 	// G and Feat are the flat root forms. They are set on snapshots built
 	// by NewSnapshot and nil on delta children, whose flat forms
@@ -63,8 +65,8 @@ type Snapshot struct {
 	edgeNorm *tensor.Tensor
 
 	// Cached embeddings per structural plan key (EmbedCache serving mode):
-	// the model's per-layer dense products and final logits. Delta
-	// children are pre-seeded with incrementally patched states.
+	// the final logits and the model's per-layer dense products (aux).
+	// Delta children are pre-seeded with incrementally patched states.
 	embMu sync.Mutex
 	emb   map[PlanKey]*embedEntry
 }
@@ -277,13 +279,17 @@ type embedEntry struct {
 	err   error
 }
 
-// embedState is a settled embedding computation: the final logits plus
-// the per-layer dense products (aux) the incremental patch path needs to
-// reuse unchanged rows from. aux is nil for archs without incremental
-// support; keys are arch-specific (see model.go forwardState*).
+// embedState is a settled embedding computation, split by who reads it.
+// logits is what every reader of the generation gathers from: immutable
+// once settled. aux holds the per-layer dense products only the delta
+// writer reads (keys are arch-specific, see model.go forwardGCN/GAT; nil
+// for archs without incremental support). It is single-owner working
+// state: the first incremental delta on this snapshot takes it (takeAux),
+// overwrites the dirty rows in place and seeds its child with it, leaving
+// this state with logits alone.
 type embedState struct {
 	logits *tensor.Tensor
-	aux    map[string]*tensor.Tensor
+	aux    map[string]*tensor.Tensor // guarded by Snapshot.embMu once settled
 }
 
 func (s *Snapshot) embedSlot(key PlanKey) *embedEntry {
@@ -319,7 +325,8 @@ func (s *Snapshot) EnsureEmbeddings(m *Model, env *ForwardEnv) (*tensor.Tensor, 
 }
 
 // embedPeek returns the settled embedding state for key, or nil if it is
-// uncomputed, still in flight, or failed. It never blocks.
+// uncomputed, still in flight, or failed. It never blocks. The state's
+// logits may be read freely; its aux only through takeAux.
 func (s *Snapshot) embedPeek(key PlanKey) *embedState {
 	s.embMu.Lock()
 	e, ok := s.emb[key]
@@ -328,6 +335,18 @@ func (s *Snapshot) embedPeek(key PlanKey) *embedState {
 		return nil
 	}
 	return e.state
+}
+
+// takeAux hands st's aux tensors (st settled on this snapshot) to the
+// caller — the delta writer, which mutates them — and leaves st with
+// logits only. It returns nil when there is nothing to take: an arch
+// without aux, or a delta that already took it (a forked chain).
+func (s *Snapshot) takeAux(st *embedState) map[string]*tensor.Tensor {
+	s.embMu.Lock()
+	defer s.embMu.Unlock()
+	aux := st.aux
+	st.aux = nil
+	return aux
 }
 
 // seedEmbeddings installs a pre-computed embedding state (delta children,

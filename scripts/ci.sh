@@ -41,8 +41,8 @@ go test -coverprofile=cover.out ./...
 echo "== go test (benchmark module: its own go.mod, invisible to ./... above) =="
 (cd benchmark && go test ./...)
 
-echo "== serve request micro-benchmark, one iteration (so that it cannot rot) =="
-go test -run='^$' -bench=BenchmarkServeRequest -benchtime=1x ./internal/serve
+echo "== serve request and delta micro-benchmarks, one iteration (so that they cannot rot) =="
+go test -run='^$' -bench='BenchmarkServeRequest|BenchmarkDelta' -benchtime=1x ./internal/serve
 
 echo "== coverage ratchet =="
 cov=$(go tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $3); print $3 }')
