@@ -40,7 +40,7 @@ type UnitProfile struct {
 	NsPerIt  int64            `json:"ns_per_iter"`
 	Fraction float64          `json:"fraction"` // of measured wall time
 	Allocs   int64            `json:"allocs_per_iter"`
-	Counters map[string]int64 `json:"counters,omitempty"` // rows/edges/tile_width from the kernel layer
+	Counters map[string]int64 `json:"counters,omitempty"` // rows/edges/specialized from the kernel layer
 }
 
 // Report is the full EXPLAIN ANALYZE result, also emitted as -json.

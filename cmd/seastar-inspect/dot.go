@@ -121,14 +121,11 @@ func edgeLabel(in *gir.Node) string {
 }
 
 // clusterLabel titles a unit box; seastar units carry their kernel's
-// tile plan so the rendering shows what the engine will actually run.
+// aggregation direction.
 func clusterLabel(u *fusion.Unit, k *kernels.Kernel) string {
 	label := fmt.Sprintf("unit %d [%s]", u.ID, u.Kind)
 	if k != nil {
 		label += " " + k.Dir.String()
-		if tileable, width, tile := k.TilePlan(); tileable && tile < width {
-			label += fmt.Sprintf(" tiled %d/%d", tile, width)
-		}
 	}
 	return label
 }

@@ -13,8 +13,8 @@ import (
 
 // writeExplain prints the EXPLAIN view: optimized forward GIR, backward
 // GIR, and the fused execution-unit plans of both passes, each seastar
-// unit annotated with its kernel's aggregation direction, materialized
-// outputs and feature-tile plan.
+// unit annotated with its kernel's materialized outputs and
+// specialization decision.
 func writeExplain(w io.Writer, model string, c *exec.CompiledUDF) {
 	fmt.Fprintf(w, "=== %s: forward GIR (optimized) ===\n%s", model, c.Fwd)
 	if c.Grads != nil {
@@ -37,8 +37,7 @@ func writeUnits(w io.Writer, pass string, plan *fusion.Plan, note func(*fusion.U
 }
 
 // kernelNote summarizes a compiled seastar kernel for the EXPLAIN
-// output: what materializes, the feature-tile plan, and the closure
-// compiler's decision — the matched pattern when the edge loop runs
+// output: what materializes and the closure compiler's decision — the matched pattern when the edge loop runs
 // specialized, or the fallback reason when it stays on the interpreter.
 // Nil (dense and paramgrad units carry no seastar kernel) yields an
 // empty note.
@@ -54,19 +53,10 @@ func kernelNote(k *kernels.Kernel, mat []*gir.Node) string {
 		}
 		parts = append(parts, "materializes "+strings.Join(ids, ","))
 	}
-	tileable, width, tile := k.TilePlan()
-	if tileable && tile < width {
-		parts = append(parts, fmt.Sprintf("tiled %d/%d", tile, width))
-	} else if width > 0 {
-		parts = append(parts, fmt.Sprintf("untiled width %d", width))
-	}
 	if ok, name := k.Specialized(); ok {
 		parts = append(parts, "specialized="+name)
 	} else {
 		parts = append(parts, "interpreted ("+name+")")
-	}
-	if len(parts) == 0 {
-		return ""
 	}
 	return "kernel: " + strings.Join(parts, ", ")
 }

@@ -5,7 +5,7 @@
 // Default (EXPLAIN): the traced forward GIR with graph types, the
 // auto-differentiated backward GIR, and the execution units produced by
 // the seastar fusion FSM (the Figure-6 boxes), each annotated with its
-// kernel's materializations and feature-tile plan:
+// kernel's materializations and specialization decision:
 //
 //	seastar-inspect -model gat
 //	seastar-inspect -model rgcn -relations 46 -in 16 -hidden 16

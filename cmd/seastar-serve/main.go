@@ -114,7 +114,7 @@ func main() {
 				len(urls), *dataset, ds.G.N, ds.G.M, *addr)
 			h = c.Handler()
 		}
-		srv := &http.Server{Addr: *addr, Handler: h}
+		srv := newServer(*addr, h)
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		go func() {
@@ -177,7 +177,7 @@ func main() {
 		}
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: serve.Handler(eng)}
+	srv := newServer(*addr, serve.Handler(eng))
 	done := make(chan struct{})
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -212,4 +212,19 @@ func split(s string) []string {
 		}
 	}
 	return out
+}
+
+// Connection limits of every listener: a client that stalls while sending
+// headers or a body, or parks an idle keep-alive, is dropped instead of
+// holding a connection forever. The read limit covers the largest body the
+// handlers accept (a 64 MiB delta) at a few MB/s.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h,
+		ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
 }

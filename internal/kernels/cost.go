@@ -52,42 +52,6 @@ func log2i(x int) float64 {
 	return l
 }
 
-const (
-	// cacheLineFloats is one 64-byte cache line of float32s — the floor
-	// for any feature tile (narrower tiles waste the line anyway).
-	cacheLineFloats = 16
-	// l1SpillBytes is a typical 32 KB L1d: both the spill threshold that
-	// justifies tiling at all and the working-set target a tile is sized
-	// to. Tiling re-walks each row's edge list once per tile, so it only
-	// pays once the untiled live set cannot be L1-resident, and the tile
-	// should then be as wide as L1 allows — every halving of the tile
-	// doubles the per-edge interpreter overhead (measured ~15-25% per
-	// extra pass on the gemm bench), while any tile that fits L1 gets
-	// the same residency benefit.
-	l1SpillBytes = 32 << 10
-)
-
-// TileWidth chooses the feature-tile width for a fused edge loop that
-// keeps liveRows feature rows of `width` floats hot per edge — the FAT
-// group rule (largest 2^k ≤ D, §6.3.1) mapped from warp lanes to cache
-// lines: the widest power-of-two tile, at least one cache line, whose
-// live working set fits L1. A width whose live set fits L1 outright is
-// returned unchanged (one tile, no re-walk of the edge list); only a
-// genuine spill is worth the multi-pass overhead.
-func TileWidth(width, liveRows int) int {
-	if liveRows < 1 {
-		liveRows = 1
-	}
-	if width*liveRows*4 <= l1SpillBytes {
-		return width
-	}
-	w := cacheLineFloats
-	for w*2 < width && w*2*liveRows*4 <= l1SpillBytes {
-		w *= 2
-	}
-	return w
-}
-
 // serialCPUThreshold is the abstract-cycle cost below which Run skips
 // the worker fan-out entirely: roughly the scalar work that amortizes a
 // round of goroutine handoffs.

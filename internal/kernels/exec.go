@@ -85,14 +85,6 @@ func (k *Kernel) Run(dev *device.Device, g *graph.Graph, cfg Config, b *Bindings
 	}
 	defer k.releaseResolved()
 
-	// Effective feature-tile width for this launch: the compile-time plan
-	// unless the config disables tiling or pins a width for tests.
-	k.curTileW = k.tileW
-	if cfg.NoFeatureTile || !k.tileable {
-		k.curTileW = 0
-	} else if cfg.ForceTileWidth > 0 {
-		k.curTileW = cfg.ForceTileWidth
-	}
 	// Per-launch specialization decision: the compile-time plan unless
 	// the config forces the interpreter.
 	k.curSpec = k.spec != nil && !cfg.NoSpecialize
@@ -101,7 +93,6 @@ func (k *Kernel) Run(dev *device.Device, g *graph.Graph, cfg Config, b *Bindings
 	if obs.Enabled() {
 		obs.Add("kern", k.obsLabel, "rows", int64(n))
 		obs.Add("kern", k.obsLabel, "edges", csr.Offsets[n])
-		obs.Set("kern", k.obsLabel, "tile_width", int64(k.curTileW))
 		var specialized int64
 		if k.curSpec {
 			specialized = 1
@@ -322,11 +313,6 @@ type runArena struct {
 	scratch [][]float32
 	accs    [][]float32
 	inner   [][]float32
-	// tview is the per-tile slot table of the feature-tiled path: wide
-	// slots narrow to the current tile of their scratch row (or alias a
-	// source-tensor row directly for edge leaves); scalar slots keep
-	// their full scratch rows.
-	tview [][]float32
 	// svals is the specialized path's flat scalar bank: width-1 loads,
 	// row-hoisted scalars and chain-closure outputs, indexed by the plan.
 	svals []float32
@@ -361,7 +347,6 @@ func (k *Kernel) arena(w int) *runArena {
 			scratch: make([][]float32, k.numSlots),
 			accs:    make([][]float32, len(k.aggs)),
 			inner:   make([][]float32, len(k.aggs)),
-			tview:   make([][]float32, k.numSlots),
 		}
 		for i, w := range k.widths {
 			a.scratch[i] = make([]float32, w)
@@ -428,139 +413,15 @@ func (k *Kernel) runSweep(a *runArena, lo, hi int) error {
 
 // runRows interprets rows [lo, hi) — the functional half of Algorithm 1.
 // Units matched by the closure compiler run the specialized loop;
-// otherwise kernels whose plan splits the edge loop into feature tiles
-// take the tiled path, and everything else (hierarchical aggregation,
-// typed matmuls, narrow widths, tiling disabled) runs full-width.
+// everything else runs the step interpreter.
 func (k *Kernel) runRows(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi int) error {
 	if k.curSpec {
 		return k.runRowsSpec(a, csr, g, lo, hi)
 	}
-	if tw := k.curTileW; tw > 0 && tw < k.edgeW {
-		return k.runRowsTiled(a, csr, g, lo, hi, tw)
-	}
 	return k.runRowsFull(a, csr, g, lo, hi)
 }
 
-// runRowsTiled is runRowsFull restructured so that each row's edge list
-// is walked once per feature tile [t0, t1) of the wide width: the live
-// set per edge — the accumulator tiles and one tile of each wide slot —
-// fits L1 and stays resident across the whole neighbour list, instead
-// of streaming full-width rows that evict each other on high-degree
-// vertices. Edge-leaf tiles are copied into scratch like the full-width
-// path: the copies keep the cold neighbour gathers in bulk memmove
-// instead of scalar loads inside the step interpreter.
-//
-// Per-element accumulation order is identical to the full-width path, so
-// results are bitwise equal. Scalar (width-1) slots are recomputed every
-// pass — they are cheap and deterministic — but accumulated into scalar
-// aggregations and written to scalar outputs only on the first pass.
-func (k *Kernel) runRowsTiled(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi, tw int) error {
-	scratch, accs, tview := a.scratch, a.accs, a.tview
-	rowT, edgeT, matT, params := k.rowT, k.edgeT, k.matT, k.paramT
-	edgeW := k.edgeW
-
-	for r := lo; r < hi; r++ {
-		vid := int(csr.RowIDs[r])
-		for i, ld := range k.rowLeaves {
-			copy(scratch[ld.slot], rowT[i].Row(vid))
-		}
-		for _, st := range k.preRow {
-			if err := evalStep(st, scratch, params, 0); err != nil {
-				return err
-			}
-		}
-		nbrs, eids := csr.Row(r)
-		deg := len(nbrs)
-		for t0 := 0; t0 < edgeW; t0 += tw {
-			t1 := t0 + tw
-			if t1 > edgeW {
-				t1 = edgeW
-			}
-			first := t0 == 0
-			for s, w := range k.widths {
-				if w == edgeW {
-					tview[s] = scratch[s][t0:t1:t1]
-				} else {
-					tview[s] = scratch[s]
-				}
-			}
-			for ai, ag := range k.aggs {
-				if ag.node.Dim() == edgeW {
-					initAcc(accs[ai][t0:t1], ag.node.Attr.AggOp)
-				} else if first {
-					initAcc(accs[ai], ag.node.Attr.AggOp)
-				}
-			}
-			for i, nbr := range nbrs {
-				eid := int(eids[i])
-				for li, ld := range k.edgeLeaves {
-					var row []float32
-					if ld.byEdgeID {
-						row = edgeT[li].Row(eid)
-					} else {
-						row = edgeT[li].Row(int(nbr))
-					}
-					// Copy the leaf tile into scratch rather than
-					// aliasing the source row: the bulk copy streams the
-					// cold gather through memmove (which overlaps cache
-					// misses) so the interpreted step loops only ever
-					// touch L1-hot scratch — same trade the full-width
-					// path makes, measured ~2x cheaper than paying the
-					// misses one scalar load at a time inside evalStep.
-					if k.widths[ld.slot] == edgeW {
-						copy(tview[ld.slot], row[t0:t1])
-					} else {
-						copy(tview[ld.slot], row)
-					}
-				}
-				for _, st := range k.edge {
-					if err := evalStep(st, tview, params, 0); err != nil {
-						return err
-					}
-				}
-				for mi, m := range k.mats {
-					if !m.perEdge {
-						continue
-					}
-					if k.widths[m.slot] == edgeW {
-						copy(matT[mi].Row(eid)[t0:t1], tview[m.slot])
-					} else if first {
-						copy(matT[mi].Row(eid), tview[m.slot])
-					}
-				}
-				for ai, ag := range k.aggs {
-					if ag.node.Dim() == edgeW {
-						accumulate(accs[ai][t0:t1], tview[ag.in], ag.node.Attr.AggOp, t1-t0)
-					} else if first {
-						accumulate(accs[ai], tview[ag.in], ag.node.Attr.AggOp, 1)
-					}
-				}
-			}
-			for ai, ag := range k.aggs {
-				if ag.node.Dim() == edgeW {
-					finalizeAcc(accs[ai][t0:t1], ag.node, deg)
-					copy(scratch[ag.out][t0:t1], accs[ai][t0:t1])
-				} else if first {
-					finalizeAcc(accs[ai], ag.node, deg)
-					copy(scratch[ag.out], accs[ai])
-				}
-			}
-		}
-		for _, st := range k.post {
-			if err := evalStep(st, scratch, params, 0); err != nil {
-				return err
-			}
-		}
-		for mi, m := range k.mats {
-			if !m.perEdge {
-				copy(matT[mi].Row(vid), scratch[m.slot])
-			}
-		}
-	}
-	return nil
-}
-
-// runRowsFull is the untiled interpreter loop.
+// runRowsFull is the step interpreter's row loop.
 func (k *Kernel) runRowsFull(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi int) error {
 	scratch, accs, inner := a.scratch, a.accs, a.inner
 	rowT, edgeT, matT, params := k.rowT, k.edgeT, k.matT, k.paramT

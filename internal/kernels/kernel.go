@@ -58,13 +58,6 @@ type Config struct {
 	FeatureAdaptive bool
 	// Sched selects the block scheduling strategy (§6.3.3).
 	Sched device.SchedMode
-	// NoFeatureTile disables feature tiling of the edge loop, forcing
-	// the full-width path (for A/B benchmarks and equivalence tests).
-	NoFeatureTile bool
-	// ForceTileWidth overrides the planner's tile width when > 0 (tests
-	// exercise multi-tile execution on narrow kernels with it). Ignored
-	// on kernels the analysis marks untileable.
-	ForceTileWidth int
 	// NoSpecialize forces the scalar interpreter even on units the
 	// closure compiler matched (A/B benchmarks and equivalence tests).
 	NoSpecialize bool
@@ -149,15 +142,6 @@ type Kernel struct {
 
 	usesEdgeType bool
 	hier         bool
-
-	// Feature-tiling plan, computed once at Compile (see analyzeTiling):
-	// when tileable, the edge loop may be re-walked per feature tile of
-	// width tileW so each row's live accumulators stay L1-resident.
-	tileable bool
-	edgeW    int // the uniform wide width of edge-touched slots
-	liveRows int // wide rows hot per edge: leaves, step outputs, accs
-	tileW    int // planned tile width (TileWidth(edgeW, liveRows))
-	curTileW int // effective width for the current Run (cfg overrides)
 
 	// Closure-compiler plan (see specialize.go): non-nil when the unit
 	// matched the pattern grammar, with the fallback reason otherwise.
@@ -412,83 +396,13 @@ func Compile(u *fusion.Unit, materialized []*gir.Node, available map[*gir.Node]b
 		}
 		k.mats = append(k.mats, matOut{node: m, slot: s, perEdge: m.Type == gir.TypeE})
 	}
-	k.analyzeTiling()
 	k.specialize()
 	return k, nil
-}
-
-// analyzeTiling decides whether the edge loop can be split into feature
-// tiles and plans the tile width. A kernel is tileable when the per-edge
-// computation is purely elementwise over one wide width: every slot the
-// edge stage touches is either scalar (width 1, broadcast) or exactly
-// edgeW wide, there is at least one aggregation to keep hot, and nothing
-// couples feature lanes across the tile boundary — hierarchical
-// aggregation, typed matmuls and RowSum all do, so they fall back to the
-// full-width path. Scalar slots are recomputed identically on every tile
-// pass but accumulated and written only on the first.
-func (k *Kernel) analyzeTiling() {
-	if k.hier || k.usesEdgeType || len(k.aggs) == 0 {
-		return
-	}
-	touched := make(map[int]bool)
-	for _, ld := range k.edgeLeaves {
-		touched[ld.slot] = true
-	}
-	for _, st := range k.edge {
-		switch st.node.Op {
-		case gir.OpRowSum, gir.OpMatMulTyped, gir.OpMatMulTypedT:
-			return // couples feature lanes
-		}
-		touched[st.out] = true
-		for _, s := range st.ins {
-			if s >= 0 {
-				touched[s] = true
-			}
-		}
-	}
-	for _, ag := range k.aggs {
-		touched[ag.in] = true
-		touched[ag.out] = true
-	}
-	w := 1
-	for s := range touched {
-		if k.widths[s] > w {
-			w = k.widths[s]
-		}
-	}
-	if w < 2*cacheLineFloats {
-		return // nothing worth splitting
-	}
-	for s := range touched {
-		if ws := k.widths[s]; ws != 1 && ws != w {
-			return // mixed wide widths in the edge loop
-		}
-	}
-	live := 0
-	for s := range touched {
-		if k.widths[s] == w {
-			live++
-		}
-	}
-	for _, ag := range k.aggs {
-		if ag.node.Dim() == w {
-			live++ // accumulators live in separate arena rows
-		}
-	}
-	k.tileable, k.edgeW, k.liveRows = true, w, live
-	k.tileW = TileWidth(w, live)
 }
 
 // SetObsLabel renames the kernel's obs attribution entry (category
 // "kern"). The exec compiler uses it to pass-qualify unit labels.
 func (k *Kernel) SetObsLabel(label string) { k.obsLabel = label }
-
-// TilePlan reports the compile-time feature-tiling decision: whether the
-// edge loop is tileable, the wide width it runs over, and the planned
-// tile width (equal to width when one tile suffices).
-func (k *Kernel) TilePlan() (tileable bool, width, tile int) {
-	return k.tileable, k.edgeW, k.tileW
-}
 
 // addNbrMat registers a neighbour-typed materialization: it collects the
 // edge-stage steps and leaf loads that m transitively depends on so the

@@ -1011,10 +1011,7 @@ type specTermState struct {
 
 // runRowsSpec executes rows [lo, hi) through the compiled edge program —
 // the specialized counterpart of runRowsFull, replicating its per-element
-// operation order exactly (see the bitwise contract above). It always
-// runs full-width: tiled and untiled interpretation are themselves
-// bitwise equal, and the specialized live set per edge (the scalar bank
-// plus one accumulator row) is far below the tiling threshold.
+// operation order exactly (see the bitwise contract above).
 //
 // Edges are walked in blocks of specBlock. Non-hierarchical kernels run
 // the program column-at-a-time: each instruction makes one dispatch per

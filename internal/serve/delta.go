@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"seastar/internal/device"
-	"seastar/internal/exec"
 	"seastar/internal/graph"
 	"seastar/internal/obs"
 	"seastar/internal/tensor"
@@ -180,8 +179,7 @@ func recomputeEmbeddings(parent, child *Snapshot, d *Delta, opt *DeltaOptions, s
 	maxDirty := int(limit * float64(child.n))
 
 	full := func() string {
-		env := &ForwardEnv{Dev: device.New(opt.Profile), Pool: opt.Pool}
-		if _, err := child.EnsureEmbeddings(m, env); err != nil {
+		if _, err := child.EnsureEmbeddings(m, &ForwardEnv{Dev: device.New(opt.Profile), Pool: opt.Pool}); err != nil {
 			return "deferred" // failed builds stay visible to the serving path
 		}
 		return "full"
@@ -190,15 +188,15 @@ func recomputeEmbeddings(parent, child *Snapshot, d *Delta, opt *DeltaOptions, s
 	if !m.SupportsIncremental() || !kernelStable(m, parent.n, child.n) {
 		return full()
 	}
-	d1 := child.dg.ExpandOut(seed)
-	if len(d1) > maxDirty {
-		st.Frontier = len(d1)
-		return full()
-	}
-	d2 := child.dg.ExpandOut(d1)
-	st.Frontier = len(d2)
-	if len(d2) > maxDirty {
-		return full()
+	// One dirty set per stage: a change spreads one hop per stage.
+	sets, reach := make([][]int32, len(m.prog.stages)), seed
+	for l := range sets {
+		reach = child.dg.ExpandOut(reach)
+		sets[l] = reach
+		st.Frontier = len(reach)
+		if len(reach) > maxDirty {
+			return full()
+		}
 	}
 	// From here on the patch owns aux: a failure below drops it half
 	// written, and the child (like any later fork of parent) goes full.
@@ -217,18 +215,21 @@ func recomputeEmbeddings(parent, child *Snapshot, d *Delta, opt *DeltaOptions, s
 	// materialized even though they compute to zero-times-weight.
 	created, _ := slices.BinarySearch(seed, int32(parent.n))
 	fd := withUpdated(seed[created:], d.Features)
-	hops := dirtyFrontiers(child.dg, d1, d2)
-	var rows *tensor.Tensor // the child's logits over hops[1].rows
-	switch m.Spec.Arch {
-	case "gcn":
-		rows = patchGCN(m, child, aux, fd, hops, opt)
-	case "gat":
-		rows = patchGAT(m, child, aux, fd, hops, opt)
+
+	// The dirty-row driver of the program runner: the first stage's dense
+	// products cover fd, each later stage's the rows the previous one
+	// recomputed (MatMulRowsLike keeps them bitwise rows of the full-size
+	// product), and each stage's plan walks its frontier.
+	env := &ForwardEnv{Dev: device.New(opt.Profile), Pool: opt.Pool}
+	m.prog.setNorms(env, child, nil)
+	r := &run{m: m, env: env, fullRows: child.n, vals: aux, h: child.fs.Gather(fd)}
+	hops := dirtyFrontiers(child.dg, fd, sets)
+	for l := range hops {
+		if err := r.step(&hops[l]); err != nil {
+			return full()
+		}
 	}
-	if rows == nil {
-		return full()
-	}
-	child.seedEmbeddings(key, &embedState{logits: patchRows(ps.logits, child.n, hops[1].rows, rows), aux: aux})
+	child.seedEmbeddings(key, &embedState{logits: patchRows(ps.logits, child.n, hops[len(hops)-1].rows, r.h), aux: aux})
 	return "incremental"
 }
 
@@ -236,18 +237,12 @@ func recomputeEmbeddings(parent, child *Snapshot, d *Delta, opt *DeltaOptions, s
 // MatMul dispatch path across the parent→child row-count change; cached
 // rows are only bitwise-valid in the child when it does.
 func kernelStable(m *Model, pn, cn int) bool {
-	h, c := m.Spec.Hidden, m.Spec.Classes
-	switch m.Spec.Arch {
-	case "gcn":
-		return tensor.MatMulSameKernel(pn, cn, m.InDim, h) &&
-			tensor.MatMulSameKernel(pn, cn, h, c)
-	case "gat":
-		return tensor.MatMulSameKernel(pn, cn, m.InDim, h) &&
-			tensor.MatMulSameKernel(pn, cn, h, 1) &&
-			tensor.MatMulSameKernel(pn, cn, h, c) &&
-			tensor.MatMulSameKernel(pn, cn, c, 1)
-	}
-	return false
+	return !slices.ContainsFunc(m.prog.stages, func(s stage) bool {
+		return slices.ContainsFunc(s.dense, func(d dense) bool {
+			w := m.weights[d.w]
+			return !tensor.MatMulSameKernel(pn, cn, w.Rows(), w.Cols())
+		})
+	})
 }
 
 // setRows overwrites the given rows of t with vals ([len(rows), C]).
@@ -273,33 +268,22 @@ func patchRows(parent *tensor.Tensor, newN int, rows []int32, vals *tensor.Tenso
 	return out
 }
 
-// frontier is one layer's dirty rows with their destination-compact
-// in-CSR: row i of g is vertex rows[i] with its FULL in-list in CSR slot
-// order, g's row ids are the identity over [0, len(rows)) and neighbour
-// ids stay global. A compiled plan run over g reads its Nbr-side inputs
-// from the full-graph tensors unmapped and its Self-side inputs from
-// tensors gathered to rows, and writes a [len(rows), C] result — nothing
-// here or downstream is sized by N. Per-row folds see exactly the
-// neighbour values and order the full graph would, which is what keeps
-// the patch bitwise. Edge ids renumber sequentially so per-edge
-// intermediates stay subgraph-sized.
-type frontier struct {
-	rows []int32
-	g    *graph.Graph
-}
-
-// dirtyFrontiers builds both layers' frontiers from the sorted 1-hop and
-// 2-hop dirty sets (d1 ⊆ d2) with one copy of the in-lists: the rows are
-// d1 followed by what only the second hop reached, so layer 1's graph is
-// a prefix of layer 2's.
-func dirtyFrontiers(dg *graph.DeltaGraph, d1, d2 []int32) [2]frontier {
-	rows := append(make([]int32, 0, len(d2)), d1...)
-	i := 0
-	for _, v := range d2 {
-		if i < len(d1) && d1[i] == v {
-			i++
-		} else {
-			rows = append(rows, v)
+// dirtyFrontiers builds every stage's frontier from the sorted, nested
+// per-stage dirty sets (sets[l] is what l+1 hops reach) with one copy of
+// the in-lists: the rows are sets[0] followed by what each later hop
+// added, so stage l's graph is a prefix of stage l+1's. Each stage's
+// input is dirty where the stage before recomputed: at first, at fd.
+func dirtyFrontiers(dg *graph.DeltaGraph, fd []int32, sets [][]int32) []frontier {
+	last := sets[len(sets)-1]
+	rows := append(make([]int32, 0, len(last)), sets[0]...)
+	for l := 1; l < len(sets); l++ {
+		prev, i := sets[l-1], 0
+		for _, v := range sets[l] {
+			if i < len(prev) && prev[i] == v {
+				i++
+			} else {
+				rows = append(rows, v)
+			}
 		}
 	}
 	in := dg.In()
@@ -317,107 +301,45 @@ func dirtyFrontiers(dg *graph.DeltaGraph, d1, d2 []int32) [2]frontier {
 	for i := range ident {
 		ident[i] = int32(i)
 	}
-	prefix := func(k int) frontier {
+	hops := make([]frontier, len(sets))
+	for l, set := range sets {
+		k := len(set)
 		mk := int(offsets[k])
-		return frontier{rows[:k], &graph.Graph{N: k, M: mk, NumEdgeTypes: 1, In: graph.CSR{
+		hops[l] = frontier{fd, rows[:k], &graph.Graph{N: k, M: mk, NumEdgeTypes: 1, In: graph.CSR{
 			Offsets: offsets[:k+1], Nbrs: nbrs[:mk], EdgeIDs: ident[:mk], RowIDs: ident[:k],
 		}}}
+		fd = rows[:k]
 	}
-	return [2]frontier{prefix(len(d1)), prefix(len(rows))}
+	return hops
 }
 
-// runAggPlan executes one aggregation plan over f's rows only and returns
-// their outputs (row i of the result is f.rows[i]). nbr holds the inputs
-// the plan reads through Nbr, as full-graph tensors; self the ones it
-// reads through Self, gathered here to the dirty rows.
-func runAggPlan(plan *exec.CompiledUDF, f frontier, nbr, self map[string]*tensor.Tensor, opt *DeltaOptions) (*tensor.Tensor, error) {
-	for k, t := range self {
-		nbr[k] = tensor.GatherRows(t, f.rows)
-	}
-	return plan.Infer(&exec.InferEnv{G: f.g, Dev: device.New(opt.Profile), Pool: opt.Pool}, nbr, nil, nil)
-}
-
-// patchGCN brings aux (the parent's, already child-sized) up to date with
-// the child and returns the child's logits over hops[1].rows, recomputing
-// only dirty rows: feature-dirty rows of the dense products (via
-// MatMulRowsLike, bitwise-identical to full-size rows), the 1-hop
-// frontier of layer 1 and the 2-hop frontier of layer 2 via the
-// aggregation plans over the dirty rows' in-lists. Returns nil on any
-// failure (the caller drops aux and falls back to a full forward).
-func patchGCN(m *Model, child *Snapshot, aux map[string]*tensor.Tensor, fd []int32, hops [2]frontier, opt *DeltaOptions) *tensor.Tensor {
-	n, norm := child.n, child.Norm()
-	rows, dirty := child.fs.Gather(fd), fd
-	for l, hop := range hops {
-		sfx := fmt.Sprintf("%d", l+1)
-		hw := aux["hw"+sfx]
-		setRows(hw, dirty, tensor.MatMulRowsLike(rows, m.weights["W"+sfx], n))
-		agg, err := runAggPlan(m.plans[l], hop, map[string]*tensor.Tensor{"hw": hw, "norm": norm}, nil, opt)
-		if err != nil {
-			return nil
-		}
-		rows, dirty = tensor.AddRow(agg, m.weights["b"+sfx], agg), hop.rows
-		if l == 0 {
-			rows = tensor.Sigmoid(rows, rows)
-		}
-	}
-	return rows
-}
-
-// patchGAT is patchGCN's GAT counterpart: per layer the dense hw/eu/ev
-// row patches, then the attention aggregation plan over the layer's
-// frontier (ev is the plan's one Self-side input).
-func patchGAT(m *Model, child *Snapshot, aux map[string]*tensor.Tensor, fd []int32, hops [2]frontier, opt *DeltaOptions) *tensor.Tensor {
-	n := child.n
-	rows, dirty := child.fs.Gather(fd), fd
-	for l, hop := range hops {
-		sfx := fmt.Sprintf("%d", l+1)
-		hw, eu, ev := aux["hw"+sfx], aux["eu"+sfx], aux["ev"+sfx]
-		hwRows := tensor.MatMulRowsLike(rows, m.weights["W"+sfx], n)
-		setRows(hw, dirty, hwRows)
-		setRows(eu, dirty, tensor.MatMulRowsLike(hwRows, m.weights["aU"+sfx], n))
-		setRows(ev, dirty, tensor.MatMulRowsLike(hwRows, m.weights["aV"+sfx], n))
-		agg, err := runAggPlan(m.plans[l], hop,
-			map[string]*tensor.Tensor{"eu": eu, "h": hw}, map[string]*tensor.Tensor{"ev": ev}, opt)
-		if err != nil {
-			return nil
-		}
-		rows, dirty = agg, hop.rows
-		if l == 0 {
-			rows = tensor.ReLU(rows, rows)
-		}
-	}
-	return rows
-}
-
-// patchNorms carries every normalizer the parent had already computed to
-// the child, recomputing only the touched vertices' entries (degree
-// changes) — bitwise-identical to computing the child's normalizers from
-// scratch, since the per-vertex formula is shared.
+// patchNorms carries every vertex normalizer the parent had already
+// computed to the child, re-evaluating only the touched vertices' entries
+// (degree changes) — bitwise-identical to computing the child's from
+// scratch, since the per-vertex formula (vertexNorms) is shared.
 func patchNorms(parent, child *Snapshot, touched []int32) {
-	pn, psrc, pdst := parent.normPeek()
-	if pn != nil {
-		child.norm = patchNorm(pn, child.dg.In(), child.n, touched, func(d int) float32 { return 1 / float32(d) })
-	}
-	if psrc != nil {
-		invSqrt := func(d int) float32 { return float32(1 / math.Sqrt(float64(d))) }
-		child.symSrc = patchNorm(psrc, child.dg.Out(), child.n, touched, invSqrt)
-		child.symDst = patchNorm(pdst, child.dg.In(), child.n, touched, invSqrt)
-	}
-}
-
-// patchNorm copies a per-vertex degree normalizer to child size and
-// re-evaluates f(degree) — 0 for an isolated vertex — at the touched rows.
-func patchNorm(parent *tensor.Tensor, csr *graph.ChunkedCSR, n int, touched []int32, f func(d int) float32) *tensor.Tensor {
-	out := tensor.New(n, 1)
-	copy(out.Data(), parent.Data())
-	for _, v := range touched {
-		var x float32
-		if d := csr.Degree(v); d > 0 {
-			x = f(d)
+	parent.normMu.Lock()
+	cached := parent.norms
+	parent.normMu.Unlock()
+	for ref, pt := range cached[:normEdgeRel] {
+		if pt == nil {
+			continue
 		}
-		out.Set(int(v), 0, x)
+		csr := child.dg.In()
+		if vertexNorms[ref].out {
+			csr = child.dg.Out()
+		}
+		out := tensor.New(child.n, 1)
+		copy(out.Data(), pt.Data())
+		for _, v := range touched {
+			var x float32
+			if d := csr.Degree(v); d > 0 {
+				x = vertexNorms[ref].f(d)
+			}
+			out.Set(int(v), 0, x)
+		}
+		child.norms[ref] = out
 	}
-	return out
 }
 
 // chainFingerprint derives the child fingerprint from the parent's plus

@@ -691,6 +691,30 @@ func TestHTTPDelta(t *testing.T) {
 	if g := eng.Generation(); g != 2 {
 		t.Fatalf("generation after failed deltas = %d, want 2", g)
 	}
+	// A body past the 64 MiB cap is cut off with 413 (streamed here, so the
+	// test never holds it either), and the next delta still applies.
+	big := io.MultiReader(strings.NewReader(`{"parent_gen":2,"pad":"`), io.LimitReader(xs{}, 64<<20), strings.NewReader(`"}`))
+	r, err := http.Post(srv.URL+"/v1/graph/delta", "application/json", big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized delta body: status %d, want 413", r.StatusCode)
+	}
+	if resp, out = post(`{"parent_gen":2,"add_edges":[{"src":1,"dst":2}]}`); resp.StatusCode != http.StatusOK || out["gen"].(float64) != 3 {
+		t.Fatalf("delta after an oversized body: status %d, %v", resp.StatusCode, out)
+	}
+}
+
+// xs is an endless stream of 'x'.
+type xs struct{}
+
+func (xs) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	return len(p), nil
 }
 
 // TestSampledDeltaRejected: a sampled-serving engine (non-empty fan-out)

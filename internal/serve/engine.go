@@ -114,8 +114,8 @@ func (c *Config) withDefaults() error {
 		c.DeltaFrontierLimit = 0.05
 	}
 	if len(c.FanOut) > 0 {
-		if c.Spec.Arch == "rgcn" {
-			return fmt.Errorf("serve: sampled inference does not support rgcn (subgraphs drop edge types)")
+		if c.Spec.program().typed() {
+			return fmt.Errorf("serve: sampled inference does not support %s (subgraphs drop edge types)", c.Spec.Arch)
 		}
 		for _, f := range c.FanOut {
 			if f < 1 {
@@ -209,9 +209,6 @@ func New(cfg Config, snap *Snapshot) (*Engine, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("serve: nil snapshot")
 	}
-	if cfg.Spec.Arch == "rgcn" && !snap.typed() {
-		return nil, fmt.Errorf("serve: rgcn requires a heterogeneous snapshot")
-	}
 	e := &Engine{
 		cfg:   cfg,
 		cache: NewPlanCache(),
@@ -268,9 +265,6 @@ func (e *Engine) SwapGraph(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("serve: nil snapshot")
 	}
-	if e.cfg.Spec.Arch == "rgcn" && !snap.typed() {
-		return fmt.Errorf("serve: rgcn requires a heterogeneous snapshot")
-	}
 	e.deltaMu.Lock()
 	err := e.publish(snap, e.pub.Load().gen+1)
 	e.deltaMu.Unlock()
@@ -284,6 +278,9 @@ func (e *Engine) SwapGraph(snap *Snapshot) error {
 // publish makes (snap, gen) what new batches read, with a sampler over it
 // in sampled mode. Callers other than New hold deltaMu.
 func (e *Engine) publish(snap *Snapshot, gen uint64) error {
+	if e.cfg.Spec.program().typed() && !snap.typed() {
+		return fmt.Errorf("serve: %s requires a heterogeneous snapshot", e.cfg.Spec.Arch)
+	}
 	p := &published{snap: snap, gen: gen}
 	if len(e.cfg.FanOut) > 0 {
 		// The sampler's own seed is never drawn from: every request
@@ -614,7 +611,7 @@ func (e *Engine) inferSampled(nodes []int32, pub *published, model *Model, dev *
 	defer env.release()
 	env.Feat = env.get(len(b.Vertices), feat.Cols())
 	b.GatherFeaturesInto(env.Feat, feat)
-	NormsFor(model.Spec.Arch, nil, env.G, env)
+	model.prog.setNorms(env, nil, env.G)
 	logits, err := model.Forward(env)
 	if err != nil {
 		return nil, err

@@ -584,6 +584,17 @@ func TestHTTPEndpoints(t *testing.T) {
 	if resp, body = post("/v1/infer", `{"nodes":[]}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty nodes: %d %s", resp.StatusCode, body)
 	}
+	// A body past its cap is refused with 413 before it is held in memory,
+	// and the server answers the next request as before.
+	if resp, body = post("/v1/infer", `{"nodes":[0],"pad":"`+strings.Repeat("x", 1<<20)+`"}`); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized infer body: %d %s", resp.StatusCode, body)
+	}
+	if resp, body = post("/v1/graph", `{"dataset":"cora","pad":"`+strings.Repeat("x", 4<<10)+`"}`); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized graph body: %d %s", resp.StatusCode, body)
+	}
+	if resp, body = post("/v1/infer", `{"nodes":[0,1,2]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("infer after oversized bodies: %d %s", resp.StatusCode, body)
+	}
 	if resp, _ = get("/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %d", resp.StatusCode)
 	}

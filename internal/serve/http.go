@@ -61,14 +61,35 @@ type inferResponse struct {
 	Classes []int       `json:"classes"`
 }
 
-func handleInfer(e *Engine, w http.ResponseWriter, r *http.Request) {
+// Request body caps: a body past its cap answers 413 before it is held in
+// memory. A delta carries whole feature rows, so its cap is the large one.
+const (
+	maxInferBody = 1 << 20
+	maxGraphBody = 4 << 10
+	maxDeltaBody = 64 << 20
+)
+
+// decodePost reads a POST's JSON body of at most limit bytes into v,
+// answering 405, 413 or 400 itself when it cannot.
+func decodePost(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
+		return false
 	}
-	var req inferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		http.Error(w, fmt.Sprintf("request body over %d bytes", limit), http.StatusRequestEntityTooLarge)
+	case err != nil:
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	}
+	return err == nil
+}
+
+func handleInfer(e *Engine, w http.ResponseWriter, r *http.Request) {
+	var req inferRequest
+	if !decodePost(w, r, maxInferBody, &req) {
 		return
 	}
 	if len(req.Nodes) == 0 {
@@ -126,13 +147,8 @@ type graphResponse struct {
 }
 
 func handleGraph(e *Engine, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req graphRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodePost(w, r, maxGraphBody, &req) {
 		return
 	}
 	if req.Dataset == "" {
@@ -189,13 +205,8 @@ type deltaResponse struct {
 // Conflict with the error text carrying both generations, so clients can
 // refetch /v1/graph's gen (or read the latest infer response) and rebase.
 func handleDelta(e *Engine, w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var d Delta
-	if err := json.NewDecoder(r.Body).Decode(&d); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodePost(w, r, maxDeltaBody, &d) {
 		return
 	}
 	st, err := e.ApplyDelta(&d)

@@ -4,15 +4,14 @@ import (
 	"fmt"
 
 	"seastar/internal/device"
-	"seastar/internal/exec"
 	"seastar/internal/part"
 	"seastar/internal/tensor"
 )
 
-// Shard-local execution: the same compiled plans the single-process
-// engine runs, driven layer by layer over one vertex-cut fragment with a
-// mirror exchange between layers. Bitwise equality with the full-graph
-// forward rests on three invariants:
+// Shard-local execution: the program runner (program.go) stepped stage
+// by stage over one vertex-cut fragment with a mirror exchange between
+// stages. Bitwise equality with the full-graph forward rests on three
+// invariants:
 //
 //  1. Whole rows. A fragment holds the complete in-edge list of every
 //     owned vertex in full-graph neighbour order (part.Build), so each
@@ -59,182 +58,95 @@ func NewShardEnv(f *part.Fragment, feat *tensor.Tensor, dev *device.Device, pool
 	}
 }
 
-// ShardRounds returns how many exchange-separated plan rounds the arch
-// takes (the coordinator drives one /v1/shard/step per round), or an
-// error for archs sharded serving rejects.
-func (m *Model) ShardRounds() (int, error) { return ShardRoundsForSpec(m.Spec) }
+// ShardRounds returns how many exchange rounds the model takes — one per
+// stage; the coordinator drives one /v1/shard/step per round — or an
+// error for a model sharded serving rejects.
+func (m *Model) ShardRounds() (int, error) { return shardRounds(m.Spec.Arch, m.prog) }
 
 // ShardRoundsForSpec is ShardRounds without a built model — what the
 // coordinator (which never compiles plans) plans its exchange from.
 func ShardRoundsForSpec(spec ModelSpec) (int, error) {
-	switch spec.Arch {
-	case "gcn", "gat":
-		return 2, nil
-	case "appnp":
-		k := spec.K
-		if k < 1 {
-			k = 10
-		}
-		return k, nil
+	if err := spec.Validate(); err != nil {
+		return 0, err
 	}
-	return 0, fmt.Errorf("serve: sharded serving does not support %s (typed edge rows cannot split from their relation tables)", spec.Arch)
+	return shardRounds(spec.Arch, spec.program())
 }
 
-// ShardForward steps one fragment through a model, one aggregation round
-// at a time. Between StepShard calls the caller must overwrite the
-// mirror rows of H() with their masters' exported rows — the GAS
-// scatter. After the final round, Logits() holds valid owned rows.
-type ShardForward struct {
-	m     *Model
-	env   *ShardEnv
-	ie    *exec.InferEnv
-	round int // rounds completed
-
-	h  *tensor.Tensor // current activations, one row per local
-	h0 *tensor.Tensor // APPNP teleport anchor
-
-	norm, sn, dn *tensor.Tensor
+func shardRounds(arch string, p *program) (int, error) {
+	if p.typed() {
+		return 0, fmt.Errorf("serve: sharded serving does not support %s (typed edge rows cannot split from their relation tables)", arch)
+	}
+	return len(p.stages), nil
 }
 
-// NewShardForward prepares a stepped forward over env. For APPNP the
-// input projection h0 = W2·ReLU(W1·feat) runs here for every local row —
-// it is row-dense, so mirrors' h0 are locally exact and round 1 needs no
-// exchange.
+// InDegrees returns the locals' in-degrees in the whole graph, which the
+// fragment carries for its normalizers (invariant 3).
+func (e *ShardEnv) InDegrees() []int32 { return e.Frag.GlobalInDeg }
+
+// OutDegrees returns the locals' out-degrees in the whole graph.
+func (e *ShardEnv) OutDegrees() []int32 { return e.Frag.GlobalOutDeg }
+
+// ShardForward steps one fragment through a model, one stage at a time:
+// the fragment driver of the program runner. Between StepShard calls the
+// caller must overwrite the mirror rows of H() with their masters'
+// exported rows — the GAS scatter. After the final round, Logits() holds
+// valid owned rows.
+type ShardForward struct{ r *run }
+
+// NewShardForward prepares a stepped forward over env. Round 1 needs no
+// exchange: every local row's features are here, and whatever a first
+// stage derives from them densely is exact for mirrors too.
 func NewShardForward(m *Model, env *ShardEnv) (*ShardForward, error) {
 	if _, err := m.ShardRounds(); err != nil {
 		return nil, err
 	}
-	sf := &ShardForward{
-		m:   m,
-		env: env,
-		ie:  &exec.InferEnv{G: env.Frag.G, Dev: env.Dev, Pool: env.Pool},
-	}
-	switch m.Spec.Arch {
-	case "gcn":
-		sf.norm = gcnNormFromDegrees(env.Frag.GlobalInDeg, tensor.New)
-		sf.h = env.Feat
-	case "gat":
-		sf.h = env.Feat
-	case "appnp":
-		sf.sn = symNormFromDegrees(env.Frag.GlobalOutDeg, tensor.New)
-		sf.dn = symNormFromDegrees(env.Frag.GlobalInDeg, tensor.New)
-		h1 := tensor.ReLU(sf.mmLike(env.Feat, m.weights["W1"]))
-		sf.h0 = sf.mmLike(h1, m.weights["W2"])
-		sf.h = sf.h0
-	}
-	return sf, nil
-}
-
-// mmLike is the shard-side counterpart of model.go's mm: a row-subset
-// dense product dispatched as if it were the full [N,k] multiply, with
-// the same device cost accounting.
-func (sf *ShardForward) mmLike(a, b *tensor.Tensor) *tensor.Tensor {
-	out := tensor.MatMulRowsLike(a, b, sf.env.FullRows)
-	exec.ChargeDense(sf.env.Dev, "dense.matmul",
-		float64(a.Rows())*float64(b.Rows())*float64(b.Cols()),
-		int64(a.Size()+b.Size())*4, int64(out.Size())*4)
-	return out
+	fe := &ForwardEnv{G: env.Frag.G, Dev: env.Dev, Pool: env.Pool}
+	m.prog.setNorms(fe, nil, env)
+	return &ShardForward{&run{m: m, env: fe, fullRows: env.FullRows, vals: map[string]*tensor.Tensor{}, h: env.Feat}}, nil
 }
 
 // H returns the current activation tensor, one row per local. The caller
 // reads exported owned rows from it and scatters imported mirror rows
 // into it between rounds.
-func (sf *ShardForward) H() *tensor.Tensor { return sf.h }
+func (sf *ShardForward) H() *tensor.Tensor { return sf.r.h }
 
 // Round returns how many rounds have completed.
-func (sf *ShardForward) Round() int { return sf.round }
+func (sf *ShardForward) Round() int { return sf.r.done }
 
 // Done reports whether the final round has run.
-func (sf *ShardForward) Done() bool {
-	r, _ := sf.m.ShardRounds()
-	return sf.round >= r
-}
+func (sf *ShardForward) Done() bool { return sf.r.done == len(sf.r.m.prog.stages) }
 
 // Logits returns the final activations; only owned rows are valid.
 func (sf *ShardForward) Logits() (*tensor.Tensor, error) {
 	if !sf.Done() {
-		return nil, fmt.Errorf("serve: shard forward at round %d of %d", sf.round, mustRounds(sf.m))
+		return nil, fmt.Errorf("serve: shard forward at round %d of %d", sf.r.done, len(sf.r.m.prog.stages))
 	}
-	return sf.h, nil
+	return sf.r.h, nil
 }
 
-func mustRounds(m *Model) int {
-	r, _ := m.ShardRounds()
-	return r
-}
-
-// StepShard runs one aggregation round over the fragment. Mirror rows of
-// H() must hold their masters' values from the previous round before the
-// call (for round 1 they hold features / locally-computed h0, which are
-// exact by construction).
+// StepShard runs one round over the fragment. Mirror rows of H() must
+// hold their masters' values from the previous round before the call (for
+// round 1 they hold features, exact by construction).
 func (sf *ShardForward) StepShard() error {
 	if sf.Done() {
-		return fmt.Errorf("serve: shard forward already finished %d rounds", sf.round)
+		return fmt.Errorf("serve: shard forward already finished %d rounds", sf.r.done)
 	}
-	l := sf.round
-	switch sf.m.Spec.Arch {
-	case "gcn":
-		sfx := fmt.Sprintf("%d", l+1)
-		hw := sf.mmLike(sf.h, sf.m.weights["W"+sfx])
-		out, err := sf.m.plans[l].Infer(sf.ie,
-			map[string]*tensor.Tensor{"hw": hw, "norm": sf.norm}, nil, nil)
-		if err != nil {
-			return err
-		}
-		h := tensor.AddRow(out, sf.m.weights["b"+sfx])
-		if l == 0 {
-			h = tensor.Sigmoid(h)
-		}
-		sf.h = h
-	case "gat":
-		sfx := fmt.Sprintf("%d", l+1)
-		hw := sf.mmLike(sf.h, sf.m.weights["W"+sfx])
-		eu := sf.mmLike(hw, sf.m.weights["aU"+sfx])
-		ev := sf.mmLike(hw, sf.m.weights["aV"+sfx])
-		out, err := sf.m.plans[l].Infer(sf.ie,
-			map[string]*tensor.Tensor{"eu": eu, "ev": ev, "h": hw}, nil, nil)
-		if err != nil {
-			return err
-		}
-		if l == 0 {
-			out = tensor.ReLU(out)
-		}
-		sf.h = out
-	case "appnp":
-		out, err := sf.m.plans[0].Infer(sf.ie,
-			map[string]*tensor.Tensor{"h": sf.h, "h0": sf.h0, "sn": sf.sn, "dn": sf.dn},
-			nil, nil)
-		if err != nil {
-			return err
-		}
-		sf.h = out
-	default:
-		return fmt.Errorf("serve: sharded serving does not support %s", sf.m.Spec.Arch)
-	}
-	sf.round++
-	return nil
+	return sf.r.step(nil)
 }
 
 // ExportRows copies the listed rows of H() into a flat float32 block
 // (len(rows) × width), the per-peer payload of one exchange round.
 func (sf *ShardForward) ExportRows(rows []int32) []float32 {
-	w := sf.h.Cols()
-	out := make([]float32, len(rows)*w)
-	for i, r := range rows {
-		copy(out[i*w:(i+1)*w], sf.h.Row(int(r)))
-	}
-	return out
+	return tensor.GatherRows(sf.r.h, rows).Data()
 }
 
 // ImportRows scatters a flat block from a peer's ExportRows into the
 // listed mirror rows of H().
 func (sf *ShardForward) ImportRows(rows []int32, block []float32) error {
-	w := sf.h.Cols()
+	w := sf.r.h.Cols()
 	if len(block) != len(rows)*w {
 		return fmt.Errorf("serve: import block %d floats for %d rows × width %d", len(block), len(rows), w)
 	}
-	for i, r := range rows {
-		copy(sf.h.Row(int(r)), block[i*w:(i+1)*w])
-	}
+	setRows(sf.r.h, rows, tensor.FromSlice(block, len(rows), w))
 	return nil
 }

@@ -55,14 +55,11 @@ type Snapshot struct {
 	flatFOnce sync.Once
 	flatF     atomic.Pointer[tensor.Tensor]
 
-	// Cached normalizers. A mutex (not sync.Once) so delta construction
-	// can pre-seed patched values before the snapshot is published.
-	normMu         sync.Mutex
-	norm           *tensor.Tensor
-	symSrc, symDst *tensor.Tensor
-
-	edgeOnce sync.Once
-	edgeNorm *tensor.Tensor
+	// Cached normalizers by ref. A mutex (not sync.Once) so delta
+	// construction can pre-seed patched values before the snapshot is
+	// published.
+	normMu sync.Mutex
+	norms  [numNorms]*tensor.Tensor
 
 	// Cached embeddings per structural plan key (EmbedCache serving mode):
 	// the final logits and the model's per-layer dense products (aux).
@@ -196,77 +193,57 @@ func fingerprint(g *graph.Graph, feat *tensor.Tensor) uint64 {
 	return h.Sum64()
 }
 
+// normFor returns the normalizer ref names, computed at most once (a
+// per-edge one needs edge types, which delta children never carry).
+func (s *Snapshot) normFor(ref normRef) *tensor.Tensor {
+	s.normMu.Lock()
+	defer s.normMu.Unlock()
+	if s.norms[ref] == nil {
+		switch {
+		case ref == normEdgeRel:
+			s.norms[ref] = datasets.RGCNEdgeNorm(s.Graph())
+		case s.G != nil:
+			s.norms[ref] = degreeNorm(ref, s.G, tensor.New)
+		default:
+			s.norms[ref] = degreeNorm(ref, s.dg, tensor.New)
+		}
+	}
+	return s.norms[ref]
+}
+
 // Norm returns the cached 1/in-degree GCN normalizer.
-func (s *Snapshot) Norm() *tensor.Tensor {
-	s.normMu.Lock()
-	defer s.normMu.Unlock()
-	if s.norm == nil {
-		if s.G != nil {
-			s.norm = datasets.GCNNorm(s.G)
-		} else {
-			s.norm = gcnNormFromDegrees(s.dg.InDegrees(), tensor.New)
-		}
+func (s *Snapshot) Norm() *tensor.Tensor { return s.normFor(normInDeg) }
+
+// degrees is what a vertex normalizer reads: a graph or a fragment.
+type degrees interface {
+	InDegrees() []int32
+	OutDegrees() []int32
+}
+
+// vertexNorms is the one statement of each per-vertex normalizer: which
+// degree it reads and what it makes of a non-zero one (an isolated vertex
+// gets 0). Every path evaluates it, so every scalar matches bit for bit.
+var vertexNorms = [...]struct {
+	out bool
+	f   func(d int) float32
+}{
+	normInDeg:  {false, func(d int) float32 { return 1 / float32(d) }},
+	normSymSrc: {true, func(d int) float32 { return float32(1 / math.Sqrt(float64(d))) }},
+	normSymDst: {false, func(d int) float32 { return float32(1 / math.Sqrt(float64(d))) }},
+}
+
+func degreeNorm(ref normRef, deg degrees, get func(shape ...int) *tensor.Tensor) *tensor.Tensor {
+	d := deg.InDegrees()
+	if vertexNorms[ref].out {
+		d = deg.OutDegrees()
 	}
-	return s.norm
-}
-
-// SymNorms returns the cached symmetric-normalization pair used by APPNP:
-// src[u] = 1/√out-deg(u), dst[v] = 1/√in-deg(v).
-func (s *Snapshot) SymNorms() (src, dst *tensor.Tensor) {
-	s.normMu.Lock()
-	defer s.normMu.Unlock()
-	if s.symSrc == nil {
-		var out, in []int32
-		if s.G != nil {
-			out, in = s.G.OutDegrees(), s.G.InDegrees()
-		} else {
-			out, in = s.dg.OutDegrees(), s.dg.InDegrees()
-		}
-		s.symSrc = symNormFromDegrees(out, tensor.New)
-		s.symDst = symNormFromDegrees(in, tensor.New)
-	}
-	return s.symSrc, s.symDst
-}
-
-// EdgeNorm returns the cached per-edge R-GCN normalizer; the graph must
-// carry edge types (delta children never do).
-func (s *Snapshot) EdgeNorm() *tensor.Tensor {
-	s.edgeOnce.Do(func() { s.edgeNorm = datasets.RGCNEdgeNorm(s.Graph()) })
-	return s.edgeNorm
-}
-
-// gcnNormFromDegrees mirrors datasets.GCNNorm element for element, from a
-// degree vector instead of a graph — the arithmetic both the lazy child
-// path and the delta patch path share with the root path.
-func gcnNormFromDegrees(deg []int32, get func(shape ...int) *tensor.Tensor) *tensor.Tensor {
-	t := get(len(deg), 1)
-	for v, d := range deg {
-		if d > 0 {
-			t.Set(v, 0, 1/float32(d))
+	t := get(len(d), 1)
+	for v, x := range d {
+		if x > 0 {
+			t.Set(v, 0, vertexNorms[ref].f(int(x)))
 		}
 	}
 	return t
-}
-
-// symNormFromDegrees is one side of the APPNP normalizer pair: 1/√degree,
-// 0 for an isolated vertex.
-func symNormFromDegrees(deg []int32, get func(shape ...int) *tensor.Tensor) *tensor.Tensor {
-	t := get(len(deg), 1)
-	for v, d := range deg {
-		if d > 0 {
-			t.Set(v, 0, float32(1/math.Sqrt(float64(d))))
-		}
-	}
-	return t
-}
-
-// normPeek returns the cached normalizers without computing them — the
-// delta path patches whatever the parent has already paid for and leaves
-// the rest lazy.
-func (s *Snapshot) normPeek() (norm, symSrc, symDst *tensor.Tensor) {
-	s.normMu.Lock()
-	defer s.normMu.Unlock()
-	return s.norm, s.symSrc, s.symDst
 }
 
 // embedEntry is the singleflight slot for one model's cached embeddings.
@@ -281,9 +258,9 @@ type embedEntry struct {
 
 // embedState is a settled embedding computation, split by who reads it.
 // logits is what every reader of the generation gathers from: immutable
-// once settled. aux holds the per-layer dense products only the delta
-// writer reads (keys are arch-specific, see model.go forwardGCN/GAT; nil
-// for archs without incremental support). It is single-owner working
+// once settled. aux holds the named dense products only the delta writer
+// reads (the forward's run.vals; nil for a model that is not
+// incremental). It is single-owner working
 // state: the first incremental delta on this snapshot takes it (takeAux),
 // overwrites the dirty rows in place and seeds its child with it, leaving
 // this state with logits alone.
@@ -314,8 +291,8 @@ func (s *Snapshot) EnsureEmbeddings(m *Model, env *ForwardEnv) (*tensor.Tensor, 
 	e.once.Do(func() {
 		env.G = s.Graph()
 		env.Feat = s.Features()
-		NormsFor(m.Spec.Arch, s, env.G, env)
-		e.state, e.err = m.forwardState(env)
+		m.prog.setNorms(env, s, nil)
+		e.state, e.err = m.runAll(env)
 		e.done.Store(true)
 	})
 	if e.err != nil {

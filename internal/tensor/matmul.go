@@ -21,26 +21,13 @@ func parallelRows(n int, f func(lo, hi int)) { sched.For(n, rowGrain, f) }
 // parallelElems splits [0, n) element ranges across the scheduler.
 func parallelElems(n int, f func(lo, hi int)) { sched.For(n, elemGrain, f) }
 
-// MatMul returns a@b for 2-D tensors: [m,k] x [k,n] -> [m,n].
-//
-// Products below gemmSerialMACs multiply-accumulates run the naive
-// serial reference; larger ones take the packed, blocked, register-tiled
-// path in gemm.go.
+// MatMul returns a@b for 2-D tensors: [m,k] x [k,n] -> [m,n]. It is
+// MatMulRowsLike over every row: products below gemmSerialMACs
+// multiply-accumulates run the naive serial reference; larger ones take
+// the packed, blocked, register-tiled path in gemm.go.
 func MatMul(a, b *Tensor, into ...*Tensor) *Tensor {
 	a.check2d()
-	b.check2d()
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %v x %v", a.shape, b.shape))
-	}
-	out := dstOr(into, m, n)
-	if m*k*n < gemmSerialMACs {
-		refMatMulInto(out.data, a.data, b.data, m, k, n)
-	} else {
-		gemm(out.data, a.data, b.data, m, k, n, false, false, false)
-	}
-	return out
+	return MatMulRowsLike(a, b, a.shape[0], into...)
 }
 
 // MatMulRowsLike computes rows@b for a compact [r,k] matrix holding
@@ -56,16 +43,17 @@ func MatMul(a, b *Tensor, into ...*Tensor) *Tensor {
 // naive-vs-blocked dispatch, which this entry point replays from
 // fullRows instead of r. Incremental recompute uses it to patch a few
 // dirty rows of a cached dense product without paying — or bitwise
-// diverging from — the full-size multiply.
-func MatMulRowsLike(rows, b *Tensor, fullRows int) *Tensor {
+// diverging from — the full-size multiply. An optional destination
+// replaces the fresh result, as for MatMul.
+func MatMulRowsLike(rows, b *Tensor, fullRows int, into ...*Tensor) *Tensor {
 	rows.check2d()
 	b.check2d()
 	r, k := rows.shape[0], rows.shape[1]
 	k2, n := b.shape[0], b.shape[1]
 	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulRowsLike inner dims %v x %v", rows.shape, b.shape))
+		panic(fmt.Sprintf("tensor: MatMul inner dims %v x %v", rows.shape, b.shape))
 	}
-	out := New(r, n)
+	out := dstOr(into, r, n)
 	if fullRows*k*n < gemmSerialMACs {
 		refMatMulInto(out.data, rows.data, b.data, r, k, n)
 	} else {

@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI quality ladder, cheapest check first:
-#   gofmt → vet → staticcheck → tests+coverage ratchet → fuzz smoke →
-#   race suites → doc lint.
+#   gofmt → one architecture table → vet → staticcheck → tests+coverage
+#   ratchet → fuzz smoke → race suites → doc lint.
 #
 # Knobs:
 #   FUZZ_TIME     per-target fuzz duration (default 10s; nightly uses 5m)
@@ -19,6 +19,15 @@ echo "== gofmt =="
 out=$(gofmt -l .)
 if [ -n "$out" ]; then
 	echo "gofmt needed on:"
+	echo "$out"
+	exit 1
+fi
+
+echo "== served architectures are named in one file (internal/serve/program.go) =="
+out=$(grep -nE '"gcn"|"gat"|"appnp"|"rgcn"|Spec\.Arch ==' internal/serve/*.go internal/shard/*.go |
+	grep -v -e '_test\.go:' -e '^internal/serve/program\.go:' || true)
+if [ -n "$out" ]; then
+	echo "architecture dispatch outside the program table:"
 	echo "$out"
 	exit 1
 fi
