@@ -52,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFusionEquivalence -fuzztime=10s ./internal/fusion
 	$(GO) test -run='^$$' -fuzz=FuzzEdgeBalanced -fuzztime=10s ./internal/sched
 	$(GO) test -run='^$$' -fuzz=FuzzPartitionInvariants -fuzztime=10s ./internal/part
+	$(GO) test -run='^$$' -fuzz=FuzzShardWire -fuzztime=10s ./internal/shard
 	$(GO) test -run='^$$' -fuzz=FuzzDeltaEquivalence -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzStoreEquivalence -fuzztime=10s ./internal/store
 
@@ -94,8 +95,10 @@ bench:
 # One served request at a time on an idle engine, in the shapes of the
 # serve-sampled and serve-embed-mixed workloads: ns/op, B/op, allocs/op;
 # then one delta at a time in serve-embed-mixed's writer shape: apply and
-# recompute ms, frontier rows, B/op. For looking while working on the
-# read or the delta path; the gate is `make bench`.
+# recompute ms, frontier rows, B/op; then one forced resync of a two-shard
+# deployment: ns/op, B/op. For looking while working on the read, the
+# delta or the shard exchange path; the gate is `make bench`.
 bench-serve:
 	$(GO) test -run='^$$' -bench=BenchmarkServeRequest -benchtime=2000x -benchmem ./internal/serve
 	$(GO) test -run='^$$' -bench=BenchmarkDelta -benchtime=50x -benchmem ./internal/serve
+	$(GO) test -run='^$$' -bench=BenchmarkShardSync -benchtime=50x -benchmem ./internal/shard

@@ -33,9 +33,10 @@ const capacitySlack = 1.05
 
 // Partition is a k-way vertex-cut of one graph: the owner table plus one
 // Fragment per shard. It is a pure deterministic function of
-// (graph, mode, k), so every process that loads the same dataset derives
-// byte-identical fragments and exchange tables — there is no fragment
-// wire format.
+// (graph, mode, k): a process that loads the same dataset derives the
+// same owner table (Owners) and, from it, any one fragment
+// (NewFragment) — a shard worker builds only its own, the coordinator
+// none — so there is no fragment wire format.
 type Partition struct {
 	K     int
 	N, M  int
@@ -124,12 +125,32 @@ type Stats struct {
 	Balance float64 `json:"balance"`
 }
 
-// Build partitions g into k shards. Mode is "greedy" (default: streaming
-// highest-degree-first placement scoring neighbour affinity against
-// remaining capacity) or "range" (contiguous vertex ranges from
+// Build partitions g into k shards and materializes every fragment: the
+// owner table, NewFragment once per shard, and the quality stats. Mode is
+// as for Owners.
+func Build(g *graph.Graph, k int, mode string) (*Partition, error) {
+	owner, err := Owners(g, k, mode)
+	if err != nil {
+		return nil, err
+	}
+	if mode == "" {
+		mode = "greedy"
+	}
+	p := &Partition{K: k, N: g.N, M: g.M, Mode: mode, Owner: owner, Frags: make([]*Fragment, k)}
+	for s := range p.Frags {
+		p.Frags[s] = NewFragment(g, owner, k, s)
+	}
+	p.Stats = computeStats(g, p, mode)
+	return p, nil
+}
+
+// Owners returns the owner table of a k-way partition of g — global
+// vertex id → master shard — and nothing else. Mode is "greedy" (default:
+// streaming highest-degree-first placement scoring neighbour affinity
+// against remaining capacity) or "range" (contiguous vertex ranges from
 // sched.EdgeBalanced — the kernel scheduler's own chunking, useful as a
 // locality-free baseline).
-func Build(g *graph.Graph, k int, mode string) (*Partition, error) {
+func Owners(g *graph.Graph, k int, mode string) ([]int32, error) {
 	if g == nil {
 		return nil, fmt.Errorf("part: nil graph")
 	}
@@ -139,22 +160,13 @@ func Build(g *graph.Graph, k int, mode string) (*Partition, error) {
 	if k > g.N {
 		return nil, fmt.Errorf("part: %d shards for %d vertices", k, g.N)
 	}
-	if mode == "" {
-		mode = "greedy"
-	}
-	var owner []int32
 	switch mode {
-	case "greedy":
-		owner = greedyOwners(g, k)
+	case "", "greedy":
+		return greedyOwners(g, k), nil
 	case "range":
-		owner = rangeOwners(g, k)
-	default:
-		return nil, fmt.Errorf("part: unknown mode %q (want greedy|range)", mode)
+		return rangeOwners(g, k), nil
 	}
-	p := &Partition{K: k, N: g.N, M: g.M, Mode: mode, Owner: owner}
-	p.Frags = buildFragments(g, owner, k)
-	p.Stats = computeStats(g, p, mode)
-	return p, nil
+	return nil, fmt.Errorf("part: unknown mode %q (want greedy|range)", mode)
 }
 
 // rangeOwners assigns contiguous vertex ranges balanced by the sched
@@ -266,104 +278,103 @@ func invertRowIDs(rowIDs []int32) []int32 {
 	return inv
 }
 
-// buildFragments materializes each shard's local graph and exchange
-// tables from the owner assignment.
-func buildFragments(g *graph.Graph, owner []int32, k int) []*Fragment {
-	n := g.N
-	inDeg := g.InDegrees()
-	outDeg := g.OutDegrees()
-
-	// Mirror discovery: vertex u is mirrored on shard t when some edge
-	// u→v has owner[v] = t ≠ owner[u]. Scan the edge list once.
-	type key struct {
-		u int32
-		t int32
-	}
-	mirrored := make(map[key]struct{})
-	for e := 0; e < g.M; e++ {
-		u, v := g.Srcs[e], g.Dsts[e]
-		if t := owner[v]; t != owner[u] {
-			mirrored[key{u, t}] = struct{}{}
+// eachFlow calls visit once per mirror flow — a vertex u and a shard
+// t ≠ owner[u] that owns some out-neighbour of u, so that t mirrors u —
+// in ascending u. It is the one definition of which rows cross a shard
+// boundary: NewFragment builds its exchange tables from it, Flows counts
+// it, and both ends of a flow see it in the same order.
+func eachFlow(g *graph.Graph, owner []int32, k int, visit func(u, t int32)) {
+	outRowOf := invertRowIDs(g.Out.RowIDs)
+	last := make([]int32, k) // last[t] = u+1 once (u, t) was visited
+	for u := range int32(g.N) {
+		r := outRowOf[u]
+		for _, v := range g.Out.Nbrs[g.Out.Offsets[r]:g.Out.Offsets[r+1]] {
+			if t := owner[v]; t != owner[u] && last[t] != u+1 {
+				last[t] = u + 1
+				visit(u, t)
+			}
 		}
 	}
+}
 
-	frags := make([]*Fragment, k)
-	for s := 0; s < k; s++ {
-		frags[s] = &Fragment{
-			Shard: s, K: k,
-			LocalOf:    make([]int32, n),
-			ExportTo:   make([][]int32, k),
-			ImportFrom: make([][]int32, k),
-		}
+// Flows returns how many rows shard s exports to shard t each exchange
+// round (flows[s][t] = len of fragment s's ExportTo[t]), from the owner
+// table alone: what a coordinator sizes its relays by without building a
+// fragment.
+func Flows(g *graph.Graph, owner []int32, k int) [][]int {
+	flows := make([][]int, k)
+	for s := range flows {
+		flows[s] = make([]int, k)
+	}
+	eachFlow(g, owner, k, func(u, t int32) { flows[owner[u]][t]++ })
+	return flows
+}
+
+// NewFragment materializes shard s's fragment of the partition whose
+// owner table is owner (from Owners over the same g and k): its owned and
+// mirror rows, local graph, global degrees and exchange tables. Only
+// fragment s is built, so a worker holds one fragment's state, never k.
+func NewFragment(g *graph.Graph, owner []int32, k, s int) *Fragment {
+	f := &Fragment{
+		Shard: s, K: k,
+		LocalOf:    make([]int32, g.N),
+		ExportTo:   make([][]int32, k),
+		ImportFrom: make([][]int32, k),
 	}
 	// Owned rows first, ascending global id.
-	for v := 0; v < n; v++ {
-		f := frags[owner[v]]
-		f.LocalOf[v] = int32(len(f.Locals)) + 1
-		f.Locals = append(f.Locals, int32(v))
+	for v, o := range owner {
+		if int(o) == s {
+			f.Locals = append(f.Locals, int32(v))
+			f.LocalOf[v] = int32(len(f.Locals))
+		}
 	}
-	for _, f := range frags {
-		f.Owned = len(f.Locals)
-	}
-	// Mirror rows after, ascending global id (map iteration is not
-	// ordered; collect and sort).
-	mirrorList := make([][]int32, k) // per shard: global ids to mirror
-	for mk := range mirrored {
-		mirrorList[mk.t] = append(mirrorList[mk.t], mk.u)
-	}
-	for t, list := range mirrorList {
-		sort.Slice(list, func(a, b int) bool { return list[a] < list[b] })
-		f := frags[t]
-		for _, u := range list {
-			f.LocalOf[u] = int32(len(f.Locals)) + 1
+	f.Owned = len(f.Locals)
+
+	// Exchange tables, both in ascending global id: an owned u mirrored on
+	// t is an ExportTo[t] row here, a u mirrored here (a mirror row,
+	// appended after the owned ones) is an ImportFrom[owner[u]] row — which
+	// is how fragment s's ImportFrom[t] pairs element for element with
+	// fragment t's ExportTo[s].
+	eachFlow(g, owner, k, func(u, t int32) {
+		switch {
+		case int(owner[u]) == s:
+			f.ExportTo[t] = append(f.ExportTo[t], f.LocalOf[u]-1)
+		case int(t) == s:
+			f.ImportFrom[owner[u]] = append(f.ImportFrom[owner[u]], int32(len(f.Locals)))
 			f.Locals = append(f.Locals, u)
+			f.LocalOf[u] = int32(len(f.Locals))
 		}
+	})
+
+	inDeg, outDeg := g.InDegrees(), g.OutDegrees()
+	f.GlobalInDeg = make([]int32, len(f.Locals))
+	f.GlobalOutDeg = make([]int32, len(f.Locals))
+	for l, v := range f.Locals {
+		f.GlobalInDeg[l] = inDeg[v]
+		f.GlobalOutDeg[l] = outDeg[v]
 	}
 
-	// Exchange tables: shard t's mirror u (mastered by s=owner[u]) is an
-	// ImportFrom[s] entry on t and an ExportTo[t] entry on s. Both sides
-	// iterate t's mirror list in ascending global id, so the orders pair.
-	for t, list := range mirrorList {
-		ft := frags[t]
-		for _, u := range list {
-			s := owner[u]
-			fs := frags[s]
-			fs.ExportTo[t] = append(fs.ExportTo[t], fs.LocalOf[u]-1)
-			ft.ImportFrom[s] = append(ft.ImportFrom[s], ft.LocalOf[u]-1)
-		}
-	}
-
-	// Degrees per local row.
-	for _, f := range frags {
-		f.GlobalInDeg = make([]int32, len(f.Locals))
-		f.GlobalOutDeg = make([]int32, len(f.Locals))
-		for l, v := range f.Locals {
-			f.GlobalInDeg[l] = inDeg[v]
-			f.GlobalOutDeg[l] = outDeg[v]
-		}
-	}
-
-	// Local graphs: every owned row's complete in-edge list, emitted in
+	// The local graph: every owned row's complete in-edge list, emitted in
 	// ascending global edge id — the exact per-row neighbour order the
 	// full graph's counting-sort CSR has. Mirror rows get no edges.
-	srcs := make([][]int32, k)
-	dsts := make([][]int32, k)
-	for e := 0; e < g.M; e++ {
-		u, v := g.Srcs[e], g.Dsts[e]
-		s := owner[v]
-		f := frags[s]
-		srcs[s] = append(srcs[s], f.LocalOf[u]-1)
-		dsts[s] = append(dsts[s], f.LocalOf[v]-1)
+	m := 0
+	for l := range f.Owned {
+		m += int(f.GlobalInDeg[l])
 	}
-	for s, f := range frags {
-		lg, err := graph.FromEdges(len(f.Locals), srcs[s], dsts[s])
-		if err != nil {
-			// Inputs are constructed in-range; unreachable.
-			panic(fmt.Sprintf("part: fragment %d graph: %v", s, err))
+	srcs, dsts := make([]int32, 0, m), make([]int32, 0, m)
+	for e, v := range g.Dsts {
+		if int(owner[v]) == s {
+			srcs = append(srcs, f.LocalOf[g.Srcs[e]]-1)
+			dsts = append(dsts, f.LocalOf[v]-1)
 		}
-		f.G = lg
 	}
-	return frags
+	lg, err := graph.FromEdges(len(f.Locals), srcs, dsts)
+	if err != nil {
+		// Inputs are constructed in-range; unreachable.
+		panic(fmt.Sprintf("part: fragment %d graph: %v", s, err))
+	}
+	f.G = lg
+	return f
 }
 
 func computeStats(g *graph.Graph, p *Partition, mode string) Stats {

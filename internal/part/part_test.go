@@ -2,6 +2,8 @@ package part
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"seastar/internal/graph"
@@ -173,30 +175,49 @@ func TestGreedyBalance(t *testing.T) {
 	}
 }
 
+// TestPartitionDeterministic checks that the partition is a function of
+// (graph, k, mode), and that the pieces a process builds alone — the owner
+// table (Owners) and one fragment (NewFragment) — are field for field the
+// ones Build assembles, which is what lets a worker build only its own
+// fragment and the coordinator none.
 func TestPartitionDeterministic(t *testing.T) {
 	g := zipfGraph(t, 5000, 8, 3)
-	a, err := Build(g, 4, "greedy")
+	for _, mode := range []string{"greedy", "range"} {
+		for _, k := range []int{1, 2, 3, 4} {
+			a, err := Build(g, k, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Build(g, k, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s k=%d: identical builds differ", mode, k)
+			}
+			checkPieces(t, g, a)
+		}
+	}
+}
+
+// checkPieces asserts Owners ≡ p.Owner and NewFragment(…, s) ≡ p.Frags[s].
+func checkPieces(t *testing.T, g *graph.Graph, p *Partition) {
+	t.Helper()
+	owner, err := Owners(g, p.K, p.Mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(g, 4, "greedy")
-	if err != nil {
-		t.Fatal(err)
+	if !slices.Equal(owner, p.Owner) {
+		t.Fatalf("%s k=%d: Owners differs from Build's owner table", p.Mode, p.K)
 	}
-	for v := range a.Owner {
-		if a.Owner[v] != b.Owner[v] {
-			t.Fatalf("owner of %d differs between identical builds: %d vs %d",
-				v, a.Owner[v], b.Owner[v])
+	flows := Flows(g, owner, p.K)
+	for s := range p.K {
+		if f := NewFragment(g, owner, p.K, s); !reflect.DeepEqual(f, p.Frags[s]) {
+			t.Fatalf("%s k=%d: NewFragment(%d) differs from Build's fragment", p.Mode, p.K, s)
 		}
-	}
-	for s := range a.Frags {
-		fa, fb := a.Frags[s], b.Frags[s]
-		if len(fa.Locals) != len(fb.Locals) {
-			t.Fatalf("shard %d locals differ: %d vs %d", s, len(fa.Locals), len(fb.Locals))
-		}
-		for l := range fa.Locals {
-			if fa.Locals[l] != fb.Locals[l] {
-				t.Fatalf("shard %d local %d differs", s, l)
+		for tt, rows := range flows[s] {
+			if rows != len(p.Frags[s].ExportTo[tt]) {
+				t.Fatalf("%s k=%d: Flows says %d→%d moves %d rows, ExportTo holds %d", p.Mode, p.K, s, tt, rows, len(p.Frags[s].ExportTo[tt]))
 			}
 		}
 	}
@@ -249,6 +270,7 @@ func FuzzPartitionInvariants(f *testing.F) {
 				t.Fatalf("%s: %v", mode, err)
 			}
 			checkInvariants(t, g, p)
+			checkPieces(t, g, p)
 		}
 	})
 }

@@ -44,8 +44,9 @@ type ForwardEnv struct {
 
 	// scoped marks a forward whose every tensor dies with the request:
 	// get then draws from Pool and release hands it all back. The engine
-	// sets it on the sampled and per-batch paths; a forward whose state a
-	// snapshot retains (EnsureEmbeddings, deltas) leaves it off.
+	// sets it on the sampled and per-batch paths, ShardForward on every
+	// fragment run; a forward whose state a snapshot retains
+	// (EnsureEmbeddings, deltas) leaves it off.
 	scoped bool
 	drawn  []*tensor.Tensor
 }
@@ -73,10 +74,13 @@ func (env *ForwardEnv) recycle(t *tensor.Tensor) {
 }
 
 // release returns everything a scoped env drew to the pool. Nothing the
-// forward produced — logits included — may be read afterwards.
+// forward produced — logits included — may be read afterwards. Tensors go
+// back last drawn first: when the pool's demand bound must drop some, it
+// drops what it has not touched longest, which is then what the next
+// forward draws last rather than first.
 func (env *ForwardEnv) release() {
-	for _, t := range env.drawn {
-		env.Pool.Put(t)
+	for i := len(env.drawn) - 1; i >= 0; i-- {
+		env.Pool.Put(env.drawn[i])
 	}
 	env.drawn = nil
 }

@@ -128,10 +128,12 @@ const (
 // plan is one traced vertex program, compiled by newModel. self holds the
 // vertex keys it reads through Self; the rest it reads through Nbr. Over a
 // frontier the two sides index different tensors, so no key may be both.
+// width is the row width of its output.
 type plan struct {
 	trace func() (*gir.DAG, error)
 	udf   *exec.CompiledUDF
 	self  map[string]bool
+	width int
 }
 
 // programs is the table of served architectures. The traced vertex
@@ -275,6 +277,70 @@ func (p *program) typed() bool {
 	})
 }
 
+// binds reports whether s's plan or post op reads the named value ("" is
+// the stage input).
+func (s *stage) binds(name string) bool {
+	return name != "" && name == s.plus || slices.ContainsFunc(s.values, func(v bind) bool { return v.name == name })
+}
+
+// crossing returns the values s's plan reads through Nbr, each once, in
+// binding order ("" is the stage input). They are all a fragment must
+// import into its mirror rows before running s: Self-side values are read
+// at owned rows only, normalizers come from fragment-carried degrees.
+func (s *stage) crossing() []string {
+	var names []string
+	for _, v := range s.values {
+		if !s.plan.self[v.key] && !slices.Contains(names, v.name) {
+			names = append(names, v.name)
+		}
+	}
+	return names
+}
+
+// shardWidths returns, per exchange round of sharded serving (one per
+// stage), the row width of what the round sends: the next stage's crossing
+// values side by side, or after the last round the logits, which stay
+// with their master until gathered. A typed program is refused.
+func (p *program) shardWidths(arch string) ([]int, error) {
+	if p.typed() {
+		return nil, fmt.Errorf("serve: sharded serving does not support %s (typed edge rows cannot split from their relation tables)", arch)
+	}
+	for i := range p.stages {
+		if pl := p.stages[i].plan; pl.self == nil {
+			if _, err := pl.sides(); err != nil {
+				return nil, fmt.Errorf("serve: stage %d: %w", i+1, err)
+			}
+		}
+	}
+	widths := make([]int, len(p.stages))
+	for i := range p.stages {
+		if i+1 == len(p.stages) {
+			widths[i] = p.stages[i].plan.width
+			continue
+		}
+		for _, name := range p.stages[i+1].crossing() {
+			widths[i] += p.valueWidth(i+1, name)
+		}
+	}
+	return widths, nil
+}
+
+// valueWidth is the row width of a value stage i binds: the stage input's
+// is the previous plan's output width, a dense output's its weight's last
+// dimension.
+func (p *program) valueWidth(i int, name string) int {
+	if name == "" {
+		return p.stages[i-1].plan.width
+	}
+	for _, s := range p.stages[:i+1] {
+		if j := denseIndex(s.dense, name); j >= 0 {
+			w := p.weights[slices.IndexFunc(p.weights, func(w weight) bool { return w.name == s.dense[j].w })]
+			return w.shape[len(w.shape)-1]
+		}
+	}
+	panic(fmt.Sprintf("serve: stage %d binds unknown value %q", i+1, name))
+}
+
 // incremental reports whether a delta can be patched stage by stage over
 // a k-hop frontier: every vertex input of every plan must be a dense
 // output of its own stage (dirty where the stage's input is, kept from the
@@ -346,15 +412,24 @@ func newModel(spec ModelSpec, inDim, numRel int, p *program) (*Model, error) {
 	return m, nil
 }
 
-// compile traces the vertex program, records which side each vertex key
-// is read from, and compiles it for inference.
+// compile traces the vertex program (sides) and compiles it for inference.
 func (pl *plan) compile() error {
-	dag, err := pl.trace()
+	dag, err := pl.sides()
 	if err != nil {
 		return err
 	}
-	pl.self = map[string]bool{}
-	nbr := map[string]bool{}
+	pl.udf, err = exec.CompileInference(dag)
+	return err
+}
+
+// sides traces the vertex program and records which side each vertex key
+// is read from and the output's row width.
+func (pl *plan) sides() (*gir.DAG, error) {
+	dag, err := pl.trace()
+	if err != nil {
+		return nil, err
+	}
+	self, nbr := map[string]bool{}, map[string]bool{}
 	for _, n := range dag.Nodes {
 		if n.Op != gir.OpLeaf {
 			continue
@@ -363,14 +438,17 @@ func (pl *plan) compile() error {
 		case gir.LeafSrcFeat:
 			nbr[n.Key] = true
 		case gir.LeafDstFeat:
-			pl.self[n.Key] = true
+			self[n.Key] = true
 		}
-		if nbr[n.Key] && pl.self[n.Key] {
-			return fmt.Errorf("vertex key %q is read through both Nbr and Self; bind the value under two keys", n.Key)
+		if nbr[n.Key] && self[n.Key] {
+			return nil, fmt.Errorf("vertex key %q is read through both Nbr and Self; bind the value under two keys", n.Key)
 		}
 	}
-	pl.udf, err = exec.CompileInference(dag)
-	return err
+	pl.self, pl.width = self, 1
+	for _, d := range dag.Outputs[0].Shape {
+		pl.width *= d
+	}
+	return dag, nil
 }
 
 // frontier is one stage's dirty rows with their destination-compact
@@ -392,7 +470,7 @@ type frontier struct {
 // implementation behind Model.Forward and EnsureEmbeddings (all rows of
 // env.G), the delta patcher (patch: each stage over a frontier) and
 // ShardForward (a fragment's locals, the caller exchanging mirror rows of
-// h between steps).
+// the next stage's crossing values between steps).
 type run struct {
 	m   *Model
 	env *ForwardEnv // the graph plans walk, its normalizers, device, pool
@@ -411,29 +489,39 @@ type run struct {
 // the plan then walks f.g, reading Nbr-side inputs from the full tensors
 // and Self-side ones gathered to f.rows. h becomes the stage's output.
 func (r *run) step(f *frontier) error {
-	s := &r.m.prog.stages[r.done]
-	in := r.h
-	bound := func(name string) bool { // the plan or the post op reads it too
-		return name != "" && name == s.plus || slices.ContainsFunc(s.values, func(v bind) bool { return v.name == name })
+	r.dense(r.h.Rows(), f)
+	out, err := r.aggregate(f)
+	if err != nil {
+		return err
 	}
-	// Each dense product is dispatched as a [fullRows, k] multiply and
-	// charged to the device like the training runtime's, so /debug/trace
-	// shows dense work too. An operand goes back to the pool after its
-	// last reader: a request holds a layer's input or its output, never
-	// both.
+	r.post(out, out.Rows(), f)
+	return nil
+}
+
+// dense runs the next stage's dense products over the first rows rows of
+// its input h, into tensors of h's height: every row, or on a fragment the
+// owned prefix, whose mirror rows arrive by exchange instead. Each product
+// is dispatched as a [fullRows, k] multiply and charged to the device like
+// the training runtime's, so /debug/trace shows dense work too. An operand
+// goes back to the pool after its last reader: a request holds a layer's
+// input or its output, never both.
+func (r *run) dense(rows int, f *frontier) {
+	s := &r.m.prog.stages[r.done]
 	outs := make([]*tensor.Tensor, len(s.dense))
 	for i, op := range s.dense {
-		src := in
+		src := r.h
 		if op.in != "" {
 			src = outs[denseIndex(s.dense, op.in)]
 		}
 		w := r.m.weights[op.w]
-		out := tensor.MatMulRowsLike(src, w, r.fullRows, r.env.get(src.Rows(), w.Cols()))
+		out := r.env.get(src.Rows(), w.Cols())
+		in, live := prefix(src, rows), prefix(out, rows)
+		tensor.MatMulRowsLike(in, w, r.fullRows, live)
 		exec.ChargeDense(r.env.Dev, "dense.matmul",
-			float64(src.Rows())*float64(w.Rows())*float64(w.Cols()),
-			int64(src.Size()+w.Size())*4, int64(out.Size())*4)
+			float64(rows)*float64(w.Rows())*float64(w.Cols()),
+			int64(in.Size()+w.Size())*4, int64(live.Size())*4)
 		if op.act != nil {
-			op.act(out, out)
+			op.act(live, live)
 		}
 		outs[i] = out
 		if f != nil {
@@ -441,34 +529,33 @@ func (r *run) step(f *frontier) error {
 		} else {
 			r.vals[op.out] = out
 		}
-		if !bound(op.in) && !slices.ContainsFunc(s.dense[i+1:], func(o dense) bool { return o.in == op.in }) {
+		if !s.binds(op.in) && !slices.ContainsFunc(s.dense[i+1:], func(o dense) bool { return o.in == op.in }) {
 			r.env.recycle(src)
 		}
 	}
+}
+
+// aggregate runs the next stage's compiled plan and returns its output.
+func (r *run) aggregate(f *frontier) (*tensor.Tensor, error) {
+	s := &r.m.prog.stages[r.done]
+	in := r.h
 	ie := &exec.InferEnv{G: r.env.G, Dev: r.env.Dev, Pool: r.env.Pool, Result: r.env.get}
 	if f != nil {
 		ie.G = f.g
-	}
-	// side is t as the plan reads it: whole, or gathered to f's rows.
-	side := func(t *tensor.Tensor, self bool) *tensor.Tensor {
-		if f != nil && self {
-			return tensor.GatherRows(t, f.rows)
-		}
-		return t
 	}
 	vfeat := make(map[string]*tensor.Tensor, len(s.values)+len(s.norms))
 	var efeat, params map[string]*tensor.Tensor // nil unless the plan is typed
 	for _, v := range s.values {
 		vfeat[v.key] = in
 		if v.name != "" {
-			vfeat[v.key] = side(r.vals[v.name], s.plan.self[v.key])
+			vfeat[v.key] = f.side(r.vals[v.name], s.plan.self[v.key])
 		}
 	}
 	for _, n := range s.norms {
 		if n.ref == normEdgeRel {
 			efeat = map[string]*tensor.Tensor{n.key: r.env.norms[n.ref]}
 		} else {
-			vfeat[n.key] = side(r.env.norms[n.ref], s.plan.self[n.key])
+			vfeat[n.key] = f.side(r.env.norms[n.ref], s.plan.self[n.key])
 		}
 	}
 	for _, p := range s.params {
@@ -479,23 +566,48 @@ func (r *run) step(f *frontier) error {
 	}
 	out, err := s.plan.udf.Infer(ie, vfeat, efeat, params)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if bound("") {
+	if s.binds("") {
 		r.env.recycle(in)
 	}
+	return out, nil
+}
+
+// post applies the next stage's row-wise post ops to the first rows rows
+// of its plan output — every row, or on a fragment the owned prefix, since
+// no mirror's output is ever read — and makes out the next stage's input.
+func (r *run) post(out *tensor.Tensor, rows int, f *frontier) {
+	s := &r.m.prog.stages[r.done]
+	live := prefix(out, rows)
 	if s.bias != "" {
-		tensor.AddRow(out, r.m.weights[s.bias], out)
+		tensor.AddRow(live, r.m.weights[s.bias], live)
 	}
 	if s.plus != "" {
-		v := side(r.vals[s.plus], true)
-		tensor.Add(out, v, out)
+		v := f.side(r.vals[s.plus], true)
+		tensor.Add(live, prefix(v, rows), live)
 		r.env.recycle(v)
 	}
 	if s.act != nil {
-		s.act(out, out)
+		s.act(live, live)
 	}
 	r.h = out
 	r.done++
-	return nil
+}
+
+// side is t as a plan over f reads it: whole, or gathered to f's rows when
+// read through Self. Without a frontier it is t.
+func (f *frontier) side(t *tensor.Tensor, self bool) *tensor.Tensor {
+	if f != nil && self {
+		return tensor.GatherRows(t, f.rows)
+	}
+	return t
+}
+
+// prefix is t's first rows rows, sharing its storage.
+func prefix(t *tensor.Tensor, rows int) *tensor.Tensor {
+	if rows == t.Rows() {
+		return t
+	}
+	return tensor.FromSlice(t.Data()[:rows*t.Cols()], rows, t.Cols())
 }

@@ -77,9 +77,9 @@ func TestProgramDrivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rounds, err := m.ShardRounds(); err != nil || rounds != 2 || !m.SupportsIncremental() || m.prog.typed() {
-		t.Fatalf("derived properties: rounds %d (%v), incremental %v, typed %v; want 2, true, false",
-			rounds, err, m.SupportsIncremental(), m.prog.typed())
+	if widths, err := m.ShardWidths(); err != nil || !slices.Equal(widths, []int{5, 4}) || !m.SupportsIncremental() || m.prog.typed() {
+		t.Fatalf("derived properties: shard widths %v (%v), incremental %v, typed %v; want [5 4] (su + h, then logits), true, false",
+			widths, err, m.SupportsIncremental(), m.prog.typed())
 	}
 
 	want := fullForward(t, g, feat, m)
@@ -144,25 +144,27 @@ func TestProgramProperties(t *testing.T) {
 	graph.RandomEdgeTypes(rng, typed, 2)
 	for _, tc := range []struct {
 		arch        string
-		rounds      int // 0: sharded serving refuses it
+		widths      []int // nil: sharded serving refuses it
 		incremental bool
 		typed       bool
 		norms       []normRef
 	}{
-		{"gcn", 2, true, false, []normRef{normInDeg}},
-		{"gat", 2, true, false, nil},
-		{"appnp", 7, false, false, []normRef{normSymSrc, normSymDst}},
-		{"rgcn", 0, false, true, []normRef{normEdgeRel}},
+		// What crosses a shard boundary is what the next plan reads
+		// through Nbr: GCN hw2, GAT eu2 and hw2, APPNP its stage input.
+		{"gcn", []int{3, 3}, true, false, []normRef{normInDeg}},
+		{"gat", []int{4, 3}, true, false, nil},
+		{"appnp", []int{3, 3, 3, 3, 3, 3, 3}, false, false, []normRef{normSymSrc, normSymDst}},
+		{"rgcn", nil, false, true, []normRef{normEdgeRel}},
 	} {
 		spec := ModelSpec{Arch: tc.arch, Hidden: 8, Classes: 3, K: 7, Seed: 1}
 		m, err := BuildModel(spec, 6, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rounds, err := m.ShardRounds()
-		specRounds, specErr := ShardRoundsForSpec(spec)
-		if rounds != tc.rounds || specRounds != tc.rounds || (err != nil) != (tc.rounds == 0) || (specErr != nil) != (tc.rounds == 0) {
-			t.Errorf("%s: shard rounds %d (%v) / %d (%v) from the spec, want %d", tc.arch, rounds, err, specRounds, specErr, tc.rounds)
+		widths, err := m.ShardWidths()
+		specWidths, specErr := ShardWidthsForSpec(spec)
+		if !slices.Equal(widths, tc.widths) || !slices.Equal(specWidths, tc.widths) || (err != nil) != (tc.widths == nil) || (specErr != nil) != (tc.widths == nil) {
+			t.Errorf("%s: shard widths %v (%v) / %v (%v) from the spec, want %v", tc.arch, widths, err, specWidths, specErr, tc.widths)
 		}
 		if m.SupportsIncremental() != tc.incremental || m.prog.typed() != tc.typed {
 			t.Errorf("%s: incremental %v typed %v, want %v %v", tc.arch, m.SupportsIncremental(), m.prog.typed(), tc.incremental, tc.typed)
@@ -175,8 +177,8 @@ func TestProgramProperties(t *testing.T) {
 			}
 		}
 	}
-	if rounds, err := ShardRoundsForSpec(ModelSpec{Arch: "appnp", Hidden: 8, Classes: 3}); err != nil || rounds != 10 {
-		t.Errorf("appnp with K unset: %d rounds (%v), want the default 10", rounds, err)
+	if widths, err := ShardWidthsForSpec(ModelSpec{Arch: "appnp", Hidden: 8, Classes: 3}); err != nil || len(widths) != 10 {
+		t.Errorf("appnp with K unset: %d rounds (%v), want the default 10", len(widths), err)
 	}
 
 	bothWays := gatedProgram(6, 4)

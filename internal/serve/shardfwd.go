@@ -10,12 +10,12 @@ import (
 
 // Shard-local execution: the program runner (program.go) stepped stage
 // by stage over one vertex-cut fragment with a mirror exchange between
-// stages. Bitwise equality with the full-graph forward rests on three
+// stages. Bitwise equality with the full-graph forward rests on four
 // invariants:
 //
 //  1. Whole rows. A fragment holds the complete in-edge list of every
-//     owned vertex in full-graph neighbour order (part.Build), so each
-//     per-vertex fold consumes the same values in the same order — a
+//     owned vertex in full-graph neighbour order (part.NewFragment), so
+//     each per-vertex fold consumes the same values in the same order — a
 //     floating-point fold is order-sensitive, which is exactly why the
 //     vertex-cut never splits a row across shards.
 //  2. Dense transforms via MatMulRowsLike with fullRows = N: every
@@ -23,12 +23,21 @@ import (
 //     [N,d]·W GEMM, because the only row-count-dependent choice is the
 //     naive-vs-blocked dispatch, replayed from N.
 //  3. Normalizers from fragment-carried global degrees, computed with
-//     the same arithmetic the snapshot paths use (gcnNormFromDegrees /
-//     symNormFromDegrees), so every scalar matches.
+//     the same arithmetic the snapshot paths use (degreeNorm), so every
+//     scalar matches.
+//  4. Only what the next plan reads through Nbr crosses, computed by its
+//     master. Round 1 runs stage 1's dense ops over every local, exact
+//     because mirrors hold their features; every later stage's dense ops
+//     run over the owned prefix at the end of the round before, and by
+//     invariant 2 those rows are the full product's. The mirror rows of
+//     the stage's crossing values (stage.crossing: dense outputs, or the
+//     stage input when the plan reads it whole) are then overwritten with
+//     their masters' rows, so every value a fold reads at a neighbour has
+//     its full-graph bits. Self-side values are read at owned rows only.
 //
-// Mirror rows' own outputs are garbage (their in-rows live elsewhere)
-// and are overwritten by their masters' exports before the next layer
-// reads them; they are never exported or served.
+// Mirror rows' own outputs are garbage (their in-rows live elsewhere), so
+// post ops (bias, add, activation) skip them, and they are never exported
+// or served.
 
 // ShardEnv binds a fragment to its local tensors for shard execution.
 type ShardEnv struct {
@@ -43,8 +52,9 @@ type ShardEnv struct {
 }
 
 // NewShardEnv gathers the fragment's local rows from the full feature
-// matrix and degree-sorts the local graph (the same preprocessing
-// NewSnapshot applies; row order never changes per-row results).
+// matrix and degree-sorts the local graph in place (the same
+// preprocessing NewSnapshot applies; row order never changes per-row
+// results), dropping the unsorted one.
 func NewShardEnv(f *part.Fragment, feat *tensor.Tensor, dev *device.Device, pool *tensor.Pool) *ShardEnv {
 	if !f.G.In.Sorted {
 		f.G = f.G.SortByDegree()
@@ -58,25 +68,20 @@ func NewShardEnv(f *part.Fragment, feat *tensor.Tensor, dev *device.Device, pool
 	}
 }
 
-// ShardRounds returns how many exchange rounds the model takes — one per
-// stage; the coordinator drives one /v1/shard/step per round — or an
-// error for a model sharded serving rejects.
-func (m *Model) ShardRounds() (int, error) { return shardRounds(m.Spec.Arch, m.prog) }
+// ShardWidths returns the row width each exchange round sends — one
+// round per stage; the coordinator drives one /v1/shard/step per round —
+// or an error for a model sharded serving rejects. Before the last round
+// that is the next stage's crossing values side by side, after it the
+// logits.
+func (m *Model) ShardWidths() ([]int, error) { return m.prog.shardWidths(m.Spec.Arch) }
 
-// ShardRoundsForSpec is ShardRounds without a built model — what the
-// coordinator (which never compiles plans) plans its exchange from.
-func ShardRoundsForSpec(spec ModelSpec) (int, error) {
+// ShardWidthsForSpec is ShardWidths without a built model — what the
+// coordinator (which never compiles plans) sizes and checks frames by.
+func ShardWidthsForSpec(spec ModelSpec) ([]int, error) {
 	if err := spec.Validate(); err != nil {
-		return 0, err
+		return nil, err
 	}
-	return shardRounds(spec.Arch, spec.program())
-}
-
-func shardRounds(arch string, p *program) (int, error) {
-	if p.typed() {
-		return 0, fmt.Errorf("serve: sharded serving does not support %s (typed edge rows cannot split from their relation tables)", arch)
-	}
-	return len(p.stages), nil
+	return spec.program().shardWidths(spec.Arch)
 }
 
 // InDegrees returns the locals' in-degrees in the whole graph, which the
@@ -88,27 +93,27 @@ func (e *ShardEnv) OutDegrees() []int32 { return e.Frag.GlobalOutDeg }
 
 // ShardForward steps one fragment through a model, one stage at a time:
 // the fragment driver of the program runner. Between StepShard calls the
-// caller must overwrite the mirror rows of H() with their masters'
-// exported rows — the GAS scatter. After the final round, Logits() holds
-// valid owned rows.
-type ShardForward struct{ r *run }
-
-// NewShardForward prepares a stepped forward over env. Round 1 needs no
-// exchange: every local row's features are here, and whatever a first
-// stage derives from them densely is exact for mirrors too.
-func NewShardForward(m *Model, env *ShardEnv) (*ShardForward, error) {
-	if _, err := m.ShardRounds(); err != nil {
-		return nil, err
-	}
-	fe := &ForwardEnv{G: env.Frag.G, Dev: env.Dev, Pool: env.Pool}
-	m.prog.setNorms(fe, nil, env)
-	return &ShardForward{&run{m: m, env: fe, fullRows: env.FullRows, vals: map[string]*tensor.Tensor{}, h: env.Feat}}, nil
+// caller must overwrite the mirror rows of Exchanged() with their
+// masters' owned rows — the GAS scatter. After the final round, Logits()
+// holds valid owned rows.
+type ShardForward struct {
+	r     *run
+	owned int
 }
 
-// H returns the current activation tensor, one row per local. The caller
-// reads exported owned rows from it and scatters imported mirror rows
-// into it between rounds.
-func (sf *ShardForward) H() *tensor.Tensor { return sf.r.h }
+// NewShardForward prepares a stepped forward over env. Every tensor it
+// makes is drawn from env.Pool and handed back by Release, so a worker
+// that releases one run before starting the next reuses the same storage
+// sync after sync.
+func NewShardForward(m *Model, env *ShardEnv) (*ShardForward, error) {
+	if _, err := m.ShardWidths(); err != nil {
+		return nil, err
+	}
+	fe := &ForwardEnv{G: env.Frag.G, Dev: env.Dev, Pool: env.Pool, scoped: true}
+	m.prog.setNorms(fe, nil, env)
+	r := &run{m: m, env: fe, fullRows: env.FullRows, vals: map[string]*tensor.Tensor{}, h: env.Feat}
+	return &ShardForward{r: r, owned: env.Frag.Owned}, nil
+}
 
 // Round returns how many rounds have completed.
 func (sf *ShardForward) Round() int { return sf.r.done }
@@ -124,29 +129,49 @@ func (sf *ShardForward) Logits() (*tensor.Tensor, error) {
 	return sf.r.h, nil
 }
 
-// StepShard runs one round over the fragment. Mirror rows of H() must
-// hold their masters' values from the previous round before the call (for
-// round 1 they hold features, exact by construction).
+// StepShard runs one round over the fragment (invariant 4). Mirror rows of
+// Exchanged() must hold their masters' rows from the previous round
+// before the call; round 1 needs none.
 func (sf *ShardForward) StepShard() error {
+	r := sf.r
 	if sf.Done() {
-		return fmt.Errorf("serve: shard forward already finished %d rounds", sf.r.done)
+		return fmt.Errorf("serve: shard forward already finished %d rounds", r.done)
 	}
-	return sf.r.step(nil)
-}
-
-// ExportRows copies the listed rows of H() into a flat float32 block
-// (len(rows) × width), the per-peer payload of one exchange round.
-func (sf *ShardForward) ExportRows(rows []int32) []float32 {
-	return tensor.GatherRows(sf.r.h, rows).Data()
-}
-
-// ImportRows scatters a flat block from a peer's ExportRows into the
-// listed mirror rows of H().
-func (sf *ShardForward) ImportRows(rows []int32, block []float32) error {
-	w := sf.r.h.Cols()
-	if len(block) != len(rows)*w {
-		return fmt.Errorf("serve: import block %d floats for %d rows × width %d", len(block), len(rows), w)
+	if r.done == 0 {
+		r.dense(r.h.Rows(), nil)
 	}
-	setRows(sf.r.h, rows, tensor.FromSlice(block, len(rows), w))
+	out, err := r.aggregate(nil)
+	if err != nil {
+		return err
+	}
+	r.post(out, sf.owned, nil)
+	if !sf.Done() {
+		r.dense(sf.owned, nil)
+	}
 	return nil
 }
+
+// Exchanged returns, between rounds, the tensors whose rows cross the
+// shard boundary: the next stage's crossing values, in crossing order. A
+// row of the exchange is that row of each, side by side; the owned rows
+// are this fragment's exports, the mirror rows where its peers' exports
+// go. It is nil before round 1 and after the last.
+func (sf *ShardForward) Exchanged() []*tensor.Tensor {
+	r := sf.r
+	if r.done == 0 || sf.Done() {
+		return nil
+	}
+	var ts []*tensor.Tensor
+	for _, name := range r.m.prog.stages[r.done].crossing() {
+		t := r.h
+		if name != "" {
+			t = r.vals[name]
+		}
+		ts = append(ts, t)
+	}
+	return ts
+}
+
+// Release hands every tensor the forward drew — logits included — back
+// to the pool. Nothing the forward produced may be read afterwards.
+func (sf *ShardForward) Release() { sf.r.env.release() }

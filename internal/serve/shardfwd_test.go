@@ -30,30 +30,36 @@ func runSharded(t *testing.T, g *graph.Graph, feat *tensor.Tensor, m *Model, k i
 		}
 		sfs[s] = sf
 	}
-	rounds, err := m.ShardRounds()
+	widths, err := m.ShardWidths()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := 1; r <= rounds; r++ {
+	for r := 1; r <= len(widths); r++ {
 		for _, sf := range sfs {
 			if err := sf.StepShard(); err != nil {
 				t.Fatalf("round %d: %v", r, err)
 			}
 		}
-		if r == rounds {
+		if r == len(widths) {
 			break
 		}
-		// GAS exchange: every master scatters its exported rows into its
-		// peers' mirror slots.
+		// GAS exchange: every master scatters the owned rows of the next
+		// stage's crossing values into its peers' mirror rows.
 		for s, sf := range sfs {
+			exp := sf.Exchanged()
+			width := 0
+			for _, x := range exp {
+				width += x.Cols()
+			}
+			if width != widths[r-1] {
+				t.Fatalf("round %d: shard %d exchanges width %d, ShardWidths says %d", r, s, width, widths[r-1])
+			}
 			for tt := 0; tt < k; tt++ {
-				exp := p.Frags[s].ExportTo[tt]
-				if len(exp) == 0 {
-					continue
-				}
-				block := sf.ExportRows(exp)
-				if err := sfs[tt].ImportRows(p.Frags[tt].ImportFrom[s], block); err != nil {
-					t.Fatal(err)
+				imp := sfs[tt].Exchanged()
+				for i, row := range p.Frags[s].ExportTo[tt] {
+					for j, x := range exp {
+						copy(imp[j].Row(int(p.Frags[tt].ImportFrom[s][i])), x.Row(int(row)))
+					}
 				}
 			}
 		}
@@ -68,6 +74,7 @@ func runSharded(t *testing.T, g *graph.Graph, feat *tensor.Tensor, m *Model, k i
 		for l := 0; l < f.Owned; l++ {
 			copy(out.Row(int(f.Locals[l])), logits.Row(l))
 		}
+		sf.Release()
 	}
 	return out
 }
@@ -134,7 +141,7 @@ func TestShardRejectsRGCN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ShardRounds(); err == nil {
+	if _, err := m.ShardWidths(); err == nil {
 		t.Fatal("rgcn accepted for sharding")
 	}
 	rng := rand.New(rand.NewSource(1))

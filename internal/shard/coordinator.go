@@ -3,9 +3,9 @@ package shard
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -46,19 +46,20 @@ type shardStats struct {
 
 // Coordinator scatters /v1/infer to the owning shards and drives the
 // per-layer mirror exchange that precedes the first answer. It holds the
-// owner table (derived from the same deterministic partition the workers
-// built) but never the fragments themselves: exchanged row blocks are
-// opaque to it — both endpoints of every block agree on row order by
-// construction, so the coordinator only routes shard s's export-to-t
-// block into shard t's round request.
+// owner table (the same deterministic one the workers compute) but never
+// a fragment: exchanged row blocks are opaque to it — both endpoints of
+// every block agree on row order by construction, so the coordinator only
+// checks each block's size against the flow the owner table implies and
+// routes shard s's export-to-t block into shard t's next round request.
 type Coordinator struct {
 	cfg    CoordinatorConfig
 	client *http.Client
 	k      int
 	n      int
-	rounds int
+	widths []int // per round, the row width of its replies (serve.ShardWidthsForSpec)
 	owner  []int32
-	owned  []int // vertices mastered per shard
+	owned  []int     // vertices mastered per shard
+	blocks [][]block // blocks[s]: what shard s exports each round, by ascending peer
 
 	urlMu sync.RWMutex
 	urls  []string
@@ -73,28 +74,33 @@ type Coordinator struct {
 	infers   atomic.Int64
 }
 
-// NewCoordinator derives the owner table by partitioning g exactly as
-// the workers do and returns a coordinator over cfg.Workers. The graph
-// is not retained.
+// NewCoordinator computes the partition's owner table exactly as the
+// workers do, and from it the rows each shard exports each round, and
+// returns a coordinator over cfg.Workers. The graph is not retained.
 func NewCoordinator(cfg CoordinatorConfig, g *graph.Graph) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("shard: coordinator needs at least one worker URL")
 	}
-	if err := cfg.Spec.Validate(); err != nil {
-		return nil, err
-	}
-	rounds, err := serve.ShardRoundsForSpec(cfg.Spec)
+	widths, err := serve.ShardWidthsForSpec(cfg.Spec)
 	if err != nil {
 		return nil, err
 	}
 	k := len(cfg.Workers)
-	p, err := part.Build(g, k, cfg.Mode)
+	owner, err := part.Owners(g, k, cfg.Mode)
 	if err != nil {
 		return nil, err
 	}
 	owned := make([]int, k)
-	for s, f := range p.Frags {
-		owned[s] = f.Owned
+	for _, s := range owner {
+		owned[s]++
+	}
+	blocks := make([][]block, k)
+	for s, flows := range part.Flows(g, owner, k) {
+		for t, rows := range flows {
+			if rows > 0 {
+				blocks[s] = append(blocks[s], block{peer: t, rows: rows})
+			}
+		}
 	}
 	client := cfg.Client
 	if client == nil {
@@ -108,9 +114,10 @@ func NewCoordinator(cfg CoordinatorConfig, g *graph.Graph) (*Coordinator, error)
 		client: client,
 		k:      k,
 		n:      g.N,
-		rounds: rounds,
-		owner:  p.Owner,
+		widths: widths,
+		owner:  owner,
 		owned:  owned,
+		blocks: blocks,
 		urls:   append([]string(nil), cfg.Workers...),
 		stats:  make([]shardStats, k),
 	}, nil
@@ -131,40 +138,83 @@ func (c *Coordinator) url(i int) string {
 	return c.urls[i]
 }
 
-// post sends one worker RPC and decodes the JSON reply.
-func (c *Coordinator) post(ctx context.Context, s int, path string, req, resp any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
+// post sends one frame to worker s and returns its 200 reply, whose body
+// the caller reads and closes; any other status is an error carrying the
+// start of the worker's message. Both directions count into s's traffic.
+func (c *Coordinator) post(ctx context.Context, s int, path string, frame net.Buffers) (*http.Response, error) {
 	st := &c.stats[s]
-	st.BytesTx.Add(int64(len(body)))
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url(s)+path, bytes.NewReader(body))
-	if err != nil {
-		return err
+	var size int64
+	for _, b := range frame {
+		size += int64(len(b))
 	}
-	hreq.Header.Set("Content-Type", "application/json")
+	st.BytesTx.Add(size)
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url(s)+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	hreq.Header.Set("Content-Type", frameType)
+	hreq.ContentLength = size
+	hreq.GetBody = func() (io.ReadCloser, error) {
+		b := append(net.Buffers(nil), frame...) // reading consumes the slice it reads
+		return io.NopCloser(&b), nil
+	}
+	hreq.Body, _ = hreq.GetBody()
 	hresp, err := c.client.Do(hreq)
 	if err != nil {
 		st.Errors.Add(1)
-		return fmt.Errorf("shard %d: %w", s, err)
+		return nil, fmt.Errorf("shard %d: %w", s, err)
+	}
+	hresp.Body = counted{hresp.Body, &st.BytesRx}
+	if hresp.StatusCode != http.StatusOK {
+		defer hresp.Body.Close()
+		msg := make([]byte, 512)
+		n, _ := io.ReadFull(hresp.Body, msg)
+		st.Errors.Add(1)
+		return nil, fmt.Errorf("shard %d: %s: %s", s, hresp.Status, bytes.TrimSpace(msg[:n]))
+	}
+	return hresp, nil
+}
+
+// counted adds every byte read through it to n.
+type counted struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (c counted) Read(p []byte) (int, error) {
+	n, err := c.ReadCloser.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// step drives round r on worker s: it sends the blocks s imports and
+// returns the blocks s exports, by ascending peer.
+func (c *Coordinator) step(ctx context.Context, s, r int, imports []relay) ([]relay, error) {
+	h := header{gen: staticGen, round: r, blocks: len(imports)}
+	if r > 1 {
+		h.width = c.widths[r-2]
+	}
+	hresp, err := c.post(ctx, s, "/v1/shard/step", relayFrame(h, imports))
+	if err != nil {
+		return nil, err
 	}
 	defer hresp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(hresp.Body, 256<<20))
+	want := header{gen: staticGen, round: r, width: c.widths[r-1], done: r == len(c.widths)}
+	var exports []block
+	if !want.done {
+		exports = c.blocks[s]
+	}
+	want.blocks = len(exports)
+	relays, err := readRelays(hresp.Body, want, exports)
 	if err != nil {
-		st.Errors.Add(1)
-		return fmt.Errorf("shard %d: %w", s, err)
+		c.stats[s].Errors.Add(1)
+		return nil, fmt.Errorf("shard %d: %w", s, err)
 	}
-	st.BytesRx.Add(int64(len(data)))
-	if hresp.StatusCode != http.StatusOK {
-		st.Errors.Add(1)
-		return fmt.Errorf("shard %d: %s: %s", s, hresp.Status, bytes.TrimSpace(data))
-	}
-	return json.Unmarshal(data, resp)
+	return relays, nil
 }
 
 // ensureSynced drives the full exchange — rounds × (step every worker,
-// reroute exports into next round's mirrors) — exactly once per cold or
+// reroute exports into next round's imports) — exactly once per cold or
 // failed state. Round 1 resets every worker, so a fleet left half-synced
 // by a crash converges again deterministically.
 func (c *Coordinator) ensureSynced(ctx context.Context) error {
@@ -177,52 +227,65 @@ func (c *Coordinator) ensureSynced(ctx context.Context) error {
 		return nil
 	}
 	start := time.Now()
-	// mirrors[t] maps source shard → block for the upcoming round.
-	mirrors := make([]map[string][]byte, c.k)
-	for r := 1; r <= c.rounds; r++ {
+	// imports[t] is what shard t imports in the upcoming round, by
+	// ascending source: each block as its exporter sent it, re-addressed.
+	imports := make([][]relay, c.k)
+	for r := 1; r <= len(c.widths); r++ {
 		type stepRes struct {
-			s    int
-			resp stepResponse
-			err  error
+			s       int
+			exports []relay
+			err     error
 		}
 		results := make(chan stepRes, c.k)
 		for s := 0; s < c.k; s++ {
 			go func(s int) {
 				st := &c.stats[s]
 				t0 := time.Now()
-				var resp stepResponse
-				err := c.post(ctx, s, "/v1/shard/step",
-					&stepRequest{Gen: staticGen, Round: r, Mirrors: mirrors[s]}, &resp)
+				exports, err := c.step(ctx, s, r, imports[s])
 				st.Steps.Add(1)
 				st.StepNs.Add(time.Since(t0).Nanoseconds())
-				results <- stepRes{s, resp, err}
+				results <- stepRes{s, exports, err}
 			}(s)
 		}
-		next := make([]map[string][]byte, c.k)
+		exports := make([][]relay, c.k)
 		for i := 0; i < c.k; i++ {
 			res := <-results
 			if res.err != nil {
-				// Drain remaining sends happen into the buffered channel;
-				// the fleet is left mid-round and the next sync restarts
-				// from round 1.
+				// Remaining sends land in the buffered channel; the fleet
+				// is left mid-round and the next sync restarts from round 1.
 				return fmt.Errorf("sync round %d: %w", r, res.err)
 			}
-			for key, block := range res.resp.Exports {
-				t, err := strconv.Atoi(key)
-				if err != nil || t < 0 || t >= c.k {
-					return fmt.Errorf("sync round %d: shard %d exported to bad peer %q", r, res.s, key)
-				}
-				if next[t] == nil {
-					next[t] = map[string][]byte{}
-				}
-				next[t][strconv.Itoa(res.s)] = block
+			exports[res.s] = res.exports
+		}
+		imports = make([][]relay, c.k)
+		for s, blocks := range exports {
+			for _, b := range blocks {
+				t := b.peer
+				b.peer = s
+				imports[t] = append(imports[t], b)
 			}
 		}
-		mirrors = next
 	}
 	c.synced.Store(true)
 	if obs.Enabled() {
 		obs.ObserveEvent("shard", "sync", start, time.Since(start), 0)
+	}
+	return nil
+}
+
+// gather fetches the logit rows of nodes, all owned by shard s, straight
+// into rows at of into.
+func (c *Coordinator) gather(ctx context.Context, s int, nodes []int32, into *tensor.Tensor, at []int32) error {
+	hresp, err := c.post(ctx, s, "/v1/shard/gather", nodeFrame(s, nodes))
+	if err != nil {
+		return err
+	}
+	defer hresp.Body.Close()
+	err = readRows(hresp.Body, header{gen: staticGen, round: len(c.widths), width: into.Cols(), done: true, blocks: 1},
+		[]rowBlock{{peer: s, ts: []*tensor.Tensor{into}, at: at}})
+	if err != nil {
+		c.stats[s].Errors.Add(1)
+		return fmt.Errorf("shard %d: %w", s, err)
 	}
 	return nil
 }
@@ -244,57 +307,39 @@ func (c *Coordinator) Infer(ctx context.Context, nodes []int32) (*serve.Result, 
 
 	// Group nodes by owning shard, remembering positions.
 	byShard := make(map[int][]int32)
-	pos := make(map[int][]int)
+	pos := make(map[int][]int32)
 	for i, v := range nodes {
 		s := int(c.owner[v])
 		byShard[s] = append(byShard[s], v)
-		pos[s] = append(pos[s], i)
+		pos[s] = append(pos[s], int32(i))
 	}
 
-	type gatherRes struct {
-		s    int
-		resp gatherResponse
-		err  error
-	}
-	results := make(chan gatherRes, len(byShard))
+	// Every shard's reply lands in its own rows of logits.
+	logits := tensor.New(len(nodes), c.widths[len(c.widths)-1])
+	errs := make(chan error, len(byShard))
 	for s, vs := range byShard {
 		go func(s int, vs []int32) {
 			st := &c.stats[s]
 			t0 := time.Now()
-			var resp gatherResponse
-			err := c.post(ctx, s, "/v1/shard/gather", &gatherRequest{Gen: staticGen, Nodes: vs}, &resp)
+			err := c.gather(ctx, s, vs, logits, pos[s])
 			st.Gathers.Add(1)
 			st.GatherNs.Add(time.Since(t0).Nanoseconds())
-			results <- gatherRes{s, resp, err}
+			errs <- err
 		}(s, vs)
 	}
-	var width int
-	rows := make(map[int][]float32)
+	var failed error
 	for range byShard {
-		res := <-results
-		if res.err != nil {
-			// A gather can fail because a worker died and came back cold
-			// on the same URL (its logits are gone even though the fleet
-			// looked synced). Drop the synced flag so the next request
-			// resyncs from round 1 instead of gathering from a cold
-			// worker forever.
-			c.synced.Store(false)
-			return nil, &unavailableError{res.err}
+		if err := <-errs; err != nil && failed == nil {
+			failed = err
 		}
-		if width == 0 {
-			width = res.resp.Width
-		} else if width != res.resp.Width {
-			return nil, fmt.Errorf("shard: width mismatch %d vs %d", width, res.resp.Width)
-		}
-		rows[res.s] = bytesToFloats(res.resp.Rows)
 	}
-
-	logits := tensor.New(len(nodes), width)
-	for s, ps := range pos {
-		block := rows[s]
-		for j, i := range ps {
-			copy(logits.Row(i), block[j*width:(j+1)*width])
-		}
+	if failed != nil {
+		// A gather can fail because a worker died and came back cold on
+		// the same URL (its logits are gone even though the fleet looked
+		// synced). Drop the synced flag so the next request resyncs from
+		// round 1 instead of gathering from a cold worker forever.
+		c.synced.Store(false)
+		return nil, &unavailableError{failed}
 	}
 	return &serve.Result{
 		Nodes:   nodes,
@@ -323,7 +368,7 @@ func (c *Coordinator) TotalBytes() (tx, rx int64) {
 }
 
 // Rounds returns the exchange-round count of the deployed arch.
-func (c *Coordinator) Rounds() int { return c.rounds }
+func (c *Coordinator) Rounds() int { return len(c.widths) }
 
 // Owner returns the shard that masters vertex v.
 func (c *Coordinator) Owner(v int32) int { return int(c.owner[v]) }
@@ -356,7 +401,7 @@ type shardStat_ struct {
 
 func (c *Coordinator) topology() topology {
 	t := topology{
-		Shards: c.k, Rounds: c.rounds, Arch: c.cfg.Spec.Arch, N: c.n,
+		Shards: c.k, Rounds: len(c.widths), Arch: c.cfg.Spec.Arch, N: c.n,
 		Synced: c.synced.Load(), Infers: c.infers.Load(), Failures: c.failures.Load(),
 	}
 	for s := 0; s < c.k; s++ {

@@ -6,11 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -200,62 +203,310 @@ func TestHTTPContract(t *testing.T) {
 	if resp4.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("delta on coordinator: status %d", resp4.StatusCode)
 	}
-}
 
-// TestWorkerSequence checks the worker-side protocol: out-of-order
-// rounds answer 409, a repeated round idempotently re-serves its cached
-// exports, and round 1 resets a finished run.
-func TestWorkerSequence(t *testing.T) {
-	g, feat := testGraph(t, 300)
-	w, err := NewWorker(g, feat, testSpec("gcn"), 2, 0, "greedy", device.V100)
+	// The worker RPCs take frames from an unauthenticated port: a header
+	// that disagrees with the fragment or a bad CRC answers 400 before
+	// anything is allocated for what it claims, a body past the size its
+	// header announces 413.
+	w, err := NewWorker(g, feat, spec, 2, 0, "greedy", device.V100)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Round 2 before round 1 → sequence error.
-	if _, err := w.step(&stepRequest{Gen: staticGen, Round: 2}); err == nil {
-		t.Fatal("round 2 accepted cold")
-	} else if _, ok := err.(*seqError); !ok {
-		t.Fatalf("want seqError, got %v", err)
+	h := w.Handler()
+	frame := func(h header, rl []relay) []byte { return bytes.Join(relayFrame(h, rl), nil) }
+	if got := post(h, "/v1/shard/step", frame(header{gen: staticGen, round: 1}, nil)); got.Code != http.StatusOK {
+		t.Fatalf("round 1: status %d (%s)", got.Code, got.Body)
 	}
-	// Gather before any round → sequence error.
-	if _, err := w.gather(&gatherRequest{Gen: staticGen, Nodes: []int32{0}}); err == nil {
-		t.Fatal("gather accepted cold")
+	width := w.widths[0]
+	round2 := header{gen: staticGen, round: 2, width: width, blocks: len(w.importFrom)}
+	mirrors := func(edit func(i int, b *block)) []relay { // zero rows from every peer with mirrors here
+		var rl []relay
+		for i, p := range w.importFrom {
+			payload := make([]byte, 4*width*len(w.frag.ImportFrom[p]))
+			b := block{peer: p, rows: len(w.frag.ImportFrom[p]), crc: crc32.Checksum(payload, castagnoli)}
+			if edit != nil {
+				edit(i, &b)
+			}
+			rl = append(rl, relay{b, payload})
+		}
+		return rl
 	}
-
-	r1, err := w.step(&stepRequest{Gen: staticGen, Round: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Idempotent retry of round 1 re-serves identical exports.
-	r1b, err := w.step(&stepRequest{Gen: staticGen, Round: 1, Mirrors: nil})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range r1.Exports {
-		if !bytes.Equal(v, r1b.Exports[k]) {
-			t.Fatalf("retry of round 1 changed exports for peer %s", k)
+	huge := bytes.Join([][]byte{gatherHeader.encode(), block{peer: 0, rows: 1 << 30}.encode(), {0, 0, 0, 0}}, nil)
+	for _, tc := range []struct {
+		name, path string
+		body       io.Reader
+		status     int
+	}{
+		{"bad magic", "/v1/shard/step", bytes.NewReader(append([]byte("JSON"), frame(round2, mirrors(nil))[4:]...)), http.StatusBadRequest},
+		{"unknown generation", "/v1/shard/step", bytes.NewReader(frame(header{gen: 2, round: 2, width: width, blocks: round2.blocks}, mirrors(nil))), http.StatusBadRequest},
+		{"width not the stage's", "/v1/shard/step", bytes.NewReader(frame(header{gen: staticGen, round: 2, width: width + 1, blocks: round2.blocks}, mirrors(nil))), http.StatusBadRequest},
+		{"more blocks than peers", "/v1/shard/step", bytes.NewReader(frame(header{gen: staticGen, round: 2, width: width, blocks: 1 << 20}, mirrors(nil))), http.StatusBadRequest},
+		{"rows not the peer's mirrors", "/v1/shard/step", bytes.NewReader(frame(round2, mirrors(func(_ int, b *block) { b.rows = 1 << 30 }))), http.StatusBadRequest},
+		{"bad CRC", "/v1/shard/step", bytes.NewReader(frame(round2, mirrors(func(_ int, b *block) { b.crc ^= 1 }))), http.StatusBadRequest},
+		{"declared oversize", "/v1/shard/step", bytes.NewReader(append(frame(round2, mirrors(nil)), 0)), http.StatusRequestEntityTooLarge},
+		{"streamed oversize", "/v1/shard/step", io.MultiReader(bytes.NewReader(frame(round2, mirrors(nil))), strings.NewReader("x")), http.StatusRequestEntityTooLarge},
+		{"gather beyond owned", "/v1/shard/gather", bytes.NewReader(huge), http.StatusBadRequest},
+		{"gather oversize", "/v1/shard/gather", bytes.NewReader(append(bytes.Join(nodeFrame(0, w.frag.Locals[:1]), nil), 0)), http.StatusRequestEntityTooLarge},
+	} {
+		rw := httptest.NewRecorder()
+		h.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, tc.path, tc.body))
+		if rw.Code != tc.status {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, rw.Code, tc.status, rw.Body)
 		}
 	}
-
-	// Finish, then round 1 again resets cleanly.
-	mirrors := map[string][]byte{}
-	for _, rows := range w.frag.ImportFrom {
-		_ = rows // coordinator would fill these; zero mirrors still steps
-	}
-	if _, err := w.step(&stepRequest{Gen: staticGen, Round: 2, Mirrors: mirrors}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.gather(&gatherRequest{Gen: staticGen, Nodes: []int32{w.frag.Locals[0]}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.step(&stepRequest{Gen: staticGen, Round: 1}); err != nil {
-		t.Fatalf("round-1 reset: %v", err)
+	if got := post(h, "/v1/shard/step", frame(round2, mirrors(nil))); got.Code != http.StatusOK {
+		t.Fatalf("a good round 2 after the refusals: status %d (%s)", got.Code, got.Body)
 	}
 
-	// Unknown generation and unowned node reject cleanly.
-	if _, err := w.step(&stepRequest{Gen: 99, Round: 1}); err == nil {
-		t.Fatal("bad generation accepted")
+	// The coordinator refuses a reply frame whose declared size differs
+	// from what the fragment implies: a retryable 503, never a relay.
+	for _, field := range []struct {
+		name string
+		at   int
+	}{{"width", 16}, {"rows", headerSize + 4}} {
+		tampered := func(w *Worker) http.Handler {
+			return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+				rec := httptest.NewRecorder()
+				w.Handler().ServeHTTP(rec, r)
+				reply := rec.Body.Bytes()
+				if r.URL.Path == "/v1/shard/step" && len(reply) > headerSize+blockHeaderSize {
+					le.PutUint32(reply[field.at:], le.Uint32(reply[field.at:])+1)
+				}
+				rw.WriteHeader(rec.Code)
+				rw.Write(reply)
+			})
+		}
+		urls := make([]string, 2)
+		for s := range urls {
+			ws, err := NewWorker(g, feat, spec, 2, s, "greedy", device.V100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(tampered(ws))
+			defer srv.Close()
+			urls[s] = srv.URL
+		}
+		bad, err := NewCoordinator(CoordinatorConfig{Spec: spec, Workers: urls}, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = bad.Infer(context.Background(), []int32{0})
+		if ue := (*unavailableError)(nil); !errors.As(err, &ue) || !strings.Contains(err.Error(), "want") {
+			t.Errorf("reply with a tampered %s: %v, want a 503 naming the expected frame", field.name, err)
+		}
+	}
+}
+
+// exchange is one worker RPC as the coordinator sent and received it.
+type exchange struct {
+	host, path string
+	req, reply []byte
+}
+
+// recorder is a RoundTripper that keeps every worker RPC's bodies.
+type recorder struct {
+	mu  sync.Mutex
+	log []exchange
+}
+
+func (rec *recorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	body, err := io.ReadAll(req.Body)
+	if err != nil {
+		return nil, err
+	}
+	req.Body = io.NopCloser(bytes.NewReader(body))
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	reply, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(reply))
+	rec.mu.Lock()
+	rec.log = append(rec.log, exchange{req.URL.Host, req.URL.Path, body, reply})
+	rec.mu.Unlock()
+	return resp, nil
+}
+
+// post sends body to one of w's frame endpoints in-process.
+func post(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+	rw := httptest.NewRecorder()
+	h.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	return rw
+}
+
+// TestWorkerSequence drives one worker's round state machine over frames:
+// random sequences of valid, stale- or unknown-generation, out-of-range,
+// out-of-order, duplicated, truncated, bad-CRC and oversize rounds, plus
+// gathers, each checked against a reference model of the protocol (200 /
+// 400 / 409 / 413). Every 200 step must answer byte-identical exports to
+// the clean sync's — a retried last round included — and after the storm
+// a clean round-1 sync must serve logits ≡ the full forward, bit for bit.
+func TestWorkerSequence(t *testing.T) {
+	g, feat := testGraph(t, 400)
+	spec := testSpec("appnp") // 4 rounds, three of them importing
+	want := fullForward(t, g, feat, spec)
+	workers := make([]*Worker, 2)
+	urls := make([]string, 2)
+	for s := range workers {
+		w, err := NewWorker(g, feat, spec, 2, s, "greedy", device.V100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(w.Handler())
+		t.Cleanup(srv.Close)
+		workers[s], urls[s] = w, srv.URL
+	}
+	rec := &recorder{}
+	c, err := NewCoordinator(CoordinatorConfig{Spec: spec, Workers: urls, Client: &http.Client{Transport: rec}}, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := workers[0]
+	var nodes []int32
+	for _, v := range w.frag.Locals[:w.frag.Owned] {
+		nodes = append(nodes, v)
+	}
+	if _, err := c.Infer(context.Background(), nodes); err != nil {
+		t.Fatal(err)
+	}
+	// The clean sync, as worker 0 saw it: rounds[r-1] is round r.
+	var rounds []exchange
+	var gather exchange
+	for _, e := range rec.log {
+		switch {
+		case e.host != strings.TrimPrefix(urls[0], "http://"):
+		case e.path == "/v1/shard/step":
+			rounds = append(rounds, e)
+		default:
+			gather = e
+		}
+	}
+	R := len(rounds)
+	if R != 4 || gather.reply == nil {
+		t.Fatalf("clean sync: %d rounds and gather %v on worker 0, want 4 and one", R, gather.reply != nil)
+	}
+	checkLogits := func(reply []byte) {
+		t.Helper()
+		got := tensor.New(len(nodes), spec.Classes)
+		at := make([]int32, len(nodes))
+		for i := range at {
+			at[i] = int32(i)
+		}
+		if err := readRows(bytes.NewReader(reply), header{gen: staticGen, round: R, width: spec.Classes, done: true, blocks: 1},
+			[]rowBlock{{peer: 0, ts: []*tensor.Tensor{got}, at: at}}); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range nodes {
+			for j := 0; j < spec.Classes; j++ {
+				if math.Float32bits(got.At(i, j)) != math.Float32bits(want.At(int(v), j)) {
+					t.Fatalf("vertex %d col %d: %g, full forward %g", v, j, got.At(i, j), want.At(int(v), j))
+				}
+			}
+		}
+	}
+	checkLogits(gather.reply)
+
+	const (
+		valid = iota
+		badGen
+		badRound
+		cutHeader
+		cutPayload
+		flipPayload
+		flipCRC
+		oversize
+		doGather
+		kinds
+	)
+	seen := map[int]int{}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		have := R // the clean sync left worker 0 done
+		for op := 0; op < 150; op++ {
+			kind := rng.Intn(kinds)
+			r := 1 + rng.Intn(R)
+			body := bytes.Clone(rounds[r-1].req)
+			if kind == doGather {
+				status, wantStatus := post(w.Handler(), "/v1/shard/gather", gather.req), http.StatusConflict
+				if have == R {
+					wantStatus = http.StatusOK
+					if !bytes.Equal(status.Body.Bytes(), gather.reply) {
+						t.Fatalf("seed %d op %d: gather answered different rows", seed, op)
+					}
+				}
+				if status.Code != wantStatus {
+					t.Fatalf("seed %d op %d: gather at round %d: status %d, want %d", seed, op, have, status.Code, wantStatus)
+				}
+				continue
+			}
+			payload := len(body) > headerSize
+			switch {
+			case kind == badGen:
+				le.PutUint64(body[4:], uint64(rng.Intn(2)*2)) // 0 or 2
+			case kind == badRound:
+				le.PutUint32(body[12:], uint32(rng.Intn(2)*(R+1))) // 0 or R+1
+			case kind == cutHeader:
+				body = body[:rng.Intn(headerSize)]
+			case kind == cutPayload && payload:
+				body = body[:headerSize+rng.Intn(len(body)-headerSize)]
+			case kind == flipPayload && payload:
+				body[headerSize+blockHeaderSize+rng.Intn(len(body)-headerSize-blockHeaderSize)] ^= 1 << rng.Intn(8)
+			case kind == flipCRC && payload:
+				body[headerSize+8] ^= 1 << rng.Intn(8)
+			case kind == oversize:
+				body = append(body, 0)
+			default:
+				kind = valid
+			}
+
+			// The reference model.
+			wantStatus, next := http.StatusOK, have
+			switch {
+			case kind == badGen || kind == badRound || kind == cutHeader:
+				wantStatus = http.StatusBadRequest
+			case kind == oversize:
+				wantStatus = http.StatusRequestEntityTooLarge
+			case r == have:
+			case r == 1:
+				next = 1
+			case r != have+1:
+				wantStatus = http.StatusConflict
+			case kind != valid:
+				wantStatus = http.StatusBadRequest
+			default:
+				next = r
+			}
+			got := post(w.Handler(), "/v1/shard/step", body)
+			seen[got.Code]++
+			if got.Code != wantStatus {
+				t.Fatalf("seed %d op %d: round %d (kind %d) at round %d: status %d, want %d (%s)",
+					seed, op, r, kind, have, got.Code, wantStatus, got.Body)
+			}
+			if wantStatus == http.StatusOK && !bytes.Equal(got.Body.Bytes(), rounds[r-1].reply) {
+				t.Fatalf("seed %d op %d: round %d answered exports that differ from the clean sync's", seed, op, r)
+			}
+			have = next
+		}
+		// Whatever state the storm left: a clean sync serves the forward.
+		for r, e := range rounds {
+			if got := post(w.Handler(), "/v1/shard/step", e.req); got.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), e.reply) {
+				t.Fatalf("seed %d: clean round %d after the storm: status %d or different exports", seed, r+1, got.Code)
+			}
+		}
+		got := post(w.Handler(), "/v1/shard/gather", gather.req)
+		if got.Code != http.StatusOK {
+			t.Fatalf("seed %d: gather after the storm: status %d", seed, got.Code)
+		}
+		checkLogits(got.Body.Bytes())
+	}
+	for _, code := range []int{http.StatusOK, http.StatusBadRequest, http.StatusConflict, http.StatusRequestEntityTooLarge} {
+		if seen[code] == 0 {
+			t.Errorf("no step answered %d: the storm does not cover the protocol (%v)", code, seen)
+		}
 	}
 }
 

@@ -50,8 +50,9 @@ go test -coverprofile=cover.out ./...
 echo "== go test (benchmark module: its own go.mod, invisible to ./... above) =="
 (cd benchmark && go test ./...)
 
-echo "== serve request and delta micro-benchmarks, one iteration (so that they cannot rot) =="
+echo "== serve request, delta and shard resync micro-benchmarks, one iteration (so that they cannot rot) =="
 go test -run='^$' -bench='BenchmarkServeRequest|BenchmarkDelta' -benchtime=1x ./internal/serve
+go test -run='^$' -bench=BenchmarkShardSync -benchtime=1x ./internal/shard
 
 echo "== coverage ratchet =="
 cov=$(go tool cover -func=cover.out | awk '/^total:/ { sub(/%/, "", $3); print $3 }')
@@ -69,6 +70,7 @@ go test -run='^$' -fuzz=FuzzFusionEquivalence -fuzztime="$FUZZ_TIME" ./internal/
 go test -run='^$' -fuzz=FuzzEdgeBalanced -fuzztime="$FUZZ_TIME" ./internal/sched
 go test -run='^$' -fuzz=FuzzDeltaEquivalence -fuzztime="$FUZZ_TIME" ./internal/serve
 go test -run='^$' -fuzz=FuzzPartitionInvariants -fuzztime="$FUZZ_TIME" ./internal/part
+go test -run='^$' -fuzz=FuzzShardWire -fuzztime="$FUZZ_TIME" ./internal/shard
 go test -run='^$' -fuzz=FuzzStoreEquivalence -fuzztime="$FUZZ_TIME" ./internal/store
 
 if [ -n "$CI_SKIP_RACE" ]; then
