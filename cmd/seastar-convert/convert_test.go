@@ -50,7 +50,7 @@ func TestConvertRoundTrip(t *testing.T) {
 
 			opts := train.MiniBatchOptions{
 				Epochs: 1, BatchSize: 128, FanOut: []int{5, 3},
-				LR: 0.01, Seed: 7, DegreeSort: true, GPU: "V100",
+				LR: 0.01, Seed: 7, DegreeSort: true,
 			}
 			mem := &datasets.Dataset{
 				Name: "mem", G: src.G, Feat: src.Feat,
@@ -79,7 +79,10 @@ func TestConvertRoundTrip(t *testing.T) {
 
 // TestConvertRejectsBadSpecs pins the CLI's input validation.
 func TestConvertRejectsBadSpecs(t *testing.T) {
-	for _, spec := range []string{"", "5", "5,3", "a,b,c", "1,3,1.0", "5,0,1.0"} {
+	for _, spec := range []string{"", "5", "5,3", "a,b,c", "1,3,1.0", "5,0,1.0",
+		"2147483648,1,1.0", // vertex ids past int32
+		"100000,30000,1.0", // 3·10⁹ edge ids past int32
+	} {
 		if _, err := fromZipf(spec, 8, 4, 1); err == nil {
 			t.Errorf("fromZipf(%q) succeeded, want error", spec)
 		}

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -105,6 +106,16 @@ func fromZipf(spec string, featDim, classes int, seed int64) (*store.Source, err
 	alpha, err3 := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
 	if err1 != nil || err2 != nil || err3 != nil || n < 2 || avg < 1 {
 		return nil, fmt.Errorf("bad -zipf %q, want n,avgDeg,alpha", spec)
+	}
+	// Vertex and edge ids are int32: refuse what would wrap before anything
+	// is allocated. ZipfDegree draws n·avgDeg edges plus at most n/2 from
+	// rounding each vertex's degree; the bound is checked by division so it
+	// cannot overflow itself.
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("-zipf n=%d exceeds the int32 vertex-id limit %d", n, math.MaxInt32)
+	}
+	if avg > (math.MaxInt32-n/2)/n {
+		return nil, fmt.Errorf("-zipf n=%d with avgDeg=%d exceeds the int32 edge-id limit %d", n, avg, math.MaxInt32)
 	}
 	if featDim < 0 || classes < 1 {
 		return nil, fmt.Errorf("-feat-dim must be >= 0 and -classes >= 1")

@@ -34,7 +34,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	model := flag.String("model", "gcn", "gcn|gat|appnp|rgcn")
 	dataset := flag.String("dataset", "cora", "dataset to serve at startup")
-	gpu := flag.String("gpu", "V100", "simulated GPU profile")
 	hidden := flag.Int("hidden", 16, "hidden size")
 	alpha := flag.Float64("alpha", 0.1, "APPNP teleport probability")
 	k := flag.Int("k", 10, "APPNP propagation steps")
@@ -70,10 +69,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	prof, ok := device.ProfileByName(*gpu)
-	if !ok {
-		fatal(fmt.Errorf("unknown GPU %q", *gpu))
-	}
 	// Sharded modes bypass the engine: a worker serves one vertex-cut
 	// fragment's step/gather endpoints; a coordinator fronts N workers
 	// with the standard /v1/infer contract. Every process re-derives the
@@ -92,7 +87,8 @@ func main() {
 			if *shardCount < 1 {
 				fatal(fmt.Errorf("-shard-index needs -shard-count"))
 			}
-			w, err := shard.NewWorker(ds.G, ds.Feat, spec, *shardCount, *shardIndex, *partition, prof)
+			// A worker charges no simulated device; NewWorker ignores the profile.
+			w, err := shard.NewWorker(ds.G, ds.Feat, spec, *shardCount, *shardIndex, *partition, device.Profile{})
 			if err != nil {
 				fatal(err)
 			}
@@ -147,7 +143,6 @@ func main() {
 		MaxBatch:       *batch,
 		Workers:        *workers,
 		DefaultTimeout: *timeout,
-		Profile:        prof,
 		Adapt:          *adaptOn || *adaptPlans != "",
 		AdaptPlanPath:  *adaptPlans,
 		AdaptInterval:  *adaptInterval,
@@ -215,16 +210,23 @@ func split(s string) []string {
 }
 
 // Connection limits of every listener: a client that stalls while sending
-// headers or a body, or parks an idle keep-alive, is dropped instead of
-// holding a connection forever. The read limit covers the largest body the
-// handlers accept (a 64 MiB delta) at a few MB/s.
+// headers or a body, stops reading its response, or parks an idle
+// keep-alive, is dropped instead of holding a connection forever. The read
+// limit covers the largest body the handlers accept (a 64 MiB delta) at a
+// few MB/s. The write limit runs from the end of the request headers to
+// the end of the response, so it also covers the slowest handler — a
+// /v1/graph swap that generates and degree-sorts a whole dataset, or a
+// delta that falls back to a full forward — and then the largest response
+// (the logits of a 1 MiB node list, tens of MB of JSON) at a few MB/s.
 const (
 	readHeaderTimeout = 5 * time.Second
 	readTimeout       = 60 * time.Second
+	writeTimeout      = 2 * time.Minute
 	idleTimeout       = 2 * time.Minute
 )
 
 func newServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{Addr: addr, Handler: h,
-		ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
+		ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout,
+		WriteTimeout: writeTimeout, IdleTimeout: idleTimeout}
 }

@@ -1,5 +1,6 @@
 // Command seastar-train trains one GNN on one dataset and reports loss,
-// accuracy, simulated per-epoch time and peak device memory:
+// accuracy, and — on the simulated GPU the paper's figures use — per-epoch
+// time and peak device memory:
 //
 //	seastar-train -model gcn -dataset cora -system seastar -epochs 20
 //	seastar-train -model rgcn -dataset aifb -system dgl-bmm -gpu 1080Ti
@@ -7,7 +8,8 @@
 // With -minibatch it switches to pipelined neighbour-sampled training
 // (internal/pipeline): sampling for upcoming batches overlaps compute
 // for the current one, with bitwise-reproducible results for a fixed
-// -seed regardless of -prefetch/-sample-workers:
+// -seed regardless of -prefetch/-sample-workers. Its epochs report wall
+// clock time; nothing is simulated:
 //
 //	seastar-train -minibatch -dataset cora -batch-size 256 -prefetch 4 \
 //	    -epochs 5 -checkpoint ck.gob
@@ -37,7 +39,7 @@ func main() {
 	model := flag.String("model", "gcn", "gcn|gat|appnp|rgcn")
 	dataset := flag.String("dataset", "cora", "dataset name (see -list)")
 	system := flag.String("system", "seastar", "seastar|dgl|pyg|dgl-bmm|pyg-bmm")
-	gpu := flag.String("gpu", "V100", "simulated GPU")
+	gpu := flag.String("gpu", "V100", "simulated GPU of full-graph runs (mini-batch runs simulate none)")
 	hidden := flag.Int("hidden", 16, "hidden size")
 	epochs := flag.Int("epochs", 10, "training epochs")
 	lr := flag.Float64("lr", 0.01, "Adam learning rate")
@@ -77,7 +79,7 @@ func main() {
 			epochs: *epochs, batchSize: *batchSize, prefetch: *prefetch,
 			sampleWorkers: *sampleWorkers, fanout: *fanout,
 			checkpoint: *checkpoint, metricsOut: *metricsOut,
-			lr: float32(*lr), seed: *seed, degreeSort: *degreeSort, gpu: *gpu,
+			lr: float32(*lr), seed: *seed, degreeSort: *degreeSort,
 			store: st, storePrefetch: *storePrefetch,
 			storePrefetchWorkers: *storePrefetchWorkers,
 			storePrefetchBudget:  *storePrefetchBudget,
@@ -97,7 +99,7 @@ func main() {
 			epochs: *epochs, batchSize: *batchSize, prefetch: *prefetch,
 			sampleWorkers: *sampleWorkers, fanout: *fanout,
 			checkpoint: *checkpoint, metricsOut: *metricsOut,
-			lr: float32(*lr), seed: *seed, degreeSort: *degreeSort, gpu: *gpu,
+			lr: float32(*lr), seed: *seed, degreeSort: *degreeSort,
 		})
 		return
 	}
@@ -180,7 +182,7 @@ func main() {
 
 type miniFlags struct {
 	epochs, batchSize, prefetch, sampleWorkers int
-	fanout, checkpoint, metricsOut, gpu        string
+	fanout, checkpoint, metricsOut             string
 	lr                                         float32
 	seed                                       int64
 	degreeSort                                 bool
@@ -205,7 +207,7 @@ func runMiniBatch(ds *datasets.Dataset, mf miniFlags) {
 	opts := train.MiniBatchOptions{
 		Epochs: mf.epochs, BatchSize: mf.batchSize, FanOut: fan,
 		Prefetch: mf.prefetch, SampleWorkers: mf.sampleWorkers,
-		LR: mf.lr, Seed: mf.seed, DegreeSort: mf.degreeSort, GPU: mf.gpu,
+		LR: mf.lr, Seed: mf.seed, DegreeSort: mf.degreeSort,
 		CheckpointPath: mf.checkpoint, Metrics: metrics,
 		GraphStore: mf.store, StorePrefetch: mf.storePrefetch,
 		StorePrefetchWorkers: mf.storePrefetchWorkers,
@@ -233,8 +235,7 @@ func runMiniBatch(ds *datasets.Dataset, mf miniFlags) {
 	if res.StartEpoch > 0 {
 		fmt.Printf("(resumed from checkpoint at epoch %d)\n", res.StartEpoch)
 	}
-	fmt.Printf("final seed-vertex accuracy %.3f, peak device memory %.1f MB\n",
-		res.SeedAcc, float64(res.PeakBytes)/(1<<20))
+	fmt.Printf("final seed-vertex accuracy %.3f\n", res.SeedAcc)
 	if s := res.StoreStats; s != nil {
 		fmt.Printf("store prefetch: %d requests (%d dropped), %d rows, %d page touches; %d major faults\n",
 			s.Batches, s.Dropped, s.Rows, s.Pages, res.MajorFaults)

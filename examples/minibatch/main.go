@@ -46,7 +46,7 @@ func main() {
 	opts := train.MiniBatchOptions{
 		Epochs: 3, BatchSize: 256, FanOut: []int{8},
 		Prefetch: *prefetch, SampleWorkers: *workers,
-		LR: 0.01, Seed: 42, DegreeSort: *degreeSort, GPU: "2080Ti",
+		LR: 0.01, Seed: 42, DegreeSort: *degreeSort,
 		Metrics: metrics,
 		Progress: func(st train.EpochStats) {
 			fmt.Printf("epoch %d: %d batches, avg loss %.4f, seed acc %.3f\n",

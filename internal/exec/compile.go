@@ -1,10 +1,10 @@
 // Package exec compiles traced vertex-centric programs into executable
-// plans and runs them against a graph, a simulated device, and the nn
-// autograd backend — the paper's code generation and runtime execution
-// layer (§5.3). A compiled UDF becomes a custom autograd function whose
-// forward and backward passes each dispatch a sequence of execution
-// units: fused seastar kernels, dense backend ops, and parameter-gradient
-// reductions.
+// plans and runs them against a graph and the nn autograd backend — the
+// paper's code generation and runtime execution layer (§5.3). A compiled
+// UDF becomes a custom autograd function whose forward and backward passes
+// each dispatch a sequence of execution units: fused seastar kernels,
+// dense backend ops, and parameter-gradient reductions. A unit is charged
+// to a simulated device only when the nn engine carries one.
 package exec
 
 import (

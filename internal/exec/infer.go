@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 
-	"seastar/internal/device"
 	"seastar/internal/fusion"
 	"seastar/internal/gir"
 	"seastar/internal/graph"
@@ -13,14 +12,13 @@ import (
 )
 
 // InferEnv is the per-call execution context for forward-only inference.
-// Unlike Runtime it carries no autograd engine, so any number of InferEnv
-// values can execute the same CompiledUDF concurrently: compiled kernels
-// serialize on their own internal lock, the pool is mutex-guarded, and
-// everything else here is call-local. The serving layer creates one
-// device per batch and shares the pool across batches.
+// Unlike Runtime it carries no autograd engine and no simulated device, so
+// any number of InferEnv values can execute the same CompiledUDF
+// concurrently: compiled kernels serialize on their own internal lock, the
+// pool is mutex-guarded, and everything else here is call-local. The
+// serving layer shares one pool across batches.
 type InferEnv struct {
 	G   *graph.Graph
-	Dev *device.Device
 	Cfg kernels.Config
 	// Pool, when non-nil, supplies intermediate storage; every
 	// intermediate is returned to it before Infer returns.
@@ -37,10 +35,6 @@ type InferEnv struct {
 func (c *CompiledUDF) Infer(env *InferEnv, vfeat, efeat, params map[string]*tensor.Tensor) (*tensor.Tensor, error) {
 	if env == nil || env.G == nil {
 		return nil, fmt.Errorf("exec: Infer needs a graph")
-	}
-	dev := env.Dev
-	if dev == nil {
-		dev = device.New(device.V100)
 	}
 	cfg := env.Cfg
 	if cfg == (kernels.Config{}) {
@@ -114,7 +108,7 @@ func (c *CompiledUDF) Infer(env *InferEnv, vfeat, efeat, params map[string]*tens
 			for _, m := range mat {
 				outs[m] = alloc(m)
 			}
-			if err := c.fwdKern[u].Run(dev, env.G, cfg, b, outs); err != nil {
+			if err := c.fwdKern[u].Run(env.G, cfg, b, outs); err != nil {
 				return nil, fmt.Errorf("exec: infer unit %d: %w", u.ID, err)
 			}
 			for n, t := range outs {
@@ -130,7 +124,7 @@ func (c *CompiledUDF) Infer(env *InferEnv, vfeat, efeat, params map[string]*tens
 					}
 					ins[i] = t
 				}
-				out, err := denseOp(dev, n, ins, getFor(n))
+				out, err := denseOp(n, ins, getFor(n))
 				if err != nil {
 					return nil, fmt.Errorf("exec: infer unit %d: %w", u.ID, err)
 				}
@@ -166,23 +160,15 @@ func matShape(g *graph.Graph, n *gir.Node) []int {
 	}
 }
 
-// denseOp evaluates one dense-unit operator into storage drawn from get,
-// charging dev; training and inference share it, so they share one cost
-// model.
-func denseOp(dev *device.Device, n *gir.Node, ins []*tensor.Tensor, get func(shape ...int) *tensor.Tensor) (*tensor.Tensor, error) {
+// denseOp evaluates one dense-unit operator into storage drawn from get;
+// training and inference share it. It only computes: the training runtime
+// charges its engine's device with denseCost.
+func denseOp(n *gir.Node, ins []*tensor.Tensor, get func(shape ...int) *tensor.Tensor) (*tensor.Tensor, error) {
 	switch n.Op {
 	case gir.OpMatMulP:
-		out := tensor.MatMul(ins[0], ins[1], get(ins[0].Rows(), ins[1].Cols()))
-		ChargeDense(dev, "dense.matmul",
-			float64(ins[0].Rows())*float64(ins[1].Rows())*float64(ins[1].Cols()),
-			int64(ins[0].Size()+ins[1].Size())*4, int64(out.Size())*4)
-		return out, nil
+		return tensor.MatMul(ins[0], ins[1], get(ins[0].Rows(), ins[1].Cols())), nil
 	case gir.OpMatMulPT:
-		out := tensor.MatMulT(ins[0], ins[1], get(ins[0].Rows(), ins[1].Rows())) // g @ Wᵀ
-		ChargeDense(dev, "dense.matmulT",
-			float64(ins[0].Rows())*float64(ins[1].Rows())*float64(ins[1].Cols()),
-			int64(ins[0].Size()+ins[1].Size())*4, int64(out.Size())*4)
-		return out, nil
+		return tensor.MatMulT(ins[0], ins[1], get(ins[0].Rows(), ins[1].Rows())), nil // g @ Wᵀ
 	}
 	// P-typed elementwise ops: whole-tensor backend kernels (gradient
 	// accumulation between parameter-gradient units, scaling, and the
@@ -218,33 +204,21 @@ func denseOp(dev *device.Device, n *gir.Node, ins []*tensor.Tensor, get func(sha
 	default:
 		return nil, fmt.Errorf("exec: dense unit cannot run %s", n.Op)
 	}
-	ChargeDense(dev, "dense."+n.Op.String(), float64(out.Size()),
-		int64(out.Size())*8, int64(out.Size())*4)
 	return out, nil
 }
 
-// ChargeDense charges a dense compute kernel of `ops` multiply-adds
-// moving loadB+storeB bytes directly to a device — the engine-free twin
-// of nn.Engine.ChargeDense, for execution paths that carry no autograd
-// state (inference serving).
-func ChargeDense(dev *device.Device, name string, ops float64, loadB, storeB int64) {
-	if dev == nil {
-		return
+// denseCost is the simulated cost of one denseOp that produced out, in
+// nn.Engine.ChargeDense's terms: kernel name, multiply-adds, bytes loaded
+// and stored.
+func denseCost(n *gir.Node, ins []*tensor.Tensor, out *tensor.Tensor) (name string, ops float64, loadB, storeB int64) {
+	switch n.Op {
+	case gir.OpMatMulP, gir.OpMatMulPT:
+		name = "dense.matmul"
+		if n.Op == gir.OpMatMulPT {
+			name = "dense.matmulT"
+		}
+		return name, float64(ins[0].Rows()) * float64(ins[1].Rows()) * float64(ins[1].Cols()),
+			int64(ins[0].Size()+ins[1].Size()) * 4, int64(out.Size()) * 4
 	}
-	p := dev.Profile
-	const threads = 256
-	const efficiency = 0.5
-	blocks := p.SMCount * (p.MaxThreadsPerSM / threads)
-	if blocks < 1 {
-		blocks = 1
-	}
-	path := ops / (float64(p.SMCount*p.CoresPerSM) * efficiency)
-	dev.LaunchKernel(device.Launch{
-		Name:               name,
-		Blocks:             blocks,
-		ThreadsPerBlock:    threads,
-		UniformBlockCycles: path,
-		LoadBytes:          loadB,
-		StoreBytes:         storeB,
-	})
+	return "dense." + n.Op.String(), float64(out.Size()), int64(out.Size()) * 8, int64(out.Size()) * 4
 }

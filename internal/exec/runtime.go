@@ -13,8 +13,10 @@ import (
 	"seastar/internal/tensor"
 )
 
-// Runtime binds a compiled UDF to a device (through the nn engine), a
-// graph, and a kernel configuration. It is a cheap view: every
+// Runtime binds a compiled UDF to an nn engine, a graph, and a kernel
+// configuration. When the engine has a device, every unit is also charged
+// to it (kernels.Kernel.LaunchOnly, nn.Engine.ChargeDense) after it
+// computes; without one nothing is simulated. It is a cheap view: every
 // materialized value is drawn from the engine's tensor pool, so a
 // mini-batch trainer can build one per batch subgraph and still reuse
 // the previous batch's storage.
@@ -112,8 +114,11 @@ func (f *udfFunction) runUnit(u *fusion.Unit, kern *kernels.Kernel, mat []*gir.N
 		for _, m := range mat {
 			outs[m] = f.allocOut(m)
 		}
-		if err := kern.Run(f.rt.E.Dev, f.rt.G, f.rt.Cfg, b, outs); err != nil {
+		if err := kern.Run(f.rt.G, f.rt.Cfg, b, outs); err != nil {
 			return err
+		}
+		if dev := f.rt.E.Dev; dev != nil {
+			kern.LaunchOnly(dev, f.rt.G, f.rt.Cfg)
 		}
 		for n, t := range outs {
 			b.Inter[n] = t
@@ -138,19 +143,23 @@ func (f *udfFunction) runDense(u *fusion.Unit, b *kernels.Bindings) error {
 			}
 			ins[i] = t
 		}
-		out, err := denseOp(f.rt.E.Dev, n, ins, f.rt.E.Get)
+		out, err := denseOp(n, ins, f.rt.E.Get)
 		if err != nil {
 			return err
 		}
+		f.rt.E.ChargeDense(denseCost(n, ins, out))
 		f.record(n, out)
 		b.Inter[n] = out
 	}
 	return nil
 }
 
-// record charges a materialized node's output to the device and
-// remembers the buffer for eager freeing.
+// record charges a materialized node's output to the engine's device, if
+// it has one, and remembers the buffer for eager freeing.
 func (f *udfFunction) record(n *gir.Node, t *tensor.Tensor) {
+	if f.rt.E.Dev == nil {
+		return
+	}
 	if f.bufs == nil {
 		f.bufs = make(map[*gir.Node]*device.Buffer)
 	}

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"seastar/internal/device"
 	"seastar/internal/exec"
 	"seastar/internal/fusion"
 	"seastar/internal/gir"
@@ -86,7 +85,6 @@ func runSeastarUnits(t *testing.T, g *graph.Graph, units []*fusion.Unit,
 	cfg kernels.Config, bind *kernels.Bindings) map[*gir.Node]*tensor.Tensor {
 	t.Helper()
 	bind.Inter = map[*gir.Node]*tensor.Tensor{}
-	dev := device.New(device.V100)
 	for _, u := range units {
 		if u.Kind != fusion.KindSeastar {
 			continue
@@ -99,7 +97,7 @@ func runSeastarUnits(t *testing.T, g *graph.Graph, units []*fusion.Unit,
 			}
 			outs[n] = tensor.New(rows, n.Dim())
 		}
-		if err := kernel(u).Run(dev, g, cfg, bind, outs); err != nil {
+		if err := kernel(u).Run(g, cfg, bind, outs); err != nil {
 			t.Fatalf("unit %d: %v", u.ID, err)
 		}
 		for n, out := range outs {

@@ -8,7 +8,6 @@ import (
 	"seastar/internal/fusion"
 	"seastar/internal/gir"
 	"seastar/internal/graph"
-	"seastar/internal/tensor"
 )
 
 func TestGroupSizeTable(t *testing.T) {
@@ -43,42 +42,6 @@ func TestConfigDefaults(t *testing.T) {
 	d := DefaultConfig()
 	if !d.FeatureAdaptive || d.Sched != device.SchedHardware {
 		t.Fatalf("DefaultConfig: %+v", d)
-	}
-}
-
-func TestLaunchOnlyMatchesRunCost(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	g := graph.PowerLaw(rng, 500, 6).SortByDegree()
-	b := gir.NewBuilder()
-	b.VFeature("h", 8)
-	dag, err := b.Build(func(v *gir.Vertex) *gir.Value {
-		return v.Nbr("h").Exp().AggSum()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := fusion.Partition(fusion.Optimize(dag))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mat := plan.Materialized(nil)
-	k, err := Compile(plan.Units[0], mat[plan.Units[0]], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	devRun := device.New(device.V100)
-	h := tensor.Randn(rng, 1, 500, 8)
-	outs := map[*gir.Node]*tensor.Tensor{plan.DAG.Outputs[0]: tensor.New(500, 8)}
-	if err := k.Run(devRun, g, DefaultConfig(), &Bindings{VFeat: map[string]*tensor.Tensor{"h": h}}, outs); err != nil {
-		t.Fatal(err)
-	}
-
-	devOnly := device.New(device.V100)
-	k.LaunchOnly(devOnly, g, DefaultConfig())
-
-	if devRun.ElapsedNs() != devOnly.ElapsedNs() {
-		t.Fatalf("LaunchOnly cost %v != Run cost %v", devOnly.ElapsedNs(), devRun.ElapsedNs())
 	}
 }
 

@@ -85,8 +85,10 @@ func (k *Kernel) cpuWork(csr *graph.CSR) float64 {
 	return float64(len(csr.Nbrs))*perEdge + float64(csr.NumRows())*perRow
 }
 
-// LaunchOnly charges the kernel's cost to dev without computing values —
-// for microbenchmarks (Figure 12) where only the cost model matters.
+// LaunchOnly charges one launch of the kernel over g to dev without
+// computing values. It is the only way a fused unit is charged: the
+// training runtime calls it after each Run when its engine has a device,
+// and Figure 12's microbenchmark calls it alone.
 func (k *Kernel) LaunchOnly(dev *device.Device, g *graph.Graph, cfg Config) {
 	cfg = cfg.withDefaults()
 	csr := &g.In
@@ -99,7 +101,7 @@ func (k *Kernel) LaunchOnly(dev *device.Device, g *graph.Graph, cfg Config) {
 }
 
 // launch assembles the device.Launch record for this kernel on csr —
-// the costed half of Algorithm 1.
+// the costed half of Algorithm 1. Callers hold k.mu.
 func (k *Kernel) launch(csr *graph.CSR, cfg Config) device.Launch {
 	gs := groupSize(cfg, k.MaxWidth())
 	groupsPerBlock := cfg.BlockSize / gs

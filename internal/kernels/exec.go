@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 
-	"seastar/internal/device"
 	"seastar/internal/gir"
 	"seastar/internal/graph"
 	"seastar/internal/obs"
@@ -58,15 +57,16 @@ func (b *Bindings) Resolve(n *gir.Node) (*tensor.Tensor, error) {
 }
 
 // Run executes the kernel over g, writing materialized node values into
-// outs (pre-allocated [N,d] or [M,d] tensors) and charging dev. The CSR
-// direction is chosen by the unit's aggregation direction (§6.3.4).
+// outs (pre-allocated [N,d] or [M,d] tensors). It only computes: a caller
+// reproducing the paper's figures charges the launch with LaunchOnly. The
+// CSR direction is chosen by the unit's aggregation direction (§6.3.4).
 //
 // Row chunks are partitioned by edge count and claimed by
 // a persistent worker pool through an atomic counter — the CPU analogue
 // of the paper's degree-sorting + dynamic-load-balancing design (§6.3.3).
-// Scratch arenas, the row partition and the cost-model buffer are all
-// cached on the Kernel, so a steady-state launch is allocation-free.
-func (k *Kernel) Run(dev *device.Device, g *graph.Graph, cfg Config, b *Bindings, outs map[*gir.Node]*tensor.Tensor) error {
+// Scratch arenas and the row partition are cached on the Kernel, so a
+// steady-state launch is allocation-free.
+func (k *Kernel) Run(g *graph.Graph, cfg Config, b *Bindings, outs map[*gir.Node]*tensor.Tensor) error {
 	sp := obs.Begin("kern", k.obsLabel)
 	defer sp.End()
 	cfg = cfg.withDefaults()
@@ -155,8 +155,6 @@ func (k *Kernel) Run(dev *device.Device, g *graph.Graph, cfg Config, b *Bindings
 			return firstErr
 		}
 	}
-
-	dev.LaunchKernel(k.launch(csr, cfg))
 	return nil
 }
 

@@ -33,7 +33,6 @@ func planFor(t *testing.T, setup func(b *gir.Builder) gir.UDF) (*fusion.Plan, *g
 // the tensor of the DAG output. Dense units are not expected here.
 func runSeastarUnits(t *testing.T, plan *fusion.Plan, g *graph.Graph, cfg Config, b *Bindings) *tensor.Tensor {
 	t.Helper()
-	dev := device.New(device.V100)
 	if b.Inter == nil {
 		b.Inter = make(map[*gir.Node]*tensor.Tensor)
 	}
@@ -60,7 +59,7 @@ func runSeastarUnits(t *testing.T, plan *fusion.Plan, g *graph.Graph, cfg Config
 			}
 			outs[m] = tensor.New(rows, m.Dim())
 		}
-		if err := k.Run(dev, g, cfg, b, outs); err != nil {
+		if err := k.Run(g, cfg, b, outs); err != nil {
 			t.Fatal(err)
 		}
 		for n, tt := range outs {
@@ -233,8 +232,7 @@ func TestSeastarBackwardDirectionUsesOutCSR(t *testing.T) {
 	}
 	x := tensor.FromSlice([]float32{1, 2, 3, 4}, 4, 1)
 	out := tensor.New(4, 1)
-	dev := device.New(device.V100)
-	err = k.Run(dev, g, DefaultConfig(), &Bindings{VFeat: map[string]*tensor.Tensor{"x": x}},
+	err = k.Run(g, DefaultConfig(), &Bindings{VFeat: map[string]*tensor.Tensor{"x": x}},
 		map[*gir.Node]*tensor.Tensor{agg: out})
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +300,7 @@ func TestHeteroKernelRequiresEdgeTypes(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := tensor.New(4, 1)
-	err = k.Run(device.New(device.V100), g, DefaultConfig(),
+	err = k.Run(g, DefaultConfig(),
 		&Bindings{VFeat: map[string]*tensor.Tensor{"x": x}},
 		map[*gir.Node]*tensor.Tensor{plan.DAG.Outputs[0]: tensor.New(4, 1)})
 	if err == nil {
@@ -353,7 +351,6 @@ func TestKernelCostOrderings(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	g := graph.PowerLaw(rng, 5000, 8)
 	sorted := g.SortByDegree()
-	h := tensor.Randn(rng, 1, 5000, 16)
 	plan, _ := planFor(t, func(b *gir.Builder) gir.UDF {
 		b.VFeature("h", 16)
 		return func(v *gir.Vertex) *gir.Value { return v.Nbr("h").AggSum() }
@@ -365,10 +362,7 @@ func TestKernelCostOrderings(t *testing.T) {
 	}
 	time := func(gg *graph.Graph, cfg Config) float64 {
 		dev := device.New(device.GTX1080Ti)
-		outs := map[*gir.Node]*tensor.Tensor{plan.DAG.Outputs[0]: tensor.New(5000, 16)}
-		if err := k.Run(dev, gg, cfg, &Bindings{VFeat: map[string]*tensor.Tensor{"h": h}}, outs); err != nil {
-			t.Fatal(err)
-		}
+		k.LaunchOnly(dev, gg, cfg)
 		return dev.ElapsedNs()
 	}
 	basic := time(sorted, Config{BlockSize: 256, FeatureAdaptive: false})
@@ -506,10 +500,7 @@ func TestDGLBaselineSlowerThanSeastar(t *testing.T) {
 		t.Fatal(err)
 	}
 	seaDev := device.New(device.GTX1080Ti)
-	outs := map[*gir.Node]*tensor.Tensor{plan.DAG.Outputs[0]: tensor.New(20000, 16)}
-	if err := k.Run(seaDev, sorted, DefaultConfig(), &Bindings{VFeat: map[string]*tensor.Tensor{"h": h}}, outs); err != nil {
-		t.Fatal(err)
-	}
+	k.LaunchOnly(seaDev, sorted, DefaultConfig())
 	if seaDev.ElapsedNs() >= dglDev.ElapsedNs() {
 		t.Fatalf("seastar (%v ns) not faster than DGL baseline (%v ns)",
 			seaDev.ElapsedNs(), dglDev.ElapsedNs())
@@ -542,11 +533,11 @@ func TestRunErrorsOnMissingBindings(t *testing.T) {
 	mat := plan.Materialized(nil)
 	k, _ := Compile(plan.Units[0], mat[plan.Units[0]], nil)
 	outs := map[*gir.Node]*tensor.Tensor{plan.DAG.Outputs[0]: tensor.New(4, 2)}
-	if err := k.Run(device.New(device.V100), g, DefaultConfig(), &Bindings{}, outs); err == nil {
+	if err := k.Run(g, DefaultConfig(), &Bindings{}, outs); err == nil {
 		t.Fatal("missing feature binding accepted")
 	}
 	// Missing output tensor.
-	if err := k.Run(device.New(device.V100), g, DefaultConfig(),
+	if err := k.Run(g, DefaultConfig(),
 		&Bindings{VFeat: map[string]*tensor.Tensor{"h": tensor.New(4, 2)}},
 		map[*gir.Node]*tensor.Tensor{}); err == nil {
 		t.Fatal("missing output tensor accepted")

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"time"
 
-	"seastar/internal/device"
 	"seastar/internal/graph"
 	"seastar/internal/obs"
 	"seastar/internal/tensor"
@@ -55,8 +54,6 @@ type DeltaOptions struct {
 	// incremental patch falls back to a full forward (default 0.05; ≥1
 	// effectively never falls back).
 	FrontierLimit float64
-	// Profile is the simulated device the recompute charges.
-	Profile device.Profile
 	// Pool recycles intermediate tensors.
 	Pool *tensor.Pool
 }
@@ -179,7 +176,7 @@ func recomputeEmbeddings(parent, child *Snapshot, d *Delta, opt *DeltaOptions, s
 	maxDirty := int(limit * float64(child.n))
 
 	full := func() string {
-		if _, err := child.EnsureEmbeddings(m, &ForwardEnv{Dev: device.New(opt.Profile), Pool: opt.Pool}); err != nil {
+		if _, err := child.EnsureEmbeddings(m, &ForwardEnv{Pool: opt.Pool}); err != nil {
 			return "deferred" // failed builds stay visible to the serving path
 		}
 		return "full"
@@ -220,7 +217,7 @@ func recomputeEmbeddings(parent, child *Snapshot, d *Delta, opt *DeltaOptions, s
 	// products cover fd, each later stage's the rows the previous one
 	// recomputed (MatMulRowsLike keeps them bitwise rows of the full-size
 	// product), and each stage's plan walks its frontier.
-	env := &ForwardEnv{Dev: device.New(opt.Profile), Pool: opt.Pool}
+	env := &ForwardEnv{Pool: opt.Pool}
 	m.prog.setNorms(env, child, nil)
 	r := &run{m: m, env: env, fullRows: child.n, vals: aux, h: child.fs.Gather(fd)}
 	hops := dirtyFrontiers(child.dg, fd, sets)

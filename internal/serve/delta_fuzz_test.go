@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"seastar/internal/device"
 	"seastar/internal/graph"
 	"seastar/internal/serve"
 )
@@ -124,10 +123,10 @@ func FuzzDeltaEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := snap.EnsureEmbeddings(model, &serve.ForwardEnv{Dev: device.New(device.V100)}); err != nil {
+		if _, err := snap.EnsureEmbeddings(model, &serve.ForwardEnv{}); err != nil {
 			t.Fatal(err)
 		}
-		opt := &serve.DeltaOptions{Model: model, FrontierLimit: 1.0, Profile: device.V100}
+		opt := &serve.DeltaOptions{Model: model, FrontierLimit: 1.0}
 
 		feed := &byteFeed{data: data}
 		for step := 0; step < 3; step++ {
@@ -141,7 +140,7 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			}
 			mir.apply(d)
 			requireGraphEqual(t, child.Graph(), mir.graph(t))
-			got, err := child.EnsureEmbeddings(model, &serve.ForwardEnv{Dev: device.New(device.V100)})
+			got, err := child.EnsureEmbeddings(model, &serve.ForwardEnv{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"seastar/internal/device"
 	"seastar/internal/graph"
 	"seastar/internal/obs"
 	"seastar/internal/serve"
@@ -115,7 +114,7 @@ func (m *deltaMirror) scratchLogits(t testing.TB, model *serve.Model) *tensor.Te
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := &serve.ForwardEnv{Dev: device.New(device.V100)}
+	env := &serve.ForwardEnv{}
 	logits, err := snap.EnsureEmbeddings(model, env)
 	if err != nil {
 		t.Fatal(err)
@@ -207,10 +206,10 @@ func runDeltaChain(t *testing.T, spec serve.ModelSpec, frontierLimit float64, wa
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snap.EnsureEmbeddings(model, &serve.ForwardEnv{Dev: device.New(device.V100)}); err != nil {
+	if _, err := snap.EnsureEmbeddings(model, &serve.ForwardEnv{}); err != nil {
 		t.Fatal(err)
 	}
-	opt := &serve.DeltaOptions{Model: model, FrontierLimit: frontierLimit, Profile: device.V100}
+	opt := &serve.DeltaOptions{Model: model, FrontierLimit: frontierLimit}
 	incremental := 0
 	for step := 0; step < 6; step++ {
 		d := randomDelta(rng, mir, 0)
@@ -225,7 +224,7 @@ func runDeltaChain(t *testing.T, spec serve.ModelSpec, frontierLimit float64, wa
 		}
 
 		scratch := mir.scratchLogits(t, model)
-		got, err := child.EnsureEmbeddings(model, &serve.ForwardEnv{Dev: device.New(device.V100)})
+		got, err := child.EnsureEmbeddings(model, &serve.ForwardEnv{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,10 +278,10 @@ func deltaFixture(t *testing.T, seed int64, arch string) (*rand.Rand, *deltaMirr
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snap.EnsureEmbeddings(model, &serve.ForwardEnv{Dev: device.New(device.V100)}); err != nil {
+	if _, err := snap.EnsureEmbeddings(model, &serve.ForwardEnv{}); err != nil {
 		t.Fatal(err)
 	}
-	return rng, mir, snap, &serve.DeltaOptions{Model: model, FrontierLimit: 1.0, Profile: device.V100}
+	return rng, mir, snap, &serve.DeltaOptions{Model: model, FrontierLimit: 1.0}
 }
 
 // applyAndCheck applies d to snap, follows it on mir, and requires the
@@ -298,7 +297,7 @@ func applyAndCheck(t *testing.T, snap *serve.Snapshot, mir *deltaMirror, d *serv
 		t.Fatalf("recompute mode %q, want %q", st.Recompute, wantMode)
 	}
 	mir.apply(d)
-	got, err := child.EnsureEmbeddings(opt.Model, &serve.ForwardEnv{Dev: device.New(device.V100)})
+	got, err := child.EnsureEmbeddings(opt.Model, &serve.ForwardEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +356,7 @@ func TestDeltaForkRace(t *testing.T) {
 		}
 		fork := mir.clone()
 		fork.apply(deltas[i])
-		got, err := child.EnsureEmbeddings(model, &serve.ForwardEnv{Dev: device.New(device.V100)})
+		got, err := child.EnsureEmbeddings(model, &serve.ForwardEnv{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,7 +405,7 @@ func TestDeltaReaderIsolation(t *testing.T) {
 	for _, arch := range []string{"gcn", "gat"} {
 		t.Run(arch, func(t *testing.T) {
 			rng, mir, snap, opt := deltaFixture(t, 47, arch)
-			held, err := snap.EnsureEmbeddings(opt.Model, &serve.ForwardEnv{Dev: device.New(device.V100)})
+			held, err := snap.EnsureEmbeddings(opt.Model, &serve.ForwardEnv{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -449,10 +448,10 @@ func TestDeltaAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snap.EnsureEmbeddings(model, &serve.ForwardEnv{Dev: device.New(device.V100)}); err != nil {
+	if _, err := snap.EnsureEmbeddings(model, &serve.ForwardEnv{}); err != nil {
 		t.Fatal(err)
 	}
-	opt := &serve.DeltaOptions{Model: model, Profile: device.V100, Pool: tensor.NewPool()}
+	opt := &serve.DeltaOptions{Model: model, Pool: tensor.NewPool()}
 	deltas := mixedDeltas(snap, 3)
 	var before, after runtime.MemStats
 	for i, d := range deltas { // the first chunks the root and warms the pool

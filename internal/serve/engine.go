@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"seastar/internal/adapt"
-	"seastar/internal/device"
 	"seastar/internal/obs"
 	"seastar/internal/sampling"
 	"seastar/internal/tensor"
@@ -59,8 +58,6 @@ type Config struct {
 	// DefaultTimeout applies to requests whose context has no deadline
 	// (default 5s).
 	DefaultTimeout time.Duration
-	// Profile is the simulated device profile (default device.V100).
-	Profile device.Profile
 
 	// EmbedCache switches full-graph serving to cached embeddings: the
 	// forward runs once per (snapshot, model) and every batch gathers
@@ -106,9 +103,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 5 * time.Second
-	}
-	if c.Profile.SMCount == 0 {
-		c.Profile = device.V100
 	}
 	if c.DeltaFrontierLimit <= 0 {
 		c.DeltaFrontierLimit = 0.05
@@ -191,9 +185,6 @@ type Engine struct {
 	workerWG  sync.WaitGroup
 	closeOnce sync.Once
 
-	traceMu  sync.Mutex
-	traceDev *device.Device // device of the most recently completed batch
-
 	// batchSeq numbers batches; with obs tracing on it is the trace lane
 	// (TID) per-request span trees group under in /debug/trace.
 	batchSeq atomic.Int64
@@ -249,14 +240,6 @@ func (e *Engine) Draining() bool { return e.draining.Load() }
 
 // Spec returns the serving model configuration.
 func (e *Engine) Spec() ModelSpec { return e.cfg.Spec }
-
-// LastTrace returns the device of the most recently completed batch, with
-// its kernel trace, or nil before the first batch.
-func (e *Engine) LastTrace() *device.Device {
-	e.traceMu.Lock()
-	defer e.traceMu.Unlock()
-	return e.traceDev
-}
 
 // SwapGraph atomically publishes a new snapshot. Batches already running
 // keep the snapshot they loaded; new batches see the new one. Plans for
@@ -321,7 +304,6 @@ func (e *Engine) ApplyDelta(d *Delta) (*DeltaStats, error) {
 	}
 	opt := &DeltaOptions{
 		FrontierLimit: e.cfg.DeltaFrontierLimit,
-		Profile:       e.cfg.Profile,
 		Pool:          e.pool,
 	}
 	if e.cfg.EmbedCache && len(e.cfg.FanOut) == 0 {
@@ -479,7 +461,7 @@ func (e *Engine) Close() {
 
 // runBatch serves one micro-batch: resolve the snapshot once (swap
 // isolation), get the plan from the cache (single compile per key), run
-// the forward(s) on a fresh per-batch device, and answer every request.
+// the forward(s), and answer every request.
 func (e *Engine) runBatch(batch []*request) {
 	picked := time.Now()
 	bid := e.batchSeq.Add(1)
@@ -501,9 +483,6 @@ func (e *Engine) runBatch(batch []*request) {
 		return
 	}
 
-	dev := device.New(e.cfg.Profile)
-	dev.EnableTrace()
-
 	live := batch[:0:len(batch)]
 	for _, r := range batch {
 		if ctxErr := r.ctx.Err(); ctxErr != nil {
@@ -515,20 +494,15 @@ func (e *Engine) runBatch(batch []*request) {
 
 	inferStart := time.Now()
 	if len(e.cfg.FanOut) == 0 {
-		e.runFullBatch(live, pub, model, dev)
+		e.runFullBatch(live, pub, model)
 	} else {
-		e.runSampledBatch(live, pub, model, dev)
+		e.runSampledBatch(live, pub, model)
 	}
 	if obs.Enabled() {
 		obs.ObserveEvent("serve", "infer", inferStart, time.Since(inferStart), bid)
 		obs.ObserveEvent("serve", "batch", picked, time.Since(picked), bid)
 		obs.Add("serve", "batch", "requests", int64(len(batch)))
 	}
-
-	e.met.KernelTimeNs.Add(int64(dev.Elapsed()))
-	e.traceMu.Lock()
-	e.traceDev = dev
-	e.traceMu.Unlock()
 }
 
 func (e *Engine) model(snap *Snapshot) (*Model, error) {
@@ -546,12 +520,12 @@ func (e *Engine) model(snap *Snapshot) (*Model, error) {
 // snapshot keeps its tensors and batches only gather; without it the
 // forward's tensors are the batch's own and go back to the pool once
 // every request has its rows.
-func (e *Engine) runFullBatch(batch []*request, pub *published, model *Model, dev *device.Device) {
+func (e *Engine) runFullBatch(batch []*request, pub *published, model *Model) {
 	if len(batch) == 0 {
 		return
 	}
 	snap := pub.snap
-	env := &ForwardEnv{Dev: dev, Pool: e.pool, scoped: !e.cfg.EmbedCache}
+	env := &ForwardEnv{Pool: e.pool, scoped: !e.cfg.EmbedCache}
 	defer env.release()
 	var logits *tensor.Tensor
 	var err error
@@ -583,9 +557,9 @@ func (e *Engine) runFullBatch(batch []*request, pub *published, model *Model, de
 // sampling seed is a pure function of (snapshot, requested nodes, config
 // seed), so a request's answer does not depend on which batch it landed
 // in — concurrent and serial execution agree bit for bit.
-func (e *Engine) runSampledBatch(batch []*request, pub *published, model *Model, dev *device.Device) {
+func (e *Engine) runSampledBatch(batch []*request, pub *published, model *Model) {
 	for _, r := range batch {
-		logits, err := e.inferSampled(r.nodes, pub, model, dev)
+		logits, err := e.inferSampled(r.nodes, pub, model)
 		if err != nil {
 			e.respond(r, nil, err)
 			continue
@@ -597,7 +571,7 @@ func (e *Engine) runSampledBatch(batch []*request, pub *published, model *Model,
 // inferSampled answers one sampled request. Everything but the returned
 // [len(nodes), classes] rows — gathered features, dense products, layer
 // outputs — is drawn from the pool and back in it on return.
-func (e *Engine) inferSampled(nodes []int32, pub *published, model *Model, dev *device.Device) (*tensor.Tensor, error) {
+func (e *Engine) inferSampled(nodes []int32, pub *published, model *Model) (*tensor.Tensor, error) {
 	snap := pub.snap
 	if err := checkNodes(nodes, snap.NumVertices()); err != nil {
 		return nil, err
@@ -607,7 +581,7 @@ func (e *Engine) inferSampled(nodes []int32, pub *published, model *Model, dev *
 		return nil, err
 	}
 	feat := snap.Features()
-	env := &ForwardEnv{G: b.Sub.SortByDegree(), Dev: dev, Pool: e.pool, scoped: true}
+	env := &ForwardEnv{G: b.Sub.SortByDegree(), Pool: e.pool, scoped: true}
 	defer env.release()
 	env.Feat = env.get(len(b.Vertices), feat.Cols())
 	b.GatherFeaturesInto(env.Feat, feat)

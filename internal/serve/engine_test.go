@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"seastar/internal/datasets"
-	"seastar/internal/device"
+	"seastar/internal/obs"
 	"seastar/internal/serve"
 	"seastar/internal/tensor"
 )
@@ -48,7 +48,7 @@ func groundTruth(t *testing.T, spec serve.ModelSpec, snap *serve.Snapshot) *tens
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := &serve.ForwardEnv{G: snap.G, Feat: snap.Feat, Dev: device.New(device.V100)}
+	env := &serve.ForwardEnv{G: snap.G, Feat: snap.Feat}
 	serve.NormsFor(spec.Arch, snap, snap.G, env)
 	out, err := m.Forward(env)
 	if err != nil {
@@ -614,12 +614,35 @@ func TestHTTPEndpoints(t *testing.T) {
 		}
 	}
 
+	// /debug/trace serves the obs spans alone: with tracing off there is
+	// nothing to show, however many batches ran. With it on, a request's
+	// queue-wait and kernel spans are recorded before it is answered.
+	obs.Reset()
+	if resp, body = get("/debug/trace"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("trace with obs off: %d %s", resp.StatusCode, body)
+	}
+	obs.Enable()
+	defer obs.Reset()
+	defer obs.Disable()
+	if resp, body = post("/v1/infer", `{"nodes":[0,1,2]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("infer with obs on: %d %s", resp.StatusCode, body)
+	}
 	resp, body = get("/debug/trace")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("trace: %d %s", resp.StatusCode, body)
 	}
-	if !strings.Contains(body, "traceEvents") {
-		t.Fatalf("trace is not a Chrome trace: %s", body)
+	var tr struct {
+		TraceEvents []struct {
+			PID int `json:"pid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(body), &tr); err != nil || len(tr.TraceEvents) == 0 {
+		t.Fatalf("trace is not a non-empty Chrome trace (%v): %s", err, body)
+	}
+	for i, ev := range tr.TraceEvents {
+		if ev.PID != obs.ChromePID {
+			t.Fatalf("trace event %d has pid %d, want obs.ChromePID %d", i, ev.PID, obs.ChromePID)
+		}
 	}
 
 	oldFP := fmt.Sprintf("%016x", eng.Snapshot().Fingerprint())

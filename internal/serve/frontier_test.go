@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"seastar/internal/device"
 	"seastar/internal/graph"
 	"seastar/internal/tensor"
 )
@@ -44,7 +43,7 @@ func TestDirtyFrontierRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			newEnv := func() *ForwardEnv {
-				env := &ForwardEnv{G: snap.Graph(), Feat: snap.Features(), Dev: device.New(device.V100)}
+				env := &ForwardEnv{G: snap.Graph(), Feat: snap.Features()}
 				m.prog.setNorms(env, snap, nil)
 				return env
 			}

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"testing"
 
-	"seastar/internal/device"
 	"seastar/internal/graph"
 	"seastar/internal/tensor"
 )
@@ -85,7 +84,7 @@ func TestModelGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			env := &ForwardEnv{G: snap.Graph(), Feat: snap.Features(), Dev: device.New(device.V100)}
+			env := &ForwardEnv{G: snap.Graph(), Feat: snap.Features()}
 			NormsFor(tc.arch, snap, env.G, env)
 			logits, err := m.Forward(env)
 			if err != nil {

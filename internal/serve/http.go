@@ -19,7 +19,8 @@ import (
 //	POST /v1/graph/delta  {"parent_gen":1,"add_edges":[{"src":0,"dst":1}],...} → delta apply
 //	GET  /healthz    liveness (503 while draining)
 //	GET  /metrics    Prometheus text exposition
-//	GET  /debug/trace  Chrome trace of the last batch's device kernels
+//	GET  /debug/trace  Chrome trace of the process's wall-clock obs spans,
+//	                   one TID lane per batch (404 with obs tracing off)
 func Handler(e *Engine) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/infer", func(w http.ResponseWriter, r *http.Request) { handleInfer(e, w, r) })
@@ -38,14 +39,13 @@ func Handler(e *Engine) http.Handler {
 		obs.WritePrometheus(w)
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
-		if !e.hasTrace() {
-			http.Error(w, "no batch traced yet", http.StatusNotFound)
+		events := obs.ChromeEvents()
+		if len(events) == 0 {
+			http.Error(w, "no spans traced (tracing is off, or nothing has run yet)", http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		if err := e.WriteMergedTrace(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		json.NewEncoder(w).Encode(map[string]any{"traceEvents": events})
 	})
 	return mux
 }

@@ -75,10 +75,9 @@ type Metrics struct {
 
 	QueueDepth atomic.Int64 // gauge: requests admitted but not yet picked up
 
-	Batches      atomic.Int64
-	BatchedReqs  atomic.Int64
-	GraphSwaps   atomic.Int64
-	KernelTimeNs atomic.Int64 // simulated device time across all batches
+	Batches     atomic.Int64
+	BatchedReqs atomic.Int64
+	GraphSwaps  atomic.Int64
 
 	// Delta-path counters: applied deltas by embedding-recompute mode,
 	// rejections (stale generation or invalid payload), and the current
@@ -130,8 +129,6 @@ func (m *Metrics) Write(w io.Writer, pc *PlanCache, pool *tensor.Pool) {
 		m.Generation.Load())
 	fmt.Fprintf(w, "# TYPE seastar_serve_queue_depth gauge\nseastar_serve_queue_depth %d\n",
 		m.QueueDepth.Load())
-	fmt.Fprintf(w, "# TYPE seastar_serve_device_time_seconds counter\nseastar_serve_device_time_seconds %g\n",
-		float64(m.KernelTimeNs.Load())/1e9)
 	if pc != nil {
 		hits, misses, compiles := pc.Stats()
 		g("seastar_serve_plan_cache_hits_total", hits)

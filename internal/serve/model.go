@@ -37,6 +37,8 @@ func (m *Model) SupportsIncremental() bool { return m.prog.incremental() }
 type ForwardEnv struct {
 	G    *graph.Graph
 	Feat *tensor.Tensor
+	// Dev is ignored: serving charges no simulated device. It stays only
+	// because benchmark/ still sets it; ROADMAP item 10(e) removes it.
 	Dev  *device.Device
 	Pool *tensor.Pool
 

@@ -473,7 +473,7 @@ type frontier struct {
 // the next stage's crossing values between steps).
 type run struct {
 	m   *Model
-	env *ForwardEnv // the graph plans walk, its normalizers, device, pool
+	env *ForwardEnv // the graph plans walk, its normalizers, pool
 	// fullRows is N of the whole graph, replayed into every dense dispatch
 	// so a row computed here has the bits it has in the full product.
 	fullRows int
@@ -501,10 +501,9 @@ func (r *run) step(f *frontier) error {
 // dense runs the next stage's dense products over the first rows rows of
 // its input h, into tensors of h's height: every row, or on a fragment the
 // owned prefix, whose mirror rows arrive by exchange instead. Each product
-// is dispatched as a [fullRows, k] multiply and charged to the device like
-// the training runtime's, so /debug/trace shows dense work too. An operand
-// goes back to the pool after its last reader: a request holds a layer's
-// input or its output, never both.
+// is dispatched as a [fullRows, k] multiply. An operand goes back to the
+// pool after its last reader: a request holds a layer's input or its
+// output, never both.
 func (r *run) dense(rows int, f *frontier) {
 	s := &r.m.prog.stages[r.done]
 	outs := make([]*tensor.Tensor, len(s.dense))
@@ -517,9 +516,6 @@ func (r *run) dense(rows int, f *frontier) {
 		out := r.env.get(src.Rows(), w.Cols())
 		in, live := prefix(src, rows), prefix(out, rows)
 		tensor.MatMulRowsLike(in, w, r.fullRows, live)
-		exec.ChargeDense(r.env.Dev, "dense.matmul",
-			float64(rows)*float64(w.Rows())*float64(w.Cols()),
-			int64(in.Size()+w.Size())*4, int64(live.Size())*4)
 		if op.act != nil {
 			op.act(live, live)
 		}
@@ -539,7 +535,7 @@ func (r *run) dense(rows int, f *frontier) {
 func (r *run) aggregate(f *frontier) (*tensor.Tensor, error) {
 	s := &r.m.prog.stages[r.done]
 	in := r.h
-	ie := &exec.InferEnv{G: r.env.G, Dev: r.env.Dev, Pool: r.env.Pool, Result: r.env.get}
+	ie := &exec.InferEnv{G: r.env.G, Pool: r.env.Pool, Result: r.env.get}
 	if f != nil {
 		ie.G = f.g
 	}

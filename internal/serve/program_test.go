@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"seastar/internal/device"
 	"seastar/internal/gir"
 	"seastar/internal/graph"
 	"seastar/internal/tensor"
@@ -98,7 +97,7 @@ func TestProgramDrivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := snap.EnsureEmbeddings(m, &ForwardEnv{Dev: device.New(device.V100)}); err != nil {
+	if _, err := snap.EnsureEmbeddings(m, &ForwardEnv{}); err != nil {
 		t.Fatal(err)
 	}
 	row := func() []float32 { return tensor.Randn(rng, 1, 1, dim).Data() }
@@ -114,7 +113,7 @@ func TestProgramDrivers(t *testing.T) {
 		{AddVertices: 1, RemoveEdges: []graph.Edge{edge(40)}, AddEdges: []graph.Edge{{Src: 8, Dst: n + 3}},
 			Features: []FeatureUpdate{{Node: 8, Row: row()}}},
 	}
-	opt := &DeltaOptions{Model: m, FrontierLimit: 1, Profile: device.V100, Pool: tensor.NewPool()}
+	opt := &DeltaOptions{Model: m, FrontierLimit: 1, Pool: tensor.NewPool()}
 	for i, d := range chain {
 		child, st, err := ApplyDelta(snap, d, opt)
 		if err != nil {
@@ -123,7 +122,7 @@ func TestProgramDrivers(t *testing.T) {
 		if st.Recompute != "incremental" {
 			t.Fatalf("step %d recomputed %q, want incremental", i+1, st.Recompute)
 		}
-		got, err := child.EnsureEmbeddings(m, &ForwardEnv{Dev: device.New(device.V100)})
+		got, err := child.EnsureEmbeddings(m, &ForwardEnv{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"testing"
 
-	"seastar/internal/device"
 	"seastar/internal/sampling"
 	"seastar/internal/serve"
 	"seastar/internal/tensor"
@@ -44,7 +43,7 @@ func sampledReference(t *testing.T, cfg serve.Config, snap *serve.Snapshot, node
 		t.Fatal(err)
 	}
 	sub := b.Sub.SortByDegree()
-	env := &serve.ForwardEnv{G: sub, Feat: b.GatherFeatures(snap.Feat), Dev: device.New(device.V100)}
+	env := &serve.ForwardEnv{G: sub, Feat: b.GatherFeatures(snap.Feat)}
 	serve.NormsFor(cfg.Spec.Arch, nil, sub, env)
 	logits, err := m.Forward(env)
 	if err != nil {

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 
-	"seastar/internal/device"
 	"seastar/internal/part"
 	"seastar/internal/tensor"
 )
@@ -47,7 +46,6 @@ type ShardEnv struct {
 	Feat *tensor.Tensor
 	// FullRows is the full graph's N, replayed into every dense dispatch.
 	FullRows int
-	Dev      *device.Device
 	Pool     *tensor.Pool
 }
 
@@ -55,7 +53,7 @@ type ShardEnv struct {
 // matrix and degree-sorts the local graph in place (the same
 // preprocessing NewSnapshot applies; row order never changes per-row
 // results), dropping the unsorted one.
-func NewShardEnv(f *part.Fragment, feat *tensor.Tensor, dev *device.Device, pool *tensor.Pool) *ShardEnv {
+func NewShardEnv(f *part.Fragment, feat *tensor.Tensor, pool *tensor.Pool) *ShardEnv {
 	if !f.G.In.Sorted {
 		f.G = f.G.SortByDegree()
 	}
@@ -63,7 +61,6 @@ func NewShardEnv(f *part.Fragment, feat *tensor.Tensor, dev *device.Device, pool
 		Frag:     f,
 		Feat:     tensor.GatherRows(feat, f.Locals),
 		FullRows: feat.Rows(),
-		Dev:      dev,
 		Pool:     pool,
 	}
 }
@@ -109,7 +106,7 @@ func NewShardForward(m *Model, env *ShardEnv) (*ShardForward, error) {
 	if _, err := m.ShardWidths(); err != nil {
 		return nil, err
 	}
-	fe := &ForwardEnv{G: env.Frag.G, Dev: env.Dev, Pool: env.Pool, scoped: true}
+	fe := &ForwardEnv{G: env.Frag.G, Pool: env.Pool, scoped: true}
 	m.prog.setNorms(fe, nil, env)
 	r := &run{m: m, env: fe, fullRows: env.FullRows, vals: map[string]*tensor.Tensor{}, h: env.Feat}
 	return &ShardForward{r: r, owned: env.Frag.Owned}, nil

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"seastar/internal/device"
 	"seastar/internal/graph"
 	"seastar/internal/part"
 	"seastar/internal/tensor"
@@ -23,7 +22,7 @@ func runSharded(t *testing.T, g *graph.Graph, feat *tensor.Tensor, m *Model, k i
 	pool := tensor.NewPool()
 	sfs := make([]*ShardForward, k)
 	for s, f := range p.Frags {
-		env := NewShardEnv(f, feat, device.New(device.V100), pool)
+		env := NewShardEnv(f, feat, pool)
 		sf, err := NewShardForward(m, env)
 		if err != nil {
 			t.Fatal(err)
@@ -87,7 +86,7 @@ func fullForward(t *testing.T, g *graph.Graph, feat *tensor.Tensor, m *Model) *t
 	}
 	env := &ForwardEnv{
 		G: snap.Graph(), Feat: snap.Features(),
-		Dev: device.New(device.V100), Pool: tensor.NewPool(),
+		Pool: tensor.NewPool(),
 	}
 	NormsFor(m.Spec.Arch, snap, env.G, env)
 	want, err := m.Forward(env)
@@ -150,7 +149,7 @@ func TestShardRejectsRGCN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := NewShardEnv(p.Frags[0], tensor.Randn(rng, 1, g.N, 8), device.New(device.V100), tensor.NewPool())
+	env := NewShardEnv(p.Frags[0], tensor.Randn(rng, 1, g.N, 8), tensor.NewPool())
 	if _, err := NewShardForward(m, env); err == nil {
 		t.Fatal("NewShardForward accepted rgcn")
 	}
@@ -170,7 +169,7 @@ func TestShardStepSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf, err := NewShardForward(m, NewShardEnv(p.Frags[0], feat, device.New(device.V100), tensor.NewPool()))
+	sf, err := NewShardForward(m, NewShardEnv(p.Frags[0], feat, tensor.NewPool()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func fullForward(t testing.TB, g *graph.Graph, feat *tensor.Tensor, spec serve.M
 	}
 	env := &serve.ForwardEnv{
 		G: snap.Graph(), Feat: snap.Features(),
-		Dev: device.New(device.V100), Pool: tensor.NewPool(),
+		Pool: tensor.NewPool(),
 	}
 	serve.NormsFor(spec.Arch, snap, env.G, env)
 	want, err := m.Forward(env)

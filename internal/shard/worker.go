@@ -45,7 +45,9 @@ type Worker struct {
 // it computes the partition's owner table — the same one every worker and
 // the coordinator compute — then builds and degree-sorts its own
 // fragment and keeps only that fragment's rows. The full graph and
-// feature matrix are not retained.
+// feature matrix are not retained. prof is ignored: a worker charges no
+// simulated device. The parameter stays only because benchmark/ still
+// passes one; ROADMAP item 10(e) removes it.
 func NewWorker(g *graph.Graph, feat *tensor.Tensor, spec serve.ModelSpec, k, index int, mode string, prof device.Profile) (*Worker, error) {
 	if index < 0 || index >= k {
 		return nil, fmt.Errorf("shard: index %d out of [0,%d)", index, k)
@@ -65,14 +67,11 @@ func NewWorker(g *graph.Graph, feat *tensor.Tensor, spec serve.ModelSpec, k, ind
 	if err != nil {
 		return nil, err
 	}
-	if prof.SMCount == 0 {
-		prof = device.V100
-	}
 	f := part.NewFragment(g, owner, k, index)
 	w := &Worker{
 		frag:   f,
 		model:  m,
-		env:    serve.NewShardEnv(f, feat, device.New(prof), tensor.NewPool()),
+		env:    serve.NewShardEnv(f, feat, tensor.NewPool()),
 		spec:   spec,
 		widths: widths,
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"seastar/internal/datasets"
-	"seastar/internal/device"
 	"seastar/internal/exec"
 	"seastar/internal/gir"
 	"seastar/internal/nn"
@@ -52,8 +51,6 @@ type MiniBatchOptions struct {
 	Seed int64
 	// DegreeSort degree-sorts each batch subgraph (§6.3.3).
 	DegreeSort bool
-	// GPU names the simulated device profile (default V100).
-	GPU string
 	// CheckpointPath, when set, enables save/restore: training resumes
 	// from the file if it exists and rewrites it every CheckpointEvery
 	// epochs (default: every epoch).
@@ -85,7 +82,7 @@ func DefaultMiniBatchOptions() MiniBatchOptions {
 	return MiniBatchOptions{
 		Epochs: 5, BatchSize: 256, FanOut: []int{8, 4},
 		Prefetch: 4, SampleWorkers: 2, LR: 0.01, Seed: 1,
-		DegreeSort: true, GPU: "V100",
+		DegreeSort: true,
 	}
 }
 
@@ -113,8 +110,6 @@ type MiniBatchResult struct {
 	StartEpoch int
 	// WallNs is the total wall-clock time spent in epochs.
 	WallNs int64
-	// PeakBytes is the simulated device's high-water memory.
-	PeakBytes int64
 	// StoreStats holds the prefetcher's counters when the run was
 	// store-backed with prefetch enabled (nil otherwise).
 	StoreStats *store.PrefetchStats
@@ -166,18 +161,12 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 	if len(opts.FanOut) == 0 {
 		opts.FanOut = []int{8, 4}
 	}
-	if opts.GPU == "" {
-		opts.GPU = "V100"
-	}
 	if opts.CheckpointEvery <= 0 {
 		opts.CheckpointEvery = 1
 	}
-	prof, ok := device.ProfileByName(opts.GPU)
-	if !ok {
-		return res, fmt.Errorf("train: unknown GPU %q", opts.GPU)
-	}
-	dev := device.New(prof)
-	e := nn.NewEngine(dev)
+	// No simulated device: mini-batch training is measured by the wall
+	// clock, not by the paper's cost model.
+	e := nn.NewEngine(nil)
 
 	rng := rand.New(rand.NewSource(opts.Seed))
 	prog, err := newSAGE(e, rng, ds.Feat.Cols(), ds.NumClasses)
@@ -275,7 +264,6 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 		epochLoss, epochBatches, correct, total = 0, 0, 0, 0
 		t0 := time.Now()
 		if err := eng.RunEpoch(ctx, epoch, step); err != nil {
-			res.PeakBytes = dev.PeakBytes()
 			return res, err
 		}
 		wall := time.Since(t0).Nanoseconds()
@@ -306,7 +294,6 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 			eng.Metrics.Saves.Add(1)
 		}
 	}
-	res.PeakBytes = dev.PeakBytes()
 	if pf != nil {
 		s := pf.Stats()
 		res.StoreStats = &s

@@ -94,7 +94,7 @@ func TestMiniBatchPipelinedEqualsSerial(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			base := MiniBatchOptions{
 				Epochs: 2, BatchSize: 128, FanOut: []int{4, 3},
-				LR: 0.02, Seed: 42, DegreeSort: true, GPU: "V100",
+				LR: 0.02, Seed: 42, DegreeSort: true,
 			}
 
 			serialOpts := base
@@ -150,9 +150,6 @@ func TestMiniBatchLossDecreases(t *testing.T) {
 	if last >= first {
 		t.Fatalf("loss did not drop: %.4f → %.4f", first, last)
 	}
-	if res.PeakBytes <= 0 {
-		t.Fatal("no device memory accounted")
-	}
 }
 
 // TestMiniBatchCheckpointResume: training 2+2 epochs through a
@@ -163,7 +160,7 @@ func TestMiniBatchCheckpointResume(t *testing.T) {
 	base := MiniBatchOptions{
 		Epochs: 4, BatchSize: 100, FanOut: []int{3, 2},
 		Prefetch: 2, SampleWorkers: 2, LR: 0.02, Seed: 77,
-		DegreeSort: true, GPU: "V100",
+		DegreeSort: true,
 	}
 	straight, err := RunMiniBatch(context.Background(), ds, base)
 	if err != nil {

@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI quality ladder, cheapest check first:
-#   gofmt → one architecture table → vet → staticcheck → tests+coverage
-#   ratchet → fuzz smoke → race suites → doc lint.
+#   gofmt → one architecture table → simulator only where the paper is
+#   reproduced → vet → staticcheck → tests+coverage ratchet → fuzz smoke →
+#   race suites → doc lint.
 #
 # Knobs:
 #   FUZZ_TIME     per-target fuzz duration (default 10s; nightly uses 5m)
@@ -28,6 +29,20 @@ out=$(grep -nE '"gcn"|"gat"|"appnp"|"rgcn"|Spec\.Arch ==' internal/serve/*.go in
 	grep -v -e '_test\.go:' -e '^internal/serve/program\.go:' || true)
 if [ -n "$out" ]; then
 	echo "architecture dispatch outside the program table:"
+	echo "$out"
+	exit 1
+fi
+
+# The simulated GPU (internal/device) reproduces the paper's figures and
+# nothing else: serving, sharding and mini-batch training compute without
+# it. benchmark/ is its own module; ROADMAP item 10(e) moves its callers.
+echo "== the simulated GPU is built only where the paper is reproduced =="
+out=$(grep -rnE --include='*.go' 'device\.New\(|device\.NewScaled\(|\.EnableTrace\(\)' . |
+	grep -v -e '_test\.go:' -e '^\./benchmark/' \
+		-e '^\./internal/bench/' -e '^\./internal/core/' -e '^\./internal/device/' \
+		-e '^\./cmd/seastar-train/' -e '^\./cmd/seastar-inspect/' || true)
+if [ -n "$out" ]; then
+	echo "simulated device built outside internal/{bench,core,device} and cmd/{seastar-train,seastar-inspect}:"
 	echo "$out"
 	exit 1
 fi
