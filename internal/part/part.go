@@ -13,7 +13,9 @@
 package part
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"seastar/internal/graph"
@@ -46,20 +48,21 @@ type Partition struct {
 	Stats Stats
 }
 
-// Fragment is one shard's slice of the graph: a local-id graph holding
-// the complete in-edge rows of every owned vertex, feature/degree rows
-// for all locals (owned followed by mirrors), and the exchange tables
-// that pair it with its peers.
+// Fragment is one shard's slice of the graph: the in-CSR of every owned
+// vertex's complete in-edge row, degree rows for all locals (owned
+// followed by mirrors), and the exchange tables that pair it with its
+// peers.
 type Fragment struct {
 	Shard int
 	K     int
 
-	// G is the local-id graph. Rows 0..len(Locals)-1 correspond to
-	// Locals; only the first Owned rows carry in-edges (mirror rows are
-	// degree-0 placeholders whose values are imported, never computed).
-	// Per-row neighbour order is the full graph's: edges are emitted in
-	// ascending global edge id, the same counting-sort order buildCSR
-	// gives the full graph.
+	// G is the owned rows' in-CSR and nothing else (no out-CSR, no edge
+	// list): N = Owned. Its row ids index output rows — row k computes
+	// owned local RowIDs[k], a permutation of [0, Owned) in descending
+	// in-degree — and its neighbour ids index the value tensors, which
+	// span every local in [0, len(Locals)). Each row holds the vertex's
+	// whole in-list in the full graph's in-CSR order; edge ids are slot
+	// indices. Mirror rows are never computed: their values are imported.
 	G *graph.Graph
 
 	// Locals maps local id → global vertex id. Locals[:Owned] are owned
@@ -179,8 +182,9 @@ func rangeOwners(g *graph.Graph, k int) []int32 {
 			owner[g.In.RowIDs[v]] = int32(s)
 		}
 	}
-	// EdgeBalanced may return fewer ranges than k on degenerate inputs;
-	// vertices default to shard 0, which buildFragments tolerates.
+	// EdgeBalanced may return fewer ranges than k on degenerate inputs (one
+	// hub holding every edge): the shards past the last range then own
+	// nothing, and their fragments have zero rows.
 	return owner
 }
 
@@ -353,28 +357,34 @@ func NewFragment(g *graph.Graph, owner []int32, k, s int) *Fragment {
 		f.GlobalInDeg[l] = inDeg[v]
 		f.GlobalOutDeg[l] = outDeg[v]
 	}
-
-	// The local graph: every owned row's complete in-edge list, emitted in
-	// ascending global edge id — the exact per-row neighbour order the
-	// full graph's counting-sort CSR has. Mirror rows get no edges.
-	m := 0
-	for l := range f.Owned {
-		m += int(f.GlobalInDeg[l])
-	}
-	srcs, dsts := make([]int32, 0, m), make([]int32, 0, m)
-	for e, v := range g.Dsts {
-		if int(owner[v]) == s {
-			srcs = append(srcs, f.LocalOf[g.Srcs[e]]-1)
-			dsts = append(dsts, f.LocalOf[v]-1)
-		}
-	}
-	lg, err := graph.FromEdges(len(f.Locals), srcs, dsts)
-	if err != nil {
-		// Inputs are constructed in-range; unreachable.
-		panic(fmt.Sprintf("part: fragment %d graph: %v", s, err))
-	}
-	f.G = lg
+	f.G = ownedInCSR(g, f)
 	return f
+}
+
+// ownedInCSR builds f.G from g's in-CSR, in graph.SortByDegree's row
+// order: descending in-degree, ties by local id.
+func ownedInCSR(g *graph.Graph, f *Fragment) *graph.Graph {
+	order := make([]int32, f.Owned)
+	for l := range order {
+		order[l] = int32(l)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(f.GlobalInDeg[b], f.GlobalInDeg[a]) })
+	m := 0
+	for _, d := range f.GlobalInDeg[:f.Owned] {
+		m += int(d)
+	}
+	in := graph.CSR{Offsets: make([]int64, 1, f.Owned+1), Nbrs: make([]int32, 0, m),
+		EdgeIDs: make([]int32, 0, m), RowIDs: order, Sorted: true}
+	rowOf := invertRowIDs(g.In.RowIDs)
+	for _, l := range order {
+		row, _ := g.In.Row(int(rowOf[f.Locals[l]]))
+		for _, u := range row {
+			in.EdgeIDs = append(in.EdgeIDs, int32(len(in.Nbrs)))
+			in.Nbrs = append(in.Nbrs, f.LocalOf[u]-1)
+		}
+		in.Offsets = append(in.Offsets, int64(len(in.Nbrs)))
+	}
+	return &graph.Graph{N: f.Owned, M: m, NumEdgeTypes: 1, In: in}
 }
 
 func computeStats(g *graph.Graph, p *Partition, mode string) Stats {

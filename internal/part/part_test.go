@@ -55,22 +55,39 @@ func checkInvariants(t *testing.T, g *graph.Graph, p *Partition) {
 		}
 	}
 
-	// Every edge in exactly one fragment: each fragment holds the
-	// complete in-edge row of each owned vertex, in full-graph order,
-	// and nothing else.
+	// Every edge in exactly one fragment: each fragment's graph is the
+	// in-CSR of its owned rows and nothing else, degree-sorted, each row
+	// read through RowIDs holding the complete in-edge row of its vertex,
+	// in full-graph order, with local neighbour ids.
+	rowOf := invertRowIDs(g.In.RowIDs)
 	totalEdges := 0
 	for s, f := range p.Frags {
-		totalEdges += f.G.M
-		for l := 0; l < f.G.N; l++ {
-			nbrs, _ := f.G.In.Row(l)
-			if l >= f.Owned {
-				if len(nbrs) != 0 {
-					t.Fatalf("shard %d: mirror row %d has %d in-edges", s, l, len(nbrs))
+		fg := f.G
+		if fg.N != f.Owned || !fg.In.Sorted || !reflect.DeepEqual(fg.Out, graph.CSR{}) || fg.Srcs != nil || fg.Dsts != nil {
+			t.Fatalf("shard %d: graph N=%d sorted=%v, out-CSR or edge list present; want the %d owned rows' sorted in-CSR alone",
+				s, fg.N, fg.In.Sorted, f.Owned)
+		}
+		ids := make([]int32, f.Owned)
+		for l := range ids {
+			ids[l] = int32(l)
+		}
+		rows := slices.Clone(fg.In.RowIDs)
+		slices.Sort(rows)
+		if !slices.Equal(rows, ids) {
+			t.Fatalf("shard %d: RowIDs are not a permutation of [0, %d)", s, f.Owned)
+		}
+		totalEdges += fg.M
+		for k := 0; k < fg.N; k++ {
+			l := fg.In.RowIDs[k]
+			if k > 0 {
+				prev, cur := fg.In.Degree(k-1), fg.In.Degree(k)
+				if prev < cur || prev == cur && fg.In.RowIDs[k-1] > l {
+					t.Fatalf("shard %d: rows %d and %d not in descending degree, ties by local id", s, k-1, k)
 				}
-				continue
 			}
+			nbrs, eids := fg.In.Row(k)
 			v := f.Locals[l]
-			wantNbrs, _ := g.In.Row(int(v)) // FromEdges keeps identity RowIDs
+			wantNbrs, _ := g.In.Row(int(rowOf[v]))
 			if len(nbrs) != len(wantNbrs) {
 				t.Fatalf("shard %d vertex %d: %d in-edges, full graph has %d",
 					s, v, len(nbrs), len(wantNbrs))
@@ -79,6 +96,9 @@ func checkInvariants(t *testing.T, g *graph.Graph, p *Partition) {
 				if got := f.Locals[lu]; got != wantNbrs[i] {
 					t.Fatalf("shard %d vertex %d slot %d: neighbour %d, full graph has %d (order broken)",
 						s, v, i, got, wantNbrs[i])
+				}
+				if want := int32(fg.In.Offsets[k]) + int32(i); eids[i] != want {
+					t.Fatalf("shard %d vertex %d slot %d: edge id %d, want the slot index %d", s, v, i, eids[i], want)
 				}
 			}
 		}
@@ -200,7 +220,10 @@ func TestPartitionDeterministic(t *testing.T) {
 	}
 }
 
-// checkPieces asserts Owners ≡ p.Owner and NewFragment(…, s) ≡ p.Frags[s].
+// checkPieces asserts Owners ≡ p.Owner and NewFragment(…, s) ≡ p.Frags[s],
+// the latter also over g.SortByDegree(): a fragment takes its neighbour
+// order from the in-CSR rows, which sorting moves but does not reorder,
+// never from the edge list.
 func checkPieces(t *testing.T, g *graph.Graph, p *Partition) {
 	t.Helper()
 	owner, err := Owners(g, p.K, p.Mode)
@@ -211,9 +234,13 @@ func checkPieces(t *testing.T, g *graph.Graph, p *Partition) {
 		t.Fatalf("%s k=%d: Owners differs from Build's owner table", p.Mode, p.K)
 	}
 	flows := Flows(g, owner, p.K)
+	sorted := g.SortByDegree()
 	for s := range p.K {
 		if f := NewFragment(g, owner, p.K, s); !reflect.DeepEqual(f, p.Frags[s]) {
 			t.Fatalf("%s k=%d: NewFragment(%d) differs from Build's fragment", p.Mode, p.K, s)
+		}
+		if f := NewFragment(sorted, owner, p.K, s); !reflect.DeepEqual(f, p.Frags[s]) {
+			t.Fatalf("%s k=%d: NewFragment(%d) over the degree-sorted graph differs", p.Mode, p.K, s)
 		}
 		for tt, rows := range flows[s] {
 			if rows != len(p.Frags[s].ExportTo[tt]) {

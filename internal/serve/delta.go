@@ -304,7 +304,7 @@ func dirtyFrontiers(dg *graph.DeltaGraph, fd []int32, sets [][]int32) []frontier
 		mk := int(offsets[k])
 		hops[l] = frontier{fd, rows[:k], &graph.Graph{N: k, M: mk, NumEdgeTypes: 1, In: graph.CSR{
 			Offsets: offsets[:k+1], Nbrs: nbrs[:mk], EdgeIDs: ident[:mk], RowIDs: ident[:k],
-		}}}
+		}}, dg.N()}
 		fd = rows[:k]
 	}
 	return hops

@@ -64,7 +64,7 @@ type inferResponse struct {
 // Request body caps: a body past its cap answers 413 before it is held in
 // memory. A delta carries whole feature rows, so its cap is the large one.
 const (
-	maxInferBody = 1 << 20
+	MaxInferBody = 1 << 20 // every /v1/infer, the shard coordinator's included
 	maxGraphBody = 4 << 10
 	maxDeltaBody = 64 << 20
 )
@@ -88,8 +88,17 @@ func decodePost(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 }
 
 func handleInfer(e *Engine, w http.ResponseWriter, r *http.Request) {
+	ServeInfer(w, r, e.Infer, func(err error) { http.Error(w, err.Error(), statusFor(err)) })
+}
+
+// ServeInfer answers one POST /v1/infer — {"nodes":[0,1,2],"timeout_ms":500}
+// → nodes, logits and classes — by calling infer under the request's
+// deadline; fail answers infer's errors. It is the one implementation of
+// the contract: the single-process server and the shard coordinator both
+// serve it, body cap (MaxInferBody) included.
+func ServeInfer(w http.ResponseWriter, r *http.Request, infer func(context.Context, []int32) (*Result, error), fail func(error)) {
 	var req inferRequest
-	if !decodePost(w, r, maxInferBody, &req) {
+	if !decodePost(w, r, MaxInferBody, &req) {
 		return
 	}
 	if len(req.Nodes) == 0 {
@@ -102,9 +111,9 @@ func handleInfer(e *Engine, w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	res, err := e.Infer(ctx, req.Nodes)
+	res, err := infer(ctx, req.Nodes)
 	if err != nil {
-		http.Error(w, err.Error(), statusFor(err))
+		fail(err)
 		return
 	}
 	// res.Logits is the request's own copy of its rows: encode it in place.

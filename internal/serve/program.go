@@ -451,34 +451,35 @@ func (pl *plan) sides() (*gir.DAG, error) {
 	return dag, nil
 }
 
-// frontier is one stage's dirty rows with their destination-compact
-// in-CSR: row i of g is vertex rows[i] with its FULL in-list in CSR slot
-// order, g's row ids are the identity over [0, len(rows)) and neighbour
-// ids stay global. A plan run over g reads its Nbr-side inputs from the
-// full-graph tensors unmapped and its Self-side inputs from tensors
-// gathered to rows, and writes a [len(rows), C] result — nothing is sized
-// by N. Per-row folds see exactly the neighbour values and order the full
-// graph would, which is what keeps the patch bitwise. Edge ids renumber
-// sequentially so per-edge intermediates stay subgraph-sized. dirty is the
-// vertices whose stage input changed: the rows the run's h stands for.
+// frontier is the row context of a stage run over part of a graph: a
+// destination-compact in-CSR g whose row ids index output rows — a plan
+// over g writes [len(rows), C], row i for vertex rows[i] — and whose
+// neighbour ids index the value tensors, n rows each: global ids for a
+// delta (dirtyFrontiers, one per hop), local ids for a fragment (its owned
+// rows, every stage). Each row holds its vertex's whole in-list in the
+// full graph's order, so per-row folds see the neighbour values and order
+// the full graph would: a frontier run is bitwise. Edge ids are slot
+// indices. dirty is the vertices whose stage input changed: the rows the
+// run's h stands for.
 type frontier struct {
 	dirty, rows []int32
 	g           *graph.Graph
+	n           int
 }
 
 // run is one pass of a model's program over a row context: the single
 // implementation behind Model.Forward and EnsureEmbeddings (all rows of
 // env.G), the delta patcher (patch: each stage over a frontier) and
-// ShardForward (a fragment's locals, the caller exchanging mirror rows of
-// the next stage's crossing values between steps).
+// ShardForward (a fragment's frontier, the caller exchanging mirror rows
+// of the next stage's crossing values between steps).
 type run struct {
 	m   *Model
 	env *ForwardEnv // the graph plans walk, its normalizers, pool
 	// fullRows is N of the whole graph, replayed into every dense dispatch
 	// so a row computed here has the bits it has in the full product.
 	fullRows int
-	// vals holds the dense outputs by name, over every vertex. A patch
-	// starts from the parent's and overwrites the dirty rows.
+	// vals holds the dense outputs by name, over every vertex a neighbour
+	// id names: a patch's are the parent's, a frontier run draws the rest.
 	vals map[string]*tensor.Tensor
 
 	h    *tensor.Tensor // the next stage's input: at first, the features
@@ -486,25 +487,24 @@ type run struct {
 }
 
 // step runs the next stage over all rows of env.G, or (patch) over f's:
-// the plan then walks f.g, reading Nbr-side inputs from the full tensors
+// the plan then walks f.g, reading Nbr-side inputs from the value tensors
 // and Self-side ones gathered to f.rows. h becomes the stage's output.
 func (r *run) step(f *frontier) error {
-	r.dense(r.h.Rows(), f)
+	r.dense(f)
 	out, err := r.aggregate(f)
 	if err != nil {
 		return err
 	}
-	r.post(out, out.Rows(), f)
+	r.post(out, f)
 	return nil
 }
 
-// dense runs the next stage's dense products over the first rows rows of
-// its input h, into tensors of h's height: every row, or on a fragment the
-// owned prefix, whose mirror rows arrive by exchange instead. Each product
-// is dispatched as a [fullRows, k] multiply. An operand goes back to the
-// pool after its last reader: a request holds a layer's input or its
-// output, never both.
-func (r *run) dense(rows int, f *frontier) {
+// dense runs the next stage's dense products over every row of its input
+// h, each dispatched as a [fullRows, k] multiply. Without a frontier the
+// products are the values; over one, h's rows are f.dirty and each
+// product is scattered there. An operand goes back to the pool after its
+// last reader: a request holds a layer's input or its output, never both.
+func (r *run) dense(f *frontier) {
 	s := &r.m.prog.stages[r.done]
 	outs := make([]*tensor.Tensor, len(s.dense))
 	for i, op := range s.dense {
@@ -513,20 +513,26 @@ func (r *run) dense(rows int, f *frontier) {
 			src = outs[denseIndex(s.dense, op.in)]
 		}
 		w := r.m.weights[op.w]
-		out := r.env.get(src.Rows(), w.Cols())
-		in, live := prefix(src, rows), prefix(out, rows)
-		tensor.MatMulRowsLike(in, w, r.fullRows, live)
+		out := tensor.MatMulRowsLike(src, w, r.fullRows, r.env.get(src.Rows(), w.Cols()))
 		if op.act != nil {
-			op.act(live, live)
+			op.act(out, out)
 		}
 		outs[i] = out
-		if f != nil {
-			setRows(r.vals[op.out], f.dirty, out)
-		} else {
+		if f == nil {
 			r.vals[op.out] = out
+		} else {
+			if r.vals[op.out] == nil {
+				r.vals[op.out] = r.env.get(f.n, w.Cols())
+			}
+			setRows(r.vals[op.out], f.dirty, out)
 		}
 		if !s.binds(op.in) && !slices.ContainsFunc(s.dense[i+1:], func(o dense) bool { return o.in == op.in }) {
 			r.env.recycle(src)
+		}
+	}
+	if f != nil {
+		for _, out := range outs {
+			r.env.recycle(out)
 		}
 	}
 }
@@ -540,18 +546,25 @@ func (r *run) aggregate(f *frontier) (*tensor.Tensor, error) {
 		ie.G = f.g
 	}
 	vfeat := make(map[string]*tensor.Tensor, len(s.values)+len(s.norms))
+	var gathered []*tensor.Tensor // Self-side inputs drawn for f's rows
+	bindVertex := func(key string, t *tensor.Tensor) {
+		if vfeat[key] = r.side(f, t, s.plan.self[key]); vfeat[key] != t {
+			gathered = append(gathered, vfeat[key])
+		}
+	}
 	var efeat, params map[string]*tensor.Tensor // nil unless the plan is typed
 	for _, v := range s.values {
-		vfeat[v.key] = in
+		t := in
 		if v.name != "" {
-			vfeat[v.key] = f.side(r.vals[v.name], s.plan.self[v.key])
+			t = r.vals[v.name]
 		}
+		bindVertex(v.key, t)
 	}
 	for _, n := range s.norms {
 		if n.ref == normEdgeRel {
 			efeat = map[string]*tensor.Tensor{n.key: r.env.norms[n.ref]}
 		} else {
-			vfeat[n.key] = f.side(r.env.norms[n.ref], s.plan.self[n.key])
+			bindVertex(n.key, r.env.norms[n.ref])
 		}
 	}
 	for _, p := range s.params {
@@ -561,6 +574,9 @@ func (r *run) aggregate(f *frontier) (*tensor.Tensor, error) {
 		params[p.key] = r.m.weights[p.name]
 	}
 	out, err := s.plan.udf.Infer(ie, vfeat, efeat, params)
+	for _, t := range gathered {
+		r.env.recycle(t)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -570,40 +586,41 @@ func (r *run) aggregate(f *frontier) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// post applies the next stage's row-wise post ops to the first rows rows
-// of its plan output — every row, or on a fragment the owned prefix, since
-// no mirror's output is ever read — and makes out the next stage's input.
-func (r *run) post(out *tensor.Tensor, rows int, f *frontier) {
+// post applies the next stage's row-wise post ops to its plan output in
+// place and makes out the next stage's input — over a frontier, one the
+// next plan reads through Nbr is drawn over the neighbour-id space with
+// f's rows set (a fragment's mirror rows then arrive by exchange).
+func (r *run) post(out *tensor.Tensor, f *frontier) {
 	s := &r.m.prog.stages[r.done]
-	live := prefix(out, rows)
 	if s.bias != "" {
-		tensor.AddRow(live, r.m.weights[s.bias], live)
+		tensor.AddRow(out, r.m.weights[s.bias], out)
 	}
 	if s.plus != "" {
-		v := f.side(r.vals[s.plus], true)
-		tensor.Add(live, prefix(v, rows), live)
+		v := r.side(f, r.vals[s.plus], true)
+		tensor.Add(out, v, out)
 		r.env.recycle(v)
 	}
 	if s.act != nil {
-		s.act(live, live)
+		s.act(out, out)
 	}
 	r.h = out
 	r.done++
-}
-
-// side is t as a plan over f reads it: whole, or gathered to f's rows when
-// read through Self. Without a frontier it is t.
-func (f *frontier) side(t *tensor.Tensor, self bool) *tensor.Tensor {
-	if f != nil && self {
-		return tensor.GatherRows(t, f.rows)
+	if f != nil && r.done < len(r.m.prog.stages) && slices.Contains(r.m.prog.stages[r.done].crossing(), "") {
+		r.h = r.env.get(f.n, out.Cols())
+		setRows(r.h, f.rows, out)
+		r.env.recycle(out)
 	}
-	return t
 }
 
-// prefix is t's first rows rows, sharing its storage.
-func prefix(t *tensor.Tensor, rows int) *tensor.Tensor {
-	if rows == t.Rows() {
+// side is t as a plan over f reads it: whole, or gathered to f's rows —
+// drawn from env — when read through Self. Without a frontier it is t.
+func (r *run) side(f *frontier, t *tensor.Tensor, self bool) *tensor.Tensor {
+	if f == nil || !self {
 		return t
 	}
-	return tensor.FromSlice(t.Data()[:rows*t.Cols()], rows, t.Cols())
+	out := r.env.get(len(f.rows), t.Cols())
+	for i, v := range f.rows {
+		copy(out.Row(i), t.Row(int(v)))
+	}
+	return out
 }

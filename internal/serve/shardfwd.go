@@ -8,9 +8,10 @@ import (
 )
 
 // Shard-local execution: the program runner (program.go) stepped stage
-// by stage over one vertex-cut fragment with a mirror exchange between
-// stages. Bitwise equality with the full-graph forward rests on four
-// invariants:
+// by stage over one vertex-cut fragment, which is one frontier — every
+// owned row dirty, over the fragment's own in-CSR — with a mirror exchange
+// between stages. Bitwise equality with the full-graph forward rests on
+// four invariants:
 //
 //  1. Whole rows. A fragment holds the complete in-edge list of every
 //     owned vertex in full-graph neighbour order (part.NewFragment), so
@@ -27,16 +28,16 @@ import (
 //  4. Only what the next plan reads through Nbr crosses, computed by its
 //     master. Round 1 runs stage 1's dense ops over every local, exact
 //     because mirrors hold their features; every later stage's dense ops
-//     run over the owned prefix at the end of the round before, and by
+//     run over the owned rows at the end of the round before, and by
 //     invariant 2 those rows are the full product's. The mirror rows of
 //     the stage's crossing values (stage.crossing: dense outputs, or the
 //     stage input when the plan reads it whole) are then overwritten with
 //     their masters' rows, so every value a fold reads at a neighbour has
-//     its full-graph bits. Self-side values are read at owned rows only.
+//     its full-graph bits. Self-side values are gathered at owned rows.
 //
-// Mirror rows' own outputs are garbage (their in-rows live elsewhere), so
-// post ops (bias, add, activation) skip them, and they are never exported
-// or served.
+// Mirror rows are never computed: plan outputs, post ops and logits are
+// [Owned, C], and only the value tensors a neighbour id indexes span
+// every local.
 
 // ShardEnv binds a fragment to its local tensors for shard execution.
 type ShardEnv struct {
@@ -47,21 +48,23 @@ type ShardEnv struct {
 	// FullRows is the full graph's N, replayed into every dense dispatch.
 	FullRows int
 	Pool     *tensor.Pool
+
+	owned frontier // every owned row, over Frag.G; built once
 }
 
 // NewShardEnv gathers the fragment's local rows from the full feature
-// matrix and degree-sorts the local graph in place (the same
-// preprocessing NewSnapshot applies; row order never changes per-row
-// results), dropping the unsorted one.
+// matrix and builds the frontier every run steps over, on Frag.G as is.
 func NewShardEnv(f *part.Fragment, feat *tensor.Tensor, pool *tensor.Pool) *ShardEnv {
-	if !f.G.In.Sorted {
-		f.G = f.G.SortByDegree()
+	rows := make([]int32, f.Owned)
+	for l := range rows {
+		rows[l] = int32(l)
 	}
 	return &ShardEnv{
 		Frag:     f,
 		Feat:     tensor.GatherRows(feat, f.Locals),
 		FullRows: feat.Rows(),
 		Pool:     pool,
+		owned:    frontier{dirty: rows, rows: rows, g: f.G, n: len(f.Locals)},
 	}
 }
 
@@ -92,10 +95,10 @@ func (e *ShardEnv) OutDegrees() []int32 { return e.Frag.GlobalOutDeg }
 // the fragment driver of the program runner. Between StepShard calls the
 // caller must overwrite the mirror rows of Exchanged() with their
 // masters' owned rows — the GAS scatter. After the final round, Logits()
-// holds valid owned rows.
+// holds one row per owned local.
 type ShardForward struct {
-	r     *run
-	owned int
+	r *run
+	f *frontier
 }
 
 // NewShardForward prepares a stepped forward over env. Every tensor it
@@ -109,7 +112,7 @@ func NewShardForward(m *Model, env *ShardEnv) (*ShardForward, error) {
 	fe := &ForwardEnv{G: env.Frag.G, Pool: env.Pool, scoped: true}
 	m.prog.setNorms(fe, nil, env)
 	r := &run{m: m, env: fe, fullRows: env.FullRows, vals: map[string]*tensor.Tensor{}, h: env.Feat}
-	return &ShardForward{r: r, owned: env.Frag.Owned}, nil
+	return &ShardForward{r: r, f: &env.owned}, nil
 }
 
 // Round returns how many rounds have completed.
@@ -118,7 +121,8 @@ func (sf *ShardForward) Round() int { return sf.r.done }
 // Done reports whether the final round has run.
 func (sf *ShardForward) Done() bool { return sf.r.done == len(sf.r.m.prog.stages) }
 
-// Logits returns the final activations; only owned rows are valid.
+// Logits returns the final activations, [Owned, classes]: row l is owned
+// local l.
 func (sf *ShardForward) Logits() (*tensor.Tensor, error) {
 	if !sf.Done() {
 		return nil, fmt.Errorf("serve: shard forward at round %d of %d", sf.r.done, len(sf.r.m.prog.stages))
@@ -126,24 +130,26 @@ func (sf *ShardForward) Logits() (*tensor.Tensor, error) {
 	return sf.r.h, nil
 }
 
-// StepShard runs one round over the fragment (invariant 4). Mirror rows of
-// Exchanged() must hold their masters' rows from the previous round
-// before the call; round 1 needs none.
+// StepShard runs one round over the fragment (invariant 4): the phases
+// run.step composes, with the exchange between the next stage's dense
+// phase and its plan. Mirror rows of Exchanged() must hold their masters'
+// rows from the previous round before the call; round 1 needs none, and
+// its dense phase covers every local, since mirrors hold their features.
 func (sf *ShardForward) StepShard() error {
 	r := sf.r
 	if sf.Done() {
 		return fmt.Errorf("serve: shard forward already finished %d rounds", r.done)
 	}
 	if r.done == 0 {
-		r.dense(r.h.Rows(), nil)
+		r.dense(nil)
 	}
-	out, err := r.aggregate(nil)
+	out, err := r.aggregate(sf.f)
 	if err != nil {
 		return err
 	}
-	r.post(out, sf.owned, nil)
+	r.post(out, sf.f)
 	if !sf.Done() {
-		r.dense(sf.owned, nil)
+		r.dense(sf.f)
 	}
 	return nil
 }

@@ -19,7 +19,7 @@ func syncDeployment(tb testing.TB) (*Coordinator, *graph.Graph, serve.ModelSpec)
 	rng := rand.New(rand.NewSource(9))
 	g := graph.ZipfDegree(rng, 20000, 8, 1.0)
 	spec := testSpec("gcn")
-	c, _ := deploy(tb, g, tensor.Randn(rng, 1, g.N, 16), spec, 2)
+	c, _ := deploy(tb, g, tensor.Randn(rng, 1, g.N, 16), spec, 2, "greedy")
 	if _, err := c.Infer(context.Background(), []int32{0}); err != nil {
 		tb.Fatal(err)
 	}
@@ -36,12 +36,13 @@ func resync(tb testing.TB, c *Coordinator) {
 
 // TestShardSyncAllocBudget pins what a resync allocates, coordinator and
 // both workers together, below the raw payload it exchanges plus one
-// stage's tensors ([locals, hidden] on each worker): stage storage comes
-// back from the workers' pools, every block is read once into a buffer of
-// its size, and nothing else may scale with the graph.
+// stage's plan outputs ([Owned, hidden] on each worker, so one row per
+// vertex across the two): stage storage comes back from the workers'
+// pools, every block is read once into a buffer of its size, and nothing
+// else may scale with the graph.
 func TestShardSyncAllocBudget(t *testing.T) {
 	c, g, spec := syncDeployment(t)
-	var payload, stage uint64
+	var payload uint64
 	owner, err := part.Owners(g, 2, "greedy")
 	if err != nil {
 		t.Fatal(err)
@@ -53,9 +54,7 @@ func TestShardSyncAllocBudget(t *testing.T) {
 			}
 		}
 	}
-	for s := range 2 {
-		stage += uint64(4 * len(part.NewFragment(g, owner, 2, s).Locals) * spec.Hidden)
-	}
+	stage := uint64(4 * g.N * spec.Hidden)
 	resync(t, c) // the first run after a cold one may still fill the pools
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -181,6 +182,7 @@ type counted struct {
 	n *atomic.Int64
 }
 
+// Read reads from the wrapped body and counts what it got.
 func (c counted) Read(p []byte) (int, error) {
 	n, err := c.ReadCloser.Read(p)
 	c.n.Add(int64(n))
@@ -353,7 +355,10 @@ func (c *Coordinator) Infer(ctx context.Context, nodes []int32) (*serve.Result, 
 // Retry-After hint instead of hanging or 500ing.
 type unavailableError struct{ err error }
 
+// Error is the worker failure's message.
 func (e *unavailableError) Error() string { return e.err.Error() }
+
+// Unwrap returns the worker failure.
 func (e *unavailableError) Unwrap() error { return e.err }
 
 // TotalBytes sums coordinator-side wire traffic across all shards
@@ -366,12 +371,6 @@ func (c *Coordinator) TotalBytes() (tx, rx int64) {
 	}
 	return tx, rx
 }
-
-// Rounds returns the exchange-round count of the deployed arch.
-func (c *Coordinator) Rounds() int { return len(c.widths) }
-
-// Owner returns the shard that masters vertex v.
-func (c *Coordinator) Owner(v int32) int { return int(c.owner[v]) }
 
 // topology is the /v1/shards payload.
 type topology struct {
@@ -429,47 +428,23 @@ func (c *Coordinator) topology() topology {
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/infer", func(rw http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Nodes     []int32 `json:"nodes"`
-			TimeoutMS int     `json:"timeout_ms,omitempty"`
-		}
-		if !decodePost(rw, r, &req) {
-			return
-		}
-		ctx := r.Context()
-		if req.TimeoutMS > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-			defer cancel()
-		}
-		c.infers.Add(1)
-		start := time.Now()
-		res, err := c.Infer(ctx, req.Nodes)
-		if err != nil {
-			if ue, ok := err.(*unavailableError); ok {
-				c.failures.Add(1)
-				rw.Header().Set("Retry-After",
-					strconv.Itoa(int(c.cfg.RetryAfter/time.Second)))
-				http.Error(rw, ue.Error(), http.StatusServiceUnavailable)
-				return
+		serve.ServeInfer(rw, r, func(ctx context.Context, nodes []int32) (*serve.Result, error) {
+			c.infers.Add(1)
+			start := time.Now()
+			res, err := c.Infer(ctx, nodes)
+			if err == nil && obs.Enabled() {
+				obs.ObserveEvent("shard", "infer", start, time.Since(start), 0)
 			}
-			http.Error(rw, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if obs.Enabled() {
-			obs.ObserveEvent("shard", "infer", start, time.Since(start), 0)
-		}
-		resp := struct {
-			Nodes   []int32     `json:"nodes"`
-			Logits  [][]float32 `json:"logits"`
-			Classes []int       `json:"classes"`
-		}{Nodes: res.Nodes, Classes: res.Classes}
-		for i := 0; i < res.Logits.Rows(); i++ {
-			row := make([]float32, res.Logits.Cols())
-			copy(row, res.Logits.Row(i))
-			resp.Logits = append(resp.Logits, row)
-		}
-		writeJSON(rw, resp)
+			return res, err
+		}, func(err error) {
+			status := http.StatusBadRequest
+			if errors.As(err, new(*unavailableError)) {
+				c.failures.Add(1)
+				rw.Header().Set("Retry-After", strconv.Itoa(int(c.cfg.RetryAfter/time.Second)))
+				status = http.StatusServiceUnavailable
+			}
+			http.Error(rw, err.Error(), status)
+		})
 	})
 	mux.HandleFunc("/v1/shards", func(rw http.ResponseWriter, r *http.Request) {
 		writeJSON(rw, c.topology())

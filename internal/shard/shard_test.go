@@ -13,6 +13,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -34,14 +35,15 @@ func testGraph(t testing.TB, n int) (*graph.Graph, *tensor.Tensor) {
 	return g, tensor.Randn(rng, 1, g.N, 16)
 }
 
-// deploy spins up k in-process workers plus a coordinator over them and
-// returns the coordinator (programmatic) and its HTTP server.
-func deploy(t testing.TB, g *graph.Graph, feat *tensor.Tensor, spec serve.ModelSpec, k int) (*Coordinator, []*httptest.Server) {
+// deploy spins up k in-process workers plus a coordinator over them,
+// partitioned in the given mode, and returns the coordinator
+// (programmatic) and the workers' HTTP servers.
+func deploy(t testing.TB, g *graph.Graph, feat *tensor.Tensor, spec serve.ModelSpec, k int, mode string) (*Coordinator, []*httptest.Server) {
 	t.Helper()
 	urls := make([]string, k)
 	servers := make([]*httptest.Server, k)
 	for s := 0; s < k; s++ {
-		w, err := NewWorker(g, feat, spec, k, s, "greedy", device.V100)
+		w, err := NewWorker(g, feat, spec, k, s, mode, device.V100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +52,7 @@ func deploy(t testing.TB, g *graph.Graph, feat *tensor.Tensor, spec serve.ModelS
 		servers[s] = srv
 		urls[s] = srv.URL
 	}
-	c, err := NewCoordinator(CoordinatorConfig{Spec: spec, Workers: urls, Mode: "greedy"}, g)
+	c, err := NewCoordinator(CoordinatorConfig{Spec: spec, Workers: urls, Mode: mode}, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func TestEndToEndBitwise(t *testing.T) {
 		spec := testSpec(arch)
 		want := fullForward(t, g, feat, spec)
 		for _, k := range []int{2, 4} {
-			c, _ := deploy(t, g, feat, spec, k)
+			c, _ := deploy(t, g, feat, spec, k, "greedy")
 			// Batch through all vertices in chunks, mixing shard owners.
 			for lo := 0; lo < g.N; lo += 512 {
 				hi := lo + 512
@@ -116,12 +118,49 @@ func TestEndToEndBitwise(t *testing.T) {
 	}
 }
 
+// TestEmptyShards pins that a fragment may own nothing: in range mode, a
+// graph whose one hub holds every edge falls into shard 0's range whole,
+// so shards 1 and 2 own no row and mirror none. Their zero-row fragments
+// still step every round, and every arch through the coordinator answers
+// the full forward bit for bit.
+func TestEmptyShards(t *testing.T) {
+	srcs := make([]int32, 16)
+	dsts := make([]int32, 16)
+	for e := range srcs {
+		srcs[e], dsts[e] = int32(e%3), 2
+	}
+	g, err := graph.FromEdges(3, srcs, dsts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feat := tensor.Randn(rand.New(rand.NewSource(4)), 1, g.N, 16)
+	for _, arch := range []string{"gcn", "gat", "appnp"} {
+		spec := testSpec(arch)
+		want := fullForward(t, g, feat, spec)
+		c, _ := deploy(t, g, feat, spec, 3, "range")
+		if !slices.Equal(c.owned, []int{3, 0, 0}) {
+			t.Fatalf("%s: shards own %v rows, want [3 0 0]", arch, c.owned)
+		}
+		res, err := c.Infer(context.Background(), []int32{2, 0, 1})
+		if err != nil {
+			t.Fatalf("%s: %v", arch, err)
+		}
+		for i, v := range res.Nodes {
+			for j := 0; j < want.Cols(); j++ {
+				if math.Float32bits(res.Logits.At(i, j)) != math.Float32bits(want.At(int(v), j)) {
+					t.Fatalf("%s vertex %d col %d: sharded %g vs full %g", arch, v, j, res.Logits.At(i, j), want.At(int(v), j))
+				}
+			}
+		}
+	}
+}
+
 // TestHTTPContract exercises the coordinator's /v1/infer over the wire
 // and checks the JSON shape matches the single-process server's.
 func TestHTTPContract(t *testing.T) {
 	g, feat := testGraph(t, 500)
 	spec := testSpec("gcn")
-	c, _ := deploy(t, g, feat, spec, 2)
+	c, _ := deploy(t, g, feat, spec, 2, "greedy")
 	front := httptest.NewServer(c.Handler())
 	defer front.Close()
 
@@ -158,6 +197,17 @@ func TestHTTPContract(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("out-of-range node: status %d", resp2.StatusCode)
+	}
+
+	// A body past the single-process server's cap → 413, before it is held.
+	oversize := append([]byte(`{"nodes":[0`), bytes.Repeat([]byte(",0"), serve.MaxInferBody/2)...)
+	resp5, err := http.Post(front.URL+"/v1/infer", "application/json", bytes.NewReader(append(oversize, "]}"...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp5.Body.Close()
+	if resp5.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: status %d, want 413", resp5.StatusCode)
 	}
 
 	// Topology endpoint names every worker, with the rounds the model
@@ -518,7 +568,7 @@ func TestKilledWorker(t *testing.T) {
 	g, feat := testGraph(t, 1000)
 	spec := testSpec("gcn")
 	want := fullForward(t, g, feat, spec)
-	c, servers := deploy(t, g, feat, spec, 4)
+	c, servers := deploy(t, g, feat, spec, 4, "greedy")
 	front := httptest.NewServer(c.Handler())
 	defer front.Close()
 
@@ -587,7 +637,7 @@ func TestWorkerRestartInPlace(t *testing.T) {
 	g, feat := testGraph(t, 1000)
 	spec := testSpec("gcn")
 	want := fullForward(t, g, feat, spec)
-	c, servers := deploy(t, g, feat, spec, 3)
+	c, servers := deploy(t, g, feat, spec, 3, "greedy")
 
 	nodes := []int32{0, 7, 42, 99, 500, 999}
 	if _, err := c.Infer(context.Background(), nodes); err != nil {
@@ -639,7 +689,7 @@ func TestRaceSoak(t *testing.T) {
 	g, feat := testGraph(t, 800)
 	spec := testSpec("gcn")
 	want := fullForward(t, g, feat, spec)
-	c, servers := deploy(t, g, feat, spec, 3)
+	c, servers := deploy(t, g, feat, spec, 3, "greedy")
 	front := httptest.NewServer(c.Handler())
 	defer front.Close()
 

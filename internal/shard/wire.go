@@ -349,11 +349,8 @@ func readRelays(r io.Reader, want header, blocks []block) ([]relay, error) {
 			return nil, err
 		}
 		payload := make([]byte, 4*want.width*b.rows)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil, fmt.Errorf("shard: block for peer %d: %w", b.peer, err)
-		}
-		if crc := crc32.Checksum(payload, castagnoli); crc != b.crc {
-			return nil, fmt.Errorf("shard: block for peer %d: CRC-32C %08x, header says %08x", b.peer, crc, b.crc)
+		if err := readPayload(r, b, want.width, payload, func(int, []byte) {}); err != nil {
+			return nil, err
 		}
 		relays[i] = relay{b, payload}
 	}

@@ -30,7 +30,6 @@ type Worker struct {
 	frag   *part.Fragment
 	model  *serve.Model
 	env    *serve.ShardEnv
-	spec   serve.ModelSpec
 	widths []int // per round, the row width of its reply (serve.ShardWidths)
 	// importFrom and exportTo are the peers this fragment imports mirror
 	// rows from and exports owned rows to, ascending: the blocks of a step
@@ -43,17 +42,14 @@ type Worker struct {
 
 // NewWorker derives shard `index` of k from the full (graph, features):
 // it computes the partition's owner table — the same one every worker and
-// the coordinator compute — then builds and degree-sorts its own
-// fragment and keeps only that fragment's rows. The full graph and
-// feature matrix are not retained. prof is ignored: a worker charges no
-// simulated device. The parameter stays only because benchmark/ still
-// passes one; ROADMAP item 10(e) removes it.
+// the coordinator compute — then builds its own fragment (the owned rows'
+// degree-sorted in-CSR) and keeps only that fragment's rows. The full
+// graph and feature matrix are not retained. prof is ignored: a worker
+// charges no simulated device. The parameter stays only because
+// benchmark/ still passes one; ROADMAP item 10(e) removes it.
 func NewWorker(g *graph.Graph, feat *tensor.Tensor, spec serve.ModelSpec, k, index int, mode string, prof device.Profile) (*Worker, error) {
 	if index < 0 || index >= k {
 		return nil, fmt.Errorf("shard: index %d out of [0,%d)", index, k)
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
 	}
 	m, err := serve.BuildModel(spec, feat.Cols(), 1)
 	if err != nil {
@@ -72,7 +68,6 @@ func NewWorker(g *graph.Graph, feat *tensor.Tensor, spec serve.ModelSpec, k, ind
 		frag:   f,
 		model:  m,
 		env:    serve.NewShardEnv(f, feat, tensor.NewPool()),
-		spec:   spec,
 		widths: widths,
 	}
 	for t := range k {
@@ -192,6 +187,7 @@ func (w *Worker) step(rw http.ResponseWriter, r *http.Request) error {
 // coordinator restarts sync from round 1 when it sees one.
 type seqError struct{ round, have int }
 
+// Error names the round asked for and the one the worker is at.
 func (e *seqError) Error() string {
 	return fmt.Sprintf("shard: round %d out of sequence (worker at %d; restart from round 1)", e.round, e.have)
 }
@@ -275,7 +271,7 @@ func (w *Worker) Handler() http.Handler {
 	mux.HandleFunc("/v1/shard/info", func(rw http.ResponseWriter, r *http.Request) {
 		writeJSON(rw, infoResponse{
 			Shard: w.frag.Shard, Shards: w.frag.K,
-			Arch: w.spec.Arch, Rounds: len(w.widths),
+			Arch: w.model.Spec.Arch, Rounds: len(w.widths),
 			Owned: w.frag.Owned, Mirrors: w.frag.Mirrors(),
 			Edges: w.frag.G.M, N: len(w.frag.LocalOf), Gen: staticGen,
 		})
@@ -303,18 +299,6 @@ func workerStatus(err error) int {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
-}
-
-func decodePost(rw http.ResponseWriter, r *http.Request, v any) bool {
-	if r.Method != http.MethodPost {
-		http.Error(rw, "POST only", http.StatusMethodNotAllowed)
-		return false
-	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		http.Error(rw, "bad request: "+err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
 }
 
 func writeJSON(rw http.ResponseWriter, v any) {

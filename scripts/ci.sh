@@ -105,7 +105,7 @@ else
 fi
 
 echo "== doc lint (exported symbols need doc comments) =="
-go run ./scripts/doclint ./internal/gir ./internal/fusion ./internal/kernels ./internal/serve ./internal/obs ./internal/exec ./internal/store
+go run ./scripts/doclint ./internal/gir ./internal/fusion ./internal/kernels ./internal/serve ./internal/obs ./internal/exec ./internal/store ./internal/part ./internal/shard ./internal/graph
 
 echo "== doc lint (flag docs in docs/operations.md match the binaries) =="
 go run ./scripts/doclint -flags docs/operations.md ./cmd/seastar-train ./cmd/seastar-serve ./cmd/seastar-bench ./cmd/seastar-inspect ./cmd/seastar-convert
