@@ -17,6 +17,11 @@ type modelParams struct {
 // forward GIR. These mirror the paper's running examples: GCN (§2), GAT
 // with edge softmax (§5.2/Figure 6), one APPNP propagation step, and
 // R-GCN with per-relation weights + hierarchical aggregation.
+//
+// They are deliberately not internal/program's declarations: the listings
+// are the paper's Figure 3, so GCN keeps its matmul inside the vertex
+// program (Nbr(h).MatMul(W)), where the table hoists it into a dense op.
+// scripts/ci.sh allows gir.NewBuilder here for that reason.
 func buildModel(model string, p modelParams) (*gir.DAG, error) {
 	b := gir.NewBuilder()
 	var udf gir.UDF

@@ -203,19 +203,6 @@ func splitMasks(rng *rand.Rand, n int) (train, val, test []bool) {
 	return train, val, test
 }
 
-// GCNNorm returns the per-vertex 1/in-degree normalizer used by the GCN
-// layer formula in Figure 1 (isolated vertices get 0).
-func GCNNorm(g *graph.Graph) *tensor.Tensor {
-	deg := g.InDegrees()
-	t := tensor.New(g.N, 1)
-	for v := 0; v < g.N; v++ {
-		if deg[v] > 0 {
-			t.Set(v, 0, 1/float32(deg[v]))
-		}
-	}
-	return t
-}
-
 // RGCNEdgeNorm returns the per-edge 1/c_{v,r} normalizer of the R-GCN
 // formula: the reciprocal of the number of in-edges of v with the same
 // relation type as the edge.

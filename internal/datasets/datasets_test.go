@@ -129,21 +129,6 @@ func TestDefaultScales(t *testing.T) {
 	}
 }
 
-func TestGCNNorm(t *testing.T) {
-	d := MustLoad("cora", 0.05, 3)
-	norm := GCNNorm(d.G)
-	deg := d.G.InDegrees()
-	for v := 0; v < d.G.N; v++ {
-		if deg[v] == 0 {
-			if norm.At(v, 0) != 0 {
-				t.Fatal("isolated vertex norm must be 0")
-			}
-		} else if math.Abs(float64(norm.At(v, 0))-1/float64(deg[v])) > 1e-6 {
-			t.Fatalf("norm[%d] = %v for degree %d", v, norm.At(v, 0), deg[v])
-		}
-	}
-}
-
 func TestRGCNEdgeNorm(t *testing.T) {
 	d := MustLoad("mutag", 0.05, 4)
 	norm := RGCNEdgeNorm(d.G)

@@ -33,8 +33,7 @@ func sameBits(a, b float32) bool {
 	return math.Float32bits(a) == math.Float32bits(b)
 }
 
-// gatDAG is the GAT layer body exactly as models.compileGATLayer traces
-// it: scalar attention logits, edge softmax, weighted neighbour sum.
+// gatDAG is the GAT layer body exactly as program.GAT declares it: scalar attention logits, edge softmax, weighted neighbour sum.
 func gatDAG(t *testing.T, dim int) *gir.DAG {
 	t.Helper()
 	b := gir.NewBuilder()

@@ -3,111 +3,52 @@ package models
 import (
 	"fmt"
 
-	"seastar/internal/exec"
-	"seastar/internal/gir"
 	"seastar/internal/nn"
+	"seastar/internal/program"
 )
-
-// APPNP implements "predict then propagate": an MLP produces h0, then K
-// personalized-PageRank propagation steps compute
-// h^{k+1} = (1-α)·D̂⁻½ A D̂⁻½ h^k + α·h0.
-type APPNP struct {
-	sys System
-	env *Env
-
-	w1, w2           *nn.Variable
-	srcNorm, dstNorm *nn.Variable
-	alpha            float32
-	k                int
-
-	prop *exec.CompiledUDF
-}
 
 // NewAPPNP builds an APPNP model (DGL's default configuration: hidden 64,
 // K=10, α=0.1 — pass hidden/k/alpha explicitly).
-func NewAPPNP(env *Env, sys System, hidden, k int, alpha float32) (*APPNP, error) {
-	in := env.DS.Feat.Cols()
-	classes := env.DS.NumClasses
-	sn, dn := env.symNormVars()
-	m := &APPNP{
-		sys: sys, env: env,
-		w1:      env.xavier("appnp.W1", in, hidden),
-		w2:      env.xavier("appnp.W2", hidden, classes),
-		srcNorm: sn, dstNorm: dn,
-		alpha: alpha, k: k,
+func NewAPPNP(env *Env, sys System, hidden, k int, alpha float32) (Model, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("models: APPNP needs k ≥ 1 propagation steps, got %d", k)
 	}
+	s := env.spec(hidden)
+	s.K, s.Alpha = k, alpha
+	p := program.APPNP(s, env.DS.Feat.Cols(), 1)
+	name := fmt.Sprintf("appnp-%s", sys)
 	switch sys {
 	case SysSeastar:
-		var err error
-		if m.prop, err = compileAPPNPStep(classes, alpha); err != nil {
-			return nil, err
-		}
+		return env.seastar(name, p)
 	case SysDGL, SysPyG:
-	default:
-		return nil, unknownSystem("APPNP", sys)
+		return &appnp{env.base(name, p), sys, k, alpha}, nil
 	}
-	return m, nil
+	return nil, unknownSystem("APPNP", sys)
 }
 
-// compileAPPNPStep traces one propagation step. The post-aggregation
-// destination chain (scale by dstnorm, damp, add teleport) stays inside
-// the fused kernel — state-2 fusion in the paper's FSM.
-func compileAPPNPStep(dim int, alpha float32) (*exec.CompiledUDF, error) {
-	b := gir.NewBuilder()
-	b.VFeature("h", dim)
-	b.VFeature("h0", dim)
-	b.VFeature("sn", 1)
-	b.VFeature("dn", 1)
-	dag, err := b.Build(func(v *gir.Vertex) *gir.Value {
-		agg := v.Nbr("h").Mul(v.Nbr("sn")).AggSum()
-		return agg.Mul(v.Self("dn")).MulScalar(1 - alpha).
-			Add(v.Self("h0").MulScalar(alpha))
-	})
-	if err != nil {
-		return nil, err
-	}
-	return exec.Compile(dag)
+// appnp is APPNP on the DGL- and PyG-style systems: an MLP produces h0,
+// then K personalized-PageRank steps h^{k+1} = (1-α)·D̂⁻½ A D̂⁻½ h^k + α·h0.
+type appnp struct {
+	base
+	sys   System
+	k     int
+	alpha float32
 }
-
-// Name implements Model.
-func (m *APPNP) Name() string { return fmt.Sprintf("appnp-%s", m.sys) }
-
-// Params implements Model.
-func (m *APPNP) Params() []*nn.Variable { return []*nn.Variable{m.w1, m.w2} }
 
 // Forward implements Model.
-func (m *APPNP) Forward(training bool) *nn.Variable {
+func (m *appnp) Forward(training bool) *nn.Variable {
 	e := m.env.E
-	h0 := e.MatMul(e.ReLU(e.MatMul(m.env.X, m.w1)), m.w2)
+	h0 := e.MatMul(e.ReLU(e.MatMul(m.env.X, m.w["W1"])), m.w["W2"])
 	h := h0
 	for step := 0; step < m.k; step++ {
-		h = m.propagate(h, h0)
+		t := e.MulColVec(h, m.norms[program.NormSymSrc])
+		if m.sys == SysDGL {
+			t = m.env.DGL.UpdateAllCopySum(t)
+		} else {
+			t = m.env.PyG.ScatterAddDst(m.env.PyG.GatherSrc(t))
+		}
+		t = e.MulColVec(t, m.norms[program.NormSymDst])
+		h = e.Add(e.MulScalar(t, 1-m.alpha), e.MulScalar(h0, m.alpha))
 	}
 	return h
-}
-
-func (m *APPNP) propagate(h, h0 *nn.Variable) *nn.Variable {
-	e := m.env.E
-	switch m.sys {
-	case SysSeastar:
-		out, err := m.prop.Apply(m.env.RT,
-			map[string]*nn.Variable{
-				"h": h, "h0": h0, "sn": m.srcNorm, "dn": m.dstNorm,
-			}, nil, nil)
-		if err != nil {
-			panic(err)
-		}
-		return out
-	case SysDGL:
-		t := e.MulColVec(h, m.srcNorm)
-		t = m.env.DGL.UpdateAllCopySum(t)
-		t = e.MulColVec(t, m.dstNorm)
-		return e.Add(e.MulScalar(t, 1-m.alpha), e.MulScalar(h0, m.alpha))
-	default: // SysPyG
-		p := m.env.PyG
-		t := e.MulColVec(h, m.srcNorm)
-		t = p.ScatterAddDst(p.GatherSrc(t))
-		t = e.MulColVec(t, m.dstNorm)
-		return e.Add(e.MulScalar(t, 1-m.alpha), e.MulScalar(h0, m.alpha))
-	}
 }

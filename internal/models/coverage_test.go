@@ -8,6 +8,7 @@ import (
 	"seastar/internal/exec"
 	"seastar/internal/fusion"
 	"seastar/internal/kernels"
+	"seastar/internal/program"
 )
 
 // unitCoverage renders the closure compiler's verdict on every seastar
@@ -41,24 +42,32 @@ func unitCoverage(c *exec.CompiledUDF) []string {
 // regression or a silent new fallback shows up as a diff here rather than
 // as a slower benchmark.
 func TestSpecializationCoverage(t *testing.T) {
-	must := func(c *exec.CompiledUDF, err error) *exec.CompiledUDF {
+	// plan compiles, for training, stage i's vertex program of p.
+	plan := func(p *program.Program, i int) *exec.CompiledUDF {
 		t.Helper()
+		dag, err := p.Stages[i].Plan.Trace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := exec.Compile(dag)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
+	spec := program.Spec{Hidden: 16, Classes: 8, Alpha: 0.1, K: 1}
 	const noAgg = "INTERPRETED: no aggregation to fuse into"
 	cases := []struct {
 		model string
 		c     *exec.CompiledUDF
 		want  []string
 	}{
-		{"gcn", must(compileGCNLayer(16, 8)), []string{
-			"fwd/1 scaled-gather",
+		// h·W is a dense op before the plan, so the aggregation is unit 0.
+		{"gcn", plan(program.GCN(spec, 16, 1), 1), []string{
+			"fwd/0 scaled-gather",
 			"bwd/0 gather",
 		}},
-		{"gat", must(compileGATLayer(16, 0.2)), []string{
+		{"gat", plan(program.GAT(spec, 16, 1), 0), []string{
 			"fwd/0 chain[3]+scalar-agg",
 			"fwd/1 chain[1]+scaled-gather",
 			"bwd/0 scaled-gather",
@@ -66,18 +75,23 @@ func TestSpecializationCoverage(t *testing.T) {
 			"bwd/2 dot[1]+chain[4]+scalar-agg",
 			"bwd/3 dot[1]+chain[4]+scalar-agg",
 		}},
-		{"sage", must(compileSAGEBody(16)), []string{
+		{"sage", plan(program.SAGE(spec, 8), 0), []string{
 			"fwd/0 gather",
 			"bwd/0 scaled-gather",
 			"bwd/1 " + noAgg,
 		}},
-		{"gin", must(compileGINBody(16, 0.1)), []string{
+		// The sampled mini-batch trainer's model: W inside the plan.
+		{"minibatch-sage", plan(program.MiniBatchSAGE(16, 8), 0), []string{
+			"fwd/2 gather",
+			"bwd/0 gather",
+		}},
+		{"gin", plan(program.GIN(spec, 16, 0.1), 0), []string{
 			"fwd/0 " + noAgg,
 			"fwd/1 gather",
 			"bwd/0 gather",
 			"bwd/1 " + noAgg,
 		}},
-		{"appnp", must(compileAPPNPStep(16, 0.1)), []string{
+		{"appnp", plan(program.APPNP(program.Spec{Hidden: 16, Classes: 16, Alpha: 0.1, K: 1}, 16, 1), 0), []string{
 			"fwd/0 scaled-gather",
 			"fwd/1 " + noAgg,
 			"bwd/0 " + noAgg,
@@ -85,7 +99,7 @@ func TestSpecializationCoverage(t *testing.T) {
 			// aggregation: MulConst(dy)·dn, re-indexed by EdgeView.
 			"bwd/1 INTERPRETED: wide Mul operands do not match scalar × gather",
 		}},
-		{"rgcn", must(compileRGCNLayer(3, 16, 8)), []string{
+		{"rgcn", plan(program.RGCN(spec, 16, 3), 0), []string{
 			// Both passes save a wide per-edge value ([M, d] typed
 			// transform forward, the edge gradient backward); backward
 			// also needs MatMulTypedT.

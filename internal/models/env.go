@@ -1,15 +1,17 @@
-// Package models implements the four GNNs of the paper's evaluation —
-// GCN, GAT, APPNP and R-GCN — each on three systems: Seastar
-// (vertex-centric compiled kernels), the DGL-style message-passing
-// baseline, and the PyG-style scatter/gather baseline (plus the bmm
-// variants for R-GCN). All implementations of a model compute the same
-// function, which the tests assert, reproducing the paper's correctness
-// methodology ("the same results as DGL", §7).
+// Package models trains the four GNNs of the paper's evaluation — GCN,
+// GAT, APPNP and R-GCN — plus GIN and mean-aggregator GraphSAGE, each on
+// three systems. Seastar is not written here: it is the architecture's
+// layer program (internal/program) lowered onto the nn engine, the same
+// declaration serving runs. The DGL-style message-passing and PyG-style
+// scatter/gather baselines (plus the bmm variants for R-GCN) stay
+// hand-written, as the paper's comparison code, reading the program's
+// weights. All systems compute the same function, which the tests assert,
+// reproducing the paper's correctness methodology ("the same results as
+// DGL", §7).
 package models
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"seastar/internal/datasets"
@@ -18,8 +20,8 @@ import (
 	"seastar/internal/exec"
 	"seastar/internal/graph"
 	"seastar/internal/nn"
+	"seastar/internal/program"
 	"seastar/internal/pyg"
-	"seastar/internal/tensor"
 )
 
 // System selects the executing framework.
@@ -123,53 +125,58 @@ func NewEnvWith(dev *device.Device, ds *datasets.Dataset, seed int64, opt EnvOpt
 	return env, nil
 }
 
-// normVar returns the 1/in-degree GCN normalizer as an input variable.
-func (env *Env) normVar() *nn.Variable {
-	return env.E.Input(datasets.GCNNorm(env.G), "norm")
+// spec is the configuration a model's program is declared from: hidden
+// units, and the dataset's class count.
+func (env *Env) spec(hidden int) program.Spec {
+	return program.Spec{Hidden: hidden, Classes: env.DS.NumClasses}
 }
 
-// symNormVars returns the symmetric-normalization pair used by APPNP:
-// srcnorm[u] = 1/√out-deg(u), dstnorm[v] = 1/√in-deg(v).
-func (env *Env) symNormVars() (src, dst *nn.Variable) {
-	out := env.G.OutDegrees()
-	in := env.G.InDegrees()
-	sn := tensor.New(env.G.N, 1)
-	dn := tensor.New(env.G.N, 1)
-	for v := 0; v < env.G.N; v++ {
-		if out[v] > 0 {
-			sn.Set(v, 0, float32(1/math.Sqrt(float64(out[v]))))
-		}
-		if in[v] > 0 {
-			dn.Set(v, 0, float32(1/math.Sqrt(float64(in[v]))))
-		}
+// base is what a model holds on every system: its name, its env, the
+// architecture's program, the program's weights — drawn from the env's
+// seed in draw order, so equal seeds yield equal models across systems —
+// and the graph normalizers the program binds.
+type base struct {
+	name  string
+	env   *Env
+	p     *program.Program
+	w     map[string]*nn.Variable
+	norms program.NormVars
+}
+
+func (env *Env) base(name string, p *program.Program) base {
+	return base{name: name, env: env, p: p, w: p.Draw(env.E, env.rng), norms: p.NormInputs(env.E, env.G)}
+}
+
+// Name implements Model.
+func (m *base) Name() string { return m.name }
+
+// Params implements Model: the weights in draw order.
+func (m *base) Params() []*nn.Variable { return m.p.Params(m.w) }
+
+// seastar is the Seastar system of every model: the architecture's
+// program lowered onto the env's engine (program.Lower), its plans
+// compiled into fused kernels forward and backward.
+type seastar struct {
+	base
+	net *program.Net
+}
+
+func (env *Env) seastar(name string, p *program.Program) (Model, error) {
+	m := &seastar{base: env.base(name, p)}
+	var err error
+	if m.net, err = program.Lower(p, m.w); err != nil {
+		return nil, err
 	}
-	return env.E.Input(sn, "srcnorm"), env.E.Input(dn, "dstnorm")
+	return m, nil
 }
 
-// edgeNormVar returns the per-edge R-GCN normalizer 1/c_{v,r}.
-func (env *Env) edgeNormVar() *nn.Variable {
-	return env.E.Input(datasets.RGCNEdgeNorm(env.G), "edgenorm")
-}
-
-// xavier draws a Xavier-initialized parameter; all systems construct
-// weights through this in the same order, so equal seeds yield equal
-// models across systems.
-func (env *Env) xavier(name string, shape ...int) *nn.Variable {
-	var t *tensor.Tensor
-	switch len(shape) {
-	case 2:
-		t = tensor.XavierUniform(env.rng, shape[0], shape[1])
-	case 3:
-		l := math.Sqrt(6 / float64(shape[1]+shape[2]))
-		t = tensor.Uniform(env.rng, -l, l, shape...)
-	default:
-		t = tensor.New(shape...)
+// Forward implements Model.
+func (m *seastar) Forward(training bool) *nn.Variable {
+	out, err := m.net.Forward(m.env.RT, m.env.X, &m.norms)
+	if err != nil {
+		panic(err)
 	}
-	return env.E.Param(t, name)
-}
-
-func (env *Env) zeros(name string, shape ...int) *nn.Variable {
-	return env.E.Param(tensor.New(shape...), name)
+	return out
 }
 
 func unknownSystem(model string, sys System) error {

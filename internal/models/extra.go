@@ -3,197 +3,89 @@ package models
 import (
 	"fmt"
 
-	"seastar/internal/exec"
-	"seastar/internal/gir"
 	"seastar/internal/nn"
+	"seastar/internal/program"
 )
 
 // The models in this file are NOT part of the paper's evaluation; they
 // demonstrate that the vertex-centric model covers architectures beyond
 // the four benchmarked ones (the paper's usability claim in §4): GIN (Xu
-// et al.) and GraphSAGE (Hamilton et al.) with a mean aggregator.
-
-// GIN is a two-layer Graph Isomorphism Network:
-// h' = MLP((1+ε)·h_v + Σ_{u∈N(v)} h_u).
-type GIN struct {
-	sys System
-	env *Env
-	eps float32
-
-	w1a, w1b *nn.Variable // layer-1 MLP
-	w2a, w2b *nn.Variable
-
-	c1, c2 *exec.CompiledUDF
-}
+// et al.) and GraphSAGE (Hamilton et al.) with a mean aggregator. Their
+// programs are declared beside the served table but not registered in it.
 
 // NewGIN builds a 2-layer GIN with the given ε.
-func NewGIN(env *Env, sys System, hidden int, eps float32) (*GIN, error) {
-	in := env.DS.Feat.Cols()
-	classes := env.DS.NumClasses
-	m := &GIN{
-		sys: sys, env: env, eps: eps,
-		w1a: env.xavier("gin.W1a", in, hidden),
-		w1b: env.xavier("gin.W1b", hidden, hidden),
-		w2a: env.xavier("gin.W2a", hidden, hidden),
-		w2b: env.xavier("gin.W2b", hidden, classes),
-	}
+func NewGIN(env *Env, sys System, hidden int, eps float32) (Model, error) {
+	p := program.GIN(env.spec(hidden), env.DS.Feat.Cols(), eps)
+	name := fmt.Sprintf("gin-%s", sys)
 	switch sys {
 	case SysSeastar:
-		var err error
-		if m.c1, err = compileGINBody(in, eps); err != nil {
-			return nil, err
-		}
-		if m.c2, err = compileGINBody(hidden, eps); err != nil {
-			return nil, err
-		}
+		return env.seastar(name, p)
 	case SysDGL, SysPyG:
-	default:
-		return nil, unknownSystem("GIN", sys)
+		return &gin{env.base(name, p), sys, eps}, nil
 	}
-	return m, nil
+	return nil, unknownSystem("GIN", sys)
 }
 
-// compileGINBody traces (1+ε)·h_v + Σ h_u — a fused kernel whose
-// post-aggregation stage adds the scaled self feature (state-2 fusion).
-// The self term is traced BEFORE the aggregation so that the fusion FSM's
-// last-write-wins tie-break picks the aggregation as the Add's nearest
-// parent, keeping everything in one kernel.
-func compileGINBody(dim int, eps float32) (*exec.CompiledUDF, error) {
-	b := gir.NewBuilder()
-	b.VFeature("h", dim)
-	dag, err := b.Build(func(v *gir.Vertex) *gir.Value {
-		self := v.Self("h").MulScalar(1 + eps)
-		return v.Nbr("h").AggSum().Add(self)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return exec.Compile(dag)
-}
-
-// Name implements Model.
-func (m *GIN) Name() string { return fmt.Sprintf("gin-%s", m.sys) }
-
-// Params implements Model.
-func (m *GIN) Params() []*nn.Variable {
-	return []*nn.Variable{m.w1a, m.w1b, m.w2a, m.w2b}
+// gin is GIN on the DGL- and PyG-style systems:
+// h' = MLP((1+ε)·h_v + Σ_{u∈N(v)} h_u).
+type gin struct {
+	base
+	sys System
+	eps float32
 }
 
 // Forward implements Model.
-func (m *GIN) Forward(training bool) *nn.Variable {
+func (m *gin) Forward(training bool) *nn.Variable {
 	e := m.env.E
-	h := m.aggregate(m.env.X, m.c1)
-	h = e.ReLU(e.MatMul(e.ReLU(e.MatMul(h, m.w1a)), m.w1b))
-	h = m.aggregate(h, m.c2)
-	return e.MatMul(e.ReLU(e.MatMul(h, m.w2a)), m.w2b)
+	h := m.aggregate(m.env.X)
+	h = e.ReLU(e.MatMul(e.ReLU(e.MatMul(h, m.w["W1a"])), m.w["W1b"]))
+	h = m.aggregate(h)
+	return e.MatMul(e.ReLU(e.MatMul(h, m.w["W2a"])), m.w["W2b"])
 }
 
-func (m *GIN) aggregate(h *nn.Variable, c *exec.CompiledUDF) *nn.Variable {
-	e := m.env.E
-	switch m.sys {
-	case SysSeastar:
-		out, err := c.Apply(m.env.RT, map[string]*nn.Variable{"h": h}, nil, nil)
-		if err != nil {
-			panic(err)
-		}
-		return out
-	case SysDGL:
-		agg := m.env.DGL.UpdateAllCopySum(h)
-		return e.Add(agg, e.MulScalar(h, 1+m.eps))
-	default: // SysPyG
-		agg := m.env.PyG.ScatterAddDst(m.env.PyG.GatherSrc(h))
-		return e.Add(agg, e.MulScalar(h, 1+m.eps))
+func (m *gin) aggregate(h *nn.Variable) *nn.Variable {
+	var agg *nn.Variable
+	if m.sys == SysDGL {
+		agg = m.env.DGL.UpdateAllCopySum(h)
+	} else {
+		agg = m.env.PyG.ScatterAddDst(m.env.PyG.GatherSrc(h))
 	}
-}
-
-// SAGE is a two-layer GraphSAGE with mean aggregation:
-// h' = W_self·h_v + W_nbr·mean_{u∈N(v)} h_u.
-type SAGE struct {
-	sys System
-	env *Env
-
-	invDeg               *nn.Variable // 1/in-degree, 0 for isolated
-	wSelf1, wNbr1        *nn.Variable
-	wSelf2, wNbr2        *nn.Variable
-	c1, c2               *exec.CompiledUDF
-	hidden1, out2, feats int
+	return m.env.E.Add(agg, m.env.E.MulScalar(h, 1+m.eps))
 }
 
 // NewSAGE builds a 2-layer mean-aggregator GraphSAGE.
-func NewSAGE(env *Env, sys System, hidden int) (*SAGE, error) {
-	in := env.DS.Feat.Cols()
-	classes := env.DS.NumClasses
-	m := &SAGE{
-		sys: sys, env: env,
-		invDeg: env.normVar(), // 1/in-degree
-		wSelf1: env.xavier("sage.Wself1", in, hidden),
-		wNbr1:  env.xavier("sage.Wnbr1", in, hidden),
-		wSelf2: env.xavier("sage.Wself2", hidden, classes),
-		wNbr2:  env.xavier("sage.Wnbr2", hidden, classes),
-		feats:  in, hidden1: hidden, out2: classes,
-	}
+func NewSAGE(env *Env, sys System, hidden int) (Model, error) {
+	p := program.SAGE(env.spec(hidden), env.DS.Feat.Cols())
+	name := fmt.Sprintf("sage-%s", sys)
 	switch sys {
 	case SysSeastar:
-		var err error
-		if m.c1, err = compileSAGEBody(in); err != nil {
-			return nil, err
-		}
-		if m.c2, err = compileSAGEBody(hidden); err != nil {
-			return nil, err
-		}
+		return env.seastar(name, p)
 	case SysDGL, SysPyG:
-	default:
-		return nil, unknownSystem("GraphSAGE", sys)
+		return &sage{env.base(name, p), sys}, nil
 	}
-	return m, nil
+	return nil, unknownSystem("GraphSAGE", sys)
 }
 
-// compileSAGEBody traces mean aggregation as a sum scaled by the center's
-// 1/deg — a D-typed multiply fused after the aggregation.
-func compileSAGEBody(dim int) (*exec.CompiledUDF, error) {
-	b := gir.NewBuilder()
-	b.VFeature("h", dim)
-	b.VFeature("invdeg", 1)
-	dag, err := b.Build(func(v *gir.Vertex) *gir.Value {
-		return v.Nbr("h").AggSum().Mul(v.Self("invdeg"))
-	})
-	if err != nil {
-		return nil, err
-	}
-	return exec.Compile(dag)
-}
-
-// Name implements Model.
-func (m *SAGE) Name() string { return fmt.Sprintf("sage-%s", m.sys) }
-
-// Params implements Model.
-func (m *SAGE) Params() []*nn.Variable {
-	return []*nn.Variable{m.wSelf1, m.wNbr1, m.wSelf2, m.wNbr2}
+// sage is mean-aggregator GraphSAGE on the DGL- and PyG-style systems:
+// h' = h_v·W_self + mean_{u∈N(v)} h_u·W_nbr.
+type sage struct {
+	base
+	sys System
 }
 
 // Forward implements Model.
-func (m *SAGE) Forward(training bool) *nn.Variable {
-	e := m.env.E
-	h := m.layer(m.env.X, m.wSelf1, m.wNbr1, m.c1)
-	h = e.ReLU(h)
-	return m.layer(h, m.wSelf2, m.wNbr2, m.c2)
+func (m *sage) Forward(training bool) *nn.Variable {
+	return m.layer(m.env.E.ReLU(m.layer(m.env.X, "1")), "2")
 }
 
-func (m *SAGE) layer(h, wSelf, wNbr *nn.Variable, c *exec.CompiledUDF) *nn.Variable {
+func (m *sage) layer(h *nn.Variable, l string) *nn.Variable {
 	e := m.env.E
-	var mean *nn.Variable
-	switch m.sys {
-	case SysSeastar:
-		out, err := c.Apply(m.env.RT,
-			map[string]*nn.Variable{"h": h, "invdeg": m.invDeg}, nil, nil)
-		if err != nil {
-			panic(err)
-		}
-		mean = out
-	case SysDGL:
-		mean = e.MulColVec(m.env.DGL.UpdateAllCopySum(h), m.invDeg)
-	default: // SysPyG
-		mean = e.MulColVec(m.env.PyG.ScatterAddDst(m.env.PyG.GatherSrc(h)), m.invDeg)
+	var sum *nn.Variable
+	if m.sys == SysDGL {
+		sum = m.env.DGL.UpdateAllCopySum(h)
+	} else {
+		sum = m.env.PyG.ScatterAddDst(m.env.PyG.GatherSrc(h))
 	}
-	return e.Add(e.MatMul(h, wSelf), e.MatMul(mean, wNbr))
+	mean := e.MulColVec(sum, m.norms[program.NormInDeg])
+	return e.Add(e.MatMul(h, m.w["Wself"+l]), e.MatMul(mean, m.w["Wnbr"+l]))
 }

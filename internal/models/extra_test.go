@@ -3,10 +3,11 @@ package models
 import (
 	"testing"
 
-	"seastar/internal/gir"
-
 	"seastar/internal/device"
+	"seastar/internal/exec"
+	"seastar/internal/gir"
 	"seastar/internal/nn"
+	"seastar/internal/program"
 	"seastar/internal/tensor"
 )
 
@@ -100,7 +101,11 @@ func TestGINSeastarFusesPostAggSelf(t *testing.T) {
 	// The GIN body's post-aggregation Add must fuse into the
 	// aggregation kernel (state-2 D-chain): the plan is the scaled-self
 	// MulConst as one vertex-wise unit plus one fused {Agg, Add} kernel.
-	c, err := compileGINBody(4, 0.1)
+	dag, err := program.GIN(program.Spec{Hidden: 4, Classes: 2}, 4, 0.1).Stages[0].Plan.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := exec.Compile(dag)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,222 +3,53 @@ package models
 import (
 	"fmt"
 
-	"seastar/internal/exec"
-	"seastar/internal/gir"
 	"seastar/internal/nn"
+	"seastar/internal/program"
 )
 
-// GAT is the two-layer single-head graph attention network of Figure 2.
-type GAT struct {
+// NewGAT builds a 2-layer single-head GAT (input → hidden → classes) on
+// sys.
+func NewGAT(env *Env, sys System, hidden int) (Model, error) {
+	p := program.GAT(env.spec(hidden), env.DS.Feat.Cols(), 1)
+	name := fmt.Sprintf("gat-%s", sys)
+	switch sys {
+	case SysSeastar:
+		return env.seastar(name, p)
+	case SysDGL, SysPyG:
+		return &gat{env.base(name, p), sys}, nil
+	}
+	return nil, unknownSystem("GAT", sys)
+}
+
+// gat is GAT on the DGL- and PyG-style systems (Figure 2): scores
+// eu = h·aU, ev = h·aV, attention softmax(LeakyReLU(eu_u + ev_v)), ReLU
+// between the layers.
+type gat struct {
+	base
 	sys System
-	env *Env
-
-	w1, au1, av1 *nn.Variable
-	w2, au2, av2 *nn.Variable
-
-	c1, c2 *exec.CompiledUDF
-	slope  float32
 }
 
-// NewGAT builds a 2-layer GAT (input → hidden → classes) on sys.
-func NewGAT(env *Env, sys System, hidden int) (*GAT, error) {
-	in := env.DS.Feat.Cols()
-	classes := env.DS.NumClasses
-	m := &GAT{
-		sys:   sys,
-		env:   env,
-		slope: 0.2,
-		w1:    env.xavier("gat.W1", in, hidden),
-		au1:   env.xavier("gat.aU1", hidden, 1),
-		av1:   env.xavier("gat.aV1", hidden, 1),
-		w2:    env.xavier("gat.W2", hidden, classes),
-		au2:   env.xavier("gat.aU2", classes, 1),
-		av2:   env.xavier("gat.aV2", classes, 1),
-	}
-	switch sys {
-	case SysSeastar:
-		var err error
-		if m.c1, err = compileGATLayer(hidden, m.slope); err != nil {
-			return nil, err
-		}
-		if m.c2, err = compileGATLayer(classes, m.slope); err != nil {
-			return nil, err
-		}
-	case SysDGL, SysPyG:
-	default:
-		return nil, unknownSystem("GAT", sys)
-	}
-	return m, nil
-}
-
-// compileGATLayer traces the Figure-3 GAT body (attention scores eu/ev
-// precomputed densely, as in the paper's own listing).
-func compileGATLayer(dim int, slope float32) (*exec.CompiledUDF, error) {
-	b := gir.NewBuilder()
-	b.VFeature("eu", 1)
-	b.VFeature("ev", 1)
-	b.VFeature("h", dim)
-	dag, err := b.Build(func(v *gir.Vertex) *gir.Value {
-		e := v.Nbr("eu").Add(v.Self("ev")).LeakyReLU(slope).Exp()
-		a := e.Div(e.AggSum())
-		return a.Mul(v.Nbr("h")).AggSum()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return exec.Compile(dag)
-}
-
-// Name implements Model.
-func (m *GAT) Name() string { return fmt.Sprintf("gat-%s", m.sys) }
-
-// Params implements Model.
-func (m *GAT) Params() []*nn.Variable {
-	return []*nn.Variable{m.w1, m.au1, m.av1, m.w2, m.au2, m.av2}
-}
+const gatSlope = 0.2
 
 // Forward implements Model.
-func (m *GAT) Forward(training bool) *nn.Variable {
-	h := m.layer(m.env.X, m.w1, m.au1, m.av1, m.c1)
-	h = m.env.E.ReLU(h)
-	return m.layer(h, m.w2, m.au2, m.av2, m.c2)
+func (m *gat) Forward(training bool) *nn.Variable {
+	return m.layer(m.env.E.ReLU(m.layer(m.env.X, "1")), "2")
 }
 
-// MultiHeadGAT runs H independent attention heads per layer and
-// concatenates their outputs — the configuration the paper's evaluation
-// actually trains (DGL's default GAT uses 8 heads). Heads share the input
-// projection but have separate attention vectors, and each head executes
-// the same compiled program (traced once per output width).
-type MultiHeadGAT struct {
-	sys   System
-	env   *Env
-	heads int
-
-	w1       *nn.Variable // [in, H*hid]
-	au1, av1 []*nn.Variable
-	w2       *nn.Variable // [H*hid, classes]
-	au2, av2 *nn.Variable
-
-	c1, c2 *exec.CompiledUDF
-	slope  float32
-}
-
-// NewMultiHeadGAT builds a 2-layer GAT with `heads` attention heads in
-// the first layer (hidden per head) and a single-head output layer.
-func NewMultiHeadGAT(env *Env, sys System, hidden, heads int) (*MultiHeadGAT, error) {
-	if heads < 1 {
-		return nil, fmt.Errorf("models: need ≥1 head, got %d", heads)
-	}
-	in := env.DS.Feat.Cols()
-	classes := env.DS.NumClasses
-	m := &MultiHeadGAT{
-		sys: sys, env: env, heads: heads, slope: 0.2,
-		w1: env.xavier("mhgat.W1", in, heads*hidden),
-	}
-	for k := 0; k < heads; k++ {
-		m.au1 = append(m.au1, env.xavier(fmt.Sprintf("mhgat.aU1.%d", k), hidden, 1))
-		m.av1 = append(m.av1, env.xavier(fmt.Sprintf("mhgat.aV1.%d", k), hidden, 1))
-	}
-	m.w2 = env.xavier("mhgat.W2", heads*hidden, classes)
-	m.au2 = env.xavier("mhgat.aU2", classes, 1)
-	m.av2 = env.xavier("mhgat.aV2", classes, 1)
-	switch sys {
-	case SysSeastar:
-		var err error
-		if m.c1, err = compileGATLayer(hidden, m.slope); err != nil {
-			return nil, err
-		}
-		if m.c2, err = compileGATLayer(classes, m.slope); err != nil {
-			return nil, err
-		}
-	case SysDGL, SysPyG:
-	default:
-		return nil, unknownSystem("multi-head GAT", sys)
-	}
-	return m, nil
-}
-
-// Name implements Model.
-func (m *MultiHeadGAT) Name() string {
-	return fmt.Sprintf("gat%dh-%s", m.heads, m.sys)
-}
-
-// Params implements Model.
-func (m *MultiHeadGAT) Params() []*nn.Variable {
-	ps := []*nn.Variable{m.w1, m.w2, m.au2, m.av2}
-	ps = append(ps, m.au1...)
-	return append(ps, m.av1...)
-}
-
-// Forward implements Model.
-func (m *MultiHeadGAT) Forward(training bool) *nn.Variable {
+func (m *gat) layer(x *nn.Variable, l string) *nn.Variable {
 	e := m.env.E
-	h := e.MatMul(m.env.X, m.w1) // shared projection [N, H*hid]
-	hid := h.Value.Cols() / m.heads
-	outs := make([]*nn.Variable, m.heads)
-	for k := 0; k < m.heads; k++ {
-		hk := e.SliceCols(h, k*hid, (k+1)*hid)
-		outs[k] = m.attend(hk, m.au1[k], m.av1[k], m.c1)
-	}
-	cat := e.ReLU(e.ConcatCols(outs...))
-	h2 := e.MatMul(cat, m.w2)
-	return m.attend(h2, m.au2, m.av2, m.c2)
-}
-
-// attend runs one attention head over pre-projected features.
-func (m *MultiHeadGAT) attend(h, aU, aV *nn.Variable, c *exec.CompiledUDF) *nn.Variable {
-	e := m.env.E
-	eu := e.MatMul(h, aU)
-	ev := e.MatMul(h, aV)
-	switch m.sys {
-	case SysSeastar:
-		out, err := c.Apply(m.env.RT,
-			map[string]*nn.Variable{"eu": eu, "ev": ev, "h": h}, nil, nil)
-		if err != nil {
-			panic(err)
-		}
-		return out
-	case SysDGL:
+	h := e.MatMul(x, m.w["W"+l])
+	eu := e.MatMul(h, m.w["aU"+l]) // [N,1]
+	ev := e.MatMul(h, m.w["aV"+l])
+	if m.sys == SysDGL {
 		edges := m.env.DGL.ApplyEdgesUAddV(eu, ev)
-		edges = e.LeakyReLU(edges, m.slope)
+		edges = e.LeakyReLU(edges, gatSlope)
 		a := m.env.DGL.EdgeSoftmax(edges)
 		return m.env.DGL.UpdateAllUMulESum(h, a)
-	default: // SysPyG
-		p := m.env.PyG
-		s := e.Add(p.GatherSrc(eu), p.GatherDst(ev))
-		s = e.LeakyReLU(s, m.slope)
-		a := p.EdgeSoftmax(s)
-		he := p.GatherSrc(h)
-		msg := e.MulColVec(he, a)
-		return p.ScatterAddDst(msg)
 	}
-}
-
-func (m *GAT) layer(x, w, aU, aV *nn.Variable, c *exec.CompiledUDF) *nn.Variable {
-	e := m.env.E
-	h := e.MatMul(x, w)
-	eu := e.MatMul(h, aU) // [N,1]
-	ev := e.MatMul(h, aV)
-	switch m.sys {
-	case SysSeastar:
-		out, err := c.Apply(m.env.RT,
-			map[string]*nn.Variable{"eu": eu, "ev": ev, "h": h}, nil, nil)
-		if err != nil {
-			panic(err)
-		}
-		return out
-	case SysDGL:
-		edges := m.env.DGL.ApplyEdgesUAddV(eu, ev)
-		edges = e.LeakyReLU(edges, m.slope)
-		a := m.env.DGL.EdgeSoftmax(edges)
-		return m.env.DGL.UpdateAllUMulESum(h, a)
-	default: // SysPyG
-		p := m.env.PyG
-		s := e.Add(p.GatherSrc(eu), p.GatherDst(ev))
-		s = e.LeakyReLU(s, m.slope)
-		a := p.EdgeSoftmax(s)
-		he := p.GatherSrc(h)
-		msg := e.MulColVec(he, a)
-		return p.ScatterAddDst(msg)
-	}
+	p := m.env.PyG
+	s := e.Add(p.GatherSrc(eu), p.GatherDst(ev))
+	s = e.LeakyReLU(s, gatSlope)
+	a := p.EdgeSoftmax(s)
+	return p.ScatterAddDst(e.MulColVec(p.GatherSrc(h), a))
 }

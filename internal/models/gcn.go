@@ -3,106 +3,43 @@ package models
 import (
 	"fmt"
 
-	"seastar/internal/exec"
-	"seastar/internal/gir"
 	"seastar/internal/nn"
+	"seastar/internal/program"
 )
 
-// GCN is the two-layer graph convolutional network of Figure 1:
-// h' = σ(b + Σ_{u∈N(v)} norm_u · h_u W).
-type GCN struct {
-	sys  System
-	env  *Env
-	norm *nn.Variable
-
-	w1, b1 *nn.Variable
-	w2, b2 *nn.Variable
-
-	// compiled per-layer Seastar programs (traced once, cached).
-	c1, c2 *exec.CompiledUDF
-}
-
 // NewGCN builds a 2-layer GCN (input → hidden → classes) on sys.
-func NewGCN(env *Env, sys System, hidden int) (*GCN, error) {
-	in := env.DS.Feat.Cols()
-	classes := env.DS.NumClasses
-	m := &GCN{
-		sys:  sys,
-		env:  env,
-		norm: env.normVar(),
-		w1:   env.xavier("gcn.W1", in, hidden),
-		b1:   env.zeros("gcn.b1", hidden),
-		w2:   env.xavier("gcn.W2", hidden, classes),
-		b2:   env.zeros("gcn.b2", classes),
-	}
+func NewGCN(env *Env, sys System, hidden int) (Model, error) {
+	p := program.GCN(env.spec(hidden), env.DS.Feat.Cols(), 1)
+	name := fmt.Sprintf("gcn-%s", sys)
 	switch sys {
 	case SysSeastar:
-		var err error
-		if m.c1, err = compileGCNLayer(in, hidden); err != nil {
-			return nil, err
-		}
-		if m.c2, err = compileGCNLayer(hidden, classes); err != nil {
-			return nil, err
-		}
+		return env.seastar(name, p)
 	case SysDGL, SysPyG:
-	default:
-		return nil, unknownSystem("GCN", sys)
+		return &gcn{env.base(name, p), sys}, nil
 	}
-	return m, nil
+	return nil, unknownSystem("GCN", sys)
 }
 
-// compileGCNLayer traces the Figure-3 GCN body:
-// sum([mm(u.h, W) * u.norm for u in v.innbs]).
-func compileGCNLayer(in, out int) (*exec.CompiledUDF, error) {
-	b := gir.NewBuilder()
-	b.VFeature("h", in)
-	b.VFeature("norm", 1)
-	W := b.Param("W", in, out)
-	dag, err := b.Build(func(v *gir.Vertex) *gir.Value {
-		return v.Nbr("h").MatMul(W).Mul(v.Nbr("norm")).AggSum()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return exec.Compile(dag)
+// gcn is GCN on the DGL- and PyG-style systems:
+// h' = σ(b + Σ_{u∈N(v)} norm_u · h_u W), sigmoid between the layers.
+type gcn struct {
+	base
+	sys System
 }
 
-// Name implements Model.
-func (m *GCN) Name() string { return fmt.Sprintf("gcn-%s", m.sys) }
-
-// Params implements Model.
-func (m *GCN) Params() []*nn.Variable {
-	return []*nn.Variable{m.w1, m.b1, m.w2, m.b2}
+// Forward implements Model.
+func (m *gcn) Forward(training bool) *nn.Variable {
+	return m.layer(m.env.E.Sigmoid(m.layer(m.env.X, "1")), "2")
 }
 
-// Forward implements Model: sigmoid(conv1) → conv2 (logits).
-func (m *GCN) Forward(training bool) *nn.Variable {
-	h := m.layer(m.env.X, m.w1, m.b1, m.c1)
-	h = m.env.E.Sigmoid(h)
-	return m.layer(h, m.w2, m.b2, m.c2)
-}
-
-func (m *GCN) layer(h, w, bias *nn.Variable, c *exec.CompiledUDF) *nn.Variable {
+func (m *gcn) layer(h *nn.Variable, l string) *nn.Variable {
 	e := m.env.E
+	t := e.MulColVec(e.MatMul(h, m.w["W"+l]), m.norms[program.NormInDeg])
 	var agg *nn.Variable
-	switch m.sys {
-	case SysSeastar:
-		out, err := c.Apply(m.env.RT,
-			map[string]*nn.Variable{"h": h, "norm": m.norm}, nil,
-			map[string]*nn.Variable{"W": w})
-		if err != nil {
-			panic(err)
-		}
-		agg = out
-	case SysDGL:
-		t := e.MatMul(h, w)
-		t = e.MulColVec(t, m.norm)
+	if m.sys == SysDGL {
 		agg = m.env.DGL.UpdateAllCopySum(t)
-	case SysPyG:
-		t := e.MatMul(h, w)
-		t = e.MulColVec(t, m.norm)
-		msg := m.env.PyG.GatherSrc(t)
-		agg = m.env.PyG.ScatterAddDst(msg)
+	} else {
+		agg = m.env.PyG.ScatterAddDst(m.env.PyG.GatherSrc(t))
 	}
-	return e.AddRow(agg, bias)
+	return e.AddRow(agg, m.w["b"+l])
 }

@@ -3,112 +3,57 @@ package models
 import (
 	"fmt"
 
-	"seastar/internal/exec"
-	"seastar/internal/gir"
 	"seastar/internal/nn"
+	"seastar/internal/program"
 )
-
-// RGCN is the two-layer relational GCN of Schlichtkrull et al.:
-// h'_v = σ( h_v W_self + Σ_r Σ_{u∈N_r(v)} 1/c_{v,r} · h_u W_r ).
-type RGCN struct {
-	sys System
-	env *Env
-
-	ws1, wSelf1 *nn.Variable
-	ws2, wSelf2 *nn.Variable
-	edgeNorm    *nn.Variable
-
-	c1, c2 *exec.CompiledUDF
-}
 
 // NewRGCN builds a 2-layer R-GCN (input → hidden → classes) on sys; the
 // graph must carry edge types (sorted per vertex for the Seastar path).
-func NewRGCN(env *Env, sys System, hidden int) (*RGCN, error) {
+func NewRGCN(env *Env, sys System, hidden int) (Model, error) {
 	if env.G.EdgeTypes == nil {
 		return nil, fmt.Errorf("models: R-GCN requires a heterogeneous graph")
 	}
-	in := env.DS.Feat.Cols()
-	classes := env.DS.NumClasses
-	r := env.G.NumEdgeTypes
-	m := &RGCN{
-		sys: sys, env: env,
-		ws1:      env.xavier("rgcn.Ws1", r, in, hidden),
-		wSelf1:   env.xavier("rgcn.Wself1", in, hidden),
-		ws2:      env.xavier("rgcn.Ws2", r, hidden, classes),
-		wSelf2:   env.xavier("rgcn.Wself2", hidden, classes),
-		edgeNorm: env.edgeNormVar(),
-	}
+	p := program.RGCN(env.spec(hidden), env.DS.Feat.Cols(), env.G.NumEdgeTypes)
+	name := fmt.Sprintf("rgcn-%s", sys)
 	switch sys {
 	case SysSeastar:
-		var err error
-		if m.c1, err = compileRGCNLayer(r, in, hidden); err != nil {
-			return nil, err
-		}
-		if m.c2, err = compileRGCNLayer(r, hidden, classes); err != nil {
-			return nil, err
-		}
+		return env.seastar(name, p)
 	case SysDGL, SysDGLBMM, SysPyG, SysPyGBMM:
-	default:
-		return nil, unknownSystem("R-GCN", sys)
+		return &rgcn{env.base(name, p), sys}, nil
 	}
-	return m, nil
+	return nil, unknownSystem("R-GCN", sys)
 }
 
-// compileRGCNLayer traces the heterogeneous vertex-centric body: a
-// per-edge typed projection, edge normalization, and the hierarchical
-// per-type aggregation of §6.3.5 (sum over edges of a type, sum over
-// types — one type-sorted sequential kernel).
-func compileRGCNLayer(r, in, out int) (*exec.CompiledUDF, error) {
-	b := gir.NewBuilder()
-	b.VFeature("h", in)
-	b.EFeature("norm", 1)
-	Ws := b.Param("W", r, in, out)
-	dag, err := b.Build(func(v *gir.Vertex) *gir.Value {
-		return v.Nbr("h").MatMulTyped(Ws).Mul(v.Edge("norm")).AggHier(gir.AggSum, gir.AggSum)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return exec.Compile(dag)
-}
-
-// Name implements Model.
-func (m *RGCN) Name() string { return fmt.Sprintf("rgcn-%s", m.sys) }
-
-// Params implements Model.
-func (m *RGCN) Params() []*nn.Variable {
-	return []*nn.Variable{m.ws1, m.wSelf1, m.ws2, m.wSelf2}
+// rgcn is R-GCN on the DGL- and PyG-style systems, per-relation loops or
+// batched (bmm):
+// h'_v = σ( h_v W_self + Σ_r Σ_{u∈N_r(v)} 1/c_{v,r} · h_u W_r ).
+type rgcn struct {
+	base
+	sys System
 }
 
 // Forward implements Model.
-func (m *RGCN) Forward(training bool) *nn.Variable {
-	h := m.layer(m.env.X, m.ws1, m.wSelf1, m.c1)
-	h = m.env.E.ReLU(h)
-	return m.layer(h, m.ws2, m.wSelf2, m.c2)
+func (m *rgcn) Forward(training bool) *nn.Variable {
+	return m.layer(m.env.E.ReLU(m.layer(m.env.X, "1")), "2")
 }
 
-func (m *RGCN) layer(h, ws, wSelf *nn.Variable, c *exec.CompiledUDF) *nn.Variable {
-	e := m.env.E
-	self := e.MatMul(h, wSelf)
+func (m *rgcn) layer(h *nn.Variable, l string) *nn.Variable {
+	self := m.env.E.MatMul(h, m.w["Wself"+l])
+	ws, norm := m.w["Ws"+l], m.norms[program.NormEdgeRel]
 	var agg *nn.Variable
 	var err error
 	switch m.sys {
-	case SysSeastar:
-		agg, err = c.Apply(m.env.RT,
-			map[string]*nn.Variable{"h": h},
-			map[string]*nn.Variable{"norm": m.edgeNorm},
-			map[string]*nn.Variable{"W": ws})
 	case SysDGL:
-		agg, err = m.env.DGL.RGCNLoop(h, ws, m.edgeNorm)
+		agg, err = m.env.DGL.RGCNLoop(h, ws, norm)
 	case SysDGLBMM:
-		agg, err = m.env.DGL.RGCNBMM(h, ws, m.edgeNorm)
+		agg, err = m.env.DGL.RGCNBMM(h, ws, norm)
 	case SysPyG:
-		agg, err = m.env.PyG.RGCNLoop(h, ws, m.edgeNorm)
+		agg, err = m.env.PyG.RGCNLoop(h, ws, norm)
 	default: // SysPyGBMM
-		agg, err = m.env.PyG.RGCNBMM(h, ws, m.edgeNorm)
+		agg, err = m.env.PyG.RGCNBMM(h, ws, norm)
 	}
 	if err != nil {
 		panic(err)
 	}
-	return e.Add(self, agg)
+	return m.env.E.Add(self, agg)
 }

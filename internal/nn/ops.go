@@ -208,66 +208,6 @@ func (e *Engine) Dropout(a *Variable, p float64, training bool, rng *rand.Rand) 
 	})
 }
 
-// SliceCols returns columns [lo, hi) of a matrix variable.
-func (e *Engine) SliceCols(a *Variable, lo, hi int) *Variable {
-	rows, cols := a.Value.Rows(), a.Value.Cols()
-	if lo < 0 || hi > cols || lo >= hi {
-		panic("nn: SliceCols range out of bounds")
-	}
-	w := hi - lo
-	out := e.Get(rows, w)
-	for i := 0; i < rows; i++ {
-		copy(out.Row(i), a.Value.Row(i)[lo:hi])
-	}
-	e.chargeEW("slice", out.Size(), 1)
-	return e.node("slice", out, []*Variable{a}, func(g *tensor.Tensor) {
-		d := e.Get(rows, cols)
-		for i := 0; i < rows; i++ {
-			copy(d.Row(i)[lo:hi], g.Row(i))
-		}
-		a.accumulate(d)
-	})
-}
-
-// ConcatCols horizontally concatenates matrix variables with equal rows.
-func (e *Engine) ConcatCols(xs ...*Variable) *Variable {
-	if len(xs) == 0 {
-		panic("nn: ConcatCols of nothing")
-	}
-	rows := xs[0].Value.Rows()
-	total := 0
-	for _, x := range xs {
-		if x.Value.Rows() != rows {
-			panic("nn: ConcatCols row mismatch")
-		}
-		total += x.Value.Cols()
-	}
-	out := e.Get(rows, total)
-	off := 0
-	for _, x := range xs {
-		w := x.Value.Cols()
-		for i := 0; i < rows; i++ {
-			copy(out.Row(i)[off:off+w], x.Value.Row(i))
-		}
-		off += w
-	}
-	e.chargeEW("concat", out.Size(), 1)
-	return e.node("concat", out, xs, func(g *tensor.Tensor) {
-		off := 0
-		for _, x := range xs {
-			w := x.Value.Cols()
-			if x.RequiresGrad {
-				d := e.Get(rows, w)
-				for i := 0; i < rows; i++ {
-					copy(d.Row(i), g.Row(i)[off:off+w])
-				}
-				x.accumulate(d)
-			}
-			off += w
-		}
-	})
-}
-
 // SumAll reduces a to a scalar.
 func (e *Engine) SumAll(a *Variable) *Variable {
 	out := tensor.Scalar(tensor.Sum(a.Value))

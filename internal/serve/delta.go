@@ -11,6 +11,7 @@ import (
 
 	"seastar/internal/graph"
 	"seastar/internal/obs"
+	"seastar/internal/program"
 	"seastar/internal/tensor"
 )
 
@@ -186,7 +187,7 @@ func recomputeEmbeddings(parent, child *Snapshot, d *Delta, opt *DeltaOptions, s
 		return full()
 	}
 	// One dirty set per stage: a change spreads one hop per stage.
-	sets, reach := make([][]int32, len(m.prog.stages)), seed
+	sets, reach := make([][]int32, len(m.prog.Stages)), seed
 	for l := range sets {
 		reach = child.dg.ExpandOut(reach)
 		sets[l] = reach
@@ -218,7 +219,7 @@ func recomputeEmbeddings(parent, child *Snapshot, d *Delta, opt *DeltaOptions, s
 	// recomputed (MatMulRowsLike keeps them bitwise rows of the full-size
 	// product), and each stage's plan walks its frontier.
 	env := &ForwardEnv{Pool: opt.Pool}
-	m.prog.setNorms(env, child, nil)
+	setNorms(m.prog, env, child, nil)
 	r := &run{m: m, env: env, fullRows: child.n, vals: aux, h: child.fs.Gather(fd)}
 	hops := dirtyFrontiers(child.dg, fd, sets)
 	for l := range hops {
@@ -234,9 +235,9 @@ func recomputeEmbeddings(parent, child *Snapshot, d *Delta, opt *DeltaOptions, s
 // MatMul dispatch path across the parent→child row-count change; cached
 // rows are only bitwise-valid in the child when it does.
 func kernelStable(m *Model, pn, cn int) bool {
-	return !slices.ContainsFunc(m.prog.stages, func(s stage) bool {
-		return slices.ContainsFunc(s.dense, func(d dense) bool {
-			w := m.weights[d.w]
+	return !slices.ContainsFunc(m.prog.Stages, func(s program.Stage) bool {
+		return slices.ContainsFunc(s.Dense, func(d program.Dense) bool {
+			w := m.weights[d.W]
 			return !tensor.MatMulSameKernel(pn, cn, w.Rows(), w.Cols())
 		})
 	})
@@ -313,17 +314,17 @@ func dirtyFrontiers(dg *graph.DeltaGraph, fd []int32, sets [][]int32) []frontier
 // patchNorms carries every vertex normalizer the parent had already
 // computed to the child, re-evaluating only the touched vertices' entries
 // (degree changes) — bitwise-identical to computing the child's from
-// scratch, since the per-vertex formula (vertexNorms) is shared.
+// scratch, since the per-vertex formula (program.Norm.At) is shared.
 func patchNorms(parent, child *Snapshot, touched []int32) {
 	parent.normMu.Lock()
 	cached := parent.norms
 	parent.normMu.Unlock()
-	for ref, pt := range cached[:normEdgeRel] {
+	for ref, pt := range cached[:program.NormEdgeRel] {
 		if pt == nil {
 			continue
 		}
 		csr := child.dg.In()
-		if vertexNorms[ref].out {
+		if program.Norm(ref).Out() {
 			csr = child.dg.Out()
 		}
 		out := tensor.New(child.n, 1)
@@ -331,7 +332,7 @@ func patchNorms(parent, child *Snapshot, touched []int32) {
 		for _, v := range touched {
 			var x float32
 			if d := csr.Degree(v); d > 0 {
-				x = vertexNorms[ref].f(d)
+				x = program.Norm(ref).At(d)
 			}
 			out.Set(int(v), 0, x)
 		}

@@ -1,7 +1,11 @@
 package serve_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -103,7 +107,9 @@ func deltaFromBytes(feed *byteFeed, m *deltaMirror) *serve.Delta {
 // byte string decodes to a stream of valid deltas; after each one, the
 // structurally-shared child must be byte-identical to a rebuild from
 // scratch (flattened CSRs, edge list) and its incrementally patched
-// embeddings bitwise-equal to the full forward on the rebuilt graph.
+// embeddings bitwise-equal to the full forward on the rebuilt graph. Each
+// delta is also posted to a live engine's /v1/graph/delta, which must
+// accept it and leave seastar_serve_panics_total alone.
 func FuzzDeltaEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 2, 7, 9, 3, 1, 2, 3, 4, 1, 5, 10, 20, 30, 40, 50, 60, 70, 80})
@@ -127,6 +133,17 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		opt := &serve.DeltaOptions{Model: model, FrontierLimit: 1.0}
+		live, err := serve.NewSnapshot(mir.graph(t), mir.featTensor())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := serve.New(serve.Config{Spec: model.Spec, EmbedCache: true}, live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		h := serve.Handler(eng)
+		panics := serve.Panics()
 
 		feed := &byteFeed{data: data}
 		for step := 0; step < 3; step++ {
@@ -137,6 +154,16 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			child, st, err := serve.ApplyDelta(snap, d, opt)
 			if err != nil {
 				t.Fatalf("step %d: apply: %v", step, err)
+			}
+			d.ParentGen = uint64(step + 1)
+			body, err := json.Marshal(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rw := httptest.NewRecorder()
+			h.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/graph/delta", bytes.NewReader(body)))
+			if rw.Code != http.StatusOK || serve.Panics() != panics {
+				t.Fatalf("step %d: /v1/graph/delta answered %d (%s), panics %d → %d", step, rw.Code, rw.Body, panics, serve.Panics())
 			}
 			mir.apply(d)
 			requireGraphEqual(t, child.Graph(), mir.graph(t))

@@ -108,7 +108,7 @@ func (c *Config) withDefaults() error {
 		c.DeltaFrontierLimit = 0.05
 	}
 	if len(c.FanOut) > 0 {
-		if c.Spec.program().typed() {
+		if c.Spec.Declare(1, 1).Typed() {
 			return fmt.Errorf("serve: sampled inference does not support %s (subgraphs drop edge types)", c.Spec.Arch)
 		}
 		for _, f := range c.FanOut {
@@ -261,7 +261,7 @@ func (e *Engine) SwapGraph(snap *Snapshot) error {
 // publish makes (snap, gen) what new batches read, with a sampler over it
 // in sampled mode. Callers other than New hold deltaMu.
 func (e *Engine) publish(snap *Snapshot, gen uint64) error {
-	if e.cfg.Spec.program().typed() && !snap.typed() {
+	if e.cfg.Spec.Declare(1, 1).Typed() && !snap.typed() {
 		return fmt.Errorf("serve: %s requires a heterogeneous snapshot", e.cfg.Spec.Arch)
 	}
 	p := &published{snap: snap, gen: gen}
@@ -585,7 +585,7 @@ func (e *Engine) inferSampled(nodes []int32, pub *published, model *Model) (*ten
 	defer env.release()
 	env.Feat = env.get(len(b.Vertices), feat.Cols())
 	b.GatherFeaturesInto(env.Feat, feat)
-	model.prog.setNorms(env, nil, env.G)
+	setNorms(model.prog, env, nil, env.G)
 	logits, err := model.Forward(env)
 	if err != nil {
 		return nil, err

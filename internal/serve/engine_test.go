@@ -675,6 +675,59 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
+// TestRecoverPanics injects a panicking handler behind serve.Recover: the
+// request answers 500, seastar_serve_panics_total counts it on a server's
+// /metrics, the same process keeps answering, and net/http's deliberate
+// abort is not counted.
+func TestRecoverPanics(t *testing.T) {
+	snap := snapFor(t, "cora", 0.05, 1)
+	eng, err := serve.New(serve.Config{Spec: gcnSpec(7)}, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	mux := http.NewServeMux()
+	mux.HandleFunc("/boom", func(http.ResponseWriter, *http.Request) { panic("injected") })
+	mux.HandleFunc("/abort", func(http.ResponseWriter, *http.Request) { panic(http.ErrAbortHandler) })
+	mux.Handle("/", serve.Handler(eng))
+	srv := httptest.NewServer(serve.Recover(mux))
+	defer srv.Close()
+
+	before := serve.Panics()
+	resp, err := http.Get(srv.URL + "/boom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking handler: status %d, want 500", resp.StatusCode)
+	}
+	if _, err := http.Get(srv.URL + "/abort"); err == nil {
+		t.Fatal("an aborted handler must drop the connection, not answer")
+	}
+	if got := serve.Panics(); got != before+1 {
+		t.Fatalf("panics counter %d after one panic, want %d", got, before+1)
+	}
+	resp, err = http.Post(srv.URL+"/v1/infer", "application/json", strings.NewReader(`{"nodes":[0,1]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("infer after a panic: status %d", resp.StatusCode)
+	}
+	resp, err = http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if want := fmt.Sprintf("seastar_serve_panics_total %d\n", before+1); !strings.Contains(buf.String(), want) {
+		t.Fatalf("/metrics lacks %q", want)
+	}
+}
+
 // TestSnapshotFingerprint pins fingerprint semantics: identical builds
 // agree, structural or feature changes differ.
 func TestSnapshotFingerprint(t *testing.T) {

@@ -44,13 +44,13 @@ func TestDirtyFrontierRows(t *testing.T) {
 			}
 			newEnv := func() *ForwardEnv {
 				env := &ForwardEnv{G: snap.Graph(), Feat: snap.Features()}
-				m.prog.setNorms(env, snap, nil)
+				setNorms(m.prog, env, snap, nil)
 				return env
 			}
 			// The whole-graph reference, one stage at a time.
 			full := &run{m: m, env: newEnv(), fullRows: g.N, vals: map[string]*tensor.Tensor{}, h: feat}
 			var stageOut []*tensor.Tensor
-			for range m.prog.stages {
+			for range m.prog.Stages {
 				if err := full.step(nil); err != nil {
 					t.Fatal(err)
 				}
@@ -61,7 +61,7 @@ func TestDirtyFrontierRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sets, reach := make([][]int32, len(m.prog.stages)), []int32{3, 77, 401}
+			sets, reach := make([][]int32, len(m.prog.Stages)), []int32{3, 77, 401}
 			for l := range sets {
 				reach = dg.ExpandOut(reach)
 				sets[l] = reach

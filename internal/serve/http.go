@@ -5,7 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log"
 	"net/http"
+	"runtime/debug"
+	"sync/atomic"
 	"time"
 
 	"seastar/internal/datasets"
@@ -21,6 +25,8 @@ import (
 //	GET  /metrics    Prometheus text exposition
 //	GET  /debug/trace  Chrome trace of the process's wall-clock obs spans,
 //	                   one TID lane per batch (404 with obs tracing off)
+//
+// A handler panic answers 500 (Recover).
 func Handler(e *Engine) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/infer", func(w http.ResponseWriter, r *http.Request) { handleInfer(e, w, r) })
@@ -47,7 +53,41 @@ func Handler(e *Engine) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]any{"traceEvents": events})
 	})
-	return mux
+	return Recover(mux)
+}
+
+// panics counts the handler panics Recover answered, process-wide.
+var panics atomic.Int64
+
+// Panics returns how many handler panics Recover has answered with a 500.
+func Panics() int64 { return panics.Load() }
+
+// WritePanics emits the panic counter in Prometheus text format.
+func WritePanics(w io.Writer) {
+	fmt.Fprintf(w, "# TYPE seastar_serve_panics_total counter\nseastar_serve_panics_total %d\n", panics.Load())
+}
+
+// Recover wraps every HTTP surface of the process (a server, a shard
+// worker, a coordinator): a panicking handler answers 500, is counted in
+// seastar_serve_panics_total and logged with its stack, and the process
+// keeps serving. http.ErrAbortHandler, net/http's deliberate abort,
+// passes through.
+func Recover(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			p := recover()
+			if p == nil {
+				return
+			}
+			if p == http.ErrAbortHandler {
+				panic(p)
+			}
+			panics.Add(1)
+			log.Printf("serve: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
+			http.Error(w, "internal error", http.StatusInternalServerError)
+		}()
+		h.ServeHTTP(w, r)
+	})
 }
 
 type inferRequest struct {

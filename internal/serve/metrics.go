@@ -144,6 +144,7 @@ func (m *Metrics) Write(w io.Writer, pc *PlanCache, pool *tensor.Pool) {
 		fmt.Fprintf(w, "# TYPE seastar_serve_pool_bytes_out gauge\nseastar_serve_pool_bytes_out %d\n", st.BytesOut)
 		fmt.Fprintf(w, "# TYPE seastar_serve_pool_bytes_idle gauge\nseastar_serve_pool_bytes_idle %d\n", st.BytesIdle)
 	}
+	WritePanics(w)
 	m.QueueWait.write(w, "seastar_serve_queue_wait_seconds")
 	m.InferLatency.write(w, "seastar_serve_infer_latency_seconds")
 	m.TotalLatency.write(w, "seastar_serve_total_latency_seconds")

@@ -5,7 +5,9 @@ import (
 	"slices"
 
 	"seastar/internal/device"
+	"seastar/internal/exec"
 	"seastar/internal/graph"
+	"seastar/internal/program"
 	"seastar/internal/tensor"
 )
 
@@ -18,8 +20,9 @@ type Model struct {
 	InDim  int
 	NumRel int // edge-type count the plans were compiled for (1 if untyped)
 
-	prog    *program
+	prog    *program.Program
 	weights map[string]*tensor.Tensor
+	udfs    map[*program.Plan]*exec.CompiledUDF // one inference compilation per distinct plan
 }
 
 // planKey is the structural cache key for this model: plans and weights
@@ -30,8 +33,8 @@ func (m *Model) planKey() PlanKey {
 }
 
 // SupportsIncremental reports whether the delta path can patch this
-// model's cached embeddings bitwise; program.incremental says why.
-func (m *Model) SupportsIncremental() bool { return m.prog.incremental() }
+// model's cached embeddings bitwise; Program.Incremental says why.
+func (m *Model) SupportsIncremental() bool { return m.prog.Incremental() }
 
 // ForwardEnv carries the per-call graph context for Model.Forward.
 type ForwardEnv struct {
@@ -42,7 +45,7 @@ type ForwardEnv struct {
 	Dev  *device.Device
 	Pool *tensor.Pool
 
-	norms [numNorms]*tensor.Tensor // G's normalizers the plans bind, by ref
+	norms [program.NumNorms]*tensor.Tensor // G's normalizers the plans bind, by ref
 
 	// scoped marks a forward whose every tensor dies with the request:
 	// get then draws from Pool and release hands it all back. The engine
@@ -98,7 +101,7 @@ func NormsFor(arch string, snap *Snapshot, g *graph.Graph, env *ForwardEnv) {
 	if snap != nil && g != snap.Graph() {
 		snap = nil
 	}
-	spec.program().setNorms(env, snap, g)
+	setNorms(spec.Declare(1, 1), env, snap, g)
 }
 
 // BuildModel declares spec's program against an input width and relation
@@ -107,7 +110,7 @@ func BuildModel(spec ModelSpec, inDim, numRelations int) (*Model, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return newModel(spec, inDim, numRelations, programs[spec.Arch].declare(spec, inDim, numRelations))
+	return newModel(spec, inDim, numRelations, spec.Declare(inDim, numRelations))
 }
 
 // Forward runs the full inference pass over env.G, returning [N, classes]
@@ -124,11 +127,11 @@ func (m *Model) Forward(env *ForwardEnv) (*tensor.Tensor, error) {
 // runAll is the all-rows driver of the program runner. The dense
 // products stay with the state (aux) when the delta path can patch them.
 func (m *Model) runAll(env *ForwardEnv) (*embedState, error) {
-	if m.prog.typed() && env.G.EdgeTypes == nil {
+	if m.prog.Typed() && env.G.EdgeTypes == nil {
 		return nil, fmt.Errorf("serve: %s requires a heterogeneous graph", m.Spec.Arch)
 	}
 	r := &run{m: m, env: env, fullRows: env.Feat.Rows(), vals: map[string]*tensor.Tensor{}, h: env.Feat}
-	for range m.prog.stages {
+	for range m.prog.Stages {
 		if err := r.step(nil); err != nil {
 			return nil, err
 		}

@@ -10,6 +10,7 @@ import (
 
 	"seastar/internal/gir"
 	"seastar/internal/graph"
+	"seastar/internal/program"
 	"seastar/internal/tensor"
 )
 
@@ -35,14 +36,14 @@ func sameBits(a, b *tensor.Tensor) bool {
 // ways under one key; a served program binds it under two (su through
 // Nbr, sv through Self), because over a frontier the two sides index
 // different tensors.
-func gatedProgram(in int, widths ...int) *program {
-	p := &program{}
+func gatedProgram(in int, widths ...int) *program.Program {
+	p := &program.Program{}
 	for i, width := range widths {
 		l := strconv.Itoa(i + 1)
-		p.weights = append(p.weights, wt("W"+l, in, width), wt("g"+l, width, 1))
-		s := stage{
-			dense: []dense{{out: "hw" + l, w: "W" + l}, {out: "s" + l, in: "hw" + l, w: "g" + l}},
-			plan: &plan{trace: func() (*gir.DAG, error) {
+		p.Weights = append(p.Weights, program.Weight{Name: "W" + l, Shape: []int{in, width}}, program.Weight{Name: "g" + l, Shape: []int{width, 1}})
+		s := program.Stage{
+			Dense: []program.Dense{{Out: "hw" + l, W: "W" + l}, {Out: "s" + l, In: "hw" + l, W: "g" + l}},
+			Plan: &program.Plan{Trace: func() (*gir.DAG, error) {
 				b := gir.NewBuilder()
 				b.VFeature("su", 1)
 				b.VFeature("sv", 1)
@@ -53,12 +54,12 @@ func gatedProgram(in int, widths ...int) *program {
 					return num.Div(gate.AggSum().AddScalar(1e-6))
 				})
 			}},
-			values: []bind{{"su", "s" + l}, {"sv", "s" + l}, {"h", "hw" + l}},
+			Values: []program.Bind{{Key: "su", Name: "s" + l}, {Key: "sv", Name: "s" + l}, {Key: "h", Name: "hw" + l}},
 		}
 		if i < len(widths)-1 {
-			s.act = tensor.ReLU
+			s.Act = program.ReLU
 		}
-		p.stages = append(p.stages, s)
+		p.Stages = append(p.Stages, s)
 		in = width
 	}
 	return p
@@ -76,9 +77,9 @@ func TestProgramDrivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if widths, err := m.ShardWidths(); err != nil || !slices.Equal(widths, []int{5, 4}) || !m.SupportsIncremental() || m.prog.typed() {
+	if widths, err := m.ShardWidths(); err != nil || !slices.Equal(widths, []int{5, 4}) || !m.SupportsIncremental() || m.prog.Typed() {
 		t.Fatalf("derived properties: shard widths %v (%v), incremental %v, typed %v; want [5 4] (su + h, then logits), true, false",
-			widths, err, m.SupportsIncremental(), m.prog.typed())
+			widths, err, m.SupportsIncremental(), m.prog.Typed())
 	}
 
 	want := fullForward(t, g, feat, m)
@@ -146,14 +147,14 @@ func TestProgramProperties(t *testing.T) {
 		widths      []int // nil: sharded serving refuses it
 		incremental bool
 		typed       bool
-		norms       []normRef
+		norms       []program.Norm
 	}{
 		// What crosses a shard boundary is what the next plan reads
 		// through Nbr: GCN hw2, GAT eu2 and hw2, APPNP its stage input.
-		{"gcn", []int{3, 3}, true, false, []normRef{normInDeg}},
+		{"gcn", []int{3, 3}, true, false, []program.Norm{program.NormInDeg}},
 		{"gat", []int{4, 3}, true, false, nil},
-		{"appnp", []int{3, 3, 3, 3, 3, 3, 3}, false, false, []normRef{normSymSrc, normSymDst}},
-		{"rgcn", nil, false, true, []normRef{normEdgeRel}},
+		{"appnp", []int{3, 3, 3, 3, 3, 3, 3}, false, false, []program.Norm{program.NormSymSrc, program.NormSymDst}},
+		{"rgcn", nil, false, true, []program.Norm{program.NormEdgeRel}},
 	} {
 		spec := ModelSpec{Arch: tc.arch, Hidden: 8, Classes: 3, K: 7, Seed: 1}
 		m, err := BuildModel(spec, 6, 2)
@@ -165,13 +166,13 @@ func TestProgramProperties(t *testing.T) {
 		if !slices.Equal(widths, tc.widths) || !slices.Equal(specWidths, tc.widths) || (err != nil) != (tc.widths == nil) || (specErr != nil) != (tc.widths == nil) {
 			t.Errorf("%s: shard widths %v (%v) / %v (%v) from the spec, want %v", tc.arch, widths, err, specWidths, specErr, tc.widths)
 		}
-		if m.SupportsIncremental() != tc.incremental || m.prog.typed() != tc.typed {
-			t.Errorf("%s: incremental %v typed %v, want %v %v", tc.arch, m.SupportsIncremental(), m.prog.typed(), tc.incremental, tc.typed)
+		if m.SupportsIncremental() != tc.incremental || m.prog.Typed() != tc.typed {
+			t.Errorf("%s: incremental %v typed %v, want %v %v", tc.arch, m.SupportsIncremental(), m.prog.Typed(), tc.incremental, tc.typed)
 		}
 		env := &ForwardEnv{G: typed}
-		m.prog.setNorms(env, nil, typed)
+		setNorms(m.prog, env, nil, typed)
 		for ref, bound := range env.norms {
-			if (bound != nil) != slices.Contains(tc.norms, normRef(ref)) {
+			if (bound != nil) != slices.Contains(tc.norms, program.Norm(ref)) {
 				t.Errorf("%s: normalizer %d bound = %v, want exactly %v bound", tc.arch, ref, bound != nil, tc.norms)
 			}
 		}
@@ -181,7 +182,7 @@ func TestProgramProperties(t *testing.T) {
 	}
 
 	bothWays := gatedProgram(6, 4)
-	bothWays.stages[0].plan = &plan{trace: func() (*gir.DAG, error) {
+	bothWays.Stages[0].Plan = &program.Plan{Trace: func() (*gir.DAG, error) {
 		b := gir.NewBuilder()
 		b.VFeature("su", 1)
 		b.VFeature("h", 4)

@@ -23,14 +23,14 @@ import (
 //     [N,d]·W GEMM, because the only row-count-dependent choice is the
 //     naive-vs-blocked dispatch, replayed from N.
 //  3. Normalizers from fragment-carried global degrees, computed with
-//     the same arithmetic the snapshot paths use (degreeNorm), so every
+//     the same arithmetic the snapshot paths use (program.Norm), so every
 //     scalar matches.
 //  4. Only what the next plan reads through Nbr crosses, computed by its
 //     master. Round 1 runs stage 1's dense ops over every local, exact
 //     because mirrors hold their features; every later stage's dense ops
 //     run over the owned rows at the end of the round before, and by
 //     invariant 2 those rows are the full product's. The mirror rows of
-//     the stage's crossing values (stage.crossing: dense outputs, or the
+//     the stage's crossing values (Stage.Crossing: dense outputs, or the
 //     stage input when the plan reads it whole) are then overwritten with
 //     their masters' rows, so every value a fold reads at a neighbour has
 //     its full-graph bits. Self-side values are gathered at owned rows.
@@ -73,7 +73,7 @@ func NewShardEnv(f *part.Fragment, feat *tensor.Tensor, pool *tensor.Pool) *Shar
 // or an error for a model sharded serving rejects. Before the last round
 // that is the next stage's crossing values side by side, after it the
 // logits.
-func (m *Model) ShardWidths() ([]int, error) { return m.prog.shardWidths(m.Spec.Arch) }
+func (m *Model) ShardWidths() ([]int, error) { return m.prog.ShardWidths(m.Spec.Arch) }
 
 // ShardWidthsForSpec is ShardWidths without a built model — what the
 // coordinator (which never compiles plans) sizes and checks frames by.
@@ -81,7 +81,7 @@ func ShardWidthsForSpec(spec ModelSpec) ([]int, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return spec.program().shardWidths(spec.Arch)
+	return spec.Declare(1, 1).ShardWidths(spec.Arch)
 }
 
 // InDegrees returns the locals' in-degrees in the whole graph, which the
@@ -110,7 +110,7 @@ func NewShardForward(m *Model, env *ShardEnv) (*ShardForward, error) {
 		return nil, err
 	}
 	fe := &ForwardEnv{G: env.Frag.G, Pool: env.Pool, scoped: true}
-	m.prog.setNorms(fe, nil, env)
+	setNorms(m.prog, fe, nil, env)
 	r := &run{m: m, env: fe, fullRows: env.FullRows, vals: map[string]*tensor.Tensor{}, h: env.Feat}
 	return &ShardForward{r: r, f: &env.owned}, nil
 }
@@ -119,13 +119,13 @@ func NewShardForward(m *Model, env *ShardEnv) (*ShardForward, error) {
 func (sf *ShardForward) Round() int { return sf.r.done }
 
 // Done reports whether the final round has run.
-func (sf *ShardForward) Done() bool { return sf.r.done == len(sf.r.m.prog.stages) }
+func (sf *ShardForward) Done() bool { return sf.r.done == len(sf.r.m.prog.Stages) }
 
 // Logits returns the final activations, [Owned, classes]: row l is owned
 // local l.
 func (sf *ShardForward) Logits() (*tensor.Tensor, error) {
 	if !sf.Done() {
-		return nil, fmt.Errorf("serve: shard forward at round %d of %d", sf.r.done, len(sf.r.m.prog.stages))
+		return nil, fmt.Errorf("serve: shard forward at round %d of %d", sf.r.done, len(sf.r.m.prog.Stages))
 	}
 	return sf.r.h, nil
 }
@@ -165,7 +165,7 @@ func (sf *ShardForward) Exchanged() []*tensor.Tensor {
 		return nil
 	}
 	var ts []*tensor.Tensor
-	for _, name := range r.m.prog.stages[r.done].crossing() {
+	for _, name := range r.m.prog.Stages[r.done].Crossing() {
 		t := r.h
 		if name != "" {
 			t = r.vals[name]

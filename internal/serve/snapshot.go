@@ -16,8 +16,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"seastar/internal/datasets"
 	"seastar/internal/graph"
+	"seastar/internal/program"
 	"seastar/internal/tensor"
 )
 
@@ -59,7 +59,7 @@ type Snapshot struct {
 	// construction can pre-seed patched values before the snapshot is
 	// published.
 	normMu sync.Mutex
-	norms  [numNorms]*tensor.Tensor
+	norms  [program.NumNorms]*tensor.Tensor
 
 	// Cached embeddings per structural plan key (EmbedCache serving mode):
 	// the final logits and the model's per-layer dense products (aux).
@@ -195,56 +195,24 @@ func fingerprint(g *graph.Graph, feat *tensor.Tensor) uint64 {
 
 // normFor returns the normalizer ref names, computed at most once (a
 // per-edge one needs edge types, which delta children never carry).
-func (s *Snapshot) normFor(ref normRef) *tensor.Tensor {
+func (s *Snapshot) normFor(ref program.Norm) *tensor.Tensor {
 	s.normMu.Lock()
 	defer s.normMu.Unlock()
 	if s.norms[ref] == nil {
 		switch {
-		case ref == normEdgeRel:
-			s.norms[ref] = datasets.RGCNEdgeNorm(s.Graph())
+		case ref == program.NormEdgeRel:
+			s.norms[ref] = ref.Of(s.Graph(), tensor.New)
 		case s.G != nil:
-			s.norms[ref] = degreeNorm(ref, s.G, tensor.New)
+			s.norms[ref] = ref.Vertex(s.G, tensor.New)
 		default:
-			s.norms[ref] = degreeNorm(ref, s.dg, tensor.New)
+			s.norms[ref] = ref.Vertex(s.dg, tensor.New)
 		}
 	}
 	return s.norms[ref]
 }
 
 // Norm returns the cached 1/in-degree GCN normalizer.
-func (s *Snapshot) Norm() *tensor.Tensor { return s.normFor(normInDeg) }
-
-// degrees is what a vertex normalizer reads: a graph or a fragment.
-type degrees interface {
-	InDegrees() []int32
-	OutDegrees() []int32
-}
-
-// vertexNorms is the one statement of each per-vertex normalizer: which
-// degree it reads and what it makes of a non-zero one (an isolated vertex
-// gets 0). Every path evaluates it, so every scalar matches bit for bit.
-var vertexNorms = [...]struct {
-	out bool
-	f   func(d int) float32
-}{
-	normInDeg:  {false, func(d int) float32 { return 1 / float32(d) }},
-	normSymSrc: {true, func(d int) float32 { return float32(1 / math.Sqrt(float64(d))) }},
-	normSymDst: {false, func(d int) float32 { return float32(1 / math.Sqrt(float64(d))) }},
-}
-
-func degreeNorm(ref normRef, deg degrees, get func(shape ...int) *tensor.Tensor) *tensor.Tensor {
-	d := deg.InDegrees()
-	if vertexNorms[ref].out {
-		d = deg.OutDegrees()
-	}
-	t := get(len(d), 1)
-	for v, x := range d {
-		if x > 0 {
-			t.Set(v, 0, vertexNorms[ref].f(int(x)))
-		}
-	}
-	return t
-}
+func (s *Snapshot) Norm() *tensor.Tensor { return s.normFor(program.NormInDeg) }
 
 // embedEntry is the singleflight slot for one model's cached embeddings.
 // done flips (with release semantics) only after state/err settle, so
@@ -291,7 +259,7 @@ func (s *Snapshot) EnsureEmbeddings(m *Model, env *ForwardEnv) (*tensor.Tensor, 
 	e.once.Do(func() {
 		env.G = s.Graph()
 		env.Feat = s.Features()
-		m.prog.setNorms(env, s, nil)
+		setNorms(m.prog, env, s, nil)
 		e.state, e.err = m.runAll(env)
 		e.done.Store(true)
 	})

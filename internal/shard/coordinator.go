@@ -424,7 +424,9 @@ func (c *Coordinator) topology() topology {
 //	POST /v1/infer   same contract as the single-process server
 //	GET  /v1/shards  topology + per-shard latency/traffic counters
 //	GET  /healthz    liveness
-//	GET  /metrics    Prometheus text: per-shard counters + obs spans
+//	GET  /metrics    Prometheus text: panics, per-shard counters, obs spans
+//
+// A handler panic answers 500 (serve.Recover).
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/infer", func(rw http.ResponseWriter, r *http.Request) {
@@ -457,10 +459,11 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(rw http.ResponseWriter, r *http.Request) {
 		rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		serve.WritePanics(rw)
 		c.writePrometheus(rw)
 		obs.WritePrometheus(rw)
 	})
-	return mux
+	return serve.Recover(mux)
 }
 
 func (c *Coordinator) writePrometheus(w io.Writer) {

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"hash/crc32"
 	"math/rand"
+	"net/http"
 	"runtime"
 	"testing"
 
+	"seastar/internal/device"
+	"seastar/internal/serve"
 	"seastar/internal/tensor"
 )
 
@@ -105,8 +108,16 @@ func validFrame(kind uint8, rng *rand.Rand) []byte {
 // FuzzShardWire holds the four frame decoders to their contract on any
 // input: never panic, never allocate past what a header checked against
 // the fragment allows, decode∘encode is the identity on whatever decodes,
-// and flipping any one bit of a frame that decodes makes it refused.
+// and flipping any one bit of a frame that decodes makes it refused. The
+// two a worker receives are also posted to a live worker's handler, which
+// must answer without a 500 and leave seastar_serve_panics_total alone.
 func FuzzShardWire(f *testing.F) {
+	g, feat := testGraph(f, 60)
+	worker, err := NewWorker(g, feat, testSpec("gcn"), 2, 1, "greedy", device.V100)
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := worker.Handler()
 	rng := rand.New(rand.NewSource(1))
 	for kind := range uint8(4) {
 		f.Add(kind, validFrame(kind, rng), uint16(0))
@@ -124,6 +135,12 @@ func FuzzShardWire(f *testing.F) {
 		runtime.ReadMemStats(&after)
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > allocBound {
 			t.Fatalf("kind %d: decoding %d bytes allocated %d", kind, len(frame), alloc)
+		}
+		if path, ok := map[uint8]string{0: "/v1/shard/step", 2: "/v1/shard/gather"}[kind]; ok {
+			panics := serve.Panics()
+			if rw := post(h, path, frame); rw.Code == http.StatusInternalServerError || serve.Panics() != panics {
+				t.Fatalf("kind %d: worker answered %d, panics %d → %d", kind, rw.Code, panics, serve.Panics())
+			}
 		}
 		if err != nil {
 			return

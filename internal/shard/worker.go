@@ -252,7 +252,9 @@ func capBody(rw http.ResponseWriter, r *http.Request, read, size int64) (io.Read
 //	POST /v1/shard/gather  final logit rows for owned vertices, frames
 //	GET  /v1/shard/info    fragment shape (JSON)
 //	GET  /healthz          liveness
-//	GET  /metrics          Prometheus text (obs counters)
+//	GET  /metrics          Prometheus text (panics, obs counters)
+//
+// A handler panic answers 500 (serve.Recover).
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	frames := func(serve func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
@@ -281,9 +283,10 @@ func (w *Worker) Handler() http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(rw http.ResponseWriter, r *http.Request) {
 		rw.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		serve.WritePanics(rw)
 		obs.WritePrometheus(rw)
 	})
-	return mux
+	return serve.Recover(mux)
 }
 
 // workerStatus maps a step or gather error to its status: 409 for a

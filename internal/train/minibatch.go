@@ -9,12 +9,11 @@ import (
 
 	"seastar/internal/datasets"
 	"seastar/internal/exec"
-	"seastar/internal/gir"
 	"seastar/internal/nn"
 	"seastar/internal/pipeline"
+	"seastar/internal/program"
 	"seastar/internal/sampling"
 	"seastar/internal/store"
-	"seastar/internal/tensor"
 )
 
 // DatasetFromStore assembles a Dataset over an open store's mmap-backed
@@ -118,36 +117,6 @@ type MiniBatchResult struct {
 	MajorFaults int64
 }
 
-// sageProgram is the compiled per-batch model: a GraphSAGE-style
-// self-plus-neighbours convolution, compiled once and applied to every
-// batch subgraph (compile-once, run-every-batch — §5.1 at mini-batch
-// granularity).
-type sageProgram struct {
-	udf *exec.CompiledUDF
-	w   *nn.Variable
-}
-
-func newSAGE(e *nn.Engine, rng *rand.Rand, inDim, classes int) (*sageProgram, error) {
-	b := gir.NewBuilder()
-	b.VFeature("h", inDim)
-	W := b.Param("W", inDim, classes)
-	dag, err := b.Build(func(v *gir.Vertex) *gir.Value {
-		self := v.Self("h").MatMul(W)
-		return v.Nbr("h").MatMul(W).AggSum().Add(self)
-	})
-	if err != nil {
-		return nil, err
-	}
-	udf, err := exec.Compile(dag)
-	if err != nil {
-		return nil, err
-	}
-	w := e.Param(tensor.XavierUniform(rng, inDim, classes), "W")
-	return &sageProgram{udf: udf, w: w}, nil
-}
-
-func (p *sageProgram) params() []*nn.Variable { return []*nn.Variable{p.w} }
-
 // RunMiniBatch trains a SAGE-style model on ds with pipelined
 // neighbour-sampled mini-batches. With identical options except
 // Prefetch/SampleWorkers, the per-batch loss curve is bitwise-identical
@@ -168,12 +137,14 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 	// clock, not by the paper's cost model.
 	e := nn.NewEngine(nil)
 
-	rng := rand.New(rand.NewSource(opts.Seed))
-	prog, err := newSAGE(e, rng, ds.Feat.Cols(), ds.NumClasses)
+	prog := program.MiniBatchSAGE(ds.Feat.Cols(), ds.NumClasses)
+	weights := prog.Draw(e, rand.New(rand.NewSource(opts.Seed)))
+	params := prog.Params(weights)
+	net, err := program.Lower(prog, weights)
 	if err != nil {
 		return res, err
 	}
-	opt := nn.NewAdam(prog.params(), opts.LR)
+	opt := nn.NewAdam(params, opts.LR)
 
 	sampler, err := sampling.NewSampler(ds.G, opts.FanOut, opts.Seed)
 	if err != nil {
@@ -215,7 +186,7 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 				return res, fmt.Errorf("train: checkpoint seed %d does not match run seed %d",
 					ck.BaseSeed, opts.Seed)
 			}
-			if err := pipeline.RestoreParams(prog.params(), ck.Params); err != nil {
+			if err := pipeline.RestoreParams(params, ck.Params); err != nil {
 				return res, err
 			}
 			if err := opt.SetState(ck.Opt); err != nil {
@@ -232,8 +203,7 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 	step := func(b *pipeline.Batch) error {
 		rt := exec.NewRuntime(e, b.Sub)
 		h := e.InputScoped(b.Feat, "h")
-		out, err := prog.udf.Apply(rt, map[string]*nn.Variable{"h": h}, nil,
-			map[string]*nn.Variable{"W": prog.w})
+		out, err := net.Forward(rt, h, nil)
 		if err != nil {
 			return err
 		}
@@ -285,7 +255,7 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 			((epoch+1-start)%opts.CheckpointEvery == 0 || epoch == opts.Epochs-1) {
 			ck := &pipeline.Checkpoint{
 				Epoch: epoch + 1, BaseSeed: opts.Seed,
-				Params: pipeline.CaptureParams(prog.params()),
+				Params: pipeline.CaptureParams(params),
 				Opt:    opt.State(),
 			}
 			if err := ck.Save(opts.CheckpointPath); err != nil {

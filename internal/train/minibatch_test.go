@@ -10,12 +10,12 @@ import (
 	"testing"
 
 	"seastar/internal/datasets"
-	"seastar/internal/device"
+	"seastar/internal/exec"
 	"seastar/internal/fusion"
 	"seastar/internal/graph"
 	"seastar/internal/kernels"
-	"seastar/internal/nn"
 	"seastar/internal/obs"
+	"seastar/internal/program"
 	"seastar/internal/tensor"
 )
 
@@ -48,16 +48,19 @@ func heteroDS(t *testing.T) *datasets.Dataset {
 // TestSAGEProgramRunsOnTheVM pins the mini-batch model's edge loops to the
 // columnar VM in both passes: the forward gather and the backward
 // Agg<S>(EdgeView(dy)), which specializes only because EdgeView aliases
-// its operand. This is newSAGE's row of models.TestSpecializationCoverage:
-// it is not that table's "sage" program (the MatMul sits inside the vertex
-// function here, and there is no 1/deg scale), and models cannot import
-// this package to list it.
+// its operand. This is program.MiniBatchSAGE's "minibatch-sage" row of
+// models.TestSpecializationCoverage, which is not that table's mean-SAGE
+// (the MatMul sits inside the vertex function here, and there is no 1/deg
+// scale).
 func TestSAGEProgramRunsOnTheVM(t *testing.T) {
-	prog, err := newSAGE(nn.NewEngine(device.New(device.V100)), rand.New(rand.NewSource(1)), 16, 4)
+	dag, err := program.MiniBatchSAGE(16, 4).Stages[0].Plan.Trace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := prog.udf
+	c, err := exec.Compile(dag)
+	if err != nil {
+		t.Fatal(err)
+	}
 	units := 0
 	for _, pass := range []struct {
 		plan *fusion.Plan

@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI quality ladder, cheapest check first:
-#   gofmt → one architecture table → simulator only where the paper is
-#   reproduced → vet → staticcheck → tests+coverage ratchet → fuzz smoke →
-#   race suites → doc lint.
+#   gofmt → one architecture table → vertex programs traced in one
+#   package → simulator only where the paper is reproduced → vet →
+#   staticcheck → tests+coverage ratchet → fuzz smoke → race suites →
+#   doc lint.
 #
 # Knobs:
 #   FUZZ_TIME     per-target fuzz duration (default 10s; nightly uses 5m)
@@ -24,11 +25,26 @@ if [ -n "$out" ]; then
 	exit 1
 fi
 
-echo "== served architectures are named in one file (internal/serve/program.go) =="
-out=$(grep -nE '"gcn"|"gat"|"appnp"|"rgcn"|Spec\.Arch ==' internal/serve/*.go internal/shard/*.go |
-	grep -v -e '_test\.go:' -e '^internal/serve/program\.go:' || true)
+echo "== architectures are named in one file (internal/program/table.go) =="
+out=$(grep -nE '"gcn"|"gat"|"appnp"|"rgcn"|Spec\.Arch ==' internal/program/*.go internal/serve/*.go \
+	internal/shard/*.go internal/models/*.go internal/train/*.go |
+	grep -v -e '_test\.go:' -e '^internal/program/table\.go:' || true)
 if [ -n "$out" ]; then
 	echo "architecture dispatch outside the program table:"
+	echo "$out"
+	exit 1
+fi
+
+# A vertex program is traced in internal/program and nowhere else, except
+# for the public Session API (internal/core), the Figure 12 microbenchmark
+# (internal/bench/fig12.go) and seastar-inspect's Figure-3 listings, which
+# keep the paper's in-plan GCN matmul on purpose.
+echo "== vertex programs are traced only in internal/program =="
+out=$(grep -rn --include='*.go' 'gir\.NewBuilder' . |
+	grep -v -e '_test\.go:' -e '^\./internal/program/' -e '^\./internal/core/' \
+		-e '^\./internal/bench/fig12\.go:' -e '^\./cmd/seastar-inspect/build\.go:' || true)
+if [ -n "$out" ]; then
+	echo "gir.NewBuilder outside internal/{program,core}, internal/bench/fig12.go and cmd/seastar-inspect/build.go:"
 	echo "$out"
 	exit 1
 fi
@@ -105,7 +121,7 @@ else
 fi
 
 echo "== doc lint (exported symbols need doc comments) =="
-go run ./scripts/doclint ./internal/gir ./internal/fusion ./internal/kernels ./internal/serve ./internal/obs ./internal/exec ./internal/store ./internal/part ./internal/shard ./internal/graph
+go run ./scripts/doclint ./internal/program ./internal/gir ./internal/fusion ./internal/kernels ./internal/serve ./internal/obs ./internal/exec ./internal/store ./internal/part ./internal/shard ./internal/graph
 
 echo "== doc lint (flag docs in docs/operations.md match the binaries) =="
 go run ./scripts/doclint -flags docs/operations.md ./cmd/seastar-train ./cmd/seastar-serve ./cmd/seastar-bench ./cmd/seastar-inspect ./cmd/seastar-convert
