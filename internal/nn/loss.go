@@ -10,13 +10,14 @@ import (
 // CrossEntropyMasked computes the mean negative log-likelihood of labels
 // over the rows where mask is true (the train split in node
 // classification). logits has shape [N, C]; labels has length N. The
-// returned variable is scalar.
+// returned variable is scalar. Rows outside the mask are never read: their
+// values, NaN and Inf included, reach neither the loss nor the gradient.
 func (e *Engine) CrossEntropyMasked(logits *Variable, labels []int, mask []bool) *Variable {
 	n := logits.Value.Rows()
 	if len(labels) != n || len(mask) != n {
 		panic(fmt.Sprintf("nn: cross entropy over %d rows with %d labels, %d mask", n, len(labels), len(mask)))
 	}
-	logp := tensor.LogSoftmaxRows(logits.Value, e.like(logits.Value))
+	logp := tensor.LogSoftmaxRows(logits.Value, mask, e.like(logits.Value))
 	count := 0
 	var loss float64
 	for i := 0; i < n; i++ {

@@ -153,6 +153,61 @@ func TestCrossEntropyGradient(t *testing.T) {
 	}
 }
 
+// TestCrossEntropyReadsOnlyMaskedRows: the loss and the logits gradient
+// equal the definition over a full-matrix log-softmax bit for bit, and
+// NaN/±Inf in the rows outside the mask change neither.
+func TestCrossEntropyReadsOnlyMaskedRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const n, c = 40, 5
+	clean := tensor.Randn(rng, 1, n, c)
+	labels := make([]int, n)
+	mask := make([]bool, n)
+	for i := range labels {
+		labels[i] = rng.Intn(c)
+		mask[i] = i%3 == 0
+	}
+	dirty := clean.Clone()
+	poison := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for i := 0; i < n; i++ {
+		if !mask[i] {
+			for j := 0; j < c; j++ {
+				dirty.Set(i, j, poison[(i+j)%len(poison)])
+			}
+		}
+	}
+
+	run := func(lT *tensor.Tensor) (float32, *tensor.Tensor) {
+		e := NewEngine(nil)
+		l := e.Param(lT, "logits")
+		loss := e.CrossEntropyMasked(l, labels, mask)
+		e.Backward(loss)
+		return loss.Value.At1(0), l.Grad.Clone()
+	}
+	lossClean, gradClean := run(clean)
+	lossDirty, gradDirty := run(dirty)
+
+	logp := tensor.LogSoftmaxRows(clean, nil)
+	var want float64
+	count := 0
+	for i := 0; i < n; i++ {
+		if mask[i] {
+			count++
+			want -= float64(logp.At(i, labels[i]))
+		}
+	}
+	if w := float32(want / float64(count)); math.Float32bits(lossClean) != math.Float32bits(w) {
+		t.Fatalf("loss %v, definition %v", lossClean, w)
+	}
+	if math.Float32bits(lossDirty) != math.Float32bits(lossClean) {
+		t.Fatalf("unscored rows moved the loss: %v vs %v", lossDirty, lossClean)
+	}
+	for i, v := range gradClean.Data() {
+		if math.Float32bits(gradDirty.Data()[i]) != math.Float32bits(v) {
+			t.Fatalf("unscored rows moved gradient element %d: %v vs %v", i, gradDirty.Data()[i], v)
+		}
+	}
+}
+
 func TestCrossEntropyPanics(t *testing.T) {
 	e := NewEngine(nil)
 	l := e.Param(tensor.New(2, 2), "l")

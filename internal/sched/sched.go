@@ -11,7 +11,8 @@
 //   - dispatch: Do feeds chunks to a persistent worker pool through an
 //     atomic work counter — the claim loop the paper implements with the
 //     GPU's hardware block scheduler. Workers are long-lived goroutines,
-//     so a steady-state launch allocates nothing but its closure.
+//     so a steady-state Do allocates nothing but its closure, and a For
+//     nothing at all.
 //
 // Every parallel path in the repository (fused kernels, dense matmuls,
 // elementwise tensor ops) goes through this package, replacing the
@@ -20,6 +21,7 @@ package sched
 
 import (
 	"runtime"
+	"sync"
 )
 
 // MaxProcs bounds the parallelism of every CPU execution path. It is a
@@ -204,12 +206,28 @@ func forOn(p *Pool, n, grain int, f func(lo, hi int)) {
 	}
 	size := (n + chunks - 1) / chunks
 	chunks = (n + size - 1) / size
-	p.Do(chunks, workers, func(_, c int) {
-		lo := c * size
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		f(lo, hi)
-	})
+	j := forJobs.Get().(*forJob)
+	j.f, j.n, j.size = f, n, size
+	p.Do(chunks, workers, j.chunk)
+	j.f = nil
+	forJobs.Put(j)
+}
+
+// forJob is one parallel For call's chunking. Jobs are pooled with their
+// bound chunk function, so a warmed For allocates nothing.
+type forJob struct {
+	f       func(lo, hi int)
+	n, size int
+	chunk   func(worker, c int)
+}
+
+var forJobs = sync.Pool{New: func() any {
+	j := new(forJob)
+	j.chunk = j.run
+	return j
+}}
+
+func (j *forJob) run(_, c int) {
+	lo := c * j.size
+	j.f(lo, min(lo+j.size, j.n))
 }

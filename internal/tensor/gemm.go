@@ -6,101 +6,75 @@ import (
 	"seastar/internal/sched"
 )
 
-// Blocked, packed GEMM — the CPU analogue of the paper's feature-adaptive
-// thread groups (§6.3.1): instead of sizing a warp's register tile to the
+// Blocked GEMM — the CPU analogue of the paper's feature-adaptive thread
+// groups (§6.3.1): instead of sizing a warp's register tile to the
 // feature dimension, we size a register-tiled microkernel to the core's
-// register file and keep one packed K×NR micro-panel of B resident in L1
-// while it is reused by every row block.
+// register file and to the product's output width.
 //
 // The driver follows the classic panel-packing scheme:
 //
 //	for each K-block (gemmKC rows of B):
 //	    pack B[pc:pc+kc, :] into NR-wide column panels (pooled buffer)
 //	    for each MR-row block of A (parallel over the shared scheduler):
-//	        pack the A block interleaved as [kc][MR] (pooled buffer)
 //	        for each panel: C[MR][NR] += Ablock · panel   (microkernel)
 //
-// Two microkernels back the same driver: a portable 4×8 Go kernel written
-// as two 4×4 register blocks so the compiler keeps each half's sixteen
-// accumulators in XMM registers, and (on amd64 hosts with AVX2+FMA) a
-// 4×16 assembly kernel holding the accumulator tile in eight YMM
-// registers. Both consume identical packed layouts, so correctness tests
-// run the portable kernel against the assembly one directly.
+// A microkernel reads A through strides: element (r, p) of the block is
+// a[r·rs + p·ks]. When the product has more than one panel, every A block
+// is read once per panel, so it is packed interleaved as [kc][MR] first,
+// (rs, ks) = (1, MR). When it has one panel (n ≤ NR) each A element is
+// read exactly once and packing would only copy it, so a full block is
+// read in place: (k, 1) for MatMul's [m, k] and (1, m) for TMatMul's
+// transposed [k, m]. A block of fewer than MR rows is still packed,
+// zero-padded, so the kernel always runs a full register tile.
+//
+// Every kernel sums one K-block from zero in p order and then adds the
+// sum into C, so the source of A — packed, in place, or a zero-padded
+// tail — never changes a bit of the result.
+//
+// Three microkernels back the driver: a portable 4×8 Go kernel written as
+// two 4×4 register blocks so the compiler keeps each half's sixteen
+// accumulators in XMM registers, and (on amd64 hosts with AVX2+FMA) 4×8
+// and 4×16 assembly kernels holding the accumulator tile in four or eight
+// YMM registers. Products with n ≤ 8 take an 8-wide kernel in both modes.
 const (
 	// gemmMR is the register-tile row count shared by every microkernel.
 	gemmMR = 4
-	// gemmMaxNR bounds the panel width of any microkernel (the assembly
-	// kernel's 16); tail tiles use a scratch buffer of this width.
+	// gemmMaxNR bounds the panel width of any microkernel (the 4×16
+	// assembly kernel's); tail tiles use a scratch tile of this width.
 	gemmMaxNR = 16
+	// gemmKC is the K-block: one packed micro-panel (gemmKC × NR floats)
+	// stays L1-resident across a whole row sweep. 256×16×4 B = 16 KB,
+	// half of a typical 32 KB L1d.
+	gemmKC = 256
 	// gemmSerialMACs is the multiply-accumulate count below which packing
 	// cannot amortize its own traffic: such products take the naive
 	// serial reference path instead.
 	gemmSerialMACs = 1 << 15
 	// gemmRowGrain is the minimum A-row block handed to one worker, in
-	// rows; it keeps the per-chunk packing overhead small relative to
-	// the microkernel work.
+	// rows; it keeps the per-chunk overhead small relative to the
+	// microkernel work.
 	gemmRowGrain = 64
 )
 
-// microFn computes C[gemmMR][nr] += Ablock · panel for one packed A block
-// (kc×gemmMR interleaved) and one packed B panel (kc×nr).
-type microFn func(kc int, ap, bp []float32, c0, c1, c2, c3 []float32)
+// microFn computes C[gemmMR][nr] += A · panel for one K-block of kc rows:
+// A element (r, p) is a[r·rs + p·ks], the panel is packed [kc][nr]. Each
+// C element is summed from zero for p ascending, then added into C.
+type microFn func(kc int, a []float32, rs, ks int, bp []float32, c0, c1, c2, c3 []float32)
 
-// gemmKC is the K-block: one packed micro-panel (gemmKC × NR floats)
-// must stay L1-resident across a whole row sweep. 256×16×4 B = 16 KB,
-// half of a typical 32 KB L1d. A variable rather than a constant so the
-// measured re-planner can retune the block to the host's actual L1
-// (SetGemmKC); the K loop accumulates into the same C tile in the same
-// order for every block size, so results are bitwise-stable across
-// retunes only when the split points coincide — which is why the
-// re-planner treats kc as outside the bitwise-safe envelope and the
-// property test pins both sides explicitly.
-var gemmKC = 256
-
-// SetGemmKC overrides the GEMM K-block size (clamped to at least
-// gemmMR) and returns the previous value. Benchmarks and the adaptive
-// planner's measurement harness use it; it must not be called
-// concurrently with running matmuls.
-func SetGemmKC(kc int) int {
-	prev := gemmKC
-	if kc < gemmMR {
-		kc = gemmMR
-	}
-	gemmKC = kc
-	return prev
-}
-
-// GemmKC reports the current GEMM K-block size.
-func GemmKC() int { return gemmKC }
-
-// The active microkernel, selected at package init: the AVX2+FMA 4×16
-// assembly kernel when the host supports it (see gemm_amd64.go),
-// otherwise the portable 4×8 Go kernel.
+// The active microkernels, selected at package init: the AVX2+FMA
+// assembly kernels when the host supports them (see gemm_amd64.go),
+// otherwise the portable 4×8 Go kernel. gemmMicro8 serves products with
+// n ≤ 8, gemmMicro (gemmNR wide) every other.
 var (
-	gemmNR    = 8
-	gemmMicro = microFn(mk4x8go)
-	gemmName  = "go-4x8"
+	gemmNR     = 8
+	gemmMicro  = microFn(mk4x8go)
+	gemmMicro8 = microFn(mk4x8go)
+	gemmName   = "go-4x8"
 )
 
-// GemmKernelName reports the active microkernel ("avx2-fma-4x16" on
+// GemmKernelName reports the active wide microkernel ("avx2-fma-4x16" on
 // capable amd64 hosts, "go-4x8" otherwise) for benchmark reports.
 func GemmKernelName() string { return gemmName }
-
-// gemmBufs pools packing buffers so steady-state training steps reuse
-// the same panels instead of allocating per call.
-var gemmBufs sync.Pool
-
-func gemmGet(n int) []float32 {
-	if v := gemmBufs.Get(); v != nil {
-		b := *(v.(*[]float32))
-		if cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]float32, n)
-}
-
-func gemmPut(b []float32) { gemmBufs.Put(&b) }
 
 // packA packs rows [i0, i0+rows) of the m×k row-major matrix a, K-slice
 // [pc, pc+kc), into ap as [kc][gemmMR] interleaved; rows beyond `rows`
@@ -178,118 +152,163 @@ func packBT(bp, b []float32, k, n, pc, kc, nr int) {
 }
 
 // gemm computes c += opA(a) · opB(b) for row-major float32 matrices with
-// panel packing, L1-sized K-blocks and the active register-tiled
-// microkernel. transA reads a as [k, m] (aᵀ·b), transB reads b as [n, k]
-// (a·bᵀ). Row blocks are dispatched through the shared scheduler unless
-// serial is set. Each C element is written by exactly one worker and the
-// K-blocks run in a fixed order, so results are deterministic regardless
-// of worker count.
+// L1-sized K-blocks and the active register-tiled microkernels. transA
+// reads a as [k, m] (aᵀ·b), transB reads b as [n, k] (a·bᵀ). Row chunks
+// are dispatched through the shared scheduler unless serial is set. Each
+// C element is written by exactly one worker and the K-blocks run in a
+// fixed order, so results are deterministic regardless of worker count.
 func gemm(c, a, b []float32, m, k, n int, transA, transB, serial bool) {
-	gemmWith(gemmMicro, gemmNR, c, a, b, m, k, n, transA, transB, serial)
+	micro, nr := gemmMicro, gemmNR
+	if n <= 8 {
+		micro, nr = gemmMicro8, 8
+	}
+	gemmWith(micro, nr, n <= nr, c, a, b, m, k, n, transA, transB, serial)
 }
 
-func gemmWith(micro microFn, nr int, c, a, b []float32, m, k, n int, transA, transB, serial bool) {
+// gemmWith is gemm on a given microkernel of panel width nr; inPlace
+// reads full A blocks where they lie instead of packing them, which is
+// bitwise neutral and pays only when n ≤ nr.
+func gemmWith(micro microFn, nr int, inPlace bool, c, a, b []float32, m, k, n int, transA, transB, serial bool) {
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	nPanels := (n + nr - 1) / nr
-	bp := gemmGet(gemmKC * nPanels * nr)
-	for pc := 0; pc < k; pc += gemmKC {
-		kc := k - pc
-		if kc > gemmKC {
-			kc = gemmKC
-		}
+	g := gemmCalls.Get().(*gemmCall)
+	g.micro, g.nr, g.nPanels, g.inPlace, g.transA = micro, nr, (n+nr-1)/nr, inPlace, transA
+	g.c, g.a, g.m, g.k, g.n = c, a, m, k, n
+	if size := min(k, gemmKC) * g.nPanels * nr; cap(g.bp) < size {
+		g.bp = make([]float32, size)
+	}
+	for g.pc = 0; g.pc < k; g.pc += gemmKC {
+		g.kc = min(k-g.pc, gemmKC)
 		if transB {
-			packBT(bp, b, k, n, pc, kc, nr)
+			packBT(g.bp, b, k, n, g.pc, g.kc, nr)
 		} else {
-			packB(bp, b, n, pc, kc, nr)
-		}
-		run := func(lo, hi int) {
-			ap := gemmGet(kc * gemmMR)
-			var tail [gemmMR * gemmMaxNR]float32
-			for i := lo; i < hi; i += gemmMR {
-				rows := hi - i
-				if rows > gemmMR {
-					rows = gemmMR
-				}
-				if transA {
-					packAT(ap, a, m, i, rows, pc, kc)
-				} else {
-					packA(ap, a, k, i, rows, pc, kc)
-				}
-				for jp := 0; jp < nPanels; jp++ {
-					j := jp * nr
-					panel := bp[jp*kc*nr : (jp+1)*kc*nr]
-					if rows == gemmMR && j+nr <= n {
-						micro(kc, ap, panel,
-							c[i*n+j:], c[(i+1)*n+j:], c[(i+2)*n+j:], c[(i+3)*n+j:])
-						continue
-					}
-					// Tail tile: run into scratch, add back the valid
-					// region only (padded rows/columns are discarded).
-					ct := tail[: gemmMR*nr : gemmMR*nr]
-					for x := range ct {
-						ct[x] = 0
-					}
-					micro(kc, ap, panel, ct[0:], ct[nr:], ct[2*nr:], ct[3*nr:])
-					jw := n - j
-					if jw > nr {
-						jw = nr
-					}
-					for r := 0; r < rows; r++ {
-						or := c[(i+r)*n+j : (i+r)*n+j+jw]
-						src := ct[r*nr : r*nr+jw]
-						for x, v := range src {
-							or[x] += v
-						}
-					}
-				}
-			}
-			gemmPut(ap)
+			packB(g.bp, b, n, g.pc, g.kc, nr)
 		}
 		if serial {
-			run(0, m)
+			g.rows(0, m)
 		} else {
-			sched.For(m, gemmRowGrain, run)
+			sched.For(m, gemmRowGrain, g.run)
 		}
 	}
-	gemmPut(bp)
+	g.micro, g.c, g.a = nil, nil, nil
+	gemmCalls.Put(g)
+}
+
+// gemmCall is one product's state: the operands, the current K-block
+// [pc, pc+kc) and B's K-block packed into nPanels panels of [kc][nr].
+// Calls are pooled with their packing buffer and their bound row
+// function, so a warmed product allocates nothing of its own.
+type gemmCall struct {
+	micro           microFn
+	nr, nPanels     int
+	inPlace, transA bool
+	c, a, bp        []float32
+	m, k, n, pc, kc int
+	run             func(lo, hi int)
+}
+
+var gemmCalls = sync.Pool{New: func() any {
+	g := new(gemmCall)
+	g.run = g.rows
+	return g
+}}
+
+// gemmScratch is a row worker's packed A block and tail tile. The
+// microkernel is called through a function value, so arrays on the
+// worker's stack would escape to the heap on every chunk; pooling them
+// keeps the chunk allocation-free.
+type gemmScratch struct {
+	a    [gemmKC * gemmMR]float32
+	tail [gemmMR * gemmMaxNR]float32
+}
+
+var gemmScratches = sync.Pool{New: func() any { return new(gemmScratch) }}
+
+// rows adds the current K-block's contribution to C rows [lo, hi).
+func (g *gemmCall) rows(lo, hi int) {
+	s := gemmScratches.Get().(*gemmScratch)
+	c, n, nr, kc := g.c, g.n, g.nr, g.kc
+	for i := lo; i < hi; i += gemmMR {
+		rows := min(hi-i, gemmMR)
+		a, rs, ks := g.aBlock(s, i, rows)
+		for jp := 0; jp < g.nPanels; jp++ {
+			j := jp * nr
+			panel := g.bp[jp*kc*nr : (jp+1)*kc*nr]
+			if rows == gemmMR && j+nr <= n {
+				g.micro(kc, a, rs, ks, panel,
+					c[i*n+j:], c[(i+1)*n+j:], c[(i+2)*n+j:], c[(i+3)*n+j:])
+				continue
+			}
+			// Tail tile: run into scratch, add back the valid region
+			// only (padded rows/columns are discarded).
+			ct := s.tail[: gemmMR*nr : gemmMR*nr]
+			clear(ct)
+			g.micro(kc, a, rs, ks, panel, ct[0:], ct[nr:], ct[2*nr:], ct[3*nr:])
+			jw := min(n-j, nr)
+			for r := 0; r < rows; r++ {
+				or := c[(i+r)*n+j : (i+r)*n+j+jw]
+				for x, v := range ct[r*nr : r*nr+jw] {
+					or[x] += v
+				}
+			}
+		}
+	}
+	gemmScratches.Put(s)
+}
+
+// aBlock returns A rows [i, i+rows) over the current K-block with the
+// strides the microkernel reads them at: in place for a full block of a
+// one-panel product, otherwise packed into s.a.
+func (g *gemmCall) aBlock(s *gemmScratch, i, rows int) (a []float32, rs, ks int) {
+	switch {
+	case g.inPlace && rows == gemmMR && g.transA:
+		return g.a[g.pc*g.m+i:], 1, g.m
+	case g.inPlace && rows == gemmMR:
+		return g.a[i*g.k+g.pc:], g.k, 1
+	case g.transA:
+		packAT(s.a[:], g.a, g.m, i, rows, g.pc, g.kc)
+	default:
+		packA(s.a[:], g.a, g.k, i, rows, g.pc, g.kc)
+	}
+	return s.a[:], 1, gemmMR
 }
 
 // mk4x8go is the portable register-tiled microkernel: a 4×8 tile computed
 // as two sequential 4×4 register blocks, each holding its sixteen
 // accumulators in locals so the compiler keeps them in XMM registers
 // (4×8 in one body would need 32 accumulators and spill).
-func mk4x8go(kc int, ap, bp []float32, c0, c1, c2, c3 []float32) {
-	mk4x4go(kc, ap, bp, c0, c1, c2, c3, 0)
-	mk4x4go(kc, ap, bp, c0, c1, c2, c3, 4)
+func mk4x8go(kc int, a []float32, rs, ks int, bp []float32, c0, c1, c2, c3 []float32) {
+	mk4x4go(kc, a, rs, ks, bp, c0, c1, c2, c3, 0)
+	mk4x4go(kc, a, rs, ks, bp, c0, c1, c2, c3, 4)
 }
 
-func mk4x4go(kc int, ap, bp []float32, c0, c1, c2, c3 []float32, off int) {
+func mk4x4go(kc int, a []float32, rs, ks int, bp []float32, c0, c1, c2, c3 []float32, off int) {
 	var c00, c01, c02, c03 float32
 	var c10, c11, c12, c13 float32
 	var c20, c21, c22, c23 float32
 	var c30, c31, c32, c33 float32
+	a0, a1, a2, a3 := a, a[rs:], a[2*rs:], a[3*rs:]
 	for p := 0; p < kc; p++ {
 		b := bp[p*8+off : p*8+off+4 : p*8+off+4]
 		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		a := ap[p*4 : p*4+4 : p*4+4]
-		av := a[0]
+		q := p * ks
+		av := a0[q]
 		c00 += av * b0
 		c01 += av * b1
 		c02 += av * b2
 		c03 += av * b3
-		av = a[1]
+		av = a1[q]
 		c10 += av * b0
 		c11 += av * b1
 		c12 += av * b2
 		c13 += av * b3
-		av = a[2]
+		av = a2[q]
 		c20 += av * b0
 		c21 += av * b1
 		c22 += av * b2
 		c23 += av * b3
-		av = a[3]
+		av = a3[q]
 		c30 += av * b0
 		c31 += av * b1
 		c32 += av * b2

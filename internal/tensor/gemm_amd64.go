@@ -2,9 +2,10 @@
 
 package tensor
 
-// AVX2+FMA backend for the blocked GEMM driver: a 4×16 microkernel whose
-// accumulator tile lives in eight YMM registers, plus the vectorized
-// elementwise add used by the fused aggregation kernels. Selected at
+// AVX2+FMA backend for the blocked GEMM driver: 4×16 and 4×8
+// microkernels whose accumulator tiles live in eight or four YMM
+// registers, plus the vectorized elementwise add used by the fused
+// aggregation kernels. Selected at
 // init after a CPUID/XGETBV check; hosts without AVX2+FMA (or non-amd64
 // builds) keep the portable Go kernels.
 
@@ -14,10 +15,16 @@ func cpuidRaw(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 reads XCR0, the OS-enabled extended-state mask.
 func xgetbv0() (eax, edx uint32)
 
-// fmaKernel4x16 computes C[4][16] += Apanel[kc][4] · Bpanel[kc][16].
+// fmaKernel4x16 computes C[4][16] += A[4][kc] · Bpanel[kc][16], A element
+// (r, p) at a[r·rs + p·ks].
 //
 //go:noescape
-func fmaKernel4x16(kc int64, ap, bp, c0, c1, c2, c3 *float32)
+func fmaKernel4x16(kc int64, a *float32, rs, ks int64, bp, c0, c1, c2, c3 *float32)
+
+// fmaKernel4x8 is fmaKernel4x16 for an 8-wide panel.
+//
+//go:noescape
+func fmaKernel4x8(kc int64, a *float32, rs, ks int64, bp, c0, c1, c2, c3 *float32)
 
 // vecAddAsm adds n floats of src into dst; n must be a multiple of 8.
 //
@@ -102,7 +109,8 @@ func init() {
 	simdAvailable = true
 	simdInstall = func(on bool) {
 		if on {
-			gemmNR, gemmMicro, gemmName = 16, microFn(mkFMA4x16), "avx2-fma-4x16"
+			gemmNR, gemmMicro, gemmMicro8, gemmName = 16, microFn(mkFMA4x16), microFn(mkFMA4x8), "avx2-fma-4x16"
+			refMatMulImpl = refMatMulAVX
 			vecAddImpl = vecAddFMA
 			vecMulAddImpl = vecMulAddAVX
 			gatherMulAddImpl = gatherMulAddAVX
@@ -110,7 +118,8 @@ func init() {
 			gemvAddImpl = gemvAddAVX
 			gemvMulAddImpl = gemvMulAddAVX
 		} else {
-			gemmNR, gemmMicro, gemmName = 8, microFn(mk4x8go), "go-4x8"
+			gemmNR, gemmMicro, gemmMicro8, gemmName = 8, microFn(mk4x8go), microFn(mk4x8go), "go-4x8"
+			refMatMulImpl = refMatMulInto
 			vecAddImpl = vecAddGo
 			vecMulAddImpl = vecMulAddGo
 			gatherMulAddImpl = gatherMulAddGo
@@ -124,9 +133,44 @@ func init() {
 	}
 }
 
-// mkFMA4x16 adapts the assembly kernel to the microFn signature.
-func mkFMA4x16(kc int, ap, bp []float32, c0, c1, c2, c3 []float32) {
-	fmaKernel4x16(int64(kc), &ap[0], &bp[0], &c0[0], &c1[0], &c2[0], &c3[0])
+// mkFMA4x16 and mkFMA4x8 adapt the assembly kernels to the microFn
+// signature. The assembly does not bounds-check: the last A element and
+// the C row ends are touched here first.
+func mkFMA4x16(kc int, a []float32, rs, ks int, bp []float32, c0, c1, c2, c3 []float32) {
+	_, _ = a[3*rs+(kc-1)*ks], bp[kc*16-1]
+	_, _, _, _ = c0[15], c1[15], c2[15], c3[15]
+	fmaKernel4x16(int64(kc), &a[0], int64(rs), int64(ks), &bp[0], &c0[0], &c1[0], &c2[0], &c3[0])
+}
+
+func mkFMA4x8(kc int, a []float32, rs, ks int, bp []float32, c0, c1, c2, c3 []float32) {
+	_, _ = a[3*rs+(kc-1)*ks], bp[kc*8-1]
+	_, _, _, _ = c0[7], c1[7], c2[7], c3[7]
+	fmaKernel4x8(int64(kc), &a[0], int64(rs), int64(ks), &bp[0], &c0[0], &c1[0], &c2[0], &c3[0])
+}
+
+// refMatMulAVX is refMatMulInto with a single output column (an attention
+// score's [r,k]·[k,1]) computed eight rows in lockstep on gatherDotAsm8:
+// each row's products are rounded, then folded from +0 for p ascending,
+// exactly as refMatMulInto folds them into a zeroed c.
+func refMatMulAVX(c, a, b []float32, m, k, n int) {
+	k8 := k &^ 7
+	if n != 1 || k8 == 0 || m < 8 {
+		refMatMulInto(c, a, b, m, k, n)
+		return
+	}
+	_, _, _ = a[m*k-1], b[k-1], c[m-1] // the assembly does not bounds-check
+	var aoff, boff [8]int64
+	i := 0
+	for ; i+8 <= m; i += 8 {
+		for l := range aoff {
+			aoff[l] = int64((i + l) * k)
+		}
+		gatherDotAsm8(&c[i], &a[0], &aoff[0], &b[0], &boff[0], int64(k8))
+		for l := 0; k8 < k && l < 8; l++ {
+			c[i+l] = dotTail(c[i+l], a[(i+l)*k+k8:(i+l+1)*k], b[k8:k])
+		}
+	}
+	refMatMulInto(c[i:m], a[i*k:m*k], b, m-i, k, 1)
 }
 
 func vecAddFMA(dst, src []float32) {

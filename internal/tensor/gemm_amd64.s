@@ -21,20 +21,26 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func fmaKernel4x16(kc int64, ap, bp, c0, c1, c2, c3 *float32)
+// func fmaKernel4x16(kc int64, a *float32, rs, ks int64, bp, c0, c1, c2, c3 *float32)
 //
-// C[4][16] += Apanel[kc][4] (interleaved) * Bpanel[kc][16] (packed).
-// The 4x16 accumulator tile lives in Y0-Y7 (two YMM per C row); each K
-// iteration loads one 16-wide B line (Y8, Y9), broadcasts the four A
-// values and issues eight FMAs.
-TEXT ·fmaKernel4x16(SB), NOSPLIT, $0-56
+// C[4][16] += A[4][kc] * Bpanel[kc][16] (packed), A element (r, p) at
+// a[r*rs + p*ks]. The 4x16 accumulator tile lives in Y0-Y7 (two YMM per
+// C row), summed from zero; each K iteration loads one 16-wide B line
+// (Y8, Y9), broadcasts the four A values and issues eight FMAs. The sums
+// are added into C once, after the K loop.
+TEXT ·fmaKernel4x16(SB), NOSPLIT, $0-72
 	MOVQ kc+0(FP), CX
-	MOVQ ap+8(FP), AX
-	MOVQ bp+16(FP), BX
-	MOVQ c0+24(FP), R8
-	MOVQ c1+32(FP), R9
-	MOVQ c2+40(FP), R10
-	MOVQ c3+48(FP), R11
+	MOVQ a+8(FP), AX
+	MOVQ rs+16(FP), R12
+	MOVQ ks+24(FP), DX
+	MOVQ bp+32(FP), BX
+	MOVQ c0+40(FP), R8
+	MOVQ c1+48(FP), R9
+	MOVQ c2+56(FP), R10
+	MOVQ c3+64(FP), R11
+	SHLQ $2, R12            // rs in bytes
+	SHLQ $2, DX             // ks in bytes
+	LEAQ (R12)(R12*2), R13  // 3*rs in bytes
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -50,16 +56,16 @@ kloop:
 	VBROADCASTSS (AX), Y10
 	VFMADD231PS  Y8, Y10, Y0
 	VFMADD231PS  Y9, Y10, Y1
-	VBROADCASTSS 4(AX), Y11
+	VBROADCASTSS (AX)(R12*1), Y11
 	VFMADD231PS  Y8, Y11, Y2
 	VFMADD231PS  Y9, Y11, Y3
-	VBROADCASTSS 8(AX), Y12
+	VBROADCASTSS (AX)(R12*2), Y12
 	VFMADD231PS  Y8, Y12, Y4
 	VFMADD231PS  Y9, Y12, Y5
-	VBROADCASTSS 12(AX), Y13
+	VBROADCASTSS (AX)(R13*1), Y13
 	VFMADD231PS  Y8, Y13, Y6
 	VFMADD231PS  Y9, Y13, Y7
-	ADDQ         $16, AX
+	ADDQ         DX, AX
 	ADDQ         $64, BX
 	DECQ         CX
 	JNZ          kloop
@@ -88,6 +94,59 @@ kloop:
 	VMOVUPS 32(R11), Y11
 	VADDPS  Y11, Y7, Y7
 	VMOVUPS Y7, 32(R11)
+	VZEROUPPER
+	RET
+
+// func fmaKernel4x8(kc int64, a *float32, rs, ks int64, bp, c0, c1, c2, c3 *float32)
+//
+// fmaKernel4x16 for an 8-wide panel: one YMM accumulator per C row
+// (Y0-Y3), one 8-wide B line and four broadcast FMAs per K iteration.
+// Each lane sums exactly as the 4x16 kernel's lane for the same column.
+TEXT ·fmaKernel4x8(SB), NOSPLIT, $0-72
+	MOVQ kc+0(FP), CX
+	MOVQ a+8(FP), AX
+	MOVQ rs+16(FP), R12
+	MOVQ ks+24(FP), DX
+	MOVQ bp+32(FP), BX
+	MOVQ c0+40(FP), R8
+	MOVQ c1+48(FP), R9
+	MOVQ c2+56(FP), R10
+	MOVQ c3+64(FP), R11
+	SHLQ $2, R12
+	SHLQ $2, DX
+	LEAQ (R12)(R12*2), R13
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+
+k8loop:
+	VMOVUPS      (BX), Y8
+	VBROADCASTSS (AX), Y10
+	VFMADD231PS  Y8, Y10, Y0
+	VBROADCASTSS (AX)(R12*1), Y11
+	VFMADD231PS  Y8, Y11, Y1
+	VBROADCASTSS (AX)(R12*2), Y12
+	VFMADD231PS  Y8, Y12, Y2
+	VBROADCASTSS (AX)(R13*1), Y13
+	VFMADD231PS  Y8, Y13, Y3
+	ADDQ         DX, AX
+	ADDQ         $32, BX
+	DECQ         CX
+	JNZ          k8loop
+
+	VMOVUPS (R8), Y8
+	VADDPS  Y8, Y0, Y0
+	VMOVUPS Y0, (R8)
+	VMOVUPS (R9), Y9
+	VADDPS  Y9, Y1, Y1
+	VMOVUPS Y1, (R9)
+	VMOVUPS (R10), Y10
+	VADDPS  Y10, Y2, Y2
+	VMOVUPS Y2, (R10)
+	VMOVUPS (R11), Y11
+	VADDPS  Y11, Y3, Y3
+	VMOVUPS Y3, (R11)
 	VZEROUPPER
 	RET
 

@@ -73,23 +73,23 @@ func runBlockedVsRef(t *testing.T, micro microFn, nr int) {
 		scale := RefMatMul(absData(a), absData(b))
 
 		got := New(m, n)
-		gemmWith(micro, nr, got.data, a.data, b.data, m, k, n, false, false, true)
+		gemmWith(micro, nr, n <= nr, got.data, a.data, b.data, m, k, n, false, false, true)
 		gemmWithin(t, "MatMul", got, want, scale, 4)
 
 		got = New(m, n)
-		gemmWith(micro, nr, got.data, a.data, bt.data, m, k, n, false, true, true)
+		gemmWith(micro, nr, n <= nr, got.data, a.data, bt.data, m, k, n, false, true, true)
 		gemmWithin(t, "MatMulT", got, want, scale, 4)
 
 		got = New(m, n)
-		gemmWith(micro, nr, got.data, at.data, b.data, m, k, n, true, false, true)
+		gemmWith(micro, nr, n <= nr, got.data, at.data, b.data, m, k, n, true, false, true)
 		gemmWithin(t, "TMatMul", got, want, scale, 4)
 
 		// Parallel path must match the serial one bitwise (fixed K order,
 		// disjoint row writes).
 		gotPar := New(m, n)
-		gemmWith(micro, nr, gotPar.data, a.data, b.data, m, k, n, false, false, false)
+		gemmWith(micro, nr, n <= nr, gotPar.data, a.data, b.data, m, k, n, false, false, false)
 		serial := New(m, n)
-		gemmWith(micro, nr, serial.data, a.data, b.data, m, k, n, false, false, true)
+		gemmWith(micro, nr, n <= nr, serial.data, a.data, b.data, m, k, n, false, false, true)
 		for i := range serial.data {
 			if gotPar.data[i] != serial.data[i] {
 				t.Fatalf("parallel gemm not bitwise-deterministic at %d: %g vs %g",

@@ -55,7 +55,7 @@ func MatMulRowsLike(rows, b *Tensor, fullRows int, into ...*Tensor) *Tensor {
 	}
 	out := dstOr(into, r, n)
 	if fullRows*k*n < gemmSerialMACs {
-		refMatMulInto(out.data, rows.data, b.data, r, k, n)
+		refMatMulImpl(out.data, rows.data, b.data, r, k, n)
 	} else {
 		gemm(out.data, rows.data, b.data, r, k, n, false, false, false)
 	}
@@ -107,9 +107,16 @@ func TMatMul(a, b *Tensor, into ...*Tensor) *Tensor {
 	return out
 }
 
-// refMatMulInto is the unblocked serial reference: c += a@b, axpy order.
-// Every multiplicand participates — a zero in a must still propagate a
-// NaN/Inf from b (0·NaN = NaN), so there is deliberately no zero skip.
+// refMatMulImpl is MatMul's path below gemmSerialMACs: refMatMulInto, or
+// on AVX2 hosts the same arithmetic with single-column products run
+// eight rows in lockstep (refMatMulAVX). Its destination must be zeroed,
+// as every MatMul destination is.
+var refMatMulImpl = refMatMulInto
+
+// refMatMulInto is the unblocked serial reference: c += a@b, axpy order,
+// each product rounded before it is added. Every multiplicand
+// participates — a zero in a must still propagate a NaN/Inf from b
+// (0·NaN = NaN), so there is deliberately no zero skip.
 func refMatMulInto(c, a, b []float32, m, k, n int) {
 	for i := 0; i < m; i++ {
 		ar := a[i*k : (i+1)*k]
@@ -118,7 +125,7 @@ func refMatMulInto(c, a, b []float32, m, k, n int) {
 			av := ar[p]
 			br := b[p*n : (p+1)*n]
 			for j := range or {
-				or[j] += av * br[j]
+				or[j] += float32(av * br[j])
 			}
 		}
 	}

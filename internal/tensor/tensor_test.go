@@ -248,7 +248,7 @@ func TestSoftmaxRows(t *testing.T) {
 
 func TestLogSoftmaxRows(t *testing.T) {
 	m := FromSlice([]float32{1, 2, 3}, 1, 3)
-	ls := LogSoftmaxRows(m)
+	ls := LogSoftmaxRows(m, nil)
 	sm := SoftmaxRows(m)
 	for j := 0; j < 3; j++ {
 		if math.Abs(float64(ls.At(0, j))-math.Log(float64(sm.At(0, j)))) > 1e-5 {
@@ -367,7 +367,7 @@ func TestOpsIntoDestination(t *testing.T) {
 		"TMatMul":        func(into ...*Tensor) *Tensor { return TMatMul(a, b, into...) },
 		"SumRows":        func(into ...*Tensor) *Tensor { return SumRows(a, into...) },
 		"SumCols":        func(into ...*Tensor) *Tensor { return SumCols(a, into...) },
-		"LogSoftmaxRows": func(into ...*Tensor) *Tensor { return LogSoftmaxRows(a, into...) },
+		"LogSoftmaxRows": func(into ...*Tensor) *Tensor { return LogSoftmaxRows(a, nil, into...) },
 	}
 	for name, op := range ops {
 		want := op()
