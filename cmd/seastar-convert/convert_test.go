@@ -50,7 +50,7 @@ func TestConvertRoundTrip(t *testing.T) {
 
 			opts := train.MiniBatchOptions{
 				Epochs: 1, BatchSize: 128, FanOut: []int{5, 3},
-				LR: 0.01, Seed: 7, DegreeSort: true,
+				LR: 0.01, Seed: 7,
 			}
 			mem := &datasets.Dataset{
 				Name: "mem", G: src.G, Feat: src.Feat,

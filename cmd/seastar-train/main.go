@@ -45,7 +45,7 @@ func main() {
 	lr := flag.Float64("lr", 0.01, "Adam learning rate")
 	scale := flag.Float64("scale", 0, "dataset instantiation scale (0 = default)")
 	seed := flag.Int64("seed", 1, "seed")
-	degreeSort := flag.Bool("degree-sort", true, "degree-sort the graph before training (§6.3.3); disable for ablations")
+	degreeSort := flag.Bool("degree-sort", true, "degree-sort the graph before full-graph training (§6.3.3); disable for ablations (sampled mini-batches are always built sorted)")
 	list := flag.Bool("list", false, "list datasets and exit")
 	traceFile := flag.String("trace", "", "write a Chrome trace of simulated kernels to this file")
 	minibatch := flag.Bool("minibatch", false, "train with pipelined neighbour-sampled mini-batches instead of full graph")
@@ -79,7 +79,7 @@ func main() {
 			epochs: *epochs, batchSize: *batchSize, prefetch: *prefetch,
 			sampleWorkers: *sampleWorkers, fanout: *fanout,
 			checkpoint: *checkpoint, metricsOut: *metricsOut,
-			lr: float32(*lr), seed: *seed, degreeSort: *degreeSort,
+			lr: float32(*lr), seed: *seed,
 			store: st, storePrefetch: *storePrefetch,
 			storePrefetchWorkers: *storePrefetchWorkers,
 			storePrefetchBudget:  *storePrefetchBudget,
@@ -99,7 +99,7 @@ func main() {
 			epochs: *epochs, batchSize: *batchSize, prefetch: *prefetch,
 			sampleWorkers: *sampleWorkers, fanout: *fanout,
 			checkpoint: *checkpoint, metricsOut: *metricsOut,
-			lr: float32(*lr), seed: *seed, degreeSort: *degreeSort,
+			lr: float32(*lr), seed: *seed,
 		})
 		return
 	}
@@ -185,7 +185,6 @@ type miniFlags struct {
 	fanout, checkpoint, metricsOut             string
 	lr                                         float32
 	seed                                       int64
-	degreeSort                                 bool
 
 	store                                     *store.Store
 	storePrefetch                             bool
@@ -207,7 +206,7 @@ func runMiniBatch(ds *datasets.Dataset, mf miniFlags) {
 	opts := train.MiniBatchOptions{
 		Epochs: mf.epochs, BatchSize: mf.batchSize, FanOut: fan,
 		Prefetch: mf.prefetch, SampleWorkers: mf.sampleWorkers,
-		LR: mf.lr, Seed: mf.seed, DegreeSort: mf.degreeSort,
+		LR: mf.lr, Seed: mf.seed,
 		CheckpointPath: mf.checkpoint, Metrics: metrics,
 		GraphStore: mf.store, StorePrefetch: mf.storePrefetch,
 		StorePrefetchWorkers: mf.storePrefetchWorkers,

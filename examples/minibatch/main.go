@@ -29,7 +29,6 @@ import (
 )
 
 func main() {
-	degreeSort := flag.Bool("degree-sort", true, "degree-sort each batch subgraph (§6.3.3)")
 	prefetch := flag.Int("prefetch", 4, "pipeline depth (0 = serial)")
 	workers := flag.Int("sample-workers", 2, "parallel sampling workers")
 	flag.Parse()
@@ -46,7 +45,7 @@ func main() {
 	opts := train.MiniBatchOptions{
 		Epochs: 3, BatchSize: 256, FanOut: []int{8},
 		Prefetch: *prefetch, SampleWorkers: *workers,
-		LR: 0.01, Seed: 42, DegreeSort: *degreeSort,
+		LR: 0.01, Seed: 42,
 		Metrics: metrics,
 		Progress: func(st train.EpochStats) {
 			fmt.Printf("epoch %d: %d batches, avg loss %.4f, seed acc %.3f\n",

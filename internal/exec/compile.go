@@ -9,6 +9,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"seastar/internal/autodiff"
 	"seastar/internal/fusion"
@@ -71,6 +72,11 @@ type CompiledUDF struct {
 	// execution hot path is a slice index — no fmt, no map, no alloc.
 	fwdLabels []string
 	bwdLabels []string
+
+	// fwdAlias[i][j], when non-nil, is an earlier forward dense node whose
+	// tensor node j of dense unit i reuses instead of computing its own
+	// (denseAliases); nil rows for seastar units.
+	fwdAlias [][]*gir.Node
 
 	// saved lists forward operator nodes whose values the backward pass
 	// reads (materialization planning keeps exactly these, §5.3).
@@ -201,6 +207,7 @@ func CompileWith(dag *gir.DAG, opts Options) (*CompiledUDF, error) {
 		}
 	}
 	sp.End()
+	c.fwdAlias = denseAliases(c.FwdPlan, fwd.Outputs[0])
 
 	// Input order: vertex features, edge features, parameters (first-use
 	// order within each group).
@@ -236,6 +243,67 @@ func CompileWith(dag *gir.DAG, opts Options) (*CompiledUDF, error) {
 	}
 	return c, nil
 }
+
+// denseAliases finds the dense nodes of a forward plan that recompute an
+// earlier dense node's value: the same op, attributes and shape over the
+// same inputs. A vertex feature read through Self (D) and through Nbr (S)
+// is one input, the [N, d] tensor bound to its key, so `Self(h)·W` and
+// `Nbr(h)·W` are one product. The output node is never an alias: Infer
+// hands its tensor to the caller. Row i is nil unless unit i is dense.
+func denseAliases(plan *fusion.Plan, out *gir.Node) [][]*gir.Node {
+	sameInput := func(a, b *gir.Node) bool {
+		if a == b {
+			return true
+		}
+		if a.Op != gir.OpLeaf || b.Op != gir.OpLeaf || a.Key != b.Key {
+			return false
+		}
+		// A forward leaf's kind and key name its tensor.
+		return a.LeafKind == b.LeafKind || vertexLeaf(a) && vertexLeaf(b)
+	}
+	same := func(m, n *gir.Node) bool {
+		if m.Op != n.Op || m.Attr != n.Attr || !slices.Equal(m.Shape, n.Shape) ||
+			len(m.Inputs) != len(n.Inputs) || m.Type != n.Type && !(vertexTyped(m) && vertexTyped(n)) {
+			return false
+		}
+		for k := range m.Inputs {
+			if !sameInput(m.Inputs[k], n.Inputs[k]) {
+				return false
+			}
+		}
+		return true
+	}
+	alias := make([][]*gir.Node, len(plan.Units))
+	var computed []*gir.Node
+	for i, u := range plan.Units {
+		if u.Kind != fusion.KindDense {
+			continue
+		}
+		alias[i] = make([]*gir.Node, len(u.Nodes))
+		for j, n := range u.Nodes {
+			if n != out {
+				for _, m := range computed {
+					if same(m, n) {
+						alias[i][j] = m
+						break
+					}
+				}
+			}
+			if alias[i][j] == nil {
+				computed = append(computed, n)
+			}
+		}
+	}
+	return alias
+}
+
+// vertexLeaf reports whether a leaf reads a vertex feature (S or D).
+func vertexLeaf(n *gir.Node) bool {
+	return n.LeafKind == gir.LeafSrcFeat || n.LeafKind == gir.LeafDstFeat
+}
+
+// vertexTyped reports whether n's value has one row per vertex.
+func vertexTyped(n *gir.Node) bool { return n.Type == gir.TypeS || n.Type == gir.TypeD }
 
 // SavedNodes returns the forward nodes kept for the backward pass.
 func (c *CompiledUDF) SavedNodes() []*gir.Node { return c.saved }

@@ -81,52 +81,65 @@ type Graph struct {
 // Edge i gets global edge id i. Both CSRs are built unsorted (RowIDs =
 // identity).
 func FromEdges(n int, srcs, dsts []int32) (*Graph, error) {
-	if len(srcs) != len(dsts) {
-		return nil, fmt.Errorf("graph: %d srcs vs %d dsts", len(srcs), len(dsts))
-	}
-	m := len(srcs)
-	for i := 0; i < m; i++ {
-		if srcs[i] < 0 || int(srcs[i]) >= n || dsts[i] < 0 || int(dsts[i]) >= n {
-			return nil, fmt.Errorf("graph: edge %d (%d→%d) out of range [0,%d)", i, srcs[i], dsts[i], n)
-		}
+	if err := checkEdges(n, srcs, dsts); err != nil {
+		return nil, err
 	}
 	g := &Graph{
-		N: n, M: m,
+		N: n, M: len(srcs),
 		Srcs: append([]int32(nil), srcs...),
 		Dsts: append([]int32(nil), dsts...),
-		In:   buildCSR(n, dsts, srcs),
-		Out:  buildCSR(n, srcs, dsts),
+		In:   buildCSR(n, dsts, srcs, false),
+		Out:  buildCSR(n, srcs, dsts, false),
 	}
 	g.NumEdgeTypes = 1
 	return g, nil
 }
 
-// buildCSR groups edges by their "row" endpoint (counting sort).
-func buildCSR(n int, rowOf, nbrOf []int32) CSR {
-	m := len(rowOf)
-	offsets := make([]int64, n+1)
+// checkEdges validates an edge list over n vertices.
+func checkEdges(n int, srcs, dsts []int32) error {
+	if len(srcs) != len(dsts) {
+		return fmt.Errorf("graph: %d srcs vs %d dsts", len(srcs), len(dsts))
+	}
+	for i := range srcs {
+		if srcs[i] < 0 || int(srcs[i]) >= n || dsts[i] < 0 || int(dsts[i]) >= n {
+			return fmt.Errorf("graph: edge %d (%d→%d) out of range [0,%d)", i, srcs[i], dsts[i], n)
+		}
+	}
+	return nil
+}
+
+// buildCSR groups edges by their "row" endpoint (counting sort), each
+// row's slots in edge-id order. Rows are in vertex order, or in
+// DegreeOrder when sorted.
+func buildCSR(n int, rowOf, nbrOf []int32, sorted bool) CSR {
+	deg := make([]int32, n)
 	for _, r := range rowOf {
-		offsets[r+1]++
+		deg[r]++
 	}
-	for i := 0; i < n; i++ {
-		offsets[i+1] += offsets[i]
+	var rowIDs []int32
+	if sorted {
+		rowIDs = DegreeOrder(deg)
+	} else {
+		rowIDs = make([]int32, n)
+		for i := range rowIDs {
+			rowIDs[i] = int32(i)
+		}
 	}
-	nbrs := make([]int32, m)
-	eids := make([]int32, m)
-	cursor := make([]int64, n)
-	copy(cursor, offsets[:n])
-	for e := 0; e < m; e++ {
-		r := rowOf[e]
+	offsets := make([]int64, n+1)
+	cursor := make([]int64, n) // by vertex: its next free slot
+	for k, v := range rowIDs {
+		cursor[v] = offsets[k]
+		offsets[k+1] = offsets[k] + int64(deg[v])
+	}
+	nbrs := make([]int32, len(rowOf))
+	eids := make([]int32, len(rowOf))
+	for e, r := range rowOf {
 		p := cursor[r]
 		cursor[r]++
 		nbrs[p] = nbrOf[e]
 		eids[p] = int32(e)
 	}
-	rowIDs := make([]int32, n)
-	for i := range rowIDs {
-		rowIDs[i] = int32(i)
-	}
-	return CSR{Offsets: offsets, Nbrs: nbrs, EdgeIDs: eids, RowIDs: rowIDs}
+	return CSR{Offsets: offsets, Nbrs: nbrs, EdgeIDs: eids, RowIDs: rowIDs, Sorted: sorted}
 }
 
 // WithEdgeTypes attaches a relation type to every edge. Types must be in
@@ -197,34 +210,67 @@ func (g *Graph) SortByDegree() *Graph {
 	return out
 }
 
+// FromEdgesSorted is FromEdges(n, srcs, dsts).SortByDegree() built in one
+// pass: each CSR's rows are counted, put in DegreeOrder, and filled by
+// scattering the edges in id order, so no unsorted CSR is ever built. The
+// graph takes ownership of srcs and dsts as its edge list.
+func FromEdgesSorted(n int, srcs, dsts []int32) (*Graph, error) {
+	if err := checkEdges(n, srcs, dsts); err != nil {
+		return nil, err
+	}
+	return &Graph{
+		N: n, M: len(srcs), NumEdgeTypes: 1,
+		Srcs: srcs, Dsts: dsts,
+		In:  buildCSR(n, dsts, srcs, true),
+		Out: buildCSR(n, srcs, dsts, true),
+	}, nil
+}
+
+// DegreeOrder returns the ids 0..len(deg)-1 in descending deg, ties by
+// ascending id: the row order of a degree-sorted CSR. It is a counting
+// sort, linear in len(deg) plus the largest degree.
+func DegreeOrder(deg []int32) []int32 {
+	var maxDeg int32
+	for _, d := range deg {
+		maxDeg = max(maxDeg, d)
+	}
+	// start[d] is the first position of degree d: after every higher one.
+	start := make([]int32, maxDeg+1)
+	for _, d := range deg {
+		start[d]++
+	}
+	var pos int32
+	for d := maxDeg; d >= 0; d-- {
+		start[d], pos = pos, pos+start[d]
+	}
+	order := make([]int32, len(deg))
+	for v, d := range deg {
+		order[start[d]] = int32(v)
+		start[d]++
+	}
+	return order
+}
+
+// sortCSRByDegree copies c's rows into DegreeOrder of the vertices they
+// describe (c.RowIDs is a permutation of them).
 func sortCSRByDegree(c *CSR) CSR {
 	n := c.NumRows()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	deg := make([]int32, n)
+	rowOf := make([]int32, n)
+	for k, v := range c.RowIDs {
+		deg[v] = int32(c.Degree(k))
+		rowOf[v] = int32(k)
 	}
-	// Descending degree; ties broken by row id for determinism.
-	sort.SliceStable(order, func(a, b int) bool {
-		da, db := c.Degree(order[a]), c.Degree(order[b])
-		if da != db {
-			return da > db
-		}
-		return c.RowIDs[order[a]] < c.RowIDs[order[b]]
-	})
+	rowIDs := DegreeOrder(deg)
 	offsets := make([]int64, n+1)
 	nbrs := make([]int32, len(c.Nbrs))
 	eids := make([]int32, len(c.EdgeIDs))
-	rowIDs := make([]int32, n)
-	var pos int64
-	for k, old := range order {
-		offsets[k] = pos
-		lo, hi := c.Offsets[old], c.Offsets[old+1]
-		copy(nbrs[pos:], c.Nbrs[lo:hi])
-		copy(eids[pos:], c.EdgeIDs[lo:hi])
-		pos += hi - lo
-		rowIDs[k] = c.RowIDs[old]
+	for k, v := range rowIDs {
+		lo, hi := c.Offsets[rowOf[v]], c.Offsets[rowOf[v]+1]
+		copy(nbrs[offsets[k]:], c.Nbrs[lo:hi])
+		copy(eids[offsets[k]:], c.EdgeIDs[lo:hi])
+		offsets[k+1] = offsets[k] + hi - lo
 	}
-	offsets[n] = pos
 	return CSR{Offsets: offsets, Nbrs: nbrs, EdgeIDs: eids, RowIDs: rowIDs, Sorted: true}
 }
 

@@ -2,6 +2,9 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -250,6 +253,95 @@ func TestQuickRandomGraphsValidate(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// randomEdges draws m edges over n vertices with self-loops and repeated
+// edges allowed; small n leaves rows empty.
+func randomEdges(rng *rand.Rand, n, m int) (srcs, dsts []int32) {
+	for i := 0; i < m; i++ {
+		srcs = append(srcs, int32(rng.Intn(n)))
+		dsts = append(dsts, int32(rng.Intn(n)))
+	}
+	return srcs, dsts
+}
+
+// comparatorSort is the degree sort as it was written before DegreeOrder:
+// a stable comparison sort by descending degree, ties by row id.
+func comparatorSort(c *CSR) CSR {
+	n := c.NumRows()
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		da, db := c.Degree(order[a]), c.Degree(order[b])
+		if da != db {
+			return da > db
+		}
+		return c.RowIDs[order[a]] < c.RowIDs[order[b]]
+	})
+	out := CSR{Offsets: []int64{0}, Nbrs: []int32{}, EdgeIDs: []int32{}, RowIDs: []int32{}, Sorted: true}
+	for _, old := range order {
+		nbrs, eids := c.Row(old)
+		out.Nbrs = append(out.Nbrs, nbrs...)
+		out.EdgeIDs = append(out.EdgeIDs, eids...)
+		out.Offsets = append(out.Offsets, int64(len(out.Nbrs)))
+		out.RowIDs = append(out.RowIDs, c.RowIDs[old])
+	}
+	return out
+}
+
+// shuffleRows returns c with its rows in a random order: the same
+// vertices and rows, non-identity RowIDs.
+func shuffleRows(rng *rand.Rand, c *CSR) *CSR {
+	out := &CSR{Offsets: []int64{0}, Nbrs: []int32{}, EdgeIDs: []int32{}, RowIDs: []int32{}}
+	for _, k := range rng.Perm(c.NumRows()) {
+		nbrs, eids := c.Row(k)
+		out.Nbrs = append(out.Nbrs, nbrs...)
+		out.EdgeIDs = append(out.EdgeIDs, eids...)
+		out.Offsets = append(out.Offsets, int64(len(out.Nbrs)))
+		out.RowIDs = append(out.RowIDs, c.RowIDs[k])
+	}
+	return out
+}
+
+// TestDegreeOrderProperties: FromEdgesSorted is FromEdges().SortByDegree()
+// field for field, and SortByDegree's counting sort puts rows where the
+// comparison sort did, also when the rows it starts from are permuted.
+// Covers n = 0, m = 0, empty rows, self-loops and repeated edges.
+func TestDegreeOrderProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(40)
+		m := 0
+		if n > 0 && trial%7 != 0 {
+			m = rng.Intn(4 * n)
+		}
+		srcs, dsts := randomEdges(rng, n, m)
+		g, err := FromEdges(n, srcs, dsts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := g.SortByDegree()
+		got, err := FromEdgesSorted(n, slices.Clone(srcs), slices.Clone(dsts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d m=%d: FromEdgesSorted differs from FromEdges().SortByDegree()", n, m)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*CSR{&g.In, &g.Out, &want.In, shuffleRows(rng, &g.In), shuffleRows(rng, &want.Out)} {
+			if got, want := sortCSRByDegree(c), comparatorSort(c); !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d m=%d: counting sort %v, comparison sort %v", n, m, got.RowIDs, want.RowIDs)
+			}
+		}
+	}
+	if _, err := FromEdgesSorted(2, []int32{0}, []int32{2}); err == nil {
+		t.Fatal("FromEdgesSorted accepted an out-of-range edge")
 	}
 }
 

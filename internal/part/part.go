@@ -13,9 +13,7 @@
 package part
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 
 	"seastar/internal/graph"
@@ -364,11 +362,7 @@ func NewFragment(g *graph.Graph, owner []int32, k, s int) *Fragment {
 // ownedInCSR builds f.G from g's in-CSR, in graph.SortByDegree's row
 // order: descending in-degree, ties by local id.
 func ownedInCSR(g *graph.Graph, f *Fragment) *graph.Graph {
-	order := make([]int32, f.Owned)
-	for l := range order {
-		order[l] = int32(l)
-	}
-	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(f.GlobalInDeg[b], f.GlobalInDeg[a]) })
+	order := graph.DegreeOrder(f.GlobalInDeg[:f.Owned])
 	m := 0
 	for _, d := range f.GlobalInDeg[:f.Owned] {
 		m += int(d)

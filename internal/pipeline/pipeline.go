@@ -4,9 +4,9 @@
 //
 //  1. sample   — SampleWorkers goroutines draw the neighbourhoods of
 //     upcoming batches in parallel;
-//  2. gather   — one goroutine degree-sorts each batch subgraph
-//     (§6.3.3's "prepared in the background") and copies its
-//     features/labels into pooled tensors;
+//  2. gather   — one goroutine copies each batch's features/labels into
+//     pooled tensors (the batch subgraph arrives from the sampler
+//     already degree-sorted, §6.3.3, so nothing here sorts it);
 //  3. compute  — the caller's goroutine runs forward/backward/optimizer,
 //     whose kernels dispatch onto the sched.Pool.
 //
@@ -25,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"seastar/internal/graph"
 	"seastar/internal/obs"
 	"seastar/internal/sampling"
 	"seastar/internal/tensor"
@@ -42,8 +41,6 @@ type Config struct {
 	Prefetch int
 	// SampleWorkers is the stage-1 parallelism (min 1).
 	SampleWorkers int
-	// DegreeSort degree-sorts each batch subgraph in the gather stage.
-	DegreeSort bool
 	// Hooks let a storage backend observe and front-run the stages;
 	// zero value means no hooks (the in-memory path).
 	Hooks Hooks
@@ -79,9 +76,9 @@ func (e *Engine) faults() (int64, bool) {
 }
 
 // DefaultConfig is a balanced starting point: depth-4 pipeline with two
-// sampling workers and per-batch degree sorting.
+// sampling workers.
 func DefaultConfig() Config {
-	return Config{BatchSize: 256, Prefetch: 4, SampleWorkers: 2, DegreeSort: true}
+	return Config{BatchSize: 256, Prefetch: 4, SampleWorkers: 2}
 }
 
 // Batch is one gathered mini-batch, delivered to the compute step in
@@ -90,10 +87,9 @@ func DefaultConfig() Config {
 // view of them) after returning.
 type Batch struct {
 	Epoch, Index int
-	// B is the sampled subgraph with compact-id bookkeeping.
+	// B is the sampled, degree-sorted subgraph with compact-id
+	// bookkeeping.
 	B *sampling.Batch
-	// Sub is B.Sub, degree-sorted when Config.DegreeSort is set.
-	Sub *graph.Graph
 	// Feat is the [len(B.Vertices), d] gathered feature slice (pooled).
 	Feat *tensor.Tensor
 	// Labels and Mask are the per-vertex labels and the seed mask.
@@ -190,20 +186,16 @@ func (e *Engine) sampleOne(epoch, idx int, seeds []int32) (*sampling.Batch, erro
 	return b, nil
 }
 
-// gather builds the compute-ready batch: degree sort + pooled feature
-// and label gathers.
+// gather builds the compute-ready batch: pooled feature and label
+// gathers.
 func (e *Engine) gather(epoch, idx int, sb *sampling.Batch) *Batch {
 	f0, attr := e.faults()
 	start := time.Now()
-	sub := sb.Sub
-	if e.Cfg.DegreeSort {
-		sub = sub.SortByDegree()
-	}
 	b, _ := e.batches.Get().(*Batch)
 	if b == nil {
 		b = new(Batch)
 	}
-	b.Epoch, b.Index, b.B, b.Sub = epoch, idx, sb, sub
+	b.Epoch, b.Index, b.B = epoch, idx, sb
 	b.Feat = e.pool.Get(len(sb.Vertices), e.Feat.Cols())
 	sb.GatherFeaturesInto(b.Feat, e.Feat)
 	for i, v := range sb.Vertices {

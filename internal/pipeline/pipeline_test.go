@@ -53,12 +53,12 @@ func batchFingerprint(b *Batch) uint64 {
 			h.Write(buf[:])
 		}
 	}
-	write(b.Epoch, b.Index, b.Sub.N, b.Sub.M, b.B.SeedCount)
+	write(b.Epoch, b.Index, b.B.Sub.N, b.B.Sub.M, b.B.SeedCount)
 	for _, v := range b.B.Vertices {
 		write(int(v))
 	}
-	for e := 0; e < b.Sub.M; e++ {
-		write(int(b.Sub.Srcs[e]), int(b.Sub.Dsts[e]))
+	for e := 0; e < b.B.Sub.M; e++ {
+		write(int(b.B.Sub.Srcs[e]), int(b.B.Sub.Dsts[e]))
 	}
 	for _, l := range b.Labels {
 		write(l)
@@ -113,11 +113,11 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 		return fps
 	}
 
-	serial := collect(Config{BatchSize: 64, Prefetch: 0, DegreeSort: true}, 3)
+	serial := collect(Config{BatchSize: 64, Prefetch: 0}, 3)
 	for _, cfg := range []Config{
-		{BatchSize: 64, Prefetch: 1, SampleWorkers: 1, DegreeSort: true},
-		{BatchSize: 64, Prefetch: 2, SampleWorkers: 3, DegreeSort: true},
-		{BatchSize: 64, Prefetch: 8, SampleWorkers: 4, DegreeSort: true},
+		{BatchSize: 64, Prefetch: 1, SampleWorkers: 1},
+		{BatchSize: 64, Prefetch: 2, SampleWorkers: 3},
+		{BatchSize: 64, Prefetch: 8, SampleWorkers: 4},
 	} {
 		got := collect(cfg, 3)
 		if !reflect.DeepEqual(serial, got) {
@@ -145,7 +145,7 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 func TestNoGoroutineLeak(t *testing.T) {
-	e := testEngine(t, Config{BatchSize: 64, Prefetch: 3, SampleWorkers: 3, DegreeSort: true})
+	e := testEngine(t, Config{BatchSize: 64, Prefetch: 3, SampleWorkers: 3})
 	// Warm up once so any lazily-spawned process-lifetime goroutines
 	// (e.g. the shared sched pool) are excluded from the baseline.
 	if err := e.RunEpoch(context.Background(), 0, func(*Batch) error { return nil }); err != nil {
@@ -161,7 +161,7 @@ func TestNoGoroutineLeak(t *testing.T) {
 }
 
 func TestMidEpochCancelDrainsAllStages(t *testing.T) {
-	e := testEngine(t, Config{BatchSize: 32, Prefetch: 4, SampleWorkers: 3, DegreeSort: true})
+	e := testEngine(t, Config{BatchSize: 32, Prefetch: 4, SampleWorkers: 3})
 	if err := e.RunEpoch(context.Background(), 0, func(*Batch) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestMidEpochCancelDrainsAllStages(t *testing.T) {
 }
 
 func TestStepErrorPropagatesAndDrains(t *testing.T) {
-	e := testEngine(t, Config{BatchSize: 32, Prefetch: 3, SampleWorkers: 2, DegreeSort: true})
+	e := testEngine(t, Config{BatchSize: 32, Prefetch: 3, SampleWorkers: 2})
 	if err := e.RunEpoch(context.Background(), 0, func(*Batch) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestStepErrorPropagatesAndDrains(t *testing.T) {
 }
 
 func TestBackpressureBound(t *testing.T) {
-	cfg := Config{BatchSize: 16, Prefetch: 2, SampleWorkers: 3, DegreeSort: false}
+	cfg := Config{BatchSize: 16, Prefetch: 2, SampleWorkers: 3}
 	e := testEngine(t, cfg)
 	// In-flight batches (sampled but not yet trained) are hard-bounded
 	// by the credit semaphore: 2P + SampleWorkers.
@@ -236,7 +236,7 @@ func TestBackpressureBound(t *testing.T) {
 }
 
 func TestMetricsAccounting(t *testing.T) {
-	e := testEngine(t, Config{BatchSize: 64, Prefetch: 2, SampleWorkers: 2, DegreeSort: true})
+	e := testEngine(t, Config{BatchSize: 64, Prefetch: 2, SampleWorkers: 2})
 	plan, _ := e.Sampler.PlanEpoch(0, 64)
 	if err := e.RunEpoch(context.Background(), 0, func(*Batch) error { return nil }); err != nil {
 		t.Fatal(err)

@@ -3,14 +3,16 @@
 // AliGraph that the paper positions Seastar as a training engine for
 // (§8). A Sampler draws a fixed fan-out of in-neighbours per layer from
 // seed vertices, producing an induced Batch subgraph with compact ids;
-// compiled Seastar programs then run on the batch graph unchanged
-// (degree sorting per batch is cheap and, as §6.3.3 notes, can be
-// prepared in the background).
+// compiled Seastar programs then run on the batch graph unchanged. The
+// batch subgraph is born degree-sorted (§6.3.3): its CSRs are built
+// straight into degree order from the drawn edges, so no later stage
+// sorts it.
 package sampling
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"seastar/internal/graph"
@@ -37,6 +39,9 @@ type Sampler struct {
 
 	rowOnce sync.Once
 	rowOf   []int32
+
+	mu   sync.Mutex
+	free []*scratch // idle scratches, one per call that ever ran at once
 }
 
 // Stream tags name the derived RNG streams so their seeds cannot collide
@@ -92,7 +97,7 @@ func DeriveSeed(base int64, epoch, batch int) int64 {
 // Batch is one sampled subgraph.
 type Batch struct {
 	// Sub is the induced subgraph over the sampled vertices, with
-	// compact ids 0..n-1.
+	// compact ids 0..n-1, degree-sorted.
 	Sub *graph.Graph
 	// Vertices maps compact ids back to base-graph ids.
 	Vertices []int32
@@ -124,61 +129,155 @@ func (s *Sampler) SampleAs(seeds []int32, seed int64) (*Batch, error) {
 
 // SampleRNG draws one batch using the caller-supplied RNG. It is safe to
 // call concurrently from multiple goroutines as long as each goroutine
-// passes its own RNG (the graph and row index are read-only).
+// passes its own RNG (the graph and row index are read-only; every call
+// takes a scratch of its own).
+//
+// Each distinct seed is expanded once: it draws at most FanOut[0]
+// in-edges however often it is listed. The returned subgraph is already
+// degree-sorted (graph.FromEdgesSorted).
 func (s *Sampler) SampleRNG(seeds []int32, rng *rand.Rand) (*Batch, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("sampling: no seeds")
-	}
-	compact := make(map[int32]int32, len(seeds)*4)
-	var vertices []int32
-	add := func(v int32) int32 {
-		if id, ok := compact[v]; ok {
-			return id
-		}
-		id := int32(len(vertices))
-		compact[v] = id
-		vertices = append(vertices, v)
-		return id
 	}
 	for _, v := range seeds {
 		if v < 0 || int(v) >= s.G.N {
 			return nil, fmt.Errorf("sampling: seed %d out of range", v)
 		}
-		add(v)
 	}
-	seedCount := len(vertices) // distinct seeds: a repeated one keeps its first id
+	sc := s.takeScratch()
+	defer s.putScratch(sc)
+	for _, v := range seeds {
+		sc.add(v)
+	}
+	seedCount := len(sc.verts) // distinct seeds: a repeated one keeps its first id
 
 	// CSR rows are permuted when the base graph is degree-sorted; build
 	// a vertex→row index once.
 	rowOf := s.rowIndex()
 
-	var srcs, dsts []int32
-	frontier := append([]int32(nil), seeds...)
+	frontier := append(sc.frontier[:0], sc.verts...)
+	next := sc.next[:0]
 	for _, fan := range s.FanOut {
-		var next []int32
 		for _, v := range frontier {
 			nbrs, _ := s.G.In.Row(int(rowOf[v]))
-			idx := sampleIndices(rng, len(nbrs), fan)
-			for _, i := range idx {
+			dst := sc.slot[v] - 1
+			for _, i := range sc.draw(rng, len(nbrs), fan) {
 				u := nbrs[i]
-				if _, seen := compact[u]; !seen {
+				if sc.slot[u] == 0 {
 					next = append(next, u)
 				}
-				srcs = append(srcs, add(u))
-				dsts = append(dsts, compact[v])
+				sc.srcs = append(sc.srcs, sc.add(u))
+				sc.dsts = append(sc.dsts, dst)
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier[:0]
 		if len(frontier) == 0 {
 			break
 		}
 	}
+	sc.frontier, sc.next = frontier, next
 
-	sub, err := graph.FromEdges(len(vertices), srcs, dsts)
+	vertices := slices.Clone(sc.verts)
+	sub, err := graph.FromEdgesSorted(len(vertices), slices.Clone(sc.srcs), slices.Clone(sc.dsts))
 	if err != nil {
 		return nil, err
 	}
 	return &Batch{Sub: sub, Vertices: vertices, SeedCount: seedCount}, nil
+}
+
+// scratch is one SampleRNG call's working memory, reused across calls.
+// slot[v] is vertex v's compact id plus one, 0 while v is unreached; it
+// is the only N-sized array, and putScratch clears just the slots the
+// call touched (verts), so a call costs what it reaches, not N.
+type scratch struct {
+	slot           []int32
+	verts          []int32 // compact id → vertex, the touched list
+	frontier, next []int32
+	srcs, dsts     []int32 // the batch's edges, in compact ids
+	idx            []int32 // draw's result
+	moved          []moved // draw's displaced permutation entries
+}
+
+// moved records that a partial Fisher–Yates permutation holds val at pos.
+type moved struct{ pos, val int32 }
+
+// add returns v's compact id, numbering v next if it is new.
+func (sc *scratch) add(v int32) int32 {
+	if id := sc.slot[v]; id != 0 {
+		return id - 1
+	}
+	sc.verts = append(sc.verts, v)
+	id := int32(len(sc.verts))
+	sc.slot[v] = id
+	return id - 1
+}
+
+// draw picks min(fan, n) distinct indices from [0, n) uniformly, by a
+// partial Fisher–Yates shuffle of the identity permutation. Only the
+// entries the shuffle displaces are stored, so a draw costs O(fan²), not
+// O(n), and it makes the same rng.Intn calls, with the same results, as
+// shuffling a materialized permutation. The result is valid until the
+// next draw.
+func (sc *scratch) draw(rng *rand.Rand, n, fan int) []int32 {
+	idx := sc.idx[:0]
+	if fan >= n {
+		for i := 0; i < n; i++ {
+			idx = append(idx, int32(i))
+		}
+		sc.idx = idx
+		return idx
+	}
+	mv := sc.moved[:0]
+	for i := 0; i < fan; i++ {
+		j := int32(i + rng.Intn(n-i))
+		vi, _ := lookup(mv, int32(i))
+		vj, k := lookup(mv, j)
+		// Swap perm[i] and perm[j]. Position i is final and never read
+		// again, so only perm[j] = vi needs recording.
+		idx = append(idx, vj)
+		if k >= 0 {
+			mv[k].val = vi
+		} else if j != int32(i) {
+			mv = append(mv, moved{j, vi})
+		}
+	}
+	sc.idx, sc.moved = idx, mv
+	return idx
+}
+
+// lookup returns perm[pos] and its index in mv (-1 when pos still holds
+// itself).
+func lookup(mv []moved, pos int32) (int32, int) {
+	for k := range mv {
+		if mv[k].pos == pos {
+			return mv[k].val, k
+		}
+	}
+	return pos, -1
+}
+
+// takeScratch hands the caller a scratch no other call is using.
+func (s *Sampler) takeScratch() *scratch {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if k := len(s.free); k > 0 {
+		sc := s.free[k-1]
+		s.free = s.free[:k-1]
+		return sc
+	}
+	return &scratch{slot: make([]int32, s.G.N)}
+}
+
+// putScratch clears sc's touched slots and keeps it for the next call.
+// The free list never holds more scratches than calls ever ran at once.
+func (s *Sampler) putScratch(sc *scratch) {
+	for _, v := range sc.verts {
+		sc.slot[v] = 0
+	}
+	sc.verts, sc.srcs, sc.dsts = sc.verts[:0], sc.srcs[:0], sc.dsts[:0]
+	s.mu.Lock()
+	s.free = append(s.free, sc)
+	s.mu.Unlock()
 }
 
 // rowIndex maps vertex id → CSR row of the in-CSR. The graph is
@@ -193,30 +292,6 @@ func (s *Sampler) rowIndex() []int32 {
 		s.rowOf = idx
 	})
 	return s.rowOf
-}
-
-// sampleIndices picks min(fan, n) distinct indices from [0, n) uniformly
-// (partial Fisher–Yates).
-func sampleIndices(rng *rand.Rand, n, fan int) []int32 {
-	if n == 0 {
-		return nil
-	}
-	if fan >= n {
-		out := make([]int32, n)
-		for i := range out {
-			out[i] = int32(i)
-		}
-		return out
-	}
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	for i := 0; i < fan; i++ {
-		j := i + rng.Intn(n-i)
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	return perm[:fan]
 }
 
 // GatherFeatures copies the batch's rows out of a base [N, d] tensor.

@@ -1,8 +1,10 @@
 package sampling
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -52,6 +54,10 @@ func TestSampleStructure(t *testing.T) {
 	if err := b.Sub.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// The block is born degree-sorted: sorting it again changes nothing.
+	if !b.Sub.In.Sorted || !reflect.DeepEqual(b.Sub, b.Sub.SortByDegree()) {
+		t.Fatal("sampled subgraph is not in degree order")
+	}
 	if b.SeedCount != 3 {
 		t.Fatalf("seed count %d", b.SeedCount)
 	}
@@ -88,6 +94,177 @@ func TestSampleStructure(t *testing.T) {
 	mask := b.SeedMask()
 	if !mask[0] || !mask[2] || mask[3] {
 		t.Fatalf("seed mask %v", mask[:5])
+	}
+	// The bound holds for a repeated seed too: the hub listed three times
+	// is expanded once, not three times.
+	baseDeg := g.InDegrees()
+	hub := int32(0)
+	for v, d := range baseDeg {
+		if d > baseDeg[hub] {
+			hub = int32(v)
+		}
+	}
+	r, err := s.Sample([]int32{hub, hub, hub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := r.Sub.InDegrees()[0]; d != 3 {
+		t.Fatalf("seeds [%d %d %d] (in-degree %d), fan-out 3: the seed has %d sampled in-edges, want 3",
+			hub, hub, hub, baseDeg[hub], d)
+	}
+}
+
+// sampleIndices is the draw as it was before scratch.draw: a partial
+// Fisher–Yates shuffle over a materialized permutation of [0, n).
+func sampleIndices(rng *rand.Rand, n, fan int) []int32 {
+	if n == 0 {
+		return nil
+	}
+	if fan >= n {
+		out := make([]int32, n)
+		for i := range out {
+			out[i] = int32(i)
+		}
+		return out
+	}
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	for i := 0; i < fan; i++ {
+		j := i + rng.Intn(n-i)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	return perm[:fan]
+}
+
+// TestDrawIndicesMatchesPermutation: the sparse draw picks the indices the
+// materialized permutation did, and leaves the RNG where it left it, so no
+// recorded loss curve moves. One scratch serves the whole grid, as one
+// serves a whole SampleRNG call.
+func TestDrawIndicesMatchesPermutation(t *testing.T) {
+	sc := &scratch{}
+	for _, n := range []int{0, 1, 2, 3, 5, 8, 17, 64, 100, 1000} {
+		for _, fan := range []int{1, 2, 3, 5, 10, 25} {
+			for seed := int64(0); seed < 4; seed++ {
+				a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				want := sampleIndices(a, n, fan)
+				got := sc.draw(b, n, fan)
+				if len(want) != len(got) || (len(want) > 0 && !reflect.DeepEqual(want, got)) {
+					t.Fatalf("n=%d fan=%d seed=%d: draw %v, permutation %v", n, fan, seed, got, want)
+				}
+				if a.Int63() != b.Int63() {
+					t.Fatalf("n=%d fan=%d seed=%d: the RNG streams diverge after the draw", n, fan, seed)
+				}
+			}
+		}
+	}
+}
+
+// TestSampleSeededConcurrent: concurrent callers each take a scratch of
+// their own, scratches are reused rather than made per call, and every
+// batch equals the serial one.
+func TestSampleSeededConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	g := graph.ZipfDegree(rng, 2000, 6, 1.0)
+	s, err := NewSampler(g, []int{5, 3}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := s.PlanEpoch(0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]*Batch, len(plan))
+	for i, seeds := range plan {
+		if want[i], err = s.SampleSeeded(seeds, DeriveSeed(4, 0, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for rep := 0; rep < 3; rep++ {
+				for i := w; i < len(plan); i += workers {
+					b, err := s.SampleSeeded(plan[i], DeriveSeed(4, 0, i))
+					if err != nil {
+						errs <- err
+						return
+					}
+					if !reflect.DeepEqual(b, want[i]) {
+						errs <- fmt.Errorf("batch %d drawn concurrently differs from the serial draw", i)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if k := len(s.free); k < 1 || k > workers {
+		t.Fatalf("%d scratches for %d concurrent callers and %d calls", k, workers, 3*len(plan))
+	}
+	for _, sc := range s.free {
+		for v, id := range sc.slot {
+			if id != 0 {
+				t.Fatalf("an idle scratch still numbers vertex %d", v)
+			}
+		}
+	}
+}
+
+// TestSampleAllocsFlat: a call allocates its batch and the batch's graph,
+// a fixed number of slices, and nothing per frontier vertex.
+func TestSampleAllocsFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	g := graph.ZipfDegree(rng, 5000, 8, 1.0)
+	s, err := NewSampler(g, []int{10, 5}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := s.PlanEpoch(0, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(seeds []int32) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := s.SampleSeeded(seeds, 7); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(plan[0][:8]), allocs(plan[0])
+	if large != small || large > 24 {
+		t.Fatalf("SampleSeeded allocates %.0f times for 8 seeds and %.0f for 512: want one constant ≤ 24", small, large)
+	}
+}
+
+// BenchmarkSample draws one train-mb-sage-shaped batch (512 seeds, fan-out
+// 10,5, Zipf degrees) per iteration.
+func BenchmarkSample(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := graph.ZipfDegree(rng, 50000, 8, 1.0)
+	s, err := NewSampler(g, []int{10, 5}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := s.PlanEpoch(0, 512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.SampleSeeded(plan[i%len(plan)], int64(i)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -213,8 +390,7 @@ func TestMiniBatchTrainingWithSeastar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sub := batch.Sub.SortByDegree()
-			rt := exec.NewRuntime(e, sub)
+			rt := exec.NewRuntime(e, batch.Sub)
 			h := e.Input(batch.GatherFeatures(feat), "h")
 			out, err := c.Apply(rt, map[string]*nn.Variable{"h": h}, nil,
 				map[string]*nn.Variable{"W": w})

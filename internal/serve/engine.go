@@ -581,7 +581,7 @@ func (e *Engine) inferSampled(nodes []int32, pub *published, model *Model) (*ten
 		return nil, err
 	}
 	feat := snap.Features()
-	env := &ForwardEnv{G: b.Sub.SortByDegree(), Pool: e.pool, scoped: true}
+	env := &ForwardEnv{G: b.Sub, Pool: e.pool, scoped: true}
 	defer env.release()
 	env.Feat = env.get(len(b.Vertices), feat.Cols())
 	b.GatherFeaturesInto(env.Feat, feat)

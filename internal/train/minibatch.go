@@ -48,8 +48,6 @@ type MiniBatchOptions struct {
 	LR float32
 	// Seed drives weight init, batch order, and neighbour sampling.
 	Seed int64
-	// DegreeSort degree-sorts each batch subgraph (§6.3.3).
-	DegreeSort bool
 	// CheckpointPath, when set, enables save/restore: training resumes
 	// from the file if it exists and rewrites it every CheckpointEvery
 	// epochs (default: every epoch).
@@ -81,7 +79,6 @@ func DefaultMiniBatchOptions() MiniBatchOptions {
 	return MiniBatchOptions{
 		Epochs: 5, BatchSize: 256, FanOut: []int{8, 4},
 		Prefetch: 4, SampleWorkers: 2, LR: 0.01, Seed: 1,
-		DegreeSort: true,
 	}
 }
 
@@ -152,7 +149,7 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 	}
 	cfg := pipeline.Config{
 		BatchSize: opts.BatchSize, Prefetch: opts.Prefetch,
-		SampleWorkers: opts.SampleWorkers, DegreeSort: opts.DegreeSort,
+		SampleWorkers: opts.SampleWorkers,
 	}
 	var pf *store.Prefetcher
 	faults0 := int64(0)
@@ -201,7 +198,7 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 	var epochLoss float64
 	var epochBatches, correct, total int
 	step := func(b *pipeline.Batch) error {
-		rt := exec.NewRuntime(e, b.Sub)
+		rt := exec.NewRuntime(e, b.B.Sub)
 		h := e.InputScoped(b.Feat, "h")
 		out, err := net.Forward(rt, h, nil)
 		if err != nil {

@@ -97,7 +97,7 @@ func TestMiniBatchPipelinedEqualsSerial(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			base := MiniBatchOptions{
 				Epochs: 2, BatchSize: 128, FanOut: []int{4, 3},
-				LR: 0.02, Seed: 42, DegreeSort: true,
+				LR: 0.02, Seed: 42,
 			}
 
 			serialOpts := base
@@ -163,7 +163,6 @@ func TestMiniBatchCheckpointResume(t *testing.T) {
 	base := MiniBatchOptions{
 		Epochs: 4, BatchSize: 100, FanOut: []int{3, 2},
 		Prefetch: 2, SampleWorkers: 2, LR: 0.02, Seed: 77,
-		DegreeSort: true,
 	}
 	straight, err := RunMiniBatch(context.Background(), ds, base)
 	if err != nil {

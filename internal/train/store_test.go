@@ -51,7 +51,7 @@ func TestStoreBitwiseEquivalence(t *testing.T) {
 
 	base := MiniBatchOptions{
 		Epochs: 2, BatchSize: 128, FanOut: []int{6, 3},
-		LR: 0.01, Seed: 5, DegreeSort: true,
+		LR: 0.01, Seed: 5,
 	}
 	run := func(name string, ds *datasets.Dataset, opts MiniBatchOptions) []float32 {
 		t.Helper()
