@@ -52,7 +52,7 @@ func main() {
 	batchSize := flag.Int("batch-size", 256, "minibatch: seed vertices per batch")
 	prefetch := flag.Int("prefetch", 4, "minibatch: pipeline depth (0 = serial)")
 	sampleWorkers := flag.Int("sample-workers", 2, "minibatch: parallel sampling workers")
-	fanout := flag.String("fanout", "8,4", "minibatch: comma-separated per-layer neighbour fan-out")
+	fanout := flag.String("fanout", "8", "minibatch: comma-separated neighbour fan-out per hop from the seeds, one per model layer; entries past the model's depth (one layer) are not drawn")
 	checkpoint := flag.String("checkpoint", "", "minibatch: checkpoint file (resumes if present, saved every epoch)")
 	metricsOut := flag.String("metrics-out", "", "minibatch: write Prometheus-style pipeline metrics to this file at exit")
 	graphStore := flag.String("graph-store", "", "train from an mmap-backed on-disk store written by seastar-convert (implies -minibatch; -dataset/-scale are ignored)")
@@ -217,7 +217,7 @@ func runMiniBatch(ds *datasets.Dataset, mf miniFlags) {
 		},
 	}
 	fmt.Printf("mini-batch training on %s (N=%d, M=%d): batch %d, fan-out %v, prefetch %d, %d sample workers\n",
-		ds.Name, ds.G.N, ds.G.M, mf.batchSize, fan, mf.prefetch, mf.sampleWorkers)
+		ds.Name, ds.G.N, ds.G.M, mf.batchSize, train.DrawnFanOut(ds, fan), mf.prefetch, mf.sampleWorkers)
 
 	res, err := train.RunMiniBatch(ctx, ds, opts)
 	if mf.metricsOut != "" {

@@ -263,6 +263,19 @@ func (p *Program) Norms() []Norm {
 	return refs
 }
 
+// Depth is the number of p's stages that aggregate over in-neighbours: a
+// row of p's output reads vertices at most Depth hops upstream, so a
+// sampled block needs no deeper hop. A dense-only stage adds none.
+func (p *Program) Depth() int {
+	d := 0
+	for _, s := range p.Stages {
+		if s.Plan != nil {
+			d++
+		}
+	}
+	return d
+}
+
 // Typed reports whether a plan binds an edge feature or a per-edge-type
 // (3-D) parameter: it then needs edge types, which sampled subgraphs drop,
 // fragments cannot split from their relation tables and the chunked delta

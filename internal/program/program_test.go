@@ -115,6 +115,29 @@ func TestHoistedGCNMatchesInPlanMatMul(t *testing.T) {
 	}
 }
 
+// TestDepth counts aggregating stages: a dense-only stage (GIN's closing
+// MLP) is no hop, and each APPNP step is one.
+func TestDepth(t *testing.T) {
+	s := Spec{Hidden: 8, Classes: 3, K: 4}
+	for _, tc := range []struct {
+		name string
+		p    *Program
+		want int
+	}{
+		{"gcn", GCN(s, 5, 1), 2},
+		{"gat", GAT(s, 5, 1), 2},
+		{"appnp", APPNP(s, 5, 1), 4},
+		{"rgcn", RGCN(s, 5, 2), 2},
+		{"gin", GIN(s, 5, 0.1), 2},
+		{"sage", SAGE(s, 5), 2},
+		{"minibatch-sage", MiniBatchSAGE(5, 3), 1},
+	} {
+		if got := tc.p.Depth(); got != tc.want {
+			t.Errorf("%s: depth %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 func sameBits(a, b *tensor.Tensor) bool {
 	if a.Size() != b.Size() {
 		return false

@@ -7,6 +7,11 @@
 // batch subgraph is born degree-sorted (§6.3.3): its CSRs are built
 // straight into degree order from the drawn edges, so no later stage
 // sorts it.
+//
+// A batch holds only what the model reads, given one fan-out entry per
+// aggregating layer. Vertices and edges are numbered breadth-first, hop by
+// hop, so a sample with FanOut[:d] is a prefix of the FanOut sample drawn
+// with the same seed: the same draws, the first d hops.
 package sampling
 
 import (
@@ -30,7 +35,8 @@ import (
 type Sampler struct {
 	G *graph.Graph
 	// FanOut[l] bounds the in-neighbours sampled per vertex at layer l
-	// (0 = the seeds' layer). len(FanOut) = number of GNN layers.
+	// (0 = the seeds' layer). len(FanOut) = number of GNN layers: a hop
+	// past the model's last layer feeds no row it reads.
 	FanOut []int
 
 	baseSeed int64

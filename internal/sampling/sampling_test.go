@@ -246,6 +246,67 @@ func TestSampleAllocsFlat(t *testing.T) {
 	}
 }
 
+// TestSamplePrefixOfDeeperSample pins what lets a trainer sample only as
+// deep as its model: with the same derived seed, the FanOut[:d] sample is
+// a prefix of the FanOut sample. It has the same seed count, its vertices
+// are the first ones of the deeper block, and its edge list is the first
+// edges of the deeper one, in the same order.
+func TestSamplePrefixOfDeeperSample(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	deeper := 0
+	for trial := 0; trial < 40; trial++ {
+		n := 20 + rng.Intn(400)
+		var g *graph.Graph
+		if trial%2 == 0 {
+			g = graph.PowerLaw(rng, n, 1+rng.Intn(6))
+		} else {
+			g = graph.ZipfDegree(rng, n, 1+rng.Intn(8), 1.0).SortByDegree()
+		}
+		fan := make([]int, 2+rng.Intn(2))
+		for i := range fan {
+			fan[i] = 1 + rng.Intn(6)
+		}
+		seeds := make([]int32, 1+rng.Intn(n/2))
+		for i := range seeds {
+			seeds[i] = int32(rng.Intn(n)) // repeats allowed
+		}
+		base := rng.Int63()
+		deep, err := NewSampler(g, fan, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := DeriveSeed(base, rng.Intn(5), rng.Intn(50))
+		want, err := deep.SampleSeeded(seeds, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d := 1; d < len(fan); d++ {
+			shallow, err := NewSampler(g, fan[:d], base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := shallow.SampleSeeded(seeds, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nv, ne := len(got.Vertices), got.Sub.M
+			if got.SeedCount != want.SeedCount || nv > len(want.Vertices) || ne > want.Sub.M ||
+				!reflect.DeepEqual(got.Vertices, want.Vertices[:nv]) ||
+				!reflect.DeepEqual(got.Sub.Srcs, want.Sub.Srcs[:ne]) ||
+				!reflect.DeepEqual(got.Sub.Dsts, want.Sub.Dsts[:ne]) {
+				t.Fatalf("trial %d, fan-out %v: the %d-hop sample (%d seeds, %d vertices, %d edges) is not a prefix of the %d-hop one (%d seeds, %d vertices, %d edges)",
+					trial, fan, d, got.SeedCount, nv, ne, len(fan), want.SeedCount, len(want.Vertices), want.Sub.M)
+			}
+			if ne < want.Sub.M {
+				deeper++
+			}
+		}
+	}
+	if deeper == 0 {
+		t.Fatal("no deeper sample drew an edge the shallower one lacks: the grid tests nothing")
+	}
+}
+
 // BenchmarkSample draws one train-mb-sage-shaped batch (512 seeds, fan-out
 // 10,5, Zipf degrees) per iteration.
 func BenchmarkSample(b *testing.B) {

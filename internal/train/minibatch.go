@@ -37,7 +37,10 @@ type MiniBatchOptions struct {
 	Epochs int
 	// BatchSize is the seed-vertex count per mini-batch.
 	BatchSize int
-	// FanOut bounds sampled in-neighbours per layer.
+	// FanOut bounds the in-neighbours sampled per vertex at each hop out
+	// from the seeds, one entry per layer of the model. Only the first
+	// Depth() entries are drawn (DrawnFanOut): the model has one layer,
+	// and a hop past its last layer feeds no row the loss reads.
 	FanOut []int
 	// Prefetch is the pipeline depth; 0 trains serially (the reference
 	// path the property tests compare against).
@@ -77,9 +80,26 @@ type MiniBatchOptions struct {
 // scale.
 func DefaultMiniBatchOptions() MiniBatchOptions {
 	return MiniBatchOptions{
-		Epochs: 5, BatchSize: 256, FanOut: []int{8, 4},
+		Epochs: 5, BatchSize: 256, FanOut: []int{8},
 		Prefetch: 4, SampleWorkers: 2, LR: 0.01, Seed: 1,
 	}
+}
+
+// miniBatchModel declares the model RunMiniBatch trains on ds.
+func miniBatchModel(ds *datasets.Dataset) *program.Program {
+	return program.MiniBatchSAGE(ds.Feat.Cols(), ds.NumClasses)
+}
+
+// DrawnFanOut returns the fan-out RunMiniBatch samples with on ds: at most
+// the first Depth() entries of fanOut (DefaultMiniBatchOptions' when
+// empty). A block is sampled breadth-first, so it holds exactly the
+// vertices and edges within the model's reach of the seeds; a later entry
+// would draw a hop whose rows carry exactly zero gradient.
+func DrawnFanOut(ds *datasets.Dataset, fanOut []int) []int {
+	if len(fanOut) == 0 {
+		fanOut = DefaultMiniBatchOptions().FanOut
+	}
+	return fanOut[:min(len(fanOut), miniBatchModel(ds).Depth())]
 }
 
 // EpochStats summarizes one completed epoch.
@@ -115,7 +135,9 @@ type MiniBatchResult struct {
 }
 
 // RunMiniBatch trains a SAGE-style model on ds with pipelined
-// neighbour-sampled mini-batches. With identical options except
+// neighbour-sampled mini-batches. Each batch is sampled only as many hops
+// as the model aggregates over (DrawnFanOut), so the block holds only the
+// rows the seed rows' loss reads. With identical options except
 // Prefetch/SampleWorkers, the per-batch loss curve is bitwise-identical
 // — the pipeline only overlaps stages, it never reorders or reseeds
 // them.
@@ -124,9 +146,6 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 	if opts.Epochs <= 0 {
 		opts.Epochs = 1
 	}
-	if len(opts.FanOut) == 0 {
-		opts.FanOut = []int{8, 4}
-	}
 	if opts.CheckpointEvery <= 0 {
 		opts.CheckpointEvery = 1
 	}
@@ -134,7 +153,7 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 	// clock, not by the paper's cost model.
 	e := nn.NewEngine(nil)
 
-	prog := program.MiniBatchSAGE(ds.Feat.Cols(), ds.NumClasses)
+	prog := miniBatchModel(ds)
 	weights := prog.Draw(e, rand.New(rand.NewSource(opts.Seed)))
 	params := prog.Params(weights)
 	net, err := program.Lower(prog, weights)
@@ -143,7 +162,7 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 	}
 	opt := nn.NewAdam(params, opts.LR)
 
-	sampler, err := sampling.NewSampler(ds.G, opts.FanOut, opts.Seed)
+	sampler, err := sampling.NewSampler(ds.G, DrawnFanOut(ds, opts.FanOut), opts.Seed)
 	if err != nil {
 		return res, err
 	}

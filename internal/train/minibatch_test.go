@@ -3,6 +3,7 @@ package train
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -14,14 +15,16 @@ import (
 	"seastar/internal/fusion"
 	"seastar/internal/graph"
 	"seastar/internal/kernels"
+	"seastar/internal/nn"
 	"seastar/internal/obs"
 	"seastar/internal/program"
+	"seastar/internal/sampling"
 	"seastar/internal/tensor"
 )
 
 // synthZipf builds a power-law node-classification dataset like the
 // kernels benchmark's, at test scale.
-func synthZipf(t *testing.T, seed int64, n, avgDeg, featDim, classes int) *datasets.Dataset {
+func synthZipf(t testing.TB, seed int64, n, avgDeg, featDim, classes int) *datasets.Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.ZipfDegree(rng, n, avgDeg, 1.0)
@@ -126,6 +129,122 @@ func TestMiniBatchPipelinedEqualsSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMiniBatchDepthBitwise is the property RunMiniBatch's one-hop
+// sampling rests on: one MiniBatchSAGE step (forward, seed-masked loss,
+// backward) on the block sampled with the drawn fan-out gives the loss and
+// the W gradient of the step on the block sampled with the full fan-out,
+// bit for bit. The deeper block's extra rows and edges carry exactly zero
+// gradient, and every product adds them after the shared rows. One shape
+// keeps all products below the naive GEMM threshold and one above it: a
+// pair straddling it may switch GEMM paths (tensor.MatMulSameKernel),
+// which reassociates the sums.
+func TestMiniBatchDepthBitwise(t *testing.T) {
+	for _, tc := range []struct {
+		name                          string
+		n, feat, classes, batch, seed int
+		fan                           []int
+		blocked                       bool
+	}{
+		{"naive", 600, 8, 4, 24, 3, []int{4, 3}, false},
+		{"blocked", 5000, 64, 8, 128, 4, []int{10, 5}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := synthZipf(t, int64(tc.seed), tc.n, 8, tc.feat, tc.classes)
+			prog := miniBatchModel(ds)
+			drawn := DrawnFanOut(ds, tc.fan)
+			if len(drawn) >= len(tc.fan) {
+				t.Fatalf("drawn fan-out %v is not shallower than %v", drawn, tc.fan)
+			}
+			shallow, err := sampling.NewSampler(ds.G, drawn, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			deep, err := sampling.NewSampler(ds.G, tc.fan, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := deep.PlanEpoch(0, tc.batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, seeds := range plan[:3] {
+				seed := sampling.DeriveSeed(9, 0, i)
+				a, err := shallow.SampleSeeded(seeds, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := deep.SampleSeeded(seeds, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Every product is [rows, feat]·[feat, classes] or its
+				// transpose over the rows: on the naive side even with the
+				// deep block's rows, on the blocked side even with the
+				// shallow block's.
+				na, nb := len(a.Vertices), len(b.Vertices)
+				if tc.blocked && !tensor.MatMulSameKernel(na, 1<<20, tc.feat, tc.classes) ||
+					!tc.blocked && !tensor.MatMulSameKernel(nb, 1, tc.feat, tc.classes) {
+					t.Fatalf("batch %d: %d and %d rows do not keep every product on the %s GEMM path", i, na, nb, tc.name)
+				}
+				if na >= nb {
+					t.Fatalf("batch %d: the deeper block has %d rows, the shallow one %d", i, nb, na)
+				}
+				la, ga := depthStep(t, prog, ds, a)
+				lb, gb := depthStep(t, prog, ds, b)
+				if math.Float32bits(la) != math.Float32bits(lb) {
+					t.Errorf("batch %d: loss %v on %d rows, %v on %d rows", i, la, na, lb, nb)
+				}
+				for j, x := range ga.Data() {
+					if math.Float32bits(x) != math.Float32bits(gb.Data()[j]) {
+						t.Fatalf("batch %d: W gradient differs at %d: %v on %d rows, %v on %d rows",
+							i, j, x, na, gb.Data()[j], nb)
+					}
+				}
+			}
+		})
+	}
+}
+
+// depthStep runs RunMiniBatch's step on one sampled block with freshly
+// drawn weights, and returns the loss and W's gradient.
+func depthStep(t *testing.T, prog *program.Program, ds *datasets.Dataset, b *sampling.Batch) (float32, *tensor.Tensor) {
+	t.Helper()
+	e := nn.NewEngine(nil)
+	w := prog.Draw(e, rand.New(rand.NewSource(1)))
+	net, err := program.Lower(prog, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := net.Forward(exec.NewRuntime(e, b.Sub), e.Input(b.GatherFeatures(ds.Feat), "h"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss := e.CrossEntropyMasked(out, b.GatherLabels(ds.Labels), b.SeedMask())
+	e.Backward(loss)
+	return loss.Value.At1(0), w["W"].Grad
+}
+
+// BenchmarkMiniBatchEpoch times one pipelined RunMiniBatch epoch shaped
+// like the train-mb-sage workload: a 50 000-vertex Zipf graph (average
+// in-degree 8), width 64, 8 classes, batch 512, fan-out 10,5, Prefetch 4
+// and 2 sample workers. The first epoch warms the pools and is not timed.
+func BenchmarkMiniBatchEpoch(b *testing.B) {
+	ds := synthZipf(b, 1, 50000, 8, 64, 8)
+	opts := MiniBatchOptions{
+		Epochs: 1 + b.N, BatchSize: 512, FanOut: []int{10, 5},
+		Prefetch: 4, SampleWorkers: 2, LR: 0.01, Seed: 1,
+		Progress: func(st EpochStats) {
+			if st.Epoch == 0 {
+				b.ResetTimer()
+			}
+		},
+	}
+	b.ReportAllocs()
+	if _, err := RunMiniBatch(context.Background(), ds, opts); err != nil {
+		b.Fatal(err)
 	}
 }
 

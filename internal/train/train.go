@@ -3,6 +3,12 @@
 // per-epoch time with the first warm-up epochs discarded, peak device
 // memory, and accuracy. Out-of-memory failures are captured as results
 // (the paper reports them as "-").
+//
+// RunMiniBatch is the sampling-based workload of §8: pipelined
+// neighbour-sampled training on the wall clock. A batch holds only what
+// the model reads: it is sampled as many hops as the model has
+// aggregating layers, so every vertex and edge in it reaches a seed row's
+// loss.
 package train
 
 import (
