@@ -5,6 +5,18 @@
 // each dispatch a sequence of execution units: fused seastar kernels,
 // dense backend ops, and parameter-gradient reductions. A unit is charged
 // to a simulated device only when the nn engine carries one.
+//
+// Tensor shapes follow the GIR types: an E-typed value has a row per edge,
+// an S-typed one a row per vertex, and a D-typed one a row per in-CSR row
+// of the graph, g.In.NumRows(). That is g.N on every graph but a block
+// (graph.Graph.DstPrefix), where it is the D destinations, vertices
+// [0, D): a sampled mini-batch's output, loss and backward then cover its
+// seeds only. A vertex input keeps its N rows, and a D-typed operand read
+// from one reads its first D rows. On a block, a weight gradient with a
+// D-typed operand runs over those rows with the GEMM path the N-row
+// product would take (tensor.TMatMulRowsLike), and a D-row gradient into
+// an N-row input fills its first D rows: the rows a block drops would only
+// have added exact zeros, so every value the loss reads keeps its bits.
 package exec
 
 import (
@@ -14,6 +26,7 @@ import (
 	"seastar/internal/autodiff"
 	"seastar/internal/fusion"
 	"seastar/internal/gir"
+	"seastar/internal/graph"
 	"seastar/internal/kernels"
 	"seastar/internal/obs"
 )
@@ -77,6 +90,10 @@ type CompiledUDF struct {
 	// tensor node j of dense unit i reuses instead of computing its own
 	// (denseAliases); nil rows for seastar units.
 	fwdAlias [][]*gir.Node
+
+	// fwdNoBlock and bwdNoBlock name the first unit of each pass that
+	// cannot run on a block (blockless), "" when every unit can.
+	fwdNoBlock, bwdNoBlock string
 
 	// saved lists forward operator nodes whose values the backward pass
 	// reads (materialization planning keeps exactly these, §5.3).
@@ -208,6 +225,10 @@ func CompileWith(dag *gir.DAG, opts Options) (*CompiledUDF, error) {
 	}
 	sp.End()
 	c.fwdAlias = denseAliases(c.FwdPlan, fwd.Outputs[0])
+	c.fwdNoBlock = blockless("fwd", c.FwdPlan, c.fwdKern, c.fwdMat)
+	if c.BwdPlan != nil {
+		c.bwdNoBlock = blockless("bwd", c.BwdPlan, c.bwdKern, c.bwdMat)
+	}
 
 	// Input order: vertex features, edge features, parameters (first-use
 	// order within each group).
@@ -296,6 +317,28 @@ func denseAliases(plan *fusion.Plan, out *gir.Node) [][]*gir.Node {
 	}
 	return alias
 }
+
+// blockless names the first unit of plan that cannot run on a block, or
+// returns "". An A:S kernel writes a D-typed materialization from a sweep
+// over every vertex (kernels.Kernel's neighbour-typed sweep), which a
+// tensor of a block's destination rows cannot hold.
+func blockless(pass string, plan *fusion.Plan, kern map[*fusion.Unit]*kernels.Kernel, mat map[*fusion.Unit][]*gir.Node) string {
+	for _, u := range plan.Units {
+		if k := kern[u]; k == nil || k.Dir != gir.AggToSrc {
+			continue
+		}
+		for _, m := range mat[u] {
+			if m.Type == gir.TypeD {
+				return fmt.Sprintf("%s unit %d (an A:S kernel writing D-typed %%%d for every vertex)", pass, u.ID, m.ID)
+			}
+		}
+	}
+	return ""
+}
+
+// isBlock reports whether g is a block (graph.Graph.DstPrefix): its
+// in-CSR has fewer rows than it has vertices.
+func isBlock(g *graph.Graph) bool { return g.In.NumRows() < g.N }
 
 // vertexLeaf reports whether a leaf reads a vertex feature (S or D).
 func vertexLeaf(n *gir.Node) bool {

@@ -30,11 +30,14 @@ type InferEnv struct {
 
 // Infer runs only the forward plan of a compiled UDF over plain tensors —
 // no tape, no gradients, no saved-value retention. It returns a freshly
-// owned [N, d] output tensor (never aliasing an input or a buffer Infer
-// itself returns to the pool).
+// owned [N, d] output tensor ([D, d] on a block; never aliasing an input
+// or a buffer Infer itself returns to the pool).
 func (c *CompiledUDF) Infer(env *InferEnv, vfeat, efeat, params map[string]*tensor.Tensor) (*tensor.Tensor, error) {
 	if env == nil || env.G == nil {
 		return nil, fmt.Errorf("exec: Infer needs a graph")
+	}
+	if isBlock(env.G) && c.fwdNoBlock != "" {
+		return nil, fmt.Errorf("exec: %s cannot run on a block", c.fwdNoBlock)
 	}
 	cfg := env.Cfg
 	if cfg == (kernels.Config{}) {
@@ -128,7 +131,7 @@ func (c *CompiledUDF) Infer(env *InferEnv, vfeat, efeat, params map[string]*tens
 					}
 					ins[i] = t
 				}
-				out, err := denseOp(n, ins, getFor(n))
+				out, err := denseOp(env.G, n, ins, getFor(n))
 				if err != nil {
 					return nil, fmt.Errorf("exec: infer unit %d: %w", u.ID, err)
 				}
@@ -152,27 +155,30 @@ func (c *CompiledUDF) Infer(env *InferEnv, vfeat, efeat, params map[string]*tens
 }
 
 // matShape is the shape of a materialized node's tensor over g: one row
-// per edge, per vertex, or the bare parameter shape.
+// per edge, per source vertex, per destination (g.In's rows, all of g.N
+// but on a block), or the bare parameter shape.
 func matShape(g *graph.Graph, n *gir.Node) []int {
 	switch n.Type {
 	case gir.TypeE:
 		return append([]int{g.M}, n.Shape...)
 	case gir.TypeP:
 		return n.Shape
+	case gir.TypeD:
+		return append([]int{g.In.NumRows()}, n.Shape...)
 	default:
 		return append([]int{g.N}, n.Shape...)
 	}
 }
 
-// denseOp evaluates one dense-unit operator into storage drawn from get;
-// training and inference share it. It only computes: the training runtime
-// charges its engine's device with denseCost.
-func denseOp(n *gir.Node, ins []*tensor.Tensor, get func(shape ...int) *tensor.Tensor) (*tensor.Tensor, error) {
+// denseOp evaluates one dense-unit operator over g into storage drawn
+// from get; training and inference share it. It only computes: the
+// training runtime charges its engine's device with denseCost.
+func denseOp(g *graph.Graph, n *gir.Node, ins []*tensor.Tensor, get func(shape ...int) *tensor.Tensor) (*tensor.Tensor, error) {
 	switch n.Op {
 	case gir.OpMatMulP:
-		return tensor.MatMul(ins[0], ins[1], get(ins[0].Rows(), ins[1].Cols())), nil
+		return tensor.MatMulRowsLike(ins[0], ins[1], productRows(g, n, ins[0]), get(ins[0].Rows(), ins[1].Cols())), nil
 	case gir.OpMatMulPT:
-		return tensor.MatMulT(ins[0], ins[1], get(ins[0].Rows(), ins[1].Rows())), nil // g @ Wᵀ
+		return tensor.MatMulTRowsLike(ins[0], ins[1], productRows(g, n, ins[0]), get(ins[0].Rows(), ins[1].Rows())), nil // g @ Wᵀ
 	}
 	// P-typed elementwise ops: whole-tensor backend kernels (gradient
 	// accumulation between parameter-gradient units, scaling, and the
@@ -209,6 +215,16 @@ func denseOp(n *gir.Node, ins []*tensor.Tensor, get func(shape ...int) *tensor.T
 		return nil, fmt.Errorf("exec: dense unit cannot run %s", n.Op)
 	}
 	return out, nil
+}
+
+// productRows is the row count a dense product's GEMM path is chosen
+// from: its own, but g.N for a D-typed product on a block, which may hold
+// only the destinations' rows and must add them as the N-row product does.
+func productRows(g *graph.Graph, n *gir.Node, a *tensor.Tensor) int {
+	if n.Type == gir.TypeD && isBlock(g) {
+		return g.N
+	}
+	return a.Rows()
 }
 
 // denseCost is the simulated cost of one denseOp that produced out, in

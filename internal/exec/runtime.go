@@ -33,11 +33,20 @@ func NewRuntime(e *nn.Engine, g *graph.Graph) *Runtime {
 }
 
 // Apply executes the compiled UDF as an autograd function over the given
-// named variables, returning the [N, d] output variable. Missing inputs
-// are an error; extra entries are ignored.
+// named variables, returning the output variable: [N, d], or [D, d] on a
+// block's D destinations. Missing inputs are an error, and so is a block
+// under a plan with a unit that cannot run on one; extra entries are
+// ignored.
 func (c *CompiledUDF) Apply(rt *Runtime, vfeat, efeat, params map[string]*nn.Variable) (*nn.Variable, error) {
 	if c.Grads == nil {
 		return nil, fmt.Errorf("exec: Apply on an inference-only compilation (use Infer, or compile without Options.InferenceOnly)")
+	}
+	if isBlock(rt.G) {
+		for _, unit := range [...]string{c.fwdNoBlock, c.bwdNoBlock} {
+			if unit != "" {
+				return nil, fmt.Errorf("exec: %s cannot run on a block", unit)
+			}
+		}
 	}
 	inputs := make([]*nn.Variable, len(c.Inputs))
 	for i, spec := range c.Inputs {
@@ -148,7 +157,7 @@ func (f *udfFunction) runDense(u *fusion.Unit, alias []*gir.Node, b *kernels.Bin
 			}
 			ins[i] = t
 		}
-		out, err := denseOp(n, ins, f.rt.E.Get)
+		out, err := denseOp(f.rt.G, n, ins, f.rt.E.Get)
 		if err != nil {
 			return err
 		}
@@ -189,7 +198,7 @@ func (f *udfFunction) runParamGrad(u *fusion.Unit, b *kernels.Bindings) error {
 		switch n.Op {
 		case gir.OpParamGradMM:
 			if xNode.Type != gir.TypeE && gNode.Type != gir.TypeE {
-				out = tensor.TMatMul(x, gT, f.rt.E.Get(x.Cols(), gT.Cols()))
+				out = f.vertexParamGrad(xNode, gNode, x, gT)
 			} else {
 				out = f.edgeParamGrad(xNode, gNode, x, gT, n.Shape, false)
 			}
@@ -211,6 +220,19 @@ func (f *udfFunction) runParamGrad(u *fusion.Unit, b *kernels.Bindings) error {
 		b.Inter[n] = out.Reshape(n.Shape...)
 	}
 	return nil
+}
+
+// vertexParamGrad is dW = xᵀ·g over vertex rows. A D-typed operand pairs
+// only the rows of a block's destinations, [0, In.NumRows()): the rows the
+// square graph would add past them are exact zeros, so the product runs
+// over the prefix, dispatched as the N-row product is.
+func (f *udfFunction) vertexParamGrad(xNode, gNode *gir.Node, x, g *tensor.Tensor) *tensor.Tensor {
+	out := f.rt.E.Get(x.Cols(), g.Cols())
+	if xNode.Type != gir.TypeD && gNode.Type != gir.TypeD {
+		return tensor.TMatMul(x, g, out)
+	}
+	d := f.rt.G.In.NumRows()
+	return tensor.TMatMulRowsLike(x.TopRows(d), g.TopRows(d), f.rt.G.N, out)
 }
 
 // edgeParamGrad accumulates per-edge outer products xᵀg into a weight
@@ -325,7 +347,8 @@ func (f *udfFunction) Backward(ctx *nn.FuncCtx, gradOut *tensor.Tensor) []*tenso
 		}
 	}
 
-	b := f.bindingsFrom(inputsOf(f.fwdBind, c))
+	inputs := inputsOf(f.fwdBind, c)
+	b := f.bindingsFrom(inputs)
 	b.Grad = gradOut
 	b.Saved = map[*gir.Node]*tensor.Tensor{}
 	for _, s := range c.saved {
@@ -405,16 +428,25 @@ func (f *udfFunction) Backward(ctx *nn.FuncCtx, gradOut *tensor.Tensor) []*tenso
 		// The caller only reads what it is handed (nn accumulates into
 		// its own buffer), so the first contribution to a leaf is
 		// aliased; a second one needs a buffer of its own to add into.
-		if grads[idx] == nil {
+		// So does a D-typed one on a block: it covers the first rows of
+		// its N-row input, and the rows past them stay zero.
+		in := inputs[idx]
+		if grads[idx] == nil && t.Size() == in.Size() {
 			grads[idx] = t
 			continue
 		}
 		if !summed[idx] {
-			sum := f.rt.E.Get(t.Shape()...)
-			sum.CopyFrom(grads[idx])
+			sum := f.rt.E.Get(in.Shape()...)
+			first := grads[idx]
+			if first == nil {
+				first, t = t, nil
+			}
+			sum.TopRows(first.Dim(0)).CopyFrom(first)
 			grads[idx], summed[idx] = sum, true
 		}
-		tensor.AddInPlace(grads[idx], t)
+		if t != nil {
+			tensor.AddInPlace(grads[idx].TopRows(t.Dim(0)), t)
+		}
 	}
 	return grads
 }

@@ -4,6 +4,13 @@
 // descending-degree row sorting for the kernel-level load-balancing
 // optimizations (§6.3.3); and a secondary per-row sort on edge type for
 // heterogeneous models (§6.3.5).
+//
+// A graph's in-CSR has one row per destination. Usually that is every
+// vertex; a block (DstPrefix) is the exception: a zero-copy view whose
+// in-CSR keeps only its first D rows, the vertices [0, D) that every edge
+// enters, while N, the edges and the out-CSR stay whole. A sampled
+// mini-batch trains on the block of its seeds, so the compiled program's
+// D-typed tensors have D rows, not N (internal/exec).
 package graph
 
 import (
@@ -158,11 +165,12 @@ func (g *Graph) WithEdgeTypes(types []int32, numTypes int) error {
 	return nil
 }
 
-// InDegrees returns the in-degree of every vertex.
+// InDegrees returns the in-degree of every vertex; a block's vertices
+// past its in-CSR rows have none.
 func (g *Graph) InDegrees() []int32 {
 	d := make([]int32, g.N)
-	for v := 0; v < g.N; v++ {
-		d[g.In.RowIDs[v]] = int32(g.In.Degree(v))
+	for k := 0; k < g.In.NumRows(); k++ {
+		d[g.In.RowIDs[k]] = int32(g.In.Degree(k))
 	}
 	return d
 }
@@ -224,6 +232,37 @@ func FromEdgesSorted(n int, srcs, dsts []int32) (*Graph, error) {
 		In:  buildCSR(n, dsts, srcs, true),
 		Out: buildCSR(n, srcs, dsts, true),
 	}, nil
+}
+
+// DstPrefix returns the block of g's first d vertices: a view sharing g's
+// vertices, edges, edge types and out-CSR, whose in-CSR is cut to its first
+// d rows. It is exact, not a truncation: it succeeds only when g's in-CSR is
+// degree-sorted, its first d rows hold the vertices [0, d) and they hold
+// every edge. A sampled batch numbers its vertices breadth-first, so the
+// vertices it expanded are [0, d), every other one has in-degree 0, and
+// DegreeOrder puts those zero-degree rows last with ties by ascending id.
+// The check costs O(d).
+func (g *Graph) DstPrefix(d int) (*Graph, error) {
+	if d < 0 || d > g.In.NumRows() {
+		return nil, fmt.Errorf("graph: destination prefix %d outside the %d-row in-CSR", d, g.In.NumRows())
+	}
+	if !g.In.Sorted {
+		return nil, fmt.Errorf("graph: destination prefix needs a degree-sorted in-CSR")
+	}
+	if in := g.In.Offsets[d]; in != int64(g.M) {
+		return nil, fmt.Errorf("graph: %d of %d edges enter a vertex past the first %d", int64(g.M)-in, g.M, d)
+	}
+	for k, v := range g.In.RowIDs[:d] {
+		if int(v) >= d {
+			return nil, fmt.Errorf("graph: in-CSR row %d holds vertex %d, past the first %d", k, v, d)
+		}
+	}
+	b := *g
+	b.In = CSR{
+		Offsets: g.In.Offsets[:d+1], Nbrs: g.In.Nbrs, EdgeIDs: g.In.EdgeIDs,
+		RowIDs: g.In.RowIDs[:d], Sorted: true,
+	}
+	return &b, nil
 }
 
 // DegreeOrder returns the ids 0..len(deg)-1 in descending deg, ties by
@@ -321,7 +360,7 @@ func (g *Graph) TypeStorageRatio() (float64, error) {
 	}
 	var nt int
 	seen := make(map[int32]bool, g.NumEdgeTypes)
-	for k := 0; k < g.N; k++ {
+	for k := 0; k < g.In.NumRows(); k++ {
 		_, eids := g.In.Row(k)
 		for t := range seen {
 			delete(seen, t)
@@ -339,16 +378,25 @@ func (g *Graph) TypeStorageRatio() (float64, error) {
 
 // Validate checks structural invariants: monotone offsets, ids in range,
 // edge ids forming a permutation in each direction, and CSR/edge-list
-// agreement. It is used by tests and generators.
+// agreement. The out-CSR has a row per vertex; the in-CSR has one per
+// vertex or, in a block, one per vertex of a prefix [0, D) that every edge
+// enters. It is used by tests and generators.
 func (g *Graph) Validate() error {
+	if r := g.In.NumRows(); r < 0 || r > g.N {
+		return fmt.Errorf("graph: in-CSR has %d rows for %d vertices", r, g.N)
+	}
+	if r := g.Out.NumRows(); r != g.N {
+		return fmt.Errorf("graph: out-CSR has %d rows, want %d", r, g.N)
+	}
 	if err := validateCSR(&g.In, g.N, g.M, "in"); err != nil {
 		return err
 	}
 	if err := validateCSR(&g.Out, g.N, g.M, "out"); err != nil {
 		return err
 	}
-	// Every in-CSR slot must match the original edge list.
-	for k := 0; k < g.N; k++ {
+	// Every in-CSR slot must match the original edge list, so no edge
+	// enters a vertex past a block's prefix.
+	for k := 0; k < g.In.NumRows(); k++ {
 		v := g.In.RowIDs[k]
 		nbrs, eids := g.In.Row(k)
 		for i := range nbrs {
@@ -371,23 +419,26 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
+// validateCSR checks one CSR over n vertices and m edges whose rows hold
+// the vertices [0, NumRows()) in some order.
 func validateCSR(c *CSR, n, m int, dir string) error {
-	if c.NumRows() != n {
-		return fmt.Errorf("graph: %s-CSR has %d rows, want %d", dir, c.NumRows(), n)
-	}
-	if c.Offsets[0] != 0 || c.Offsets[n] != int64(m) {
-		return fmt.Errorf("graph: %s-CSR offsets span [%d,%d], want [0,%d]", dir, c.Offsets[0], c.Offsets[n], m)
+	rows := c.NumRows()
+	if c.Offsets[0] != 0 || c.Offsets[rows] != int64(m) {
+		return fmt.Errorf("graph: %s-CSR offsets span [%d,%d], want [0,%d]", dir, c.Offsets[0], c.Offsets[rows], m)
 	}
 	seen := make([]bool, m)
-	for k := 0; k < n; k++ {
+	for k := 0; k < rows; k++ {
 		if c.Offsets[k] > c.Offsets[k+1] {
 			return fmt.Errorf("graph: %s-CSR offsets not monotone at %d", dir, k)
 		}
 	}
-	rowSeen := make([]bool, n)
+	if len(c.RowIDs) != rows {
+		return fmt.Errorf("graph: %s-CSR has %d row ids for %d rows", dir, len(c.RowIDs), rows)
+	}
+	rowSeen := make([]bool, rows)
 	for _, r := range c.RowIDs {
-		if r < 0 || int(r) >= n || rowSeen[r] {
-			return fmt.Errorf("graph: %s-CSR RowIDs not a permutation", dir)
+		if r < 0 || int(r) >= rows || rowSeen[r] {
+			return fmt.Errorf("graph: %s-CSR RowIDs not a permutation of [0,%d)", dir, rows)
 		}
 		rowSeen[r] = true
 	}

@@ -374,3 +374,79 @@ func TestQuickTypeSortPreservesEdgeSets(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDstPrefix pins the block view: a prefix that holds every edge cuts
+// the in-CSR and keeps everything else, and a prefix that is not exact is
+// refused rather than truncated. Vertex 1 has no in-edge, so it sorts
+// among the zero-degree rows, ahead of 3..5 by its smaller id.
+func TestDstPrefix(t *testing.T) {
+	srcs := []int32{3, 4, 5, 0, 2}
+	dsts := []int32{0, 0, 2, 2, 0}
+	g, err := FromEdgesSorted(6, slices.Clone(srcs), slices.Clone(dsts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.WithEdgeTypes([]int32{0, 1, 1, 0, 1}, 2); err != nil {
+		t.Fatal(err)
+	}
+	b, err := g.DstPrefix(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Validate(); err != nil {
+		t.Fatalf("block: %v", err)
+	}
+	if b.In.NumRows() != 3 || b.N != g.N || b.M != g.M || &b.Out.Offsets[0] != &g.Out.Offsets[0] {
+		t.Fatalf("block has %d in-rows, N=%d M=%d; want 3 rows over g's vertices, edges and out-CSR", b.In.NumRows(), b.N, b.M)
+	}
+	if &b.EdgeTypes[0] != &g.EdgeTypes[0] || b.NumEdgeTypes != 2 {
+		t.Fatal("block dropped g's edge types")
+	}
+	if !reflect.DeepEqual(b.InDegrees(), g.InDegrees()) || !reflect.DeepEqual(b.OutDegrees(), g.OutDegrees()) {
+		t.Fatalf("degrees: block in %v out %v, graph in %v out %v", b.InDegrees(), b.OutDegrees(), g.InDegrees(), g.OutDegrees())
+	}
+	rb, err := b.TypeStorageRatio()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rg, _ := g.TypeStorageRatio(); rb != rg {
+		t.Fatalf("type storage ratio %v on the block, %v on the graph", rb, rg)
+	}
+	if full, err := g.DstPrefix(g.N); err != nil || full.In.NumRows() != g.N {
+		t.Fatalf("the whole graph as its own prefix: %v", err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		d    int
+	}{
+		{"misses an edge", g, 1},       // row 0 is vertex 0; two edges enter vertex 2
+		{"holds a later vertex", g, 2}, // rows 0, 1 are vertices 0 and 2
+		{"past the rows", g, g.N + 1},  // no such row
+		{"unsorted", mustFromEdges(t, 6, srcs, dsts), 3},
+	} {
+		if _, err := tc.g.DstPrefix(tc.d); err == nil {
+			t.Errorf("%s: DstPrefix(%d) accepted", tc.name, tc.d)
+		}
+	}
+
+	// Validate refuses an in-CSR cut short of an edge, and one whose rows
+	// hold every edge but a vertex past the prefix (vertex 2 of 2 rows).
+	for _, rows := range []int{1, 2} {
+		bad := *g
+		bad.In.Offsets, bad.In.RowIDs = g.In.Offsets[:rows+1], g.In.RowIDs[:rows]
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Validate accepted the in-CSR cut to %d rows", rows)
+		}
+	}
+}
+
+func mustFromEdges(t *testing.T, n int, srcs, dsts []int32) *Graph {
+	t.Helper()
+	g, err := FromEdges(n, srcs, dsts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}

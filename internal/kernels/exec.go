@@ -57,7 +57,8 @@ func (b *Bindings) Resolve(n *gir.Node) (*tensor.Tensor, error) {
 }
 
 // Run executes the kernel over g, writing materialized node values into
-// outs (pre-allocated [N,d] or [M,d] tensors). It only computes: a caller
+// outs (pre-allocated [N,d] or [M,d] tensors; a D-typed one has a row per
+// g.In row, which on a block is fewer than N). It only computes: a caller
 // reproducing the paper's figures charges the launch with LaunchOnly. The
 // CSR direction is chosen by the unit's aggregation direction (§6.3.4).
 //

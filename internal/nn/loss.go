@@ -9,19 +9,20 @@ import (
 
 // CrossEntropyMasked computes the mean negative log-likelihood of labels
 // over the rows where mask is true (the train split in node
-// classification). logits has shape [N, C]; labels has length N. The
-// returned variable is scalar. Rows outside the mask are never read: their
-// values, NaN and Inf included, reach neither the loss nor the gradient.
+// classification), or over every row when mask is nil (a block's seeds).
+// logits has shape [N, C]; labels has length N. The returned variable is
+// scalar. Rows outside the mask are never read: their values, NaN and Inf
+// included, reach neither the loss nor the gradient.
 func (e *Engine) CrossEntropyMasked(logits *Variable, labels []int, mask []bool) *Variable {
 	n := logits.Value.Rows()
-	if len(labels) != n || len(mask) != n {
+	if len(labels) != n || mask != nil && len(mask) != n {
 		panic(fmt.Sprintf("nn: cross entropy over %d rows with %d labels, %d mask", n, len(labels), len(mask)))
 	}
 	logp := tensor.LogSoftmaxRows(logits.Value, mask, e.like(logits.Value))
 	count := 0
 	var loss float64
 	for i := 0; i < n; i++ {
-		if mask[i] {
+		if mask == nil || mask[i] {
 			count++
 			loss -= float64(logp.At(i, labels[i]))
 		}
@@ -37,7 +38,7 @@ func (e *Engine) CrossEntropyMasked(logits *Variable, labels []int, mask []bool)
 		scale := g.At1(0) / float32(count)
 		d := e.like(logits.Value)
 		for i := 0; i < n; i++ {
-			if !mask[i] {
+			if mask != nil && !mask[i] {
 				continue
 			}
 			lr, dr := logp.Row(i), d.Row(i)

@@ -4,9 +4,10 @@
 //
 //  1. sample   — SampleWorkers goroutines draw the neighbourhoods of
 //     upcoming batches in parallel;
-//  2. gather   — one goroutine copies each batch's features/labels into
-//     pooled tensors (the batch subgraph arrives from the sampler
-//     already degree-sorted, §6.3.3, so nothing here sorts it);
+//  2. gather   — one goroutine copies each batch's features and its
+//     seeds' labels into pooled storage (the batch subgraph arrives from
+//     the sampler already degree-sorted, §6.3.3, so nothing here sorts
+//     it);
 //  3. compute  — the caller's goroutine runs forward/backward/optimizer,
 //     whose kernels dispatch onto the sched.Pool.
 //
@@ -82,9 +83,9 @@ func DefaultConfig() Config {
 }
 
 // Batch is one gathered mini-batch, delivered to the compute step in
-// index order. The batch, its Feat storage and its Labels and Mask slices
-// are recycled by the engine: the step must not retain any of them (or a
-// view of them) after returning.
+// index order. The batch, its Feat storage and its Labels slice are
+// recycled by the engine: the step must not retain any of them (or a view
+// of them) after returning.
 type Batch struct {
 	Epoch, Index int
 	// B is the sampled, degree-sorted subgraph with compact-id
@@ -92,9 +93,9 @@ type Batch struct {
 	B *sampling.Batch
 	// Feat is the [len(B.Vertices), d] gathered feature slice (pooled).
 	Feat *tensor.Tensor
-	// Labels and Mask are the per-vertex labels and the seed mask.
+	// Labels holds the seeds' labels, one per compact id [0, B.SeedCount):
+	// the rows of the block a step trains on (graph.Graph.DstPrefix).
 	Labels []int
-	Mask   []bool
 }
 
 // Step consumes one batch: forward, loss, backward, optimizer step.
@@ -114,7 +115,7 @@ type Engine struct {
 	Metrics *Metrics
 
 	pool    *tensor.Pool
-	batches sync.Pool // released *Batch values, for their Labels/Mask capacity
+	batches sync.Pool // released *Batch values, for their Labels capacity
 }
 
 // New validates the configuration and builds an engine.
@@ -198,9 +199,8 @@ func (e *Engine) gather(epoch, idx int, sb *sampling.Batch) *Batch {
 	b.Epoch, b.Index, b.B = epoch, idx, sb
 	b.Feat = e.pool.Get(len(sb.Vertices), e.Feat.Cols())
 	sb.GatherFeaturesInto(b.Feat, e.Feat)
-	for i, v := range sb.Vertices {
+	for _, v := range sb.Vertices[:sb.SeedCount] {
 		b.Labels = append(b.Labels, e.Labels[v])
-		b.Mask = append(b.Mask, i < sb.SeedCount)
 	}
 	d := time.Since(start)
 	e.Metrics.GatherTime.Observe(d)
@@ -218,7 +218,7 @@ func (e *Engine) release(b *Batch) {
 		return
 	}
 	e.pool.Put(b.Feat)
-	*b = Batch{Labels: b.Labels[:0], Mask: b.Mask[:0]}
+	*b = Batch{Labels: b.Labels[:0]}
 	e.batches.Put(b)
 	if obs.Enabled() {
 		st := e.pool.Stats()

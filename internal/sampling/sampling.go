@@ -11,7 +11,10 @@
 // A batch holds only what the model reads, given one fan-out entry per
 // aggregating layer. Vertices and edges are numbered breadth-first, hop by
 // hop, so a sample with FanOut[:d] is a prefix of the FanOut sample drawn
-// with the same seed: the same draws, the first d hops.
+// with the same seed: the same draws, the first d hops. The same numbering
+// makes the vertices the sampler expanded (the seeds, for one hop) the
+// first rows of the degree-sorted in-CSR, holding every edge, so
+// Sub.DstPrefix cuts a batch to the block a trainer computes on.
 package sampling
 
 import (

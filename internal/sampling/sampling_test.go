@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -304,6 +305,75 @@ func TestSamplePrefixOfDeeperSample(t *testing.T) {
 	}
 	if deeper == 0 {
 		t.Fatal("no deeper sample drew an edge the shallower one lacks: the grid tests nothing")
+	}
+}
+
+// TestSampleIsABlock is the property the mini-batch step's block rests
+// on: every sampled subgraph's vertices the sampler expanded are a
+// destination prefix (graph.Graph.DstPrefix) holding every edge. The
+// expanded vertices are those of the sample one hop shallower (the seeds,
+// for one hop), numbered first; every other vertex has no in-edge, and
+// DegreeOrder puts the zero-degree rows last with ties by ascending id, so
+// an expanded vertex without an in-edge still sorts ahead of them.
+func TestSampleIsABlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	hollow := 0 // batches with an expanded vertex no edge enters, ahead of an unexpanded one
+	for trial := 0; trial < 60; trial++ {
+		n := 20 + rng.Intn(300)
+		var g *graph.Graph
+		switch trial % 3 {
+		case 0:
+			g = graph.GNM(rng, n, rng.Intn(2*n))
+		case 1:
+			g = graph.PowerLaw(rng, n, 1+rng.Intn(4))
+		default:
+			g = graph.ZipfDegree(rng, n, 1+rng.Intn(6), 1.0).SortByDegree()
+		}
+		fan := make([]int, 1+rng.Intn(3))
+		for i := range fan {
+			fan[i] = 1 + rng.Intn(5)
+		}
+		base := rng.Int63()
+		samplers := make([]*Sampler, len(fan)+1)
+		for d := 1; d <= len(fan); d++ {
+			var err error
+			if samplers[d], err = NewSampler(g, fan[:d], base); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for batch := 0; batch < 4; batch++ {
+			seeds := make([]int32, 1+rng.Intn(n/2))
+			for i := range seeds {
+				seeds[i] = int32(rng.Intn(n)) // repeats allowed
+			}
+			seed := DeriveSeed(base, trial, batch)
+			b, err := samplers[len(fan)].SampleSeeded(seeds, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			expanded := b.SeedCount
+			if len(fan) > 1 {
+				shallow, err := samplers[len(fan)-1].SampleSeeded(seeds, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				expanded = len(shallow.Vertices)
+			}
+			blk, err := b.Sub.DstPrefix(expanded)
+			if err != nil {
+				t.Fatalf("trial %d batch %d, fan-out %v: %d expanded of %d vertices: %v",
+					trial, batch, fan, expanded, b.Sub.N, err)
+			}
+			if err := blk.Validate(); err != nil {
+				t.Fatalf("trial %d batch %d: the block is malformed: %v", trial, batch, err)
+			}
+			if expanded < b.Sub.N && slices.Contains(b.Sub.InDegrees()[:expanded], 0) {
+				hollow++
+			}
+		}
+	}
+	if hollow == 0 {
+		t.Fatal("no batch expanded a vertex without in-edges ahead of an unexpanded one: the tie order is untested")
 	}
 }
 

@@ -74,6 +74,14 @@ func MatMulSameKernel(m1, m2, k, n int) bool {
 // MatMulT returns a@bᵀ: [m,k] x [n,k] -> [m,n].
 func MatMulT(a, b *Tensor, into ...*Tensor) *Tensor {
 	a.check2d()
+	return MatMulTRowsLike(a, b, a.shape[0], into...)
+}
+
+// MatMulTRowsLike is MatMulRowsLike for a@bᵀ: the rows of a compact [r,k]
+// matrix selected out of a logical [fullRows,k] one, with the
+// naive-vs-blocked dispatch replayed from fullRows.
+func MatMulTRowsLike(a, b *Tensor, fullRows int, into ...*Tensor) *Tensor {
+	a.check2d()
 	b.check2d()
 	m, k := a.shape[0], a.shape[1]
 	n, k2 := b.shape[0], b.shape[1]
@@ -81,7 +89,7 @@ func MatMulT(a, b *Tensor, into ...*Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulT inner dims %v x %v", a.shape, b.shape))
 	}
 	out := dstOr(into, m, n)
-	if m*k*n < gemmSerialMACs {
+	if fullRows*k*n < gemmSerialMACs {
 		refMatMulTInto(out.data, a.data, b.data, m, k, n)
 	} else {
 		gemm(out.data, a.data, b.data, m, k, n, false, true, false)
@@ -92,6 +100,21 @@ func MatMulT(a, b *Tensor, into ...*Tensor) *Tensor {
 // TMatMul returns aᵀ@b: [k,m] x [k,n] -> [m,n].
 func TMatMul(a, b *Tensor, into ...*Tensor) *Tensor {
 	a.check2d()
+	return TMatMulRowsLike(a, b, a.shape[0], into...)
+}
+
+// TMatMulRowsLike computes aᵀ@b for [r,m] and [r,n] matrices that are the
+// first r rows of logical [fullRows,m] and [fullRows,n] ones whose further
+// rows contribute exact zeros (one side zero, the other finite). The
+// result has the bits of the full TMatMul: the naive path adds rows in
+// order, and the blocked one sums K-blocks that start at row 0 in order,
+// so the dropped rows would only have added zeros after the kept ones (a
+// sum of -0 may read +0 there). The naive-vs-blocked dispatch is the one
+// row-count-dependent decision, and it is replayed from fullRows, as
+// MatMulRowsLike does. A weight gradient over a block's destination rows
+// uses it.
+func TMatMulRowsLike(a, b *Tensor, fullRows int, into ...*Tensor) *Tensor {
+	a.check2d()
 	b.check2d()
 	k, m := a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
@@ -99,7 +122,7 @@ func TMatMul(a, b *Tensor, into ...*Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: TMatMul inner dims %v x %v", a.shape, b.shape))
 	}
 	out := dstOr(into, m, n)
-	if m*k*n < gemmSerialMACs {
+	if m*fullRows*n < gemmSerialMACs {
 		refTMatMulInto(out.data, a.data, b.data, m, k, n)
 	} else {
 		gemm(out.data, a.data, b.data, m, k, n, true, false, false)

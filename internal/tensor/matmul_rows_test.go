@@ -60,3 +60,36 @@ func TestMatMulSameKernel(t *testing.T) {
 		t.Fatal("straddling the dispatch threshold must report unstable")
 	}
 }
+
+// TMatMulRowsLike over the first r rows must give the full TMatMul's bits
+// when the rows past r of one operand are zero: on both paths, across
+// K-block boundaries, and when the r-row product alone would fall below
+// the naive threshold while the full one does not (the dispatch replay a
+// weight gradient over a small block's destination rows needs).
+func TestTMatMulRowsLikeBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, tc := range []struct {
+		name       string
+		k, m, n, r int
+	}{
+		{"naive path", 40, 8, 8, 13},
+		{"blocked, one K-block", 200, 64, 8, 150},
+		{"blocked, prefix ends mid-block", 1800, 64, 8, 512},
+		{"blocked, prefix is a whole block", 700, 64, 8, 256},
+		{"replayed dispatch", 1800, 64, 8, 40}, // 40·64·8 MACs < gemmSerialMACs
+		{"wide", 600, 16, 24, 300},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := Uniform(rng, -1, 1, tc.k, tc.m)
+			b := Uniform(rng, -1, 1, tc.k, tc.n)
+			clear(b.Data()[tc.r*tc.n:])
+			want := TMatMul(a, b)
+			got := TMatMulRowsLike(a.TopRows(tc.r), b.TopRows(tc.r), tc.k)
+			for i, w := range want.Data() {
+				if math.Float32bits(got.Data()[i]) != math.Float32bits(w) {
+					t.Fatalf("element %d: %v over %d rows, %v over all %d", i, got.Data()[i], tc.r, w, tc.k)
+				}
+			}
+		})
+	}
+}

@@ -125,6 +125,16 @@ func (t *Tensor) Row(i int) []float32 {
 	return t.data[i*c : (i+1)*c]
 }
 
+// TopRows returns a view of t's first r rows (slices of its first
+// dimension), sharing its storage.
+func (t *Tensor) TopRows(r int) *Tensor {
+	if r == t.shape[0] {
+		return t
+	}
+	shape := append([]int{r}, t.shape[1:]...)
+	return &Tensor{shape: shape, data: t.data[:r*(len(t.data)/t.shape[0])]}
+}
+
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
 	d := make([]float32, len(t.data))

@@ -136,8 +136,10 @@ type MiniBatchResult struct {
 
 // RunMiniBatch trains a SAGE-style model on ds with pipelined
 // neighbour-sampled mini-batches. Each batch is sampled only as many hops
-// as the model aggregates over (DrawnFanOut), so the block holds only the
-// rows the seed rows' loss reads. With identical options except
+// as the model aggregates over (DrawnFanOut), so the batch holds only the
+// rows the seed rows' loss reads, and the step runs on its block
+// (graph.Graph.DstPrefix): destination-typed rows exist for the seeds
+// alone. With identical options except
 // Prefetch/SampleWorkers, the per-batch loss curve is bitwise-identical
 // — the pipeline only overlaps stages, it never reorders or reseeds
 // them.
@@ -217,28 +219,34 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 	var epochLoss float64
 	var epochBatches, correct, total int
 	step := func(b *pipeline.Batch) error {
-		rt := exec.NewRuntime(e, b.B.Sub)
-		h := e.InputScoped(b.Feat, "h")
-		out, err := net.Forward(rt, h, nil)
+		// The one-layer model's destinations are the seeds: the step runs
+		// on their block, so its output, loss and backward have a row per
+		// seed, not per sampled vertex.
+		blk, err := b.B.Sub.DstPrefix(b.B.SeedCount)
 		if err != nil {
 			return err
 		}
-		loss := e.CrossEntropyMasked(out, b.Labels, b.Mask)
+		h := e.InputScoped(b.Feat, "h")
+		out, err := net.Forward(exec.NewRuntime(e, blk), h, nil)
+		if err != nil {
+			return err
+		}
+		loss := e.CrossEntropyMasked(out, b.Labels, nil)
 		e.Backward(loss)
 		opt.Step()
 		lv := loss.Value.At1(0)
 		res.Losses = append(res.Losses, lv)
 		epochLoss += float64(lv)
 		epochBatches++
-		for i := 0; i < b.B.SeedCount; i++ {
+		for i, label := range b.Labels {
 			total++
 			best, bestJ := float32(-1e30), 0
-			for j := 0; j < ds.NumClasses; j++ {
-				if out.Value.At(i, j) > best {
-					best, bestJ = out.Value.At(i, j), j
+			for j, x := range out.Value.Row(i) {
+				if x > best {
+					best, bestJ = x, j
 				}
 			}
-			if bestJ == b.Labels[i] {
+			if bestJ == label {
 				correct++
 			}
 		}

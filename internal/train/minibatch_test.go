@@ -133,14 +133,17 @@ func TestMiniBatchPipelinedEqualsSerial(t *testing.T) {
 }
 
 // TestMiniBatchDepthBitwise is the property RunMiniBatch's one-hop
-// sampling rests on: one MiniBatchSAGE step (forward, seed-masked loss,
-// backward) on the block sampled with the drawn fan-out gives the loss and
-// the W gradient of the step on the block sampled with the full fan-out,
-// bit for bit. The deeper block's extra rows and edges carry exactly zero
-// gradient, and every product adds them after the shared rows. One shape
-// keeps all products below the naive GEMM threshold and one above it: a
-// pair straddling it may switch GEMM paths (tensor.MatMulSameKernel),
-// which reassociates the sums.
+// sampling and its block rest on: RunMiniBatch's step (forward, loss,
+// backward) on the block of the batch sampled with the drawn fan-out —
+// its in-CSR cut to the seeds — gives the loss and the W gradient of the
+// step on the whole batch sampled with the full fan-out, its loss masked
+// to the seeds, bit for bit. The deeper batch's extra rows and edges carry
+// exactly zero gradient, and every product adds them after the shared
+// rows. One shape keeps all products below the naive GEMM threshold and
+// one above it: a pair straddling it may switch GEMM paths
+// (tensor.MatMulSameKernel), which reassociates the sums. Inside one
+// batch the block's seed-row products are dispatched from its vertex
+// count, as the whole batch's are.
 func TestMiniBatchDepthBitwise(t *testing.T) {
 	for _, tc := range []struct {
 		name                          string
@@ -150,6 +153,7 @@ func TestMiniBatchDepthBitwise(t *testing.T) {
 	}{
 		{"naive", 600, 8, 4, 24, 3, []int{4, 3}, false},
 		{"blocked", 5000, 64, 8, 128, 4, []int{10, 5}, true},
+		{"replayed", 5000, 64, 8, 40, 5, []int{10, 5}, true}, // 40 seed rows alone would take the naive path
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := synthZipf(t, int64(tc.seed), tc.n, 8, tc.feat, tc.classes)
@@ -192,8 +196,8 @@ func TestMiniBatchDepthBitwise(t *testing.T) {
 				if na >= nb {
 					t.Fatalf("batch %d: the deeper block has %d rows, the shallow one %d", i, nb, na)
 				}
-				la, ga := depthStep(t, prog, ds, a)
-				lb, gb := depthStep(t, prog, ds, b)
+				la, ga := depthStep(t, prog, ds, a, true)
+				lb, gb := depthStep(t, prog, ds, b, false)
 				if math.Float32bits(la) != math.Float32bits(lb) {
 					t.Errorf("batch %d: loss %v on %d rows, %v on %d rows", i, la, na, lb, nb)
 				}
@@ -208,9 +212,11 @@ func TestMiniBatchDepthBitwise(t *testing.T) {
 	}
 }
 
-// depthStep runs RunMiniBatch's step on one sampled block with freshly
-// drawn weights, and returns the loss and W's gradient.
-func depthStep(t *testing.T, prog *program.Program, ds *datasets.Dataset, b *sampling.Batch) (float32, *tensor.Tensor) {
+// depthStep runs one training step on a sampled batch with freshly drawn
+// weights, and returns the loss and W's gradient: RunMiniBatch's step on
+// the seeds' block, or with block false, the step on the whole batch with
+// its loss masked to the seeds.
+func depthStep(t *testing.T, prog *program.Program, ds *datasets.Dataset, b *sampling.Batch, block bool) (float32, *tensor.Tensor) {
 	t.Helper()
 	e := nn.NewEngine(nil)
 	w := prog.Draw(e, rand.New(rand.NewSource(1)))
@@ -218,11 +224,18 @@ func depthStep(t *testing.T, prog *program.Program, ds *datasets.Dataset, b *sam
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := net.Forward(exec.NewRuntime(e, b.Sub), e.Input(b.GatherFeatures(ds.Feat), "h"), nil)
+	g, labels, mask := b.Sub, b.GatherLabels(ds.Labels), b.SeedMask()
+	if block {
+		if g, err = g.DstPrefix(b.SeedCount); err != nil {
+			t.Fatal(err)
+		}
+		labels, mask = labels[:b.SeedCount], nil
+	}
+	out, err := net.Forward(exec.NewRuntime(e, g), e.Input(b.GatherFeatures(ds.Feat), "h"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loss := e.CrossEntropyMasked(out, b.GatherLabels(ds.Labels), b.SeedMask())
+	loss := e.CrossEntropyMasked(out, labels, mask)
 	e.Backward(loss)
 	return loss.Value.At1(0), w["W"].Grad
 }
