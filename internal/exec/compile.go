@@ -21,7 +21,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 
 	"seastar/internal/autodiff"
 	"seastar/internal/fusion"
@@ -85,11 +84,6 @@ type CompiledUDF struct {
 	// execution hot path is a slice index — no fmt, no map, no alloc.
 	fwdLabels []string
 	bwdLabels []string
-
-	// fwdAlias[i][j], when non-nil, is an earlier forward dense node whose
-	// tensor node j of dense unit i reuses instead of computing its own
-	// (denseAliases); nil rows for seastar units.
-	fwdAlias [][]*gir.Node
 
 	// fwdNoBlock and bwdNoBlock name the first unit of each pass that
 	// cannot run on a block (blockless), "" when every unit can.
@@ -224,7 +218,6 @@ func CompileWith(dag *gir.DAG, opts Options) (*CompiledUDF, error) {
 		}
 	}
 	sp.End()
-	c.fwdAlias = denseAliases(c.FwdPlan, fwd.Outputs[0])
 	c.fwdNoBlock = blockless("fwd", c.FwdPlan, c.fwdKern, c.fwdMat)
 	if c.BwdPlan != nil {
 		c.bwdNoBlock = blockless("bwd", c.BwdPlan, c.bwdKern, c.bwdMat)
@@ -265,59 +258,6 @@ func CompileWith(dag *gir.DAG, opts Options) (*CompiledUDF, error) {
 	return c, nil
 }
 
-// denseAliases finds the dense nodes of a forward plan that recompute an
-// earlier dense node's value: the same op, attributes and shape over the
-// same inputs. A vertex feature read through Self (D) and through Nbr (S)
-// is one input, the [N, d] tensor bound to its key, so `Self(h)·W` and
-// `Nbr(h)·W` are one product. The output node is never an alias: Infer
-// hands its tensor to the caller. Row i is nil unless unit i is dense.
-func denseAliases(plan *fusion.Plan, out *gir.Node) [][]*gir.Node {
-	sameInput := func(a, b *gir.Node) bool {
-		if a == b {
-			return true
-		}
-		if a.Op != gir.OpLeaf || b.Op != gir.OpLeaf || a.Key != b.Key {
-			return false
-		}
-		// A forward leaf's kind and key name its tensor.
-		return a.LeafKind == b.LeafKind || vertexLeaf(a) && vertexLeaf(b)
-	}
-	same := func(m, n *gir.Node) bool {
-		if m.Op != n.Op || m.Attr != n.Attr || !slices.Equal(m.Shape, n.Shape) ||
-			len(m.Inputs) != len(n.Inputs) || m.Type != n.Type && !(vertexTyped(m) && vertexTyped(n)) {
-			return false
-		}
-		for k := range m.Inputs {
-			if !sameInput(m.Inputs[k], n.Inputs[k]) {
-				return false
-			}
-		}
-		return true
-	}
-	alias := make([][]*gir.Node, len(plan.Units))
-	var computed []*gir.Node
-	for i, u := range plan.Units {
-		if u.Kind != fusion.KindDense {
-			continue
-		}
-		alias[i] = make([]*gir.Node, len(u.Nodes))
-		for j, n := range u.Nodes {
-			if n != out {
-				for _, m := range computed {
-					if same(m, n) {
-						alias[i][j] = m
-						break
-					}
-				}
-			}
-			if alias[i][j] == nil {
-				computed = append(computed, n)
-			}
-		}
-	}
-	return alias
-}
-
 // blockless names the first unit of plan that cannot run on a block, or
 // returns "". An A:S kernel writes a D-typed materialization from a sweep
 // over every vertex (kernels.Kernel's neighbour-typed sweep), which a
@@ -339,14 +279,6 @@ func blockless(pass string, plan *fusion.Plan, kern map[*fusion.Unit]*kernels.Ke
 // isBlock reports whether g is a block (graph.Graph.DstPrefix): its
 // in-CSR has fewer rows than it has vertices.
 func isBlock(g *graph.Graph) bool { return g.In.NumRows() < g.N }
-
-// vertexLeaf reports whether a leaf reads a vertex feature (S or D).
-func vertexLeaf(n *gir.Node) bool {
-	return n.LeafKind == gir.LeafSrcFeat || n.LeafKind == gir.LeafDstFeat
-}
-
-// vertexTyped reports whether n's value has one row per vertex.
-func vertexTyped(n *gir.Node) bool { return n.Type == gir.TypeS || n.Type == gir.TypeD }
 
 // SavedNodes returns the forward nodes kept for the backward pass.
 func (c *CompiledUDF) SavedNodes() []*gir.Node { return c.saved }

@@ -118,11 +118,7 @@ func (c *CompiledUDF) Infer(env *InferEnv, vfeat, efeat, params map[string]*tens
 				b.Inter[n] = t
 			}
 		case fusion.KindDense:
-			for j, n := range u.Nodes {
-				if m := c.fwdAlias[ui][j]; m != nil {
-					b.Inter[n] = b.Inter[m]
-					continue
-				}
+			for _, n := range u.Nodes {
 				ins := make([]*tensor.Tensor, len(n.Inputs))
 				for i, in := range n.Inputs {
 					t, err := b.Resolve(in)

@@ -115,9 +115,8 @@ func (f *udfFunction) allocOut(n *gir.Node) *tensor.Tensor {
 	return t
 }
 
-// runUnit dispatches one execution unit; alias is the unit's row of
-// CompiledUDF.fwdAlias (nil in the backward pass).
-func (f *udfFunction) runUnit(u *fusion.Unit, kern *kernels.Kernel, mat, alias []*gir.Node, b *kernels.Bindings) error {
+// runUnit dispatches one execution unit.
+func (f *udfFunction) runUnit(u *fusion.Unit, kern *kernels.Kernel, mat []*gir.Node, b *kernels.Bindings) error {
 	switch u.Kind {
 	case fusion.KindSeastar:
 		outs := make(map[*gir.Node]*tensor.Tensor, len(mat))
@@ -135,7 +134,7 @@ func (f *udfFunction) runUnit(u *fusion.Unit, kern *kernels.Kernel, mat, alias [
 		}
 		return nil
 	case fusion.KindDense:
-		return f.runDense(u, alias, b)
+		return f.runDense(u, b)
 	case fusion.KindParamGrad:
 		return f.runParamGrad(u, b)
 	default:
@@ -143,12 +142,8 @@ func (f *udfFunction) runUnit(u *fusion.Unit, kern *kernels.Kernel, mat, alias [
 	}
 }
 
-func (f *udfFunction) runDense(u *fusion.Unit, alias []*gir.Node, b *kernels.Bindings) error {
-	for j, n := range u.Nodes {
-		if alias != nil && alias[j] != nil {
-			b.Inter[n] = b.Inter[alias[j]]
-			continue
-		}
+func (f *udfFunction) runDense(u *fusion.Unit, b *kernels.Bindings) error {
+	for _, n := range u.Nodes {
 		ins := make([]*tensor.Tensor, len(n.Inputs))
 		for i, in := range n.Inputs {
 			t, err := b.Resolve(in)
@@ -284,7 +279,7 @@ func (f *udfFunction) Forward(ctx *nn.FuncCtx, inputs ...*tensor.Tensor) *tensor
 	b := f.bindingsFrom(inputs)
 	for i, u := range f.c.FwdPlan.Units {
 		sp := obs.Begin("exec", f.c.fwdLabels[i])
-		err := f.runUnit(u, f.c.fwdKern[u], f.c.fwdMat[u], f.c.fwdAlias[i], b)
+		err := f.runUnit(u, f.c.fwdKern[u], f.c.fwdMat[u], b)
 		sp.End()
 		if err != nil {
 			panic(fmt.Errorf("exec: forward unit %d: %w", u.ID, err))
@@ -397,7 +392,7 @@ func (f *udfFunction) Backward(ctx *nn.FuncCtx, gradOut *tensor.Tensor) []*tenso
 			continue
 		}
 		sp := obs.Begin("exec", c.bwdLabels[i])
-		err := f.runUnit(u, f.c.bwdKern[u], f.c.bwdMat[u], nil, b)
+		err := f.runUnit(u, f.c.bwdKern[u], f.c.bwdMat[u], b)
 		sp.End()
 		if err != nil {
 			panic(fmt.Errorf("exec: backward unit %d: %w", u.ID, err))

@@ -614,6 +614,13 @@ func evalStep(st step, scratch [][]float32, params map[*gir.Node]*tensor.Tensor,
 	switch n.Op {
 	case gir.OpAdd:
 		a, b := in(0), in(1)
+		if len(a) == w && len(b) == w {
+			// Two full rows, a residual after an aggregation: no broadcast.
+			for j := range out {
+				out[j] = a[j] + b[j]
+			}
+			break
+		}
 		for j := 0; j < w; j++ {
 			out[j] = get(a, j) + get(b, j)
 		}

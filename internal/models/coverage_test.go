@@ -80,10 +80,12 @@ func TestSpecializationCoverage(t *testing.T) {
 			"bwd/0 scaled-gather",
 			"bwd/1 " + noAgg,
 		}},
-		// The sampled mini-batch trainer's model: W inside the plan.
+		// The sampled mini-batch trainer's model: W inside the plan, after
+		// the aggregation. bwd/2 is h's gradient, which training never
+		// asks for.
 		{"minibatch-sage", plan(program.MiniBatchSAGE(16, 8), 0), []string{
-			"fwd/2 gather",
-			"bwd/0 gather",
+			"fwd/0 gather",
+			"bwd/2 gather",
 		}},
 		{"gin", plan(program.GIN(spec, 16, 0.1), 0), []string{
 			"fwd/0 " + noAgg,

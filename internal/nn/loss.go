@@ -13,18 +13,43 @@ import (
 // logits has shape [N, C]; labels has length N. The returned variable is
 // scalar. Rows outside the mask are never read: their values, NaN and Inf
 // included, reach neither the loss nor the gradient.
+//
+// Each scored row takes one exp per logit: the forward keeps the row's
+// softmax, and the backward turns it into the gradient
+// scale·(softmax − onehot) in place.
 func (e *Engine) CrossEntropyMasked(logits *Variable, labels []int, mask []bool) *Variable {
 	n := logits.Value.Rows()
 	if len(labels) != n || mask != nil && len(mask) != n {
 		panic(fmt.Sprintf("nn: cross entropy over %d rows with %d labels, %d mask", n, len(labels), len(mask)))
 	}
-	logp := tensor.LogSoftmaxRows(logits.Value, mask, e.like(logits.Value))
+	// A pooled tensor comes zeroed, so the rows outside the mask hold a
+	// zero gradient.
+	p := e.like(logits.Value)
 	count := 0
 	var loss float64
 	for i := 0; i < n; i++ {
-		if mask == nil || mask[i] {
-			count++
-			loss -= float64(logp.At(i, labels[i]))
+		if mask != nil && !mask[i] {
+			continue
+		}
+		count++
+		v, pr := logits.Value.Row(i), p.Row(i)
+		mx := float32(math.Inf(-1))
+		for _, x := range v {
+			if x > mx {
+				mx = x
+			}
+		}
+		var sum float64
+		for j, x := range v {
+			ex := math.Exp(float64(x - mx))
+			pr[j] = float32(ex)
+			sum += ex
+		}
+		lse := float32(math.Log(sum)) + mx
+		loss -= float64(v[labels[i]] - lse)
+		inv := float32(1 / sum)
+		for j := range pr {
+			pr[j] *= inv
 		}
 	}
 	if count == 0 {
@@ -36,19 +61,17 @@ func (e *Engine) CrossEntropyMasked(logits *Variable, labels []int, mask []bool)
 	out := tensor.Scalar(float32(loss))
 	return e.node("xent", out, []*Variable{logits}, func(g *tensor.Tensor) {
 		scale := g.At1(0) / float32(count)
-		d := e.like(logits.Value)
 		for i := 0; i < n; i++ {
 			if mask != nil && !mask[i] {
 				continue
 			}
-			lr, dr := logp.Row(i), d.Row(i)
-			for j := range dr {
-				p := expf(lr[j])
-				dr[j] = scale * p
+			pr := p.Row(i)
+			for j := range pr {
+				pr[j] *= scale
 			}
-			dr[labels[i]] -= scale
+			pr[labels[i]] -= scale
 		}
-		logits.accumulate(d)
+		logits.accumulate(p)
 	})
 }
 
@@ -69,9 +92,4 @@ func Accuracy(logits *tensor.Tensor, labels []int, mask []bool) float64 {
 		return 0
 	}
 	return float64(correct) / float64(total)
-}
-
-func expf(x float32) float32 {
-	// exp via float64 for accuracy; hot only in the loss which is O(N·C).
-	return float32(math.Exp(float64(x)))
 }

@@ -153,9 +153,29 @@ func TestCrossEntropyGradient(t *testing.T) {
 	}
 }
 
-// TestCrossEntropyReadsOnlyMaskedRows: the loss and the logits gradient
-// equal the definition over a full-matrix log-softmax bit for bit, and
-// NaN/±Inf in the rows outside the mask change neither.
+// softmax64 is row i of m's softmax and log-sum-exp, in float64.
+func softmax64(m *tensor.Tensor, i int) ([]float64, float64) {
+	row := m.Row(i)
+	mx := math.Inf(-1)
+	for _, x := range row {
+		mx = math.Max(mx, float64(x))
+	}
+	p := make([]float64, len(row))
+	var sum float64
+	for j, x := range row {
+		p[j] = math.Exp(float64(x) - mx)
+		sum += p[j]
+	}
+	for j := range p {
+		p[j] /= sum
+	}
+	return p, mx + math.Log(sum)
+}
+
+// TestCrossEntropyReadsOnlyMaskedRows: the loss equals the mean of
+// lse − logit[label] over the masked rows, computed in float64 here, and
+// NaN/±Inf in the rows outside the mask change neither the loss nor the
+// gradient by a bit.
 func TestCrossEntropyReadsOnlyMaskedRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const n, c = 40, 5
@@ -186,17 +206,18 @@ func TestCrossEntropyReadsOnlyMaskedRows(t *testing.T) {
 	lossClean, gradClean := run(clean)
 	lossDirty, gradDirty := run(dirty)
 
-	logp := tensor.LogSoftmaxRows(clean, nil)
 	var want float64
 	count := 0
 	for i := 0; i < n; i++ {
 		if mask[i] {
+			_, lse := softmax64(clean, i)
+			want += lse - float64(clean.At(i, labels[i]))
 			count++
-			want -= float64(logp.At(i, labels[i]))
 		}
 	}
-	if w := float32(want / float64(count)); math.Float32bits(lossClean) != math.Float32bits(w) {
-		t.Fatalf("loss %v, definition %v", lossClean, w)
+	want /= float64(count)
+	if d := math.Abs(float64(lossClean) - want); d > 1e-6*math.Max(1, want) {
+		t.Fatalf("loss %v, float64 definition %v", lossClean, want)
 	}
 	if math.Float32bits(lossDirty) != math.Float32bits(lossClean) {
 		t.Fatalf("unscored rows moved the loss: %v vs %v", lossDirty, lossClean)
@@ -204,6 +225,76 @@ func TestCrossEntropyReadsOnlyMaskedRows(t *testing.T) {
 	for i, v := range gradClean.Data() {
 		if math.Float32bits(gradDirty.Data()[i]) != math.Float32bits(v) {
 			t.Fatalf("unscored rows moved gradient element %d: %v vs %v", i, gradDirty.Data()[i], v)
+		}
+	}
+}
+
+// TestCrossEntropyBackwardIsSoftmaxMinusOnehot: the logits gradient is
+// scale·(softmax − onehot) on every scored row, scale being the upstream
+// gradient over the scored-row count, so each such row sums to ≈ 0; every
+// other row is exactly zero. Wide-ranged logits, a nil mask and a scaled
+// upstream gradient included.
+func TestCrossEntropyBackwardIsSoftmaxMinusOnehot(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const n, c = 30, 7
+	for _, tc := range []struct {
+		name     string
+		spread   float64
+		upstream float32
+		masked   bool
+	}{
+		{"masked", 1, 1, true},
+		{"all-rows", 1, 1, false},
+		{"wide", 40, 1, true},
+		{"scaled", 3, 2.5, false},
+	} {
+		logits := tensor.Randn(rng, tc.spread, n, c)
+		labels := make([]int, n)
+		var mask []bool
+		if tc.masked {
+			mask = make([]bool, n)
+		}
+		count := 0
+		for i := range labels {
+			labels[i] = rng.Intn(c)
+			if mask != nil {
+				mask[i] = rng.Intn(2) == 0
+			}
+			if mask == nil || mask[i] {
+				count++
+			}
+		}
+		e := NewEngine(nil)
+		l := e.Param(logits, "logits")
+		loss := e.MulScalar(e.CrossEntropyMasked(l, labels, mask), tc.upstream)
+		e.Backward(loss)
+		scale := float64(tc.upstream) / float64(count)
+		for i := 0; i < n; i++ {
+			g := l.Grad.Row(i)
+			if mask != nil && !mask[i] {
+				for j, x := range g {
+					if x != 0 {
+						t.Fatalf("%s: unscored row %d has gradient %v at %d", tc.name, i, x, j)
+					}
+				}
+				continue
+			}
+			p, _ := softmax64(logits, i)
+			var sum float64
+			for j, x := range g {
+				want := p[j]
+				if j == labels[i] {
+					want--
+				}
+				want *= scale
+				if d := math.Abs(float64(x) - want); d > 1e-6*scale {
+					t.Fatalf("%s: gradient[%d,%d] = %v, want %v", tc.name, i, j, x, want)
+				}
+				sum += float64(x)
+			}
+			if math.Abs(sum) > 1e-6*scale*c {
+				t.Fatalf("%s: row %d's gradient sums to %v, want ≈ 0", tc.name, i, sum)
+			}
 		}
 	}
 }

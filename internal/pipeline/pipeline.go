@@ -188,7 +188,8 @@ func (e *Engine) sampleOne(epoch, idx int, seeds []int32) (*sampling.Batch, erro
 }
 
 // gather builds the compute-ready batch: pooled feature and label
-// gathers.
+// gathers. The feature gather writes every row, so its storage is not
+// zeroed first.
 func (e *Engine) gather(epoch, idx int, sb *sampling.Batch) *Batch {
 	f0, attr := e.faults()
 	start := time.Now()
@@ -197,7 +198,7 @@ func (e *Engine) gather(epoch, idx int, sb *sampling.Batch) *Batch {
 		b = new(Batch)
 	}
 	b.Epoch, b.Index, b.B = epoch, idx, sb
-	b.Feat = e.pool.Get(len(sb.Vertices), e.Feat.Cols())
+	b.Feat = e.pool.GetDirty(len(sb.Vertices), e.Feat.Cols())
 	sb.GatherFeaturesInto(b.Feat, e.Feat)
 	for _, v := range sb.Vertices[:sb.SeedCount] {
 		b.Labels = append(b.Labels, e.Labels[v])

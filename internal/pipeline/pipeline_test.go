@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -124,6 +125,41 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 			t.Fatalf("pipelined batches diverge from serial at prefetch=%d workers=%d",
 				cfg.Prefetch, cfg.SampleWorkers)
 		}
+	}
+}
+
+// TestGatherOverwritesPooledStorage: the gather draws its storage without
+// zeroing it, so a batch gathered into a recycled NaN-filled buffer must
+// equal the same batch gathered into a fresh tensor, bit for bit.
+func TestGatherOverwritesPooledStorage(t *testing.T) {
+	e := testEngine(t, Config{BatchSize: 64})
+	plan, err := e.Sampler.PlanEpoch(0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for idx, seeds := range plan[:3] {
+		sb, err := e.sampleOne(0, idx, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sb.GatherFeatures(e.Feat)
+		// One buffer of the batch's class, poisoned, is all the pool holds.
+		poison := e.pool.Get(want.Shape()...)
+		data := poison.Data()[:cap(poison.Data())]
+		for i := range data {
+			data[i] = float32(math.NaN())
+		}
+		e.pool.Put(poison)
+		b := e.gather(0, idx, sb)
+		if &b.Feat.Data()[0] != &data[0] {
+			t.Fatal("the gather did not reuse the poisoned buffer")
+		}
+		for i, v := range want.Data() {
+			if math.Float32bits(b.Feat.Data()[i]) != math.Float32bits(v) {
+				t.Fatalf("batch %d: element %d is %v in the pooled buffer, %v in a fresh one", idx, i, b.Feat.Data()[i], v)
+			}
+		}
+		e.release(b)
 	}
 }
 

@@ -207,11 +207,14 @@ func SAGE(s Spec, in int) *Program {
 }
 
 // MiniBatchSAGE is the sampled mini-batch trainer's model: one
-// self-plus-neighbours convolution h' = h_v·W + Σ_{u∈N(v)} h_u·W, compiled
+// self-plus-neighbours convolution h' = (h_v + Σ_{u∈N(v)} h_u)·W, compiled
 // once and applied to every batch subgraph (§5.1 at mini-batch
-// granularity). W is bound inside the plan, as R-GCN's are, which keeps
-// its loss curve the bits it has always had; the plan reads h both ways
-// under one key, so it is trained, never served.
+// granularity). It aggregates before it multiplies: on a block the sum is
+// D-typed, a row per seed, so the product, its weight gradient and the
+// loss all run over the seeds, and h, an input, needs no gradient and so
+// no backward edge unit. Multiplying first would put an S-typed h·W over
+// every sampled row in front of the sum. The plan reads h both ways under
+// one key, so it is trained, never served.
 func MiniBatchSAGE(in, classes int) *Program {
 	return &Program{
 		Weights: []Weight{wt("W", in, classes)},
@@ -221,8 +224,8 @@ func MiniBatchSAGE(in, classes int) *Program {
 				b.VFeature("h", in)
 				W := b.Param("W", in, classes)
 				return b.Build(func(v *gir.Vertex) *gir.Value {
-					self := v.Self("h").MatMul(W)
-					return v.Nbr("h").MatMul(W).AggSum().Add(self)
+					self := v.Self("h")
+					return v.Nbr("h").AggSum().Add(self).MatMul(W)
 				})
 			}},
 			Values: []Bind{{"h", ""}},

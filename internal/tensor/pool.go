@@ -54,6 +54,15 @@ func classCap(i int) int { return (4 + i&3) << (i >> 2) }
 // New(shape...) except that its storage may have more capacity than the
 // shape needs.
 func (p *Pool) Get(shape ...int) *Tensor {
+	t := p.GetDirty(shape...)
+	clear(t.data)
+	return t
+}
+
+// GetDirty is Get without the zeroing: the tensor holds whatever its
+// storage last held. It is for a caller that writes every element before
+// it reads any, as a gather of every row does.
+func (p *Pool) GetDirty(shape ...int) *Tensor {
 	n := volume(shape)
 	if n == 0 {
 		return New(shape...)
@@ -86,11 +95,7 @@ func (p *Pool) Get(shape ...int) *Tensor {
 	if data == nil {
 		data = make([]float32, size)
 	}
-	data = data[:n]
-	for i := range data {
-		data[i] = 0
-	}
-	return FromSlice(data, shape...)
+	return FromSlice(data[:n], shape...)
 }
 
 // Put returns t's storage to the pool. The caller must not use t (or any

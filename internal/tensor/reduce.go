@@ -106,34 +106,3 @@ func SoftmaxRows(m *Tensor) *Tensor {
 	})
 	return out
 }
-
-// LogSoftmaxRows returns the row-wise log-softmax of a matrix over the
-// rows i with mask[i] set, or every row when mask is nil. The other rows
-// are neither read nor written: they stay zero in a fresh result.
-func LogSoftmaxRows(m *Tensor, mask []bool, into ...*Tensor) *Tensor {
-	m.check2d()
-	out := dstOr(into, m.shape...)
-	parallelRows(m.shape[0], func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if mask != nil && !mask[i] {
-				continue
-			}
-			mr, or := m.Row(i), out.Row(i)
-			mx := float32(math.Inf(-1))
-			for _, v := range mr {
-				if v > mx {
-					mx = v
-				}
-			}
-			var sum float64
-			for _, v := range mr {
-				sum += math.Exp(float64(v - mx))
-			}
-			lse := float32(math.Log(sum)) + mx
-			for j, v := range mr {
-				or[j] = v - lse
-			}
-		}
-	})
-	return out
-}

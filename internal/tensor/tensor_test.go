@@ -246,17 +246,6 @@ func TestSoftmaxRows(t *testing.T) {
 	}
 }
 
-func TestLogSoftmaxRows(t *testing.T) {
-	m := FromSlice([]float32{1, 2, 3}, 1, 3)
-	ls := LogSoftmaxRows(m, nil)
-	sm := SoftmaxRows(m)
-	for j := 0; j < 3; j++ {
-		if math.Abs(float64(ls.At(0, j))-math.Log(float64(sm.At(0, j)))) > 1e-5 {
-			t.Fatalf("log-softmax mismatch at %d", j)
-		}
-	}
-}
-
 func TestGatherScatter(t *testing.T) {
 	m := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 3, 2)
 	g := GatherRows(m, []int32{2, 0, 2})
@@ -348,26 +337,25 @@ func TestOpsIntoDestination(t *testing.T) {
 	pos := a.Apply(func(x float32) float32 { return x*x + 1 })
 	p := NewPool()
 	ops := map[string]func(into ...*Tensor) *Tensor{
-		"Add":            func(into ...*Tensor) *Tensor { return Add(a, b, into...) },
-		"Sub":            func(into ...*Tensor) *Tensor { return Sub(a, b, into...) },
-		"Mul":            func(into ...*Tensor) *Tensor { return Mul(a, b, into...) },
-		"Div":            func(into ...*Tensor) *Tensor { return Div(a, pos, into...) },
-		"AddScalar":      func(into ...*Tensor) *Tensor { return AddScalar(a, 3, into...) },
-		"MulScalar":      func(into ...*Tensor) *Tensor { return MulScalar(a, -2, into...) },
-		"AddRow":         func(into ...*Tensor) *Tensor { return AddRow(a, row, into...) },
-		"MulColVec":      func(into ...*Tensor) *Tensor { return MulColVec(a, col, into...) },
-		"Exp":            func(into ...*Tensor) *Tensor { return Exp(a, into...) },
-		"Log":            func(into ...*Tensor) *Tensor { return Log(pos, into...) },
-		"Sigmoid":        func(into ...*Tensor) *Tensor { return Sigmoid(a, into...) },
-		"Tanh":           func(into ...*Tensor) *Tensor { return Tanh(a, into...) },
-		"ReLU":           func(into ...*Tensor) *Tensor { return ReLU(a, into...) },
-		"LeakyReLU":      func(into ...*Tensor) *Tensor { return LeakyReLU(a, 0.2, into...) },
-		"MatMul":         func(into ...*Tensor) *Tensor { return MatMul(a, w, into...) },
-		"MatMulT":        func(into ...*Tensor) *Tensor { return MatMulT(a, b, into...) },
-		"TMatMul":        func(into ...*Tensor) *Tensor { return TMatMul(a, b, into...) },
-		"SumRows":        func(into ...*Tensor) *Tensor { return SumRows(a, into...) },
-		"SumCols":        func(into ...*Tensor) *Tensor { return SumCols(a, into...) },
-		"LogSoftmaxRows": func(into ...*Tensor) *Tensor { return LogSoftmaxRows(a, nil, into...) },
+		"Add":       func(into ...*Tensor) *Tensor { return Add(a, b, into...) },
+		"Sub":       func(into ...*Tensor) *Tensor { return Sub(a, b, into...) },
+		"Mul":       func(into ...*Tensor) *Tensor { return Mul(a, b, into...) },
+		"Div":       func(into ...*Tensor) *Tensor { return Div(a, pos, into...) },
+		"AddScalar": func(into ...*Tensor) *Tensor { return AddScalar(a, 3, into...) },
+		"MulScalar": func(into ...*Tensor) *Tensor { return MulScalar(a, -2, into...) },
+		"AddRow":    func(into ...*Tensor) *Tensor { return AddRow(a, row, into...) },
+		"MulColVec": func(into ...*Tensor) *Tensor { return MulColVec(a, col, into...) },
+		"Exp":       func(into ...*Tensor) *Tensor { return Exp(a, into...) },
+		"Log":       func(into ...*Tensor) *Tensor { return Log(pos, into...) },
+		"Sigmoid":   func(into ...*Tensor) *Tensor { return Sigmoid(a, into...) },
+		"Tanh":      func(into ...*Tensor) *Tensor { return Tanh(a, into...) },
+		"ReLU":      func(into ...*Tensor) *Tensor { return ReLU(a, into...) },
+		"LeakyReLU": func(into ...*Tensor) *Tensor { return LeakyReLU(a, 0.2, into...) },
+		"MatMul":    func(into ...*Tensor) *Tensor { return MatMul(a, w, into...) },
+		"MatMulT":   func(into ...*Tensor) *Tensor { return MatMulT(a, b, into...) },
+		"TMatMul":   func(into ...*Tensor) *Tensor { return TMatMul(a, b, into...) },
+		"SumRows":   func(into ...*Tensor) *Tensor { return SumRows(a, into...) },
+		"SumCols":   func(into ...*Tensor) *Tensor { return SumCols(a, into...) },
 	}
 	for name, op := range ops {
 		want := op()

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"seastar/internal/datasets"
@@ -49,12 +50,11 @@ func heteroDS(t *testing.T) *datasets.Dataset {
 }
 
 // TestSAGEProgramRunsOnTheVM pins the mini-batch model's edge loops to the
-// columnar VM in both passes: the forward gather and the backward
-// Agg<S>(EdgeView(dy)), which specializes only because EdgeView aliases
-// its operand. This is program.MiniBatchSAGE's "minibatch-sage" row of
-// models.TestSpecializationCoverage, which is not that table's mean-SAGE
-// (the MatMul sits inside the vertex function here, and there is no 1/deg
-// scale).
+// columnar VM in both passes: the forward gather of h, and the backward
+// gather that would give h a gradient. This is program.MiniBatchSAGE's
+// "minibatch-sage" row of models.TestSpecializationCoverage, which is not
+// that table's mean-SAGE (the MatMul sits inside the vertex function here,
+// after the aggregation, and there is no 1/deg scale).
 func TestSAGEProgramRunsOnTheVM(t *testing.T) {
 	dag, err := program.MiniBatchSAGE(16, 4).Stages[0].Plan.Trace()
 	if err != nil {
@@ -81,6 +81,41 @@ func TestSAGEProgramRunsOnTheVM(t *testing.T) {
 	}
 	if units != 2 {
 		t.Errorf("program has %d seastar units, want 2 (forward and backward aggregation)", units)
+	}
+}
+
+// TestMiniBatchStepLaunchesOneUnit: the mini-batch model aggregates before
+// it multiplies, and its input h takes no gradient, so one training step
+// launches exactly one fused unit, the forward gather, and none in the
+// backward. Launches are counted from the obs "kern" spans the benchmark's
+// kernels.* metrics read.
+func TestMiniBatchStepLaunchesOneUnit(t *testing.T) {
+	ds := synthZipf(t, 3, 600, 8, 8, 4)
+	s, err := sampling.NewSampler(ds.G, DrawnFanOut(ds, []int{4, 3}), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := s.PlanEpoch(0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.SampleSeeded(plan[0], sampling.DeriveSeed(9, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs.Reset()
+	obs.Enable()
+	defer obs.Disable()
+	defer obs.Reset()
+	depthStep(t, miniBatchModel(ds), ds, b, true)
+	launches := map[string]int64{}
+	for _, e := range obs.Snapshot() {
+		if e.Cat == "kern" {
+			launches[e.Name[:strings.Index(e.Name, "/")]] += e.Count
+		}
+	}
+	if launches["fwd"] != 1 || launches["bwd"] != 0 || len(launches) > 2 {
+		t.Fatalf("one step launched %v fused units, want fwd:1 and no bwd", launches)
 	}
 }
 
