@@ -29,7 +29,7 @@ race-serve:
 	$(GO) test -race -count=1 ./internal/serve/...
 
 # Race-check the mini-batch training pipeline and its feeding layers,
-# including the mmap store's concurrent prefetcher and the heap-flat
+# including store-backed training over the mmap store and the heap-flat
 # regression test (TestMiniBatchHeapFlat).
 race-pipeline:
 	$(GO) test -race -count=1 ./internal/pipeline/... ./internal/train/... ./internal/sampling/... ./internal/store/...

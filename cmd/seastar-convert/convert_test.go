@@ -60,7 +60,7 @@ func TestConvertRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("in-memory train: %v", err)
 			}
-			opts.GraphStore, opts.StorePrefetch = st, true
+			opts.GraphStore = st
 			got, err := train.RunMiniBatch(context.Background(), train.DatasetFromStore(st, "store"), opts)
 			if err != nil {
 				t.Fatalf("store train: %v", err)

@@ -40,14 +40,11 @@ func main() {
 	scale := flag.Float64("scale", 0, "dataset instantiation scale (0 = default)")
 	seed := flag.Int64("seed", 1, "dataset + weight seed")
 	queue := flag.Int("queue", 256, "admission queue depth")
-	batch := flag.Int("batch", 8, "max requests per micro-batch (a batch is whatever is queued when a worker frees, never waited for)")
+	batch := flag.Int("batch", 8, "max requests per micro-batch in sampled (-fanout) and -embed-cache modes; per-batch full-graph mode takes the whole queue (a batch is whatever is queued when a worker frees, never waited for)")
 	workers := flag.Int("workers", 4, "concurrent batch workers")
 	fanout := flag.String("fanout", "", "comma-separated per-layer fan-out for sampled inference (empty = full graph)")
 	timeout := flag.Duration("timeout", 5*time.Second, "default per-request deadline")
 	obsOn := flag.Bool("obs", false, "enable span tracing: per-request span trees on /debug/trace, obs counters on /metrics")
-	adaptOn := flag.Bool("adapt", false, "enable measured micro-batch re-planning (trials batch sizes on end-to-end latency, swaps on a sustained >10% win)")
-	adaptPlans := flag.String("adapt-plans", "", "persist learned plans to this file for warm restarts (implies -adapt)")
-	adaptInterval := flag.Duration("adapt-interval", 0, "measurement-window length per re-planning trial (0 = engine default 250ms)")
 	embedCache := flag.Bool("embed-cache", false, "cache full-graph embeddings per snapshot; graph deltas patch them incrementally")
 	frontierLimit := flag.Float64("delta-frontier", 0, "dirty-frontier fraction above which a delta falls back to a full recompute (0 = default 0.05)")
 	shardIndex := flag.Int("shard-index", -1, "run as shard worker with this index (requires -shard-count)")
@@ -143,9 +140,6 @@ func main() {
 		MaxBatch:       *batch,
 		Workers:        *workers,
 		DefaultTimeout: *timeout,
-		Adapt:          *adaptOn || *adaptPlans != "",
-		AdaptPlanPath:  *adaptPlans,
-		AdaptInterval:  *adaptInterval,
 
 		EmbedCache:         *embedCache,
 		DeltaFrontierLimit: *frontierLimit,
@@ -163,13 +157,6 @@ func main() {
 	eng, err := serve.New(cfg, snap)
 	if err != nil {
 		fatal(err)
-	}
-	if cfg.Adapt {
-		if eng.AdaptWarm() {
-			fmt.Println("seastar-serve: adaptive re-planning on (warm start: persisted plan adopted)")
-		} else {
-			fmt.Println("seastar-serve: adaptive re-planning on (exploring)")
-		}
 	}
 
 	srv := newServer(*addr, serve.Handler(eng))

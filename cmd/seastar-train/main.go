@@ -56,9 +56,6 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "minibatch: checkpoint file (resumes if present, saved every epoch)")
 	metricsOut := flag.String("metrics-out", "", "minibatch: write Prometheus-style pipeline metrics to this file at exit")
 	graphStore := flag.String("graph-store", "", "train from an mmap-backed on-disk store written by seastar-convert (implies -minibatch; -dataset/-scale are ignored)")
-	storePrefetch := flag.Bool("store-prefetch", true, "graph-store: prefetch upcoming batches' CSR rows and feature pages")
-	storePrefetchWorkers := flag.Int("store-prefetch-workers", 1, "graph-store: prefetcher goroutines")
-	storePrefetchBudget := flag.Int("store-prefetch-budget", 4, "graph-store: bounded in-flight prefetch requests (full budget drops, never blocks)")
 	flag.Parse()
 
 	if *list {
@@ -79,10 +76,7 @@ func main() {
 			epochs: *epochs, batchSize: *batchSize, prefetch: *prefetch,
 			sampleWorkers: *sampleWorkers, fanout: *fanout,
 			checkpoint: *checkpoint, metricsOut: *metricsOut,
-			lr: float32(*lr), seed: *seed,
-			store: st, storePrefetch: *storePrefetch,
-			storePrefetchWorkers: *storePrefetchWorkers,
-			storePrefetchBudget:  *storePrefetchBudget,
+			lr: float32(*lr), seed: *seed, store: st,
 		})
 		return
 	}
@@ -185,10 +179,7 @@ type miniFlags struct {
 	fanout, checkpoint, metricsOut             string
 	lr                                         float32
 	seed                                       int64
-
-	store                                     *store.Store
-	storePrefetch                             bool
-	storePrefetchWorkers, storePrefetchBudget int
+	store                                      *store.Store
 }
 
 // runMiniBatch drives train.RunMiniBatch with ^C-aware cancellation:
@@ -208,9 +199,7 @@ func runMiniBatch(ds *datasets.Dataset, mf miniFlags) {
 		Prefetch: mf.prefetch, SampleWorkers: mf.sampleWorkers,
 		LR: mf.lr, Seed: mf.seed,
 		CheckpointPath: mf.checkpoint, Metrics: metrics,
-		GraphStore: mf.store, StorePrefetch: mf.storePrefetch,
-		StorePrefetchWorkers: mf.storePrefetchWorkers,
-		StorePrefetchBudget:  mf.storePrefetchBudget,
+		GraphStore: mf.store,
 		Progress: func(st train.EpochStats) {
 			fmt.Printf("epoch %3d  batches %3d  loss %.4f  seed-acc %.3f  wall %.1f ms\n",
 				st.Epoch+1, st.Batches, st.AvgLoss, st.SeedAcc, float64(st.WallNs)/1e6)
@@ -235,9 +224,8 @@ func runMiniBatch(ds *datasets.Dataset, mf miniFlags) {
 		fmt.Printf("(resumed from checkpoint at epoch %d)\n", res.StartEpoch)
 	}
 	fmt.Printf("final seed-vertex accuracy %.3f\n", res.SeedAcc)
-	if s := res.StoreStats; s != nil {
-		fmt.Printf("store prefetch: %d requests (%d dropped), %d rows, %d page touches; %d major faults\n",
-			s.Batches, s.Dropped, s.Rows, s.Pages, res.MajorFaults)
+	if mf.store != nil {
+		fmt.Printf("major faults: %d\n", res.MajorFaults)
 	}
 }
 

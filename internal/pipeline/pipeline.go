@@ -42,38 +42,20 @@ type Config struct {
 	Prefetch int
 	// SampleWorkers is the stage-1 parallelism (min 1).
 	SampleWorkers int
-	// Hooks let a storage backend observe and front-run the stages;
-	// zero value means no hooks (the in-memory path).
-	Hooks Hooks
-}
-
-// Hooks are the out-of-core seam (DESIGN.md §16): an mmap-backed store
-// registers prefetch callbacks that walk upcoming batches' pages ahead
-// of the stage that will fault on them, plus a page-fault counter the
-// engine samples around each stage to attribute I/O stall time. All
-// hooks must be non-blocking and thread-safe (the sample stage is
-// parallel); nil members are skipped. Hooks never change what is
-// computed — a store-backed run is bitwise-identical to in-memory.
-type Hooks struct {
-	// PrefetchSeeds is called with the seed list of an upcoming batch
-	// ahead of that batch's sample stage (one batch of lead serially;
-	// the task feeder's credit window of lead when pipelined).
-	PrefetchSeeds func(seeds []int32)
-	// PrefetchBatch is called with a freshly sampled batch's base-graph
-	// vertex ids, ahead of that batch's gather stage.
-	PrefetchBatch func(verts []int32)
-	// Faults returns a cumulative major page-fault count; sampled
-	// around each stage (only while obs tracing is enabled) and the
-	// delta recorded as the stage's "majflt" counter.
+	// Faults, when non-nil, returns a cumulative major page-fault count.
+	// An mmap-backed store (DESIGN.md §16) sets it: while obs tracing is
+	// enabled the engine reads it around the sample and gather stages
+	// and records each delta as the stage's "majflt" counter. It must be
+	// safe for concurrent use (the sample stage is parallel).
 	Faults func() int64
 }
 
 // faults reads the fault counter when stall attribution is on.
 func (e *Engine) faults() (int64, bool) {
-	if e.Cfg.Hooks.Faults == nil || !obs.Enabled() {
+	if e.Cfg.Faults == nil || !obs.Enabled() {
 		return 0, false
 	}
-	return e.Cfg.Hooks.Faults(), true
+	return e.Cfg.Faults(), true
 }
 
 // DefaultConfig is a balanced starting point: depth-4 pipeline with two
@@ -178,10 +160,7 @@ func (e *Engine) sampleOne(epoch, idx int, seeds []int32) (*sampling.Batch, erro
 	e.Metrics.SampleTime.Observe(d)
 	obs.Observe("pipeline", "sample", d)
 	if attr {
-		obs.Add("pipeline", "sample", "majflt", e.Cfg.Hooks.Faults()-f0)
-	}
-	if e.Cfg.Hooks.PrefetchBatch != nil {
-		e.Cfg.Hooks.PrefetchBatch(b.Vertices)
+		obs.Add("pipeline", "sample", "majflt", e.Cfg.Faults()-f0)
 	}
 	e.Metrics.Sampled.Add(1)
 	return b, nil
@@ -207,7 +186,7 @@ func (e *Engine) gather(epoch, idx int, sb *sampling.Batch) *Batch {
 	e.Metrics.GatherTime.Observe(d)
 	obs.Observe("pipeline", "gather", d)
 	if attr {
-		obs.Add("pipeline", "gather", "majflt", e.Cfg.Hooks.Faults()-f0)
+		obs.Add("pipeline", "gather", "majflt", e.Cfg.Faults()-f0)
 	}
 	e.Metrics.Gathered.Add(1)
 	return b
@@ -252,9 +231,6 @@ func (e *Engine) runSerial(ctx context.Context, epoch int, plan [][]int32, step 
 	for idx, seeds := range plan {
 		if err := ctx.Err(); err != nil {
 			return err
-		}
-		if e.Cfg.Hooks.PrefetchSeeds != nil && idx+1 < len(plan) {
-			e.Cfg.Hooks.PrefetchSeeds(plan[idx+1])
 		}
 		sb, err := e.sampleOne(epoch, idx, seeds)
 		if err != nil {
@@ -312,11 +288,6 @@ func (e *Engine) runPipelined(ctx context.Context, epoch int, plan [][]int32, st
 		defer wg.Done()
 		defer close(tasks)
 		for i := range plan {
-			if e.Cfg.Hooks.PrefetchSeeds != nil {
-				// Issued as the index enters the task queue, so the
-				// credit window (2P+W batches) is the prefetch lead.
-				e.Cfg.Hooks.PrefetchSeeds(plan[i])
-			}
 			select {
 			case credits <- struct{}{}:
 			case <-ictx.Done():

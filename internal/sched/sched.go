@@ -60,9 +60,9 @@ func Workers(n int) int {
 
 // Oversubscribe returns the chunk budget for workers workers at
 // perWorker chunks each, clamped so a degenerate input still yields one
-// chunk. It centralises the chunk-count arithmetic the partitioners and
-// the measured re-planner share: granularity changes move only how many
-// pieces the row space is cut into, never which rows reduce together.
+// chunk. It centralises the partitioners' chunk-count arithmetic:
+// granularity changes move only how many pieces the row space is cut
+// into, never which rows reduce together.
 func Oversubscribe(workers, perWorker int) int {
 	if workers < 1 {
 		workers = 1

@@ -61,55 +61,82 @@ func TestIdleEngineDispatchesAtOnce(t *testing.T) {
 
 // TestBusyWorkerBatchesFromQueue: with the only worker busy the batcher
 // waits for its slot while callers queue up behind it, so batches form
-// from the backlog — full-graph mode shares one forward among them — and
-// batching changes no answer.
+// from the backlog, and batching changes no answer. A sampled batch takes
+// at most MaxBatch requests, each of which costs its own forward; a
+// full-graph batch shares one forward whatever its size, so it takes the
+// whole backlog and outgrows MaxBatch.
 func TestBusyWorkerBatchesFromQueue(t *testing.T) {
 	snap := snapFor(t, "cora", 0.25, 1)
-	truth := groundTruth(t, gcnSpec(7), snap)
 	const maxBatch = 8
-	eng, err := serve.New(serve.Config{Spec: gcnSpec(7), Workers: 1, MaxBatch: maxBatch}, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
 	const callers, perCaller = 64, 4
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			<-start
-			for i := 0; i < perCaller; i++ {
-				nodes := []int32{int32(c), int32((c*perCaller + i) % snap.NumVertices())}
-				res, err := eng.Infer(context.Background(), nodes)
-				if err != nil {
-					t.Errorf("caller %d: %v", c, err)
-					return
-				}
-				if !sameTensorBits(res.Logits, tensor.GatherRows(truth, nodes)) {
-					t.Errorf("caller %d request %d: batched answer differs from the serial forward", c, i)
-					return
+	nodesOf := func(c, i int) []int32 { return []int32{int32(c), int32(callers + c*perCaller + i)} }
+	for _, mode := range []struct {
+		name   string
+		fanOut []int
+	}{
+		{"full-graph", nil},
+		{"sampled", []int{4, 4}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			cfg := serve.Config{Spec: gcnSpec(7), Workers: 1, MaxBatch: maxBatch, FanOut: mode.fanOut}
+			want := make([][]*tensor.Tensor, callers)
+			truth := groundTruth(t, gcnSpec(7), snap)
+			for c := range want {
+				for i := 0; i < perCaller; i++ {
+					if mode.fanOut == nil {
+						want[c] = append(want[c], tensor.GatherRows(truth, nodesOf(c, i)))
+					} else {
+						want[c] = append(want[c], sampledReference(t, cfg, snap, nodesOf(c, i)))
+					}
 				}
 			}
-		}(c)
-	}
-	close(start)
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	m := eng.Metrics()
-	batches, reqs := m.Batches.Load(), m.BatchedReqs.Load()
-	if reqs != callers*perCaller {
-		t.Fatalf("%d requests batched, want %d", reqs, callers*perCaller)
-	}
-	if batches >= reqs {
-		t.Fatalf("%d forwards for %d requests: nothing was batched behind the busy worker", batches, reqs)
-	}
-	if batches*maxBatch < reqs {
-		t.Fatalf("%d batches of at most %d cannot hold %d requests", batches, maxBatch, reqs)
+			eng, err := serve.New(cfg, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					<-start
+					for i := 0; i < perCaller; i++ {
+						res, err := eng.Infer(context.Background(), nodesOf(c, i))
+						if err != nil {
+							t.Errorf("caller %d: %v", c, err)
+							return
+						}
+						if !sameTensorBits(res.Logits, want[c][i]) {
+							t.Errorf("caller %d request %d: batched answer differs from the serial one", c, i)
+							return
+						}
+					}
+				}(c)
+			}
+			close(start)
+			wg.Wait()
+			if t.Failed() {
+				t.FailNow()
+			}
+			m := eng.Metrics()
+			batches, reqs := m.Batches.Load(), m.BatchedReqs.Load()
+			if reqs != callers*perCaller {
+				t.Fatalf("%d requests batched, want %d", reqs, callers*perCaller)
+			}
+			if batches >= reqs {
+				t.Fatalf("%d batches for %d requests: nothing was batched behind the busy worker", batches, reqs)
+			}
+			if mode.fanOut != nil && batches*maxBatch < reqs {
+				t.Fatalf("%d batches of at most %d cannot hold %d requests", batches, maxBatch, reqs)
+			}
+			if mode.fanOut == nil && batches*maxBatch >= reqs {
+				t.Fatalf("%d batches for %d requests average at most MaxBatch %d: full-graph batches did not drain the backlog",
+					batches, reqs, maxBatch)
+			}
+		})
 	}
 }
 

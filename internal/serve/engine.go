@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"seastar/internal/adapt"
 	"seastar/internal/obs"
 	"seastar/internal/sampling"
 	"seastar/internal/tensor"
@@ -42,9 +41,12 @@ type Config struct {
 	// arriving with the queue full are rejected with ErrQueueFull.
 	QueueDepth int
 	// MaxBatch caps how many queued requests one worker dispatch picks up
-	// (default 8). A batch is whatever is already queued when a worker
-	// slot frees, never more: an idle engine dispatches every request
-	// alone and at once.
+	// in sampled and embed-cache modes (default 8). In per-batch
+	// full-graph mode (no FanOut, no EmbedCache) a batch shares one
+	// forward whatever its size, so a dispatch drains the whole queue
+	// instead. Either way a batch is whatever is already queued when a
+	// worker slot frees, never more: an idle engine dispatches every
+	// request alone and at once.
 	MaxBatch int
 	// Workers bounds concurrently executing batches (default 4).
 	Workers int
@@ -62,30 +64,13 @@ type Config struct {
 	// EmbedCache switches full-graph serving to cached embeddings: the
 	// forward runs once per (snapshot, model) and every batch gathers
 	// rows from the cached logits. Graph deltas then patch the cache
-	// incrementally instead of recomputing it. Off by default — per-batch
-	// forwards keep latency measurements meaningful for the adaptive
-	// re-planner.
+	// incrementally instead of recomputing it. Off by default: every
+	// batch then runs its own forward.
 	EmbedCache bool
 	// DeltaFrontierLimit is the dirty-frontier fraction of N above which
 	// an incremental delta recompute falls back to one full forward
 	// (default 0.05).
 	DeltaFrontierLimit float64
-
-	// Adapt enables the measured re-planning loop: a background tuner
-	// trials micro-batch sizes against observed per-request latency and
-	// swaps the batcher to a learned size on a sustained win (see
-	// internal/adapt). Off by default.
-	Adapt bool
-	// AdaptPlanPath persists settled plans for warm restarts ("" keeps
-	// learning in-memory only). A missing or corrupt file falls back to
-	// the static plan and re-explores.
-	AdaptPlanPath string
-	// AdaptInterval is the measurement-window length per trial
-	// (default 250ms).
-	AdaptInterval time.Duration
-	// AdaptConfig tunes exploration and hysteresis (zero fields take
-	// the adapt package defaults: 3 trials/round, 2 rounds, 10% win).
-	AdaptConfig adapt.Config
 }
 
 func (c *Config) withDefaults() error {
@@ -173,12 +158,6 @@ type Engine struct {
 	stop  chan struct{}
 	sem   chan struct{}
 
-	// maxBatch is the live micro-batch cap. It starts at cfg.MaxBatch
-	// and is rewritten by the adaptive re-planner mid-flight, so the
-	// batcher reads it atomically per batch.
-	maxBatch atomic.Int64
-	adaptSt  *adaptState
-
 	admitMu   sync.RWMutex // guards enqueue vs. Close's no-new-senders barrier
 	draining  atomic.Bool
 	batcherWG sync.WaitGroup
@@ -211,10 +190,6 @@ func New(cfg Config, snap *Snapshot) (*Engine, error) {
 	}
 	if err := e.publish(snap, 1); err != nil {
 		return nil, err
-	}
-	e.maxBatch.Store(int64(cfg.MaxBatch))
-	if cfg.Adapt {
-		e.startAdapt(snap)
 	}
 	e.batcherWG.Add(1)
 	go e.batcher()
@@ -379,7 +354,7 @@ func (e *Engine) Infer(ctx context.Context, nodes []int32) (*Result, error) {
 
 // batcher forms micro-batches slot first: it takes one admitted request,
 // waits for a worker slot, and only then drains whatever else is already
-// queued, up to the live maxBatch, without waiting for more. With a
+// queued, up to collectNoWait's cap, without waiting for more. With a
 // worker idle a request is dispatched alone and at once; with every
 // worker busy the batcher is parked on the slot while the queue fills
 // behind it (backpressure: a full queue answers ErrQueueFull), so batches
@@ -423,13 +398,17 @@ func (e *Engine) dispatch(first *request) {
 	}()
 }
 
+// collectNoWait batches first with whatever is already queued: up to
+// MaxBatch requests in sampled and embed-cache modes, where each request
+// costs its own work, and the whole queue in per-batch full-graph mode,
+// where one forward serves a batch of any size.
 func (e *Engine) collectNoWait(first *request) []*request {
+	limit := e.cfg.MaxBatch
+	if len(e.cfg.FanOut) == 0 && !e.cfg.EmbedCache {
+		limit = 1 + e.cfg.QueueDepth
+	}
 	batch := []*request{first}
-	// One atomic read per batch: the adaptive re-planner may swap the
-	// cap between batches, but a batch in progress keeps the cap it
-	// started with.
-	maxBatch := int(e.maxBatch.Load())
-	for len(batch) < maxBatch {
+	for len(batch) < limit {
 		select {
 		case r := <-e.queue:
 			batch = append(batch, r)
@@ -445,9 +424,6 @@ func (e *Engine) collectNoWait(first *request) []*request {
 // exited when Close returns. Safe to call more than once.
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
-		// Stop re-planning first so no plan swap or save races the
-		// drain; stopAdapt blocks until the replanner goroutine exits.
-		e.stopAdapt()
 		e.draining.Store(true)
 		// Barrier: after this Lock/Unlock no Infer can be mid-enqueue, so
 		// the batcher's final flush observes every admitted request.

@@ -41,12 +41,6 @@ func (h *hist) Observe(d time.Duration) {
 	h.sumNs.Add(int64(d))
 }
 
-// Totals returns the observation count and summed nanoseconds — the
-// deltas the adaptive re-planner measures its trial windows from.
-func (h *hist) Totals() (count, sumNs int64) {
-	return h.count.Load(), h.sumNs.Load()
-}
-
 // write emits the histogram in Prometheus text exposition format.
 func (h *hist) write(w io.Writer, name string) {
 	fmt.Fprintf(w, "# TYPE %s histogram\n", name)

@@ -6,9 +6,9 @@
 // mapping can be aliased directly as Go slices — the loaded *graph.Graph
 // and feature tensor are byte-for-byte the arrays on disk, so compiled
 // plans, the fused VM and normalizer derivation run unchanged over
-// disk-resident data. An async Prefetcher walks the next pipeline
-// batch's rows ahead of the gather stage (madvise(WILLNEED) +
-// touch-read) to hide page-fault latency.
+// disk-resident data. Pages fault in on demand through the OS page
+// cache; the pipeline counts the major faults of its sample and gather
+// stages (MajorFaults).
 //
 // Numbers are stored in the writing host's native byte order; a
 // byte-order sentinel in the header rejects cross-endian files cleanly

@@ -29,17 +29,6 @@ func unmapFile(data []byte, mapped bool) error {
 	return syscall.Munmap(data)
 }
 
-// advise hints the kernel to read b ahead asynchronously. b must start
-// on a page boundary (callers align down within the mapping). Errors
-// are ignored: madvise is advisory and the touch-read that follows is
-// the fallback.
-func advise(b []byte) {
-	if len(b) == 0 {
-		return
-	}
-	_ = syscall.Madvise(b, syscall.MADV_WILLNEED)
-}
-
 // MajorFaults returns the process's cumulative major page-fault count
 // (majflt from /proc/self/stat), used by the pipeline to attribute
 // I/O stall time per stage. Returns 0 on platforms without /proc.

@@ -22,8 +22,5 @@ func mmapFile(f *os.File, size int64) ([]byte, bool, error) {
 
 func unmapFile(data []byte, mapped bool) error { return nil }
 
-// advise is a no-op without a real mapping.
-func advise(b []byte) {}
-
 // MajorFaults returns 0 on platforms without /proc/self/stat.
 func MajorFaults() int64 { return 0 }

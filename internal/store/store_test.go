@@ -252,53 +252,3 @@ func TestWriteRejectsBadSources(t *testing.T) {
 		}
 	}
 }
-
-func TestPrefetcher(t *testing.T) {
-	src := testSource(t, 11, 1000, 6, 32, 4, false)
-	st, err := Open(writeTemp(t, src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	p := st.NewPrefetcher(2, 8)
-	verts := make([]int32, 0, 200)
-	for v := int32(0); v < 200; v++ {
-		verts = append(verts, v)
-	}
-	p.Batch(verts)
-	p.Seeds(verts[:50])
-	p.Seeds(nil)               // no-op
-	p.Batch([]int32{0, 999})   // extremes
-	p.Seeds([]int32{5000, -1}) // out of range: guarded, not fatal
-	p.Close()
-
-	s := p.Stats()
-	if s.Batches == 0 || s.Rows == 0 || s.Pages == 0 {
-		t.Fatalf("no prefetch work recorded: %+v", s)
-	}
-	if s.Batches+s.Dropped != 4 { // the nil request is skipped outright
-		t.Fatalf("accounting: %+v", s)
-	}
-}
-
-// TestPrefetcherDropsWhenFull pins the non-blocking budget contract:
-// with no workers draining (simulated via a full queue), extra requests
-// drop rather than block.
-func TestPrefetcherDropsWhenFull(t *testing.T) {
-	src := testSource(t, 13, 200, 3, 8, 4, false)
-	st, err := Open(writeTemp(t, src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	p := &Prefetcher{st: st, tasks: make(chan prefetchTask, 1)}
-	p.Batch([]int32{1}) // fills the budget; no worker drains it
-	p.Batch([]int32{2})
-	p.Batch([]int32{3})
-	s := p.Stats()
-	if s.Batches != 1 || s.Dropped != 2 {
-		t.Fatalf("want 1 accepted + 2 dropped, got %+v", s)
-	}
-}

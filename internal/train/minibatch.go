@@ -62,18 +62,10 @@ type MiniBatchOptions struct {
 	// Progress, when non-nil, is called after every epoch.
 	Progress func(EpochStats)
 	// GraphStore, when non-nil, marks ds as backed by the mmap-backed
-	// on-disk store (DESIGN.md §16): the trainer registers pipeline
-	// hooks that prefetch upcoming batches' CSR rows and feature pages
-	// and attribute major page faults per stage. The loss curve is
-	// bitwise-identical to the in-memory run either way.
+	// on-disk store (DESIGN.md §16): the pipeline attributes major page
+	// faults to its sample and gather stages, and the result counts them.
+	// The loss curve is bitwise-identical to the in-memory run either way.
 	GraphStore *store.Store
-	// StorePrefetch enables the async prefetcher (ignored without
-	// GraphStore).
-	StorePrefetch bool
-	// StorePrefetchWorkers and StorePrefetchBudget size the prefetcher
-	// (defaults 1 worker, budget 4 when non-positive).
-	StorePrefetchWorkers int
-	StorePrefetchBudget  int
 }
 
 // DefaultMiniBatchOptions mirrors the full-graph defaults at mini-batch
@@ -126,9 +118,6 @@ type MiniBatchResult struct {
 	StartEpoch int
 	// WallNs is the total wall-clock time spent in epochs.
 	WallNs int64
-	// StoreStats holds the prefetcher's counters when the run was
-	// store-backed with prefetch enabled (nil otherwise).
-	StoreStats *store.PrefetchStats
 	// MajorFaults is the process-wide major page-fault delta across the
 	// run (0 when not store-backed or unavailable on this platform).
 	MajorFaults int64
@@ -172,17 +161,10 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 		BatchSize: opts.BatchSize, Prefetch: opts.Prefetch,
 		SampleWorkers: opts.SampleWorkers,
 	}
-	var pf *store.Prefetcher
 	faults0 := int64(0)
-	if st := opts.GraphStore; st != nil {
-		cfg.Hooks.Faults = store.MajorFaults
+	if opts.GraphStore != nil {
+		cfg.Faults = store.MajorFaults
 		faults0 = store.MajorFaults()
-		if opts.StorePrefetch {
-			pf = st.NewPrefetcher(opts.StorePrefetchWorkers, opts.StorePrefetchBudget)
-			defer pf.Close()
-			cfg.Hooks.PrefetchSeeds = pf.Seeds
-			cfg.Hooks.PrefetchBatch = pf.Batch
-		}
 	}
 	eng, err := pipeline.New(sampler, ds.Feat, ds.Labels, cfg)
 	if err != nil {
@@ -287,10 +269,6 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 			}
 			eng.Metrics.Saves.Add(1)
 		}
-	}
-	if pf != nil {
-		s := pf.Stats()
-		res.StoreStats = &s
 	}
 	if opts.GraphStore != nil {
 		res.MajorFaults = store.MajorFaults() - faults0
