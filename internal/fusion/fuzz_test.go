@@ -252,8 +252,8 @@ func FuzzFusionEquivalence(f *testing.F) {
 	f.Add([]byte{9, 6, 54, 74})                         // GCN-shaped: row-scalar × wide gather → aggsum
 	f.Add([]byte{5, 7, 66, 86, 106})                    // R-GCN-shaped: hetero scalar chain → scaled gather → hier agg
 	// GAT-backward-shaped: the dot production RowSum(Mul(nbr h, self h))
-	// feeding a chain and a scaled gather — columnar, then on the
-	// hierarchical edge-at-a-time walk.
+	// feeding a chain and a scaled gather — flat, then in hierarchical
+	// blocks cut at type changes.
 	f.Add([]byte{21, 6, 6, 68, 86, 102, 118})
 	f.Add([]byte{5, 7, 36, 6, 104, 114, 130})
 	f.Fuzz(checkFusionEquivalence)

@@ -178,18 +178,6 @@ func (k OpKind) String() string {
 // IsAgg reports whether the op is one of the A-typed aggregations.
 func (k OpKind) IsAgg() bool { return k == OpAgg || k == OpAggHier }
 
-// IsElementwise reports whether the op computes each output element from
-// the matching elements of its inputs (fusible without index changes).
-func (k OpKind) IsElementwise() bool {
-	switch k {
-	case OpAdd, OpSub, OpMul, OpDiv, OpNeg, OpExp, OpLog,
-		OpLeakyReLU, OpReLU, OpSigmoid, OpTanh, OpMulConst, OpAddConst,
-		OpLeakyReLUGrad, OpReLUGrad, OpSigmoidGrad, OpTanhGrad:
-		return true
-	}
-	return false
-}
-
 // LeafKind says what a leaf node reads.
 type LeafKind int
 

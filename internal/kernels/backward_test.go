@@ -225,8 +225,8 @@ func TestSpecializeGCNBackward(t *testing.T) {
 // through Agg<D>(EdgeView(dy)) — a view of the row leaf, constant within
 // the row — and the nbr operand through Agg<S>(EdgeView(dy)), a view of
 // the neighbour leaf; the scaled forms multiply either by an edge
-// scalar. The hetero variants run the same terms on the hierarchical
-// edge-at-a-time walk.
+// scalar. The hetero variants run the same terms in hierarchical blocks,
+// cut at every edge-type change.
 func TestSpecializeEdgeViewTerms(t *testing.T) {
 	cases := []struct {
 		name      string

@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"fmt"
 	"math"
 
 	"seastar/internal/device"
@@ -326,13 +325,4 @@ func ScatterSum(dev *device.Device, g *graph.Graph, e *tensor.Tensor, toDst bool
 		AtomicOps:          int64(maxDeg) * int64(width),
 	})
 	return out
-}
-
-// GatherVertex materializes out[e] = x[v(e)] like Gather but asserts the
-// tensor is [N, d]; it exists so call sites read clearly.
-func GatherVertex(dev *device.Device, g *graph.Graph, x *tensor.Tensor, fromSrc bool, name string) (*tensor.Tensor, error) {
-	if x.Rows() != g.N {
-		return nil, fmt.Errorf("kernels: gather of [%d,*] tensor over %d vertices", x.Rows(), g.N)
-	}
-	return Gather(dev, g, x, fromSrc, name), nil
 }

@@ -319,9 +319,9 @@ type runArena struct {
 	// target, raw data slices), rebuilt per chunk; batched terms keep a
 	// permanent specBlock-sized scale buffer in their slot.
 	tstate []specTermState
-	// prog is the specialized path's launch-bound edge program, rebuilt
-	// per chunk from the plan's static instructions.
-	prog []specOp
+	// prog and rowProg are the specialized path's launch-bound edge and
+	// row programs, rebuilt per chunk from the plan's static instructions.
+	prog, rowProg []specOp
 	// cols holds the columnar path's per-block edge columns, one
 	// specBlock-wide slice per bank slot carrying a per-edge value.
 	cols [][]float32
@@ -358,6 +358,7 @@ func (k *Kernel) arena(w int) *runArena {
 			a.svals = make([]float32, k.spec.nScalar)
 			a.tstate = make([]specTermState, len(k.spec.terms))
 			a.prog = make([]specOp, len(k.spec.prog))
+			a.rowProg = make([]specOp, len(k.spec.rowProg))
 			for ti := range k.spec.terms {
 				if k.spec.terms[ti].batch {
 					a.tstate[ti].buf = make([]float32, specBlock)

@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -16,7 +18,11 @@ import (
 // execution must produce bit-identical results, and both must agree with
 // the definitional reference interpreter. The graphs are skewed (Zipf / power-law) with
 // random edge types so that hierarchical-aggregation type boundaries land
-// in the middle of scheduler chunks.
+// in the middle of scheduler chunks. One more input leaves its types
+// unsorted and adds a hub whose type runs are shorter than, equal to,
+// just over and several times the VM's edge block, so hierarchical folds
+// land inside blocks and runs straddle them; on every input the
+// specialized VM must match the step interpreter bit for bit.
 
 // equivProgram pairs a program with the feature widths it needs.
 type equivProgram struct {
@@ -97,7 +103,7 @@ func bitIdentical(a, b *tensor.Tensor) bool {
 		return false
 	}
 	for i := range ad {
-		if ad[i] != bd[i] {
+		if math.Float32bits(ad[i]) != math.Float32bits(bd[i]) {
 			return false
 		}
 	}
@@ -109,20 +115,28 @@ func TestSchedulerEquivalenceOnSkewedHeteroGraphs(t *testing.T) {
 	sched.MaxProcs = 8
 	t.Cleanup(func() { sched.MaxProcs = oldProcs })
 
+	prevSIMD := tensor.SIMDEnabled()
+	t.Cleanup(func() { tensor.SetSIMD(prevSIMD) })
+
 	const dim = 8
-	for seed := int64(0); seed < 4; seed++ {
+	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed*131 + 7))
 		var g *graph.Graph
-		if seed%2 == 0 {
+		switch {
+		case seed == 4:
+			g = unsortedHubGraph(t, rng)
+		case seed%2 == 0:
 			g = graph.ZipfDegree(rng, 3000, 8, 1.0)
-		} else {
+		default:
 			g = graph.PowerLaw(rng, 3000, 8)
 		}
-		graph.RandomEdgeTypes(rng, g, 2+int(seed%2))
-		if err := g.SortEdgesByType(); err != nil {
-			t.Fatal(err)
+		if seed < 4 {
+			graph.RandomEdgeTypes(rng, g, 2+int(seed%2))
+			if err := g.SortEdgesByType(); err != nil {
+				t.Fatal(err)
+			}
+			g = g.SortByDegree()
 		}
-		g = g.SortByDegree()
 
 		// The property is only interesting if the parallel path really
 		// runs and type boundaries really fall inside chunks.
@@ -148,6 +162,7 @@ func TestSchedulerEquivalenceOnSkewedHeteroGraphs(t *testing.T) {
 			}
 		}
 
+		batchedHier := false
 		for _, p := range equivPrograms(dim) {
 			plan, _ := planFor(t, p.setup)
 
@@ -162,7 +177,31 @@ func TestSchedulerEquivalenceOnSkewedHeteroGraphs(t *testing.T) {
 					t.Fatalf("seed %d %s: cpuWork %.0f below serial threshold %d — enlarge the graph",
 						seed, p.name, work, serialCPUThreshold)
 				}
+				if k.spec != nil {
+					for _, tm := range k.spec.terms {
+						batchedHier = batchedHier || (tm.hier && tm.batch)
+					}
+				}
 			}
+
+			// Specialized ≡ interpreted, bit for bit, at 1 and 4 workers
+			// in both SIMD modes.
+			interp := DefaultConfig()
+			interp.NoSpecialize = true
+			for _, simd := range []bool{true, false} {
+				tensor.SetSIMD(simd)
+				for _, procs := range []int{1, 4} {
+					sched.MaxProcs = procs
+					got := runSeastarUnits(t, plan, g, DefaultConfig(), bind())
+					want := runSeastarUnits(t, plan, g, interp, bind())
+					if !bitIdentical(got, want) {
+						t.Fatalf("seed %d %s (simd=%v procs=%d): specialized and interpreted execution disagree (max diff %g)",
+							seed, p.name, simd, procs, tensor.MaxAbsDiff(got, want))
+					}
+				}
+			}
+			tensor.SetSIMD(prevSIMD)
+			sched.MaxProcs = 8
 
 			eb := runSeastarUnits(t, plan, g, DefaultConfig(), bind())
 
@@ -180,7 +219,66 @@ func TestSchedulerEquivalenceOnSkewedHeteroGraphs(t *testing.T) {
 					seed, p.name, tensor.MaxAbsDiff(eb, ref))
 			}
 		}
+		if !batchedHier {
+			t.Fatalf("seed %d: no hierarchical term batches through GatherMulAdd", seed)
+		}
 	}
+}
+
+// hubRuns are the lengths of the hub's edge-type runs in unsortedHubGraph:
+// one edge, one short of a VM block, exactly a block, one over, and a run
+// spanning several blocks.
+var hubRuns = []int{1, specBlock - 1, specBlock, specBlock + 1, 2*specBlock + 88}
+
+// unsortedHubGraph is a Zipf graph with three random edge types left in
+// edge-id order (SortEdgesByType is never called, so most rows change
+// type every edge or two), plus one hub vertex whose in-row is the type
+// runs hubRuns in turn.
+func unsortedHubGraph(t *testing.T, rng *rand.Rand) *graph.Graph {
+	t.Helper()
+	const numTypes = 3
+	base := graph.ZipfDegree(rng, 3000, 8, 1.0)
+	hub := int32(base.N)
+	srcs := append([]int32(nil), base.Srcs...)
+	dsts := append([]int32(nil), base.Dsts...)
+	types := make([]int32, base.M)
+	for i := range types {
+		types[i] = int32(rng.Intn(numTypes))
+	}
+	for ri, n := range hubRuns {
+		for i := 0; i < n; i++ {
+			srcs = append(srcs, int32(rng.Intn(base.N)))
+			dsts = append(dsts, hub)
+			types = append(types, int32(ri%numTypes))
+		}
+	}
+	g, err := graph.FromEdges(base.N+1, srcs, dsts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.WithEdgeTypes(types, numTypes); err != nil {
+		t.Fatal(err)
+	}
+	g = g.SortByDegree()
+
+	// The hub's in-row must hold exactly the planned runs.
+	for r, id := range g.In.RowIDs {
+		if id != hub {
+			continue
+		}
+		_, eids := g.In.Row(r)
+		var runs []int
+		for i := range eids {
+			if i == 0 || g.EdgeTypes[eids[i]] != g.EdgeTypes[eids[i-1]] {
+				runs = append(runs, 0)
+			}
+			runs[len(runs)-1]++
+		}
+		if fmt.Sprint(runs) != fmt.Sprint(hubRuns) {
+			t.Fatalf("hub type runs %v, want %v", runs, hubRuns)
+		}
+	}
+	return g
 }
 
 // hasMidChunkTypeBoundary reports whether some row with at least two

@@ -91,19 +91,6 @@ type wideSrc struct {
 // edge of the block reads row 0 of the vector itself.
 var zeroIdx [specBlock]int32
 
-// row returns ws's row of data for the edge reaching neighbour nbr over
-// edge eid.
-func (ws wideSrc) row(data []float32, nbr int32, eid int) []float32 {
-	base := 0 // a row-constant vector is its own row 0
-	if ws.leaf >= 0 {
-		base = int(nbr) * ws.w
-		if ws.byEdgeID {
-			base = eid * ws.w
-		}
-	}
-	return data[base : base+ws.w]
-}
-
 // index picks the index vector that selects ws's row for each edge of a
 // block whose neighbour and edge ids are nbrs and eids.
 func (ws wideSrc) index(nbrs, eids []int32) []int32 {
@@ -155,7 +142,7 @@ type specTerm struct {
 	// prefetched); gemv routes a sum-folded typed transform through the
 	// register-resident GemvAdd/GemvMulAdd primitive; scalar01 folds a
 	// width-1 sum/mean scalar term directly inside the edge program.
-	// Max/min folds and hierarchical kernels keep the per-edge forms.
+	// Max/min folds keep the per-edge forms.
 	batch    bool
 	gemv     bool
 	scalar01 bool
@@ -221,10 +208,10 @@ const (
 // and folds — a reference resolved at launch time (leaf index, sp.dots
 // index, materialization index, or term index respectively).
 //
-// On the columnar path aSc/bSc mark operands that are row-constant
-// scalars (read from the bank) rather than per-edge columns, and a
-// non-negative sink redirects the output column into that term's gather
-// scale buffer — the store instruction it replaces is elided.
+// aSc/bSc mark operands that are row-constant scalars (read from the
+// bank) rather than per-edge columns, and a non-negative sink redirects
+// the output column into that term's gather scale buffer — the store
+// instruction it replaces is elided.
 type specProgOp struct {
 	code     specOpCode
 	o, a, b  int32
@@ -235,11 +222,12 @@ type specProgOp struct {
 }
 
 // specOp is the launch-bound form of specProgOp: ref is resolved to the
-// tensor data / accumulator / scale buffer the instruction touches, and —
-// on the columnar path — o/a/b to their block columns.
+// tensor data / accumulator / scale buffer the instruction touches, and
+// o/a/b to their block columns — or, for a rowProg instruction, to
+// one-element views of the scalar bank.
 type specOp struct {
 	code       specOpCode
-	o, a, b    int32
+	a, b       int32
 	c          float32
 	aSc, bSc   bool
 	data       []float32
@@ -272,16 +260,14 @@ type specPlan struct {
 	chainLen int
 	rest     []int32
 
-	// Columnar execution (non-hierarchical kernels): prog runs op-at-a-time
-	// over a whole edge block — one dispatch per instruction per block with
-	// a tight per-element loop — instead of per edge. colSlot marks the
-	// bank slots that vary per edge (and so get a block column); chain ops
-	// whose operands are all row-constant are hoisted into rowProg and run
-	// once per row. Hierarchical kernels keep the per-edge interpreter-order
-	// walk: their type-boundary folds interleave with the edge sequence.
-	columnar bool
-	colSlot  []bool
-	rowProg  []specProgOp
+	// Columnar execution: prog runs op-at-a-time over a whole edge block —
+	// one dispatch per instruction per block with a tight per-element loop
+	// — instead of per edge. colSlot marks the bank slots that vary per
+	// edge (and so get a block column); chain ops whose operands are all
+	// row-constant are hoisted into rowProg and run once per row, through
+	// the same executor over one-element columns.
+	colSlot []bool
+	rowProg []specProgOp
 
 	// Row fast paths, valid when the unit has no pre-row/post stages:
 	// directRows serves row-leaf scalars straight from tensor data
@@ -561,9 +547,8 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 
 	// Execution strategy per term. Sum and mean folds are order-fixed
 	// element-independent adds, so they can leave the per-edge form:
-	// scaled gathers batch whole edge blocks through GatherMulAdd
-	// (disabled on hierarchical kernels, whose type-boundary folds
-	// interleave with the edge walk), and typed transforms keep their
+	// scaled gathers batch whole edge blocks through GatherMulAdd (no
+	// block crosses a hierarchical fold), and typed transforms keep their
 	// per-o sums in registers via GemvAdd/GemvMulAdd.
 	for ti := range sp.terms {
 		t := &sp.terms[ti]
@@ -572,7 +557,7 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 			kind = t.inner
 		}
 		sum := kind != gir.AggMax && kind != gir.AggMin
-		if sum && t.kind == termScaledGather && !k.hier {
+		if sum && t.kind == termScaledGather {
 			t.batch = true
 			sp.batched = true
 		}
@@ -656,13 +641,7 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 		}
 	}
 
-	// Hierarchical kernels walk edges one at a time (their type-boundary
-	// folds interleave with the edge sequence); everything else runs the
-	// program column-at-a-time over edge blocks.
-	sp.columnar = !k.hier
-	if sp.columnar {
-		sp.fuseBufSinks()
-	}
+	sp.fuseBufSinks()
 	k.planRowFastPaths(sp)
 
 	sp.name = specPlanName(sp)
@@ -1013,20 +992,21 @@ type specTermState struct {
 // the specialized counterpart of runRowsFull, replicating its per-element
 // operation order exactly (see the bitwise contract above).
 //
-// Edges are walked in blocks of specBlock. Non-hierarchical kernels run
-// the program column-at-a-time: each instruction makes one dispatch per
-// block and a tight loop over the block's edges, with per-edge values
-// held in block columns. The remaining terms (max/min folds, typed
-// transforms) then walk the block per edge, and every batched term drains
-// with one GatherMulAdd over the block — the CSR's own nbr/eid slices are
-// the gather index vector. Hierarchical kernels keep the edge-at-a-time
-// walk because their type-boundary folds interleave with the edge
-// sequence. Both orders compute each scalar from the same pure dataflow
-// and fold each accumulator over its own edge sequence in edge order, so
+// Edges are walked in blocks of at most specBlock, and on a hierarchical
+// kernel a block never crosses an edge-type change. Each block runs the
+// program column-at-a-time: each instruction makes one dispatch per block
+// and a tight loop over the block's edges, with per-edge values held in
+// block columns. The remaining terms (max/min folds, typed transforms)
+// then walk the block per edge, and every batched term drains with one
+// GatherMulAdd over the block — the CSR's own nbr/eid slices are the
+// gather index vector. After a type run's last block every hierarchical
+// accumulator folds inner into outer, at the edges where runRowsFull
+// folds. Both orders compute each scalar from the same pure dataflow and
+// fold each accumulator over its own edge sequence in edge order, so
 // reordering work across independent accumulators stays bitwise-equal.
 func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi int) error {
 	sp := k.spec
-	scratch, accs, inner, v, rowVec := a.scratch, a.accs, a.inner, a.svals, a.rowVec
+	scratch, accs, v, rowVec := a.scratch, a.accs, a.svals, a.rowVec
 	rowT, matT, params := k.rowT, k.matT, k.paramT
 	leafData := k.specLeafData
 	matData := k.specMatData
@@ -1038,7 +1018,7 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 		s.t = t
 		s.target, s.kind = accs[t.agg], t.outer
 		if t.hier {
-			s.target, s.kind = inner[t.agg], t.inner
+			s.target, s.kind = a.inner[t.agg], t.inner
 		}
 		s.data = nil
 		if t.kind != termScalar && t.wide.leaf >= 0 {
@@ -1051,11 +1031,11 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 	}
 
 	// Bind the edge program against this launch's tensors, this worker's
-	// accumulators and (columnar mode) this worker's block columns.
-	prog := a.prog
+	// accumulators and block columns, and the row program against
+	// one-element columns over the scalar bank.
 	cols := a.cols
 	for pi, p := range sp.prog {
-		b := specOp{code: p.code, o: p.o, a: p.a, b: p.b, c: p.c, aSc: p.aSc, bSc: p.bSc}
+		b := specOp{code: p.code, a: p.a, b: p.b, c: p.c, aSc: p.aSc, bSc: p.bSc, oc: cols[p.o]}
 		switch p.code {
 		case opLoadNbr, opLoadEdge:
 			b.data = leafData[p.ref]
@@ -1068,19 +1048,19 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 		case opStoreBuf:
 			b.data = ts[p.ref].buf
 		}
-		if sp.columnar {
-			b.oc = cols[p.o]
-			if p.sink >= 0 {
-				b.oc = ts[p.sink].buf
-			}
-			if !p.aSc {
-				b.ac = cols[p.a]
-			}
-			if !p.bSc {
-				b.bc = cols[p.b]
-			}
+		if p.sink >= 0 {
+			b.oc = ts[p.sink].buf
 		}
-		prog[pi] = b
+		if !p.aSc {
+			b.ac = cols[p.a]
+		}
+		if !p.bSc {
+			b.bc = cols[p.b]
+		}
+		a.prog[pi] = b
+	}
+	for pi, p := range sp.rowProg {
+		a.rowProg[pi] = rowOp(p, v)
 	}
 	rowLeafData := a.rowLeafData
 	if sp.directRows {
@@ -1110,8 +1090,8 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 				v[rc.dst] = scratch[rc.slot][0]
 			}
 		}
-		for pi := range sp.rowProg {
-			runScalarOp(&sp.rowProg[pi], v)
+		if len(a.rowProg) > 0 {
+			k.execProg(a.rowProg, v, rowVec, zeroIdx[:1], zeroIdx[:1])
 		}
 		if len(sp.rowVecs) > 0 {
 			for i, rv := range sp.rowVecs {
@@ -1130,24 +1110,13 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 		for i, ag := range k.aggs {
 			initAcc(accs[i], outerKind(ag.node))
 			if ag.node.Op == gir.OpAggHier {
-				initAcc(inner[i], ag.node.Attr.InnerOp)
+				initAcc(a.inner[i], ag.node.Attr.InnerOp)
 			}
 		}
 		nbrs, eids := csr.Row(r)
-		deg := len(nbrs)
-		started := false
-		if sp.columnar {
-			k.runEdgesCol(sp, ts, prog, v, cols, rowVec, nbrs, eids, g)
-		} else {
-			started = k.runEdgesHier(sp, ts, prog, v, rowVec, nbrs, eids, g, accs, inner)
-		}
+		k.runEdgesCol(a, nbrs, eids, g)
 		for ai, ag := range k.aggs {
-			if ag.node.Op == gir.OpAggHier {
-				if started {
-					foldInner(accs[ai], inner[ai], ag.node.Attr.OuterOp)
-				}
-			}
-			finalizeAcc(accs[ai], ag.node, deg)
+			finalizeAcc(accs[ai], ag.node, len(nbrs))
 			if sp.directEpi && sp.aggMat[ai] >= 0 {
 				copy(matT[sp.aggMat[ai]].Row(vid), accs[ai])
 			} else {
@@ -1169,239 +1138,37 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 	return nil
 }
 
-// runEdgesCol walks one row's edges column-at-a-time: per block, the edge
-// program runs op-major (one dispatch per instruction, a tight loop per
-// element), then the leftover terms walk the block per edge, then every
-// batched term drains through GatherMulAdd.
-func (k *Kernel) runEdgesCol(sp *specPlan, ts []specTermState, prog []specOp,
-	v []float32, cols, rowVec [][]float32, nbrs, eids []int32, g *graph.Graph) {
+// rowOp binds a row-program instruction to one-element columns over the
+// scalar bank v.
+func rowOp(p specProgOp, v []float32) specOp {
+	return specOp{code: p.code, c: p.c, oc: v[p.o : p.o+1], ac: v[p.a : p.a+1], bc: v[p.b : p.b+1]}
+}
 
+// runEdgesCol walks one row's edges column-at-a-time: per block, the edge
+// program runs op-major (execProg), then the leftover terms walk the block
+// per edge, then every batched term drains through GatherMulAdd. On a
+// hierarchical kernel blocks end at every edge-type change too, and after
+// a type run's last block each AggHier accumulator folds inner into outer.
+func (k *Kernel) runEdgesCol(a *runArena, nbrs, eids []int32, g *graph.Graph) {
+	sp, ts, v, cols := k.spec, a.tstate, a.svals, a.cols
 	typed := k.usesEdgeType
-	for b0 := 0; b0 < len(nbrs); b0 += specBlock {
-		b1 := b0 + specBlock
-		if b1 > len(nbrs) {
-			b1 = len(nbrs)
+	for b0 := 0; b0 < len(nbrs); {
+		b1 := min(b0+specBlock, len(nbrs))
+		runEnd := false
+		if k.hier {
+			et := g.EdgeTypes[eids[b0]]
+			for i := b0 + 1; i < b1; i++ {
+				if g.EdgeTypes[eids[i]] != et {
+					b1 = i
+					break
+				}
+			}
+			runEnd = b1 == len(nbrs) || g.EdgeTypes[eids[b1]] != et
 		}
 		n := b1 - b0
 		nbrsB := nbrs[b0:b1]
 		eidsB := eids[b0:b1]
-		for pi := range prog {
-			p := &prog[pi]
-			switch p.code {
-			case opLoadNbr:
-				o, d := p.oc[:n], p.data
-				for j, ix := range nbrsB {
-					o[j] = d[ix]
-				}
-			case opLoadEdge:
-				o, d := p.oc[:n], p.data
-				for j, ix := range eidsB {
-					o[j] = d[ix]
-				}
-			case opDot:
-				d := p.dot
-				tensor.GatherDot(p.oc[:n],
-					k.wideData(d.a, rowVec), d.a.index(nbrsB, eidsB),
-					k.wideData(d.b, rowVec), d.b.index(nbrsB, eidsB), d.a.w)
-			case opAdd:
-				o := p.oc[:n]
-				switch {
-				case p.aSc:
-					s, b := v[p.a], p.bc[:n]
-					for j := range o {
-						o[j] = s + b[j]
-					}
-				case p.bSc:
-					a, s := p.ac[:n], v[p.b]
-					for j := range o {
-						o[j] = a[j] + s
-					}
-				default:
-					a, b := p.ac[:n], p.bc[:n]
-					for j := range o {
-						o[j] = a[j] + b[j]
-					}
-				}
-			case opSub:
-				o := p.oc[:n]
-				switch {
-				case p.aSc:
-					s, b := v[p.a], p.bc[:n]
-					for j := range o {
-						o[j] = s - b[j]
-					}
-				case p.bSc:
-					a, s := p.ac[:n], v[p.b]
-					for j := range o {
-						o[j] = a[j] - s
-					}
-				default:
-					a, b := p.ac[:n], p.bc[:n]
-					for j := range o {
-						o[j] = a[j] - b[j]
-					}
-				}
-			case opMul:
-				o := p.oc[:n]
-				switch {
-				case p.aSc:
-					s, b := v[p.a], p.bc[:n]
-					for j := range o {
-						o[j] = s * b[j]
-					}
-				case p.bSc:
-					a, s := p.ac[:n], v[p.b]
-					for j := range o {
-						o[j] = a[j] * s
-					}
-				default:
-					a, b := p.ac[:n], p.bc[:n]
-					for j := range o {
-						o[j] = a[j] * b[j]
-					}
-				}
-			case opDiv:
-				o := p.oc[:n]
-				switch {
-				case p.aSc:
-					s, b := v[p.a], p.bc[:n]
-					for j := range o {
-						o[j] = s / b[j]
-					}
-				case p.bSc:
-					a, s := p.ac[:n], v[p.b]
-					for j := range o {
-						o[j] = a[j] / s
-					}
-				default:
-					a, b := p.ac[:n], p.bc[:n]
-					for j := range o {
-						o[j] = a[j] / b[j]
-					}
-				}
-			case opNeg:
-				o, a := p.oc[:n], p.ac[:n]
-				for j := range o {
-					o[j] = -a[j]
-				}
-			case opExp:
-				o, a := p.oc[:n], p.ac[:n]
-				for j := range o {
-					o[j] = float32(math.Exp(float64(a[j])))
-				}
-			case opLog:
-				o, a := p.oc[:n], p.ac[:n]
-				for j := range o {
-					o[j] = float32(math.Log(float64(a[j])))
-				}
-			case opLeakyReLU:
-				o, a, c := p.oc[:n], p.ac[:n], p.c
-				for j := range o {
-					x := a[j]
-					if x < 0 {
-						x *= c
-					}
-					o[j] = x
-				}
-			case opReLU:
-				o, a := p.oc[:n], p.ac[:n]
-				for j := range o {
-					x := a[j]
-					if x < 0 {
-						x = 0
-					}
-					o[j] = x
-				}
-			case opSigmoid:
-				o, a := p.oc[:n], p.ac[:n]
-				for j := range o {
-					o[j] = 1 / (1 + float32(math.Exp(float64(-a[j]))))
-				}
-			case opTanh:
-				o, a := p.oc[:n], p.ac[:n]
-				for j := range o {
-					o[j] = float32(math.Tanh(float64(a[j])))
-				}
-			case opMulConst:
-				o, a, c := p.oc[:n], p.ac[:n], p.c
-				for j := range o {
-					o[j] = c * a[j]
-				}
-			case opAddConst:
-				o, a, c := p.oc[:n], p.ac[:n], p.c
-				for j := range o {
-					o[j] = c + a[j]
-				}
-			case opLeakyReLUGrad:
-				o := p.oc[:n]
-				for j := range o {
-					if p.opA(v, j) > 0 {
-						o[j] = p.opB(v, j)
-					} else {
-						o[j] = p.c * p.opB(v, j)
-					}
-				}
-			case opReLUGrad:
-				o := p.oc[:n]
-				for j := range o {
-					if p.opA(v, j) > 0 {
-						o[j] = p.opB(v, j)
-					} else {
-						o[j] = 0
-					}
-				}
-			case opSigmoidGrad:
-				o := p.oc[:n]
-				for j := range o {
-					y := p.opA(v, j)
-					o[j] = p.opB(v, j) * y * (1 - y)
-				}
-			case opTanhGrad:
-				o := p.oc[:n]
-				for j := range o {
-					y := p.opA(v, j)
-					o[j] = p.opB(v, j) * (1 - y*y)
-				}
-			case opCopy:
-				copy(p.oc[:n], p.ac[:n])
-			case opStoreMat:
-				if p.aSc {
-					s, d := v[p.a], p.data
-					for _, e := range eidsB {
-						d[e] = s
-					}
-				} else {
-					a, d := p.ac[:n], p.data
-					for j, e := range eidsB {
-						d[e] = a[j]
-					}
-				}
-			case opAccScalar:
-				t := p.data
-				s0 := t[0]
-				if p.aSc {
-					s := v[p.a]
-					for j := 0; j < n; j++ {
-						s0 += s
-					}
-				} else {
-					a := p.ac[:n]
-					for j := range a {
-						s0 += a[j]
-					}
-				}
-				t[0] = s0
-			case opStoreBuf:
-				if p.aSc {
-					s, d := v[p.a], p.data[:n]
-					for j := range d {
-						d[j] = s
-					}
-				} else {
-					copy(p.data[:n], p.ac[:n])
-				}
-			}
-		}
+		k.execProg(a.prog, v, a.rowVec, nbrsB, eidsB)
 		for _, si := range sp.rest {
 			s := &ts[si]
 			t := s.t
@@ -1498,6 +1265,242 @@ func (k *Kernel) runEdgesCol(sp *specPlan, ts []specTermState, prog []specOp,
 				tensor.GatherMulAdd(s.target, s.data, s.t.wide.index(nbrsB, eidsB), s.buf[:n])
 			}
 		}
+		if runEnd {
+			for ai, ag := range k.aggs {
+				if ag.node.Op == gir.OpAggHier {
+					foldInner(a.accs[ai], a.inner[ai], ag.node.Attr.OuterOp)
+					initAcc(a.inner[ai], ag.node.Attr.InnerOp)
+				}
+			}
+		}
+		b0 = b1
+	}
+}
+
+// execProg runs a bound program over one block: the VM's single
+// instruction executor. An edge block passes its neighbour and edge ids;
+// the row program passes zeroIdx[:1], a one-element block whose ids none
+// of its instructions read. The block length is taken from the id slices
+// so that the compiler can drop the column bounds checks.
+func (k *Kernel) execProg(prog []specOp, v []float32, rowVec [][]float32, nbrsB, eidsB []int32) {
+	n := len(nbrsB)
+	eidsB = eidsB[:n]
+	for pi := range prog {
+		p := &prog[pi]
+		switch p.code {
+		case opLoadNbr:
+			o, d := p.oc[:n], p.data
+			for j, ix := range nbrsB {
+				o[j] = d[ix]
+			}
+		case opLoadEdge:
+			o, d := p.oc[:n], p.data
+			for j, ix := range eidsB {
+				o[j] = d[ix]
+			}
+		case opDot:
+			d := p.dot
+			tensor.GatherDot(p.oc[:n],
+				k.wideData(d.a, rowVec), d.a.index(nbrsB, eidsB),
+				k.wideData(d.b, rowVec), d.b.index(nbrsB, eidsB), d.a.w)
+		case opAdd:
+			o := p.oc[:n]
+			switch {
+			case p.aSc:
+				s, b := v[p.a], p.bc[:n]
+				for j := range o {
+					o[j] = s + b[j]
+				}
+			case p.bSc:
+				a, s := p.ac[:n], v[p.b]
+				for j := range o {
+					o[j] = a[j] + s
+				}
+			default:
+				a, b := p.ac[:n], p.bc[:n]
+				for j := range o {
+					o[j] = a[j] + b[j]
+				}
+			}
+		case opSub:
+			o := p.oc[:n]
+			switch {
+			case p.aSc:
+				s, b := v[p.a], p.bc[:n]
+				for j := range o {
+					o[j] = s - b[j]
+				}
+			case p.bSc:
+				a, s := p.ac[:n], v[p.b]
+				for j := range o {
+					o[j] = a[j] - s
+				}
+			default:
+				a, b := p.ac[:n], p.bc[:n]
+				for j := range o {
+					o[j] = a[j] - b[j]
+				}
+			}
+		case opMul:
+			o := p.oc[:n]
+			switch {
+			case p.aSc:
+				s, b := v[p.a], p.bc[:n]
+				for j := range o {
+					o[j] = s * b[j]
+				}
+			case p.bSc:
+				a, s := p.ac[:n], v[p.b]
+				for j := range o {
+					o[j] = a[j] * s
+				}
+			default:
+				a, b := p.ac[:n], p.bc[:n]
+				for j := range o {
+					o[j] = a[j] * b[j]
+				}
+			}
+		case opDiv:
+			o := p.oc[:n]
+			switch {
+			case p.aSc:
+				s, b := v[p.a], p.bc[:n]
+				for j := range o {
+					o[j] = s / b[j]
+				}
+			case p.bSc:
+				a, s := p.ac[:n], v[p.b]
+				for j := range o {
+					o[j] = a[j] / s
+				}
+			default:
+				a, b := p.ac[:n], p.bc[:n]
+				for j := range o {
+					o[j] = a[j] / b[j]
+				}
+			}
+		case opNeg:
+			o, a := p.oc[:n], p.ac[:n]
+			for j := range o {
+				o[j] = -a[j]
+			}
+		case opExp:
+			o, a := p.oc[:n], p.ac[:n]
+			for j := range o {
+				o[j] = float32(math.Exp(float64(a[j])))
+			}
+		case opLog:
+			o, a := p.oc[:n], p.ac[:n]
+			for j := range o {
+				o[j] = float32(math.Log(float64(a[j])))
+			}
+		case opLeakyReLU:
+			o, a, c := p.oc[:n], p.ac[:n], p.c
+			for j := range o {
+				x := a[j]
+				if x < 0 {
+					x *= c
+				}
+				o[j] = x
+			}
+		case opReLU:
+			o, a := p.oc[:n], p.ac[:n]
+			for j := range o {
+				x := a[j]
+				if x < 0 {
+					x = 0
+				}
+				o[j] = x
+			}
+		case opSigmoid:
+			o, a := p.oc[:n], p.ac[:n]
+			for j := range o {
+				o[j] = 1 / (1 + float32(math.Exp(float64(-a[j]))))
+			}
+		case opTanh:
+			o, a := p.oc[:n], p.ac[:n]
+			for j := range o {
+				o[j] = float32(math.Tanh(float64(a[j])))
+			}
+		case opMulConst:
+			o, a, c := p.oc[:n], p.ac[:n], p.c
+			for j := range o {
+				o[j] = c * a[j]
+			}
+		case opAddConst:
+			o, a, c := p.oc[:n], p.ac[:n], p.c
+			for j := range o {
+				o[j] = c + a[j]
+			}
+		case opLeakyReLUGrad:
+			o := p.oc[:n]
+			for j := range o {
+				if p.opA(v, j) > 0 {
+					o[j] = p.opB(v, j)
+				} else {
+					o[j] = p.c * p.opB(v, j)
+				}
+			}
+		case opReLUGrad:
+			o := p.oc[:n]
+			for j := range o {
+				if p.opA(v, j) > 0 {
+					o[j] = p.opB(v, j)
+				} else {
+					o[j] = 0
+				}
+			}
+		case opSigmoidGrad:
+			o := p.oc[:n]
+			for j := range o {
+				y := p.opA(v, j)
+				o[j] = p.opB(v, j) * y * (1 - y)
+			}
+		case opTanhGrad:
+			o := p.oc[:n]
+			for j := range o {
+				y := p.opA(v, j)
+				o[j] = p.opB(v, j) * (1 - y*y)
+			}
+		case opCopy:
+			copy(p.oc[:n], p.ac[:n])
+		case opStoreMat:
+			if p.aSc {
+				s, d := v[p.a], p.data
+				for _, e := range eidsB {
+					d[e] = s
+				}
+			} else {
+				a, d := p.ac[:n], p.data
+				for j, e := range eidsB {
+					d[e] = a[j]
+				}
+			}
+		case opAccScalar:
+			t := p.data
+			s0 := t[0]
+			if p.aSc {
+				s := v[p.a]
+				for j := 0; j < n; j++ {
+					s0 += s
+				}
+			} else {
+				a := p.ac[:n]
+				for j := range a {
+					s0 += a[j]
+				}
+			}
+			t[0] = s0
+		case opStoreBuf:
+			if p.aSc {
+				s, d := v[p.a], p.data[:n]
+				for j := range d {
+					d[j] = s
+				}
+			} else {
+				copy(p.data[:n], p.ac[:n])
+			}
+		}
 	}
 }
 
@@ -1524,164 +1527,6 @@ func (p *specOp) opB(v []float32, j int) float32 {
 		return v[p.b]
 	}
 	return p.bc[j]
-}
-
-// runEdgesHier walks one row's edges one at a time in interpreter order —
-// the path hierarchical kernels take, whose type-boundary folds
-// interleave with the edge sequence. It reports whether any edge ran.
-func (k *Kernel) runEdgesHier(sp *specPlan, ts []specTermState, prog []specOp,
-	v []float32, rowVec [][]float32, nbrs, eids []int32, g *graph.Graph, accs, inner [][]float32) bool {
-
-	hier, typed := k.hier, k.usesEdgeType
-	deg := len(nbrs)
-	curType := int32(-1)
-	started := false
-	for i := 0; i < deg; i++ {
-		nbr := nbrs[i]
-		eid := int(eids[i])
-		et := 0
-		if typed {
-			et = int(g.EdgeTypes[eid])
-		}
-		if hier && started && int32(et) != curType {
-			for ai, ag := range k.aggs {
-				if ag.node.Op == gir.OpAggHier {
-					foldInner(accs[ai], inner[ai], ag.node.Attr.OuterOp)
-					initAcc(inner[ai], ag.node.Attr.InnerOp)
-				}
-			}
-		}
-		curType = int32(et)
-		started = true
-
-		for pi := range prog {
-			p := &prog[pi]
-			switch p.code {
-			case opLoadNbr:
-				v[p.o] = p.data[nbr]
-			case opLoadEdge:
-				v[p.o] = p.data[eid]
-			case opDot:
-				d, nb, ed := p.dot, nbrs[i:i+1], eids[i:i+1]
-				tensor.GatherDot(v[p.o:p.o+1],
-					k.wideData(d.a, rowVec), d.a.index(nb, ed),
-					k.wideData(d.b, rowVec), d.b.index(nb, ed), d.a.w)
-			case opStoreMat:
-				p.data[eid] = v[p.a]
-			case opAccScalar:
-				p.data[0] += v[p.a]
-			default:
-				runScalarOpRT(p, v)
-			}
-		}
-		for _, si := range sp.rest {
-			s := &ts[si]
-			t := s.t
-			switch {
-			case t.kind == termScalar:
-				accumulate(s.target, v[t.src:t.src+1], s.kind, 1)
-			case t.kind == termGather:
-				accumulate(s.target, t.wide.row(s.data, nbr, eid), s.kind, t.wide.w)
-			case t.kind == termScaledGather:
-				scaledAccumulate(s.target, t.wide.row(s.data, nbr, eid), v[t.scale], s.kind)
-			default: // termTyped
-				if i+1 < deg {
-					tensor.Prefetch(t.wide.row(s.data, nbrs[i+1], int(eids[i+1])))
-				}
-				x := t.wide.row(s.data, nbr, eid)
-				wbase := et * t.din * t.dout
-				wd := s.wd[wbase : wbase+t.din*t.dout]
-				if t.gemv {
-					if t.scale >= 0 {
-						tensor.GemvMulAdd(s.target, s.tmp, wd, x, v[t.scale])
-					} else {
-						tensor.GemvAdd(s.target, s.tmp, wd, x)
-					}
-					continue
-				}
-				out := s.tmp
-				for j := range out {
-					out[j] = 0
-				}
-				for i2 := 0; i2 < t.din; i2++ {
-					tensor.VecMulAdd(out, wd[i2*t.dout:(i2+1)*t.dout], x[i2])
-				}
-				if t.scale >= 0 {
-					scaledAccumulate(s.target, out, v[t.scale], s.kind)
-				} else {
-					accumulate(s.target, out, s.kind, t.dout)
-				}
-			}
-		}
-	}
-	return started
-}
-
-// runScalarOp executes one row-invariant chain instruction on the bank.
-func runScalarOp(p *specProgOp, v []float32) {
-	rt := specOp{code: p.code, o: p.o, a: p.a, b: p.b, c: p.c}
-	runScalarOpRT(&rt, v)
-}
-
-// runScalarOpRT executes one pure chain instruction on the scalar bank —
-// each arm is the evalStep arm at width 1.
-func runScalarOpRT(p *specOp, v []float32) {
-	switch p.code {
-	case opAdd:
-		v[p.o] = v[p.a] + v[p.b]
-	case opSub:
-		v[p.o] = v[p.a] - v[p.b]
-	case opMul:
-		v[p.o] = v[p.a] * v[p.b]
-	case opDiv:
-		v[p.o] = v[p.a] / v[p.b]
-	case opNeg:
-		v[p.o] = -v[p.a]
-	case opExp:
-		v[p.o] = float32(math.Exp(float64(v[p.a])))
-	case opLog:
-		v[p.o] = float32(math.Log(float64(v[p.a])))
-	case opLeakyReLU:
-		x := v[p.a]
-		if x < 0 {
-			x *= p.c
-		}
-		v[p.o] = x
-	case opReLU:
-		x := v[p.a]
-		if x < 0 {
-			x = 0
-		}
-		v[p.o] = x
-	case opSigmoid:
-		v[p.o] = 1 / (1 + float32(math.Exp(float64(-v[p.a]))))
-	case opTanh:
-		v[p.o] = float32(math.Tanh(float64(v[p.a])))
-	case opMulConst:
-		v[p.o] = p.c * v[p.a]
-	case opAddConst:
-		v[p.o] = p.c + v[p.a]
-	case opLeakyReLUGrad:
-		if v[p.a] > 0 {
-			v[p.o] = v[p.b]
-		} else {
-			v[p.o] = p.c * v[p.b]
-		}
-	case opReLUGrad:
-		if v[p.a] > 0 {
-			v[p.o] = v[p.b]
-		} else {
-			v[p.o] = 0
-		}
-	case opSigmoidGrad:
-		y := v[p.a]
-		v[p.o] = v[p.b] * y * (1 - y)
-	case opTanhGrad:
-		y := v[p.a]
-		v[p.o] = v[p.b] * (1 - y*y)
-	case opCopy:
-		v[p.o] = v[p.a]
-	}
 }
 
 // scaledAccumulate folds s·src into acc under kind with the product

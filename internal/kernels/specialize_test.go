@@ -431,8 +431,8 @@ func TestSpecializeOpSweep(t *testing.T) {
 	// The dot production RowSum(Mul(A,B)) in its three operand forms —
 	// row-constant × neighbour leaf, row-constant × edge leaf, neighbour ×
 	// edge leaf — feeding a sink-fused scaled gather, the in-program sum
-	// fold and a chain + max fold, plus the hierarchical edge-at-a-time
-	// walk. Widths cover the scalar degenerate case, sub-vector, exact
+	// fold and a chain + max fold, plus hierarchical blocks cut at type
+	// changes. Widths cover the scalar degenerate case, sub-vector, exact
 	// vector, the benchmark's 64 and a vector tail; the ladder graph's
 	// degrees cover 0, 1 and every remainder of the 4- and 8-edge lockstep;
 	// the payloads put NaN, ±Inf and −0 on both sides of the products (a

@@ -1,11 +1,12 @@
 package kernels
 
-// White-box coverage of the scalar program executor: runScalarOpRT is
-// the row-program (rowProg) interpreter and the hierarchical walk's
-// chain executor, so every arm must match the evalStep definition at
-// width 1 bit for bit — including the grad opcodes, which reach the
-// edge program only through compiled backward chains. opA/opB are the
-// columnar grad arms' operand readers; their scalar/column dispatch is
+// White-box coverage of the VM's one instruction executor, execProg:
+// every chain arm must match the evalStep definition at width 1 bit for
+// bit — including the grad opcodes, which reach the edge program only
+// through compiled backward chains — whether its operands are
+// one-element views of the scalar bank (a rowProg instruction) or block
+// columns mixed with bank scalars (an edge-program instruction). opA/opB
+// are the grad arms' operand readers; their scalar/column dispatch is
 // pinned here directly.
 
 import (
@@ -45,13 +46,54 @@ func TestRunScalarOpArms(t *testing.T) {
 		{"tanhgrad", specProgOp{code: opTanhGrad, o: 2, a: 0, b: 1}, -1.5 * (1 - 0.75*0.75)},
 		{"copy", specProgOp{code: opCopy, o: 2, a: 1}, -1.5},
 	}
+	k := &Kernel{}
+	check := func(name string, got []float32, want float32) {
+		t.Helper()
+		for j, g := range got {
+			if f32bits(g) != f32bits(want) {
+				t.Errorf("%s[%d]: got %v (bits %08x), want %v (bits %08x)",
+					name, j, g, f32bits(g), want, f32bits(want))
+			}
+		}
+	}
+	// fill returns an n-element column holding x in every element.
+	fill := func(x float32, n int) []float32 {
+		col := make([]float32, n)
+		for j := range col {
+			col[j] = x
+		}
+		return col
+	}
 	for _, tc := range cases {
+		p := tc.op
+
+		// One-element columns over the scalar bank, as rowProg binds them.
 		v := []float32{0.75, -1.5, 0}
-		op := tc.op
-		runScalarOp(&op, v)
-		if f32bits(v[2]) != f32bits(tc.want) {
-			t.Errorf("%s: got %v (bits %08x), want %v (bits %08x)",
-				tc.name, v[2], f32bits(v[2]), tc.want, f32bits(tc.want))
+		k.execProg([]specOp{rowOp(p, v)}, v, nil, zeroIdx[:1], zeroIdx[:1])
+		check(tc.name+"/row", v[2:3], tc.want)
+
+		// A block mixing bank scalars and columns: every operand form a
+		// binary opcode can take, each element computing the same value.
+		const n = 5
+		type form struct {
+			name     string
+			aSc, bSc bool
+		}
+		forms := []form{{"col", false, false}}
+		if opReadsB(p.code) {
+			forms = append(forms, form{"a-scalar", true, false}, form{"b-scalar", false, true})
+		}
+		for _, f := range forms {
+			v := []float32{0.75, -1.5, 0}
+			blk := specOp{code: p.code, c: p.c, a: p.a, b: p.b, aSc: f.aSc, bSc: f.bSc, oc: make([]float32, n)}
+			if !f.aSc {
+				blk.ac = fill(v[p.a], n)
+			}
+			if !f.bSc {
+				blk.bc = fill(v[p.b], n)
+			}
+			k.execProg([]specOp{blk}, v, nil, make([]int32, n), make([]int32, n))
+			check(tc.name+"/block-"+f.name, blk.oc, tc.want)
 		}
 	}
 }

@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-	"time"
+
+	"seastar/internal/obs"
 )
 
 // histBounds are the stage-latency bucket upper bounds in seconds —
@@ -15,63 +16,6 @@ var histBounds = []float64{
 	0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001,
 	0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
-
-// hist is a fixed-bucket, lock-free latency histogram in the Prometheus
-// cumulative style (same shape as internal/serve's).
-type hist struct {
-	buckets []atomic.Int64 // len(histBounds)+1, last is +Inf
-	count   atomic.Int64
-	sumNs   atomic.Int64
-}
-
-func newHist() *hist {
-	return &hist{buckets: make([]atomic.Int64, len(histBounds)+1)}
-}
-
-// Observe records one duration.
-func (h *hist) Observe(d time.Duration) {
-	s := d.Seconds()
-	i := 0
-	for i < len(histBounds) && s > histBounds[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumNs.Add(int64(d))
-}
-
-// SumNs returns the total observed time in nanoseconds.
-func (h *hist) SumNs() int64 { return h.sumNs.Load() }
-
-// Count returns the number of observations.
-func (h *hist) Count() int64 { return h.count.Load() }
-
-// AvgNs returns the mean observation in nanoseconds (0 when empty).
-func (h *hist) AvgNs() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sumNs.Load()) / float64(n)
-}
-
-// write emits the histogram in Prometheus text exposition format.
-func (h *hist) write(w io.Writer, name string) {
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	var cum int64
-	for i, b := range histBounds {
-		cum += h.buckets[i].Load()
-		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, b, cum)
-	}
-	cum += h.buckets[len(histBounds)].Load()
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, float64(h.sumNs.Load())/1e9)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.count.Load())
-}
-
-// Hist is the exported view of a stage histogram (counters only; the
-// buckets are reachable through Write).
-type Hist = hist
 
 // Metrics aggregates the pipeline's per-stage counters and timing
 // histograms. All fields are atomics: stage goroutines update them
@@ -85,19 +29,19 @@ type Metrics struct {
 	Restores   atomic.Int64 // checkpoint restores
 	Saves      atomic.Int64 // checkpoint saves
 
-	SampleTime   *Hist // per-batch neighbour sampling
-	GatherTime   *Hist // per-batch degree sort + feature/label gather
-	ComputeTime  *Hist // per-batch forward/backward/step
-	ComputeStall *Hist // compute-side wait for the next ready batch
+	SampleTime   *obs.Hist // per-batch neighbour sampling
+	GatherTime   *obs.Hist // per-batch degree sort + feature/label gather
+	ComputeTime  *obs.Hist // per-batch forward/backward/step
+	ComputeStall *obs.Hist // compute-side wait for the next ready batch
 }
 
 // NewMetrics returns a zeroed metrics block.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		SampleTime:   newHist(),
-		GatherTime:   newHist(),
-		ComputeTime:  newHist(),
-		ComputeStall: newHist(),
+		SampleTime:   obs.NewHist(histBounds),
+		GatherTime:   obs.NewHist(histBounds),
+		ComputeTime:  obs.NewHist(histBounds),
+		ComputeStall: obs.NewHist(histBounds),
 	}
 }
 
@@ -114,8 +58,8 @@ func (m *Metrics) Write(w io.Writer) {
 	g("seastar_pipeline_step_errors_total", m.StepErrors.Load())
 	g("seastar_pipeline_checkpoint_restores_total", m.Restores.Load())
 	g("seastar_pipeline_checkpoint_saves_total", m.Saves.Load())
-	m.SampleTime.write(w, "seastar_pipeline_sample_seconds")
-	m.GatherTime.write(w, "seastar_pipeline_gather_seconds")
-	m.ComputeTime.write(w, "seastar_pipeline_compute_seconds")
-	m.ComputeStall.write(w, "seastar_pipeline_compute_stall_seconds")
+	m.SampleTime.Write(w, "seastar_pipeline_sample_seconds")
+	m.GatherTime.Write(w, "seastar_pipeline_gather_seconds")
+	m.ComputeTime.Write(w, "seastar_pipeline_compute_seconds")
+	m.ComputeStall.Write(w, "seastar_pipeline_compute_stall_seconds")
 }

@@ -300,6 +300,29 @@ func TestMetricsAccounting(t *testing.T) {
 			t.Fatalf("metrics exposition missing %q", want)
 		}
 	}
+
+	// The whole text of one Write on fixed observations, bucket bounds
+	// (10µs–10s) and boundary placement included.
+	m := NewMetrics()
+	m.Sampled.Add(4)
+	m.Gathered.Add(4)
+	m.Trained.Add(3)
+	m.Epochs.Add(1)
+	m.Saves.Add(2)
+	for _, d := range []time.Duration{5 * time.Microsecond, 10 * time.Microsecond, 1500 * time.Microsecond, 12 * time.Second} {
+		m.SampleTime.Observe(d)
+	}
+	m.GatherTime.Observe(250 * time.Microsecond)
+	m.ComputeTime.Observe(2 * time.Millisecond)
+	sb.Reset()
+	m.Write(&sb)
+	golden, err := os.ReadFile(filepath.Join("testdata", "metrics.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != string(golden) {
+		t.Fatalf("metrics exposition changed:\n%s\nwant:\n%s", sb.String(), golden)
+	}
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {

@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -612,6 +614,37 @@ func TestHTTPEndpoints(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, metrics)
 		}
+	}
+
+	// The whole text of one Write on fixed observations, bucket bounds
+	// (100µs–10s) and boundary placement included. The panic counter is
+	// process-wide, so its line carries whatever this process has seen.
+	m := serve.NewMetrics()
+	m.Received.Add(5)
+	m.Admitted.Add(4)
+	m.RejectedQueueFull.Add(1)
+	m.Completed.Add(3)
+	m.QueueDepth.Add(1)
+	m.Batches.Add(2)
+	m.BatchedReqs.Add(3)
+	m.Deltas.Add(1)
+	m.DeltasIncremental.Add(1)
+	m.Generation.Add(7)
+	for _, d := range []time.Duration{50 * time.Microsecond, 300 * time.Microsecond, 20 * time.Second} {
+		m.QueueWait.Observe(d)
+	}
+	m.InferLatency.Observe(time.Millisecond)
+	m.TotalLatency.Observe(3 * time.Millisecond)
+	var sb strings.Builder
+	m.Write(&sb, nil, nil)
+	golden, err := os.ReadFile(filepath.Join("testdata", "metrics.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Replace(string(golden), "seastar_serve_panics_total 0\n",
+		fmt.Sprintf("seastar_serve_panics_total %d\n", serve.Panics()), 1)
+	if sb.String() != want {
+		t.Fatalf("metrics exposition changed:\n%s\nwant:\n%s", sb.String(), want)
 	}
 
 	// /debug/trace serves the obs spans alone: with tracing off there is

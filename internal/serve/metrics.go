@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-	"time"
 
+	"seastar/internal/obs"
 	"seastar/internal/tensor"
 )
 
@@ -15,44 +15,6 @@ import (
 var histBounds = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-// hist is a fixed-bucket, lock-free latency histogram in the Prometheus
-// cumulative style.
-type hist struct {
-	buckets []atomic.Int64 // len(histBounds)+1, last is +Inf
-	count   atomic.Int64
-	sumNs   atomic.Int64
-}
-
-func newHist() *hist {
-	return &hist{buckets: make([]atomic.Int64, len(histBounds)+1)}
-}
-
-// Observe records one duration.
-func (h *hist) Observe(d time.Duration) {
-	s := d.Seconds()
-	i := 0
-	for i < len(histBounds) && s > histBounds[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumNs.Add(int64(d))
-}
-
-// write emits the histogram in Prometheus text exposition format.
-func (h *hist) write(w io.Writer, name string) {
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	var cum int64
-	for i, b := range histBounds {
-		cum += h.buckets[i].Load()
-		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, b, cum)
-	}
-	cum += h.buckets[len(histBounds)].Load()
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, float64(h.sumNs.Load())/1e9)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.count.Load())
 }
 
 // Metrics aggregates the engine's counters and per-stage latency
@@ -82,19 +44,19 @@ type Metrics struct {
 	DeltasRejected    atomic.Int64
 	Generation        atomic.Int64
 
-	QueueWait    *hist // admission → batch pickup
-	InferLatency *hist // batch pickup → response, per request
-	TotalLatency *hist // admission → response, per request
-	DeltaApply   *hist // ApplyDelta entry → child published
+	QueueWait    *obs.Hist // admission → batch pickup
+	InferLatency *obs.Hist // batch pickup → response, per request
+	TotalLatency *obs.Hist // admission → response, per request
+	DeltaApply   *obs.Hist // ApplyDelta entry → child published
 }
 
 // NewMetrics returns a zeroed metrics block.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		QueueWait:    newHist(),
-		InferLatency: newHist(),
-		TotalLatency: newHist(),
-		DeltaApply:   newHist(),
+		QueueWait:    obs.NewHist(histBounds),
+		InferLatency: obs.NewHist(histBounds),
+		TotalLatency: obs.NewHist(histBounds),
+		DeltaApply:   obs.NewHist(histBounds),
 	}
 }
 
@@ -139,8 +101,8 @@ func (m *Metrics) Write(w io.Writer, pc *PlanCache, pool *tensor.Pool) {
 		fmt.Fprintf(w, "# TYPE seastar_serve_pool_bytes_idle gauge\nseastar_serve_pool_bytes_idle %d\n", st.BytesIdle)
 	}
 	WritePanics(w)
-	m.QueueWait.write(w, "seastar_serve_queue_wait_seconds")
-	m.InferLatency.write(w, "seastar_serve_infer_latency_seconds")
-	m.TotalLatency.write(w, "seastar_serve_total_latency_seconds")
-	m.DeltaApply.write(w, "seastar_serve_delta_apply_seconds")
+	m.QueueWait.Write(w, "seastar_serve_queue_wait_seconds")
+	m.InferLatency.Write(w, "seastar_serve_infer_latency_seconds")
+	m.TotalLatency.Write(w, "seastar_serve_total_latency_seconds")
+	m.DeltaApply.Write(w, "seastar_serve_delta_apply_seconds")
 }
