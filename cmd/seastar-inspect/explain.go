@@ -37,8 +37,7 @@ func writeUnits(w io.Writer, pass string, plan *fusion.Plan, note func(*fusion.U
 }
 
 // kernelNote summarizes a compiled seastar kernel for the EXPLAIN
-// output: what materializes and the closure compiler's decision — the matched pattern when the edge loop runs
-// specialized, or the fallback reason when it stays on the interpreter.
+// output: what materializes and the VM plan the closure compiler built.
 // Nil (dense and paramgrad units carry no seastar kernel) yields an
 // empty note.
 func kernelNote(k *kernels.Kernel, mat []*gir.Node) string {
@@ -53,10 +52,6 @@ func kernelNote(k *kernels.Kernel, mat []*gir.Node) string {
 		}
 		parts = append(parts, "materializes "+strings.Join(ids, ","))
 	}
-	if ok, name := k.Specialized(); ok {
-		parts = append(parts, "specialized="+name)
-	} else {
-		parts = append(parts, "interpreted ("+name+")")
-	}
+	parts = append(parts, "specialized="+k.Specialized())
 	return "kernel: " + strings.Join(parts, ", ")
 }

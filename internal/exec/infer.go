@@ -18,8 +18,7 @@ import (
 // pool is mutex-guarded, and everything else here is call-local. The
 // serving layer shares one pool across batches.
 type InferEnv struct {
-	G   *graph.Graph
-	Cfg kernels.Config
+	G *graph.Graph
 	// Pool, when non-nil, supplies intermediate storage; every
 	// intermediate is returned to it before Infer returns.
 	Pool *tensor.Pool
@@ -39,11 +38,6 @@ func (c *CompiledUDF) Infer(env *InferEnv, vfeat, efeat, params map[string]*tens
 	if isBlock(env.G) && c.fwdNoBlock != "" {
 		return nil, fmt.Errorf("exec: %s cannot run on a block", c.fwdNoBlock)
 	}
-	cfg := env.Cfg
-	if cfg == (kernels.Config{}) {
-		cfg = kernels.DefaultConfig()
-	}
-
 	b := &kernels.Bindings{
 		VFeat:  map[string]*tensor.Tensor{},
 		EFeat:  map[string]*tensor.Tensor{},
@@ -111,7 +105,7 @@ func (c *CompiledUDF) Infer(env *InferEnv, vfeat, efeat, params map[string]*tens
 			for _, m := range mat {
 				outs[m] = alloc(m)
 			}
-			if err := c.fwdKern[u].Run(env.G, cfg, b, outs); err != nil {
+			if err := c.fwdKern[u].Run(env.G, b, outs); err != nil {
 				return nil, fmt.Errorf("exec: infer unit %d: %w", u.ID, err)
 			}
 			for n, t := range outs {

@@ -123,7 +123,7 @@ func (f *udfFunction) runUnit(u *fusion.Unit, kern *kernels.Kernel, mat []*gir.N
 		for _, m := range mat {
 			outs[m] = f.allocOut(m)
 		}
-		if err := kern.Run(f.rt.G, f.rt.Cfg, b, outs); err != nil {
+		if err := kern.Run(f.rt.G, b, outs); err != nil {
 			return err
 		}
 		if dev := f.rt.E.Dev; dev != nil {

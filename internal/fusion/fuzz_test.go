@@ -14,7 +14,6 @@ import (
 	"seastar/internal/exec"
 	"seastar/internal/gir"
 	"seastar/internal/graph"
-	"seastar/internal/kernels"
 	"seastar/internal/refinterp"
 	"seastar/internal/tensor"
 )
@@ -185,31 +184,11 @@ func checkFusionEquivalence(t *testing.T, data []byte) {
 		efeat = map[string]*tensor.Tensor{"w": tensor.Randn(irng, 0.5, g.M, 1)}
 	}
 
-	// First run with the default config: units matched by the closure
-	// compiler execute specialized (specialize.go), the rest interpret.
+	// Every seastar unit runs on the kernel VM (specialize.go): grammar
+	// matches and opSteps alike.
 	got, err := c.Infer(&exec.InferEnv{G: g}, vfeat, efeat, nil)
 	if err != nil {
 		t.Fatalf("infer: %v", err)
-	}
-
-	// Second run with the closure compiler forced off: the specialized
-	// and interpreted paths must agree bit for bit on every program the
-	// mutator finds, not just the curated property-test models.
-	interpCfg := kernels.DefaultConfig()
-	interpCfg.NoSpecialize = true
-	gotInterp, err := c.Infer(&exec.InferEnv{G: g, Cfg: interpCfg}, vfeat, efeat, nil)
-	if err != nil {
-		t.Fatalf("infer (interpreter): %v", err)
-	}
-	if got.Size() != gotInterp.Size() {
-		t.Fatalf("specialized size %d != interpreted %d", got.Size(), gotInterp.Size())
-	}
-	for i := 0; i < got.Size(); i++ {
-		if !sameBits(got.At1(i), gotInterp.At1(i)) {
-			t.Fatalf("output[%d]: specialized %v (bits %08x) != interpreted %v (bits %08x); hetero=%v dim=%d data=%v",
-				i, got.At1(i), math.Float32bits(got.At1(i)),
-				gotInterp.At1(i), math.Float32bits(gotInterp.At1(i)), p.hetero, p.dim, data)
-		}
 	}
 
 	// The oracle evaluates the SAME optimized forward DAG the kernels
@@ -246,8 +225,8 @@ func FuzzFusionEquivalence(f *testing.F) {
 	f.Add([]byte{99, 6, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}) // every opcode once
 	f.Add([]byte{13, 3, 7, 7, 7, 10, 10, 5, 9})                // nested div + double agg
 	// Closure-compiler shapes (specialize.go): these decode to the
-	// canonical specialized patterns so the mutator keeps both execution
-	// paths honest from recognizable starting points.
+	// canonical VM patterns so the mutator starts from recognizable
+	// programs.
 	f.Add([]byte{7, 6, 36, 66, 80, 106, 103, 150, 154}) // GAT-shaped: scalar edge chain → softmax div → scaled gather
 	f.Add([]byte{9, 6, 54, 74})                         // GCN-shaped: row-scalar × wide gather → aggsum
 	f.Add([]byte{5, 7, 66, 86, 106})                    // R-GCN-shaped: hetero scalar chain → scaled gather → hier agg

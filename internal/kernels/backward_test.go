@@ -1,8 +1,8 @@
 // Bitwise tests for the backward units on the columnar VM: dead-step
-// pruning, EdgeView aliasing and the dot production must leave every
-// materialized value of every GAT/GCN backward unit identical to the
-// step interpreter (NoSpecialize) and to the definitional refinterp
-// oracle, with SIMD on or off and at 1 and 2 workers.
+// pruning, EdgeView aliasing, the dot production and opSteps must leave
+// every materialized value of every GAT/GCN/R-GCN/APPNP backward unit
+// identical to the definitional refinterp oracle, with SIMD on or off and
+// at 1 and 2 workers.
 package kernels_test
 
 import (
@@ -16,6 +16,7 @@ import (
 	"seastar/internal/gir"
 	"seastar/internal/graph"
 	"seastar/internal/kernels"
+	"seastar/internal/program"
 	"seastar/internal/refinterp"
 	"seastar/internal/sched"
 	"seastar/internal/tensor"
@@ -76,13 +77,13 @@ func newBackwardCase(t *testing.T, dag *gir.DAG, g *graph.Graph, rng *rand.Rand,
 	return &backwardCase{c: c, g: g, vfeat: vfeat, efeat: efeat, params: params, dy: dy, saved: saved}
 }
 
-// runSeastarUnits executes a plan's seastar units in order under cfg and
-// returns every value they materialize (bind.Inter, which later units
-// read). Dense and paramgrad units are skipped: no seastar unit of the
-// plans under test reads them.
+// runSeastarUnits executes a plan's seastar units in order and returns
+// every value they materialize (bind.Inter, which later units read).
+// Dense and paramgrad units are skipped: no seastar unit of the plans
+// under test reads them.
 func runSeastarUnits(t *testing.T, g *graph.Graph, units []*fusion.Unit,
 	kernel func(*fusion.Unit) *kernels.Kernel, materialized func(*fusion.Unit) []*gir.Node,
-	cfg kernels.Config, bind *kernels.Bindings) map[*gir.Node]*tensor.Tensor {
+	bind *kernels.Bindings) map[*gir.Node]*tensor.Tensor {
 	t.Helper()
 	bind.Inter = map[*gir.Node]*tensor.Tensor{}
 	for _, u := range units {
@@ -97,7 +98,7 @@ func runSeastarUnits(t *testing.T, g *graph.Graph, units []*fusion.Unit,
 			}
 			outs[n] = tensor.New(rows, n.Dim())
 		}
-		if err := kernel(u).Run(g, cfg, bind, outs); err != nil {
+		if err := kernel(u).Run(g, bind, outs); err != nil {
 			t.Fatalf("unit %d: %v", u.ID, err)
 		}
 		for n, out := range outs {
@@ -107,14 +108,14 @@ func runSeastarUnits(t *testing.T, g *graph.Graph, units []*fusion.Unit,
 	return bind.Inter
 }
 
-// runSeastar runs the backward plan's seastar units under cfg.
-func (bc *backwardCase) runSeastar(t *testing.T, cfg kernels.Config) map[*gir.Node]*tensor.Tensor {
+// runSeastar runs the backward plan's seastar units.
+func (bc *backwardCase) runSeastar(t *testing.T) map[*gir.Node]*tensor.Tensor {
 	t.Helper()
 	bind := &kernels.Bindings{
 		VFeat: bc.vfeat, EFeat: bc.efeat, Params: bc.params,
 		Grad: bc.dy, Saved: bc.saved,
 	}
-	return runSeastarUnits(t, bc.g, bc.c.BwdPlan.Units, bc.c.BwdKernel, bc.c.MaterializedBwd, cfg, bind)
+	return runSeastarUnits(t, bc.g, bc.c.BwdPlan.Units, bc.c.BwdKernel, bc.c.MaterializedBwd, bind)
 }
 
 func sameTensors(t *testing.T, what string, got, want map[*gir.Node]*tensor.Tensor) {
@@ -135,8 +136,8 @@ func sameTensors(t *testing.T, what string, got, want map[*gir.Node]*tensor.Tens
 	}
 }
 
-// checkBitwise pins interpreter ≡ refinterp on the unpruned backward DAG,
-// then specialized ≡ interpreter across SIMD modes and worker counts.
+// checkBitwise pins VM ≡ refinterp on the unpruned backward DAG, bit for
+// bit, across SIMD modes and worker counts.
 func (bc *backwardCase) checkBitwise(t *testing.T) {
 	t.Helper()
 	ref, err := refinterp.Eval(bc.c.Grads.DAG, bc.g, &refinterp.Bindings{
@@ -145,25 +146,20 @@ func (bc *backwardCase) checkBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatalf("refinterp backward: %v", err)
 	}
-	interp := kernels.DefaultConfig()
-	interp.NoSpecialize = true
-	want := bc.runSeastar(t, interp)
-	sameTensors(t, "interpreter vs refinterp", want, ref)
-
 	for _, simd := range []bool{true, false} {
 		for _, procs := range []int{1, 2} {
 			prevSIMD := tensor.SetSIMD(simd)
 			prevProcs := sched.SetMaxProcs(procs)
-			got := bc.runSeastar(t, kernels.DefaultConfig())
+			got := bc.runSeastar(t)
 			sched.SetMaxProcs(prevProcs)
 			tensor.SetSIMD(prevSIMD)
-			sameTensors(t, "specialized vs interpreter", got, want)
+			sameTensors(t, fmt.Sprintf("VM vs refinterp (simd=%v procs=%d)", simd, procs), got, ref)
 		}
 	}
 }
 
-// bwdSpecNames returns the pattern of every backward seastar unit, failing
-// on any fallback.
+// bwdSpecNames returns the VM plan of every backward seastar unit; it
+// fails the test if any unit needs an opStep.
 func bwdSpecNames(t *testing.T, c *exec.CompiledUDF) []string {
 	t.Helper()
 	var names []string
@@ -171,9 +167,9 @@ func bwdSpecNames(t *testing.T, c *exec.CompiledUDF) []string {
 		if u.Kind != fusion.KindSeastar {
 			continue
 		}
-		ok, name := c.BwdKernel(u).Specialized()
-		if !ok {
-			t.Fatalf("bwd unit %d not specialized: %s", u.ID, name)
+		name := c.BwdKernel(u).Specialized()
+		if strings.Contains(name, "step[") {
+			t.Fatalf("bwd unit %d outside the grammar: %s", u.ID, name)
 		}
 		names = append(names, name)
 	}
@@ -220,8 +216,80 @@ func TestSpecializeGCNBackward(t *testing.T) {
 	bc.checkBitwise(t)
 }
 
-// TestSpecializeEdgeViewTerms covers the aliased EdgeView terms on both
-// executors: the gradient of Σ(self + nbr) reaches the self operand
+// TestTrainingStepUnitsBitwise covers the training units whose edge
+// steps fall outside the grammar and run as opSteps: R-GCN's forward
+// (the saved [M, d] typed transform) and backward (the saved edge
+// gradient and MatMulTypedT), and APPNP's backward wide MulConst·Mul
+// chain. Forward and backward must match refinterp bit for bit.
+func TestTrainingStepUnitsBitwise(t *testing.T) {
+	spec := program.Spec{Hidden: 16, Classes: 8, Alpha: 0.1, K: 1}
+	cases := []struct {
+		name      string
+		p         *program.Program
+		relations int
+		inputs    func(rng *rand.Rand, g *graph.Graph) (vfeat, efeat, params map[string]*tensor.Tensor)
+		fwd, bwd  []string
+	}{
+		{"rgcn", program.RGCN(spec, 12, 3), 3,
+			func(rng *rand.Rand, g *graph.Graph) (map[string]*tensor.Tensor, map[string]*tensor.Tensor, map[string]*tensor.Tensor) {
+				return map[string]*tensor.Tensor{"h": tensor.Randn(rng, 0.5, g.N, 12)},
+					map[string]*tensor.Tensor{"norm": tensor.Uniform(rng, 0.2, 1, g.M, 1)},
+					map[string]*tensor.Tensor{"W": tensor.Randn(rng, 0.5, 3, 12, 16)}
+			},
+			[]string{"step[1]+scaled-col→hier"}, []string{"dot[1]+step[2]+col"}},
+		{"appnp", program.APPNP(spec, 12, 1), 0,
+			func(rng *rand.Rand, g *graph.Graph) (map[string]*tensor.Tensor, map[string]*tensor.Tensor, map[string]*tensor.Tensor) {
+				return map[string]*tensor.Tensor{
+					"h":  tensor.Randn(rng, 0.5, g.N, 8),
+					"h0": tensor.Randn(rng, 0.5, g.N, 8),
+					"sn": tensor.Uniform(rng, 0.2, 1, g.N, 1),
+					"dn": tensor.Uniform(rng, 0.2, 1, g.N, 1),
+				}, nil, nil
+			},
+			[]string{"scaled-gather", "row-only"}, []string{"row-only", "step[2]+col"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(85))
+			g := ladderGraph(t, rng, tc.relations)
+			dag, err := tc.p.Stages[0].Plan.Trace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			vfeat, efeat, params := tc.inputs(rng, g)
+			bc := newBackwardCase(t, dag, g, rng, vfeat, efeat, params)
+			var fwd, bwd []string
+			for _, u := range bc.c.FwdPlan.Units {
+				if u.Kind == fusion.KindSeastar {
+					fwd = append(fwd, bc.c.FwdKernel(u).Specialized())
+				}
+			}
+			for _, u := range bc.c.BwdPlan.Units {
+				if u.Kind == fusion.KindSeastar {
+					bwd = append(bwd, bc.c.BwdKernel(u).Specialized())
+				}
+			}
+			if fmt.Sprint(fwd) != fmt.Sprint(tc.fwd) || fmt.Sprint(bwd) != fmt.Sprint(tc.bwd) {
+				t.Fatalf("plans fwd %q bwd %q, want fwd %q bwd %q", fwd, bwd, tc.fwd, tc.bwd)
+			}
+			for _, simd := range []bool{true, false} {
+				for _, procs := range []int{1, 2} {
+					prevSIMD := tensor.SetSIMD(simd)
+					prevProcs := sched.SetMaxProcs(procs)
+					got := runSeastarUnits(t, g, bc.c.FwdPlan.Units, bc.c.FwdKernel, bc.c.MaterializedFwd,
+						&kernels.Bindings{VFeat: vfeat, EFeat: efeat, Params: params})
+					sched.SetMaxProcs(prevProcs)
+					tensor.SetSIMD(prevSIMD)
+					sameTensors(t, fmt.Sprintf("forward VM vs refinterp (simd=%v procs=%d)", simd, procs), got, bc.saved)
+				}
+			}
+			bc.checkBitwise(t)
+		})
+	}
+}
+
+// TestSpecializeEdgeViewTerms covers the aliased EdgeView terms: the
+// gradient of Σ(self + nbr) reaches the self operand
 // through Agg<D>(EdgeView(dy)) — a view of the row leaf, constant within
 // the row — and the nbr operand through Agg<S>(EdgeView(dy)), a view of
 // the neighbour leaf; the scaled forms multiply either by an edge
@@ -299,7 +367,7 @@ func TestPrunedKernelMatchesUnprunedReference(t *testing.T) {
 	if !pruned {
 		t.Fatal("backward unit 0 no longer carries the dead RowSum chain; pick another unit")
 	}
-	if _, name := bc.c.BwdKernel(u).Specialized(); name != "scaled-gather" {
+	if name := bc.c.BwdKernel(u).Specialized(); name != "scaled-gather" {
 		t.Fatalf("pruned unit 0 compiled as %q, want scaled-gather (dead chain still lowered?)", name)
 	}
 	bc.checkBitwise(t)
@@ -376,8 +444,9 @@ func randomTrainable(seed int64, hetero bool, dim int) (*gir.DAG, error) {
 // TestBackwardRandomProgramsBitwise extends the bitwise contract from the
 // curated models to arbitrary gradients: every backward seastar unit of a
 // sweep of random differentiable programs — whatever mix of pruned
-// chains, aliased EdgeViews, dots, row-vector terms and fallbacks autodiff
-// and fusion produce — must agree with the interpreter and refinterp.
+// chains, aliased EdgeViews, dots, row-vector terms and opSteps autodiff
+// and fusion produce — must agree with refinterp. specialized counts the
+// step-free units.
 func TestBackwardRandomProgramsBitwise(t *testing.T) {
 	specialized, dots := 0, 0
 	for seed := int64(0); seed < 150; seed++ {
@@ -406,7 +475,7 @@ func TestBackwardRandomProgramsBitwise(t *testing.T) {
 		for _, u := range bc.c.BwdPlan.Units {
 			if k := bc.c.BwdKernel(u); k != nil {
 				ran = true
-				if ok, name := k.Specialized(); ok {
+				if name := k.Specialized(); !strings.Contains(name, "step[") {
 					specialized++
 					if strings.HasPrefix(name, "dot[") {
 						dots++

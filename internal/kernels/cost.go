@@ -57,25 +57,26 @@ func log2i(x int) float64 {
 // round of goroutine handoffs.
 const serialCPUThreshold = 1 << 15
 
-// specEdgeFactor is how much cheaper one specialized edge is than one
-// interpreted edge in the serial-threshold model: the closure compiler
-// removes the per-edge op dispatch, operand resolution and leaf staging
-// copies, measured at 3-5x per unit (EXPERIMENTS.md, fused-kernel section).
-// A conservative 3 keeps small specialized launches on the serial path
-// longer, where they belong.
+// specEdgeFactor is how much cheaper one edge of a step-free plan is than
+// one edge run through evalStep in the serial-threshold model: the closure
+// compiler removes the per-edge op dispatch, operand resolution and leaf
+// staging copies, measured at 3-5x per unit (EXPERIMENTS.md, fused-kernel
+// section). A conservative 3 keeps small step-free launches on the serial
+// path longer, where they belong.
 const specEdgeFactor = 3
 
 // cpuWork estimates the serialized cost of one launch in abstract cycles
 // (group size 1) from the same per-edge/per-row model as the GPU cost
-// function; it gates the serial fast path. Launches taking the
-// specialized loop (k.curSpec) discount the per-edge term by
-// specEdgeFactor.
+// function; it gates the serial fast path. An aggregating plan with no
+// opStep discounts the per-edge term by specEdgeFactor; a row-only unit
+// keeps the undiscounted term, so its serial/parallel choice is the one
+// it made before it ran on the VM.
 func (k *Kernel) cpuWork(csr *graph.CSR) float64 {
 	perEdge := stageCycles(k.edge, 1) + 2
 	for _, a := range k.aggs {
 		perEdge += float64(a.node.Dim())
 	}
-	if k.curSpec {
+	if len(k.aggs) > 0 && k.spec.stepFree() {
 		perEdge /= specEdgeFactor
 	}
 	perRow := stageCycles(k.preRow, 1) + stageCycles(k.post, 1) + 8

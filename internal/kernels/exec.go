@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"seastar/internal/gir"
 	"seastar/internal/graph"
@@ -67,10 +66,9 @@ func (b *Bindings) Resolve(n *gir.Node) (*tensor.Tensor, error) {
 // of the paper's degree-sorting + dynamic-load-balancing design (§6.3.3).
 // Scratch arenas and the row partition are cached on the Kernel, so a
 // steady-state launch is allocation-free.
-func (k *Kernel) Run(g *graph.Graph, cfg Config, b *Bindings, outs map[*gir.Node]*tensor.Tensor) error {
+func (k *Kernel) Run(g *graph.Graph, b *Bindings, outs map[*gir.Node]*tensor.Tensor) error {
 	sp := obs.Begin("kern", k.obsLabel)
 	defer sp.End()
-	cfg = cfg.withDefaults()
 	csr := &g.In
 	if k.Dir == gir.AggToSrc {
 		csr = &g.Out
@@ -86,16 +84,12 @@ func (k *Kernel) Run(g *graph.Graph, cfg Config, b *Bindings, outs map[*gir.Node
 	}
 	defer k.releaseResolved()
 
-	// Per-launch specialization decision: the compile-time plan unless
-	// the config forces the interpreter.
-	k.curSpec = k.spec != nil && !cfg.NoSpecialize
-
 	n := csr.NumRows()
 	if obs.Enabled() {
 		obs.Add("kern", k.obsLabel, "rows", int64(n))
 		obs.Add("kern", k.obsLabel, "edges", csr.Offsets[n])
 		var specialized int64
-		if k.curSpec {
+		if k.spec.stepFree() {
 			specialized = 1
 		}
 		obs.Set("kern", k.obsLabel, "specialized", specialized)
@@ -105,12 +99,8 @@ func (k *Kernel) Run(g *graph.Graph, cfg Config, b *Bindings, outs map[*gir.Node
 		// Serial fast path: the fan-out overhead exceeds the work.
 		a := k.arena(0)
 		a.loadConsts(k)
-		if err := k.runSweep(a, 0, g.N); err != nil {
-			return err
-		}
-		if err := k.runRows(a, csr, g, 0, n); err != nil {
-			return err
-		}
+		k.runSweep(a, 0, g.N)
+		k.runRowsSpec(a, csr, g, 0, n)
 	} else {
 		ranges := k.partition(csr)
 		workers := sched.Workers(len(ranges))
@@ -119,8 +109,6 @@ func (k *Kernel) Run(g *graph.Graph, cfg Config, b *Bindings, outs map[*gir.Node
 		}
 		k.runID++
 		runID := k.runID
-		var errOnce sync.Once
-		var firstErr error
 		if len(k.nbrMats) > 0 {
 			// Per-vertex sweep for neighbour-typed materializations:
 			// uniform vertex chunks, each vertex written by exactly one
@@ -133,13 +121,8 @@ func (k *Kernel) Run(g *graph.Graph, cfg Config, b *Bindings, outs map[*gir.Node
 					a.runID = runID
 				}
 				r := sweep[c]
-				if err := k.runSweep(a, r.Lo, r.Hi); err != nil {
-					errOnce.Do(func() { firstErr = err })
-				}
+				k.runSweep(a, r.Lo, r.Hi)
 			})
-			if firstErr != nil {
-				return firstErr
-			}
 		}
 		sched.Do(len(ranges), workers, func(w, c int) {
 			a := k.arena(w)
@@ -148,13 +131,8 @@ func (k *Kernel) Run(g *graph.Graph, cfg Config, b *Bindings, outs map[*gir.Node
 				a.runID = runID
 			}
 			r := ranges[c]
-			if err := k.runRows(a, csr, g, r.Lo, r.Hi); err != nil {
-				errOnce.Do(func() { firstErr = err })
-			}
+			k.runRowsSpec(a, csr, g, r.Lo, r.Hi)
 		})
-		if firstErr != nil {
-			return firstErr
-		}
 	}
 	return nil
 }
@@ -217,27 +195,24 @@ func (k *Kernel) resolve(b *Bindings, outs map[*gir.Node]*tensor.Tensor) error {
 		}
 		k.nbrMatT[i] = t
 	}
-	if k.spec != nil {
-		// Raw data views for the specialized path: direct slices skip the
-		// per-edge Row() call in the gather loop.
-		if k.specLeafData == nil {
-			k.specLeafData = make([][]float32, len(k.edgeLeaves))
-			k.specWd = make([][]float32, len(k.spec.terms))
-			k.specMatData = make([][]float32, len(k.mats))
+	// Raw data views for the VM: direct slices skip the per-edge Row()
+	// call in the gather loop.
+	if k.specLeafData == nil {
+		k.specLeafData = make([][]float32, len(k.edgeLeaves))
+		k.specWd = make([][]float32, len(k.spec.terms))
+		k.specMatData = make([][]float32, len(k.mats))
+	}
+	for i, t := range k.edgeT {
+		k.specLeafData[i] = t.Data()
+	}
+	for ti, t := range k.spec.terms {
+		if t.kind == termTyped {
+			k.specWd[ti] = k.paramT[t.param].Data()
 		}
-		for i, t := range k.edgeT {
-			k.specLeafData[i] = t.Data()
-		}
-		for ti, t := range k.spec.terms {
-			if t.kind == termTyped {
-				k.specWd[ti] = k.paramT[t.param].Data()
-			}
-		}
-		for _, m := range k.spec.edgeMats {
-			// Per-edge materializations are width 1 (enforced by the plan
-			// matcher), so row eid of the [M,1] tensor is element eid.
-			k.specMatData[m.mat] = k.matT[m.mat].Data()
-		}
+	}
+	for _, m := range k.spec.edgeMats {
+		// Row eid of an [M, w] tensor starts at element eid·w.
+		k.specMatData[m.mat] = k.matT[m.mat].Data()
 	}
 	return nil
 }
@@ -312,19 +287,23 @@ type runArena struct {
 	scratch [][]float32
 	accs    [][]float32
 	inner   [][]float32
-	// svals is the specialized path's flat scalar bank: width-1 loads,
-	// row-hoisted scalars and chain-closure outputs, indexed by the plan.
+	// svals is the VM's flat scalar bank: width-1 loads, row-hoisted
+	// scalars and chain-closure outputs, indexed by the plan.
 	svals []float32
-	// tstate is the specialized path's per-term runtime view (accumulator
-	// target, raw data slices), rebuilt per chunk; batched terms keep a
-	// permanent specBlock-sized scale buffer in their slot.
+	// tstate is the VM's per-term runtime view (accumulator target, raw
+	// data slices), rebuilt per chunk; batched terms keep a permanent
+	// specBlock-sized scale buffer in their slot.
 	tstate []specTermState
-	// prog and rowProg are the specialized path's launch-bound edge and
-	// row programs, rebuilt per chunk from the plan's static instructions.
+	// prog and rowProg are the launch-bound edge and row programs,
+	// rebuilt per chunk from the plan's static instructions.
 	prog, rowProg []specOp
-	// cols holds the columnar path's per-block edge columns, one
-	// specBlock-wide slice per bank slot carrying a per-edge value.
-	cols [][]float32
+	// cols holds the per-block edge columns, one specBlock-wide slice per
+	// bank slot carrying a per-edge value; wcols one specBlock × w column
+	// per opStep (a width-1 step's is also its bank column).
+	cols, wcols [][]float32
+	// view is the slot table opSteps hand evalStep: each operand slot
+	// points at its value's storage in place.
+	view [][]float32
 	// rowLeafData caches the launch's row-leaf backing arrays for the
 	// direct-row fast path, rebuilt per chunk.
 	rowLeafData [][]float32
@@ -354,25 +333,32 @@ func (k *Kernel) arena(w int) *runArena {
 			a.accs[i] = make([]float32, ag.node.Dim())
 			a.inner[i] = make([]float32, ag.node.Dim())
 		}
-		if k.spec != nil {
-			a.svals = make([]float32, k.spec.nScalar)
-			a.tstate = make([]specTermState, len(k.spec.terms))
-			a.prog = make([]specOp, len(k.spec.prog))
-			a.rowProg = make([]specOp, len(k.spec.rowProg))
-			for ti := range k.spec.terms {
-				if k.spec.terms[ti].batch {
-					a.tstate[ti].buf = make([]float32, specBlock)
-				}
+		sp := k.spec
+		a.svals = make([]float32, sp.nScalar)
+		a.tstate = make([]specTermState, len(sp.terms))
+		a.prog = make([]specOp, len(sp.prog))
+		a.rowProg = make([]specOp, len(sp.rowProg))
+		for ti := range sp.terms {
+			if sp.terms[ti].batch {
+				a.tstate[ti].buf = make([]float32, specBlock)
 			}
-			a.cols = make([][]float32, k.spec.nScalar)
-			for i, col := range k.spec.colSlot {
-				if col {
-					a.cols[i] = make([]float32, specBlock)
-				}
-			}
-			a.rowLeafData = make([][]float32, 0, len(k.rowLeaves))
-			a.rowVec = make([][]float32, len(k.spec.rowVecs))
 		}
+		a.cols = make([][]float32, sp.nScalar)
+		a.wcols = make([][]float32, len(sp.steps))
+		for si, ss := range sp.steps {
+			a.wcols[si] = make([]float32, specBlock*ss.w)
+			if ss.bank >= 0 {
+				a.cols[ss.bank] = a.wcols[si]
+			}
+		}
+		for i, col := range sp.colSlot {
+			if col && a.cols[i] == nil {
+				a.cols[i] = make([]float32, specBlock)
+			}
+		}
+		a.view = make([][]float32, k.numSlots)
+		a.rowLeafData = make([][]float32, 0, len(k.rowLeaves))
+		a.rowVec = make([][]float32, len(sp.rowVecs))
 		k.arenas[w] = a
 	}
 	return a
@@ -391,125 +377,21 @@ func (a *runArena) loadConsts(k *Kernel) {
 // each vertex loads its own rows of the sweep leaves, re-derives the
 // chain, and writes one row per materialized node. No-op when the kernel
 // has no neighbour-typed materializations.
-func (k *Kernel) runSweep(a *runArena, lo, hi int) error {
+func (k *Kernel) runSweep(a *runArena, lo, hi int) {
 	if len(k.nbrMats) == 0 {
-		return nil
+		return
 	}
 	for v := lo; v < hi; v++ {
 		for _, li := range k.sweepLoads {
 			copy(a.scratch[k.edgeLeaves[li].slot], k.edgeT[li].Row(v))
 		}
 		for _, st := range k.sweepSteps {
-			if err := evalStep(st, a.scratch, k.paramT, 0); err != nil {
-				return err
-			}
+			evalStep(st, a.scratch, k.paramT, 0)
 		}
 		for i, m := range k.nbrMats {
 			copy(k.nbrMatT[i].Row(v), a.scratch[m.slot])
 		}
 	}
-	return nil
-}
-
-// runRows interprets rows [lo, hi) — the functional half of Algorithm 1.
-// Units matched by the closure compiler run the specialized loop;
-// everything else runs the step interpreter.
-func (k *Kernel) runRows(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi int) error {
-	if k.curSpec {
-		return k.runRowsSpec(a, csr, g, lo, hi)
-	}
-	return k.runRowsFull(a, csr, g, lo, hi)
-}
-
-// runRowsFull is the step interpreter's row loop.
-func (k *Kernel) runRowsFull(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi int) error {
-	scratch, accs, inner := a.scratch, a.accs, a.inner
-	rowT, edgeT, matT, params := k.rowT, k.edgeT, k.matT, k.paramT
-
-	for r := lo; r < hi; r++ {
-		vid := int(csr.RowIDs[r])
-		for i, ld := range k.rowLeaves {
-			copy(scratch[ld.slot], rowT[i].Row(vid))
-		}
-		for _, st := range k.preRow {
-			if err := evalStep(st, scratch, params, 0); err != nil {
-				return err
-			}
-		}
-		for i, a := range k.aggs {
-			initAcc(accs[i], outerKind(a.node))
-			if a.node.Op == gir.OpAggHier {
-				initAcc(inner[i], a.node.Attr.InnerOp)
-			}
-		}
-		nbrs, eids := csr.Row(r)
-		curType := int32(-1)
-		started := false
-		for i, nbr := range nbrs {
-			eid := int(eids[i])
-			et := 0
-			if k.usesEdgeType {
-				et = int(g.EdgeTypes[eid])
-			}
-			// Hierarchical type boundary: fold inner accumulators.
-			if k.hier && started && int32(et) != curType {
-				for ai, a := range k.aggs {
-					if a.node.Op == gir.OpAggHier {
-						foldInner(accs[ai], inner[ai], a.node.Attr.OuterOp)
-						initAcc(inner[ai], a.node.Attr.InnerOp)
-					}
-				}
-			}
-			curType = int32(et)
-			started = true
-
-			for li, ld := range k.edgeLeaves {
-				if ld.byEdgeID {
-					copy(scratch[ld.slot], edgeT[li].Row(eid))
-				} else {
-					copy(scratch[ld.slot], edgeT[li].Row(int(nbr)))
-				}
-			}
-			for _, st := range k.edge {
-				if err := evalStep(st, scratch, params, et); err != nil {
-					return err
-				}
-			}
-			for mi, m := range k.mats {
-				if m.perEdge {
-					copy(matT[mi].Row(eid), scratch[m.slot])
-				}
-			}
-			for ai, a := range k.aggs {
-				if a.node.Op == gir.OpAggHier {
-					accumulate(inner[ai], scratch[a.in], a.node.Attr.InnerOp, k.widths[a.in])
-				} else {
-					accumulate(accs[ai], scratch[a.in], a.node.Attr.AggOp, k.widths[a.in])
-				}
-			}
-		}
-		deg := len(nbrs)
-		for ai, a := range k.aggs {
-			if a.node.Op == gir.OpAggHier {
-				if started {
-					foldInner(accs[ai], inner[ai], a.node.Attr.OuterOp)
-				}
-			}
-			finalizeAcc(accs[ai], a.node, deg)
-			copy(scratch[a.out], accs[ai])
-		}
-		for _, st := range k.post {
-			if err := evalStep(st, scratch, params, 0); err != nil {
-				return err
-			}
-		}
-		for mi, m := range k.mats {
-			if !m.perEdge {
-				copy(matT[mi].Row(vid), scratch[m.slot])
-			}
-		}
-	}
-	return nil
 }
 
 func outerKind(n *gir.Node) gir.AggKind {
@@ -600,8 +482,19 @@ func finalizeAcc(acc []float32, n *gir.Node, deg int) {
 	}
 }
 
-// evalStep interprets one operator for the current (row, edge) context.
-func evalStep(st step, scratch [][]float32, params map[*gir.Node]*tensor.Tensor, edgeType int) error {
+// fusedOp reports whether evalStep can run op: Compile rejects a unit
+// with any other operator in a stage.
+func fusedOp(op gir.OpKind) bool {
+	switch op {
+	case gir.OpEdgeView, gir.OpMatMulTyped, gir.OpMatMulTypedT:
+		return true
+	}
+	return scalarClosureOp(op)
+}
+
+// evalStep computes one operator for the current (row, edge) context: the
+// arm behind pre-row and post steps, the neighbour sweep and opStep.
+func evalStep(st step, scratch [][]float32, params map[*gir.Node]*tensor.Tensor, edgeType int) {
 	n := st.node
 	out := scratch[st.out]
 	w := len(out)
@@ -766,7 +659,6 @@ func evalStep(st step, scratch [][]float32, params map[*gir.Node]*tensor.Tensor,
 			out[i] = s
 		}
 	default:
-		return fmt.Errorf("kernels: op %s cannot run inside a fused kernel", n.Op)
+		panic(fmt.Sprintf("kernels: op %s reached evalStep past Compile", n.Op))
 	}
-	return nil
 }

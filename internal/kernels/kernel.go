@@ -49,8 +49,8 @@ type Bindings struct {
 	Inter map[*gir.Node]*tensor.Tensor
 }
 
-// Config selects the kernel-level strategy, exposing the paper's Figure 12
-// variants.
+// Config is the paper's Figure 12 variants: what a launch charges on the
+// simulated device. It never changes what a kernel computes.
 type Config struct {
 	// BlockSize is the fixed CUDA block size (default 256).
 	BlockSize int
@@ -59,9 +59,6 @@ type Config struct {
 	FeatureAdaptive bool
 	// Sched selects the block scheduling strategy (§6.3.3).
 	Sched device.SchedMode
-	// NoSpecialize forces the scalar interpreter even on units the
-	// closure compiler matched (A/B benchmarks and equivalence tests).
-	NoSpecialize bool
 }
 
 // DefaultConfig is the full Seastar design: FAT groups + hardware dynamic
@@ -77,7 +74,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// step is one interpreted operator inside a stage.
+// step is one operator inside a stage.
 type step struct {
 	node *gir.Node
 	out  int   // output slot
@@ -144,14 +141,10 @@ type Kernel struct {
 	usesEdgeType bool
 	hier         bool
 
-	// Closure-compiler plan (see specialize.go): non-nil when the unit
-	// matched the pattern grammar, with the fallback reason otherwise.
-	// curSpec is the per-launch decision (cfg can force the interpreter);
-	// specLeafData and specWd are per-launch raw data views resolved
+	// The VM plan (see specialize.go) every launch runs; specLeafData,
+	// specWd and specMatData are per-launch raw data views resolved
 	// alongside the binding slices.
 	spec         *specPlan
-	specReason   string
-	curSpec      bool
 	specLeafData [][]float32
 	specWd       [][]float32
 	specMatData  [][]float32
@@ -397,7 +390,10 @@ func Compile(u *fusion.Unit, materialized []*gir.Node, available map[*gir.Node]b
 		}
 		k.mats = append(k.mats, matOut{node: m, slot: s, perEdge: m.Type == gir.TypeE})
 	}
-	k.specialize()
+	var err error
+	if k.spec, err = k.buildSpecPlan(); err != nil {
+		return nil, err
+	}
 	return k, nil
 }
 

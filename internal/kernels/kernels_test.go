@@ -3,6 +3,7 @@ package kernels
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"seastar/internal/device"
@@ -31,7 +32,7 @@ func planFor(t *testing.T, setup func(b *gir.Builder) gir.UDF) (*fusion.Plan, *g
 
 // runSeastarUnits executes all seastar units of a plan in order, returning
 // the tensor of the DAG output. Dense units are not expected here.
-func runSeastarUnits(t *testing.T, plan *fusion.Plan, g *graph.Graph, cfg Config, b *Bindings) *tensor.Tensor {
+func runSeastarUnits(t *testing.T, plan *fusion.Plan, g *graph.Graph, b *Bindings) *tensor.Tensor {
 	t.Helper()
 	if b.Inter == nil {
 		b.Inter = make(map[*gir.Node]*tensor.Tensor)
@@ -59,7 +60,7 @@ func runSeastarUnits(t *testing.T, plan *fusion.Plan, g *graph.Graph, cfg Config
 			}
 			outs[m] = tensor.New(rows, m.Dim())
 		}
-		if err := k.Run(g, cfg, b, outs); err != nil {
+		if err := k.Run(g, b, outs); err != nil {
 			t.Fatal(err)
 		}
 		for n, tt := range outs {
@@ -86,7 +87,7 @@ func TestSeastarKernelCopySum(t *testing.T) {
 		3, 30, // C
 		4, 40, // D
 	}, 4, 2)
-	out := runSeastarUnits(t, plan, g, DefaultConfig(), &Bindings{
+	out := runSeastarUnits(t, plan, g, &Bindings{
 		VFeat: map[string]*tensor.Tensor{"h": h},
 	})
 	// In-edges: A←{B,C,D}, B←{A,C}, C←{D}, D←{B}.
@@ -110,8 +111,8 @@ func TestSeastarKernelOnSortedGraphMatchesUnsorted(t *testing.T) {
 		return func(v *gir.Vertex) *gir.Value { return v.Nbr("h").Exp().AggSum() }
 	})
 	bind := func() *Bindings { return &Bindings{VFeat: map[string]*tensor.Tensor{"h": h}} }
-	a := runSeastarUnits(t, plan, g, DefaultConfig(), bind())
-	bOut := runSeastarUnits(t, plan, g.SortByDegree(), DefaultConfig(), bind())
+	a := runSeastarUnits(t, plan, g, bind())
+	bOut := runSeastarUnits(t, plan, g.SortByDegree(), bind())
 	if !tensor.AllClose(a, bOut, 1e-4) {
 		t.Fatalf("sorted vs unsorted diverge: %g", tensor.MaxAbsDiff(a, bOut))
 	}
@@ -171,7 +172,7 @@ func TestSeastarKernelGATMatchesNaive(t *testing.T) {
 	ev := tensor.Randn(rng, 1, 200, 1)
 	h := tensor.Randn(rng, 1, 200, 16)
 	plan, _ := gatPlan(t, 16)
-	out := runSeastarUnits(t, plan, g, DefaultConfig(), &Bindings{
+	out := runSeastarUnits(t, plan, g, &Bindings{
 		VFeat: map[string]*tensor.Tensor{"eu": eu, "ev": ev, "h": h},
 	})
 	want := naiveGAT(g, eu, ev, h, 0.2)
@@ -180,26 +181,45 @@ func TestSeastarKernelGATMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestSeastarKernelVariantsAgreeOnValues pins that Figure 12's variants
+// change only what a launch is charged: Run takes no Config, and charging
+// the same kernel under every variant between runs leaves its values bit
+// for bit unchanged.
 func TestSeastarKernelVariantsAgreeOnValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := graph.PowerLaw(rng, 150, 3)
-	eu := tensor.Randn(rng, 1, 150, 1)
-	ev := tensor.Randn(rng, 1, 150, 1)
 	h := tensor.Randn(rng, 1, 150, 8)
-	plan, _ := gatPlan(t, 8)
-	bind := func() *Bindings {
-		return &Bindings{VFeat: map[string]*tensor.Tensor{"eu": eu, "ev": ev, "h": h}}
+	plan, _ := planFor(t, func(b *gir.Builder) gir.UDF {
+		b.VFeature("h", 8)
+		return func(v *gir.Vertex) *gir.Value { return v.Nbr("h").AggSum() }
+	})
+	u := plan.Units[0]
+	k, err := Compile(u, plan.Materialized(nil)[u], nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ref := runSeastarUnits(t, plan, g, DefaultConfig(), bind())
+	run := func() *tensor.Tensor {
+		out := tensor.New(g.N, 8)
+		if err := k.Run(g, &Bindings{VFeat: map[string]*tensor.Tensor{"h": h}},
+			map[*gir.Node]*tensor.Tensor{plan.DAG.Outputs[0]: out}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	ref := run()
 	for name, cfg := range map[string]Config{
 		"basic":       {BlockSize: 256, FeatureAdaptive: false},
 		"atomic":      {BlockSize: 256, FeatureAdaptive: true, Sched: device.SchedAtomic},
 		"static":      {BlockSize: 256, FeatureAdaptive: true, Sched: device.SchedStatic},
 		"small-block": {BlockSize: 64, FeatureAdaptive: true},
 	} {
-		got := runSeastarUnits(t, plan, g, cfg, bind())
-		if !tensor.AllClose(got, ref, 1e-4) {
-			t.Fatalf("%s: values diverge", name)
+		dev := device.New(device.V100)
+		k.LaunchOnly(dev, g, cfg)
+		if dev.ElapsedNs() <= 0 {
+			t.Fatalf("%s: the launch charged nothing", name)
+		}
+		if !bitIdentical(run(), ref) {
+			t.Fatalf("%s: values changed after charging the launch", name)
 		}
 	}
 }
@@ -232,7 +252,7 @@ func TestSeastarBackwardDirectionUsesOutCSR(t *testing.T) {
 	}
 	x := tensor.FromSlice([]float32{1, 2, 3, 4}, 4, 1)
 	out := tensor.New(4, 1)
-	err = k.Run(g, DefaultConfig(), &Bindings{VFeat: map[string]*tensor.Tensor{"x": x}},
+	err = k.Run(g, &Bindings{VFeat: map[string]*tensor.Tensor{"x": x}},
 		map[*gir.Node]*tensor.Tensor{agg: out})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +282,7 @@ func TestHeteroKernelHierSumAndMax(t *testing.T) {
 				return v.Nbr("x").AggHier(inner, outer)
 			}
 		})
-		return runSeastarUnits(t, plan, g, DefaultConfig(), &Bindings{
+		return runSeastarUnits(t, plan, g, &Bindings{
 			VFeat: map[string]*tensor.Tensor{"x": x},
 		})
 	}
@@ -300,7 +320,7 @@ func TestHeteroKernelRequiresEdgeTypes(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := tensor.New(4, 1)
-	err = k.Run(g, DefaultConfig(),
+	err = k.Run(g,
 		&Bindings{VFeat: map[string]*tensor.Tensor{"x": x}},
 		map[*gir.Node]*tensor.Tensor{plan.DAG.Outputs[0]: tensor.New(4, 1)})
 	if err == nil {
@@ -330,7 +350,7 @@ func TestTypedMatMulKernel(t *testing.T) {
 	}, 4, 2)
 	// W[0] = [1, 1]ᵀ (sums the row), W[1] = [10, 0]ᵀ (10 × first elem).
 	W := tensor.FromSlice([]float32{1, 1, 10, 0}, 2, 2, 1)
-	out := runSeastarUnits(t, plan, g, DefaultConfig(), &Bindings{
+	out := runSeastarUnits(t, plan, g, &Bindings{
 		VFeat:  map[string]*tensor.Tensor{"h": h},
 		Params: map[string]*tensor.Tensor{"W": W},
 	})
@@ -518,6 +538,33 @@ func TestCompileRejectsNonSeastarUnit(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsUnfusableOp hand-builds a seastar unit whose edge
+// stage holds a dense MatMul, which no fused kernel can run: Compile must
+// refuse it, before any launch could write a row.
+func TestCompileRejectsUnfusableOp(t *testing.T) {
+	b := gir.NewBuilder()
+	b.VFeature("h", 4)
+	W := b.Param("W", 4, 2)
+	dag, err := b.Build(func(v *gir.Vertex) *gir.Value {
+		return v.Nbr("h").MatMul(W).AggSum()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := &fusion.Unit{Kind: fusion.KindSeastar}
+	for _, n := range dag.Nodes {
+		if n.Op != gir.OpLeaf {
+			u.Nodes = append(u.Nodes, n)
+		}
+	}
+	if u.Nodes[0].Op != gir.OpMatMulP {
+		t.Fatalf("unit starts with %s, want the dense MatMul", u.Nodes[0].Op)
+	}
+	if _, err := Compile(u, nil, nil); err == nil || !strings.Contains(err.Error(), "cannot run inside a fused kernel") {
+		t.Fatalf("Compile = %v, want the unfusable-op error", err)
+	}
+}
+
 func TestRunErrorsOnMissingBindings(t *testing.T) {
 	g := graph.Figure7()
 	plan, _ := planFor(t, func(b *gir.Builder) gir.UDF {
@@ -527,11 +574,11 @@ func TestRunErrorsOnMissingBindings(t *testing.T) {
 	mat := plan.Materialized(nil)
 	k, _ := Compile(plan.Units[0], mat[plan.Units[0]], nil)
 	outs := map[*gir.Node]*tensor.Tensor{plan.DAG.Outputs[0]: tensor.New(4, 2)}
-	if err := k.Run(g, DefaultConfig(), &Bindings{}, outs); err == nil {
+	if err := k.Run(g, &Bindings{}, outs); err == nil {
 		t.Fatal("missing feature binding accepted")
 	}
 	// Missing output tensor.
-	if err := k.Run(g, DefaultConfig(),
+	if err := k.Run(g,
 		&Bindings{VFeat: map[string]*tensor.Tensor{"h": tensor.New(4, 2)}},
 		map[*gir.Node]*tensor.Tensor{}); err == nil {
 		t.Fatal("missing output tensor accepted")

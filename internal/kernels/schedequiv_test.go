@@ -22,7 +22,7 @@ import (
 // unsorted and adds a hub whose type runs are shorter than, equal to,
 // just over and several times the VM's edge block, so hierarchical folds
 // land inside blocks and runs straddle them; on every input the
-// specialized VM must match the step interpreter bit for bit.
+// VM must match refinterp on the same DAG bit for bit.
 
 // equivProgram pairs a program with the feature widths it needs.
 type equivProgram struct {
@@ -164,7 +164,7 @@ func TestSchedulerEquivalenceOnSkewedHeteroGraphs(t *testing.T) {
 
 		batchedHier := false
 		for _, p := range equivPrograms(dim) {
-			plan, _ := planFor(t, p.setup)
+			plan, dag := planFor(t, p.setup)
 
 			// The kernels must actually take the parallel branch.
 			for _, u := range plan.Units {
@@ -177,25 +177,26 @@ func TestSchedulerEquivalenceOnSkewedHeteroGraphs(t *testing.T) {
 					t.Fatalf("seed %d %s: cpuWork %.0f below serial threshold %d — enlarge the graph",
 						seed, p.name, work, serialCPUThreshold)
 				}
-				if k.spec != nil {
-					for _, tm := range k.spec.terms {
-						batchedHier = batchedHier || (tm.hier && tm.batch)
-					}
+				for _, tm := range k.spec.terms {
+					batchedHier = batchedHier || (tm.hier && tm.batch)
 				}
 			}
 
-			// Specialized ≡ interpreted, bit for bit, at 1 and 4 workers
-			// in both SIMD modes.
-			interp := DefaultConfig()
-			interp.NoSpecialize = true
+			// VM ≡ refinterp on the DAG the plan was built from, bit for
+			// bit, at 1 and 4 workers in both SIMD modes.
+			b := bind()
+			vals, err := refinterp.Eval(dag, g, &refinterp.Bindings{VFeat: b.VFeat, EFeat: b.EFeat})
+			if err != nil {
+				t.Fatalf("seed %d %s: refinterp: %v", seed, p.name, err)
+			}
+			want := vals[dag.Outputs[0]]
 			for _, simd := range []bool{true, false} {
 				tensor.SetSIMD(simd)
 				for _, procs := range []int{1, 4} {
 					sched.MaxProcs = procs
-					got := runSeastarUnits(t, plan, g, DefaultConfig(), bind())
-					want := runSeastarUnits(t, plan, g, interp, bind())
+					got := runSeastarUnits(t, plan, g, bind())
 					if !bitIdentical(got, want) {
-						t.Fatalf("seed %d %s (simd=%v procs=%d): specialized and interpreted execution disagree (max diff %g)",
+						t.Fatalf("seed %d %s (simd=%v procs=%d): VM and refinterp disagree (max diff %g)",
 							seed, p.name, simd, procs, tensor.MaxAbsDiff(got, want))
 					}
 				}
@@ -203,10 +204,10 @@ func TestSchedulerEquivalenceOnSkewedHeteroGraphs(t *testing.T) {
 			tensor.SetSIMD(prevSIMD)
 			sched.MaxProcs = 8
 
-			eb := runSeastarUnits(t, plan, g, DefaultConfig(), bind())
+			eb := runSeastarUnits(t, plan, g, bind())
 
 			sched.MaxProcs = 1
-			serial := runSeastarUnits(t, plan, g, DefaultConfig(), bind())
+			serial := runSeastarUnits(t, plan, g, bind())
 			sched.MaxProcs = 8
 
 			if !bitIdentical(eb, serial) {

@@ -2,58 +2,53 @@ package kernels
 
 // The per-unit closure compiler (DESIGN.md §12): at Compile time, the
 // edge stage of a fused seastar unit is pattern-matched against a small
-// grammar and, when it fits, lowered into a columnar edge program that
-// runs the whole edge loop in one pass — op dispatch, operand resolution
+// grammar and lowered into a columnar edge program — the kernel VM — that
+// runs the whole edge loop in one pass: op dispatch, operand resolution
 // and feature-dim bounds checks hoisted out of the inner loop, per-edge
 // scalars held in block columns, and the wide work routed through
 // tensor.GatherDot / VecAdd / VecMulAdd / GatherMulAdd (AVX2 on capable
-// hosts).
+// hosts). Every unit runs on it; there is no other row loop.
 //
 // The grammar over one edge iteration is
 //
-//	edge   := load* dot* chain* mat* term+
+//	edge   := load* dot* (chain | step)* mat* term*
 //	load   := scalar edge-leaf → scalar bank          (eu, norm, saved α, …)
 //	dot    := RowSum(Mul(A, B)) → scalar bank         (per-edge dot, GAT backward)
 //	chain  := scalar op over the scalar bank          (Add, LeakyReLU, Exp, Div, grads, …)
-//	mat    := scalar bank → per-edge materialization
+//	step   := any other edge op → block column        (MatMulTypedT, wide chains, …)
+//	mat    := scalar bank | step column → per-edge materialization
 //	term   := agg ⊕= scalar                           (GAT edge-softmax sums)
 //	        | agg ⊕= W                                (plain gather)
 //	        | agg ⊕= scalar · W                       (GCN/GAT weighted gather)
-//	        | agg ⊕= [scalar ·] MatMulTyped(W)        (R-GCN per-relation transform)
-//	A, B, W := leaf[nbr|eid] | row-constant wide      (equal widths in a dot)
+//	        | agg ⊕= [scalar ·] MatMulTyped(W)        (R-GCN per-relation transform, sum folds)
+//	A, B, W := leaf[nbr|eid] | row-constant wide | step column (W only)
 //
 // Wide operands are read in place, never staged: leaf[nbr|eid] is a row
-// of a bound tensor selected by the CSR's own neighbour or edge ids, and a
+// of a bound tensor selected by the CSR's own neighbour or edge ids, a
 // row-constant wide vector (row leaf, const leaf, pre-row output) is the
-// same row for every edge. EdgeView is not an instruction at all — it is
-// a pure re-indexing, so a view of a neighbour or edge leaf *is* that
-// gather leaf and a view of a row value *is* that row-constant vector.
-// Scalar values that are constant within a row are hoisted to a
-// once-per-row copy.
+// same row for every edge, and a step column holds row j for the block's
+// edge j. EdgeView is not an instruction at all — it is a pure
+// re-indexing, so a view of a neighbour or edge leaf *is* that gather leaf
+// and a view of a row value *is* that row-constant vector. Scalar values
+// that are constant within a row are hoisted to a once-per-row copy.
 //
-// This covers every aggregating unit of GCN, GAT and GraphSAGE, forward
-// and backward (the coverage test in internal/models pins the list).
-// What still falls back to the step interpreter, with the reason
-// recorded on the kernel for `seastar-inspect` EXPLAIN:
-//
-//   - wide per-edge materialization (R-GCN saves its [M, d] typed
-//     transform and edge gradient);
-//   - OpMatMulTypedT, an order-sensitive horizontal reduction per output
-//     that the row-axpy trick of the forward transform does not fit;
-//   - wide elementwise chains over a per-edge value (APPNP backward's
-//     neighbour-typed MulConst·Mul, Sigmoid(nbr) and the like);
-//   - units with no aggregation (row-wise only: nothing to fuse into).
+// A step (opStep) is the VM's catch-all: an edge op no other form
+// matches — R-GCN's saved typed transform, MatMulTypedT, APPNP backward's
+// wide MulConst·Mul, any wide chain a UDF writes — runs through evalStep
+// once per edge of the block, with the edge's type. GCN, GAT and
+// GraphSAGE need none; the coverage test in internal/models pins the list.
+// A unit with no aggregation runs its row stages with an empty program.
 //
 // Bitwise contract: every chain arm is an exact transliteration of the
-// corresponding evalStep arm at width 1, the accumulate calls are the
-// interpreter's own, VecMulAdd rounds the multiply and the add separately
-// (no FMA) exactly like an interpreted Mul step followed by VecAdd, and
-// GatherDot rounds each product to float32 and folds it from +0 for j
-// ascending exactly like an interpreted wide Mul step followed by RowSum —
-// its speed comes from running several edges' chains in lockstep, never
-// from reassociating one. Specialized and interpreted execution are
-// therefore bitwise equal, which FuzzFusionEquivalence and the property
-// tests in specialize_test.go / backward_test.go enforce.
+// corresponding evalStep arm at width 1, each evalStep arm is refinterp's
+// definition of its op, the accumulate calls fold in refinterp's order,
+// VecMulAdd rounds the multiply and the add separately (no FMA) exactly
+// like a Mul followed by a sum, and GatherDot rounds each product to
+// float32 and folds it from +0 for j ascending exactly like a wide Mul
+// followed by RowSum — its speed comes from running several edges' chains
+// in lockstep, never from reassociating one. The VM is therefore bitwise
+// equal to refinterp on the same DAG, which FuzzFusionEquivalence and the
+// property tests in specialize_test.go / backward_test.go enforce.
 
 import (
 	"fmt"
@@ -76,31 +71,71 @@ const (
 	termTyped                            // MatMulTyped(wide source row) [× scalar]
 )
 
+// wideFrom names where the rows of a wide operand live.
+type wideFrom uint8
+
+const (
+	fromLeaf   wideFrom = iota // an edge leaf's tensor, by neighbour or edge id
+	fromRowVec                 // a vector constant within the row
+	fromCol                    // an opStep's block column, row j for edge j
+)
+
 // wideSrc names a wide per-edge operand in place — nothing is copied per
-// edge: either a row of an edge leaf's tensor, selected by neighbour or
-// edge id, or a vector that is constant within the row (a row leaf, const
-// leaf or pre-row output; what a wide EdgeView of a row value aliases to).
+// edge: a row of an edge leaf's tensor, selected by neighbour or edge id;
+// a vector that is constant within the row (a row leaf, const leaf or
+// pre-row output; what a wide EdgeView of a row value aliases to); or the
+// row of an opStep's block column that belongs to the edge.
 type wideSrc struct {
-	leaf     int // k.edgeLeaves index; -1 for a row-constant vector
+	from     wideFrom
+	ref      int // k.edgeLeaves, sp.rowVecs or sp.steps index, by from
 	byEdgeID bool
-	rowVec   int // sp.rowVecs index when leaf < 0
 	w        int // row width
 }
 
 // zeroIdx is the gather index vector of a row-constant source: every
-// edge of the block reads row 0 of the vector itself.
-var zeroIdx [specBlock]int32
+// edge of the block reads row 0 of the vector itself. iotaIdx is that of
+// a block column: edge j reads row j.
+var zeroIdx, iotaIdx [specBlock]int32
+
+func init() {
+	for i := range iotaIdx {
+		iotaIdx[i] = int32(i)
+	}
+}
 
 // index picks the index vector that selects ws's row for each edge of a
 // block whose neighbour and edge ids are nbrs and eids.
 func (ws wideSrc) index(nbrs, eids []int32) []int32 {
 	switch {
-	case ws.leaf < 0:
+	case ws.from == fromRowVec:
 		return zeroIdx[:len(nbrs)]
+	case ws.from == fromCol:
+		return iotaIdx[:len(nbrs)]
 	case ws.byEdgeID:
 		return eids
 	}
 	return nbrs
+}
+
+// specStep is one opStep instruction: an edge step the grammar does not
+// match, run through evalStep once per edge of the block, in edge order,
+// into a block column of specBlock × w. A width-1 step's column is also
+// its scalar-bank column (bank ≥ 0), so chain ops and scalar terms read
+// it like any other per-edge scalar.
+type specStep struct {
+	st   step
+	w    int
+	bank int // scalar-bank index of a width-1 output; -1 when wide
+	ins  []stepIn
+}
+
+// stepIn binds one operand slot of an opStep: evalStep reads slot, which
+// the executor points at the value's storage in place — a scalar-bank
+// value (a chain, dot or load output) or the edge's row of a wide source.
+type stepIn struct {
+	slot int
+	bank int // scalar-bank index; -1 reads src
+	src  wideSrc
 }
 
 // specRowVec is one row-constant wide vector, rebound at every row: a
@@ -139,13 +174,21 @@ type specTerm struct {
 	// Execution strategy, decided once at plan build. batch routes a
 	// sum-folded scaled gather through the blocked GatherMulAdd primitive
 	// (accumulator register-resident across an edge block, rows
-	// prefetched); gemv routes a sum-folded typed transform through the
-	// register-resident GemvAdd/GemvMulAdd primitive; scalar01 folds a
-	// width-1 sum/mean scalar term directly inside the edge program.
-	// Max/min folds keep the per-edge forms.
+	// prefetched); scalar01 folds a width-1 sum/mean scalar term directly
+	// inside the edge program. Max/min folds keep the per-edge forms. A
+	// typed term is always sum-folded and runs through the
+	// register-resident GemvAdd/GemvMulAdd primitive.
 	batch    bool
-	gemv     bool
 	scalar01 bool
+}
+
+// sumFold reports whether the term's per-edge fold is a sum (or mean).
+func (t *specTerm) sumFold() bool {
+	kind := t.outer
+	if t.hier {
+		kind = t.inner
+	}
+	return kind != gir.AggMax && kind != gir.AggMin
 }
 
 // specLoad copies one scalar from a bound edge tensor into the bank.
@@ -164,10 +207,12 @@ type specCopy struct {
 	leaf int // k.rowLeaves index for a direct read; -1 via scratch
 }
 
-// specMat writes one scalar per edge to a materialized output.
+// specMat writes one value per edge to a materialized output: a scalar
+// from the bank, or a wide row from an opStep's column.
 type specMat struct {
-	mat int // index into k.mats
-	src int // scalar-bank index
+	mat  int // index into k.mats
+	src  int // scalar-bank index; -1 for a wide value
+	step int // sp.steps index of a wide value
 }
 
 // specOpCode enumerates the instructions of the per-edge scalar program.
@@ -201,15 +246,19 @@ const (
 	opStoreMat                        // data[eid] = v[a]
 	opAccScalar                       // data[0] += v[a] (sum/mean scalar term)
 	opStoreBuf                        // data[i-b0] = v[a] (batched term's scale)
+	opStep                            // col[j] = evalStep(steps[ref]) per edge j
+	opStoreWide                       // data[eid] = col[j] (wide per-edge materialization)
 )
 
 // specProgOp is one static instruction of the edge program: an opcode,
-// scalar-bank operand indexes, an immediate, and — for loads, dots, stores
-// and folds — a reference resolved at launch time (leaf index, sp.dots
-// index, materialization index, or term index respectively).
+// scalar-bank operand indexes, an immediate, and — for loads, dots, steps,
+// stores and folds — a reference resolved at launch time (leaf index,
+// sp.dots index, sp.steps index, materialization index, or term index
+// respectively). opStoreWide names its source step in a.
 //
 // aSc/bSc mark operands that are row-constant scalars (read from the
-// bank) rather than per-edge columns, and a non-negative sink redirects
+// bank) rather than per-edge columns — on opStep and opStoreWide, which
+// have no bank operands, both are set — and a non-negative sink redirects
 // the output column into that term's gather scale buffer — the store
 // instruction it replaces is elided.
 type specProgOp struct {
@@ -233,6 +282,7 @@ type specOp struct {
 	data       []float32
 	oc, ac, bc []float32
 	dot        *specDot
+	step       *specStep
 }
 
 // specPlan is the compiled closure program for a specialized unit. It is
@@ -247,12 +297,14 @@ type specPlan struct {
 	rowVecs   []specRowVec
 	edgeLoads []specLoad
 	dots      []specDot
+	steps     []specStep
 	edgeMats  []specMat
 	terms     []specTerm
 	batched   bool // some term takes the blocked gather path
 
-	// prog is the flat per-edge instruction array: loads, dots, then the scalar
-	// chain, then materialization stores, then in-program term folds
+	// prog is the flat per-edge instruction array: loads, dots, then the
+	// scalar chain and the opSteps in edge-stage order, then
+	// materialization stores, then in-program term folds
 	// (opAccScalar/opStoreBuf). chainLen counts the chain instructions for
 	// the pattern name; rest indexes the terms the program does not fold —
 	// they run through the generic per-edge term switch after it.
@@ -280,21 +332,13 @@ type specPlan struct {
 	matDirect  []bool // per k.mats: served by aggMat, skip the staged copy
 }
 
-// specialize runs the pattern matcher and attaches the closure program
-// (or the fallback reason) to the kernel. Called once from Compile.
-func (k *Kernel) specialize() {
-	k.spec, k.specReason = k.buildSpecPlan()
-}
+// Specialized returns the name of the VM plan the kernel compiled to.
+func (k *Kernel) Specialized() string { return k.spec.name }
 
-// Specialized reports whether the closure compiler matched this kernel
-// and the pattern name; when it did not, the second result carries the
-// fallback reason instead.
-func (k *Kernel) Specialized() (bool, string) {
-	if k.spec != nil {
-		return true, k.spec.name
-	}
-	return false, k.specReason
-}
+// stepFree reports whether every edge step matched the grammar, so the
+// plan holds no opStep: the fact behind the "specialized" obs counter and,
+// for an aggregating unit, cpuWork's per-edge discount.
+func (sp *specPlan) stepFree() bool { return len(sp.steps) == 0 }
 
 // specMatcher is the state of one buildSpecPlan run: the slot
 // classification of the compiled stages and the scalar bank / row-vector
@@ -306,8 +350,9 @@ type specMatcher struct {
 	edgeLeafBySlot map[int]int  // slot → k.edgeLeaves index
 	rowConst       map[int]int  // row-constant slot → k.rowLeaves index, -1 when scratch-resident
 	viewOf         map[int]int  // EdgeView output slot → its operand's slot
+	stepBySlot     map[int]step // every edge step, by output slot
 	wideBySlot     map[int]step // edge steps that are neither chain, dot nor view
-	usedWide       map[int]bool // wide steps some dot or term consumed
+	stepOf         map[int]int  // opStep output slot → sp.steps index
 	sval           map[int]int  // slot → scalar-bank index
 	rowVecOf       map[int]int  // row-constant slot → sp.rowVecs index
 }
@@ -327,18 +372,17 @@ func (m *specMatcher) view(slot int) int {
 }
 
 // resolveScalar returns the bank index holding a width-1 slot, allocating
-// a per-edge load or a per-row copy on first use.
-func (m *specMatcher) resolveScalar(slot int) (int, string) {
+// a per-edge load or a per-row copy on first use; a width-1 value of a
+// step outside the grammar becomes an opStep whose column is its bank
+// column.
+func (m *specMatcher) resolveScalar(slot int) int {
 	k, sp := m.k, m.sp
 	slot = m.view(slot)
-	if k.widths[slot] != 1 {
-		return 0, fmt.Sprintf("slot %d is not scalar", slot)
-	}
 	if i, ok := m.sval[slot]; ok {
-		return i, ""
+		return i
 	}
-	if st, bad := m.wideBySlot[slot]; bad {
-		return 0, fmt.Sprintf("scalar from unsupported op %s", st.node.Op)
+	if _, ok := m.wideBySlot[slot]; ok {
+		return sp.steps[m.demand(slot)].bank
 	}
 	i := sp.nScalar
 	sp.nScalar++
@@ -352,11 +396,11 @@ func (m *specMatcher) resolveScalar(slot int) (int, string) {
 		// row, hoisted to one copy per row.
 		sp.rowCopies = append(sp.rowCopies, specCopy{slot: slot, dst: i, leaf: -1})
 	}
-	return i, ""
+	return i
 }
 
 // resolveWide validates a wide operand of width w as readable in place:
-// an edge-leaf row or a row-constant vector.
+// an edge-leaf row, a row-constant vector or an opStep's column.
 func (m *specMatcher) resolveWide(slot, w int) (wideSrc, bool) {
 	k, sp := m.k, m.sp
 	slot = m.view(slot)
@@ -364,7 +408,10 @@ func (m *specMatcher) resolveWide(slot, w int) (wideSrc, bool) {
 		return wideSrc{}, false
 	}
 	if li, ok := m.edgeLeafBySlot[slot]; ok {
-		return wideSrc{leaf: li, byEdgeID: k.edgeLeaves[li].byEdgeID, w: w}, true
+		return wideSrc{from: fromLeaf, ref: li, byEdgeID: k.edgeLeaves[li].byEdgeID, w: w}, true
+	}
+	if si, ok := m.stepOf[slot]; ok {
+		return wideSrc{from: fromCol, ref: si, w: w}, true
 	}
 	li, ok := m.rowConst[slot]
 	if !ok {
@@ -376,7 +423,44 @@ func (m *specMatcher) resolveWide(slot, w int) (wideSrc, bool) {
 		m.rowVecOf[slot] = rv
 		sp.rowVecs = append(sp.rowVecs, specRowVec{leaf: li, slot: slot})
 	}
-	return wideSrc{leaf: -1, rowVec: rv, w: w}, true
+	return wideSrc{from: fromRowVec, ref: rv, w: w}, true
+}
+
+// demand compiles the edge step producing slot into an opStep (once) and
+// returns its sp.steps index. Its operands are viewed in place: wide
+// sources — the columns of the opSteps it demands in turn among them —
+// and scalar-bank values.
+func (m *specMatcher) demand(slot int) int {
+	if si, ok := m.stepOf[slot]; ok {
+		return si
+	}
+	k, sp := m.k, m.sp
+	st := m.stepBySlot[slot]
+	ss := specStep{st: st, w: k.widths[slot], bank: -1}
+	for _, s := range st.ins {
+		if s < 0 {
+			continue // a typed weight, read through paramT
+		}
+		in := stepIn{slot: s, bank: -1}
+		u, w := m.view(s), k.widths[s]
+		if ws, ok := m.resolveWide(u, w); ok {
+			in.src = ws
+		} else if w == 1 {
+			in.bank = m.resolveScalar(u)
+		} else {
+			in.src = wideSrc{from: fromCol, ref: m.demand(u), w: w}
+		}
+		ss.ins = append(ss.ins, in)
+	}
+	if ss.w == 1 {
+		ss.bank = sp.nScalar
+		sp.nScalar++
+		m.sval[slot] = ss.bank
+	}
+	si := len(sp.steps)
+	sp.steps = append(sp.steps, ss)
+	m.stepOf[slot] = si
+	return si
 }
 
 // matchDot recognizes st as the reduction of a dot production: a RowSum
@@ -396,24 +480,23 @@ func (m *specMatcher) matchDot(st step) (specDot, bool) {
 	if !okA || !okB {
 		return specDot{}, false
 	}
-	m.usedWide[mul.out] = true
 	return specDot{a: a, b: b}, true
 }
 
-// buildSpecPlan pattern-matches the compiled stages against the grammar
-// above; a nil plan plus reason means interpreter fallback.
-func (k *Kernel) buildSpecPlan() (*specPlan, string) {
-	if len(k.aggs) == 0 {
-		return nil, "no aggregation to fuse into"
-	}
+// buildSpecPlan compiles the stages into a VM plan. It is total: an edge
+// step the grammar above does not match becomes an opStep. The only
+// errors are stages no row loop can run — an op evalStep does not know,
+// or a row stage reading a per-edge value.
+func (k *Kernel) buildSpecPlan() (*specPlan, error) {
 	sp := &specPlan{}
 	m := &specMatcher{
 		k: k, sp: sp,
 		edgeLeafBySlot: make(map[int]int, len(k.edgeLeaves)),
 		rowConst:       make(map[int]int),
 		viewOf:         make(map[int]int),
+		stepBySlot:     make(map[int]step, len(k.edge)),
 		wideBySlot:     make(map[int]step),
-		usedWide:       make(map[int]bool),
+		stepOf:         make(map[int]int),
 		sval:           make(map[int]int),
 		rowVecOf:       make(map[int]int),
 	}
@@ -433,11 +516,12 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 	// Partition the edge steps (k.edge lists producers before consumers):
 	// EdgeViews alias their operand; width-1 elementwise ops over width-1
 	// operands form the scalar chain; RowSum(Mul(A,B)) over two wide
-	// sources is a dot; everything else is a wide step that must be
-	// consumed by a recognized dot or term.
+	// sources is a dot; everything else is a wide step, which a term
+	// consumes in place or an opStep computes.
 	var chainSteps []step
 	var dotOuts []int // output slot of sp.dots[i]
 	for _, st := range k.edge {
+		m.stepBySlot[st.out] = st
 		if st.node.Op == gir.OpEdgeView && k.widths[st.ins[0]] == k.widths[st.out] {
 			m.viewOf[st.out] = st.ins[0]
 			continue
@@ -465,7 +549,7 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 
 	// The scalar bank: chain and dot outputs first (pre-registered so
 	// operand resolution never sees a forward reference), then
-	// demand-allocated loads and row copies.
+	// demand-allocated loads, row copies and width-1 opStep columns.
 	for _, st := range chainSteps {
 		m.sval[st.out] = sp.nScalar
 		sp.nScalar++
@@ -476,9 +560,10 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 		sp.nScalar++
 	}
 
-	// The pre-row and post stages stay interpreted (they run once per
-	// row); they must not read per-edge state, which the stage split
-	// already guarantees — verified here rather than assumed.
+	// Every step must be an op evalStep runs, and the pre-row and post
+	// stages, which run once per row, must not read per-edge state — the
+	// stage split already guarantees that, verified here rather than
+	// assumed.
 	edgeStage := make(map[int]bool)
 	for _, st := range k.edge {
 		edgeStage[st.out] = true
@@ -486,40 +571,39 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 	for _, ld := range k.edgeLeaves {
 		edgeStage[ld.slot] = true
 	}
-	for _, stage := range [2][]step{k.preRow, k.post} {
+	for si, stage := range [3][]step{k.preRow, k.post, k.edge} {
 		for _, st := range stage {
+			if !fusedOp(st.node.Op) {
+				return nil, fmt.Errorf("kernels: unit %d: op %s cannot run inside a fused kernel", k.Unit.ID, st.node.Op)
+			}
 			for _, s := range st.ins {
-				if s >= 0 && edgeStage[s] {
-					return nil, fmt.Sprintf("row stage reads per-edge slot %d", s)
+				if si < 2 && s >= 0 && edgeStage[s] {
+					return nil, fmt.Errorf("kernels: unit %d: row stage reads per-edge slot %d", k.Unit.ID, s)
 				}
 			}
 		}
 	}
 
 	// Compile the chain instructions.
-	var chainOps []specProgOp
-	for _, st := range chainSteps {
-		op, reason := m.buildScalarOp(st)
-		if reason != "" {
-			return nil, reason
-		}
-		chainOps = append(chainOps, op)
+	chainOps := make([]specProgOp, len(chainSteps))
+	for i, st := range chainSteps {
+		chainOps[i] = m.buildScalarOp(st)
 	}
 	sp.chainLen = len(chainOps)
 
-	// Per-edge materializations must come from the scalar bank.
+	// Per-edge materializations: a scalar from the bank, a wide value
+	// from its opStep's column.
 	for mi, mo := range k.mats {
 		if !mo.perEdge {
 			continue
 		}
-		if k.widths[mo.slot] != 1 {
-			return nil, fmt.Sprintf("wide per-edge materialization of slot %d", mo.slot)
+		mt := specMat{mat: mi, src: -1, step: -1}
+		if k.widths[mo.slot] == 1 {
+			mt.src = m.resolveScalar(mo.slot)
+		} else {
+			mt.step = m.demand(mo.slot)
 		}
-		src, reason := m.resolveScalar(mo.slot)
-		if reason != "" {
-			return nil, "per-edge materialization: " + reason
-		}
-		sp.edgeMats = append(sp.edgeMats, specMat{mat: mi, src: src})
+		sp.edgeMats = append(sp.edgeMats, mt)
 	}
 
 	// Match each aggregation input to a term.
@@ -531,48 +615,30 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 		} else {
 			t.outer = ag.node.Attr.AggOp
 		}
-		if reason := m.matchTerm(&t, ag.in); reason != "" {
-			return nil, reason
-		}
+		m.matchTerm(&t, ag.in)
 		sp.terms = append(sp.terms, t)
-	}
-
-	// Every wide step must have been consumed by some dot or term; a
-	// leftover means a wide value we cannot produce.
-	for slot, st := range m.wideBySlot {
-		if !m.usedWide[slot] {
-			return nil, fmt.Sprintf("wide op %s (slot %d) has no specialized consumer", st.node.Op, slot)
-		}
 	}
 
 	// Execution strategy per term. Sum and mean folds are order-fixed
 	// element-independent adds, so they can leave the per-edge form:
 	// scaled gathers batch whole edge blocks through GatherMulAdd (no
-	// block crosses a hierarchical fold), and typed transforms keep their
-	// per-o sums in registers via GemvAdd/GemvMulAdd.
+	// block crosses a hierarchical fold).
 	for ti := range sp.terms {
 		t := &sp.terms[ti]
-		kind := t.outer
-		if t.hier {
-			kind = t.inner
-		}
-		sum := kind != gir.AggMax && kind != gir.AggMin
+		sum := t.sumFold()
 		if sum && t.kind == termScaledGather {
 			t.batch = true
 			sp.batched = true
-		}
-		if sum && t.kind == termTyped {
-			t.gemv = true
 		}
 		if sum && t.kind == termScalar && t.width == 1 {
 			t.scalar01 = true
 		}
 	}
 
-	// Classify bank slots: load and dot outputs vary per edge, and so does
-	// any chain output with at least one per-edge operand. A chain op whose
-	// operands are all row-constant is itself row-invariant — it is
-	// hoisted into rowProg and computed once per row, which stores the
+	// Classify bank slots: load, dot and opStep outputs vary per edge, and
+	// so does any chain output with at least one per-edge operand. A chain
+	// op whose operands are all row-constant is itself row-invariant — it
+	// is hoisted into rowProg and computed once per row, which stores the
 	// identical value the per-edge recomputation would have.
 	sp.colSlot = make([]bool, sp.nScalar)
 	for _, ld := range sp.edgeLoads {
@@ -581,8 +647,13 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 	for _, d := range sp.dots {
 		sp.colSlot[d.dst] = true
 	}
-	var edgeChain []specProgOp
-	for _, op := range chainOps {
+	for _, ss := range sp.steps {
+		if ss.bank >= 0 {
+			sp.colSlot[ss.bank] = true
+		}
+	}
+	edgeChain := make(map[int]specProgOp) // chain step output slot → its column instruction
+	for i, op := range chainOps {
 		col := sp.colSlot[op.a]
 		if opReadsB(op.code) && sp.colSlot[op.b] {
 			col = true
@@ -596,13 +667,14 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 			op.bSc = !sp.colSlot[op.b]
 		}
 		sp.colSlot[op.o] = true
-		edgeChain = append(edgeChain, op)
+		edgeChain[chainSteps[i].out] = op
 	}
 
-	// Assemble the flat edge program: loads, dots, chain, materialization
-	// stores, then the in-program term folds. Terms fold independent
-	// accumulators, so hoisting the program-handled ones ahead of the
-	// generic term switch cannot change any accumulator's edge sequence.
+	// Assemble the flat edge program: loads, dots, the chain and opSteps in
+	// edge-stage order, materialization stores, then the in-program term
+	// folds. Terms fold independent accumulators, so hoisting the
+	// program-handled ones ahead of the generic term switch cannot change
+	// any accumulator's edge sequence.
 	for _, ld := range sp.edgeLoads {
 		code := opLoadNbr
 		if ld.byEdgeID {
@@ -613,14 +685,22 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 	for di, d := range sp.dots {
 		sp.prog = append(sp.prog, specProgOp{code: opDot, o: int32(d.dst), ref: int32(di), sink: -1})
 	}
-	for _, op := range edgeChain {
-		op.sink = -1
-		sp.prog = append(sp.prog, op)
+	for _, st := range k.edge {
+		if op, ok := edgeChain[st.out]; ok {
+			op.sink = -1
+			sp.prog = append(sp.prog, op)
+		} else if si, ok := m.stepOf[st.out]; ok {
+			sp.prog = append(sp.prog, specProgOp{code: opStep, o: -1, ref: int32(si), aSc: true, bSc: true, sink: -1})
+		}
 	}
-	for _, m := range sp.edgeMats {
+	for _, mt := range sp.edgeMats {
+		if mt.src < 0 {
+			sp.prog = append(sp.prog, specProgOp{code: opStoreWide, o: -1, a: int32(mt.step), ref: int32(mt.mat), aSc: true, bSc: true, sink: -1})
+			continue
+		}
 		sp.prog = append(sp.prog, specProgOp{
-			code: opStoreMat, a: int32(m.src), ref: int32(m.mat),
-			aSc: !sp.colSlot[m.src], sink: -1,
+			code: opStoreMat, a: int32(mt.src), ref: int32(mt.mat),
+			aSc: !sp.colSlot[mt.src], sink: -1,
 		})
 	}
 	for ti := range sp.terms {
@@ -645,7 +725,7 @@ func (k *Kernel) buildSpecPlan() (*specPlan, string) {
 	k.planRowFastPaths(sp)
 
 	sp.name = specPlanName(sp)
-	return sp, ""
+	return sp, nil
 }
 
 // opReadsB reports whether code reads a second scalar operand.
@@ -666,8 +746,15 @@ func (sp *specPlan) fuseBufSinks() {
 	uses := make([]int, sp.nScalar)
 	for _, op := range sp.prog {
 		switch op.code {
-		case opLoadNbr, opLoadEdge, opDot:
+		case opLoadNbr, opLoadEdge, opDot, opStoreWide:
 			continue // no bank operands
+		case opStep:
+			for _, in := range sp.steps[op.ref].ins {
+				if in.bank >= 0 {
+					uses[in.bank]++
+				}
+			}
+			continue
 		}
 		if !op.aSc {
 			uses[op.a]++
@@ -759,35 +846,36 @@ func (k *Kernel) planRowFastPaths(sp *specPlan) {
 	}
 }
 
-// matchTerm resolves one aggregation input slot to a term form.
-func (m *specMatcher) matchTerm(t *specTerm, inSlot int) string {
-	k := m.k
+// matchTerm resolves one aggregation input slot to a term form. A wide
+// input no fused form matches is computed by an opStep, and the term
+// gathers from its column.
+func (m *specMatcher) matchTerm(t *specTerm, inSlot int) {
 	inSlot = m.view(inSlot)
-	if k.widths[inSlot] == 1 {
-		src, reason := m.resolveScalar(inSlot)
-		if reason != "" {
-			return "aggregation input: " + reason
-		}
-		t.kind, t.src = termScalar, src
-		return ""
+	if m.k.widths[inSlot] == 1 {
+		t.kind, t.src = termScalar, m.resolveScalar(inSlot)
+		return
 	}
-
 	if ws, ok := m.resolveWide(inSlot, t.width); ok {
 		t.kind, t.wide = termGather, ws
-		return ""
+		return
 	}
-
-	st, ok := m.wideBySlot[inSlot]
-	if !ok {
-		return fmt.Sprintf("wide aggregation input from slot %d has no recognized producer", inSlot)
+	if !m.matchWideTerm(t, m.wideBySlot[inSlot]) {
+		t.kind = termGather
+		t.wide = wideSrc{from: fromCol, ref: m.demand(inSlot), w: t.width}
 	}
+}
 
-	// typedTransform validates a MatMulTyped step whose input is a wide
-	// source and fills the typed-term fields.
-	typedTransform := func(mm step) string {
+// matchWideTerm matches the wide step feeding an aggregation against the
+// fused forms: MatMulTyped over a wide source under a sum fold, and a wide
+// source or such a typed transform scaled by a bank scalar.
+func (m *specMatcher) matchWideTerm(t *specTerm, st step) bool {
+	k := m.k
+	// typedTransform validates a sum-folded MatMulTyped step whose input
+	// is a wide source and fills the typed-term fields.
+	typedTransform := func(mm step) bool {
 		din, dout := mm.param.Shape[1], mm.param.Shape[2]
-		if k.widths[mm.out] != dout {
-			return "typed transform output width mismatch"
+		if k.widths[mm.out] != dout || !t.sumFold() {
+			return false
 		}
 		xSlot := mm.ins[0]
 		if xSlot < 0 {
@@ -795,24 +883,19 @@ func (m *specMatcher) matchTerm(t *specTerm, inSlot int) string {
 		}
 		ws, ok := m.resolveWide(xSlot, din)
 		if !ok {
-			return "typed transform input is not an in-place wide source"
+			return false
 		}
 		t.kind, t.wide = termTyped, ws
 		t.param, t.tmpSlot, t.din, t.dout = mm.param, mm.out, din, dout
-		m.usedWide[mm.out] = true
-		return ""
+		return true
 	}
 
 	switch st.node.Op {
 	case gir.OpMatMulTyped:
-		if reason := typedTransform(st); reason != "" {
-			return reason
-		}
-		m.usedWide[inSlot] = true
-		return ""
+		return typedTransform(st)
 	case gir.OpMul:
 		if len(st.ins) != 2 {
-			return "wide Mul with unexpected arity"
+			return false
 		}
 		// One operand wide (source row or typed transform), the other a
 		// bank scalar.
@@ -823,34 +906,20 @@ func (m *specMatcher) matchTerm(t *specTerm, inSlot int) string {
 			}
 			wideIn = m.view(wideIn)
 			if ws, ok := m.resolveWide(wideIn, t.width); ok {
-				scale, reason := m.resolveScalar(scalarIn)
-				if reason != "" {
-					return "gather scale: " + reason
-				}
-				t.kind, t.wide, t.scale = termScaledGather, ws, scale
-				m.usedWide[inSlot] = true
-				return ""
+				t.wide = ws
+				t.kind, t.scale = termScaledGather, m.resolveScalar(scalarIn)
+				return true
 			}
-			if mm, ok := m.wideBySlot[wideIn]; ok && mm.node.Op == gir.OpMatMulTyped {
-				if reason := typedTransform(mm); reason != "" {
-					return reason
-				}
-				scale, reason := m.resolveScalar(scalarIn)
-				if reason != "" {
-					return "typed transform scale: " + reason
-				}
-				t.scale = scale
-				m.usedWide[inSlot] = true
-				return ""
+			if mm, ok := m.wideBySlot[wideIn]; ok && mm.node.Op == gir.OpMatMulTyped && typedTransform(mm) {
+				t.scale = m.resolveScalar(scalarIn)
+				return true
 			}
 		}
-		return "wide Mul operands do not match scalar × gather"
-	default:
-		return fmt.Sprintf("wide op %s is outside the pattern grammar", st.node.Op)
 	}
+	return false
 }
 
-// scalarClosureOp reports whether buildScalarClosure can compile op.
+// scalarClosureOp reports whether buildScalarOp can compile op.
 func scalarClosureOp(op gir.OpKind) bool {
 	switch op {
 	case gir.OpAdd, gir.OpSub, gir.OpMul, gir.OpDiv, gir.OpNeg,
@@ -867,15 +936,11 @@ func scalarClosureOp(op gir.OpKind) bool {
 // instruction over the scalar bank. Each opcode's executor arm is the
 // evalStep arm at width 1, with the slot indirection resolved here at
 // compile time.
-func (m *specMatcher) buildScalarOp(st step) (specProgOp, string) {
+func (m *specMatcher) buildScalarOp(st step) specProgOp {
 	op := specProgOp{o: int32(m.sval[st.out])}
 	idx := make([]int, len(st.ins))
 	for i, s := range st.ins {
-		j, reason := m.resolveScalar(s)
-		if reason != "" {
-			return op, fmt.Sprintf("chain %s operand: %s", st.node.Op, reason)
-		}
-		idx[i] = j
+		idx[i] = m.resolveScalar(s)
 	}
 	if len(idx) > 0 {
 		op.a = int32(idx[0])
@@ -921,16 +986,16 @@ func (m *specMatcher) buildScalarOp(st step) (specProgOp, string) {
 	case gir.OpRowSum:
 		// At width 1 the sum is an identity copy.
 		op.code = opCopy
-	default:
-		return op, fmt.Sprintf("op %s has no scalar instruction", st.node.Op)
 	}
-	return op, ""
+	return op
 }
 
-// specPlanName renders the matched pattern for EXPLAIN, e.g.
+// specPlanName renders the compiled plan for EXPLAIN, e.g.
 // "chain[4]+scaled-gather" (GAT), "dot[1]+chain[6]+scalar-agg" (GAT
-// backward) or "typed-gather→hier" (R-GCN). A term over a row-constant
-// vector reads "rowvec" where a leaf term reads "gather".
+// backward), "typed-gather→hier" (R-GCN inference) or
+// "step[1]+scaled-col→hier" (R-GCN training). A term over a row-constant
+// vector reads "rowvec" and one over an opStep column "col" where a leaf
+// term reads "gather"; a unit with no edge work is "row-only".
 func specPlanName(sp *specPlan) string {
 	var parts []string
 	if len(sp.dots) > 0 {
@@ -938,6 +1003,9 @@ func specPlanName(sp *specPlan) string {
 	}
 	if sp.chainLen > 0 {
 		parts = append(parts, fmt.Sprintf("chain[%d]", sp.chainLen))
+	}
+	if len(sp.steps) > 0 {
+		parts = append(parts, fmt.Sprintf("step[%d]", len(sp.steps)))
 	}
 	seen := make(map[string]bool)
 	hier := false
@@ -953,8 +1021,11 @@ func specPlanName(sp *specPlan) string {
 		case termTyped:
 			s = "typed-gather"
 		}
-		if t.kind != termScalar && t.wide.leaf < 0 {
+		if t.kind != termScalar && t.wide.from == fromRowVec {
 			s = strings.Replace(s, "gather", "rowvec", 1)
+		}
+		if t.kind != termScalar && t.wide.from == fromCol {
+			s = strings.Replace(s, "gather", "col", 1)
 		}
 		if !seen[s] {
 			seen[s] = true
@@ -963,6 +1034,9 @@ func specPlanName(sp *specPlan) string {
 		hier = hier || t.hier
 	}
 	name := strings.Join(parts, "+")
+	if name == "" {
+		name = "row-only"
+	}
 	if hier {
 		name += "→hier"
 	}
@@ -988,23 +1062,23 @@ type specTermState struct {
 	buf    []float32 // batch: per-block scale buffer
 }
 
-// runRowsSpec executes rows [lo, hi) through the compiled edge program —
-// the specialized counterpart of runRowsFull, replicating its per-element
-// operation order exactly (see the bitwise contract above).
+// runRowsSpec executes rows [lo, hi) through the compiled plan: the VM's
+// one row loop. It computes what refinterp's definition does, value for
+// value and fold for fold (see the bitwise contract above).
 //
 // Edges are walked in blocks of at most specBlock, and on a hierarchical
 // kernel a block never crosses an edge-type change. Each block runs the
 // program column-at-a-time: each instruction makes one dispatch per block
 // and a tight loop over the block's edges, with per-edge values held in
-// block columns. The remaining terms (max/min folds, typed transforms)
-// then walk the block per edge, and every batched term drains with one
-// GatherMulAdd over the block — the CSR's own nbr/eid slices are the
-// gather index vector. After a type run's last block every hierarchical
-// accumulator folds inner into outer, at the edges where runRowsFull
-// folds. Both orders compute each scalar from the same pure dataflow and
-// fold each accumulator over its own edge sequence in edge order, so
+// block columns. The remaining terms (max/min folds, typed transforms,
+// opStep columns) then walk the block per edge, and every batched term
+// drains with one GatherMulAdd over the block — the CSR's own nbr/eid
+// slices are the gather index vector. After a type run's last block every
+// hierarchical accumulator folds inner into outer, at the edges where the
+// definition folds. Each scalar is computed from the same pure dataflow
+// and each accumulator folds its own edge sequence in edge order, so
 // reordering work across independent accumulators stays bitwise-equal.
-func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi int) error {
+func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi int) {
 	sp := k.spec
 	scratch, accs, v, rowVec := a.scratch, a.accs, a.svals, a.rowVec
 	rowT, matT, params := k.rowT, k.matT, k.paramT
@@ -1021,8 +1095,13 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 			s.target, s.kind = a.inner[t.agg], t.inner
 		}
 		s.data = nil
-		if t.kind != termScalar && t.wide.leaf >= 0 {
-			s.data = leafData[t.wide.leaf] // row-constant sources rebind per row
+		if t.kind != termScalar {
+			switch t.wide.from {
+			case fromLeaf:
+				s.data = leafData[t.wide.ref]
+			case fromCol:
+				s.data = a.wcols[t.wide.ref]
+			} // row-constant sources rebind per row
 		}
 		if t.kind == termTyped {
 			s.wd = k.specWd[ti]
@@ -1035,18 +1114,25 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 	// one-element columns over the scalar bank.
 	cols := a.cols
 	for pi, p := range sp.prog {
-		b := specOp{code: p.code, a: p.a, b: p.b, c: p.c, aSc: p.aSc, bSc: p.bSc, oc: cols[p.o]}
+		b := specOp{code: p.code, a: p.a, b: p.b, c: p.c, aSc: p.aSc, bSc: p.bSc}
 		switch p.code {
 		case opLoadNbr, opLoadEdge:
 			b.data = leafData[p.ref]
 		case opDot:
 			b.dot = &sp.dots[p.ref]
+		case opStep:
+			b.step, b.oc = &sp.steps[p.ref], a.wcols[p.ref]
+		case opStoreWide:
+			b.step, b.ac, b.data = &sp.steps[p.a], a.wcols[p.a], matData[p.ref]
 		case opStoreMat:
 			b.data = matData[p.ref]
 		case opAccScalar:
 			b.data = ts[p.ref].target
 		case opStoreBuf:
 			b.data = ts[p.ref].buf
+		}
+		if p.o >= 0 {
+			b.oc = cols[p.o]
 		}
 		if p.sink >= 0 {
 			b.oc = ts[p.sink].buf
@@ -1069,6 +1155,7 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 			rowLeafData = append(rowLeafData, rowT[i].Data())
 		}
 	}
+	edgeWork := len(sp.prog) > 0 || len(sp.rest) > 0
 
 	for r := lo; r < hi; r++ {
 		vid := int(csr.RowIDs[r])
@@ -1078,9 +1165,7 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 			}
 		}
 		for _, st := range k.preRow {
-			if err := evalStep(st, scratch, params, 0); err != nil {
-				return err
-			}
+			evalStep(st, scratch, params, 0)
 		}
 		for ci := range sp.rowCopies {
 			rc := &sp.rowCopies[ci]
@@ -1091,7 +1176,7 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 			}
 		}
 		if len(a.rowProg) > 0 {
-			k.execProg(a.rowProg, v, rowVec, zeroIdx[:1], zeroIdx[:1])
+			k.execProg(a, a.rowProg, zeroIdx[:1], zeroIdx[:1], g)
 		}
 		if len(sp.rowVecs) > 0 {
 			for i, rv := range sp.rowVecs {
@@ -1102,8 +1187,8 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 				}
 			}
 			for ti := range sp.terms {
-				if t := &sp.terms[ti]; t.kind != termScalar && t.wide.leaf < 0 {
-					ts[ti].data = rowVec[t.wide.rowVec]
+				if t := &sp.terms[ti]; t.kind != termScalar && t.wide.from == fromRowVec {
+					ts[ti].data = rowVec[t.wide.ref]
 				}
 			}
 		}
@@ -1114,7 +1199,9 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 			}
 		}
 		nbrs, eids := csr.Row(r)
-		k.runEdgesCol(a, nbrs, eids, g)
+		if edgeWork {
+			k.runEdgesCol(a, nbrs, eids, g)
+		}
 		for ai, ag := range k.aggs {
 			finalizeAcc(accs[ai], ag.node, len(nbrs))
 			if sp.directEpi && sp.aggMat[ai] >= 0 {
@@ -1124,9 +1211,7 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 			}
 		}
 		for _, st := range k.post {
-			if err := evalStep(st, scratch, params, 0); err != nil {
-				return err
-			}
+			evalStep(st, scratch, params, 0)
 		}
 		for mi, m := range k.mats {
 			if m.perEdge || (sp.directEpi && sp.matDirect[mi]) {
@@ -1135,7 +1220,6 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 			copy(matT[mi].Row(vid), scratch[m.slot])
 		}
 	}
-	return nil
 }
 
 // rowOp binds a row-program instruction to one-element columns over the
@@ -1168,7 +1252,7 @@ func (k *Kernel) runEdgesCol(a *runArena, nbrs, eids []int32, g *graph.Graph) {
 		n := b1 - b0
 		nbrsB := nbrs[b0:b1]
 		eidsB := eids[b0:b1]
-		k.execProg(a.prog, v, a.rowVec, nbrsB, eidsB)
+		k.execProg(a, a.prog, nbrsB, eidsB, g)
 		for _, si := range sp.rest {
 			s := &ts[si]
 			t := s.t
@@ -1222,37 +1306,15 @@ func (k *Kernel) runEdgesCol(a *runArena, nbrs, eids []int32, g *graph.Graph) {
 					}
 					wbase := et * t.din * t.dout
 					wd := s.wd[wbase : wbase+t.din*t.dout]
-					sc := float32(0)
-					if t.scale >= 0 {
-						sc = v[t.scale]
-						if scCol != nil {
-							sc = scCol[j]
-						}
-					}
-					if t.gemv {
-						if t.scale >= 0 {
-							tensor.GemvMulAdd(s.target, s.tmp, wd, x, sc)
-						} else {
-							tensor.GemvAdd(s.target, s.tmp, wd, x)
-						}
+					if t.scale < 0 {
+						tensor.GemvAdd(s.target, s.tmp, wd, x)
 						continue
 					}
-					out := s.tmp
-					for j2 := range out {
-						out[j2] = 0
+					sc := v[t.scale]
+					if scCol != nil {
+						sc = scCol[j]
 					}
-					for i2 := 0; i2 < t.din; i2++ {
-						// Row-axpy form of the interpreter's per-output
-						// dot products: out[o] accumulates the products
-						// in the same i order, so every element sees the
-						// identical rounding sequence.
-						tensor.VecMulAdd(out, wd[i2*t.dout:(i2+1)*t.dout], x[i2])
-					}
-					if t.scale >= 0 {
-						scaledAccumulate(s.target, out, sc, s.kind)
-					} else {
-						accumulate(s.target, out, s.kind, t.dout)
-					}
+					tensor.GemvMulAdd(s.target, s.tmp, wd, x, sc)
 				}
 			}
 		}
@@ -1282,7 +1344,8 @@ func (k *Kernel) runEdgesCol(a *runArena, nbrs, eids []int32, g *graph.Graph) {
 // the row program passes zeroIdx[:1], a one-element block whose ids none
 // of its instructions read. The block length is taken from the id slices
 // so that the compiler can drop the column bounds checks.
-func (k *Kernel) execProg(prog []specOp, v []float32, rowVec [][]float32, nbrsB, eidsB []int32) {
+func (k *Kernel) execProg(a *runArena, prog []specOp, nbrsB, eidsB []int32, g *graph.Graph) {
+	v := a.svals
 	n := len(nbrsB)
 	eidsB = eidsB[:n]
 	for pi := range prog {
@@ -1301,8 +1364,15 @@ func (k *Kernel) execProg(prog []specOp, v []float32, rowVec [][]float32, nbrsB,
 		case opDot:
 			d := p.dot
 			tensor.GatherDot(p.oc[:n],
-				k.wideData(d.a, rowVec), d.a.index(nbrsB, eidsB),
-				k.wideData(d.b, rowVec), d.b.index(nbrsB, eidsB), d.a.w)
+				k.wideData(a, d.a), d.a.index(nbrsB, eidsB),
+				k.wideData(a, d.b), d.b.index(nbrsB, eidsB), d.a.w)
+		case opStep:
+			k.runStep(a, p.step, p.oc, nbrsB, eidsB, g)
+		case opStoreWide:
+			w, col, d := p.step.w, p.ac, p.data
+			for j, e := range eidsB {
+				copy(d[int(e)*w:(int(e)+1)*w], col[j*w:(j+1)*w])
+			}
 		case opAdd:
 			o := p.oc[:n]
 			switch {
@@ -1505,12 +1575,42 @@ func (k *Kernel) execProg(prog []specOp, v []float32, rowVec [][]float32, nbrsB,
 }
 
 // wideData returns the backing data ws indexes into: the bound edge
-// leaf's tensor, or the current row's vector.
-func (k *Kernel) wideData(ws wideSrc, rowVec [][]float32) []float32 {
-	if ws.leaf >= 0 {
-		return k.specLeafData[ws.leaf]
+// leaf's tensor, the current row's vector, or an opStep's block column.
+func (k *Kernel) wideData(a *runArena, ws wideSrc) []float32 {
+	switch ws.from {
+	case fromLeaf:
+		return k.specLeafData[ws.ref]
+	case fromRowVec:
+		return a.rowVec[ws.ref]
 	}
-	return rowVec[ws.rowVec]
+	return a.wcols[ws.ref]
+}
+
+// runStep runs one opStep over a block: evalStep once per edge, in edge
+// order, with every operand slot viewed in place and the output written
+// to row j of the step's block column out.
+func (k *Kernel) runStep(a *runArena, ss *specStep, out []float32, nbrsB, eidsB []int32, g *graph.Graph) {
+	view, w := a.view, ss.w
+	for j, eid := range eidsB {
+		for i := range ss.ins {
+			in := &ss.ins[i]
+			switch {
+			case in.bank < 0:
+				ix, sw := int(in.src.index(nbrsB, eidsB)[j]), in.src.w
+				view[in.slot] = k.wideData(a, in.src)[ix*sw : (ix+1)*sw]
+			case a.cols[in.bank] != nil:
+				view[in.slot] = a.cols[in.bank][j : j+1]
+			default:
+				view[in.slot] = a.svals[in.bank : in.bank+1] // row-constant
+			}
+		}
+		view[ss.st.out] = out[j*w : (j+1)*w]
+		et := 0
+		if k.usesEdgeType {
+			et = int(g.EdgeTypes[eid])
+		}
+		evalStep(ss.st, view, k.paramT, et)
+	}
 }
 
 // opA reads instruction operand a for block element j.
@@ -1530,7 +1630,7 @@ func (p *specOp) opB(v []float32, j int) float32 {
 }
 
 // scaledAccumulate folds s·src into acc under kind with the product
-// rounded before the fold — the same two roundings as an interpreted Mul
+// rounded before the fold — the same two roundings as a Mul
 // step followed by accumulate.
 func scaledAccumulate(acc, src []float32, s float32, kind gir.AggKind) {
 	switch kind {

@@ -1,11 +1,10 @@
 // Property tests for the closure compiler (specialize.go): the three
-// canonical Seastar models — GCN, GAT, R-GCN — must (a) be matched by
-// the specializer with the expected pattern, and (b) produce bitwise
-// identical outputs whether the edge loop runs specialized or
-// interpreted, with SIMD on or off, serial or across workers, and in
-// the presence of zero-degree rows. The test lives in the external test
-// package so it can drive exec (which imports kernels) without an
-// import cycle.
+// canonical Seastar models — GCN, GAT, R-GCN — must (a) compile to the
+// expected VM plan, and (b) produce outputs bitwise identical to the
+// definitional refinterp oracle on the same DAG, with SIMD on or off,
+// serial or across workers, and in the presence of zero-degree rows. The
+// test lives in the external test package so it can drive exec (which
+// imports kernels) without an import cycle.
 package kernels_test
 
 import (
@@ -85,8 +84,8 @@ func rgcnDAG(t *testing.T, rels, din, dout int) *gir.DAG {
 	return dag
 }
 
-// seastarSpecNames collects Specialized() of every forward seastar unit;
-// it fails the test if any unit fell back to the interpreter.
+// seastarSpecNames collects the VM plan of every forward seastar unit;
+// it fails the test if any unit needs an opStep.
 func seastarSpecNames(t *testing.T, c *exec.CompiledUDF) []string {
 	t.Helper()
 	var names []string
@@ -98,9 +97,9 @@ func seastarSpecNames(t *testing.T, c *exec.CompiledUDF) []string {
 		if k == nil {
 			t.Fatalf("seastar unit %d has no kernel", u.ID)
 		}
-		ok, name := k.Specialized()
-		if !ok {
-			t.Fatalf("unit %d not specialized: %s", u.ID, name)
+		name := k.Specialized()
+		if strings.Contains(name, "step[") {
+			t.Fatalf("unit %d outside the grammar: %s", u.ID, name)
 		}
 		names = append(names, name)
 	}
@@ -110,35 +109,19 @@ func seastarSpecNames(t *testing.T, c *exec.CompiledUDF) []string {
 	return names
 }
 
-// checkBitwise runs the compiled UDF specialized and interpreted across
-// SIMD and worker-count variations; every variant must match the
-// interpreter (and the refinterp oracle) bit for bit.
+// checkBitwise runs the compiled UDF on the VM across SIMD and
+// worker-count variations; every variant must match the refinterp oracle
+// on the same optimized DAG bit for bit.
 func checkBitwise(t *testing.T, c *exec.CompiledUDF, g *graph.Graph,
 	vfeat, efeat, params map[string]*tensor.Tensor) {
 	t.Helper()
 
-	interpCfg := kernels.DefaultConfig()
-	interpCfg.NoSpecialize = true
-	want, err := c.Infer(&exec.InferEnv{G: g, Cfg: interpCfg}, vfeat, efeat, params)
-	if err != nil {
-		t.Fatalf("interpreted infer: %v", err)
-	}
-
-	// The definitional oracle pins the interpreter itself.
 	bind := &refinterp.Bindings{VFeat: vfeat, EFeat: efeat, Params: params}
 	vals, err := refinterp.Eval(c.Fwd, g, bind)
 	if err != nil {
 		t.Fatalf("refinterp: %v", err)
 	}
-	ref := vals[c.Fwd.Outputs[0]]
-	if ref.Size() != want.Size() {
-		t.Fatalf("refinterp size %d != interpreter %d", ref.Size(), want.Size())
-	}
-	for i := 0; i < want.Size(); i++ {
-		if !sameBits(want.At1(i), ref.At1(i)) {
-			t.Fatalf("interpreter[%d]=%v disagrees with refinterp %v", i, want.At1(i), ref.At1(i))
-		}
-	}
+	want := vals[c.Fwd.Outputs[0]]
 
 	for _, simd := range []bool{true, false} {
 		prevSIMD := tensor.SetSIMD(simd)
@@ -148,12 +131,16 @@ func checkBitwise(t *testing.T, c *exec.CompiledUDF, g *graph.Graph,
 			sched.SetMaxProcs(prevProcs)
 			if err != nil {
 				tensor.SetSIMD(prevSIMD)
-				t.Fatalf("specialized infer (simd=%v procs=%d): %v", simd, procs, err)
+				t.Fatalf("infer (simd=%v procs=%d): %v", simd, procs, err)
+			}
+			if got.Size() != want.Size() {
+				tensor.SetSIMD(prevSIMD)
+				t.Fatalf("output size %d != refinterp %d", got.Size(), want.Size())
 			}
 			for i := 0; i < want.Size(); i++ {
 				if !sameBits(got.At1(i), want.At1(i)) {
 					tensor.SetSIMD(prevSIMD)
-					t.Fatalf("output[%d] (simd=%v procs=%d): specialized %v (bits %08x) != interpreted %v (bits %08x)",
+					t.Fatalf("output[%d] (simd=%v procs=%d): VM %v (bits %08x) != refinterp %v (bits %08x)",
 						i, simd, procs,
 						got.At1(i), math.Float32bits(got.At1(i)),
 						want.At1(i), math.Float32bits(want.At1(i)))
@@ -196,8 +183,8 @@ func TestSpecializeGAT(t *testing.T) {
 
 // TestSpecializeGATForwardUnits compares what each forward unit
 // materializes, not only the layer output: what the edge-softmax unit
-// hands to the aggregate unit must match the interpreter bit for bit on
-// a skewed graph, serial and across workers, with SIMD on and off.
+// hands to the aggregate unit must match refinterp bit for bit on a
+// skewed graph, serial and across workers, with SIMD on and off.
 func TestSpecializeGATForwardUnits(t *testing.T) {
 	c, err := exec.CompileInference(gatDAG(t, 8))
 	if err != nil {
@@ -211,25 +198,23 @@ func TestSpecializeGATForwardUnits(t *testing.T) {
 		"ev": tensor.Randn(rng, 1, g.N, 1),
 		"h":  tensor.Randn(rng, 1, g.N, 8),
 	}
-	run := func(cfg kernels.Config) map[*gir.Node]*tensor.Tensor {
-		return runSeastarUnits(t, g, c.FwdPlan.Units, c.FwdKernel, c.MaterializedFwd,
-			cfg, &kernels.Bindings{VFeat: vfeat})
-	}
-	interp := kernels.DefaultConfig()
-	interp.NoSpecialize = true
-	want := run(interp)
-	if len(c.FwdPlan.Units) != 2 || len(want) < 2 {
-		t.Fatalf("GAT forward: %d units materializing %d values, want softmax + aggregate with a value each",
-			len(c.FwdPlan.Units), len(want))
+	want, err := refinterp.Eval(c.Fwd, g, &refinterp.Bindings{VFeat: vfeat})
+	if err != nil {
+		t.Fatalf("refinterp: %v", err)
 	}
 	for _, simd := range []bool{true, false} {
 		for _, procs := range []int{1, 2} {
 			prevSIMD := tensor.SetSIMD(simd)
 			prevProcs := sched.SetMaxProcs(procs)
-			got := run(kernels.DefaultConfig())
+			got := runSeastarUnits(t, g, c.FwdPlan.Units, c.FwdKernel, c.MaterializedFwd,
+				&kernels.Bindings{VFeat: vfeat})
 			sched.SetMaxProcs(prevProcs)
 			tensor.SetSIMD(prevSIMD)
-			sameTensors(t, fmt.Sprintf("specialized vs interpreter (simd=%v procs=%d)", simd, procs), got, want)
+			if len(c.FwdPlan.Units) != 2 || len(got) < 2 {
+				t.Fatalf("GAT forward: %d units materializing %d values, want softmax + aggregate with a value each",
+					len(c.FwdPlan.Units), len(got))
+			}
+			sameTensors(t, fmt.Sprintf("VM vs refinterp (simd=%v procs=%d)", simd, procs), got, want)
 		}
 	}
 }
@@ -289,11 +274,11 @@ func TestSpecializeRGCN(t *testing.T) {
 	checkBitwise(t, c, g, vfeat, efeat, params)
 }
 
-// TestSpecializeFallback pins the negative space of the grammar: a wide
-// elementwise chain feeding the aggregation has no specialized producer
-// and must leave the kernel on the interpreter, with the reason
-// recorded for EXPLAIN.
-func TestSpecializeFallback(t *testing.T) {
+// TestSpecializeStep pins the VM's catch-all: a wide elementwise chain
+// feeding the aggregation matches no fused term, so it compiles to one
+// opStep whose block column the term gathers from — and still computes
+// refinterp's values bit for bit, on rows shorter and longer than a block.
+func TestSpecializeStep(t *testing.T) {
 	b := gir.NewBuilder()
 	b.VFeature("h", 8)
 	dag, err := b.Build(func(v *gir.Vertex) *gir.Value {
@@ -310,17 +295,12 @@ func TestSpecializeFallback(t *testing.T) {
 		if u.Kind != fusion.KindSeastar {
 			continue
 		}
-		ok, reason := c.FwdKernel(u).Specialized()
-		if ok {
-			t.Fatalf("wide sigmoid chain unexpectedly specialized as %q", reason)
+		if name := c.FwdKernel(u).Specialized(); name != "step[1]+col" {
+			t.Fatalf("wide sigmoid chain compiled as %q, want step[1]+col", name)
 		}
-		if reason == "" {
-			t.Fatal("fallback must record a reason for EXPLAIN")
-		}
-		// Interpreter fallback must still compute the right values.
 		rng := rand.New(rand.NewSource(64))
-		g := graph.GNM(rng, 50, 200).SortByDegree()
-		vfeat := map[string]*tensor.Tensor{"h": tensor.Randn(rng, 0.5, 50, 8)}
+		g := ladderGraph(t, rng, 0)
+		vfeat := map[string]*tensor.Tensor{"h": tensor.Randn(rng, 0.5, g.N, 8)}
 		checkBitwise(t, c, g, vfeat, nil, nil)
 		return
 	}
@@ -332,8 +312,8 @@ func TestSpecializeFallback(t *testing.T) {
 // binaries in all three operand forms (column∘column, scalar∘column,
 // column∘scalar) — feeding the SIMD scaled gather, and the scalar
 // aggregates exercise the in-program sum fold and the leftover
-// max/min/mean terms. Every variant must specialize and match the
-// interpreter bit for bit across SIMD and worker-count variations.
+// max/min/mean terms. Every variant must compile without a step and match
+// refinterp bit for bit across SIMD and worker-count variations.
 func TestSpecializeOpSweep(t *testing.T) {
 	type variant struct {
 		name string

@@ -69,7 +69,7 @@ func TestRunScalarOpArms(t *testing.T) {
 
 		// One-element columns over the scalar bank, as rowProg binds them.
 		v := []float32{0.75, -1.5, 0}
-		k.execProg([]specOp{rowOp(p, v)}, v, nil, zeroIdx[:1], zeroIdx[:1])
+		k.execProg(&runArena{svals: v}, []specOp{rowOp(p, v)}, zeroIdx[:1], zeroIdx[:1], nil)
 		check(tc.name+"/row", v[2:3], tc.want)
 
 		// A block mixing bank scalars and columns: every operand form a
@@ -92,7 +92,7 @@ func TestRunScalarOpArms(t *testing.T) {
 			if !f.bSc {
 				blk.bc = fill(v[p.b], n)
 			}
-			k.execProg([]specOp{blk}, v, nil, make([]int32, n), make([]int32, n))
+			k.execProg(&runArena{svals: v}, []specOp{blk}, make([]int32, n), make([]int32, n), nil)
 			check(tc.name+"/block-"+f.name, blk.oc, tc.want)
 		}
 	}

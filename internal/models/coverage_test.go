@@ -11,22 +11,15 @@ import (
 	"seastar/internal/program"
 )
 
-// unitCoverage renders the closure compiler's verdict on every seastar
-// unit of c, forward then backward: "fwd/1 scaled-gather" when the unit
-// runs on the columnar VM, "bwd/0 INTERPRETED: <reason>" when it falls
-// back to the step interpreter.
+// unitCoverage renders the VM plan of every seastar unit of c, forward
+// then backward, e.g. "fwd/1 scaled-gather".
 func unitCoverage(c *exec.CompiledUDF) []string {
 	var out []string
 	add := func(pass string, plan *fusion.Plan, kern func(*fusion.Unit) *kernels.Kernel) {
 		for _, u := range plan.Units {
-			if u.Kind != fusion.KindSeastar {
-				continue
+			if u.Kind == fusion.KindSeastar {
+				out = append(out, fmt.Sprintf("%s/%d %s", pass, u.ID, kern(u).Specialized()))
 			}
-			ok, name := kern(u).Specialized()
-			if !ok {
-				name = "INTERPRETED: " + name
-			}
-			out = append(out, fmt.Sprintf("%s/%d %s", pass, u.ID, name))
 		}
 	}
 	add("fwd", c.FwdPlan, c.FwdKernel)
@@ -35,12 +28,12 @@ func unitCoverage(c *exec.CompiledUDF) []string {
 }
 
 // TestSpecializationCoverage is the grammar's ledger of record: every
-// seastar unit of every built-in model, with the pattern it compiled to
-// or the reason it stayed interpreted. Every aggregating unit of GCN, GAT
-// and GraphSAGE must specialize, forward and backward; the APPNP and
-// R-GCN fallbacks are listed with their expected reasons, so a grammar
-// regression or a silent new fallback shows up as a diff here rather than
-// as a slower benchmark.
+// seastar unit of every built-in model, with the VM plan it compiled to.
+// Every aggregating unit of GCN, GAT and GraphSAGE must match the grammar
+// (no step[k]), forward and backward; the APPNP and R-GCN units that run
+// edge steps outside it through opSteps are listed with their step
+// counts, so a grammar regression or a silent new opStep shows up as a
+// diff here rather than as a slower benchmark.
 func TestSpecializationCoverage(t *testing.T) {
 	// plan compiles, for training, stage i's vertex program of p.
 	plan := func(p *program.Program, i int) *exec.CompiledUDF {
@@ -56,7 +49,7 @@ func TestSpecializationCoverage(t *testing.T) {
 		return c
 	}
 	spec := program.Spec{Hidden: 16, Classes: 8, Alpha: 0.1, K: 1}
-	const noAgg = "INTERPRETED: no aggregation to fuse into"
+	const noAgg = "row-only"
 	cases := []struct {
 		model string
 		c     *exec.CompiledUDF
@@ -98,15 +91,17 @@ func TestSpecializationCoverage(t *testing.T) {
 			"fwd/1 " + noAgg,
 			"bwd/0 " + noAgg,
 			// A wide elementwise chain over a neighbour value feeds the
-			// aggregation: MulConst(dy)·dn, re-indexed by EdgeView.
-			"bwd/1 INTERPRETED: wide Mul operands do not match scalar × gather",
+			// aggregation: MulConst(dy)·dn, re-indexed by EdgeView, runs
+			// as two opSteps.
+			"bwd/1 step[2]+col",
 		}},
 		{"rgcn", plan(program.RGCN(spec, 16, 3), 0), []string{
 			// Both passes save a wide per-edge value ([M, d] typed
-			// transform forward, the edge gradient backward); backward
-			// also needs MatMulTypedT.
-			"fwd/0 INTERPRETED: wide per-edge materialization of slot 1",
-			"bwd/0 INTERPRETED: wide per-edge materialization of slot 3",
+			// transform forward, the edge gradient backward), computed by
+			// an opStep the term and the store read; backward also runs
+			// MatMulTypedT as an opStep.
+			"fwd/0 step[1]+scaled-col→hier",
+			"bwd/0 dot[1]+step[2]+col",
 		}},
 	}
 	for _, tc := range cases {
