@@ -82,12 +82,11 @@ type Device struct {
 	// still reproduce full-scale figures, including OOM thresholds.
 	WorkScale float64
 
-	elapsedNs  float64
-	curBytes   int64
-	peakBytes  int64
-	totalAlloc int64
-	stats      Stats
-	trace      []KernelRecord
+	elapsedNs float64
+	curBytes  int64
+	peakBytes int64
+	stats     Stats
+	trace     []KernelRecord
 }
 
 // New creates a device with the given profile at full work scale.
@@ -114,9 +113,6 @@ type Buffer struct {
 	bytes int64
 	freed bool
 }
-
-// LogicalBytes returns the allocation's extrapolated (full-scale) size.
-func (b *Buffer) LogicalBytes() int64 { return b.bytes }
 
 // ErrOOM is returned when an allocation exceeds device memory.
 type ErrOOM struct {
@@ -145,7 +141,6 @@ func (d *Device) Alloc(bytes int64) (*Buffer, error) {
 		}
 	}
 	d.curBytes += logical
-	d.totalAlloc += logical
 	if d.curBytes > d.peakBytes {
 		d.peakBytes = d.curBytes
 	}
@@ -174,21 +169,8 @@ func (b *Buffer) Free() {
 // CurrentBytes returns logical bytes currently allocated.
 func (d *Device) CurrentBytes() int64 { return d.curBytes }
 
-// PeakBytes returns the logical high-water mark since the last ResetPeak.
+// PeakBytes returns the logical high-water mark.
 func (d *Device) PeakBytes() int64 { return d.peakBytes }
-
-// TotalAllocBytes returns cumulative logical bytes ever allocated — with
-// eager freeing, the peak stays below this even within one iteration.
-func (d *Device) TotalAllocBytes() int64 { return d.totalAlloc }
-
-// ResetPeak sets the peak tracker to the current allocation level.
-func (d *Device) ResetPeak() { d.peakBytes = d.curBytes }
-
-// ResetClock zeroes the simulated clock and stats (allocations persist).
-func (d *Device) ResetClock() {
-	d.elapsedNs = 0
-	d.stats = Stats{}
-}
 
 // Elapsed returns total simulated time.
 func (d *Device) Elapsed() time.Duration { return time.Duration(d.elapsedNs) }

@@ -21,11 +21,8 @@ type KernelRecord struct {
 }
 
 // EnableTrace starts recording every kernel launch. Tracing costs memory
-// proportional to the kernel count; disable for long sweeps.
+// proportional to the kernel count.
 func (d *Device) EnableTrace() { d.trace = []KernelRecord{} }
-
-// DisableTrace stops recording and drops the buffer.
-func (d *Device) DisableTrace() { d.trace = nil }
 
 // Trace returns the recorded kernel timeline.
 func (d *Device) Trace() []KernelRecord { return d.trace }

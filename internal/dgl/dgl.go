@@ -8,8 +8,6 @@
 package dgl
 
 import (
-	"fmt"
-
 	"seastar/internal/gir"
 	"seastar/internal/graph"
 	"seastar/internal/kernels"
@@ -162,12 +160,4 @@ func (f *edgeSoftmaxFn) Backward(ctx *nn.FuncCtx, g *tensor.Tensor) []*tensor.Te
 	de := tensor.Mul(a, diff)
 	f.d.E.ChargeDense("dgl.esm.bwd.mul2", float64(de.Size()), int64(de.Size())*8, int64(de.Size())*4)
 	return []*tensor.Tensor{de}
-}
-
-// CheckVertexTensor validates an input is [N, d] for this graph.
-func (d *Engine) CheckVertexTensor(v *nn.Variable) error {
-	if v.Value.Rows() != d.G.N {
-		return fmt.Errorf("dgl: tensor has %d rows for %d vertices", v.Value.Rows(), d.G.N)
-	}
-	return nil
 }

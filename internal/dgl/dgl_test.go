@@ -277,14 +277,3 @@ func TestRGCNRequiresEdgeTypes(t *testing.T) {
 		t.Fatal("RGCNBMM without edge types accepted")
 	}
 }
-
-func TestCheckVertexTensor(t *testing.T) {
-	g := graph.Figure7()
-	d, _ := newEngine(g)
-	if err := d.CheckVertexTensor(d.E.Input(tensor.New(4, 2), "ok")); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.CheckVertexTensor(d.E.Input(tensor.New(3, 2), "bad")); err == nil {
-		t.Fatal("wrong-size tensor accepted")
-	}
-}

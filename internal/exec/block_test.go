@@ -82,8 +82,9 @@ func blockStep(g *graph.Graph, c *exec.CompiledUDF, inputs []*tensor.Tensor, lab
 	return r, nil
 }
 
-// TestBlockMatchesSquare runs every stage plan of the program table once
-// on a block and once on the square graph it views, in both SIMD modes.
+// TestBlockMatchesSquare runs every stage plan of the program table, and
+// of GIN and mean-SAGE (units with no aggregation, and a product with a
+// width-1 Self input), once on a block and once on the square graph it views, in both SIMD modes.
 // The block's output rows are the square output's first D rows, bit for
 // bit; with the upstream gradient zero past D, every input's gradient has
 // the same bits, sign of zero included: parameters, edge inputs, and
@@ -95,6 +96,7 @@ func blockStep(g *graph.Graph, c *exec.CompiledUDF, inputs []*tensor.Tensor, lab
 // must say which unit refuses.
 func TestBlockMatchesSquare(t *testing.T) {
 	const in, rels = 64, 3
+	const eps float32 = 0.1 // GIN's self weight is 1+ε
 	s := program.Spec{Hidden: 8, Classes: 5, Alpha: 0.1, K: 2}
 	progs := []struct {
 		name string
@@ -104,8 +106,13 @@ func TestBlockMatchesSquare(t *testing.T) {
 		{"gat", program.GAT(s, in, rels)},
 		{"appnp", program.APPNP(s, in, rels)},
 		{"rgcn", program.RGCN(s, in, rels)},
-		{"gin", program.GIN(s, in, 0.1)},
-		{"sage", program.SAGE(s, in)},
+		{"gin", vertexProgram(func(v *gir.Vertex) *gir.Value {
+			self := v.Self("h").MulScalar(1 + eps) // traced first, as GIN declares it
+			return v.Nbr("h").AggSum().Add(self)
+		}, nil, in, s.Hidden)},
+		{"sage", vertexProgram(func(v *gir.Vertex) *gir.Value {
+			return v.Nbr("h").AggSum().Mul(v.Self("invdeg"))
+		}, []string{"invdeg"}, s.Hidden, s.Classes)},
 		{"minibatch-sage", program.MiniBatchSAGE(in, 8)},
 	}
 	// The plans whose backward has an A:S kernel writing a D-typed value
@@ -164,6 +171,25 @@ func TestBlockMatchesSquare(t *testing.T) {
 			}
 		}
 	}
+}
+
+// vertexProgram is a program of one stage per width, each stage's plan
+// tracing udf over a vertex feature h of that width and the width-1
+// vertex features named in extra: GIN's and mean-SAGE's layers, whose
+// dense phases this test does not read.
+func vertexProgram(udf gir.UDF, extra []string, widths ...int) *program.Program {
+	p := &program.Program{}
+	for _, w := range widths {
+		p.Stages = append(p.Stages, program.Stage{Plan: &program.Plan{Trace: func() (*gir.DAG, error) {
+			b := gir.NewBuilder()
+			b.VFeature("h", w)
+			for _, k := range extra {
+				b.VFeature(k, 1)
+			}
+			return b.Build(udf)
+		}}})
+	}
+	return p
 }
 
 // planInputs draws every input of c over g: vertex inputs with a row per

@@ -280,9 +280,6 @@ func blockless(pass string, plan *fusion.Plan, kern map[*fusion.Unit]*kernels.Ke
 // in-CSR has fewer rows than it has vertices.
 func isBlock(g *graph.Graph) bool { return g.In.NumRows() < g.N }
 
-// SavedNodes returns the forward nodes kept for the backward pass.
-func (c *CompiledUDF) SavedNodes() []*gir.Node { return c.saved }
-
 // unitLabel is the obs attribution name for one execution unit of a
 // pass, e.g. "fwd/unit 3 [seastar]".
 func unitLabel(pass string, u *fusion.Unit) string {

@@ -363,7 +363,7 @@ func TestCompiledUDFReusableAcrossGraphs(t *testing.T) {
 	// One compiled program, many graphs (the mini-batch pattern): the
 	// kernels must be graph-agnostic.
 	c := compileGCN(t, 3, 2)
-	if len(c.SavedNodes()) == 0 {
+	if len(c.saved) == 0 {
 		t.Fatal("GCN backward saves no forward values?")
 	}
 	rng := rand.New(rand.NewSource(81))

@@ -40,16 +40,6 @@ type Unit struct {
 	Nodes []*gir.Node // topological order within the unit
 }
 
-// HasAgg reports whether the unit contains an aggregation stage.
-func (u *Unit) HasAgg() bool {
-	for _, n := range u.Nodes {
-		if n.Op.IsAgg() {
-			return true
-		}
-	}
-	return false
-}
-
 // AggDir returns the unit's aggregation direction (units without an
 // aggregation default to A:D, matching the kernel compiler's layout).
 func (u *Unit) AggDir() gir.AggDir {

@@ -1,11 +1,14 @@
 package fusion
 
 import (
+	"slices"
 	"testing"
 
 	"seastar/internal/autodiff"
 	"seastar/internal/gir"
 )
+
+func isAgg(n *gir.Node) bool { return n.Op.IsAgg() }
 
 func buildGAT(t *testing.T) *gir.DAG {
 	t.Helper()
@@ -83,7 +86,7 @@ func TestGATForwardFusionMatchesFigure6(t *testing.T) {
 	if !match(got0, want0) || !match(got1, want1) {
 		t.Fatalf("units:\n  %v\n  %v", got0, got1)
 	}
-	if !u0.HasAgg() || !u1.HasAgg() {
+	if !slices.ContainsFunc(u0.Nodes, isAgg) || !slices.ContainsFunc(u1.Nodes, isAgg) {
 		t.Fatal("both GAT units contain an aggregation")
 	}
 }
@@ -137,7 +140,7 @@ func TestBackwardPartitionsWithoutCycles(t *testing.T) {
 		// contain at least one fused unit with an aggregation.
 		found := false
 		for _, u := range plan.Units {
-			if u.Kind == KindSeastar && u.HasAgg() {
+			if u.Kind == KindSeastar && slices.ContainsFunc(u.Nodes, isAgg) {
 				found = true
 			}
 		}

@@ -51,17 +51,6 @@ func NewDAG(outputs []*Node) *DAG {
 // outputs (dead-code elimination's core step). Node objects are shared.
 func (d *DAG) Prune() *DAG { return NewDAG(d.Outputs) }
 
-// Consumers maps each node to the nodes that take it as input.
-func (d *DAG) Consumers() map[*Node][]*Node {
-	c := make(map[*Node][]*Node, len(d.Nodes))
-	for _, n := range d.Nodes {
-		for _, in := range n.Inputs {
-			c[in] = append(c[in], n)
-		}
-	}
-	return c
-}
-
 // Leaves returns all leaf nodes in order.
 func (d *DAG) Leaves() []*Node {
 	var out []*Node

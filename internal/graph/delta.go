@@ -46,12 +46,6 @@ type Delta struct {
 	RemoveEdges    []Edge  `json:"remove_edges,omitempty"`
 }
 
-// Empty reports whether the delta carries no structural change.
-func (d *Delta) Empty() bool {
-	return d.AddVertices == 0 && len(d.RemoveVertices) == 0 &&
-		len(d.AddEdges) == 0 && len(d.RemoveEdges) == 0
-}
-
 // csrChunk is one immutable chunk of a chunked CSR: local offsets plus
 // neighbour and edge-id slots for DeltaChunkRows consecutive rows. Chunks
 // are shared freely across generations and never mutated after build.

@@ -162,21 +162,6 @@ func Star(n int) *Graph {
 	return g
 }
 
-// Path returns the chain 0→1→2→…→n-1.
-func Path(n int) *Graph {
-	srcs := make([]int32, n-1)
-	dsts := make([]int32, n-1)
-	for i := 0; i < n-1; i++ {
-		srcs[i] = int32(i)
-		dsts[i] = int32(i + 1)
-	}
-	g, err := FromEdges(n, srcs, dsts)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Figure7 returns a 4-vertex, 7-edge example graph in the spirit of the
 // paper's Figure 7 (vertices A=0, B=1, C=2, D=3), with in-degrees
 // A:3, B:2, C:1, D:1 — small enough to check CSR layouts by hand in the

@@ -208,7 +208,10 @@ func TestStarAndPath(t *testing.T) {
 	if s.InDegrees()[0] != 4 {
 		t.Fatalf("star center degree %d", s.InDegrees()[0])
 	}
-	p := Path(4)
+	p, err := FromEdges(4, []int32{0, 1, 2}, []int32{1, 2, 3}) // the chain 0→1→2→3
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func TestSchedulerEquivalenceOnSkewedHeteroGraphs(t *testing.T) {
 	sched.MaxProcs = 8
 	t.Cleanup(func() { sched.MaxProcs = oldProcs })
 
-	prevSIMD := tensor.SIMDEnabled()
+	prevSIMD := tensor.SetSIMD(true) // the loop below sets each mode in turn
 	t.Cleanup(func() { tensor.SetSIMD(prevSIMD) })
 
 	const dim = 8

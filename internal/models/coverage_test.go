@@ -68,7 +68,7 @@ func TestSpecializationCoverage(t *testing.T) {
 			"bwd/2 dot[1]+chain[4]+scalar-agg",
 			"bwd/3 dot[1]+chain[4]+scalar-agg",
 		}},
-		{"sage", plan(program.SAGE(spec, 8), 0), []string{
+		{"sage", plan(sageProgram(spec, 8), 0), []string{
 			"fwd/0 gather",
 			"bwd/0 scaled-gather",
 			"bwd/1 " + noAgg,
@@ -80,7 +80,7 @@ func TestSpecializationCoverage(t *testing.T) {
 			"fwd/0 gather",
 			"bwd/2 gather",
 		}},
-		{"gin", plan(program.GIN(spec, 16, 0.1), 0), []string{
+		{"gin", plan(ginProgram(spec, 16, 0.1), 0), []string{
 			"fwd/0 " + noAgg,
 			"fwd/1 gather",
 			"bwd/0 gather",

@@ -1,6 +1,7 @@
 // Package models trains the four GNNs of the paper's evaluation — GCN,
-// GAT, APPNP and R-GCN — plus GIN and mean-aggregator GraphSAGE, each on
-// three systems. Seastar is not written here: it is the architecture's
+// GAT, APPNP and R-GCN — each on three systems; its tests declare GIN
+// and mean-aggregator GraphSAGE as layer programs and train them on all
+// three too. Seastar is not written here: it is the architecture's
 // layer program (internal/program) lowered onto the nn engine, the same
 // declaration serving runs. The DGL-style message-passing and PyG-style
 // scatter/gather baselines (plus the bmm variants for R-GCN) stay

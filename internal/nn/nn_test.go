@@ -336,44 +336,6 @@ func TestAccuracy(t *testing.T) {
 	}
 }
 
-func TestDropout(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	e := NewEngine(nil)
-	x := e.Param(tensor.Ones(100, 10), "x")
-	// Not training: identity, same variable returned.
-	if e.Dropout(x, 0.5, false, rng) != x {
-		t.Fatal("eval-mode dropout must be identity")
-	}
-	y := e.Dropout(x, 0.5, true, rng)
-	zeros, scaled := 0, 0
-	for i := 0; i < y.Value.Size(); i++ {
-		switch y.Value.At1(i) {
-		case 0:
-			zeros++
-		case 2:
-			scaled++
-		default:
-			t.Fatalf("unexpected dropout value %v", y.Value.At1(i))
-		}
-	}
-	if zeros < 300 || zeros > 700 {
-		t.Fatalf("dropout zero count %d implausible for p=0.5", zeros)
-	}
-	loss := e.SumAll(y)
-	e.Backward(loss)
-	// Gradient must be the same mask.
-	for i := 0; i < y.Value.Size(); i++ {
-		want := float32(0)
-		if y.Value.At1(i) != 0 {
-			want = 2
-		}
-		if x.Grad.At1(i) != want {
-			t.Fatal("dropout backward mask mismatch")
-		}
-	}
-	_ = scaled
-}
-
 func TestGradAccumulationAcrossTwoUses(t *testing.T) {
 	// x used twice: grad must be the sum of both paths.
 	xT := tensor.FromSlice([]float32{2}, 1, 1)
@@ -430,27 +392,6 @@ func TestAdamConverges(t *testing.T) {
 	}
 }
 
-func TestLinearLayer(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	e := NewEngine(nil)
-	l := NewLinear(e, rng, 4, 3, true, "fc")
-	if len(l.Params()) != 2 {
-		t.Fatal("biasless param count")
-	}
-	x := e.Input(tensor.Randn(rng, 1, 2, 4), "x")
-	y := l.Forward(e, x)
-	if y.Value.Rows() != 2 || y.Value.Cols() != 3 {
-		t.Fatalf("linear output shape %v", y.Value.Shape())
-	}
-	nb := NewLinear(e, rng, 4, 3, false, "fc2")
-	if len(nb.Params()) != 1 {
-		t.Fatal("no-bias param count")
-	}
-	if NumParams(CollectParams(l.Params(), nb.Params())) != 4*3+3+4*3 {
-		t.Fatal("NumParams miscounts")
-	}
-}
-
 func TestEngineChargesDevice(t *testing.T) {
 	dev := device.New(device.V100)
 	e := NewEngine(dev)
@@ -492,17 +433,6 @@ func TestCatchOOM(t *testing.T) {
 		}
 	}()
 	_ = CatchOOM(func() { panic("boom") })
-}
-
-func TestCheckFinite(t *testing.T) {
-	CheckFinite("ok", tensor.FromSlice([]float32{1, 2}, 2))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on NaN")
-		}
-	}()
-	nan := float32(math.NaN())
-	CheckFinite("bad", tensor.FromSlice([]float32{nan}, 1))
 }
 
 func TestCustomFunction(t *testing.T) {

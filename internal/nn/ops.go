@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"math/rand"
-
 	"seastar/internal/tensor"
 )
 
@@ -184,27 +182,6 @@ func (e *Engine) Exp(a *Variable) *Variable {
 	e.chargeEW("exp", out.Size(), 1)
 	return e.node("exp", out, []*Variable{a}, func(g *tensor.Tensor) {
 		a.accumulate(tensor.Mul(g, out, e.like(g)))
-	})
-}
-
-// Dropout zeroes each element with probability p during training and
-// scales survivors by 1/(1-p). With training=false it is the identity.
-func (e *Engine) Dropout(a *Variable, p float64, training bool, rng *rand.Rand) *Variable {
-	if !training || p <= 0 {
-		return a
-	}
-	mask := e.like(a.Value)
-	md := mask.Data()
-	scale := float32(1 / (1 - p))
-	for i := range md {
-		if rng.Float64() >= p {
-			md[i] = scale
-		}
-	}
-	out := tensor.Mul(a.Value, mask, e.like(a.Value))
-	e.chargeEW("dropout", out.Size(), 2)
-	return e.node("dropout", out, []*Variable{a}, func(g *tensor.Tensor) {
-		a.accumulate(tensor.Mul(g, mask, e.like(g)))
 	})
 }
 

@@ -269,20 +269,3 @@ func (r *Registry) Events() ([]Event, int64) {
 	defer r.mu.Unlock()
 	return append([]Event(nil), r.events...), r.dropped
 }
-
-// TotalNs sums the recorded wall time of every entry in the category
-// (all categories when cat is empty).
-func TotalNs(cat string) int64 { return Default.TotalNs(cat) }
-
-// TotalNs sums a category on r; see the package-level TotalNs.
-func (r *Registry) TotalNs(cat string) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var t int64
-	for _, e := range r.entries {
-		if cat == "" || e.Cat == cat {
-			t += e.TotalNs
-		}
-	}
-	return t
-}

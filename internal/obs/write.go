@@ -5,60 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
-
-// WriteText renders the default registry as an aligned table sorted by
-// total time, category first.
-func WriteText(w io.Writer) error { return Default.WriteText(w) }
-
-// WriteText renders r as a table; see the package-level WriteText.
-func (r *Registry) WriteText(w io.Writer) error {
-	ents := r.Snapshot()
-	sort.SliceStable(ents, func(i, j int) bool {
-		if ents[i].Cat != ents[j].Cat {
-			return ents[i].Cat < ents[j].Cat
-		}
-		return ents[i].TotalNs > ents[j].TotalNs
-	})
-	for _, e := range ents {
-		counters := formatCounters(e.Counters)
-		if _, err := fmt.Fprintf(w, "%-10s %-40s count=%-6d total=%-12s%s\n",
-			e.Cat, e.Name, e.Count, fmtNs(e.TotalNs), counters); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func formatCounters(c map[string]int64) string {
-	if len(c) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(c))
-	for k := range c {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, " %s=%d", k, c[k])
-	}
-	return b.String()
-}
-
-func fmtNs(ns int64) string {
-	switch {
-	case ns >= 1e9:
-		return fmt.Sprintf("%.3fs", float64(ns)/1e9)
-	case ns >= 1e6:
-		return fmt.Sprintf("%.3fms", float64(ns)/1e6)
-	case ns >= 1e3:
-		return fmt.Sprintf("%.1fµs", float64(ns)/1e3)
-	default:
-		return fmt.Sprintf("%dns", ns)
-	}
-}
 
 // WritePrometheus renders the default registry in Prometheus text
 // exposition format, matching the seastar_* style of the serve and

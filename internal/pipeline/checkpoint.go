@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 
 	"seastar/internal/nn"
-	"seastar/internal/tensor"
 )
 
 // Checkpoint is a resumable snapshot of mini-batch training: how many
@@ -53,11 +52,6 @@ func RestoreParams(params []*nn.Variable, st []TensorState) error {
 		copy(p.Value.Data(), st[i].Data)
 	}
 	return nil
-}
-
-// Tensor reconstructs the stored tensor.
-func (ts TensorState) Tensor() *tensor.Tensor {
-	return tensor.FromSlice(append([]float32(nil), ts.Data...), ts.Shape...)
 }
 
 // Save writes the checkpoint atomically: gob to a temp file in the same

@@ -58,12 +58,6 @@ func (e *Engine) faults() (int64, bool) {
 	return e.Cfg.Faults(), true
 }
 
-// DefaultConfig is a balanced starting point: depth-4 pipeline with two
-// sampling workers.
-func DefaultConfig() Config {
-	return Config{BatchSize: 256, Prefetch: 4, SampleWorkers: 2}
-}
-
 // Batch is one gathered mini-batch, delivered to the compute step in
 // index order. The batch, its Feat storage and its Labels slice are
 // recycled by the engine: the step must not retain any of them (or a view

@@ -126,7 +126,8 @@ type Dense struct {
 // place on its output. Stages are the exchange rounds of sharded serving
 // and the hops of a delta's frontier. A stage without a plan is dense
 // only — its output is its last dense output — which only the nn lowering
-// runs (a GIN's closing MLP); serving refuses it.
+// runs (a GIN's closing MLP, as internal/models' tests declare it);
+// serving refuses it.
 type Stage struct {
 	Dense  []Dense
 	Plan   *Plan      // stages running the same vertex program share one

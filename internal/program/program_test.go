@@ -115,10 +115,13 @@ func TestHoistedGCNMatchesInPlanMatMul(t *testing.T) {
 	}
 }
 
-// TestDepth counts aggregating stages: a dense-only stage (GIN's closing
-// MLP) is no hop, and each APPNP step is one.
+// TestDepth counts aggregating stages: a dense-only stage (here a
+// closing MLP after GCN's two layers) is no hop, and each APPNP step is
+// one.
 func TestDepth(t *testing.T) {
 	s := Spec{Hidden: 8, Classes: 3, K: 4}
+	mlp := GCN(s, 5, 1)
+	mlp.Stages = append(mlp.Stages, Stage{Dense: []Dense{{Out: "out", W: "W2"}}})
 	for _, tc := range []struct {
 		name string
 		p    *Program
@@ -128,8 +131,7 @@ func TestDepth(t *testing.T) {
 		{"gat", GAT(s, 5, 1), 2},
 		{"appnp", APPNP(s, 5, 1), 4},
 		{"rgcn", RGCN(s, 5, 2), 2},
-		{"gin", GIN(s, 5, 0.1), 2},
-		{"sage", SAGE(s, 5), 2},
+		{"gcn+mlp", mlp, 2},
 		{"minibatch-sage", MiniBatchSAGE(5, 3), 1},
 	} {
 		if got := tc.p.Depth(); got != tc.want {

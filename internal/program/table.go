@@ -146,66 +146,6 @@ func RGCN(s Spec, in, numRel int) *Program {
 	}
 }
 
-// GIN is a two-layer Graph Isomorphism Network (Xu et al.),
-// h' = MLP((1+ε)·h_v + Σ_{u∈N(v)} h_u): each layer's MLP is the dense
-// phase of the next stage, the last one a dense-only stage. The self term
-// is traced before the aggregation so that the fusion FSM's
-// last-write-wins tie-break picks the aggregation as the Add's nearest
-// parent, keeping both in one kernel (state-2 fusion).
-func GIN(s Spec, in int, eps float32) *Program {
-	layer := func(width int, dense []Dense, h string) Stage {
-		return Stage{
-			Dense: dense,
-			Plan: &Plan{Trace: func() (*gir.DAG, error) {
-				b := gir.NewBuilder()
-				b.VFeature("h", width)
-				return b.Build(func(v *gir.Vertex) *gir.Value {
-					self := v.Self("h").MulScalar(1 + eps)
-					return v.Nbr("h").AggSum().Add(self)
-				})
-			}},
-			Values: []Bind{{"h", h}},
-		}
-	}
-	return &Program{
-		Weights: []Weight{wt("W1a", in, s.Hidden), wt("W1b", s.Hidden, s.Hidden),
-			wt("W2a", s.Hidden, s.Hidden), wt("W2b", s.Hidden, s.Classes)},
-		Stages: []Stage{
-			layer(in, nil, ""),
-			layer(s.Hidden, []Dense{{Out: "a1", W: "W1a", Act: ReLU}, {Out: "h1", In: "a1", W: "W1b", Act: ReLU}}, "h1"),
-			{Dense: []Dense{{Out: "a2", W: "W2a", Act: ReLU}, {Out: "out", In: "a2", W: "W2b"}}},
-		},
-	}
-}
-
-// SAGE is a two-layer GraphSAGE with mean aggregation (Hamilton et al.),
-// h' = h_v·W_self + mean_{u∈N(v)} h_u·W_nbr, the neighbour product hoisted
-// ahead of the mean: a sum scaled by the centre's 1/in-degree, fused after
-// the aggregation.
-func SAGE(s Spec, in int) *Program {
-	layer := func(l string, width int, a Act) Stage {
-		return Stage{
-			Dense: []Dense{{Out: "self" + l, W: "Wself" + l}, {Out: "nbr" + l, W: "Wnbr" + l}},
-			Plan: &Plan{Trace: func() (*gir.DAG, error) {
-				b := gir.NewBuilder()
-				b.VFeature("h", width)
-				b.VFeature("invdeg", 1)
-				return b.Build(func(v *gir.Vertex) *gir.Value {
-					return v.Nbr("h").AggSum().Mul(v.Self("invdeg"))
-				})
-			}},
-			Values: []Bind{{"h", "nbr" + l}},
-			Norms:  []NormBind{{"invdeg", NormInDeg}},
-			Plus:   "self" + l, Act: a,
-		}
-	}
-	return &Program{
-		Weights: []Weight{wt("Wself1", in, s.Hidden), wt("Wnbr1", in, s.Hidden),
-			wt("Wself2", s.Hidden, s.Classes), wt("Wnbr2", s.Hidden, s.Classes)},
-		Stages: []Stage{layer("1", s.Hidden, ReLU), layer("2", s.Classes, None)},
-	}
-}
-
 // MiniBatchSAGE is the sampled mini-batch trainer's model: one
 // self-plus-neighbours convolution h' = (h_v + Σ_{u∈N(v)} h_u)·W, compiled
 // once and applied to every batch subgraph (§5.1 at mini-batch

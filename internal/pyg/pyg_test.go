@@ -110,7 +110,6 @@ func TestPyGUsesMoreMemoryThanFusedReduce(t *testing.T) {
 	hT := tensor.Randn(rng, 1, 100, 32)
 
 	p, dev := newEngine(g)
-	dev.ResetPeak()
 	base := dev.PeakBytes()
 	h := p.E.Param(hT, "h")
 	out := p.ScatterAddDst(p.GatherSrc(h))

@@ -319,25 +319,6 @@ func (b *Batch) GatherFeaturesInto(dst, base *tensor.Tensor) {
 	}
 }
 
-// GatherLabels copies per-vertex integers for the batch.
-func (b *Batch) GatherLabels(base []int) []int {
-	out := make([]int, len(b.Vertices))
-	for i, v := range b.Vertices {
-		out[i] = base[v]
-	}
-	return out
-}
-
-// SeedMask returns a mask selecting the seed rows of the batch (loss is
-// computed on seeds only).
-func (b *Batch) SeedMask() []bool {
-	m := make([]bool, len(b.Vertices))
-	for i := 0; i < b.SeedCount; i++ {
-		m[i] = true
-	}
-	return m
-}
-
 // Batches partitions vertices (shuffled) into seed batches of the given
 // size — one training epoch's worth. The shuffle draws from the
 // sampler's dedicated shuffle stream, so the order depends only on the

@@ -63,7 +63,7 @@ func TestSampleStructure(t *testing.T) {
 		t.Fatalf("seed count %d", b.SeedCount)
 	}
 	// A repeated seed is one seed: the rows after SeedCount are sampled
-	// neighbours, which SeedMask must not select.
+	// neighbours.
 	if r, err := s.Sample([]int32{10, 10, 20}); err != nil || r.SeedCount != 2 || r.Vertices[0] != 10 || r.Vertices[1] != 20 {
 		t.Fatalf("seeds [10 10 20]: count %d, vertices %v, err %v", r.SeedCount, r.Vertices, err)
 	}
@@ -91,10 +91,6 @@ func TestSampleStructure(t *testing.T) {
 		if inDeg[i] > 3 {
 			t.Fatalf("seed %d has %d sampled in-edges (fan-out 3)", i, inDeg[i])
 		}
-	}
-	mask := b.SeedMask()
-	if !mask[0] || !mask[2] || mask[3] {
-		t.Fatalf("seed mask %v", mask[:5])
 	}
 	// The bound holds for a repeated seed too: the hub listed three times
 	// is expanded once, not three times.
@@ -427,7 +423,11 @@ func TestSampleOnSortedGraph(t *testing.T) {
 }
 
 func TestBatchesPartition(t *testing.T) {
-	g := graph.Path(10)
+	// The chain 0→1→…→9.
+	g, err := graph.FromEdges(10, []int32{0, 1, 2, 3, 4, 5, 6, 7, 8}, []int32{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := NewSampler(g, []int{2}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -466,10 +466,6 @@ func TestGatherHelpers(t *testing.T) {
 		if feats.At(i, 0) != base.At(int(v), 0) {
 			t.Fatalf("feature row %d", i)
 		}
-	}
-	labels := b.GatherLabels([]int{7, 8, 9, 6})
-	if labels[0] != 7 { // seed 0
-		t.Fatalf("labels: %v", labels)
 	}
 }
 
@@ -528,7 +524,11 @@ func TestMiniBatchTrainingWithSeastar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			loss := e.CrossEntropyMasked(out, batch.GatherLabels(labels), batch.SeedMask())
+			rowLabels, seedMask := make([]int, len(batch.Vertices)), make([]bool, len(batch.Vertices))
+			for i, v := range batch.Vertices {
+				rowLabels[i], seedMask[i] = labels[v], i < batch.SeedCount
+			}
+			loss := e.CrossEntropyMasked(out, rowLabels, seedMask)
 			if step == 0 {
 				first = loss.Value.At1(0)
 			}

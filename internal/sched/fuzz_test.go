@@ -6,7 +6,7 @@ import (
 
 // FuzzEdgeBalanced asserts the partitioner's structural invariants on
 // arbitrary degree sequences: the returned ranges exactly tile [0, n) in
-// order, never exceed the requested chunk count, and ChunkWeights
+// order, never exceed the requested chunk count, and chunkWeights
 // conserves total weight.
 func FuzzEdgeBalanced(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5}, uint8(4))
@@ -55,7 +55,7 @@ func FuzzEdgeBalanced(f *testing.F) {
 		}
 		// Weight conservation under the partition cost model.
 		var total float64
-		for _, w := range ChunkWeights(offsets, 1, rs) {
+		for _, w := range chunkWeights(offsets, 1, rs) {
 			total += w
 		}
 		want := float64(offsets[n]) + float64(n)

@@ -92,9 +92,6 @@ func (p *Pool) ensureWorkers(n int) {
 	}
 }
 
-// NumWorkers reports how many persistent workers the pool has spawned.
-func (p *Pool) NumWorkers() int { return int(atomic.LoadInt64(&p.spawned)) }
-
 // Do runs fn(worker, chunk) for every chunk in [0, chunks) using up to
 // `workers` concurrent workers with atomic work stealing. See the
 // package-level Do for the contract. On a closed pool every chunk runs

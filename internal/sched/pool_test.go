@@ -38,7 +38,7 @@ func TestPoolCloseReleasesWorkers(t *testing.T) {
 	if count != 64 {
 		t.Fatalf("ran %d/64 chunks", count)
 	}
-	if p.NumWorkers() == 0 {
+	if atomic.LoadInt64(&p.spawned) == 0 {
 		t.Fatal("expected pool to spawn persistent workers")
 	}
 

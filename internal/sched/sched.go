@@ -126,44 +126,6 @@ func EdgeBalanced(offsets []int64, rowCost float64, maxChunks int) []Range {
 	return out
 }
 
-// ChunkWeights returns each range's weight under the EdgeBalanced cost
-// model: edges(range) + rowCost·rows(range). Used for offline schedule
-// analysis (benchmarks, tests).
-func ChunkWeights(offsets []int64, rowCost float64, rs []Range) []float64 {
-	out := make([]float64, len(rs))
-	for i, r := range rs {
-		out[i] = float64(offsets[r.Hi]-offsets[r.Lo]) + rowCost*float64(r.Hi-r.Lo)
-	}
-	return out
-}
-
-// Makespan list-schedules the chunk weights onto p workers in order —
-// each chunk goes to the earliest-free worker, which is exactly what the
-// stealing loop achieves on idle cores — and returns the finishing time
-// of the last worker.
-func Makespan(weights []float64, p int) float64 {
-	if p < 1 {
-		p = 1
-	}
-	busy := make([]float64, p)
-	for _, w := range weights {
-		min := 0
-		for i := 1; i < p; i++ {
-			if busy[i] < busy[min] {
-				min = i
-			}
-		}
-		busy[min] += w
-	}
-	var max float64
-	for _, b := range busy {
-		if b > max {
-			max = b
-		}
-	}
-	return max
-}
-
 // Do runs fn(worker, chunk) for every chunk in [0, chunks) using up to
 // `workers` concurrent workers with atomic work stealing, on the shared
 // process-lifetime pool. Worker ids are dense in [0, workers) and unique

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -84,15 +85,15 @@ func TestEdgeBalancedBeatsUniformOnSkew(t *testing.T) {
 	const rowCost = 4
 	eb := EdgeBalanced(offsets, rowCost, p*8)
 	un := Uniform(n, p)
-	mkEB := Makespan(ChunkWeights(offsets, rowCost, eb), p)
-	mkUN := Makespan(ChunkWeights(offsets, rowCost, un), p)
+	mkEB := makespan(chunkWeights(offsets, rowCost, eb), p)
+	mkUN := makespan(chunkWeights(offsets, rowCost, un), p)
 	if mkEB*1.5 > mkUN {
 		t.Fatalf("edge-balanced makespan %.0f not ≥1.5x better than uniform %.0f", mkEB, mkUN)
 	}
 	// And the balance must be real: no chunk (except possibly a single
 	// unsplittable hub row) should exceed ~2 targets of weight.
 	total := float64(offsets[n]) + rowCost*float64(n)
-	for i, w := range ChunkWeights(offsets, rowCost, eb) {
+	for i, w := range chunkWeights(offsets, rowCost, eb) {
 		r := eb[i]
 		if r.Hi-r.Lo == 1 {
 			continue // single row: cannot split further
@@ -103,15 +104,47 @@ func TestEdgeBalancedBeatsUniformOnSkew(t *testing.T) {
 	}
 }
 
+// chunkWeights returns each range's weight under the EdgeBalanced cost
+// model: edges(range) + rowCost·rows(range).
+func chunkWeights(offsets []int64, rowCost float64, rs []Range) []float64 {
+	out := make([]float64, len(rs))
+	for i, r := range rs {
+		out[i] = float64(offsets[r.Hi]-offsets[r.Lo]) + rowCost*float64(r.Hi-r.Lo)
+	}
+	return out
+}
+
+// makespan list-schedules the chunk weights onto p workers in order —
+// each chunk goes to the earliest-free worker, which is what the
+// stealing loop achieves on idle cores — and returns the finishing time
+// of the last worker.
+func makespan(weights []float64, p int) float64 {
+	busy := make([]float64, p)
+	for _, w := range weights {
+		min := 0
+		for i := 1; i < p; i++ {
+			if busy[i] < busy[min] {
+				min = i
+			}
+		}
+		busy[min] += w
+	}
+	var max float64
+	for _, b := range busy {
+		max = math.Max(max, b)
+	}
+	return max
+}
+
 func TestMakespan(t *testing.T) {
-	if got := Makespan([]float64{4, 1, 1, 1, 1}, 2); got != 4 {
-		t.Fatalf("Makespan = %v, want 4", got)
+	if got := makespan([]float64{4, 1, 1, 1, 1}, 2); got != 4 {
+		t.Fatalf("makespan = %v, want 4", got)
 	}
-	if got := Makespan([]float64{1, 1, 1, 1}, 4); got != 1 {
-		t.Fatalf("Makespan = %v, want 1", got)
+	if got := makespan([]float64{1, 1, 1, 1}, 4); got != 1 {
+		t.Fatalf("makespan = %v, want 1", got)
 	}
-	if got := Makespan(nil, 3); got != 0 {
-		t.Fatalf("Makespan(nil) = %v, want 0", got)
+	if got := makespan(nil, 3); got != 0 {
+		t.Fatalf("makespan(nil) = %v, want 0", got)
 	}
 }
 

@@ -143,7 +143,7 @@ func FuzzDeltaEquivalence(f *testing.F) {
 		}
 		defer eng.Close()
 		h := serve.Handler(eng)
-		panics := serve.Panics()
+		panics := panicCount()
 
 		feed := &byteFeed{data: data}
 		for step := 0; step < 3; step++ {
@@ -162,8 +162,8 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			}
 			rw := httptest.NewRecorder()
 			h.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/graph/delta", bytes.NewReader(body)))
-			if rw.Code != http.StatusOK || serve.Panics() != panics {
-				t.Fatalf("step %d: /v1/graph/delta answered %d (%s), panics %d → %d", step, rw.Code, rw.Body, panics, serve.Panics())
+			if rw.Code != http.StatusOK || panicCount() != panics {
+				t.Fatalf("step %d: /v1/graph/delta answered %d (%s), panics %d → %d", step, rw.Code, rw.Body, panics, panicCount())
 			}
 			mir.apply(d)
 			requireGraphEqual(t, child.Graph(), mir.graph(t))

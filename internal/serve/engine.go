@@ -213,9 +213,6 @@ func (e *Engine) Generation() uint64 { return e.pub.Load().gen }
 // Draining reports whether Close has begun.
 func (e *Engine) Draining() bool { return e.draining.Load() }
 
-// Spec returns the serving model configuration.
-func (e *Engine) Spec() ModelSpec { return e.cfg.Spec }
-
 // SwapGraph atomically publishes a new snapshot. Batches already running
 // keep the snapshot they loaded; new batches see the new one. Plans for
 // the new fingerprint compile lazily on first use.

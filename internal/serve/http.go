@@ -59,9 +59,6 @@ func Handler(e *Engine) http.Handler {
 // panics counts the handler panics Recover answered, process-wide.
 var panics atomic.Int64
 
-// Panics returns how many handler panics Recover has answered with a 500.
-func Panics() int64 { return panics.Load() }
-
 // WritePanics emits the panic counter in Prometheus text format.
 func WritePanics(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE seastar_serve_panics_total counter\nseastar_serve_panics_total %d\n", panics.Load())

@@ -2,16 +2,26 @@ package shard
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"net/http"
 	"runtime"
+	"strings"
 	"testing"
 
 	"seastar/internal/device"
 	"seastar/internal/serve"
 	"seastar/internal/tensor"
 )
+
+// panicCount reads seastar_serve_panics_total as /metrics reports it.
+func panicCount() (n int64) {
+	var sb strings.Builder
+	serve.WritePanics(&sb)
+	fmt.Sscanf(sb.String(), "# TYPE seastar_serve_panics_total counter\nseastar_serve_panics_total %d", &n)
+	return n
+}
 
 // wireFixture is one fragment's frame context in miniature, for the four
 // frame decoders: shard 1 of 3, with 6 owned vertices; it imports 2 mirror
@@ -137,9 +147,9 @@ func FuzzShardWire(f *testing.F) {
 			t.Fatalf("kind %d: decoding %d bytes allocated %d", kind, len(frame), alloc)
 		}
 		if path, ok := map[uint8]string{0: "/v1/shard/step", 2: "/v1/shard/gather"}[kind]; ok {
-			panics := serve.Panics()
-			if rw := post(h, path, frame); rw.Code == http.StatusInternalServerError || serve.Panics() != panics {
-				t.Fatalf("kind %d: worker answered %d, panics %d → %d", kind, rw.Code, panics, serve.Panics())
+			panics := panicCount()
+			if rw := post(h, path, frame); rw.Code == http.StatusInternalServerError || panicCount() != panics {
+				t.Fatalf("kind %d: worker answered %d, panics %d → %d", kind, rw.Code, panics, panicCount())
 			}
 		}
 		if err != nil {

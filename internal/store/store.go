@@ -172,9 +172,6 @@ func (s *Store) Fingerprint() uint64 { return s.hdr.fingerprint }
 // Bytes returns the size of the backing file (mapping length).
 func (s *Store) Bytes() int64 { return int64(len(s.data)) }
 
-// Path returns the file the store was opened from.
-func (s *Store) Path() string { return s.path }
-
 // VerifyFingerprint re-hashes the mapped content and compares it to the
 // header fingerprint. It touches every page of the file, so it is a
 // full-scan integrity check, not a cheap one.

@@ -72,10 +72,6 @@ var (
 	gemmName   = "go-4x8"
 )
 
-// GemmKernelName reports the active wide microkernel ("avx2-fma-4x16" on
-// capable amd64 hosts, "go-4x8" otherwise) for benchmark reports.
-func GemmKernelName() string { return gemmName }
-
 // packA packs rows [i0, i0+rows) of the m×k row-major matrix a, K-slice
 // [pc, pc+kc), into ap as [kc][gemmMR] interleaved; rows beyond `rows`
 // are zero-padded so the microkernel always runs a full register tile.

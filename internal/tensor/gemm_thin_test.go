@@ -11,7 +11,7 @@ import (
 // eachSIMDMode runs f once with the portable kernels and, on hosts that
 // have them, once with the vector kernels, restoring the process's mode.
 func eachSIMDMode(t testing.TB, f func(mode string)) {
-	orig := SIMDEnabled()
+	orig := simdOn
 	defer SetSIMD(orig)
 	for _, on := range []bool{false, true} {
 		if on && !simdAvailable {
@@ -45,7 +45,7 @@ func TestThinGemmBitwise(t *testing.T) {
 				m, k := sh.m, sh.k
 				a := Randn(rng, 1, m, k)
 				b := Randn(rng, 1, k, n)
-				at, bt := Transpose(a), Transpose(b)
+				at, bt := transpose(a), transpose(b)
 				for _, l := range []struct {
 					name           string
 					a, b           *Tensor
@@ -120,7 +120,7 @@ func TestGemmAllocsFlat(t *testing.T) {
 		for _, l := range []string{"MatMul", "MatMulT", "TMatMul"} {
 			allocs := func(m, k, n int) float64 {
 				a, b := Randn(rng, 1, m, k), Randn(rng, 1, k, n)
-				at, bt := Transpose(a), Transpose(b)
+				at, bt := transpose(a), transpose(b)
 				out := New(m, n)
 				return testing.AllocsPerRun(10, func() {
 					clear(out.data)
@@ -165,7 +165,7 @@ func BenchmarkThinGemm(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			x := Randn(rng, 1, c.m, c.k)
 			if c.transA {
-				x = Transpose(x)
+				x = transpose(x)
 			}
 			w := Randn(rng, 1, c.k, c.n)
 			out := New(c.m, c.n)

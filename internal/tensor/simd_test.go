@@ -278,28 +278,28 @@ func TestGemvBitwise(t *testing.T) {
 // both must be reported consistently. On hosts without vector support
 // the switch is a documented no-op.
 func TestSetSIMD(t *testing.T) {
-	orig := SIMDEnabled()
+	orig := simdOn
 	defer SetSIMD(orig)
 
 	if !simdAvailable {
-		if SetSIMD(true) != orig || SIMDEnabled() != orig {
+		if SetSIMD(true) != orig || simdOn != orig {
 			t.Fatal("SetSIMD must be a no-op without vector support")
 		}
 		return
 	}
 	SetSIMD(false)
-	if SIMDEnabled() {
-		t.Fatal("SIMDEnabled true after SetSIMD(false)")
+	if simdOn {
+		t.Fatal("SIMD still on after SetSIMD(false)")
 	}
-	if GemmKernelName() != "go-4x8" {
-		t.Fatalf("portable gemm kernel not installed: %s", GemmKernelName())
+	if gemmName != "go-4x8" {
+		t.Fatalf("portable gemm kernel not installed: %s", gemmName)
 	}
 	SetSIMD(true)
-	if !SIMDEnabled() {
-		t.Fatal("SIMDEnabled false after SetSIMD(true)")
+	if !simdOn {
+		t.Fatal("SIMD still off after SetSIMD(true)")
 	}
-	if GemmKernelName() != "avx2-fma-4x16" {
-		t.Fatalf("vector gemm kernel not installed: %s", GemmKernelName())
+	if gemmName != "avx2-fma-4x16" {
+		t.Fatalf("vector gemm kernel not installed: %s", gemmName)
 	}
 }
 

@@ -52,9 +52,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 // Scalar returns a 1-element tensor holding v.
 func Scalar(v float32) *Tensor { return FromSlice([]float32{v}, 1) }
 
-// Zeros is an alias of New, for readability at call sites.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Ones allocates a tensor filled with 1.
 func Ones(shape ...int) *Tensor { return Full(1, shape...) }
 
@@ -69,9 +66,6 @@ func Full(v float32, shape ...int) *Tensor {
 
 // Shape returns the tensor's shape. The caller must not mutate it.
 func (t *Tensor) Shape() []int { return t.shape }
-
-// Dims returns the number of dimensions.
-func (t *Tensor) Dims() int { return len(t.shape) }
 
 // Size returns the total number of elements.
 func (t *Tensor) Size() int { return len(t.data) }

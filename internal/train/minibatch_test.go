@@ -259,7 +259,10 @@ func depthStep(t *testing.T, prog *program.Program, ds *datasets.Dataset, b *sam
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, labels, mask := b.Sub, b.GatherLabels(ds.Labels), b.SeedMask()
+	g, labels, mask := b.Sub, make([]int, len(b.Vertices)), make([]bool, len(b.Vertices))
+	for i, v := range b.Vertices {
+		labels[i], mask[i] = ds.Labels[v], i < b.SeedCount
+	}
 	if block {
 		if g, err = g.DstPrefix(b.SeedCount); err != nil {
 			t.Fatal(err)

@@ -13,7 +13,6 @@ package train
 
 import (
 	"fmt"
-	"time"
 
 	"seastar/internal/models"
 	"seastar/internal/nn"
@@ -29,9 +28,6 @@ type Options struct {
 	// LR is the Adam learning rate.
 	LR float32
 }
-
-// DefaultOptions mirrors the paper's setup at harness-friendly length.
-func DefaultOptions() Options { return Options{Epochs: 5, Warmup: 2, LR: 0.01} }
 
 // Result summarizes a run.
 type Result struct {
@@ -50,9 +46,6 @@ type Result struct {
 	// Err holds the failure, if any.
 	Err error
 }
-
-// AvgEpoch returns the average epoch duration as a time.Duration.
-func (r Result) AvgEpoch() time.Duration { return time.Duration(r.AvgEpochNs) }
 
 // String renders the result the way the paper's tables do.
 func (r Result) String() string {

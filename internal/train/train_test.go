@@ -34,9 +34,6 @@ func TestRunTrainsGCN(t *testing.T) {
 	if !strings.Contains(res.String(), "ms") {
 		t.Fatalf("String: %q", res.String())
 	}
-	if res.AvgEpoch() <= 0 {
-		t.Fatal("AvgEpoch duration")
-	}
 }
 
 func TestRunDeterministicEpochTimes(t *testing.T) {
@@ -84,7 +81,7 @@ func TestRunReportsOOM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(env2, m, DefaultOptions())
+	res := Run(env2, m, Options{Epochs: 5, Warmup: 2, LR: 0.01})
 	if !res.OOM || res.Err == nil {
 		t.Fatalf("expected OOM result, got %+v", res)
 	}

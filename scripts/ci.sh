@@ -1,9 +1,9 @@
 #!/bin/sh
 # CI quality ladder, cheapest check first:
 #   gofmt → one architecture table → vertex programs traced in one
-#   package → simulator only where the paper is reproduced → vet →
-#   staticcheck → tests+coverage ratchet → fuzz smoke → race suites →
-#   doc lint.
+#   package → simulator only where the paper is reproduced → no
+#   test-only exports → vet → staticcheck → tests+coverage ratchet →
+#   fuzz smoke → race suites → doc lint.
 #
 # Knobs:
 #   FUZZ_TIME     per-target fuzz duration (default 10s; nightly uses 5m)
@@ -62,6 +62,14 @@ if [ -n "$out" ]; then
 	echo "$out"
 	exit 1
 fi
+
+# An exported func or method that only tests call is not production code:
+# it moves into its package's tests or goes. benchmark/, examples/ and
+# cmd/ count as callers; scripts/test_only_exports.txt lists, with a
+# reason each, the names kept anyway (public API, interface methods,
+# references, shared test fixtures).
+echo "== no exported func is called only by tests =="
+go run ./scripts/testonly . scripts/test_only_exports.txt
 
 echo "== go vet =="
 go vet ./...

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"seastar"
+	"seastar/internal/kernels"
 	"seastar/internal/tensor"
 )
 
@@ -68,6 +69,37 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	sess.EndIteration()
 	if sess.Dev.Elapsed() <= 0 {
 		t.Fatal("no simulated time accumulated")
+	}
+}
+
+// TestGrammarOps writes the Value ops no other public-API test uses, under
+// the full kernel strategy and Figure 12's Basic one. With h all ones each
+// vertex gets -Σ_{u∈N(v)} rowsum(h_u), minus 4 per in-edge, so the
+// outputs sum to -4·m.
+func TestGrammarOps(t *testing.T) {
+	sess, _ := newSessionWithGraph(t, 30, 120)
+	prog, err := sess.Compile(func(b *seastar.Builder) seastar.UDF {
+		b.VFeature("h", 4)
+		return func(v *seastar.Vertex) *seastar.Value { return v.Nbr("h").RowSum().Neg().AggSum() }
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []kernels.Config{kernels.DefaultConfig(), {}} {
+		if err := sess.KernelConfig(cfg); err != nil {
+			t.Fatal(err)
+		}
+		out, err := prog.Apply(map[string]*seastar.Variable{"h": sess.Input(tensor.Ones(30, 4), "h")}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum float32
+		for _, x := range out.Value.Data() {
+			sum += x
+		}
+		if sum != -4*120 {
+			t.Fatalf("%+v: outputs sum to %v, want %v", cfg, sum, -4*120)
+		}
 	}
 }
 
