@@ -135,7 +135,7 @@ func runAnalyze(opts analyzeOptions) (*Report, error) {
 	efeat := map[string]*nn.Variable{}
 	params := map[string]*nn.Variable{}
 	for _, spec := range c.Inputs {
-		v := eng.Param(inputTensor(rng, g, c.Fwd, spec), spec.Key)
+		v := eng.Param(inputTensor(rng, g, c.Fwd.DAG, spec), spec.Key)
 		switch spec.Kind {
 		case exec.InVFeat:
 			vfeat[spec.Key] = v
@@ -196,15 +196,14 @@ func runAnalyze(opts analyzeOptions) (*Report, error) {
 	pool := eng.PoolStats()
 	rep.PoolHits, rep.PoolMisses = pool.Hits, pool.Misses
 
-	fwdLabels, bwdLabels := c.UnitLabels()
-	addUnits := func(pass string, labels []string, units []fmtUnit) {
-		for i, label := range labels {
+	addUnits := func(pass string, p *exec.Pass) {
+		for i, label := range p.Labels() {
 			e, ok := timing["exec\x00"+label]
 			if !ok {
 				continue // pruned unit: never ran
 			}
 			up := UnitProfile{
-				Pass: pass, Label: label, Kind: units[i].kind,
+				Pass: pass, Label: label, Kind: p.Plan.Units[i].Kind.String(),
 				Count: e.Count, TotalNs: e.TotalNs,
 				NsPerIt:  e.TotalNs / int64(opts.Iters),
 				Fraction: float64(e.TotalNs) / float64(wallNs),
@@ -225,9 +224,9 @@ func runAnalyze(opts analyzeOptions) (*Report, error) {
 			rep.Units = append(rep.Units, up)
 		}
 	}
-	addUnits("fwd", fwdLabels, unitKinds(c, "fwd"))
-	if c.BwdPlan != nil {
-		addUnits("bwd", bwdLabels, unitKinds(c, "bwd"))
+	addUnits("fwd", c.Fwd)
+	if c.Bwd != nil {
+		addUnits("bwd", c.Bwd)
 	}
 	// Harness rows: the loss, and the autograd sweep's own time and
 	// allocations — what eng.Backward spends outside the backward units it
@@ -264,21 +263,6 @@ func runAnalyze(opts analyzeOptions) (*Report, error) {
 		rep.Coverage = float64(rep.UnitsNs) / float64(wallNs)
 	}
 	return rep, nil
-}
-
-// fmtUnit carries per-unit static facts parallel to the label slices.
-type fmtUnit struct{ kind string }
-
-func unitKinds(c *exec.CompiledUDF, pass string) []fmtUnit {
-	plan := c.FwdPlan
-	if pass == "bwd" {
-		plan = c.BwdPlan
-	}
-	out := make([]fmtUnit, len(plan.Units))
-	for i, u := range plan.Units {
-		out[i] = fmtUnit{kind: u.Kind.String()}
-	}
-	return out
 }
 
 // snapshotByName indexes the obs registry by its cat+NUL+name key.

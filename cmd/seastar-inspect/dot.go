@@ -18,27 +18,22 @@ import (
 // materialized tensors are shaded — everything that is NOT shaded inside
 // a seastar cluster lives only in registers.
 func writeDOT(w io.Writer, model, pass string, c *exec.CompiledUDF) error {
-	var dag *gir.DAG
-	var plan *fusion.Plan
-	kern := c.FwdKernel
-	mat := c.MaterializedFwd
+	p := c.Fwd
 	switch pass {
 	case "fwd":
-		dag, plan = c.Fwd, c.FwdPlan
 	case "bwd":
-		if c.BwdPlan == nil {
+		if c.Bwd == nil {
 			return fmt.Errorf("no backward plan (inference-only compile)")
 		}
-		dag, plan = c.Grads.DAG, c.BwdPlan
-		kern = c.BwdKernel
-		mat = c.MaterializedBwd
+		p = c.Bwd
 	default:
 		return fmt.Errorf("unknown pass %q (want fwd|bwd)", pass)
 	}
+	dag, plan := p.DAG, p.Plan
 
 	materialized := map[*gir.Node]bool{}
 	for _, u := range plan.Units {
-		for _, m := range mat(u) {
+		for _, m := range p.Materialized(u) {
 			materialized[m] = true
 		}
 	}
@@ -65,7 +60,7 @@ func writeDOT(w io.Writer, model, pass string, c *exec.CompiledUDF) error {
 	// One cluster per execution unit.
 	for _, u := range plan.Units {
 		fmt.Fprintf(w, "  subgraph cluster_u%d {\n", u.ID)
-		fmt.Fprintf(w, "    label=%q;\n", clusterLabel(u, kern(u)))
+		fmt.Fprintf(w, "    label=%q;\n", clusterLabel(u, p.Kernel(u)))
 		fmt.Fprintf(w, "    style=rounded;\n")
 		fmt.Fprintf(w, "    color=%s;\n", clusterColor(u.Kind))
 		for _, n := range u.Nodes {

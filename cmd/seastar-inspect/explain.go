@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"seastar/internal/exec"
-	"seastar/internal/fusion"
 	"seastar/internal/gir"
 	"seastar/internal/kernels"
 )
@@ -16,21 +15,21 @@ import (
 // unit annotated with its kernel's materialized outputs and
 // specialization decision.
 func writeExplain(w io.Writer, model string, c *exec.CompiledUDF) {
-	fmt.Fprintf(w, "=== %s: forward GIR (optimized) ===\n%s", model, c.Fwd)
-	if c.Grads != nil {
-		fmt.Fprintf(w, "\n=== backward GIR (optimized) ===\n%s", c.Grads.DAG)
+	fmt.Fprintf(w, "=== %s: forward GIR (optimized) ===\n%s", model, c.Fwd.DAG)
+	if c.Bwd != nil {
+		fmt.Fprintf(w, "\n=== backward GIR (optimized) ===\n%s", c.Bwd.DAG)
 	}
-	writeUnits(w, "forward", c.FwdPlan, func(u *fusion.Unit) string { return kernelNote(c.FwdKernel(u), c.MaterializedFwd(u)) })
-	if c.BwdPlan != nil {
-		writeUnits(w, "backward", c.BwdPlan, func(u *fusion.Unit) string { return kernelNote(c.BwdKernel(u), c.MaterializedBwd(u)) })
+	writeUnits(w, "forward", c.Fwd)
+	if c.Bwd != nil {
+		writeUnits(w, "backward", c.Bwd)
 	}
 }
 
-func writeUnits(w io.Writer, pass string, plan *fusion.Plan, note func(*fusion.Unit) string) {
-	fmt.Fprintf(w, "\n=== %s execution units (seastar fusion) ===\n", pass)
-	for _, u := range plan.Units {
+func writeUnits(w io.Writer, name string, p *exec.Pass) {
+	fmt.Fprintf(w, "\n=== %s execution units (seastar fusion) ===\n", name)
+	for _, u := range p.Plan.Units {
 		fmt.Fprintln(w, " ", u)
-		if n := note(u); n != "" {
+		if n := kernelNote(p.Kernel(u), p.Materialized(u)); n != "" {
 			fmt.Fprintln(w, "   ", n)
 		}
 	}

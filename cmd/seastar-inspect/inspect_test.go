@@ -96,7 +96,7 @@ func TestDOTWellFormed(t *testing.T) {
 	if strings.Count(s, "{") != strings.Count(s, "}") {
 		t.Errorf("unbalanced braces in DOT output")
 	}
-	if got, want := strings.Count(s, "subgraph cluster_u"), len(c.FwdPlan.Units); got != want {
+	if got, want := strings.Count(s, "subgraph cluster_u"), len(c.Fwd.Plan.Units); got != want {
 		t.Errorf("got %d clusters, want %d (one per execution unit)", got, want)
 	}
 	for _, line := range strings.Split(s, "\n") {

@@ -173,20 +173,20 @@ func (p *Program) Apply(vfeat, efeat, params map[string]*nn.Variable) (*nn.Varia
 func (p *Program) Inputs() []exec.InputSpec { return p.c.Inputs }
 
 // ForwardIR renders the optimized forward GIR (for inspection).
-func (p *Program) ForwardIR() string { return p.c.Fwd.String() }
+func (p *Program) ForwardIR() string { return p.c.Fwd.DAG.String() }
 
 // BackwardIR renders the optimized backward GIR.
-func (p *Program) BackwardIR() string { return p.c.Grads.DAG.String() }
+func (p *Program) BackwardIR() string { return p.c.Bwd.DAG.String() }
 
 // PlanSummary describes the execution units of both passes — which
 // operators fused into which kernels (the Figure-6 boxes).
 func (p *Program) PlanSummary() string {
 	out := "forward units:\n"
-	for _, u := range p.c.FwdPlan.Units {
+	for _, u := range p.c.Fwd.Plan.Units {
 		out += "  " + u.String() + "\n"
 	}
 	out += "backward units:\n"
-	for _, u := range p.c.BwdPlan.Units {
+	for _, u := range p.c.Bwd.Plan.Units {
 		out += "  " + u.String() + "\n"
 	}
 	return out

@@ -67,9 +67,9 @@ func TestNoFusionMatchesFusedAndCostsMore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(unfused.FwdPlan.Units) <= len(fused.FwdPlan.Units) {
+	if len(unfused.Fwd.Plan.Units) <= len(fused.Fwd.Plan.Units) {
 		t.Fatalf("unfused plan has %d units vs fused %d",
-			len(unfused.FwdPlan.Units), len(fused.FwdPlan.Units))
+			len(unfused.Fwd.Plan.Units), len(fused.Fwd.Plan.Units))
 	}
 
 	outF, gradF, timeF, memF := runGAT(t, fused, g, eu, ev, h)

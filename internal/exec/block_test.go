@@ -93,7 +93,10 @@ func blockStep(g *graph.Graph, c *exec.CompiledUDF, inputs []*tensor.Tensor, lab
 // through Nbr). A batch of 40 seeds puts the mini-batch model's products
 // below the naive GEMM threshold while the square graph's are above it,
 // which the dispatch replay must hide. Plans that cannot run on a block
-// must say which unit refuses.
+// must say which unit refuses. Each plan's inference-only compile runs
+// on the block too: Infer's output is the square output's first D rows
+// as well, APPNP's step included, whose forward pass runs on a block
+// (only a backward pass has A:S kernels).
 func TestBlockMatchesSquare(t *testing.T) {
 	const in, rels = 64, 3
 	const eps float32 = 0.1 // GIN's self weight is 1+ε
@@ -143,7 +146,15 @@ func TestBlockMatchesSquare(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				ci, err := exec.CompileInference(dag)
+				if err != nil {
+					t.Fatal(err)
+				}
 				inputs := planInputs(rng, c, g)
+				byKind := [3]map[string]*tensor.Tensor{{}, {}, {}}
+				for i, spec := range c.Inputs {
+					byKind[spec.Kind][spec.Key] = inputs[i]
+				}
 				width := dag.Outputs[0].Shape[len(dag.Outputs[0].Shape)-1]
 				for i := range labels {
 					labels[i] = rng.Intn(width)
@@ -153,9 +164,15 @@ func TestBlockMatchesSquare(t *testing.T) {
 					prev := tensor.SetSIMD(simd)
 					sq, sqErr := blockStep(g, c, inputs, slices.Clone(labels))
 					bl, blErr := blockStep(blk, c, inputs, slices.Clone(labels))
+					inf, infErr := ci.Infer(&exec.InferEnv{G: blk}, byKind[exec.InVFeat], byKind[exec.InEFeat], byKind[exec.InParam])
 					tensor.SetSIMD(prev)
 					if sqErr != nil {
 						t.Fatalf("%s: square graph: %v", name, sqErr)
+					}
+					if infErr != nil || inf.Rows() != shape.d {
+						t.Errorf("%s: Infer on a block: %v", name, infErr)
+					} else if i := firstBitDiff(inf.Data(), sq.out.Data()); i >= 0 {
+						t.Errorf("%s simd=%v: Infer's block output element %d: %v, the square graph's %v", name, simd, i, inf.Data()[i], sq.out.Data()[i])
 					}
 					if blErr != nil {
 						if !noBlock[name] || !strings.Contains(blErr.Error(), "unit ") {
@@ -196,7 +213,7 @@ func vertexProgram(udf gir.UDF, extra []string, widths ...int) *program.Program 
 // vertex, edge inputs with a row per edge, parameters at their shape.
 func planInputs(rng *rand.Rand, c *exec.CompiledUDF, g *graph.Graph) []*tensor.Tensor {
 	shapes := map[string][]int{}
-	for _, n := range c.Fwd.Nodes {
+	for _, n := range c.Fwd.DAG.Nodes {
 		if n.Op == gir.OpLeaf {
 			shapes[n.Key] = n.Shape
 		}

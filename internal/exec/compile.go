@@ -1,10 +1,15 @@
 // Package exec compiles traced vertex-centric programs into executable
 // plans and runs them against a graph and the nn autograd backend — the
 // paper's code generation and runtime execution layer (§5.3). A compiled
-// UDF becomes a custom autograd function whose forward and backward passes
-// each dispatch a sequence of execution units: fused seastar kernels,
-// dense backend ops, and parameter-gradient reductions. A unit is charged
-// to a simulated device only when the nn engine carries one.
+// UDF holds a forward Pass and, unless compiled for inference only, a
+// backward one: each an optimized DAG partitioned into a sequence of
+// execution units (fused seastar kernels, dense backend ops, and
+// parameter-gradient reductions) with their materializations and kernels.
+// Apply wraps the two passes as one custom autograd function; Infer runs
+// the forward pass alone over plain tensors. Training's forward and
+// backward and Infer all run their units through one loop, differing only
+// in where each value is stored, whether a device is charged (training,
+// when the nn engine carries one) and which backward units run.
 //
 // Tensor shapes follow the GIR types: an E-typed value has a row per edge,
 // an S-typed one a row per vertex, and a D-typed one a row per in-CSR row
@@ -21,6 +26,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"seastar/internal/autodiff"
 	"seastar/internal/fusion"
@@ -62,32 +68,17 @@ type InputSpec struct {
 	Key  string
 }
 
-// CompiledUDF is a fully lowered vertex-centric program: optimized
-// forward and backward GIRs, their unit partitions, materialization
-// plans, and compiled kernels. Compile once, apply every iteration — the
-// paper's trace-once-then-cache behaviour (§5.1).
+// CompiledUDF is a fully lowered vertex-centric program: its optimized
+// forward pass and, unless compiled for inference only, its backward
+// pass. Compile once, apply every iteration — the paper's
+// trace-once-then-cache behaviour (§5.1).
 type CompiledUDF struct {
-	Fwd   *gir.DAG
-	Grads *autodiff.Gradients
-
-	FwdPlan *fusion.Plan
-	BwdPlan *fusion.Plan
-
-	fwdMat map[*fusion.Unit][]*gir.Node
-	bwdMat map[*fusion.Unit][]*gir.Node
-
-	fwdKern map[*fusion.Unit]*kernels.Kernel
-	bwdKern map[*fusion.Unit]*kernels.Kernel
-
-	// fwdLabels/bwdLabels are precomputed obs attribution names, parallel
-	// to FwdPlan.Units / BwdPlan.Units, so the per-unit tracing on the
-	// execution hot path is a slice index — no fmt, no map, no alloc.
-	fwdLabels []string
-	bwdLabels []string
-
-	// fwdNoBlock and bwdNoBlock name the first unit of each pass that
-	// cannot run on a block (blockless), "" when every unit can.
-	fwdNoBlock, bwdNoBlock string
+	// Fwd is the forward pass.
+	Fwd *Pass
+	// Bwd is the gradient pass; nil for an inference-only compile. Its
+	// DAG's i-th output is the gradient of the forward leaf that
+	// autodiff.Gradients.LeafOrder lists i-th.
+	Bwd *Pass
 
 	// saved lists forward operator nodes whose values the backward pass
 	// reads (materialization planning keeps exactly these, §5.3).
@@ -95,10 +86,41 @@ type CompiledUDF struct {
 
 	// Inputs is the autograd input order of Apply.
 	Inputs []InputSpec
-	// leafInput[i] is the input index that Grads.LeafOrder[i]'s gradient
+	// leafInput[i] is the input index that Bwd.DAG.Outputs[i]'s gradient
 	// accumulates into.
 	leafInput []int
 }
+
+// Pass is one compiled pass of a UDF: its optimized DAG, the plan that
+// partitions it into execution units, and for each unit the nodes it
+// materializes, its seastar kernel and its obs label.
+type Pass struct {
+	DAG  *gir.DAG
+	Plan *fusion.Plan
+
+	mat  map[*fusion.Unit][]*gir.Node
+	kern map[*fusion.Unit]*kernels.Kernel
+	// labels are the units' obs attribution names, parallel to
+	// Plan.Units, so tracing a unit on the hot path is a slice index.
+	labels []string
+	// noBlock names the first unit that cannot run on a block, "" when
+	// every unit can.
+	noBlock string
+}
+
+// Kernel returns the compiled kernel of a seastar unit, nil for a dense
+// or parameter-gradient one.
+func (p *Pass) Kernel(u *fusion.Unit) *kernels.Kernel { return p.kern[u] }
+
+// Materialized returns the nodes of u whose values the materialization
+// planner writes to tensors (§5.3).
+func (p *Pass) Materialized(u *fusion.Unit) []*gir.Node { return p.mat[u] }
+
+// Labels returns the units' obs attribution names, parallel to
+// Plan.Units, e.g. "fwd/unit 3 [seastar]". EXPLAIN ANALYZE joins them
+// against the obs registry to attribute measured time back to units. The
+// slice is shared: read it only.
+func (p *Pass) Labels() []string { return p.labels }
 
 // Options tunes compilation, exposing the ablation switches.
 type Options struct {
@@ -137,18 +159,17 @@ func CompileWith(dag *gir.DAG, opts Options) (*CompiledUDF, error) {
 	fwd := fusion.Optimize(dag)
 	sp.End()
 
-	c := &CompiledUDF{Fwd: fwd}
+	c := &CompiledUDF{}
+	var grads *autodiff.Gradients
 	var err error
 	savedSet := make(map[*gir.Node]bool)
 	if !opts.InferenceOnly {
 		sp := obs.Begin("compile", "autodiff")
-		grads, err := autodiff.Backward(fwd)
-		if err != nil {
+		if grads, err = autodiff.Backward(fwd); err != nil {
 			return nil, err
 		}
 		grads.DAG = fusion.Optimize(grads.DAG)
 		sp.End()
-		c.Grads = grads
 
 		// Forward values the backward pass references.
 		for _, n := range grads.DAG.Nodes {
@@ -160,67 +181,13 @@ func CompileWith(dag *gir.DAG, opts Options) (*CompiledUDF, error) {
 			}
 		}
 	}
-
-	sp = obs.Begin("compile", "partition")
-	if c.FwdPlan, err = partition(fwd); err != nil {
-		return nil, fmt.Errorf("exec: forward partition: %w", err)
+	if c.Fwd, err = compilePass("fwd", fwd, partition, savedSet); err != nil {
+		return nil, err
 	}
-	if c.Grads != nil {
-		if c.BwdPlan, err = partition(c.Grads.DAG); err != nil {
-			return nil, fmt.Errorf("exec: backward partition: %w", err)
+	if grads != nil {
+		if c.Bwd, err = compilePass("bwd", grads.DAG, partition, nil); err != nil {
+			return nil, err
 		}
-	}
-	sp.End()
-	sp = obs.Begin("compile", "materialize")
-	c.fwdMat = c.FwdPlan.Materialized(savedSet)
-	if c.BwdPlan != nil {
-		c.bwdMat = c.BwdPlan.Materialized(nil)
-	}
-	sp.End()
-
-	availOf := func(mat map[*fusion.Unit][]*gir.Node) map[*gir.Node]bool {
-		avail := make(map[*gir.Node]bool)
-		for _, ns := range mat {
-			for _, n := range ns {
-				avail[n] = true
-			}
-		}
-		return avail
-	}
-	fwdAvail := availOf(c.fwdMat)
-	bwdAvail := availOf(c.bwdMat)
-
-	sp = obs.Begin("compile", "kernelgen")
-	c.fwdKern = make(map[*fusion.Unit]*kernels.Kernel)
-	for _, u := range c.FwdPlan.Units {
-		c.fwdLabels = append(c.fwdLabels, unitLabel("fwd", u))
-		if u.Kind == fusion.KindSeastar {
-			k, err := kernels.Compile(u, c.fwdMat[u], fwdAvail)
-			if err != nil {
-				return nil, err
-			}
-			k.SetObsLabel(unitLabel("fwd", u))
-			c.fwdKern[u] = k
-		}
-	}
-	c.bwdKern = make(map[*fusion.Unit]*kernels.Kernel)
-	if c.BwdPlan != nil {
-		for _, u := range c.BwdPlan.Units {
-			c.bwdLabels = append(c.bwdLabels, unitLabel("bwd", u))
-			if u.Kind == fusion.KindSeastar {
-				k, err := kernels.Compile(u, c.bwdMat[u], bwdAvail)
-				if err != nil {
-					return nil, err
-				}
-				k.SetObsLabel(unitLabel("bwd", u))
-				c.bwdKern[u] = k
-			}
-		}
-	}
-	sp.End()
-	c.fwdNoBlock = blockless("fwd", c.FwdPlan, c.fwdKern, c.fwdMat)
-	if c.BwdPlan != nil {
-		c.bwdNoBlock = blockless("bwd", c.BwdPlan, c.bwdKern, c.bwdMat)
 	}
 
 	// Input order: vertex features, edge features, parameters (first-use
@@ -235,76 +202,70 @@ func CompileWith(dag *gir.DAG, opts Options) (*CompiledUDF, error) {
 	for _, k := range fwd.ParamKeys() {
 		c.Inputs = append(c.Inputs, InputSpec{InParam, k})
 	}
-	index := make(map[InputSpec]int, len(c.Inputs))
-	for i, s := range c.Inputs {
-		index[s] = i
+	if grads == nil {
+		return c, nil
 	}
-	if c.Grads != nil {
-		for _, leaf := range c.Grads.LeafOrder {
-			spec := InputSpec{Kind: InVFeat, Key: leaf.Key}
-			switch leaf.LeafKind {
-			case gir.LeafEdgeFeat:
-				spec.Kind = InEFeat
-			case gir.LeafParam:
-				spec.Kind = InParam
-			}
-			i, ok := index[spec]
-			if !ok {
-				return nil, fmt.Errorf("exec: gradient for unknown input %v", spec)
-			}
-			c.leafInput = append(c.leafInput, i)
+	for _, leaf := range grads.LeafOrder {
+		spec := InputSpec{Kind: InVFeat, Key: leaf.Key}
+		switch leaf.LeafKind {
+		case gir.LeafEdgeFeat:
+			spec.Kind = InEFeat
+		case gir.LeafParam:
+			spec.Kind = InParam
 		}
+		i := slices.Index(c.Inputs, spec)
+		if i < 0 {
+			return nil, fmt.Errorf("exec: gradient for unknown input %v", spec)
+		}
+		c.leafInput = append(c.leafInput, i)
 	}
 	return c, nil
 }
 
-// blockless names the first unit of plan that cannot run on a block, or
-// returns "". An A:S kernel writes a D-typed materialization from a sweep
-// over every vertex (kernels.Kernel's neighbour-typed sweep), which a
-// tensor of a block's destination rows cannot hold.
-func blockless(pass string, plan *fusion.Plan, kern map[*fusion.Unit]*kernels.Kernel, mat map[*fusion.Unit][]*gir.Node) string {
+// compilePass lowers one pass: partition → materialize (keeping the
+// nodes in keep) → kernels → labels → the no-block check.
+func compilePass(name string, dag *gir.DAG, partition func(*gir.DAG) (*fusion.Plan, error), keep map[*gir.Node]bool) (*Pass, error) {
+	sp := obs.Begin("compile", "partition")
+	plan, err := partition(dag)
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("exec: %s partition: %w", name, err)
+	}
+	sp = obs.Begin("compile", "materialize")
+	p := &Pass{DAG: dag, Plan: plan, mat: plan.Materialized(keep), kern: map[*fusion.Unit]*kernels.Kernel{}}
+	sp.End()
+	avail := make(map[*gir.Node]bool)
+	for _, ns := range p.mat {
+		for _, n := range ns {
+			avail[n] = true
+		}
+	}
+	sp = obs.Begin("compile", "kernelgen")
+	defer sp.End()
 	for _, u := range plan.Units {
-		if k := kern[u]; k == nil || k.Dir != gir.AggToSrc {
+		label := fmt.Sprintf("%s/unit %d [%s]", name, u.ID, u.Kind)
+		p.labels = append(p.labels, label)
+		if u.Kind != fusion.KindSeastar {
 			continue
 		}
-		for _, m := range mat[u] {
-			if m.Type == gir.TypeD {
-				return fmt.Sprintf("%s unit %d (an A:S kernel writing D-typed %%%d for every vertex)", pass, u.ID, m.ID)
+		k, err := kernels.Compile(u, p.mat[u], avail)
+		if err != nil {
+			return nil, err
+		}
+		k.SetObsLabel(label)
+		p.kern[u] = k
+		// An A:S kernel writes a D-typed materialization from a sweep
+		// over every vertex (kernels.Kernel's neighbour-typed sweep),
+		// which a tensor of a block's destination rows cannot hold.
+		for _, m := range p.mat[u] {
+			if p.noBlock == "" && k.Dir == gir.AggToSrc && m.Type == gir.TypeD {
+				p.noBlock = fmt.Sprintf("%s unit %d (an A:S kernel writing D-typed %%%d for every vertex)", name, u.ID, m.ID)
 			}
 		}
 	}
-	return ""
+	return p, nil
 }
 
 // isBlock reports whether g is a block (graph.Graph.DstPrefix): its
 // in-CSR has fewer rows than it has vertices.
 func isBlock(g *graph.Graph) bool { return g.In.NumRows() < g.N }
-
-// unitLabel is the obs attribution name for one execution unit of a
-// pass, e.g. "fwd/unit 3 [seastar]".
-func unitLabel(pass string, u *fusion.Unit) string {
-	return fmt.Sprintf("%s/unit %d [%s]", pass, u.ID, u.Kind)
-}
-
-// UnitLabels returns the obs attribution names of the forward and
-// backward execution units, parallel to FwdPlan.Units and BwdPlan.Units.
-// EXPLAIN ANALYZE joins these against the obs registry to attribute
-// measured time back to plan units.
-func (c *CompiledUDF) UnitLabels() (fwd, bwd []string) {
-	return append([]string(nil), c.fwdLabels...), append([]string(nil), c.bwdLabels...)
-}
-
-// FwdKernel returns the compiled kernel of a forward seastar unit, or
-// nil for dense/paramgrad units. Introspection only — execution goes
-// through Apply/Infer.
-func (c *CompiledUDF) FwdKernel(u *fusion.Unit) *kernels.Kernel { return c.fwdKern[u] }
-
-// BwdKernel is FwdKernel for the backward plan.
-func (c *CompiledUDF) BwdKernel(u *fusion.Unit) *kernels.Kernel { return c.bwdKern[u] }
-
-// MaterializedFwd returns the forward-plan nodes of u whose values the
-// materialization planner decided to write to tensors (§5.3).
-func (c *CompiledUDF) MaterializedFwd(u *fusion.Unit) []*gir.Node { return c.fwdMat[u] }
-
-// MaterializedBwd is MaterializedFwd for the backward plan.
-func (c *CompiledUDF) MaterializedBwd(u *fusion.Unit) []*gir.Node { return c.bwdMat[u] }

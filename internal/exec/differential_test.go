@@ -278,3 +278,68 @@ func TestDifferentialRandomProgramsGradients(t *testing.T) {
 		checked++
 	}
 }
+
+// TestReLUHasOneDefinition pins ReLU to x > 0 ? x : 0, so NaN and -0 give
+// +0, wherever it runs, in both SIMD modes: a P-typed ReLU runs in a dense
+// unit (tensor.ReLU) and must match refinterp with a NaN in the weight,
+// and a vertex-typed one runs in a fused kernel and must match tensor.ReLU
+// bit for bit over rows of NaN, -0 and ±Inf.
+func TestReLUHasOneDefinition(t *testing.T) {
+	g := graph.Figure7()
+	rng := rand.New(rand.NewSource(5))
+	inf := float32(math.Inf(1))
+	special := tensor.FromSlice([]float32{
+		float32(math.NaN()), float32(math.Copysign(0, -1)), inf, -inf,
+		-inf, float32(math.NaN()), 2, -3,
+		0.5, -0.5, float32(math.Copysign(0, -1)), inf,
+		1, -1, 0, float32(math.NaN()),
+	}, g.N, 4)
+	w := tensor.Randn(rng, 1, 4, 4)
+	w.Data()[5] = float32(math.NaN())
+	h := tensor.Randn(rng, 1, g.N, 4)
+	for _, tc := range []struct {
+		name string
+		h    *tensor.Tensor
+		udf  func(W *gir.Value) gir.UDF
+		want func(dag *gir.DAG) *tensor.Tensor
+	}{
+		{"P-typed", h, func(W *gir.Value) gir.UDF {
+			return func(v *gir.Vertex) *gir.Value { return v.Nbr("h").MatMul(W.ReLU()).AggSum() }
+		}, func(dag *gir.DAG) *tensor.Tensor {
+			vals, err := refinterp.Eval(dag, g, &refinterp.Bindings{
+				VFeat: map[string]*tensor.Tensor{"h": h}, Params: map[string]*tensor.Tensor{"W": w}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return vals[dag.Outputs[0]]
+		}},
+		{"vertex-typed", special, func(*gir.Value) gir.UDF {
+			return func(v *gir.Vertex) *gir.Value { return v.Self("h").ReLU() }
+		}, func(*gir.DAG) *tensor.Tensor { return tensor.ReLU(special) }},
+	} {
+		b := gir.NewBuilder()
+		b.VFeature("h", 4)
+		dag, err := b.Build(tc.udf(b.Param("W", 4, 4)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := CompileInference(dag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := tc.want(dag)
+		for _, simd := range []bool{false, true} {
+			prev := tensor.SetSIMD(simd)
+			got, err := c.Infer(&InferEnv{G: g}, map[string]*tensor.Tensor{"h": tc.h}, nil, map[string]*tensor.Tensor{"W": w})
+			tensor.SetSIMD(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range got.Data() {
+				if math.Float32bits(x) != math.Float32bits(want.Data()[i]) {
+					t.Errorf("%s simd=%v: element %d is %v, want %v", tc.name, simd, i, x, want.Data()[i])
+				}
+			}
+		}
+	}
+}

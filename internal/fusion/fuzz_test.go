@@ -195,11 +195,11 @@ func checkFusionEquivalence(t *testing.T, data []byte) {
 	// were compiled from, so optimizer rewrites cannot explain a
 	// divergence: any mismatch is a fusion/codegen bug.
 	bind := &refinterp.Bindings{VFeat: vfeat, EFeat: efeat}
-	vals, err := refinterp.Eval(c.Fwd, g, bind)
+	vals, err := refinterp.Eval(c.Fwd.DAG, g, bind)
 	if err != nil {
 		t.Fatalf("refinterp: %v", err)
 	}
-	want := vals[c.Fwd.Outputs[0]]
+	want := vals[c.Fwd.DAG.Outputs[0]]
 
 	if got.Size() != want.Size() {
 		t.Fatalf("output size %d != reference %d", got.Size(), want.Size())

@@ -69,36 +69,34 @@ func newBackwardCase(t *testing.T, dag *gir.DAG, g *graph.Graph, rng *rand.Rand,
 	if err != nil {
 		t.Fatal(err)
 	}
-	saved, err := refinterp.Eval(c.Fwd, g, &refinterp.Bindings{VFeat: vfeat, EFeat: efeat, Params: params})
+	saved, err := refinterp.Eval(c.Fwd.DAG, g, &refinterp.Bindings{VFeat: vfeat, EFeat: efeat, Params: params})
 	if err != nil {
 		t.Fatalf("refinterp forward: %v", err)
 	}
-	dy := tensor.Randn(rng, 0.5, g.N, c.Fwd.Outputs[0].Dim())
+	dy := tensor.Randn(rng, 0.5, g.N, c.Fwd.DAG.Outputs[0].Dim())
 	return &backwardCase{c: c, g: g, vfeat: vfeat, efeat: efeat, params: params, dy: dy, saved: saved}
 }
 
-// runSeastarUnits executes a plan's seastar units in order and returns
+// runSeastarUnits executes a pass's seastar units in order and returns
 // every value they materialize (bind.Inter, which later units read).
 // Dense and paramgrad units are skipped: no seastar unit of the plans
 // under test reads them.
-func runSeastarUnits(t *testing.T, g *graph.Graph, units []*fusion.Unit,
-	kernel func(*fusion.Unit) *kernels.Kernel, materialized func(*fusion.Unit) []*gir.Node,
-	bind *kernels.Bindings) map[*gir.Node]*tensor.Tensor {
+func runSeastarUnits(t *testing.T, g *graph.Graph, p *exec.Pass, bind *kernels.Bindings) map[*gir.Node]*tensor.Tensor {
 	t.Helper()
 	bind.Inter = map[*gir.Node]*tensor.Tensor{}
-	for _, u := range units {
+	for _, u := range p.Plan.Units {
 		if u.Kind != fusion.KindSeastar {
 			continue
 		}
 		outs := make(map[*gir.Node]*tensor.Tensor)
-		for _, n := range materialized(u) {
+		for _, n := range p.Materialized(u) {
 			rows := g.N
 			if n.Type == gir.TypeE {
 				rows = g.M
 			}
 			outs[n] = tensor.New(rows, n.Dim())
 		}
-		if err := kernel(u).Run(g, bind, outs); err != nil {
+		if err := p.Kernel(u).Run(g, bind, outs); err != nil {
 			t.Fatalf("unit %d: %v", u.ID, err)
 		}
 		for n, out := range outs {
@@ -115,7 +113,7 @@ func (bc *backwardCase) runSeastar(t *testing.T) map[*gir.Node]*tensor.Tensor {
 		VFeat: bc.vfeat, EFeat: bc.efeat, Params: bc.params,
 		Grad: bc.dy, Saved: bc.saved,
 	}
-	return runSeastarUnits(t, bc.g, bc.c.BwdPlan.Units, bc.c.BwdKernel, bc.c.MaterializedBwd, bind)
+	return runSeastarUnits(t, bc.g, bc.c.Bwd, bind)
 }
 
 func sameTensors(t *testing.T, what string, got, want map[*gir.Node]*tensor.Tensor) {
@@ -140,7 +138,7 @@ func sameTensors(t *testing.T, what string, got, want map[*gir.Node]*tensor.Tens
 // bit, across SIMD modes and worker counts.
 func (bc *backwardCase) checkBitwise(t *testing.T) {
 	t.Helper()
-	ref, err := refinterp.Eval(bc.c.Grads.DAG, bc.g, &refinterp.Bindings{
+	ref, err := refinterp.Eval(bc.c.Bwd.DAG, bc.g, &refinterp.Bindings{
 		VFeat: bc.vfeat, EFeat: bc.efeat, Params: bc.params, Grad: bc.dy, Saved: bc.saved,
 	})
 	if err != nil {
@@ -163,11 +161,11 @@ func (bc *backwardCase) checkBitwise(t *testing.T) {
 func bwdSpecNames(t *testing.T, c *exec.CompiledUDF) []string {
 	t.Helper()
 	var names []string
-	for _, u := range c.BwdPlan.Units {
+	for _, u := range c.Bwd.Plan.Units {
 		if u.Kind != fusion.KindSeastar {
 			continue
 		}
-		name := c.BwdKernel(u).Specialized()
+		name := c.Bwd.Kernel(u).Specialized()
 		if strings.Contains(name, "step[") {
 			t.Fatalf("bwd unit %d outside the grammar: %s", u.ID, name)
 		}
@@ -259,14 +257,14 @@ func TestTrainingStepUnitsBitwise(t *testing.T) {
 			vfeat, efeat, params := tc.inputs(rng, g)
 			bc := newBackwardCase(t, dag, g, rng, vfeat, efeat, params)
 			var fwd, bwd []string
-			for _, u := range bc.c.FwdPlan.Units {
+			for _, u := range bc.c.Fwd.Plan.Units {
 				if u.Kind == fusion.KindSeastar {
-					fwd = append(fwd, bc.c.FwdKernel(u).Specialized())
+					fwd = append(fwd, bc.c.Fwd.Kernel(u).Specialized())
 				}
 			}
-			for _, u := range bc.c.BwdPlan.Units {
+			for _, u := range bc.c.Bwd.Plan.Units {
 				if u.Kind == fusion.KindSeastar {
-					bwd = append(bwd, bc.c.BwdKernel(u).Specialized())
+					bwd = append(bwd, bc.c.Bwd.Kernel(u).Specialized())
 				}
 			}
 			if fmt.Sprint(fwd) != fmt.Sprint(tc.fwd) || fmt.Sprint(bwd) != fmt.Sprint(tc.bwd) {
@@ -276,7 +274,7 @@ func TestTrainingStepUnitsBitwise(t *testing.T) {
 				for _, procs := range []int{1, 2} {
 					prevSIMD := tensor.SetSIMD(simd)
 					prevProcs := sched.SetMaxProcs(procs)
-					got := runSeastarUnits(t, g, bc.c.FwdPlan.Units, bc.c.FwdKernel, bc.c.MaterializedFwd,
+					got := runSeastarUnits(t, g, bc.c.Fwd,
 						&kernels.Bindings{VFeat: vfeat, EFeat: efeat, Params: params})
 					sched.SetMaxProcs(prevProcs)
 					tensor.SetSIMD(prevSIMD)
@@ -357,7 +355,7 @@ func TestPrunedKernelMatchesUnprunedReference(t *testing.T) {
 		"h":  tensor.Randn(rng, 0.5, g.N, 16),
 	}
 	bc := newBackwardCase(t, gatDAG(t, 16), g, rng, vfeat, nil, nil)
-	u := bc.c.BwdPlan.Units[0]
+	u := bc.c.Bwd.Plan.Units[0]
 	pruned := false
 	for _, n := range u.Nodes {
 		if n.Op == gir.OpRowSum {
@@ -367,7 +365,7 @@ func TestPrunedKernelMatchesUnprunedReference(t *testing.T) {
 	if !pruned {
 		t.Fatal("backward unit 0 no longer carries the dead RowSum chain; pick another unit")
 	}
-	if name := bc.c.BwdKernel(u).Specialized(); name != "scaled-gather" {
+	if name := bc.c.Bwd.Kernel(u).Specialized(); name != "scaled-gather" {
 		t.Fatalf("pruned unit 0 compiled as %q, want scaled-gather (dead chain still lowered?)", name)
 	}
 	bc.checkBitwise(t)
@@ -472,8 +470,8 @@ func TestBackwardRandomProgramsBitwise(t *testing.T) {
 		}
 		bc := newBackwardCase(t, dag, g, rng, vfeat, efeat, nil)
 		ran := false
-		for _, u := range bc.c.BwdPlan.Units {
-			if k := bc.c.BwdKernel(u); k != nil {
+		for _, u := range bc.c.Bwd.Plan.Units {
+			if k := bc.c.Bwd.Kernel(u); k != nil {
 				ran = true
 				if name := k.Specialized(); !strings.Contains(name, "step[") {
 					specialized++

@@ -561,11 +561,11 @@ func evalStep(st step, scratch [][]float32, params map[*gir.Node]*tensor.Tensor,
 	case gir.OpReLU:
 		a := in(0)
 		for j := 0; j < w; j++ {
-			v := get(a, j)
-			if v < 0 {
-				v = 0
+			if v := get(a, j); v > 0 {
+				out[j] = v
+			} else {
+				out[j] = 0 // NaN and -0 too, as tensor.ReLU
 			}
-			out[j] = v
 		}
 	case gir.OpSigmoid:
 		a := in(0)

@@ -233,7 +233,7 @@ const (
 	opExp                             // v[o] = exp(v[a])
 	opLog                             // v[o] = log(v[a])
 	opLeakyReLU                       // v[o] = v[a] < 0 ? c*v[a] : v[a]
-	opReLU                            // v[o] = max(v[a], 0)
+	opReLU                            // v[o] = v[a] > 0 ? v[a] : 0
 	opSigmoid                         // v[o] = 1/(1+exp(-v[a]))
 	opTanh                            // v[o] = tanh(v[a])
 	opMulConst                        // v[o] = c * v[a]
@@ -1476,11 +1476,11 @@ func (k *Kernel) execProg(a *runArena, prog []specOp, nbrsB, eidsB []int32, g *g
 		case opReLU:
 			o, a := p.oc[:n], p.ac[:n]
 			for j := range o {
-				x := a[j]
-				if x < 0 {
-					x = 0
+				if x := a[j]; x > 0 {
+					o[j] = x
+				} else {
+					o[j] = 0 // NaN and -0 too, as tensor.ReLU
 				}
-				o[j] = x
 			}
 		case opSigmoid:
 			o, a := p.oc[:n], p.ac[:n]

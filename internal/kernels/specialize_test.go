@@ -89,11 +89,11 @@ func rgcnDAG(t *testing.T, rels, din, dout int) *gir.DAG {
 func seastarSpecNames(t *testing.T, c *exec.CompiledUDF) []string {
 	t.Helper()
 	var names []string
-	for _, u := range c.FwdPlan.Units {
+	for _, u := range c.Fwd.Plan.Units {
 		if u.Kind != fusion.KindSeastar {
 			continue
 		}
-		k := c.FwdKernel(u)
+		k := c.Fwd.Kernel(u)
 		if k == nil {
 			t.Fatalf("seastar unit %d has no kernel", u.ID)
 		}
@@ -117,11 +117,11 @@ func checkBitwise(t *testing.T, c *exec.CompiledUDF, g *graph.Graph,
 	t.Helper()
 
 	bind := &refinterp.Bindings{VFeat: vfeat, EFeat: efeat, Params: params}
-	vals, err := refinterp.Eval(c.Fwd, g, bind)
+	vals, err := refinterp.Eval(c.Fwd.DAG, g, bind)
 	if err != nil {
 		t.Fatalf("refinterp: %v", err)
 	}
-	want := vals[c.Fwd.Outputs[0]]
+	want := vals[c.Fwd.DAG.Outputs[0]]
 
 	for _, simd := range []bool{true, false} {
 		prevSIMD := tensor.SetSIMD(simd)
@@ -198,7 +198,7 @@ func TestSpecializeGATForwardUnits(t *testing.T) {
 		"ev": tensor.Randn(rng, 1, g.N, 1),
 		"h":  tensor.Randn(rng, 1, g.N, 8),
 	}
-	want, err := refinterp.Eval(c.Fwd, g, &refinterp.Bindings{VFeat: vfeat})
+	want, err := refinterp.Eval(c.Fwd.DAG, g, &refinterp.Bindings{VFeat: vfeat})
 	if err != nil {
 		t.Fatalf("refinterp: %v", err)
 	}
@@ -206,13 +206,13 @@ func TestSpecializeGATForwardUnits(t *testing.T) {
 		for _, procs := range []int{1, 2} {
 			prevSIMD := tensor.SetSIMD(simd)
 			prevProcs := sched.SetMaxProcs(procs)
-			got := runSeastarUnits(t, g, c.FwdPlan.Units, c.FwdKernel, c.MaterializedFwd,
+			got := runSeastarUnits(t, g, c.Fwd,
 				&kernels.Bindings{VFeat: vfeat})
 			sched.SetMaxProcs(prevProcs)
 			tensor.SetSIMD(prevSIMD)
-			if len(c.FwdPlan.Units) != 2 || len(got) < 2 {
+			if len(c.Fwd.Plan.Units) != 2 || len(got) < 2 {
 				t.Fatalf("GAT forward: %d units materializing %d values, want softmax + aggregate with a value each",
-					len(c.FwdPlan.Units), len(got))
+					len(c.Fwd.Plan.Units), len(got))
 			}
 			sameTensors(t, fmt.Sprintf("VM vs refinterp (simd=%v procs=%d)", simd, procs), got, want)
 		}
@@ -291,11 +291,11 @@ func TestSpecializeStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, u := range c.FwdPlan.Units {
+	for _, u := range c.Fwd.Plan.Units {
 		if u.Kind != fusion.KindSeastar {
 			continue
 		}
-		if name := c.FwdKernel(u).Specialized(); name != "step[1]+col" {
+		if name := c.Fwd.Kernel(u).Specialized(); name != "step[1]+col" {
 			t.Fatalf("wide sigmoid chain compiled as %q, want step[1]+col", name)
 		}
 		rng := rand.New(rand.NewSource(64))

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"seastar/internal/exec"
-	"seastar/internal/fusion"
-	"seastar/internal/kernels"
 	"seastar/internal/program"
 )
 
@@ -15,15 +13,13 @@ import (
 // then backward, e.g. "fwd/1 scaled-gather".
 func unitCoverage(c *exec.CompiledUDF) []string {
 	var out []string
-	add := func(pass string, plan *fusion.Plan, kern func(*fusion.Unit) *kernels.Kernel) {
-		for _, u := range plan.Units {
-			if u.Kind == fusion.KindSeastar {
-				out = append(out, fmt.Sprintf("%s/%d %s", pass, u.ID, kern(u).Specialized()))
+	for i, p := range []*exec.Pass{c.Fwd, c.Bwd} {
+		for _, u := range p.Plan.Units {
+			if k := p.Kernel(u); k != nil {
+				out = append(out, fmt.Sprintf("%s/%d %s", [...]string{"fwd", "bwd"}[i], u.ID, k.Specialized()))
 			}
 		}
 	}
-	add("fwd", c.FwdPlan, c.FwdKernel)
-	add("bwd", c.BwdPlan, c.BwdKernel)
 	return out
 }
 

@@ -252,11 +252,11 @@ func TestGINSeastarFusesPostAggSelf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.FwdPlan.Units) != 2 {
-		t.Fatalf("GIN forward units: %d, want 2", len(c.FwdPlan.Units))
+	if len(c.Fwd.Plan.Units) != 2 {
+		t.Fatalf("GIN forward units: %d, want 2", len(c.Fwd.Plan.Units))
 	}
 	fusedAdd := false
-	for _, u := range c.FwdPlan.Units {
+	for _, u := range c.Fwd.Plan.Units {
 		hasAgg, hasAdd := false, false
 		for _, n := range u.Nodes {
 			if n.Op.IsAgg() {

@@ -419,11 +419,11 @@ func applyPointwise(n *gir.Node, out []float32, in [][]float32) error {
 		}
 	case gir.OpReLU:
 		for j := 0; j < w; j++ {
-			v := get(in[0], j)
-			if v < 0 {
-				v = 0
+			if v := get(in[0], j); v > 0 {
+				out[j] = v
+			} else {
+				out[j] = 0 // NaN and -0 too, as tensor.ReLU
 			}
-			out[j] = v
 		}
 	case gir.OpSigmoid:
 		for j := 0; j < w; j++ {

@@ -15,7 +15,6 @@ import (
 	"seastar/internal/exec"
 	"seastar/internal/fusion"
 	"seastar/internal/graph"
-	"seastar/internal/kernels"
 	"seastar/internal/nn"
 	"seastar/internal/obs"
 	"seastar/internal/program"
@@ -65,16 +64,13 @@ func TestSAGEProgramRunsOnTheVM(t *testing.T) {
 		t.Fatal(err)
 	}
 	units := 0
-	for _, pass := range []struct {
-		plan *fusion.Plan
-		kern func(*fusion.Unit) *kernels.Kernel
-	}{{c.FwdPlan, c.FwdKernel}, {c.BwdPlan, c.BwdKernel}} {
-		for _, u := range pass.plan.Units {
+	for _, p := range []*exec.Pass{c.Fwd, c.Bwd} {
+		for _, u := range p.Plan.Units {
 			if u.Kind != fusion.KindSeastar {
 				continue
 			}
 			units++
-			if name := pass.kern(u).Specialized(); name != "gather" {
+			if name := p.Kernel(u).Specialized(); name != "gather" {
 				t.Errorf("unit %d: plan %q, want the gather pattern", u.ID, name)
 			}
 		}

@@ -1,8 +1,8 @@
 #!/bin/sh
 # CI quality ladder, cheapest check first:
 #   gofmt → one architecture table → vertex programs traced in one
-#   package → simulator only where the paper is reproduced → no
-#   test-only exports → vet → staticcheck → tests+coverage ratchet →
+#   package → simulator only where the paper is reproduced → one unit
+#   loop in exec → no test-only exports → vet → staticcheck → tests+coverage ratchet →
 #   fuzz smoke → race suites → doc lint.
 #
 # Knobs:
@@ -62,6 +62,20 @@ if [ -n "$out" ]; then
 	echo "$out"
 	exit 1
 fi
+
+# Training's forward and backward passes and Infer run a compiled pass
+# through one unit loop (exec's Pass.run): one non-test line in
+# internal/exec launches a seastar kernel, and one evaluates a dense op.
+echo "== internal/exec runs every pass through one unit loop =="
+for call in '\.Run(' 'denseOp('; do
+	out=$(grep -n "$call" internal/exec/*.go |
+		grep -v -e '_test\.go:' -e 'func denseOp(' -e ':[0-9]*:[[:space:]]*//' || true)
+	if [ "$(printf '%s\n' "$out" | grep -c .)" -ne 1 ]; then
+		echo "want exactly one non-test line in internal/exec calling $call, have:"
+		echo "$out"
+		exit 1
+	fi
+done
 
 # An exported func or method that only tests call is not production code:
 # it moves into its package's tests or goes. benchmark/, examples/ and
