@@ -324,7 +324,6 @@ func (d *Device) LaunchKernel(l Launch) time.Duration {
 	s := d.scale()
 	totalNs := busyNs*s + p.KernelLaunchNs
 
-	d.debugKernel(l.Name, totalNs, l.Blocks)
 	d.record(l, d.elapsedNs, totalNs)
 	d.elapsedNs += totalNs
 	d.stats.Kernels++

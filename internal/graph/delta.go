@@ -5,12 +5,15 @@
 // Applying a Delta (edge/vertex add/remove) builds a new DeltaGraph that
 // rebuilds only the chunks containing touched rows and shares every clean
 // chunk with its parent by pointer, so a one-edge update copies O(chunk)
-// adjacency instead of O(M). Edge ids stay dense [0, M): removals compact
-// surviving ids monotonically (relative order preserved), which keeps
-// every row's slots in ascending-edge-id order — exactly the layout
-// FromEdges produces — so Flatten() of any delta chain is structurally
-// identical to rebuilding from scratch over the canonical edge list
+// adjacency instead of O(M). Edge ids are stable: a surviving edge keeps
+// its id in every later generation, and added edges take fresh ids past
+// every id handed out, in delta order, so every row's slots stay in
+// ascending-id order. Flatten() ranks the surviving ids once, which makes
+// it structurally identical to FromEdges over the canonical edge list
 // (parent edges in order, minus removals, plus additions in delta order).
+// Removals leave gaps in the id space; an Apply that leaves more than
+// 2·M + DeltaChunkRows ids handed out re-chunks the child densely, so the
+// id space stays bounded by the graph rather than by its history.
 package graph
 
 import (
@@ -78,9 +81,6 @@ func (c *ChunkedCSR) Degree(v int32) int {
 	return int(ch.offs[r+1] - ch.offs[r])
 }
 
-// NumRows returns the number of rows (vertices).
-func (c *ChunkedCSR) NumRows() int { return c.n }
-
 // Degrees returns every row's degree.
 func (c *ChunkedCSR) Degrees() []int32 {
 	d := make([]int32, c.n)
@@ -97,6 +97,7 @@ func (c *ChunkedCSR) Degrees() []int32 {
 // (edge types) are not supported.
 type DeltaGraph struct {
 	n, m int
+	ids  int        // edge ids handed out: every id in the chunks is below it
 	in   ChunkedCSR // row v lists u for every edge u→v
 	out  ChunkedCSR // row u lists v for every edge u→v
 
@@ -126,16 +127,11 @@ func (dg *DeltaGraph) OutDegrees() []int32 { return dg.out.Degrees() }
 // (counting sort per direction, O(N+M)). Edge i gets id i, matching
 // FromEdges.
 func NewDeltaGraph(n int, srcs, dsts []int32) (*DeltaGraph, error) {
-	if len(srcs) != len(dsts) {
-		return nil, fmt.Errorf("graph: %d srcs vs %d dsts", len(srcs), len(dsts))
-	}
-	for i := range srcs {
-		if srcs[i] < 0 || int(srcs[i]) >= n || dsts[i] < 0 || int(dsts[i]) >= n {
-			return nil, fmt.Errorf("graph: edge %d (%d→%d) out of range [0,%d)", i, srcs[i], dsts[i], n)
-		}
+	if err := checkEdges(n, srcs, dsts); err != nil {
+		return nil, err
 	}
 	return &DeltaGraph{
-		n: n, m: len(srcs),
+		n: n, m: len(srcs), ids: len(srcs),
 		in:  chunkEdges(n, dsts, srcs),
 		out: chunkEdges(n, srcs, dsts),
 	}, nil
@@ -201,9 +197,9 @@ type ApplyStats struct {
 	// AddedEdges and RemovedEdges count the structural mutations applied.
 	AddedEdges, RemovedEdges int
 	// SharedChunks chunks were reused by pointer; CopiedChunks were
-	// rebuilt because they contain touched rows; RemappedChunks shared
-	// offsets+neighbours but rewrote edge ids (removal renumbering).
-	SharedChunks, CopiedChunks, RemappedChunks int
+	// rebuilt because they contain touched rows (every chunk, when the
+	// Apply re-chunked the child to bound its id space).
+	SharedChunks, CopiedChunks int
 }
 
 type addSlot struct{ nbr, eid int32 }
@@ -222,8 +218,8 @@ func (dg *DeltaGraph) checkGrowth(d *Delta) error {
 	if d.AddVertices > max(dg.n, DeltaChunkRows) {
 		return fmt.Errorf("graph: delta: AddVertices %d more than doubles n=%d; swap the graph instead", d.AddVertices, dg.n)
 	}
-	if len(d.AddEdges) > math.MaxInt32-dg.m {
-		return fmt.Errorf("graph: delta: %d added edges overflow int32 edge ids (m=%d)", len(d.AddEdges), dg.m)
+	if len(d.AddEdges) > math.MaxInt32-dg.ids {
+		return fmt.Errorf("graph: delta: %d added edges overflow int32 edge ids (%d handed out)", len(d.AddEdges), dg.ids)
 	}
 	return nil
 }
@@ -277,13 +273,6 @@ func (dg *DeltaGraph) Apply(d *Delta) (*DeltaGraph, *ApplyStats, error) {
 		}
 	}
 
-	// Dense edge-id renumbering: surviving ids compact monotonically —
-	// id e becomes e minus the number of removed ids below it — so per-row
-	// ascending order is preserved and added edges take the ids at the
-	// end, in delta order.
-	rem := sortedKeys(removed)
-	base := int32(dg.m - len(rem))
-
 	nChunks := (newN + DeltaChunkRows - 1) / DeltaChunkRows
 	inDirty, outDirty := make([]bool, nChunks), make([]bool, nChunks)
 	for _, e := range removedEndpoints {
@@ -296,7 +285,7 @@ func (dg *DeltaGraph) Apply(d *Delta) (*DeltaGraph, *ApplyStats, error) {
 		if e.Src < 0 || int(e.Src) >= newN || e.Dst < 0 || int(e.Dst) >= newN {
 			return nil, nil, fmt.Errorf("graph: delta: add-edge %d→%d out of range [0,%d)", e.Src, e.Dst, newN)
 		}
-		eid := base + int32(i)
+		eid := int32(dg.ids + i)
 		inAdds[e.Dst] = append(inAdds[e.Dst], addSlot{nbr: e.Src, eid: eid})
 		outAdds[e.Src] = append(outAdds[e.Src], addSlot{nbr: e.Dst, eid: eid})
 		touched = append(touched, e.Src, e.Dst)
@@ -309,67 +298,47 @@ func (dg *DeltaGraph) Apply(d *Delta) (*DeltaGraph, *ApplyStats, error) {
 
 	st := &ApplyStats{
 		AddedEdges:   len(d.AddEdges),
-		RemovedEdges: len(rem),
+		RemovedEdges: len(removed),
 		Touched:      slices.Compact(touched),
 	}
 	child := &DeltaGraph{
-		n: newN, m: int(base) + len(d.AddEdges),
-		in:  applyCSR(&dg.in, newN, rem, inAdds, inDirty, st),
-		out: applyCSR(&dg.out, newN, rem, outAdds, outDirty, st),
+		n: newN, m: dg.m - len(removed) + len(d.AddEdges), ids: dg.ids + len(d.AddEdges),
+		in:  applyCSR(&dg.in, newN, removed, inAdds, inDirty, st),
+		out: applyCSR(&dg.out, newN, removed, outAdds, outDirty, st),
+	}
+	if child.ids > 2*child.m+DeltaChunkRows {
+		// Removals have left over half the id space as gaps: re-chunk the
+		// flat form, which numbers densely. O(M), paid at most once per
+		// M + DeltaChunkRows added edges.
+		g := child.Flatten()
+		child, _ = NewDeltaGraph(g.N, g.Srcs, g.Dsts) // a flat form's edges are in range
+		st.SharedChunks, st.CopiedChunks = 0, len(child.in.chunks)+len(child.out.chunks)
 	}
 	return child, st, nil
 }
 
-// removedBelow returns how many of the sorted removed ids are below e and
-// whether e itself is one of them: a surviving id e renumbers to e minus
-// that count. (Hand-rolled: it runs once per edge slot of the parent, and
-// slices.BinarySearch measured 1.4x slower over a whole Apply.)
-func removedBelow(rem []int32, e int32) (below int32, gone bool) {
-	lo, hi := 0, len(rem)
-	for lo < hi {
-		if mid := (lo + hi) / 2; rem[mid] < e {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return int32(lo), lo < len(rem) && rem[lo] == e
-}
-
-// applyCSR builds one direction of the child: chunks that are not dirty
-// are shared when no edge was removed, and otherwise share offsets and
-// neighbours but rewrite edge ids; dirty chunks (a row gained or lost a
-// slot, or the chunk's row span changed) are rebuilt row by row —
-// surviving slots in order, then additions in delta order.
-func applyCSR(old *ChunkedCSR, newN int, rem []int32, adds map[int32][]addSlot,
+// applyCSR builds one direction of the child: a chunk that is not dirty
+// and keeps its row span is shared by pointer; any other chunk (a row
+// gained or lost a slot, or the chunk's row span changed) is rebuilt row
+// by row — surviving slots in order, then additions in delta order.
+func applyCSR(old *ChunkedCSR, newN int, removed map[int32]bool, adds map[int32][]addSlot,
 	dirty []bool, st *ApplyStats) ChunkedCSR {
 	chunks := make([]*csrChunk, len(dirty))
 	for ci := range chunks {
 		lo := ci * DeltaChunkRows
 		hi := min(lo+DeltaChunkRows, newN)
-		sameSpan := ci < len(old.chunks) && hi <= old.n
-		switch {
-		case dirty[ci] || !sameSpan:
-			chunks[ci] = rebuildChunk(old, lo, hi, rem, adds)
-			st.CopiedChunks++
-		case len(rem) == 0:
+		if !dirty[ci] && ci < len(old.chunks) && hi <= old.n {
 			chunks[ci] = old.chunks[ci]
 			st.SharedChunks++
-		default:
-			oldCh := old.chunks[ci]
-			eids := make([]int32, len(oldCh.eids))
-			for i, e := range oldCh.eids {
-				below, _ := removedBelow(rem, e)
-				eids[i] = e - below
-			}
-			chunks[ci] = &csrChunk{offs: oldCh.offs, nbrs: oldCh.nbrs, eids: eids}
-			st.RemappedChunks++
+			continue
 		}
+		chunks[ci] = rebuildChunk(old, lo, hi, removed, adds)
+		st.CopiedChunks++
 	}
 	return ChunkedCSR{n: newN, chunks: chunks}
 }
 
-func rebuildChunk(old *ChunkedCSR, lo, hi int, rem []int32, adds map[int32][]addSlot) *csrChunk {
+func rebuildChunk(old *ChunkedCSR, lo, hi int, removed map[int32]bool, adds map[int32][]addSlot) *csrChunk {
 	ch := &csrChunk{offs: make([]int64, hi-lo+1)}
 	if ci := lo / DeltaChunkRows; ci < len(old.chunks) {
 		slots := len(old.chunks[ci].nbrs)
@@ -379,12 +348,10 @@ func rebuildChunk(old *ChunkedCSR, lo, hi int, rem []int32, adds map[int32][]add
 		if v < old.n {
 			nbrs, eids := old.Row(int32(v))
 			for i, u := range nbrs {
-				below, gone := removedBelow(rem, eids[i])
-				if gone {
-					continue
+				if !removed[eids[i]] {
+					ch.nbrs = append(ch.nbrs, u)
+					ch.eids = append(ch.eids, eids[i])
 				}
-				ch.nbrs = append(ch.nbrs, u)
-				ch.eids = append(ch.eids, eids[i]-below)
 			}
 		}
 		for _, a := range adds[int32(v)] {
@@ -397,48 +364,41 @@ func rebuildChunk(old *ChunkedCSR, lo, hi int, rem []int32, adds map[int32][]add
 }
 
 // Flatten materializes the flat Graph form (computed once and cached):
-// both CSR directions with identity row ids, plus the edge list
-// reconstructed from the in-CSR. The result is structurally identical to
+// edge e of the chunks becomes edge rank[e], the number of surviving ids
+// below e, and both CSR directions are built from that edge list the way
+// FromEdges builds them. The result is structurally identical to
 // FromEdges over the canonical edge list of this generation.
 func (dg *DeltaGraph) Flatten() *Graph {
 	dg.flatOnce.Do(func() {
+		rank := make([]int32, dg.ids)
+		for _, ch := range dg.in.chunks {
+			for _, e := range ch.eids {
+				rank[e] = 1
+			}
+		}
+		var next int32
+		for e, alive := range rank {
+			rank[e] = next
+			next += alive
+		}
 		srcs := make([]int32, dg.m)
 		dsts := make([]int32, dg.m)
 		for v := 0; v < dg.n; v++ {
 			nbrs, eids := dg.in.Row(int32(v))
 			for i, u := range nbrs {
-				srcs[eids[i]] = u
-				dsts[eids[i]] = int32(v)
+				srcs[rank[eids[i]]] = u
+				dsts[rank[eids[i]]] = int32(v)
 			}
 		}
 		dg.flat = &Graph{
 			N: dg.n, M: dg.m,
 			Srcs: srcs, Dsts: dsts,
-			In:           flattenCSR(&dg.in),
-			Out:          flattenCSR(&dg.out),
+			In:           buildCSR(dg.n, dsts, srcs, false),
+			Out:          buildCSR(dg.n, srcs, dsts, false),
 			NumEdgeTypes: 1,
 		}
 	})
 	return dg.flat
-}
-
-func flattenCSR(c *ChunkedCSR) CSR {
-	offsets := make([]int64, c.n+1)
-	var m int64
-	for _, ch := range c.chunks {
-		m += ch.offs[len(ch.offs)-1]
-	}
-	nbrs := make([]int32, 0, m)
-	eids := make([]int32, 0, m)
-	rowIDs := make([]int32, c.n)
-	for v := 0; v < c.n; v++ {
-		rowIDs[v] = int32(v)
-		n, e := c.Row(int32(v))
-		nbrs = append(nbrs, n...)
-		eids = append(eids, e...)
-		offsets[v+1] = int64(len(nbrs))
-	}
-	return CSR{Offsets: offsets, Nbrs: nbrs, EdgeIDs: eids, RowIDs: rowIDs}
 }
 
 // ExpandOut returns seed ∪ out-neighbours(seed) as a sorted vertex set —
@@ -476,14 +436,5 @@ func (dg *DeltaGraph) ExpandOut(seed []int32) []int32 {
 			out = append(out, int32(v))
 		}
 	}
-	return out
-}
-
-func sortedKeys(set map[int32]bool) []int32 {
-	out := make([]int32, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	slices.Sort(out)
 	return out
 }

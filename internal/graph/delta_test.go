@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -23,8 +25,8 @@ func mirrorOf(g *Graph) *mirror {
 }
 
 // apply mutates the mirror: drop removed edges preserving order, then
-// append additions in delta order — the canonical edge list Apply's
-// monotone edge-id renumbering is specified against.
+// append additions in delta order — the canonical edge list Flatten's
+// ranking of Apply's stable edge ids is specified against.
 func (m *mirror) apply(d *Delta) {
 	iso := map[int32]bool{}
 	for _, v := range d.RemoveVertices {
@@ -196,39 +198,111 @@ func TestDeltaStructuralSharing(t *testing.T) {
 	if st.SharedChunks < 14 {
 		t.Fatalf("shared only %d chunks of 16", st.SharedChunks)
 	}
-	if st.RemappedChunks != 0 {
-		t.Fatalf("remapped %d chunks on a pure add", st.RemappedChunks)
-	}
 	// Clean chunks are the same pointers.
 	if child.in.chunks[5] != dg.in.chunks[5] {
 		t.Fatal("clean chunk not shared by pointer")
 	}
 
-	// A removal forces the edge-id remap: clean chunks share offs/nbrs
-	// but carry fresh eids.
+	// A removal is as local as an addition: edge ids are stable, so the
+	// clean chunks of both directions are the parent's pointers.
 	child2, st2, err := child.Apply(&Delta{RemoveEdges: []Edge{{Src: 10, Dst: 20}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.SharedChunks != 0 {
-		t.Fatalf("shared %d chunks under a remap", st2.SharedChunks)
+	if st2.CopiedChunks > 2 {
+		t.Fatalf("copied %d chunks for a one-edge removal, want <=2", st2.CopiedChunks)
 	}
-	if st2.RemappedChunks == 0 {
-		t.Fatal("expected remapped chunks on removal")
+	if st2.SharedChunks < 14 {
+		t.Fatalf("shared only %d chunks of 16 on a removal", st2.SharedChunks)
 	}
-	var found bool
-	for ci, ch := range child2.in.chunks {
-		old := child.in.chunks[ci]
-		if ch != old && &ch.offs[0] == &old.offs[0] {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("remapped chunks do not share offset arrays")
+	if child2.in.chunks[5] != child.in.chunks[5] || child2.out.chunks[5] != child.out.chunks[5] {
+		t.Fatal("clean chunk not shared by pointer on a removal")
 	}
 }
 
+// TestDeltaRemovalAllocatesNoIDColumn: removing one edge from a graph of
+// 64 chunks allocates less than one direction's edge-id column (4·M
+// bytes), even when the edge lands on the heaviest row: only the chunks
+// holding its endpoints' rows are rebuilt.
+func TestDeltaRemovalAllocatesNoIDColumn(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := ZipfDegree(rng, 64*DeltaChunkRows, 4, 1.0)
+	dg, err := FromGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := int32(0)
+	for v, d := range dg.InDegrees() {
+		if int(d) > dg.in.Degree(hub) {
+			hub = int32(v)
+		}
+	}
+	nbrs, _ := dg.in.Row(hub)
+	d := &Delta{RemoveEdges: []Edge{{Src: nbrs[0], Dst: hub}}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, st, err := dg.Apply(d)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, budget := after.TotalAlloc-before.TotalAlloc, uint64(4*dg.M())
+	t.Logf("one-edge removal into a %d-degree row: %d B allocated, budget %d B (M=%d), %d chunks copied",
+		dg.in.Degree(hub), got, budget, dg.M(), st.CopiedChunks)
+	if got >= budget {
+		t.Fatalf("one-edge removal allocated %d B, want < 4·M = %d B", got, budget)
+	}
+}
+
+// TestDeltaChurnBoundsIDs adds and removes the same edges until the id
+// space has been re-chunked at least twice: after every Apply the ids
+// handed out stay within 2·M + DeltaChunkRows, and the chain still
+// flattens to the mirror's rebuild.
+func TestDeltaChurnBoundsIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	g := ZipfDegree(rng, 2000, 3, 1.0)
+	dg, err := FromGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mirrorOf(g)
+	var prev []Edge
+	rechunks := 0
+	for step := 0; rechunks < 2; step++ {
+		if step == 200 {
+			t.Fatalf("id space re-chunked %d times in %d steps, want 2", rechunks, step)
+		}
+		d := &Delta{RemoveEdges: prev}
+		seen := map[Edge]bool{}
+		prev = nil
+		for i := 0; i < 400; i++ {
+			e := Edge{Src: int32(rng.Intn(m.n)), Dst: int32(rng.Intn(m.n))}
+			d.AddEdges = append(d.AddEdges, e)
+			if !seen[e] {
+				seen[e] = true
+				prev = append(prev, e)
+			}
+		}
+		child, st, err := dg.Apply(d)
+		if err != nil {
+			t.Fatalf("step %d: apply: %v", step, err)
+		}
+		m.apply(d)
+		if child.ids > 2*child.M()+DeltaChunkRows {
+			t.Fatalf("step %d: %d ids handed out for m=%d", step, child.ids, child.M())
+		}
+		if child.ids < dg.ids {
+			rechunks++
+			if st.SharedChunks != 0 || st.CopiedChunks != len(child.in.chunks)+len(child.out.chunks) {
+				t.Fatalf("step %d: re-chunk reported %d shared, %d copied", step, st.SharedChunks, st.CopiedChunks)
+			}
+		}
+		if step%5 == 0 || rechunks == 2 {
+			requireFlatEqual(t, child.Flatten(), m.graph(t))
+		}
+		dg = child
+	}
+}
 func TestDeltaRemoveVertexIsolates(t *testing.T) {
 	// 0→1, 1→2, 2→0, 1→1 (self loop).
 	dg, err := NewDeltaGraph(3, []int32{0, 1, 2, 1}, []int32{1, 2, 0, 1})
@@ -314,4 +388,13 @@ func TestExpandOut(t *testing.T) {
 	if got := dg.ExpandOut(nil); got != nil {
 		t.Fatalf("empty seed: got %v", got)
 	}
+}
+
+func sortedKeys(set map[int32]bool) []int32 {
+	out := make([]int32, 0, len(set))
+	for v := range set {
+		out = append(out, v)
+	}
+	slices.Sort(out)
+	return out
 }

@@ -74,7 +74,9 @@ type DeltaStats struct {
 	// "deferred" (no settled parent state to patch; first batch pays),
 	// or "none" (embedding cache not in use).
 	Recompute string `json:"recompute"`
-	// Structural-sharing counters.
+	// Structural-sharing counters. RemappedChunks is always 0: edge ids
+	// are stable, so no chunk is shared with rewritten ids. It stays only
+	// because the repository benchmark's harness still reads it.
 	SharedChunks, CopiedChunks, RemappedChunks int
 	SharedPages, CopiedPages                   int
 	ApplyNs, RecomputeNs                       int64
@@ -125,12 +127,11 @@ func ApplyDelta(parent *Snapshot, d *Delta, opt *DeltaOptions) (*Snapshot, *Delt
 	st := &DeltaStats{
 		Fingerprint: child.fp,
 		N:           child.n, M: ndg.M(),
-		Recompute:      "none",
-		SharedChunks:   ast.SharedChunks,
-		CopiedChunks:   ast.CopiedChunks,
-		RemappedChunks: ast.RemappedChunks,
-		SharedPages:    sharedP,
-		CopiedPages:    copiedP,
+		Recompute:    "none",
+		SharedChunks: ast.SharedChunks,
+		CopiedChunks: ast.CopiedChunks,
+		SharedPages:  sharedP,
+		CopiedPages:  copiedP,
 	}
 	seed := withUpdated(ast.Touched, d.Features) // the 0-hop dirty set
 	st.Touched = len(seed)
