@@ -2,7 +2,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
 .PHONY: all build test race race-serve race-pipeline race-delta race-shard \
-	fuzz-smoke fmt vet staticcheck coverage check ci bench bench-serve
+	fuzz-smoke fmt vet staticcheck coverage check ci bench bench-serve bench-gemm
 
 all: check
 
@@ -102,3 +102,11 @@ bench-serve:
 	$(GO) test -run='^$$' -bench=BenchmarkServeRequest -benchtime=2000x -benchmem ./internal/serve
 	$(GO) test -run='^$$' -bench=BenchmarkDelta -benchtime=50x -benchmem ./internal/serve
 	$(GO) test -run='^$$' -bench=BenchmarkShardSync -benchtime=50x -benchmem ./internal/shard
+
+# The blocked GEMM at the shapes that carry the epochs: the wide products
+# of train-full-gat and of a GCN-like k = 6805 layer, the thin products of
+# a mini-batch step and of serving, and the serial square 1024×256×256;
+# ns/op, GFLOP/s, B/op. For looking while working on internal/tensor's
+# GEMM; the gate is `make bench`.
+bench-gemm:
+	$(GO) test -run='^$$' -bench='BenchmarkWideGemm|BenchmarkThinGemm|BenchmarkGemmBlocked256' -benchmem ./internal/tensor

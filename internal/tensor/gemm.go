@@ -19,17 +19,17 @@ import (
 //	        for each panel: C[MR][NR] += Ablock · panel   (microkernel)
 //
 // A microkernel reads A through strides: element (r, p) of the block is
-// a[r·rs + p·ks]. When the product has more than one panel, every A block
-// is read once per panel, so it is packed interleaved as [kc][MR] first,
-// (rs, ks) = (1, MR). When it has one panel (n ≤ NR) each A element is
-// read exactly once and packing would only copy it, so a full block is
-// read in place: (k, 1) for MatMul's [m, k] and (1, m) for TMatMul's
-// transposed [k, m]. A block of fewer than MR rows is still packed,
-// zero-padded, so the kernel always runs a full register tile.
+// a[r·rs + p·ks]. A full block of MR rows is read where it lies, at
+// (k, 1) for MatMul's [m, k] and (1, m) for TMatMul's transposed [k, m],
+// whatever the panel count: a block's MR·kc floats stay cache-resident
+// across its panels, so a packed copy only adds a pass over A (measured
+// in DESIGN §10). A block of fewer than MR rows is packed interleaved as
+// [kc][MR], (rs, ks) = (1, MR), zero-padded so the kernel always runs a
+// full register tile.
 //
 // Every kernel sums one K-block from zero in p order and then adds the
-// sum into C, so the source of A — packed, in place, or a zero-padded
-// tail — never changes a bit of the result.
+// sum into C, so the source of A — in place or a zero-padded tail —
+// never changes a bit of the result.
 //
 // Three microkernels back the driver: a portable 4×8 Go kernel written as
 // two 4×4 register blocks so the compiler keeps each half's sixteen
@@ -118,9 +118,7 @@ func packB(bp, b []float32, n, pc, kc, nr int) {
 		for p := 0; p < kc; p++ {
 			row := b[(pc+p)*n+j0 : (pc+p)*n+j0+jw]
 			copy(bp[idx:idx+jw], row)
-			for j := jw; j < nr; j++ {
-				bp[idx+j] = 0
-			}
+			clear(bp[idx+jw : idx+nr])
 			idx += nr
 		}
 	}
@@ -139,9 +137,7 @@ func packBT(bp, b []float32, k, n, pc, kc, nr int) {
 			for j := 0; j < jw; j++ {
 				bp[idx+j] = b[(j0+j)*k+pc+p]
 			}
-			for j := jw; j < nr; j++ {
-				bp[idx+j] = 0
-			}
+			clear(bp[idx+jw : idx+nr])
 			idx += nr
 		}
 	}
@@ -158,18 +154,16 @@ func gemm(c, a, b []float32, m, k, n int, transA, transB, serial bool) {
 	if n <= 8 {
 		micro, nr = gemmMicro8, 8
 	}
-	gemmWith(micro, nr, n <= nr, c, a, b, m, k, n, transA, transB, serial)
+	gemmWith(micro, nr, c, a, b, m, k, n, transA, transB, serial)
 }
 
-// gemmWith is gemm on a given microkernel of panel width nr; inPlace
-// reads full A blocks where they lie instead of packing them, which is
-// bitwise neutral and pays only when n ≤ nr.
-func gemmWith(micro microFn, nr int, inPlace bool, c, a, b []float32, m, k, n int, transA, transB, serial bool) {
+// gemmWith is gemm on a given microkernel of panel width nr.
+func gemmWith(micro microFn, nr int, c, a, b []float32, m, k, n int, transA, transB, serial bool) {
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
 	g := gemmCalls.Get().(*gemmCall)
-	g.micro, g.nr, g.nPanels, g.inPlace, g.transA = micro, nr, (n+nr-1)/nr, inPlace, transA
+	g.micro, g.nr, g.nPanels, g.transA = micro, nr, (n+nr-1)/nr, transA
 	g.c, g.a, g.m, g.k, g.n = c, a, m, k, n
 	if size := min(k, gemmKC) * g.nPanels * nr; cap(g.bp) < size {
 		g.bp = make([]float32, size)
@@ -198,7 +192,7 @@ func gemmWith(micro microFn, nr int, inPlace bool, c, a, b []float32, m, k, n in
 type gemmCall struct {
 	micro           microFn
 	nr, nPanels     int
-	inPlace, transA bool
+	transA          bool
 	c, a, bp        []float32
 	m, k, n, pc, kc int
 	run             func(lo, hi int)
@@ -210,7 +204,7 @@ var gemmCalls = sync.Pool{New: func() any {
 	return g
 }}
 
-// gemmScratch is a row worker's packed A block and tail tile. The
+// gemmScratch is a row worker's packed tail A block and tail tile. The
 // microkernel is called through a function value, so arrays on the
 // worker's stack would escape to the heap on every chunk; pooling them
 // keeps the chunk allocation-free.
@@ -254,13 +248,13 @@ func (g *gemmCall) rows(lo, hi int) {
 }
 
 // aBlock returns A rows [i, i+rows) over the current K-block with the
-// strides the microkernel reads them at: in place for a full block of a
-// one-panel product, otherwise packed into s.a.
+// strides the microkernel reads them at: in place for a full block,
+// packed and zero-padded into s.a for a tail of fewer than gemmMR rows.
 func (g *gemmCall) aBlock(s *gemmScratch, i, rows int) (a []float32, rs, ks int) {
 	switch {
-	case g.inPlace && rows == gemmMR && g.transA:
+	case rows == gemmMR && g.transA:
 		return g.a[g.pc*g.m+i:], 1, g.m
-	case g.inPlace && rows == gemmMR:
+	case rows == gemmMR:
 		return g.a[i*g.k+g.pc:], g.k, 1
 	case g.transA:
 		packAT(s.a[:], g.a, g.m, i, rows, g.pc, g.kc)
@@ -469,9 +463,7 @@ func GemvMulAdd(acc, tmp, w, x []float32, s float32) { gemvMulAddImpl(acc, tmp, 
 func gemvAddGo(acc, tmp, w, x []float32) {
 	dout := len(acc)
 	tmp = tmp[:dout]
-	for j := range tmp {
-		tmp[j] = 0
-	}
+	clear(tmp)
 	for i, xv := range x {
 		vecMulAddImpl(tmp, w[i*dout:(i+1)*dout], xv)
 	}
@@ -481,9 +473,7 @@ func gemvAddGo(acc, tmp, w, x []float32) {
 func gemvMulAddGo(acc, tmp, w, x []float32, s float32) {
 	dout := len(acc)
 	tmp = tmp[:dout]
-	for j := range tmp {
-		tmp[j] = 0
-	}
+	clear(tmp)
 	for i, xv := range x {
 		vecMulAddImpl(tmp, w[i*dout:(i+1)*dout], xv)
 	}

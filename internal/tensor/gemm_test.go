@@ -73,23 +73,23 @@ func runBlockedVsRef(t *testing.T, micro microFn, nr int) {
 		scale := RefMatMul(absData(a), absData(b))
 
 		got := New(m, n)
-		gemmWith(micro, nr, n <= nr, got.data, a.data, b.data, m, k, n, false, false, true)
+		gemmWith(micro, nr, got.data, a.data, b.data, m, k, n, false, false, true)
 		gemmWithin(t, "MatMul", got, want, scale, 4)
 
 		got = New(m, n)
-		gemmWith(micro, nr, n <= nr, got.data, a.data, bt.data, m, k, n, false, true, true)
+		gemmWith(micro, nr, got.data, a.data, bt.data, m, k, n, false, true, true)
 		gemmWithin(t, "MatMulT", got, want, scale, 4)
 
 		got = New(m, n)
-		gemmWith(micro, nr, n <= nr, got.data, at.data, b.data, m, k, n, true, false, true)
+		gemmWith(micro, nr, got.data, at.data, b.data, m, k, n, true, false, true)
 		gemmWithin(t, "TMatMul", got, want, scale, 4)
 
 		// Parallel path must match the serial one bitwise (fixed K order,
 		// disjoint row writes).
 		gotPar := New(m, n)
-		gemmWith(micro, nr, n <= nr, gotPar.data, a.data, b.data, m, k, n, false, false, false)
+		gemmWith(micro, nr, gotPar.data, a.data, b.data, m, k, n, false, false, false)
 		serial := New(m, n)
-		gemmWith(micro, nr, n <= nr, serial.data, a.data, b.data, m, k, n, false, false, true)
+		gemmWith(micro, nr, serial.data, a.data, b.data, m, k, n, false, false, true)
 		for i := range serial.data {
 			if gotPar.data[i] != serial.data[i] {
 				t.Fatalf("parallel gemm not bitwise-deterministic at %d: %g vs %g",
@@ -188,9 +188,60 @@ func BenchmarkGemmBlocked256(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := Randn(rng, 1, 1024, 256)
 	w := Randn(rng, 1, 256, 256)
+	out := New(1024, 256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		gemm(New(1024, 256).data, x.data, w.data, 1024, 256, 256, false, false, true)
+		clear(out.data)
+		gemm(out.data, x.data, w.data, 1024, 256, 256, false, false, true)
+	}
+}
+
+// BenchmarkWideGemm times the products that carry a full-graph epoch on
+// wide features: train-full-gat's [7651,745]·[745,64] forward and its
+// [7651,745]ᵀ·[7651,64] weight gradient, and the same pair at GCN-like
+// k = 6805, n = 64, with m cut to 2048 so an input stays under 64 MB.
+func BenchmarkWideGemm(b *testing.B) {
+	benchGemm(b, 43, []gemmBench{
+		{"matmul-7651x745x64", 7651, 745, 64, false},
+		{"tmatmul-745x7651x64", 745, 7651, 64, true},
+		{"matmul-2048x6805x64", 2048, 6805, 64, false},
+		{"tmatmul-6805x2048x64", 6805, 2048, 64, true},
+	})
+}
+
+// gemmBench is one public product of a GEMM benchmark: [m,k]·[k,n] by
+// MatMul, or by TMatMul with A stored transposed as [k,m].
+type gemmBench struct {
+	name    string
+	m, k, n int
+	transA  bool
+}
+
+// benchGemm times each product through the public entry point into a
+// reused destination, reporting bytes touched, allocations and GFLOP/s.
+func benchGemm(b *testing.B, seed int64, cases []gemmBench) {
+	rng := rand.New(rand.NewSource(seed))
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			x := Randn(rng, 1, c.m, c.k)
+			if c.transA {
+				x = transpose(x)
+			}
+			w := Randn(rng, 1, c.k, c.n)
+			out := New(c.m, c.n)
+			b.ReportAllocs()
+			b.SetBytes(int64(4 * (c.m*c.k + c.k*c.n + c.m*c.n)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				clear(out.data)
+				if c.transA {
+					TMatMul(x, w, out)
+				} else {
+					MatMul(x, w, out)
+				}
+			}
+			b.ReportMetric(float64(2*c.m*c.k*c.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 

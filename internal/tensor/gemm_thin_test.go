@@ -22,30 +22,42 @@ func eachSIMDMode(t testing.TB, f func(mode string)) {
 	}
 }
 
-// TestThinGemmBitwise pins that reading A in place changes no bit: for
-// every one-panel product (n ≤ 16) the driver's result — in-place A, the
-// 8-wide kernel for n ≤ 8, row chunks on the scheduler — equals the
-// packed, serial path on the active wide kernel, which is what every
-// product ran before the in-place path existed. It covers the three
-// layouts, row counts below, at and well past one register tile, and K
-// spans on both sides of the gemmKC block boundary.
-func TestThinGemmBitwise(t *testing.T) {
-	type shape struct{ m, k int }
+// TestGemmInPlaceBitwise pins that reading A in place changes no bit, at
+// every panel count: the driver's result — every full 4-row block read
+// where it lies, the 8-wide kernel for n ≤ 8, row chunks on the scheduler
+// — equals a reference that computes each output row alone through gemm
+// with m = 1. A one-row product is a tail block, so the reference always
+// runs the packed, zero-padded path, and rows of a product are
+// independent. It covers the three layouts, row counts below, at and well
+// past one register tile, K spans on both sides of the gemmKC block
+// boundary, and widths from one panel to several with and without a
+// column tail.
+func TestGemmInPlaceBitwise(t *testing.T) {
+	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24, 32, 33, 48, 64, 100}
+	type shape struct {
+		m, k int
+		ns   []int
+	}
 	var shapes []shape
-	for _, m := range []int{1, 2, 3, 4, 5, 64} {
+	for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 64} {
 		for _, k := range []int{1, 7, 64, 255, 256, 257, 700} {
-			shapes = append(shapes, shape{m, k})
+			shapes = append(shapes, shape{m, k, widths})
 		}
 	}
-	shapes = append(shapes, shape{4345, 64}, shape{4345, 257})
+	// Many row chunks on the scheduler. The row-by-row reference runs a
+	// padded 4-row tile and packs all of B for every row, so these take a
+	// few widths only: one panel, and several with a column tail.
+	shapes = append(shapes, shape{4345, 64, []int{8}}, shape{4345, 257, []int{17, 33}})
 	rng := rand.New(rand.NewSource(29))
 	eachSIMDMode(t, func(mode string) {
 		for _, sh := range shapes {
-			for n := 1; n <= 16; n++ {
-				m, k := sh.m, sh.k
-				a := Randn(rng, 1, m, k)
+			m, k := sh.m, sh.k
+			a := Randn(rng, 1, m, k)
+			at := transpose(a)
+			col := make([]float32, k)
+			for _, n := range sh.ns {
 				b := Randn(rng, 1, k, n)
-				at, bt := transpose(a), transpose(b)
+				bt := transpose(b)
 				for _, l := range []struct {
 					name           string
 					a, b           *Tensor
@@ -56,12 +68,21 @@ func TestThinGemmBitwise(t *testing.T) {
 					{"TMatMul", at, b, true, false},
 				} {
 					want := New(m, n)
-					gemmWith(gemmMicro, gemmNR, false, want.data, l.a.data, l.b.data, m, k, n, l.transA, l.transB, true)
+					for i := 0; i < m; i++ {
+						row := a.data[i*k : (i+1)*k]
+						if l.transA {
+							for p := range col {
+								col[p] = at.data[p*m+i]
+							}
+							row = col
+						}
+						gemm(want.data[i*n:(i+1)*n], row, l.b.data, 1, k, n, l.transA, l.transB, true)
+					}
 					got := New(m, n)
 					gemm(got.data, l.a.data, l.b.data, m, k, n, l.transA, l.transB, false)
 					for i := range want.data {
 						if math.Float32bits(got.data[i]) != math.Float32bits(want.data[i]) {
-							t.Fatalf("%s %s m=%d k=%d n=%d elem %d: %08x in place vs %08x packed",
+							t.Fatalf("%s %s m=%d k=%d n=%d elem %d: %08x in place vs %08x packed row by row",
 								mode, l.name, m, k, n, i, math.Float32bits(got.data[i]), math.Float32bits(want.data[i]))
 						}
 					}
@@ -152,35 +173,9 @@ func TestGemmAllocsFlat(t *testing.T) {
 // and of serving: the [B,64]·[64,8] forward, the [B,64]ᵀ·[B,8] weight
 // gradient and a sampled request's [200,64]·[64,8].
 func BenchmarkThinGemm(b *testing.B) {
-	rng := rand.New(rand.NewSource(41))
-	for _, c := range []struct {
-		name    string
-		m, k, n int
-		transA  bool
-	}{
+	benchGemm(b, 41, []gemmBench{
 		{"matmul-4345x64x8", 4345, 64, 8, false},
 		{"tmatmul-64x4345x8", 64, 4345, 8, true},
 		{"matmul-200x64x8", 200, 64, 8, false},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			x := Randn(rng, 1, c.m, c.k)
-			if c.transA {
-				x = transpose(x)
-			}
-			w := Randn(rng, 1, c.k, c.n)
-			out := New(c.m, c.n)
-			b.ReportAllocs()
-			b.SetBytes(int64(4 * (c.m*c.k + c.k*c.n + c.m*c.n)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				clear(out.data)
-				if c.transA {
-					TMatMul(x, w, out)
-				} else {
-					MatMul(x, w, out)
-				}
-			}
-			b.ReportMetric(float64(2*c.m*c.k*c.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-		})
-	}
+	})
 }

@@ -11,9 +11,8 @@ import (
 // allocating. dst must be zeroed and of the result's shape, as Pool.Get
 // returns it; that is how a caller with a pool keeps op outputs away from
 // the garbage collector. The elementwise ops (Add to Div, the scalar ops,
-// Apply and the activations built on it, AddRow) read an element before
-// they write it, so there dst may also be an operand: ReLU(x, x) works in
-// place.
+// the activations, AddRow) read an element before they write it, so there
+// dst may also be an operand: ReLU(x, x) works in place.
 
 // dstOr returns the caller's destination for a result of the given shape,
 // or a new tensor when there is none.
@@ -28,34 +27,105 @@ func dstOr(into []*Tensor, shape ...int) *Tensor {
 }
 
 // Add returns a + b elementwise. Shapes must match.
-func Add(a, b *Tensor, into ...*Tensor) *Tensor {
-	return zip(a, b, into, func(x, y float32) float32 { return x + y })
-}
+func Add(a, b *Tensor, into ...*Tensor) *Tensor { return elementwise(opAdd, a, b, 0, into) }
 
 // Sub returns a - b elementwise.
-func Sub(a, b *Tensor, into ...*Tensor) *Tensor {
-	return zip(a, b, into, func(x, y float32) float32 { return x - y })
-}
+func Sub(a, b *Tensor, into ...*Tensor) *Tensor { return elementwise(opSub, a, b, 0, into) }
 
 // Mul returns a * b elementwise (Hadamard product).
-func Mul(a, b *Tensor, into ...*Tensor) *Tensor {
-	return zip(a, b, into, func(x, y float32) float32 { return x * y })
-}
+func Mul(a, b *Tensor, into ...*Tensor) *Tensor { return elementwise(opMul, a, b, 0, into) }
 
 // Div returns a / b elementwise.
-func Div(a, b *Tensor, into ...*Tensor) *Tensor {
-	return zip(a, b, into, func(x, y float32) float32 { return x / y })
-}
+func Div(a, b *Tensor, into ...*Tensor) *Tensor { return elementwise(opDiv, a, b, 0, into) }
 
-func zip(a, b *Tensor, into []*Tensor, f func(x, y float32) float32) *Tensor {
-	if !SameShape(a, b) {
+// elemOp names one elementwise op of elementwise.
+type elemOp uint8
+
+const (
+	opAdd elemOp = iota
+	opSub
+	opMul
+	opDiv
+	opAddScalar
+	opMulScalar
+	opExp
+	opLog
+	opSigmoid
+	opTanh
+	opReLU
+	opLeakyReLU
+)
+
+// elementwise returns op applied to every element of a — and of b, nil
+// for a unary op — with scalar s, over parallel chunks. The switch runs
+// once per chunk, so each chunk is one direct loop with no call per
+// element.
+func elementwise(op elemOp, a, b *Tensor, s float32, into []*Tensor) *Tensor {
+	if b == nil {
+		b = a // a unary op reads no y
+	} else if !SameShape(a, b) {
 		panic(fmt.Sprintf("tensor: elementwise op shape mismatch %v vs %v", a.shape, b.shape))
 	}
 	out := dstOr(into, a.shape...)
-	ad, bd, od := a.data, b.data, out.data
-	parallelElems(len(od), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			od[i] = f(ad[i], bd[i])
+	parallelElems(len(out.data), func(lo, hi int) {
+		x, y, o := a.data[lo:hi], b.data[lo:hi], out.data[lo:hi]
+		switch op {
+		case opAdd:
+			for i, v := range x {
+				o[i] = v + y[i]
+			}
+		case opSub:
+			for i, v := range x {
+				o[i] = v - y[i]
+			}
+		case opMul:
+			for i, v := range x {
+				o[i] = v * y[i]
+			}
+		case opDiv:
+			for i, v := range x {
+				o[i] = v / y[i]
+			}
+		case opAddScalar:
+			for i, v := range x {
+				o[i] = v + s
+			}
+		case opMulScalar:
+			for i, v := range x {
+				o[i] = v * s
+			}
+		case opExp:
+			for i, v := range x {
+				o[i] = float32(math.Exp(float64(v)))
+			}
+		case opLog:
+			for i, v := range x {
+				o[i] = float32(math.Log(float64(v)))
+			}
+		case opSigmoid:
+			for i, v := range x {
+				o[i] = 1 / (1 + float32(math.Exp(float64(-v))))
+			}
+		case opTanh:
+			for i, v := range x {
+				o[i] = float32(math.Tanh(float64(v)))
+			}
+		case opReLU:
+			for i, v := range x {
+				if v > 0 {
+					o[i] = v
+				} else {
+					o[i] = 0
+				}
+			}
+		case opLeakyReLU:
+			for i, v := range x {
+				if v > 0 {
+					o[i] = v
+				} else {
+					o[i] = s * v
+				}
+			}
 		}
 	})
 	return out
@@ -66,10 +136,7 @@ func AddInPlace(dst, src *Tensor) {
 	if !SameShape(dst, src) {
 		panic(fmt.Sprintf("tensor: AddInPlace shape mismatch %v vs %v", dst.shape, src.shape))
 	}
-	dd, sd := dst.data, src.data
-	for i := range dd {
-		dd[i] += sd[i]
-	}
+	VecAdd(dst.data, src.data)
 }
 
 // AxpyInPlace computes dst += alpha*src.
@@ -85,24 +152,12 @@ func AxpyInPlace(dst *Tensor, alpha float32, src *Tensor) {
 
 // AddScalar returns a + s.
 func AddScalar(a *Tensor, s float32, into ...*Tensor) *Tensor {
-	return a.Apply(func(x float32) float32 { return x + s }, into...)
+	return elementwise(opAddScalar, a, nil, s, into)
 }
 
 // MulScalar returns a * s.
 func MulScalar(a *Tensor, s float32, into ...*Tensor) *Tensor {
-	return a.Apply(func(x float32) float32 { return x * s }, into...)
-}
-
-// Apply returns f applied to every element.
-func (t *Tensor) Apply(f func(float32) float32, into ...*Tensor) *Tensor {
-	out := dstOr(into, t.shape...)
-	td, od := t.data, out.data
-	parallelElems(len(od), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			od[i] = f(td[i])
-		}
-	})
-	return out
+	return elementwise(opMulScalar, a, nil, s, into)
 }
 
 // AddRow returns m with row vector v (shape [1,C] or [C]) added to every row.
@@ -144,43 +199,23 @@ func MulColVec(m, v *Tensor, into ...*Tensor) *Tensor {
 }
 
 // Exp returns e^x elementwise.
-func Exp(a *Tensor, into ...*Tensor) *Tensor {
-	return a.Apply(func(x float32) float32 { return float32(math.Exp(float64(x))) }, into...)
-}
+func Exp(a *Tensor, into ...*Tensor) *Tensor { return elementwise(opExp, a, nil, 0, into) }
 
 // Log returns ln(x) elementwise.
-func Log(a *Tensor, into ...*Tensor) *Tensor {
-	return a.Apply(func(x float32) float32 { return float32(math.Log(float64(x))) }, into...)
-}
+func Log(a *Tensor, into ...*Tensor) *Tensor { return elementwise(opLog, a, nil, 0, into) }
 
 // Sigmoid returns 1/(1+e^-x) elementwise.
-func Sigmoid(a *Tensor, into ...*Tensor) *Tensor {
-	return a.Apply(func(x float32) float32 { return 1 / (1 + float32(math.Exp(float64(-x)))) }, into...)
-}
+func Sigmoid(a *Tensor, into ...*Tensor) *Tensor { return elementwise(opSigmoid, a, nil, 0, into) }
 
 // Tanh returns tanh(x) elementwise.
-func Tanh(a *Tensor, into ...*Tensor) *Tensor {
-	return a.Apply(func(x float32) float32 { return float32(math.Tanh(float64(x))) }, into...)
-}
+func Tanh(a *Tensor, into ...*Tensor) *Tensor { return elementwise(opTanh, a, nil, 0, into) }
 
-// ReLU returns max(0, x) elementwise.
-func ReLU(a *Tensor, into ...*Tensor) *Tensor {
-	return a.Apply(func(x float32) float32 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	}, into...)
-}
+// ReLU returns max(0, x) elementwise, as x > 0 ? x : 0: NaN and -0 give +0.
+func ReLU(a *Tensor, into ...*Tensor) *Tensor { return elementwise(opReLU, a, nil, 0, into) }
 
 // LeakyReLU returns x for x>0 and slope*x otherwise.
 func LeakyReLU(a *Tensor, slope float32, into ...*Tensor) *Tensor {
-	return a.Apply(func(x float32) float32 {
-		if x > 0 {
-			return x
-		}
-		return slope * x
-	}, into...)
+	return elementwise(opLeakyReLU, a, nil, slope, into)
 }
 
 // GatherRows returns a matrix whose i-th row is m[idx[i]].

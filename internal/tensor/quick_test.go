@@ -160,17 +160,17 @@ func TestQuickBlockedGemmMatchesRef(t *testing.T) {
 		}{{mk4x8go, 8}, {gemmMicro, gemmNR}}
 		for _, kr := range kernels {
 			got := New(m, n)
-			gemmWith(kr.micro, kr.nr, n <= kr.nr, got.data, a.data, b.data, m, k, n, false, false, true)
+			gemmWith(kr.micro, kr.nr, got.data, a.data, b.data, m, k, n, false, false, true)
 			if !within(got) {
 				return false
 			}
 			got = New(m, n)
-			gemmWith(kr.micro, kr.nr, n <= kr.nr, got.data, a.data, bt.data, m, k, n, false, true, true)
+			gemmWith(kr.micro, kr.nr, got.data, a.data, bt.data, m, k, n, false, true, true)
 			if !within(got) {
 				return false
 			}
 			got = New(m, n)
-			gemmWith(kr.micro, kr.nr, n <= kr.nr, got.data, at.data, b.data, m, k, n, true, false, true)
+			gemmWith(kr.micro, kr.nr, got.data, at.data, b.data, m, k, n, true, false, true)
 			if !within(got) {
 				return false
 			}

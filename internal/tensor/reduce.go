@@ -18,10 +18,7 @@ func SumRows(m *Tensor, into ...*Tensor) *Tensor {
 	r, c := m.shape[0], m.shape[1]
 	out := dstOr(into, c)
 	for i := 0; i < r; i++ {
-		mr := m.Row(i)
-		for j := 0; j < c; j++ {
-			out.data[j] += mr[j]
-		}
+		VecAdd(out.data, m.Row(i))
 	}
 	return out
 }

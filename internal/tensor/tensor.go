@@ -10,6 +10,7 @@ package tensor
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -39,11 +40,7 @@ func New(shape ...int) *Tensor {
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); len(data) must equal the shape volume.
 func FromSlice(data []float32, shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(data) {
+	if n := volume(shape); n != len(data) {
 		panic(fmt.Sprintf("tensor: shape %v needs %d elements, got %d", shape, n, len(data)))
 	}
 	return &Tensor{shape: append([]int(nil), shape...), data: data}
@@ -58,9 +55,7 @@ func Ones(shape ...int) *Tensor { return Full(1, shape...) }
 // Full allocates a tensor filled with v.
 func Full(v float32, shape ...int) *Tensor {
 	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = v
-	}
+	t.Fill(v)
 	return t
 }
 
@@ -131,9 +126,7 @@ func (t *Tensor) TopRows(r int) *Tensor {
 
 // Clone returns a deep copy.
 func (t *Tensor) Clone() *Tensor {
-	d := make([]float32, len(t.data))
-	copy(d, t.data)
-	return FromSlice(d, t.shape...)
+	return FromSlice(slices.Clone(t.data), t.shape...)
 }
 
 // CopyFrom copies src's data into t. Shapes must match in volume.
@@ -147,22 +140,14 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 // Reshape returns a new tensor sharing data with t but with a new shape of
 // identical volume.
 func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(t.data) {
+	if volume(shape) != len(t.data) {
 		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.shape, shape))
 	}
 	return &Tensor{shape: append([]int(nil), shape...), data: t.data}
 }
 
 // Zero fills the tensor with zeros in place.
-func (t *Tensor) Zero() {
-	for i := range t.data {
-		t.data[i] = 0
-	}
-}
+func (t *Tensor) Zero() { clear(t.data) }
 
 // Fill sets every element to v in place.
 func (t *Tensor) Fill(v float32) {
@@ -172,27 +157,14 @@ func (t *Tensor) Fill(v float32) {
 }
 
 // SameShape reports whether a and b have identical shapes.
-func SameShape(a, b *Tensor) bool {
-	if len(a.shape) != len(b.shape) {
-		return false
-	}
-	for i := range a.shape {
-		if a.shape[i] != b.shape[i] {
-			return false
-		}
-	}
-	return true
-}
+func SameShape(a, b *Tensor) bool { return slices.Equal(a.shape, b.shape) }
 
 // String renders small tensors fully and large ones abbreviated.
 func (t *Tensor) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Tensor%v[", t.shape)
 	n := len(t.data)
-	show := n
-	if show > 8 {
-		show = 8
-	}
+	show := min(n, 8)
 	for i := 0; i < show; i++ {
 		if i > 0 {
 			b.WriteString(", ")

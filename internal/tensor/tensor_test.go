@@ -325,7 +325,7 @@ func TestOpsIntoDestination(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a, b := Randn(rng, 1, 70, 40), Randn(rng, 1, 70, 40)
 	w, row, col := Randn(rng, 1, 40, 24), Randn(rng, 1, 40), Randn(rng, 1, 70)
-	pos := a.Apply(func(x float32) float32 { return x*x + 1 })
+	pos := AddScalar(Mul(a, a), 1)
 	p := NewPool()
 	ops := map[string]func(into ...*Tensor) *Tensor{
 		"Add":       func(into ...*Tensor) *Tensor { return Add(a, b, into...) },

@@ -103,10 +103,10 @@ go test -coverprofile=cover.out ./...
 echo "== go test (benchmark module: its own go.mod, invisible to ./... above) =="
 (cd benchmark && go test ./...)
 
-echo "== serve request, delta, shard resync, thin GEMM, sampler, mini-batch epoch and cold store epoch micro-benchmarks, one iteration (so that they cannot rot) =="
+echo "== serve request, delta, shard resync, thin and wide GEMM, sampler, mini-batch epoch and cold store epoch micro-benchmarks, one iteration (so that they cannot rot) =="
 go test -run='^$' -bench='BenchmarkServeRequest|BenchmarkDelta' -benchtime=1x ./internal/serve
 go test -run='^$' -bench=BenchmarkShardSync -benchtime=1x ./internal/shard
-go test -run='^$' -bench=BenchmarkThinGemm -benchtime=1x ./internal/tensor
+go test -run='^$' -bench='BenchmarkThinGemm|BenchmarkWideGemm' -benchtime=1x ./internal/tensor
 go test -run='^$' -bench=BenchmarkSample -benchtime=1x ./internal/sampling
 go test -run='^$' -bench=BenchmarkMiniBatchEpoch -benchtime=1x ./internal/train
 go test -run='^$' -bench=BenchmarkStoreEpochCold -benchtime=1x ./internal/store
