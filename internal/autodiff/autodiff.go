@@ -61,9 +61,9 @@ func (b *builder) saved(ref *gir.Node) *gir.Node {
 
 // adjust converts a gradient contribution c to the graph type and width of
 // the input it flows into, inserting RowSum for scalar broadcasts,
-// EdgeView for vertex→edge broadcasts, and A:S / A:D aggregations for
+// EdgeView for vertex→edge broadcasts, A:S / A:D aggregations for
 // edge→vertex reductions — the paper's "ingest edge-wise aggregation
-// operators" rule.
+// operators" rule — and SumRows for vertex→parameter broadcasts.
 func (b *builder) adjust(c *gir.Node, wantType gir.GraphType, wantShape []int) (*gir.Node, error) {
 	wantDim := 1
 	for _, s := range wantShape {
@@ -88,6 +88,8 @@ func (b *builder) adjust(c *gir.Node, wantType gir.GraphType, wantShape []int) (
 		n := b.op(gir.OpAgg, gir.TypeD, c.Shape, gir.Attr{AggOp: gir.AggSum}, c)
 		n.Dir = gir.AggToDst
 		return n, nil
+	case wantType == gir.TypeP && (c.Type == gir.TypeS || c.Type == gir.TypeD) && len(c.Shape) == 1 && len(wantShape) == 1:
+		return b.op(gir.OpSumRows, gir.TypeP, wantShape, gir.Attr{}, c), nil
 	default:
 		return nil, fmt.Errorf("autodiff: no conversion from grad type %s to input type %s", c.Type, wantType)
 	}

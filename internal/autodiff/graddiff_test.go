@@ -47,6 +47,37 @@ func gradCases() []gradCase {
 			param: map[string][]int{"W": {4, 3}},
 		},
 		{
+			// A parameter broadcast over the aggregation's rows, GCN's
+			// bias, then the activation: the bias gradient sums the
+			// sigmoid's over rows.
+			name: "gcn-bias",
+			build: func(t *testing.T) *gir.DAG {
+				b := gir.NewBuilder()
+				b.VFeature("h", 3)
+				b.VFeature("norm", 1)
+				bias := b.Param("b", 3)
+				return mustBuild(t, b, func(v *gir.Vertex) *gir.Value {
+					return v.Nbr("h").Mul(v.Nbr("norm")).AggSum().Add(bias).Sigmoid()
+				})
+			},
+			vfeat: map[string]int{"h": 3, "norm": 1},
+			param: map[string][]int{"b": {3}},
+		},
+		{
+			// A [1] parameter broadcast over rows and features.
+			name: "scalar-bias",
+			build: func(t *testing.T) *gir.DAG {
+				b := gir.NewBuilder()
+				b.VFeature("h", 3)
+				c := b.Param("c", 1)
+				return mustBuild(t, b, func(v *gir.Vertex) *gir.Value {
+					return v.Nbr("h").AggSum().Add(c)
+				})
+			},
+			vfeat: map[string]int{"h": 3},
+			param: map[string][]int{"c": {1}},
+		},
+		{
 			name: "gat",
 			build: func(t *testing.T) *gir.DAG {
 				b := gir.NewBuilder()

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
 	"seastar/internal/exec"
@@ -92,11 +91,10 @@ func blockStep(g *graph.Graph, c *exec.CompiledUDF, inputs []*tensor.Tensor, lab
 // the block (the mini-batch model's h adds one through Self to one
 // through Nbr). A batch of 40 seeds puts the mini-batch model's products
 // below the naive GEMM threshold while the square graph's are above it,
-// which the dispatch replay must hide. Plans that cannot run on a block
-// must say which unit refuses. Each plan's inference-only compile runs
-// on the block too: Infer's output is the square output's first D rows
-// as well, APPNP's step included, whose forward pass runs on a block
-// (only a backward pass has A:S kernels).
+// which the dispatch replay must hide. Every plan runs on a block: an A:S
+// kernel writes no D-typed value (fusion moves those to a row-only unit),
+// APPNP's step included. Each plan's inference-only compile runs on the
+// block too: Infer's output is the square output's first D rows as well.
 func TestBlockMatchesSquare(t *testing.T) {
 	const in, rels = 64, 3
 	const eps float32 = 0.1 // GIN's self weight is 1+ε
@@ -118,11 +116,6 @@ func TestBlockMatchesSquare(t *testing.T) {
 		}, []string{"invdeg"}, s.Hidden, s.Classes)},
 		{"minibatch-sage", program.MiniBatchSAGE(in, 8)},
 	}
-	// The plans whose backward has an A:S kernel writing a D-typed value
-	// from its per-vertex sweep over all N vertices: APPNP's step, whose
-	// Self-side inputs' gradients come out of its neighbour sweep.
-	noBlock := map[string]bool{"appnp/stage1": true}
-
 	rng := rand.New(rand.NewSource(31))
 	for _, shape := range []struct{ n, d, m int }{{300, 40, 500}, {700, 300, 1500}} {
 		g := blockGraph(t, rng, shape.n, shape.d, shape.m, rels)
@@ -175,13 +168,8 @@ func TestBlockMatchesSquare(t *testing.T) {
 						t.Errorf("%s simd=%v: Infer's block output element %d: %v, the square graph's %v", name, simd, i, inf.Data()[i], sq.out.Data()[i])
 					}
 					if blErr != nil {
-						if !noBlock[name] || !strings.Contains(blErr.Error(), "unit ") {
-							t.Errorf("%s: %v", name, blErr)
-						}
+						t.Errorf("%s: %v", name, blErr)
 						continue
-					}
-					if noBlock[name] {
-						t.Errorf("%s ran on a block; drop it from noBlock", name)
 					}
 					compareBlock(t, name, simd, c, shape.d, sq, bl)
 				}

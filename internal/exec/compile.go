@@ -103,9 +103,6 @@ type Pass struct {
 	// labels are the units' obs attribution names, parallel to
 	// Plan.Units, so tracing a unit on the hot path is a slice index.
 	labels []string
-	// noBlock names the first unit that cannot run on a block, "" when
-	// every unit can.
-	noBlock string
 }
 
 // Kernel returns the compiled kernel of a seastar unit, nil for a dense
@@ -223,7 +220,7 @@ func CompileWith(dag *gir.DAG, opts Options) (*CompiledUDF, error) {
 }
 
 // compilePass lowers one pass: partition → materialize (keeping the
-// nodes in keep) → kernels → labels → the no-block check.
+// nodes in keep) → kernels → labels.
 func compilePass(name string, dag *gir.DAG, partition func(*gir.DAG) (*fusion.Plan, error), keep map[*gir.Node]bool) (*Pass, error) {
 	sp := obs.Begin("compile", "partition")
 	plan, err := partition(dag)
@@ -254,14 +251,6 @@ func compilePass(name string, dag *gir.DAG, partition func(*gir.DAG) (*fusion.Pl
 		}
 		k.SetObsLabel(label)
 		p.kern[u] = k
-		// An A:S kernel writes a D-typed materialization from a sweep
-		// over every vertex (kernels.Kernel's neighbour-typed sweep),
-		// which a tensor of a block's destination rows cannot hold.
-		for _, m := range p.mat[u] {
-			if p.noBlock == "" && k.Dir == gir.AggToSrc && m.Type == gir.TypeD {
-				p.noBlock = fmt.Sprintf("%s unit %d (an A:S kernel writing D-typed %%%d for every vertex)", name, u.ID, m.ID)
-			}
-		}
 	}
 	return p, nil
 }

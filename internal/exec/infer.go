@@ -32,9 +32,6 @@ func (c *CompiledUDF) Infer(env *InferEnv, vfeat, efeat, params map[string]*tens
 	if env == nil || env.G == nil {
 		return nil, fmt.Errorf("exec: Infer needs a graph")
 	}
-	if isBlock(env.G) && c.Fwd.noBlock != "" {
-		return nil, fmt.Errorf("exec: %s cannot run on a block", c.Fwd.noBlock)
-	}
 	var buf [8]*tensor.Tensor // the ordered inputs stay on the stack: no served plan reads more
 	vals, err := ordered(c, buf[:0], vfeat, efeat, params)
 	if err != nil {

@@ -161,6 +161,8 @@ func denseOp(g *graph.Graph, n *gir.Node, ins []*tensor.Tensor, store storeFunc)
 		return edgeParamGrad(g, n, ins[0], ins[1], false, store(n, n.Shape...)), nil
 	case gir.OpParamGradMMTyped:
 		return edgeParamGrad(g, n, ins[0], ins[1], true, store(n, n.Shape...)), nil
+	case gir.OpSumRows: // over a block's destination rows only, as vertexParamGrad
+		return tensor.SumRows(ins[0].TopRows(matShape(g, n.Inputs[0])[0]), store(n, n.Shape...)), nil
 	}
 	// P-typed elementwise ops: whole-tensor backend kernels (gradient
 	// accumulation between parameter-gradient units, scaling, and the
@@ -229,6 +231,8 @@ func denseCost(g *graph.Graph, n *gir.Node, ins []*tensor.Tensor, out *tensor.Te
 		din, dout := n.Shape[len(n.Shape)-2], n.Shape[len(n.Shape)-1]
 		return "paramgrad", float64(rows) * float64(din) * float64(dout),
 			int64(ins[0].Size()+ins[1].Size()) * 4, int64(out.Size()) * 4 * 2
+	case gir.OpSumRows:
+		return "dense.SumRows", float64(ins[0].Size()), int64(ins[0].Size()) * 4, int64(out.Size()) * 4
 	}
 	return "dense." + n.Op.String(), float64(out.Size()), int64(out.Size()) * 8, int64(out.Size()) * 4
 }

@@ -34,19 +34,11 @@ func NewRuntime(e *nn.Engine, g *graph.Graph) *Runtime {
 
 // Apply executes the compiled UDF as an autograd function over the given
 // named variables, returning the output variable: [N, d], or [D, d] on a
-// block's D destinations. Missing inputs are an error, and so is a block
-// under a plan with a unit that cannot run on one; extra entries are
+// block's D destinations. Missing inputs are an error; extra entries are
 // ignored.
 func (c *CompiledUDF) Apply(rt *Runtime, vfeat, efeat, params map[string]*nn.Variable) (*nn.Variable, error) {
 	if c.Bwd == nil {
 		return nil, fmt.Errorf("exec: Apply on an inference-only compilation (use Infer, or compile without Options.InferenceOnly)")
-	}
-	if isBlock(rt.G) {
-		for _, unit := range [...]string{c.Fwd.noBlock, c.Bwd.noBlock} {
-			if unit != "" {
-				return nil, fmt.Errorf("exec: %s cannot run on a block", unit)
-			}
-		}
 	}
 	inputs, err := ordered(c, nil, vfeat, efeat, params)
 	if err != nil {

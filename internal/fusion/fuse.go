@@ -2,6 +2,7 @@ package fusion
 
 import (
 	"fmt"
+	"slices"
 
 	"seastar/internal/gir"
 )
@@ -272,6 +273,27 @@ func Partition(d *gir.DAG) (*Plan, error) {
 				aggDir[u] = n.Dir
 				hasAgg[u] = true
 			}
+		}
+	}
+
+	// An A:S unit computes no D-typed value (§5.3's materialization
+	// planning): its D-typed operators — the gradient's destination-side
+	// tail, fused ahead of the aggregation — move to a row-only unit that
+	// runs first and writes each value once per row, where the A:S sweep
+	// would recompute it once per edge and, on a block, could not write it.
+	for _, u := range units {
+		if aggDir[u] != gir.AggToSrc {
+			continue
+		}
+		r := &Unit{ID: len(units), Kind: KindSeastar}
+		u.Nodes = slices.DeleteFunc(u.Nodes, func(n *gir.Node) bool {
+			if n.Type == gir.TypeD {
+				r.Nodes, unitOf[n] = append(r.Nodes, n), r
+			}
+			return n.Type == gir.TypeD
+		})
+		if len(r.Nodes) > 0 {
+			units = append(units, r)
 		}
 	}
 

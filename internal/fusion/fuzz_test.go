@@ -20,11 +20,13 @@ import (
 
 // fuzzProgram decodes the byte stream into a deterministic vertex-centric
 // program. Byte 0 seeds the graph, byte 1 packs flags (hetero bit,
-// feature width), and each following byte appends one operator to the
-// chain: the opcode comes from the low bits, operand choices from the
-// high bits, so the corpus mutator explores both structure and wiring.
+// feature width, and in its top bit whether opcode 11 adds a parameter
+// instead of aggregating), and each following byte appends one operator
+// to the chain: the opcode comes from the low bits, operand choices from
+// the high bits, so the corpus mutator explores both structure and wiring.
 type fuzzProgram struct {
 	hetero bool
+	biased bool // opcode 11 adds a [dim] or [1] parameter, broadcast over rows
 	dim    int
 	ops    []byte
 }
@@ -37,6 +39,7 @@ func decodeFuzz(data []byte) (fuzzProgram, int64) {
 	gseed := int64(data[0])
 	flags := data[1]
 	p.hetero = flags&1 == 1
+	p.biased = flags&0x80 != 0
 	p.dim = []int{1, 2, 4, 8}[(flags>>1)&3]
 	p.ops = data[2:]
 	if len(p.ops) > 24 {
@@ -52,6 +55,10 @@ func (p fuzzProgram) buildUDF(b *gir.Builder) gir.UDF {
 	b.VFeature("s", 1)
 	if p.hetero {
 		b.EFeature("w", 1)
+	}
+	var biases []*gir.Value
+	if p.biased {
+		biases = []*gir.Value{b.Param("b", p.dim), b.Param("c", 1)}
 	}
 	return func(v *gir.Vertex) *gir.Value {
 		pool := []*gir.Value{v.Nbr("h"), v.Self("h"), v.Nbr("s"), v.Self("s")}
@@ -104,6 +111,12 @@ func (p fuzzProgram) buildUDF(b *gir.Builder) gir.UDF {
 				} else {
 					nv = a.Exp().AddScalar(1).Log()
 				}
+			case 11:
+				if p.biased {
+					nv = pick(sel).Add(biases[sel%2])
+					break
+				}
+				fallthrough
 			default:
 				a := pick(sel)
 				if a.Type() != gir.TypeD {
@@ -179,14 +192,17 @@ func checkFusionEquivalence(t *testing.T, data []byte) {
 		"h": tensor.Randn(irng, 0.5, g.N, p.dim),
 		"s": tensor.Randn(irng, 0.5, g.N, 1),
 	}
-	var efeat map[string]*tensor.Tensor
+	var efeat, params map[string]*tensor.Tensor
 	if p.hetero {
 		efeat = map[string]*tensor.Tensor{"w": tensor.Randn(irng, 0.5, g.M, 1)}
+	}
+	if p.biased {
+		params = map[string]*tensor.Tensor{"b": tensor.Randn(irng, 0.5, p.dim), "c": tensor.Randn(irng, 0.5, 1)}
 	}
 
 	// Every seastar unit runs on the kernel VM (specialize.go): grammar
 	// matches and opSteps alike.
-	got, err := c.Infer(&exec.InferEnv{G: g}, vfeat, efeat, nil)
+	got, err := c.Infer(&exec.InferEnv{G: g}, vfeat, efeat, params)
 	if err != nil {
 		t.Fatalf("infer: %v", err)
 	}
@@ -194,7 +210,7 @@ func checkFusionEquivalence(t *testing.T, data []byte) {
 	// The oracle evaluates the SAME optimized forward DAG the kernels
 	// were compiled from, so optimizer rewrites cannot explain a
 	// divergence: any mismatch is a fusion/codegen bug.
-	bind := &refinterp.Bindings{VFeat: vfeat, EFeat: efeat}
+	bind := &refinterp.Bindings{VFeat: vfeat, EFeat: efeat, Params: params}
 	vals, err := refinterp.Eval(c.Fwd.DAG, g, bind)
 	if err != nil {
 		t.Fatalf("refinterp: %v", err)

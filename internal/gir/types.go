@@ -150,6 +150,10 @@ const (
 	// Parameter-gradient reductions: dW = Σ_rows xᵀ g, producing TypeP.
 	OpParamGradMM      // dW[in,out] = Σ xᵀ g
 	OpParamGradMMTyped // per-edge-type dW[R,in,out], rows bucketed by type
+	// OpSumRows sums an S- or D-typed value over its rows ([d] -> P [d]):
+	// autodiff emits it for the gradient of a parameter broadcast over
+	// vertex rows, such as a bias.
+	OpSumRows
 )
 
 var opNames = map[OpKind]string{
@@ -165,6 +169,7 @@ var opNames = map[OpKind]string{
 	OpRowSum: "RowSum", OpEdgeView: "EdgeView",
 	OpAgg: "Agg", OpAggHier: "AggHier",
 	OpParamGradMM: "ParamGradMM", OpParamGradMMTyped: "ParamGradMMTyped",
+	OpSumRows: "SumRows",
 }
 
 // String names the operator as it appears in GIR listings.

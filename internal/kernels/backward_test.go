@@ -214,11 +214,15 @@ func TestSpecializeGCNBackward(t *testing.T) {
 	bc.checkBitwise(t)
 }
 
-// TestTrainingStepUnitsBitwise covers the training units whose edge
+// TestTrainingStepUnitsBitwise covers the table's training units beside
+// the ones TestSpecialize* hold: GCN's and GAT's first stages, whose
+// activation's gradient a row-only unit writes, and the units whose edge
 // steps fall outside the grammar and run as opSteps: R-GCN's forward
 // (the saved [M, d] typed transform) and backward (the saved edge
-// gradient and MatMulTypedT), and APPNP's backward wide MulConst·Mul
-// chain. Forward and backward must match refinterp bit for bit.
+// gradient and MatMulTypedT), behind the row-only unit that writes its
+// ReLU's gradient; and APPNP's backward, whose wide MulConst·Mul chain
+// over the destination runs in row-only units ahead of a plain gather.
+// Forward and backward must match refinterp bit for bit.
 func TestTrainingStepUnitsBitwise(t *testing.T) {
 	spec := program.Spec{Hidden: 16, Classes: 8, Alpha: 0.1, K: 1}
 	cases := []struct {
@@ -228,13 +232,32 @@ func TestTrainingStepUnitsBitwise(t *testing.T) {
 		inputs    func(rng *rand.Rand, g *graph.Graph) (vfeat, efeat, params map[string]*tensor.Tensor)
 		fwd, bwd  []string
 	}{
+		// The first stages of GCN and GAT end in the table's activation
+		// (GCN's after its bias): a row-only unit writes its gradient once
+		// per row, and the gather behind it reads that like a leaf.
+		{"gcn", program.GCN(spec, 12, 1), 0,
+			func(rng *rand.Rand, g *graph.Graph) (map[string]*tensor.Tensor, map[string]*tensor.Tensor, map[string]*tensor.Tensor) {
+				return map[string]*tensor.Tensor{"hw": tensor.Randn(rng, 0.5, g.N, 16), "norm": tensor.Uniform(rng, 0.2, 1, g.N, 1)},
+					nil, map[string]*tensor.Tensor{"b": tensor.Randn(rng, 0.5, 16)}
+			},
+			[]string{"scaled-gather"}, []string{"row-only", "gather"}},
+		{"gat", program.GAT(spec, 12, 1), 0,
+			func(rng *rand.Rand, g *graph.Graph) (map[string]*tensor.Tensor, map[string]*tensor.Tensor, map[string]*tensor.Tensor) {
+				return map[string]*tensor.Tensor{
+					"eu": tensor.Randn(rng, 0.5, g.N, 1),
+					"ev": tensor.Randn(rng, 0.5, g.N, 1),
+					"h":  tensor.Randn(rng, 0.5, g.N, 16),
+				}, nil, nil
+			},
+			[]string{"chain[3]+scalar-agg", "chain[1]+scaled-gather"},
+			[]string{"row-only", "scaled-gather", "dot[1]+chain[3]+scalar-agg", "dot[1]+chain[4]+scalar-agg", "dot[1]+chain[4]+scalar-agg"}},
 		{"rgcn", program.RGCN(spec, 12, 3), 3,
 			func(rng *rand.Rand, g *graph.Graph) (map[string]*tensor.Tensor, map[string]*tensor.Tensor, map[string]*tensor.Tensor) {
-				return map[string]*tensor.Tensor{"h": tensor.Randn(rng, 0.5, g.N, 12)},
+				return map[string]*tensor.Tensor{"h": tensor.Randn(rng, 0.5, g.N, 12), "self": tensor.Randn(rng, 0.5, g.N, 16)},
 					map[string]*tensor.Tensor{"norm": tensor.Uniform(rng, 0.2, 1, g.M, 1)},
 					map[string]*tensor.Tensor{"W": tensor.Randn(rng, 0.5, 3, 12, 16)}
 			},
-			[]string{"step[1]+scaled-col→hier"}, []string{"dot[1]+step[2]+col"}},
+			[]string{"step[1]+scaled-col→hier"}, []string{"row-only", "dot[1]+step[2]+col"}},
 		{"appnp", program.APPNP(spec, 12, 1), 0,
 			func(rng *rand.Rand, g *graph.Graph) (map[string]*tensor.Tensor, map[string]*tensor.Tensor, map[string]*tensor.Tensor) {
 				return map[string]*tensor.Tensor{
@@ -244,7 +267,7 @@ func TestTrainingStepUnitsBitwise(t *testing.T) {
 					"dn": tensor.Uniform(rng, 0.2, 1, g.N, 1),
 				}, nil, nil
 			},
-			[]string{"scaled-gather", "row-only"}, []string{"row-only", "step[2]+col"}},
+			[]string{"scaled-gather", "row-only"}, []string{"row-only", "row-only", "gather"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -558,19 +558,16 @@ func evalStep(st step, scratch [][]float32, params map[*gir.Node]*tensor.Tensor,
 			}
 			out[j] = v
 		}
-	case gir.OpReLU:
-		a := in(0)
-		for j := 0; j < w; j++ {
-			if v := get(a, j); v > 0 {
-				out[j] = v
-			} else {
-				out[j] = 0 // NaN and -0 too, as tensor.ReLU
+	case gir.OpReLU: // a unary op's input is as wide as its output
+		for j, v := range in(0)[:w] {
+			if !(v > 0) {
+				v = 0 // NaN and -0 too, as tensor.ReLU
 			}
+			out[j] = v
 		}
 	case gir.OpSigmoid:
-		a := in(0)
-		for j := 0; j < w; j++ {
-			out[j] = 1 / (1 + float32(math.Exp(float64(-get(a, j)))))
+		for j, v := range in(0)[:w] {
+			out[j] = 1 / (1 + float32(math.Exp(float64(-v))))
 		}
 	case gir.OpTanh:
 		a := in(0)
@@ -597,14 +594,13 @@ func evalStep(st step, scratch [][]float32, params map[*gir.Node]*tensor.Tensor,
 				out[j] = s * get(g, j)
 			}
 		}
-	case gir.OpReLUGrad:
-		x, g := in(0), in(1)
-		for j := 0; j < w; j++ {
-			if get(x, j) > 0 {
-				out[j] = get(g, j)
-			} else {
-				out[j] = 0
+	case gir.OpReLUGrad: // x, g and the gradient are one width
+		x, g := in(0)[:w], in(1)[:w]
+		for j, gv := range g {
+			if !(x[j] > 0) {
+				gv = 0
 			}
+			out[j] = gv
 		}
 	case gir.OpSigmoidGrad:
 		y, g := in(0), in(1)

@@ -33,10 +33,11 @@ package kernels
 // that are constant within a row are hoisted to a once-per-row copy.
 //
 // A step (opStep) is the VM's catch-all: an edge op no other form
-// matches — R-GCN's saved typed transform, MatMulTypedT, APPNP backward's
-// wide MulConst·Mul, any wide chain a UDF writes — runs through evalStep
-// once per edge of the block, with the edge's type. GCN, GAT and
-// GraphSAGE need none; the coverage test in internal/models pins the list.
+// matches — R-GCN's saved typed transform, MatMulTypedT, any wide chain a
+// UDF writes — runs through evalStep once per edge of the block, with the
+// edge's type. GCN, GAT, GraphSAGE and APPNP need none (fusion runs a
+// backward pass's destination chains in row-only units); the coverage
+// test in internal/models pins the list.
 // A unit with no aggregation runs its row stages with an empty program.
 //
 // Bitwise contract: every chain arm is an exact transliteration of the

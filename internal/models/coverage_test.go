@@ -24,12 +24,13 @@ func unitCoverage(c *exec.CompiledUDF) []string {
 }
 
 // TestSpecializationCoverage is the grammar's ledger of record: every
-// seastar unit of every built-in model, with the VM plan it compiled to.
-// Every aggregating unit of GCN, GAT and GraphSAGE must match the grammar
-// (no step[k]), forward and backward; the APPNP and R-GCN units that run
-// edge steps outside it through opSteps are listed with their step
-// counts, so a grammar regression or a silent new opStep shows up as a
-// diff here rather than as a slower benchmark.
+// seastar unit of every stage of the table's GCN, GAT and R-GCN, and of
+// the first stage of each other built-in model, with the VM plan it
+// compiled to. Every aggregating unit of GCN, GAT, GraphSAGE and APPNP
+// must match the grammar (no step[k]), forward and backward; the R-GCN
+// units that run edge steps outside it through opSteps are listed with
+// their step counts, so a grammar regression or a silent new opStep shows
+// up as a diff here rather than as a slower benchmark.
 func TestSpecializationCoverage(t *testing.T) {
 	// plan compiles, for training, stage i's vertex program of p.
 	plan := func(p *program.Program, i int) *exec.CompiledUDF {
@@ -51,12 +52,30 @@ func TestSpecializationCoverage(t *testing.T) {
 		c     *exec.CompiledUDF
 		want  []string
 	}{
-		// h·W is a dense op before the plan, so the aggregation is unit 0.
-		{"gcn", plan(program.GCN(spec, 16, 1), 1), []string{
+		// Every stage of the table's GCN, GAT and R-GCN. h·W is a dense op
+		// before the plan, so the forward aggregation is unit 0. A stage
+		// ending in an activation writes its gradient first, in a row-only
+		// unit; the bias gradient (GCN) is a dense unit, hence GCN stage
+		// 2's bwd/1.
+		{"gcn/1", plan(program.GCN(spec, 16, 1), 0), []string{
 			"fwd/0 scaled-gather",
-			"bwd/0 gather",
+			"bwd/0 " + noAgg,
+			"bwd/1 gather",
 		}},
-		{"gat", plan(program.GAT(spec, 16, 1), 0), []string{
+		{"gcn/2", plan(program.GCN(spec, 16, 1), 1), []string{
+			"fwd/0 scaled-gather",
+			"bwd/1 gather",
+		}},
+		{"gat/1", plan(program.GAT(spec, 16, 1), 0), []string{
+			"fwd/0 chain[3]+scalar-agg",
+			"fwd/1 chain[1]+scaled-gather",
+			"bwd/0 " + noAgg,
+			"bwd/1 scaled-gather",
+			"bwd/2 dot[1]+chain[3]+scalar-agg",
+			"bwd/3 dot[1]+chain[4]+scalar-agg",
+			"bwd/4 dot[1]+chain[4]+scalar-agg",
+		}},
+		{"gat/2", plan(program.GAT(spec, 16, 1), 1), []string{
 			"fwd/0 chain[3]+scalar-agg",
 			"fwd/1 chain[1]+scaled-gather",
 			"bwd/0 scaled-gather",
@@ -64,10 +83,13 @@ func TestSpecializationCoverage(t *testing.T) {
 			"bwd/2 dot[1]+chain[4]+scalar-agg",
 			"bwd/3 dot[1]+chain[4]+scalar-agg",
 		}},
+		// The ReLU's gradient and the self and 1/in-degree gradients are
+		// destination values: a row-only unit writes them ahead of the
+		// neighbour gather.
 		{"sage", plan(sageProgram(spec, 8), 0), []string{
 			"fwd/0 gather",
-			"bwd/0 scaled-gather",
-			"bwd/1 " + noAgg,
+			"bwd/0 " + noAgg,
+			"bwd/1 gather",
 		}},
 		// The sampled mini-batch trainer's model: W inside the plan, after
 		// the aggregation. bwd/2 is h's gradient, which training never
@@ -86,16 +108,22 @@ func TestSpecializationCoverage(t *testing.T) {
 			"fwd/0 scaled-gather",
 			"fwd/1 " + noAgg,
 			"bwd/0 " + noAgg,
-			// A wide elementwise chain over a neighbour value feeds the
-			// aggregation: MulConst(dy)·dn, re-indexed by EdgeView, runs
-			// as two opSteps.
-			"bwd/1 step[2]+col",
+			// The wide destination chain MulConst(dy)·dn, and the dn
+			// gradient beside it, run once per row ahead of the gather.
+			"bwd/1 " + noAgg,
+			"bwd/2 gather",
 		}},
-		{"rgcn", plan(program.RGCN(spec, 16, 3), 0), []string{
+		{"rgcn/1", plan(program.RGCN(spec, 16, 3), 0), []string{
 			// Both passes save a wide per-edge value ([M, d] typed
 			// transform forward, the edge gradient backward), computed by
 			// an opStep the term and the store read; backward also runs
-			// MatMulTypedT as an opStep.
+			// MatMulTypedT as an opStep, after the row-only unit that
+			// writes the ReLU's gradient (the self loop's gradient too).
+			"fwd/0 step[1]+scaled-col→hier",
+			"bwd/0 " + noAgg,
+			"bwd/1 dot[1]+step[2]+col",
+		}},
+		{"rgcn/2", plan(program.RGCN(spec, 16, 3), 1), []string{
 			"fwd/0 step[1]+scaled-col→hier",
 			"bwd/0 dot[1]+step[2]+col",
 		}},

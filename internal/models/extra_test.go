@@ -56,26 +56,30 @@ func ginProgram(s program.Spec, in int, eps float32) *program.Program {
 // ahead of the mean: a sum scaled by the centre's 1/in-degree, fused after
 // the aggregation.
 func sageProgram(s program.Spec, in int) *program.Program {
-	layer := func(l string, width int, a program.Act) program.Stage {
+	layer := func(l string, width int, relu bool) program.Stage {
 		return program.Stage{
 			Dense: []program.Dense{{Out: "self" + l, W: "Wself" + l}, {Out: "nbr" + l, W: "Wnbr" + l}},
 			Plan: &program.Plan{Trace: func() (*gir.DAG, error) {
 				b := gir.NewBuilder()
 				b.VFeature("h", width)
+				b.VFeature("self", width)
 				b.VFeature("invdeg", 1)
 				return b.Build(func(v *gir.Vertex) *gir.Value {
-					return v.Nbr("h").AggSum().Mul(v.Self("invdeg"))
+					out := v.Nbr("h").AggSum().Mul(v.Self("invdeg")).Add(v.Self("self"))
+					if relu {
+						out = out.ReLU()
+					}
+					return out
 				})
 			}},
-			Values: []program.Bind{{Key: "h", Name: "nbr" + l}},
+			Values: []program.Bind{{Key: "h", Name: "nbr" + l}, {Key: "self", Name: "self" + l}},
 			Norms:  []program.NormBind{{Key: "invdeg", Ref: program.NormInDeg}},
-			Plus:   "self" + l, Act: a,
 		}
 	}
 	return &program.Program{
 		Weights: []program.Weight{wt("Wself1", in, s.Hidden), wt("Wnbr1", in, s.Hidden),
 			wt("Wself2", s.Hidden, s.Classes), wt("Wnbr2", s.Hidden, s.Classes)},
-		Stages: []program.Stage{layer("1", s.Hidden, program.ReLU), layer("2", s.Classes, program.None)},
+		Stages: []program.Stage{layer("1", s.Hidden, true), layer("2", s.Classes, false)},
 	}
 }
 

@@ -12,18 +12,16 @@ import (
 )
 
 // The nn lowering: a program run on an nn.Engine, which records every op
-// for autograd. Dense ops become MatMul plus the activation, a plan
-// becomes its training compilation's Apply, post ops become AddRow, Add
-// and the activation — the same ops, in the same order, serving's runner
-// applies to tensors, so a trained model serves the function it learned.
+// for autograd. Dense ops become MatMul plus the activation and a plan
+// becomes its training compilation's Apply — its bias, self loop and
+// activation with it, so serving's runner and this lowering share every
+// op of a stage but the dense products, and a trained model serves the
+// function it learned.
 
 // Var maps a to its nn op.
 func (a Act) Var(e *nn.Engine, v *nn.Variable) *nn.Variable {
-	switch a {
-	case ReLU:
+	if a == ReLU {
 		return e.ReLU(v)
-	case Sigmoid:
-		return e.Sigmoid(v)
 	}
 	return v
 }
@@ -138,13 +136,7 @@ func (n *Net) Forward(rt *exec.Runtime, x *nn.Variable, norms *NormVars) (*nn.Va
 		if err != nil {
 			return nil, fmt.Errorf("program: stage %d: %w", i+1, err)
 		}
-		if s.Bias != "" {
-			out = e.AddRow(out, n.w[s.Bias])
-		}
-		if s.Plus != "" {
-			out = e.Add(out, vals[s.Plus])
-		}
-		h = s.Act.Var(e, out)
+		h = out
 	}
 	return h, nil
 }

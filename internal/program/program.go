@@ -1,12 +1,15 @@
 // Package program is the one definition of every GNN architecture (DESIGN
 // §8): a layer program declared once, as data, in the table (table.go),
-// and two lowerings of it. Serving's runner (internal/serve) applies a
-// program's stages to all rows, a delta's dirty rows or a shard fragment's
-// owned rows; the nn lowering (nn.go) runs it on an nn.Engine, where
-// autograd and the compiled backward make it trainable (internal/models,
-// internal/train). What the engine, the delta path and the shard protocol
-// must know of an architecture is derived from its program here.
-// scripts/ci.sh fails if an architecture is named outside table.go.
+// and two lowerings of it. A stage is dense products and one vertex
+// program whose output is the stage's, its bias, self loop and activation
+// traced in it, so neither lowering applies an op of its own. Serving's
+// runner (internal/serve) applies a program's stages to all rows, a
+// delta's dirty rows or a shard fragment's owned rows; the nn lowering
+// (nn.go) runs it on an nn.Engine, where autograd and the compiled
+// backward make it trainable (internal/models, internal/train). What the
+// engine, the delta path and the shard protocol must know of an
+// architecture is derived from its program here. scripts/ci.sh fails if
+// an architecture is named outside table.go.
 package program
 
 import (
@@ -93,22 +96,19 @@ func (w Weight) Draw(rng *rand.Rand) *tensor.Tensor {
 	return tensor.Uniform(rng, -l, l, w.Shape...)
 }
 
-// Act is a named row-wise activation; each lowering maps it to its own op.
+// Act is a named row-wise activation of a dense product; each lowering
+// maps it to its own op. A stage's own activation is traced into its plan.
 type Act int
 
 const (
-	None    Act = iota // identity
-	ReLU               // max(x, 0)
-	Sigmoid            // 1/(1+e⁻ˣ)
+	None Act = iota // identity
+	ReLU            // max(x, 0)
 )
 
 // Apply applies a to t in place (serving's lowering).
 func (a Act) Apply(t *tensor.Tensor) {
-	switch a {
-	case ReLU:
+	if a == ReLU {
 		tensor.ReLU(t, t)
-	case Sigmoid:
-		tensor.Sigmoid(t, t)
 	}
 }
 
@@ -121,24 +121,19 @@ type Dense struct {
 	Act        Act
 }
 
-// A Stage is one message-passing layer: dense products, one compiled
-// vertex program with every input bound by key, then row-wise post ops in
-// place on its output. Stages are the exchange rounds of sharded serving
-// and the hops of a delta's frontier. A stage without a plan is dense
-// only — its output is its last dense output — which only the nn lowering
-// runs (a GIN's closing MLP, as internal/models' tests declare it);
-// serving refuses it.
+// A Stage is one message-passing layer: dense products, then one compiled
+// vertex program with every input bound by key — its bias, self loop and
+// activation included, so the plan's output is the stage's. Stages are
+// the exchange rounds of sharded serving and the hops of a delta's
+// frontier. A stage without a plan is dense only — its output is its last
+// dense output — which only the nn lowering runs (a GIN's closing MLP, as
+// internal/models' tests declare it); serving refuses it.
 type Stage struct {
 	Dense  []Dense
 	Plan   *Plan      // stages running the same vertex program share one
 	Values []Bind     // ← a dense output of this or an earlier stage, or "" for the stage input
 	Norms  []NormBind // ← a graph normalizer
 	Params []Bind     // ← a weight, read inside the plan
-
-	// Post ops, in this order: += a weight broadcast over rows, += a dense
-	// output of this stage row for row, an activation.
-	Bias, Plus string
-	Act        Act
 }
 
 // Bind binds the plan input Key to the value or weight Name.
@@ -293,10 +288,10 @@ func (p *Program) weight(name string) Weight {
 	return p.Weights[slices.IndexFunc(p.Weights, func(w Weight) bool { return w.Name == name })]
 }
 
-// Binds reports whether s's plan or post op reads the named value ("" is
-// the stage input).
+// Binds reports whether s's plan reads the named value ("" is the stage
+// input).
 func (s *Stage) Binds(name string) bool {
-	return name != "" && name == s.Plus || slices.ContainsFunc(s.Values, func(v Bind) bool { return v.Name == name })
+	return slices.ContainsFunc(s.Values, func(v Bind) bool { return v.Name == name })
 }
 
 // Crossing returns the values s's plan reads through Nbr, each once, in

@@ -40,14 +40,15 @@ func TestGCNNorm(t *testing.T) {
 
 // inPlanGCN is GCN as the paper's Figure 3 writes it: the matmul traced
 // inside the vertex program, Nbr(h).MatMul(W), instead of hoisted ahead
-// of it as the table's GCN is. Same weights, same draw order.
+// of it as the table's GCN is; bias and activation follow as in the
+// table. Same weights, same draw order.
 func inPlanGCN(s Spec, in int) *Program {
 	p := GCN(s, in, 1)
 	for i := range p.Stages {
 		st := &p.Stages[i]
-		width, l := in, "1"
+		width, l, act := in, "1", (*gir.Value).Sigmoid
 		if i == 1 {
-			width, l = s.Hidden, "2"
+			width, l, act = s.Hidden, "2", nil
 		}
 		st.Dense = nil
 		st.Plan = &Plan{Trace: func() (*gir.DAG, error) {
@@ -55,12 +56,13 @@ func inPlanGCN(s Spec, in int) *Program {
 			b.VFeature("h", width)
 			b.VFeature("norm", 1)
 			W := b.Param("W", p.weight("W"+l).Shape...)
+			bias := b.Param("b", p.weight("b"+l).Shape...)
 			return b.Build(func(v *gir.Vertex) *gir.Value {
-				return v.Nbr("h").MatMul(W).Mul(v.Nbr("norm")).AggSum()
+				return tail(v.Nbr("h").MatMul(W).Mul(v.Nbr("norm")).AggSum().Add(bias), act)
 			})
 		}}
 		st.Values = []Bind{{"h", ""}}
-		st.Params = []Bind{{"W", "W" + l}}
+		st.Params = []Bind{{"W", "W" + l}, {"b", "b" + l}}
 	}
 	return p
 }

@@ -27,31 +27,41 @@ var programs = map[string]struct {
 	"rgcn": {declare: RGCN},
 }
 
+// tail applies a layer's activation to its output: a gir.Value method
+// such as (*gir.Value).ReLU, or nil for none.
+func tail(x *gir.Value, act func(*gir.Value) *gir.Value) *gir.Value {
+	if act == nil {
+		return x
+	}
+	return act(x)
+}
+
 // GCN is two layers of mean aggregation (Figure 1):
 // h' = σ(b + Σ_{u∈N(v)} norm_u · h_u W). The dense h·W is hoisted out of
 // the vertex program — bitwise-identical to tracing the matmul inside it
 // (the compiler lowers Nbr(h).MatMul(W) to the same per-row transform;
 // TestHoistedGCNMatchesInPlanMatMul checks it forward and backward) — which is what makes the architecture incremental.
 func GCN(s Spec, in, _ int) *Program {
-	layer := func(l string, width int, a Act) Stage {
+	layer := func(l string, width int, act func(*gir.Value) *gir.Value) Stage {
 		return Stage{
 			Dense: []Dense{{Out: "hw" + l, W: "W" + l}},
 			Plan: &Plan{Trace: func() (*gir.DAG, error) {
 				b := gir.NewBuilder()
 				b.VFeature("hw", width)
 				b.VFeature("norm", 1)
+				bias := b.Param("b", width)
 				return b.Build(func(v *gir.Vertex) *gir.Value {
-					return v.Nbr("hw").Mul(v.Nbr("norm")).AggSum()
+					return tail(v.Nbr("hw").Mul(v.Nbr("norm")).AggSum().Add(bias), act)
 				})
 			}},
 			Values: []Bind{{"hw", "hw" + l}},
 			Norms:  []NormBind{{"norm", NormInDeg}},
-			Bias:   "b" + l, Act: a,
+			Params: []Bind{{"b", "b" + l}},
 		}
 	}
 	return &Program{
 		Weights: []Weight{wt("W1", in, s.Hidden), wt("b1", s.Hidden), wt("W2", s.Hidden, s.Classes), wt("b2", s.Classes)},
-		Stages:  []Stage{layer("1", s.Hidden, Sigmoid), layer("2", s.Classes, None)},
+		Stages:  []Stage{layer("1", s.Hidden, (*gir.Value).Sigmoid), layer("2", s.Classes, nil)},
 	}
 }
 
@@ -59,7 +69,7 @@ func GCN(s Spec, in, _ int) *Program {
 // computed densely as in the paper's own listing; ev is the one Self-side
 // input.
 func GAT(s Spec, in, _ int) *Program {
-	layer := func(l string, width int, a Act) Stage {
+	layer := func(l string, width int, act func(*gir.Value) *gir.Value) Stage {
 		return Stage{
 			Dense: []Dense{{Out: "hw" + l, W: "W" + l},
 				{Out: "eu" + l, In: "hw" + l, W: "aU" + l}, {Out: "ev" + l, In: "hw" + l, W: "aV" + l}},
@@ -71,17 +81,16 @@ func GAT(s Spec, in, _ int) *Program {
 				return b.Build(func(v *gir.Vertex) *gir.Value {
 					e := v.Nbr("eu").Add(v.Self("ev")).LeakyReLU(0.2).Exp()
 					a := e.Div(e.AggSum())
-					return a.Mul(v.Nbr("h")).AggSum()
+					return tail(a.Mul(v.Nbr("h")).AggSum(), act)
 				})
 			}},
 			Values: []Bind{{"eu", "eu" + l}, {"ev", "ev" + l}, {"h", "hw" + l}},
-			Act:    a,
 		}
 	}
 	return &Program{
 		Weights: []Weight{wt("W1", in, s.Hidden), wt("aU1", s.Hidden, 1), wt("aV1", s.Hidden, 1),
 			wt("W2", s.Hidden, s.Classes), wt("aU2", s.Classes, 1), wt("aV2", s.Classes, 1)},
-		Stages: []Stage{layer("1", s.Hidden, ReLU), layer("2", s.Classes, None)},
+		Stages: []Stage{layer("1", s.Hidden, (*gir.Value).ReLU), layer("2", s.Classes, nil)},
 	}
 }
 
@@ -119,30 +128,32 @@ func APPNP(s Spec, in, _ int) *Program {
 
 // RGCN is two relational layers (Schlichtkrull et al.): a per-edge-type
 // transform of the neighbour's row, normalized per (vertex, relation) and
-// summed hierarchically (§6.3.5), plus a self loop.
+// summed hierarchically (§6.3.5), plus a self loop: the dense h·W_self,
+// read through Self.
 func RGCN(s Spec, in, numRel int) *Program {
-	layer := func(l string, in, out int, a Act) Stage {
+	layer := func(l string, in, out int, act func(*gir.Value) *gir.Value) Stage {
 		return Stage{
 			Dense: []Dense{{Out: "self" + l, W: "Wself" + l}},
 			Plan: &Plan{Trace: func() (*gir.DAG, error) {
 				b := gir.NewBuilder()
 				b.VFeature("h", in)
+				b.VFeature("self", out)
 				b.EFeature("norm", 1)
 				Ws := b.Param("W", numRel, in, out)
 				return b.Build(func(v *gir.Vertex) *gir.Value {
-					return v.Nbr("h").MatMulTyped(Ws).Mul(v.Edge("norm")).AggHier(gir.AggSum, gir.AggSum)
+					agg := v.Nbr("h").MatMulTyped(Ws).Mul(v.Edge("norm")).AggHier(gir.AggSum, gir.AggSum)
+					return tail(agg.Add(v.Self("self")), act)
 				})
 			}},
-			Values: []Bind{{"h", ""}},
+			Values: []Bind{{"h", ""}, {"self", "self" + l}},
 			Norms:  []NormBind{{"norm", NormEdgeRel}},
 			Params: []Bind{{"W", "Ws" + l}},
-			Plus:   "self" + l, Act: a,
 		}
 	}
 	return &Program{
 		Weights: []Weight{wt("Ws1", numRel, in, s.Hidden), wt("Wself1", in, s.Hidden),
 			wt("Ws2", numRel, s.Hidden, s.Classes), wt("Wself2", s.Hidden, s.Classes)},
-		Stages: []Stage{layer("1", in, s.Hidden, ReLU), layer("2", s.Hidden, s.Classes, None)},
+		Stages: []Stage{layer("1", in, s.Hidden, (*gir.Value).ReLU), layer("2", s.Hidden, s.Classes, nil)},
 	}
 }
 

@@ -93,6 +93,8 @@ func evalNode(n *gir.Node, g *graph.Graph, b *Bindings, vals map[*gir.Node]*tens
 		return evalParamGrad(n, g, vals, false)
 	case gir.OpParamGradMMTyped:
 		return evalParamGrad(n, g, vals, true)
+	case gir.OpSumRows:
+		return tensor.SumRows(vals[n.Inputs[0]]).Reshape(n.Shape...), nil
 	case gir.OpMatMulTyped, gir.OpMatMulTypedT:
 		return evalTypedMM(n, g, vals)
 	case gir.OpEdgeView:

@@ -51,13 +51,14 @@ func gatedProgram(in int, widths ...int) *program.Program {
 				return b.Build(func(v *gir.Vertex) *gir.Value {
 					gate := v.Nbr("su").Add(v.Self("sv")).Sigmoid()
 					num := gate.Mul(v.Nbr("h")).AggSum()
-					return num.Div(gate.AggSum().AddScalar(1e-6))
+					out := num.Div(gate.AggSum().AddScalar(1e-6))
+					if i < len(widths)-1 {
+						out = out.ReLU()
+					}
+					return out
 				})
 			}},
 			Values: []program.Bind{{Key: "su", Name: "s" + l}, {Key: "sv", Name: "s" + l}, {Key: "h", Name: "hw" + l}},
-		}
-		if i < len(widths)-1 {
-			s.Act = program.ReLU
 		}
 		p.Stages = append(p.Stages, s)
 		in = width

@@ -120,7 +120,7 @@ func (r *run) step(f *frontier) error {
 	if err != nil {
 		return err
 	}
-	r.post(out, f)
+	r.advance(out, f)
 	return nil
 }
 
@@ -209,21 +209,11 @@ func (r *run) aggregate(f *frontier) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// post applies the next stage's row-wise post ops to its plan output in
-// place and makes out the next stage's input — over a frontier, one the
-// next plan reads through Nbr is drawn over the neighbour-id space with
-// f's rows set (a fragment's mirror rows then arrive by exchange).
-func (r *run) post(out *tensor.Tensor, f *frontier) {
-	s := &r.m.prog.Stages[r.done]
-	if s.Bias != "" {
-		tensor.AddRow(out, r.m.weights[s.Bias], out)
-	}
-	if s.Plus != "" {
-		v := r.side(f, r.vals[s.Plus], true)
-		tensor.Add(out, v, out)
-		r.env.recycle(v)
-	}
-	s.Act.Apply(out)
+// advance makes the stage's plan output out the next stage's input —
+// over a frontier, one the next plan reads through Nbr is drawn over the
+// neighbour-id space with f's rows set (a fragment's mirror rows then
+// arrive by exchange).
+func (r *run) advance(out *tensor.Tensor, f *frontier) {
 	r.h = out
 	r.done++
 	if f != nil && r.done < len(r.m.prog.Stages) && slices.Contains(r.m.prog.Stages[r.done].Crossing(), "") {

@@ -35,7 +35,7 @@ import (
 //     their masters' rows, so every value a fold reads at a neighbour has
 //     its full-graph bits. Self-side values are gathered at owned rows.
 //
-// Mirror rows are never computed: plan outputs, post ops and logits are
+// Mirror rows are never computed: plan outputs and logits are
 // [Owned, C], and only the value tensors a neighbour id indexes span
 // every local.
 
@@ -147,7 +147,7 @@ func (sf *ShardForward) StepShard() error {
 	if err != nil {
 		return err
 	}
-	r.post(out, sf.f)
+	r.advance(out, sf.f)
 	if !sf.Done() {
 		r.dense(sf.f)
 	}

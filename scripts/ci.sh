@@ -2,8 +2,9 @@
 # CI quality ladder, cheapest check first:
 #   gofmt → one architecture table → vertex programs traced in one
 #   package → simulator only where the paper is reproduced → one unit
-#   loop in exec → no test-only exports → vet → staticcheck → tests+coverage ratchet →
-#   fuzz smoke → race suites → doc lint.
+#   loop in exec → no post ops outside a plan → no test-only exports →
+#   vet → staticcheck → tests+coverage ratchet → fuzz smoke → race
+#   suites → doc lint.
 #
 # Knobs:
 #   FUZZ_TIME     per-target fuzz duration (default 10s; nightly uses 5m)
@@ -76,6 +77,19 @@ for call in '\.Run(' 'denseOp('; do
 		exit 1
 	fi
 done
+
+# A stage is one vertex program: its bias, self loop and activation are
+# traced into its plan, so neither lowering of a program (serving's
+# runner, sharded serving, the nn lowering) adds or activates a stage's
+# output by hand. A stage's arithmetic is its plan plus its dense products.
+echo "== a stage's arithmetic is its plan plus its dense products =="
+out=$(grep -nE 'tensor\.AddRow|tensor\.Add\(|tensor\.Sigmoid|e\.AddRow\(|e\.Add\(' \
+	internal/serve/*.go internal/shard/*.go internal/program/nn.go | grep -v '_test\.go:' || true)
+if [ -n "$out" ]; then
+	echo "post ops applied outside a stage's plan:"
+	echo "$out"
+	exit 1
+fi
 
 # An exported func or method that only tests call is not production code:
 # it moves into its package's tests or goes. benchmark/, examples/ and
