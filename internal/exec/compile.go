@@ -11,17 +11,17 @@
 // in where each value is stored, whether a device is charged (training,
 // when the nn engine carries one) and which backward units run.
 //
-// Tensor shapes follow the GIR types: an E-typed value has a row per edge,
-// an S-typed one a row per vertex, and a D-typed one a row per in-CSR row
-// of the graph, g.In.NumRows(). That is g.N on every graph but a block
-// (graph.Graph.DstPrefix), where it is the D destinations, vertices
-// [0, D): a sampled mini-batch's output, loss and backward then cover its
-// seeds only. A vertex input keeps its N rows, and a D-typed operand read
-// from one reads its first D rows. On a block, a weight gradient with a
-// D-typed operand runs over those rows with the GEMM path the N-row
-// product would take (tensor.TMatMulRowsLike), and a D-row gradient into
-// an N-row input fills its first D rows: the rows a block drops would only
-// have added exact zeros, so every value the loss reads keeps its bits.
+// Tensor shapes follow the GIR types over the graph package's one
+// convention: an E-typed value has a row per edge, an S-typed one a row
+// per source, g.N, and a D-typed one a row per destination, the in-CSR's
+// g.In.NumRows() = D ≤ N. On a block (D < N) a sampled mini-batch's
+// output, loss and backward cover its seeds only. A vertex input keeps its
+// N rows, and a D-typed operand read from one reads its first D rows. A
+// D-typed dense product, and a weight gradient with a D-typed operand,
+// takes the GEMM path the N-row product would (tensor.*RowsLike), and a
+// D-row gradient into an N-row input fills its first D rows: the rows a
+// block drops would only have added exact zeros, so every value the loss
+// reads keeps its bits.
 package exec
 
 import (
@@ -31,7 +31,6 @@ import (
 	"seastar/internal/autodiff"
 	"seastar/internal/fusion"
 	"seastar/internal/gir"
-	"seastar/internal/graph"
 	"seastar/internal/kernels"
 	"seastar/internal/obs"
 )
@@ -254,7 +253,3 @@ func compilePass(name string, dag *gir.DAG, partition func(*gir.DAG) (*fusion.Pl
 	}
 	return p, nil
 }
-
-// isBlock reports whether g is a block (graph.Graph.DstPrefix): its
-// in-CSR has fewer rows than it has vertices.
-func isBlock(g *graph.Graph) bool { return g.In.NumRows() < g.N }

@@ -25,9 +25,10 @@ type InferEnv struct {
 }
 
 // Infer runs only the forward pass of a compiled UDF over plain tensors —
-// no tape, no gradients, no saved-value retention. It returns an [N, d]
-// output tensor ([D, d] on a block) from env.Result, or a fresh one,
-// never aliasing an input or a buffer Infer itself returns to the pool.
+// no tape, no gradients, no saved-value retention. It returns the output
+// tensor (a D-typed one has a row per destination, G.In.NumRows()) from
+// env.Result, or a fresh one, never aliasing an input or a buffer Infer
+// itself returns to the pool.
 func (c *CompiledUDF) Infer(env *InferEnv, vfeat, efeat, params map[string]*tensor.Tensor) (*tensor.Tensor, error) {
 	if env == nil || env.G == nil {
 		return nil, fmt.Errorf("exec: Infer needs a graph")

@@ -130,8 +130,8 @@ func (c *CompiledUDF) bind(vals []*tensor.Tensor) *kernels.Bindings {
 }
 
 // matShape is the shape of a materialized node's tensor over g: one row
-// per edge, per source vertex, per destination (g.In's rows, all of g.N
-// but on a block), or the bare parameter shape.
+// per edge, per source (g.N), per destination (g.In's rows), or the bare
+// parameter shape.
 func matShape(g *graph.Graph, n *gir.Node) []int {
 	switch n.Type {
 	case gir.TypeE:
@@ -202,10 +202,10 @@ func denseOp(g *graph.Graph, n *gir.Node, ins []*tensor.Tensor, store storeFunc)
 }
 
 // productRows is the row count a dense product's GEMM path is chosen
-// from: its own, but g.N for a D-typed product on a block, which may hold
-// only the destinations' rows and must add them as the N-row product does.
+// from: its own, but g.N for a D-typed product, which holds only the
+// destinations' rows and must add them as the N-row product does.
 func productRows(g *graph.Graph, n *gir.Node, a *tensor.Tensor) int {
-	if n.Type == gir.TypeD && isBlock(g) {
+	if n.Type == gir.TypeD {
 		return g.N
 	}
 	return a.Rows()

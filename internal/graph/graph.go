@@ -5,12 +5,13 @@
 // optimizations (§6.3.3); and a secondary per-row sort on edge type for
 // heterogeneous models (§6.3.5).
 //
-// A graph's in-CSR has one row per destination. Usually that is every
-// vertex; a block (DstPrefix) is the exception: a zero-copy view whose
-// in-CSR keeps only its first D rows, the vertices [0, D) that every edge
-// enters, while N, the edges and the out-CSR stay whole. A sampled
-// mini-batch trains on the block of its seeds, so the compiled program's
-// D-typed tensors have D rows, not N (internal/exec).
+// N counts the vertex rows a neighbour id may name (the sources); the
+// in-CSR has one row per destination, the vertices [0, D) with D ≤ N.
+// Usually D == N. A block has D < N: a training batch's DstPrefix, a shard
+// fragment's owned rows over its locals (internal/part), a delta's dirty
+// rows over the whole graph (internal/serve); the last two have no out-CSR
+// or edge list. The compiled program's D-typed tensors have D rows
+// (internal/exec).
 package graph
 
 import (
@@ -67,7 +68,7 @@ func (c *CSR) Bytes() int64 {
 // in-neighbours at each destination) with the out-CSR (used by the
 // backward pass) and optional edge types.
 type Graph struct {
-	N int // number of vertices
+	N int // number of vertices a neighbour id may name (the sources)
 	M int // number of edges
 
 	// In is the in-edge CSR: row v lists u for every edge u→v.
@@ -235,13 +236,14 @@ func FromEdgesSorted(n int, srcs, dsts []int32) (*Graph, error) {
 }
 
 // DstPrefix returns the block of g's first d vertices: a view sharing g's
-// vertices, edges, edge types and out-CSR, whose in-CSR is cut to its first
-// d rows. It is exact, not a truncation: it succeeds only when g's in-CSR is
-// degree-sorted, its first d rows hold the vertices [0, d) and they hold
-// every edge. A sampled batch numbers its vertices breadth-first, so the
-// vertices it expanded are [0, d), every other one has in-degree 0, and
-// DegreeOrder puts those zero-degree rows last with ties by ascending id.
-// The check costs O(d).
+// vertices (N, the sources), edges, edge types and out-CSR, whose in-CSR
+// is cut to its first d rows, the destinations. It is exact, not a
+// truncation: it succeeds only when g's in-CSR is degree-sorted, its
+// first d rows hold the vertices [0, d) and they hold every edge. A
+// sampled batch numbers its vertices breadth-first, so the vertices it
+// expanded are [0, d), every other one has in-degree 0, and DegreeOrder
+// puts those zero-degree rows last with ties by ascending id. The check
+// costs O(d).
 func (g *Graph) DstPrefix(d int) (*Graph, error) {
 	if d < 0 || d > g.In.NumRows() {
 		return nil, fmt.Errorf("graph: destination prefix %d outside the %d-row in-CSR", d, g.In.NumRows())
@@ -378,41 +380,44 @@ func (g *Graph) TypeStorageRatio() (float64, error) {
 
 // Validate checks structural invariants: monotone offsets, ids in range,
 // edge ids forming a permutation in each direction, and CSR/edge-list
-// agreement. The out-CSR has a row per vertex; the in-CSR has one per
-// vertex or, in a block, one per vertex of a prefix [0, D) that every edge
-// enters. It is used by tests and generators.
+// agreement. The in-CSR's D ≤ N rows are the vertices [0, D); the
+// out-CSR and the edge list, which a forward-only block (a shard fragment,
+// a delta frontier) lacks, are checked when present. It is used by tests
+// and generators.
 func (g *Graph) Validate() error {
 	if r := g.In.NumRows(); r < 0 || r > g.N {
 		return fmt.Errorf("graph: in-CSR has %d rows for %d vertices", r, g.N)
 	}
-	if r := g.Out.NumRows(); r != g.N {
-		return fmt.Errorf("graph: out-CSR has %d rows, want %d", r, g.N)
-	}
 	if err := validateCSR(&g.In, g.N, g.M, "in"); err != nil {
 		return err
 	}
-	if err := validateCSR(&g.Out, g.N, g.M, "out"); err != nil {
-		return err
+	if g.Out.Offsets != nil {
+		if r := g.Out.NumRows(); r != g.N {
+			return fmt.Errorf("graph: out-CSR has %d rows, want %d", r, g.N)
+		}
+		if err := validateCSR(&g.Out, g.N, g.M, "out"); err != nil {
+			return err
+		}
+	}
+	if g.Srcs == nil {
+		return nil
 	}
 	// Every in-CSR slot must match the original edge list, so no edge
 	// enters a vertex past a block's prefix.
-	for k := 0; k < g.In.NumRows(); k++ {
-		v := g.In.RowIDs[k]
-		nbrs, eids := g.In.Row(k)
-		for i := range nbrs {
-			e := eids[i]
-			if g.Srcs[e] != nbrs[i] || g.Dsts[e] != v {
-				return fmt.Errorf("graph: in-CSR slot (row %d, slot %d) edge %d mismatch", k, i, e)
-			}
-		}
+	if err := matchEdges(&g.In, g.Dsts, g.Srcs, "in"); err != nil {
+		return err
 	}
-	for k := 0; k < g.N; k++ {
-		u := g.Out.RowIDs[k]
-		nbrs, eids := g.Out.Row(k)
-		for i := range nbrs {
-			e := eids[i]
-			if g.Dsts[e] != nbrs[i] || g.Srcs[e] != u {
-				return fmt.Errorf("graph: out-CSR slot (row %d, slot %d) edge %d mismatch", k, i, e)
+	return matchEdges(&g.Out, g.Srcs, g.Dsts, "out")
+}
+
+// matchEdges checks every slot of c against the edge list: row k's
+// vertex is the slot's edge's row end, its neighbour the other end.
+func matchEdges(c *CSR, rowEnd, nbrEnd []int32, dir string) error {
+	for k := 0; k < c.NumRows(); k++ {
+		nbrs, eids := c.Row(k)
+		for i, e := range eids {
+			if nbrEnd[e] != nbrs[i] || rowEnd[e] != c.RowIDs[k] {
+				return fmt.Errorf("graph: %s-CSR slot (row %d, slot %d) edge %d mismatch", dir, k, i, e)
 			}
 		}
 	}

@@ -415,8 +415,19 @@ func TestDstPrefix(t *testing.T) {
 	if rg, _ := g.TypeStorageRatio(); rb != rg {
 		t.Fatalf("type storage ratio %v on the block, %v on the graph", rb, rg)
 	}
-	if full, err := g.DstPrefix(g.N); err != nil || full.In.NumRows() != g.N {
+	if full, err := g.DstPrefix(g.N); err != nil || full.In.NumRows() != g.N || full.Validate() != nil {
 		t.Fatalf("the whole graph as its own prefix: %v", err)
+	}
+	// The block's in-CSR alone, as a shard fragment or a delta frontier is
+	// built, is a valid block; counting its destinations in N is not, for
+	// its neighbour ids name sources past them.
+	inOnly := Graph{N: b.N, M: b.M, NumEdgeTypes: 1, In: b.In}
+	if err := inOnly.Validate(); err != nil {
+		t.Fatalf("in-only block: %v", err)
+	}
+	inOnly.N = b.In.NumRows()
+	if err := inOnly.Validate(); err == nil {
+		t.Error("Validate accepted a block whose N counts its destinations")
 	}
 
 	for _, tc := range []struct {

@@ -16,6 +16,7 @@ import (
 	"seastar/internal/gir"
 	"seastar/internal/graph"
 	"seastar/internal/kernels"
+	"seastar/internal/obs"
 	"seastar/internal/program"
 	"seastar/internal/refinterp"
 	"seastar/internal/sched"
@@ -306,6 +307,41 @@ func TestTrainingStepUnitsBitwise(t *testing.T) {
 			}
 			bc.checkBitwise(t)
 		})
+	}
+}
+
+// TestEdgesCounterSkipsRowOnly pins the kern "edges" counter behind
+// kernels.edges_per_op: GCN's first-stage backward launches a row-only
+// unit, which walks no edge and adds 0, then a gather, which adds M.
+func TestEdgesCounterSkipsRowOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(85))
+	g := ladderGraph(t, rng, 0)
+	dag, err := program.GCN(program.Spec{Hidden: 16, Classes: 8}, 12, 1).Stages[0].Plan.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bc := newBackwardCase(t, dag, g, rng,
+		map[string]*tensor.Tensor{"hw": tensor.Randn(rng, 0.5, g.N, 16), "norm": tensor.Uniform(rng, 0.2, 1, g.N, 1)},
+		nil, map[string]*tensor.Tensor{"b": tensor.Randn(rng, 0.5, 16)})
+	obs.Reset()
+	obs.Enable()
+	defer func() { obs.Disable(); obs.Reset() }()
+	bc.runSeastar(t)
+	edges := map[string]int64{}
+	for _, e := range obs.Snapshot() {
+		if e.Cat == "kern" {
+			edges[e.Name] = e.Counters["edges"]
+		}
+	}
+	var got []string
+	for i, u := range bc.c.Bwd.Plan.Units {
+		if u.Kind == fusion.KindSeastar {
+			label := bc.c.Bwd.Labels()[i]
+			got = append(got, fmt.Sprintf("%s=%d", bc.c.Bwd.Kernel(u).Specialized(), edges[label]))
+		}
+	}
+	if want := fmt.Sprintf("[row-only=0 gather=%d]", g.M); fmt.Sprint(got) != want {
+		t.Fatalf("edges per backward launch %v, want %s", got, want)
 	}
 }
 

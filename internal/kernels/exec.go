@@ -87,7 +87,9 @@ func (k *Kernel) Run(g *graph.Graph, b *Bindings, outs map[*gir.Node]*tensor.Ten
 	n := csr.NumRows()
 	if obs.Enabled() {
 		obs.Add("kern", k.obsLabel, "rows", int64(n))
-		obs.Add("kern", k.obsLabel, "edges", csr.Offsets[n])
+		if len(k.aggs) > 0 { // a row-only launch walks no edge
+			obs.Add("kern", k.obsLabel, "edges", csr.Offsets[n])
+		}
 		var specialized int64
 		if k.spec.stepFree() {
 			specialized = 1

@@ -55,12 +55,12 @@ type Fragment struct {
 	K     int
 
 	// G is the owned rows' in-CSR and nothing else (no out-CSR, no edge
-	// list): N = Owned. Its row ids index output rows — row k computes
-	// owned local RowIDs[k], a permutation of [0, Owned) in descending
-	// in-degree — and its neighbour ids index the value tensors, which
-	// span every local in [0, len(Locals)). Each row holds the vertex's
-	// whole in-list in the full graph's in-CSR order; edge ids are slot
-	// indices. Mirror rows are never computed: their values are imported.
+	// list), a block (graph package doc): N = len(Locals), the value rows
+	// its neighbour ids index, and its in-CSR has Owned rows — row k
+	// computes owned local RowIDs[k], a permutation of [0, Owned) in
+	// descending in-degree. Each row holds the vertex's whole in-list in
+	// the full graph's in-CSR order; edge ids are slot indices. Mirror
+	// rows are never computed: their values are imported.
 	G *graph.Graph
 
 	// Locals maps local id → global vertex id. Locals[:Owned] are owned
@@ -378,7 +378,7 @@ func ownedInCSR(g *graph.Graph, f *Fragment) *graph.Graph {
 		}
 		in.Offsets = append(in.Offsets, int64(len(in.Nbrs)))
 	}
-	return &graph.Graph{N: f.Owned, M: m, NumEdgeTypes: 1, In: in}
+	return &graph.Graph{N: len(f.Locals), M: m, NumEdgeTypes: 1, In: in}
 }
 
 func computeStats(g *graph.Graph, p *Partition, mode string) Stats {

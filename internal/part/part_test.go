@@ -55,17 +55,22 @@ func checkInvariants(t *testing.T, g *graph.Graph, p *Partition) {
 		}
 	}
 
-	// Every edge in exactly one fragment: each fragment's graph is the
-	// in-CSR of its owned rows and nothing else, degree-sorted, each row
-	// read through RowIDs holding the complete in-edge row of its vertex,
-	// in full-graph order, with local neighbour ids.
+	// Every edge in exactly one fragment: each fragment's graph is a
+	// block, the in-CSR of its owned rows over its locals and nothing else,
+	// degree-sorted, each row read through RowIDs holding the complete
+	// in-edge row of its vertex, in full-graph order, with local neighbour
+	// ids.
 	rowOf := invertRowIDs(g.In.RowIDs)
 	totalEdges := 0
 	for s, f := range p.Frags {
 		fg := f.G
-		if fg.N != f.Owned || !fg.In.Sorted || !reflect.DeepEqual(fg.Out, graph.CSR{}) || fg.Srcs != nil || fg.Dsts != nil {
-			t.Fatalf("shard %d: graph N=%d sorted=%v, out-CSR or edge list present; want the %d owned rows' sorted in-CSR alone",
-				s, fg.N, fg.In.Sorted, f.Owned)
+		if fg.N != len(f.Locals) || fg.In.NumRows() != f.Owned || !fg.In.Sorted ||
+			!reflect.DeepEqual(fg.Out, graph.CSR{}) || fg.Srcs != nil || fg.Dsts != nil {
+			t.Fatalf("shard %d: graph N=%d with %d in-rows, sorted=%v, out-CSR or edge list present; want the %d owned rows' sorted in-CSR over %d locals alone",
+				s, fg.N, fg.In.NumRows(), fg.In.Sorted, f.Owned, len(f.Locals))
+		}
+		if err := fg.Validate(); err != nil {
+			t.Fatalf("shard %d: %v", s, err)
 		}
 		ids := make([]int32, f.Owned)
 		for l := range ids {
@@ -77,7 +82,7 @@ func checkInvariants(t *testing.T, g *graph.Graph, p *Partition) {
 			t.Fatalf("shard %d: RowIDs are not a permutation of [0, %d)", s, f.Owned)
 		}
 		totalEdges += fg.M
-		for k := 0; k < fg.N; k++ {
+		for k := 0; k < fg.In.NumRows(); k++ {
 			l := fg.In.RowIDs[k]
 			if k > 0 {
 				prev, cur := fg.In.Degree(k-1), fg.In.Degree(k)

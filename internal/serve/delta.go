@@ -304,9 +304,9 @@ func dirtyFrontiers(dg *graph.DeltaGraph, fd []int32, sets [][]int32) []frontier
 	for l, set := range sets {
 		k := len(set)
 		mk := int(offsets[k])
-		hops[l] = frontier{fd, rows[:k], &graph.Graph{N: k, M: mk, NumEdgeTypes: 1, In: graph.CSR{
+		hops[l] = frontier{fd, rows[:k], &graph.Graph{N: dg.N(), M: mk, NumEdgeTypes: 1, In: graph.CSR{
 			Offsets: offsets[:k+1], Nbrs: nbrs[:mk], EdgeIDs: ident[:mk], RowIDs: ident[:k],
-		}}, dg.N()}
+		}}}
 		fd = rows[:k]
 	}
 	return hops

@@ -202,9 +202,6 @@ func (e *Engine) Metrics() *Metrics { return e.met }
 // Cache exposes the plan cache (for stats endpoints and tests).
 func (e *Engine) Cache() *PlanCache { return e.cache }
 
-// Snapshot returns the snapshot new batches will read.
-func (e *Engine) Snapshot() *Snapshot { return e.pub.Load().snap }
-
 // Generation returns the current snapshot generation. It starts at 1 and
 // increments on every successful SwapGraph or ApplyDelta; deltas must
 // address it (Delta.ParentGen) to publish.

@@ -686,7 +686,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		}
 	}
 
-	oldFP := fmt.Sprintf("%016x", eng.Snapshot().Fingerprint())
+	oldFP := fmt.Sprintf("%016x", snap.Fingerprint())
 	resp, body = post("/v1/graph", `{"dataset":"cora","scale":0.1,"seed":2}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("graph swap: %d %s", resp.StatusCode, body)

@@ -67,6 +67,12 @@ func TestDirtyFrontierRows(t *testing.T) {
 				sets[l] = reach
 			}
 			hops := dirtyFrontiers(dg, nil, sets)
+			for l, f := range hops {
+				if err := f.g.Validate(); err != nil || f.g.N != g.N || f.g.In.NumRows() != len(f.rows) {
+					t.Fatalf("stage %d's frontier: %v; N=%d with %d in-rows, want a block of %d rows over %d vertices",
+						l+1, err, f.g.N, f.g.In.NumRows(), len(f.rows), g.N)
+				}
+			}
 			if !slices.Equal(hops[0].rows, sets[0]) {
 				t.Fatalf("stage 1 rows are not the 1-hop set")
 			}

@@ -77,9 +77,9 @@ func newModel(spec ModelSpec, inDim, numRel int, p *program.Program) (*Model, er
 }
 
 // frontier is the row context of a stage run over part of a graph: a
-// destination-compact in-CSR g whose row ids index output rows — a plan
+// block g (graph package doc) whose row ids index output rows — a plan
 // over g writes [len(rows), C], row i for vertex rows[i] — and whose
-// neighbour ids index the value tensors, n rows each: global ids for a
+// neighbour ids index the value tensors, g.N rows each: global ids for a
 // delta (dirtyFrontiers, one per hop), local ids for a fragment (its owned
 // rows, every stage). Each row holds its vertex's whole in-list in the
 // full graph's order, so per-row folds see the neighbour values and order
@@ -89,7 +89,6 @@ func newModel(spec ModelSpec, inDim, numRel int, p *program.Program) (*Model, er
 type frontier struct {
 	dirty, rows []int32
 	g           *graph.Graph
-	n           int
 }
 
 // run is one pass of a model's program over a row context: the single
@@ -145,7 +144,7 @@ func (r *run) dense(f *frontier) {
 			r.vals[op.Out] = out
 		} else {
 			if r.vals[op.Out] == nil {
-				r.vals[op.Out] = r.env.get(f.n, w.Cols())
+				r.vals[op.Out] = r.env.get(f.g.N, w.Cols())
 			}
 			setRows(r.vals[op.Out], f.dirty, out)
 		}
@@ -217,7 +216,7 @@ func (r *run) advance(out *tensor.Tensor, f *frontier) {
 	r.h = out
 	r.done++
 	if f != nil && r.done < len(r.m.prog.Stages) && slices.Contains(r.m.prog.Stages[r.done].Crossing(), "") {
-		r.h = r.env.get(f.n, out.Cols())
+		r.h = r.env.get(f.g.N, out.Cols())
 		setRows(r.h, f.rows, out)
 		r.env.recycle(out)
 	}

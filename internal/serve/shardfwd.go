@@ -35,9 +35,10 @@ import (
 //     their masters' rows, so every value a fold reads at a neighbour has
 //     its full-graph bits. Self-side values are gathered at owned rows.
 //
-// Mirror rows are never computed: plan outputs and logits are
-// [Owned, C], and only the value tensors a neighbour id indexes span
-// every local.
+// Mirror rows are never computed: Frag.G is a block (graph package doc)
+// with Owned destination rows over N = len(Locals) sources, so plan
+// outputs and logits are [Owned, C], and only the value tensors a
+// neighbour id indexes span every local, N rows.
 
 // ShardEnv binds a fragment to its local tensors for shard execution.
 type ShardEnv struct {
@@ -64,7 +65,7 @@ func NewShardEnv(f *part.Fragment, feat *tensor.Tensor, pool *tensor.Pool) *Shar
 		Feat:     tensor.GatherRows(feat, f.Locals),
 		FullRows: feat.Rows(),
 		Pool:     pool,
-		owned:    frontier{dirty: rows, rows: rows, g: f.G, n: len(f.Locals)},
+		owned:    frontier{dirty: rows, rows: rows, g: f.G},
 	}
 }
 

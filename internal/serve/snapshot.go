@@ -211,9 +211,6 @@ func (s *Snapshot) normFor(ref program.Norm) *tensor.Tensor {
 	return s.norms[ref]
 }
 
-// Norm returns the cached 1/in-degree GCN normalizer.
-func (s *Snapshot) Norm() *tensor.Tensor { return s.normFor(program.NormInDeg) }
-
 // embedEntry is the singleflight slot for one model's cached embeddings.
 // done flips (with release semantics) only after state/err settle, so
 // embedPeek can inspect the slot without blocking on an in-flight build.
