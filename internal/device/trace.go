@@ -24,9 +24,6 @@ type KernelRecord struct {
 // proportional to the kernel count.
 func (d *Device) EnableTrace() { d.trace = []KernelRecord{} }
 
-// Trace returns the recorded kernel timeline.
-func (d *Device) Trace() []KernelRecord { return d.trace }
-
 func (d *Device) record(l Launch, startNs, durNs float64) {
 	if d.trace == nil {
 		return

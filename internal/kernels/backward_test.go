@@ -135,6 +135,24 @@ func sameTensors(t *testing.T, what string, got, want map[*gir.Node]*tensor.Tens
 	}
 }
 
+// checkForward pins every value the forward pass's seastar units
+// materialize to refinterp's, bit for bit, across SIMD modes and worker
+// counts.
+func (bc *backwardCase) checkForward(t *testing.T) {
+	t.Helper()
+	for _, simd := range []bool{true, false} {
+		for _, procs := range []int{1, 2} {
+			prevSIMD := tensor.SetSIMD(simd)
+			prevProcs := sched.SetMaxProcs(procs)
+			got := runSeastarUnits(t, bc.g, bc.c.Fwd,
+				&kernels.Bindings{VFeat: bc.vfeat, EFeat: bc.efeat, Params: bc.params})
+			sched.SetMaxProcs(prevProcs)
+			tensor.SetSIMD(prevSIMD)
+			sameTensors(t, fmt.Sprintf("forward VM vs refinterp (simd=%v procs=%d)", simd, procs), got, bc.saved)
+		}
+	}
+}
+
 // checkBitwise pins VM ≡ refinterp on the unpruned backward DAG, bit for
 // bit, across SIMD modes and worker counts.
 func (bc *backwardCase) checkBitwise(t *testing.T) {
@@ -294,17 +312,7 @@ func TestTrainingStepUnitsBitwise(t *testing.T) {
 			if fmt.Sprint(fwd) != fmt.Sprint(tc.fwd) || fmt.Sprint(bwd) != fmt.Sprint(tc.bwd) {
 				t.Fatalf("plans fwd %q bwd %q, want fwd %q bwd %q", fwd, bwd, tc.fwd, tc.bwd)
 			}
-			for _, simd := range []bool{true, false} {
-				for _, procs := range []int{1, 2} {
-					prevSIMD := tensor.SetSIMD(simd)
-					prevProcs := sched.SetMaxProcs(procs)
-					got := runSeastarUnits(t, g, bc.c.Fwd,
-						&kernels.Bindings{VFeat: vfeat, EFeat: efeat, Params: params})
-					sched.SetMaxProcs(prevProcs)
-					tensor.SetSIMD(prevSIMD)
-					sameTensors(t, fmt.Sprintf("forward VM vs refinterp (simd=%v procs=%d)", simd, procs), got, bc.saved)
-				}
-			}
+			bc.checkForward(t)
 			bc.checkBitwise(t)
 		})
 	}

@@ -100,7 +100,6 @@ func (k *Kernel) Run(g *graph.Graph, b *Bindings, outs map[*gir.Node]*tensor.Ten
 	if serial {
 		// Serial fast path: the fan-out overhead exceeds the work.
 		a := k.arena(0)
-		a.loadConsts(k)
 		k.runSweep(a, 0, g.N)
 		k.runRowsSpec(a, csr, g, 0, n)
 	} else {
@@ -109,31 +108,19 @@ func (k *Kernel) Run(g *graph.Graph, b *Bindings, outs map[*gir.Node]*tensor.Ten
 		for len(k.arenas) < workers {
 			k.arenas = append(k.arenas, nil) // grown serially; see arena
 		}
-		k.runID++
-		runID := k.runID
 		if len(k.nbrMats) > 0 {
 			// Per-vertex sweep for neighbour-typed materializations:
 			// uniform vertex chunks, each vertex written by exactly one
 			// worker.
 			sweep := sched.Uniform(g.N, workers)
 			sched.Do(len(sweep), workers, func(w, c int) {
-				a := k.arena(w)
-				if a.runID != runID {
-					a.loadConsts(k)
-					a.runID = runID
-				}
 				r := sweep[c]
-				k.runSweep(a, r.Lo, r.Hi)
+				k.runSweep(k.arena(w), r.Lo, r.Hi)
 			})
 		}
 		sched.Do(len(ranges), workers, func(w, c int) {
-			a := k.arena(w)
-			if a.runID != runID {
-				a.loadConsts(k)
-				a.runID = runID
-			}
 			r := ranges[c]
-			k.runRowsSpec(a, csr, g, r.Lo, r.Hi)
+			k.runRowsSpec(k.arena(w), csr, g, r.Lo, r.Hi)
 		})
 	}
 	return nil
@@ -281,14 +268,21 @@ func Partition(csr *graph.CSR, workers int) []sched.Range {
 	return sched.EdgeBalanced(csr.Offsets, rowCostEdges, sched.Oversubscribe(workers, chunksPerWorker))
 }
 
-// runArena is one worker's private scratch state. Arenas are cached on
-// the Kernel (indexed by worker slot) so steady-state launches reuse
-// them instead of reallocating scratch/accumulator slices per chunk.
+// runArena is one worker's private state. Arenas are cached on the
+// Kernel (indexed by worker slot) so steady-state launches reuse them
+// instead of reallocating slot storage and accumulators per chunk.
 type runArena struct {
-	runID   uint64
-	scratch [][]float32
-	accs    [][]float32
-	inner   [][]float32
+	// slots is the row slot table the row stages and the neighbour sweep
+	// read and write, one entry per kernel slot, bound where its value
+	// lies: a row or sweep leaf's slot is its tensor row and a value a row
+	// or sweep step materializes is its output row (both rebound per
+	// row); a const leaf's slot is the launch's bound data (bound per
+	// chunk); an aggregate's slot is its accumulator. Every other slot
+	// owns its storage.
+	slots [][]float32
+	// accs are the aggregate slots; inner the per-type accumulators of
+	// hierarchical aggregates.
+	accs, inner [][]float32
 	// svals is the VM's flat scalar bank: width-1 loads, row-hoisted
 	// scalars and chain-closure outputs, indexed by the plan.
 	svals []float32
@@ -304,14 +298,9 @@ type runArena struct {
 	// per opStep (a width-1 step's is also its bank column).
 	cols, wcols [][]float32
 	// view is the slot table opSteps hand evalStep: each operand slot
-	// points at its value's storage in place.
+	// points at its value's storage in place, rebound per edge — which the
+	// row stages must not see, so it is not slots.
 	view [][]float32
-	// rowLeafData caches the launch's row-leaf backing arrays for the
-	// direct-row fast path, rebuilt per chunk.
-	rowLeafData [][]float32
-	// rowVec holds the current row's row-constant wide vectors (the
-	// plan's rowVecs), rebound at every row.
-	rowVec [][]float32
 }
 
 // arena returns worker w's arena, creating it on first use. Growth of
@@ -324,15 +313,15 @@ func (k *Kernel) arena(w int) *runArena {
 	a := k.arenas[w]
 	if a == nil {
 		a = &runArena{
-			scratch: make([][]float32, k.numSlots),
-			accs:    make([][]float32, len(k.aggs)),
-			inner:   make([][]float32, len(k.aggs)),
+			slots: make([][]float32, k.numSlots),
+			accs:  make([][]float32, len(k.aggs)),
+			inner: make([][]float32, len(k.aggs)),
 		}
 		for i, w := range k.widths {
-			a.scratch[i] = make([]float32, w)
+			a.slots[i] = make([]float32, w)
 		}
 		for i, ag := range k.aggs {
-			a.accs[i] = make([]float32, ag.node.Dim())
+			a.accs[i] = a.slots[ag.out]
 			a.inner[i] = make([]float32, ag.node.Dim())
 		}
 		sp := k.spec
@@ -359,39 +348,33 @@ func (k *Kernel) arena(w int) *runArena {
 			}
 		}
 		a.view = make([][]float32, k.numSlots)
-		a.rowLeafData = make([][]float32, 0, len(k.rowLeaves))
-		a.rowVec = make([][]float32, len(sp.rowVecs))
 		k.arenas[w] = a
 	}
 	return a
 }
 
-// loadConsts copies the per-launch constant leaves (P-typed values) into
-// the arena's scratch slots. Bindings change between launches, so this
-// runs once per (arena, launch).
-func (a *runArena) loadConsts(k *Kernel) {
-	for i, ld := range k.constLeaves {
-		copy(a.scratch[ld.slot], k.constT[i].Data())
-	}
-}
-
 // runSweep materializes neighbour-typed values for vertices [lo, hi):
-// each vertex loads its own rows of the sweep leaves, re-derives the
-// chain, and writes one row per materialized node. No-op when the kernel
-// has no neighbour-typed materializations.
+// each vertex binds the slots of its own rows of the sweep leaves and of
+// its materialized outputs, and re-derives the chain, whose steps write
+// each output row in place. No-op when the kernel has no neighbour-typed
+// materializations.
 func (k *Kernel) runSweep(a *runArena, lo, hi int) {
 	if len(k.nbrMats) == 0 {
 		return
 	}
+	slots := a.slots
+	for i, ld := range k.constLeaves {
+		slots[ld.slot] = k.constT[i].Data()
+	}
 	for v := lo; v < hi; v++ {
 		for _, li := range k.sweepLoads {
-			copy(a.scratch[k.edgeLeaves[li].slot], k.edgeT[li].Row(v))
-		}
-		for _, st := range k.sweepSteps {
-			evalStep(st, a.scratch, k.paramT, 0)
+			slots[k.edgeLeaves[li].slot] = k.edgeT[li].Row(v)
 		}
 		for i, m := range k.nbrMats {
-			copy(k.nbrMatT[i].Row(v), a.scratch[m.slot])
+			slots[m.slot] = k.nbrMatT[i].Row(v)
+		}
+		for _, st := range k.sweepSteps {
+			evalStep(st, slots, k.paramT, 0)
 		}
 	}
 }
@@ -496,11 +479,11 @@ func fusedOp(op gir.OpKind) bool {
 
 // evalStep computes one operator for the current (row, edge) context: the
 // arm behind pre-row and post steps, the neighbour sweep and opStep.
-func evalStep(st step, scratch [][]float32, params map[*gir.Node]*tensor.Tensor, edgeType int) {
+func evalStep(st step, slots [][]float32, params map[*gir.Node]*tensor.Tensor, edgeType int) {
 	n := st.node
-	out := scratch[st.out]
+	out := slots[st.out]
 	w := len(out)
-	in := func(i int) []float32 { return scratch[st.ins[i]] }
+	in := func(i int) []float32 { return slots[st.ins[i]] }
 	get := func(row []float32, j int) float32 {
 		if len(row) == 1 {
 			return row[0]

@@ -106,6 +106,9 @@ type matOut struct {
 	slot int
 	// perEdge outputs write one row per edge; otherwise one per row.
 	perEdge bool
+	// inPlace marks a value a row step computes: its slot is bound to the
+	// output row, so the step writes the row where it lies.
+	inPlace bool
 }
 
 // Kernel is a compiled seastar execution unit.
@@ -154,7 +157,6 @@ type Kernel struct {
 	// engine executes units serially, so the lock is uncontended.
 	mu     sync.Mutex
 	arenas []*runArena
-	runID  uint64
 
 	// Cached row partition, keyed by CSR identity and the worker bound
 	// it was built for (tests vary sched.MaxProcs between launches).
@@ -352,6 +354,7 @@ func Compile(u *fusion.Unit, materialized []*gir.Node, available map[*gir.Node]b
 		return s, nil
 	}
 
+	rowStep := make(map[*gir.Node]bool) // pre-row and post step outputs
 	for _, n := range u.Nodes {
 		if !live[n] {
 			continue
@@ -367,8 +370,10 @@ func Compile(u *fusion.Unit, materialized []*gir.Node, available map[*gir.Node]b
 			k.aggs = append(k.aggs, aggStep{node: n, in: ins[0], out: out})
 		case dependsOnAgg[n]:
 			k.post = append(k.post, step{node: n, out: out, ins: ins, param: param})
+			rowStep[n] = true
 		case n.Type == k.rowType():
 			k.preRow = append(k.preRow, step{node: n, out: out, ins: ins, param: param})
+			rowStep[n] = true
 		default:
 			k.edge = append(k.edge, step{node: n, out: out, ins: ins, param: param})
 		}
@@ -376,7 +381,7 @@ func Compile(u *fusion.Unit, materialized []*gir.Node, available map[*gir.Node]b
 
 	for _, m := range materialized {
 		s, ok := slot[m]
-		if !ok {
+		if !ok || !inUnit[m] {
 			return nil, fmt.Errorf("kernels: materialized node %%%d not in unit %d", m.ID, u.ID)
 		}
 		if m.Type == k.nbrType() {
@@ -388,7 +393,7 @@ func Compile(u *fusion.Unit, materialized []*gir.Node, available map[*gir.Node]b
 			}
 			continue
 		}
-		k.mats = append(k.mats, matOut{node: m, slot: s, perEdge: m.Type == gir.TypeE})
+		k.mats = append(k.mats, matOut{node: m, slot: s, perEdge: m.Type == gir.TypeE, inPlace: rowStep[m]})
 	}
 	var err error
 	if k.spec, err = k.buildSpecPlan(); err != nil {
@@ -449,7 +454,7 @@ func (k *Kernel) addNbrMat(m *gir.Node, s int) error {
 			return nil
 		}
 		if constSet[n] {
-			return nil // loaded once per launch into its slot
+			return nil // its slot is bound to the launch's data
 		}
 		if li, ok := leafIdx[n]; ok {
 			ld := k.edgeLeaves[li]

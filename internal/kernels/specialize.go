@@ -26,8 +26,10 @@ package kernels
 // Wide operands are read in place, never staged: leaf[nbr|eid] is a row
 // of a bound tensor selected by the CSR's own neighbour or edge ids, a
 // row-constant wide vector (row leaf, const leaf, pre-row output) is the
-// same row for every edge, and a step column holds row j for the block's
-// edge j. EdgeView is not an instruction at all — it is a pure
+// same row for every edge — its slot in the row slot table — and a step
+// column holds row j for the block's edge j. The row stages hold to it
+// too: every slot they read or write is bound where its value lies (see
+// runRowsSpec), so no value is copied into a staging buffer. EdgeView is not an instruction at all — it is a pure
 // re-indexing, so a view of a neighbour or edge leaf *is* that gather leaf
 // and a view of a row value *is* that row-constant vector. Scalar values
 // that are constant within a row are hoisted to a once-per-row copy.
@@ -77,7 +79,7 @@ type wideFrom uint8
 
 const (
 	fromLeaf   wideFrom = iota // an edge leaf's tensor, by neighbour or edge id
-	fromRowVec                 // a vector constant within the row
+	fromRowVec                 // a vector constant within the row: a row-stage slot
 	fromCol                    // an opStep's block column, row j for edge j
 )
 
@@ -88,7 +90,7 @@ const (
 // row of an opStep's block column that belongs to the edge.
 type wideSrc struct {
 	from     wideFrom
-	ref      int // k.edgeLeaves, sp.rowVecs or sp.steps index, by from
+	ref      int // k.edgeLeaves index, row slot or sp.steps index, by from
 	byEdgeID bool
 	w        int // row width
 }
@@ -139,14 +141,6 @@ type stepIn struct {
 	src  wideSrc
 }
 
-// specRowVec is one row-constant wide vector, rebound at every row: a
-// row leaf's tensor row (leaf ≥ 0) or the scratch slot a const leaf or
-// pre-row step fills.
-type specRowVec struct {
-	leaf int // k.rowLeaves index; -1 reads scratch[slot]
-	slot int
-}
-
 // specDot is one dot production: bank[dst] = Σ_j a[j]·b[j] per edge, the
 // fused form of RowSum(Mul(a, b)) over two wide sources.
 type specDot struct {
@@ -169,7 +163,7 @@ type specTerm struct {
 
 	// Typed-transform fields (termTyped).
 	param     *gir.Node // weight leaf, shape [R, din, dout]
-	tmpSlot   int       // scratch slot receiving the transform output
+	tmpSlot   int       // edge slot whose storage receives the transform output
 	din, dout int
 
 	// Execution strategy, decided once at plan build. batch routes a
@@ -200,12 +194,9 @@ type specLoad struct {
 }
 
 // specCopy hoists one row-constant scalar slot into the bank per row.
-// When leaf is non-negative the value is read straight from that row
-// leaf's tensor data, skipping the scratch staging copy.
 type specCopy struct {
 	slot int
 	dst  int
-	leaf int // k.rowLeaves index for a direct read; -1 via scratch
 }
 
 // specMat writes one value per edge to a materialized output: a scalar
@@ -295,7 +286,6 @@ type specPlan struct {
 	nScalar int
 
 	rowCopies []specCopy
-	rowVecs   []specRowVec
 	edgeLoads []specLoad
 	dots      []specDot
 	steps     []specStep
@@ -321,16 +311,6 @@ type specPlan struct {
 	// the same executor over one-element columns.
 	colSlot []bool
 	rowProg []specProgOp
-
-	// Row fast paths, valid when the unit has no pre-row/post stages:
-	// directRows serves row-leaf scalars straight from tensor data
-	// (skipping the per-row scratch staging) and aggMat[ai] names the
-	// non-per-edge materialization fed directly from accumulator ai
-	// (-1: stage through scratch as usual).
-	directRows bool
-	directEpi  bool
-	aggMat     []int32
-	matDirect  []bool // per k.mats: served by aggMat, skip the staged copy
 }
 
 // Specialized returns the name of the VM plan the kernel compiled to.
@@ -342,20 +322,19 @@ func (k *Kernel) Specialized() string { return k.spec.name }
 func (sp *specPlan) stepFree() bool { return len(sp.steps) == 0 }
 
 // specMatcher is the state of one buildSpecPlan run: the slot
-// classification of the compiled stages and the scalar bank / row-vector
-// tables the plan accumulates while operands are resolved.
+// classification of the compiled stages and the scalar bank the plan
+// accumulates while operands are resolved.
 type specMatcher struct {
 	k  *Kernel
 	sp *specPlan
 
 	edgeLeafBySlot map[int]int  // slot → k.edgeLeaves index
-	rowConst       map[int]int  // row-constant slot → k.rowLeaves index, -1 when scratch-resident
+	rowConst       map[int]bool // row leaf, const leaf and pre-row output slots
 	viewOf         map[int]int  // EdgeView output slot → its operand's slot
 	stepBySlot     map[int]step // every edge step, by output slot
 	wideBySlot     map[int]step // edge steps that are neither chain, dot nor view
 	stepOf         map[int]int  // opStep output slot → sp.steps index
 	sval           map[int]int  // slot → scalar-bank index
-	rowVecOf       map[int]int  // row-constant slot → sp.rowVecs index
 }
 
 // view follows a slot through EdgeView steps to the value it re-indexes.
@@ -395,7 +374,7 @@ func (m *specMatcher) resolveScalar(slot int) int {
 	} else {
 		// Row leaf, const leaf or pre-row output: constant within a
 		// row, hoisted to one copy per row.
-		sp.rowCopies = append(sp.rowCopies, specCopy{slot: slot, dst: i, leaf: -1})
+		sp.rowCopies = append(sp.rowCopies, specCopy{slot: slot, dst: i})
 	}
 	return i
 }
@@ -403,7 +382,7 @@ func (m *specMatcher) resolveScalar(slot int) int {
 // resolveWide validates a wide operand of width w as readable in place:
 // an edge-leaf row, a row-constant vector or an opStep's column.
 func (m *specMatcher) resolveWide(slot, w int) (wideSrc, bool) {
-	k, sp := m.k, m.sp
+	k := m.k
 	slot = m.view(slot)
 	if k.widths[slot] != w {
 		return wideSrc{}, false
@@ -414,17 +393,10 @@ func (m *specMatcher) resolveWide(slot, w int) (wideSrc, bool) {
 	if si, ok := m.stepOf[slot]; ok {
 		return wideSrc{from: fromCol, ref: si, w: w}, true
 	}
-	li, ok := m.rowConst[slot]
-	if !ok {
+	if !m.rowConst[slot] {
 		return wideSrc{}, false
 	}
-	rv, seen := m.rowVecOf[slot]
-	if !seen {
-		rv = len(sp.rowVecs)
-		m.rowVecOf[slot] = rv
-		sp.rowVecs = append(sp.rowVecs, specRowVec{leaf: li, slot: slot})
-	}
-	return wideSrc{from: fromRowVec, ref: rv, w: w}, true
+	return wideSrc{from: fromRowVec, ref: slot, w: w}, true
 }
 
 // demand compiles the edge step producing slot into an opStep (once) and
@@ -493,25 +465,24 @@ func (k *Kernel) buildSpecPlan() (*specPlan, error) {
 	m := &specMatcher{
 		k: k, sp: sp,
 		edgeLeafBySlot: make(map[int]int, len(k.edgeLeaves)),
-		rowConst:       make(map[int]int),
+		rowConst:       make(map[int]bool),
 		viewOf:         make(map[int]int),
 		stepBySlot:     make(map[int]step, len(k.edge)),
 		wideBySlot:     make(map[int]step),
 		stepOf:         make(map[int]int),
 		sval:           make(map[int]int),
-		rowVecOf:       make(map[int]int),
 	}
 	for li, ld := range k.edgeLeaves {
 		m.edgeLeafBySlot[ld.slot] = li
 	}
-	for li, ld := range k.rowLeaves {
-		m.rowConst[ld.slot] = li
+	for _, ld := range k.rowLeaves {
+		m.rowConst[ld.slot] = true
 	}
 	for _, ld := range k.constLeaves {
-		m.rowConst[ld.slot] = -1
+		m.rowConst[ld.slot] = true
 	}
 	for _, st := range k.preRow {
-		m.rowConst[st.out] = -1
+		m.rowConst[st.out] = true
 	}
 
 	// Partition the edge steps (k.edge lists producers before consumers):
@@ -723,7 +694,6 @@ func (k *Kernel) buildSpecPlan() (*specPlan, error) {
 	}
 
 	sp.fuseBufSinks()
-	k.planRowFastPaths(sp)
 
 	sp.name = specPlanName(sp)
 	return sp, nil
@@ -790,61 +760,6 @@ func (sp *specPlan) fuseBufSinks() {
 		kept = append(kept, op)
 	}
 	sp.prog = kept
-}
-
-// planRowFastPaths enables the direct row paths when the unit has no
-// pre-row/post stages: row-leaf scalars are read straight from tensor
-// data instead of being staged through scratch, and an aggregator with a
-// dedicated materialization copies its accumulator straight to the output
-// row. Falls back to the staged path whenever any materialization still
-// reads a scratch slot the fast path would leave stale.
-func (k *Kernel) planRowFastPaths(sp *specPlan) {
-	if len(k.preRow) > 0 || len(k.post) > 0 {
-		return
-	}
-	leafBySlot := make(map[int]int, len(k.rowLeaves))
-	for li, ld := range k.rowLeaves {
-		leafBySlot[ld.slot] = li
-	}
-	aggBySlot := make(map[int]int, len(k.aggs))
-	for ai, ag := range k.aggs {
-		aggBySlot[ag.out] = ai
-	}
-	direct := true
-	matCount := make(map[int]int)
-	for _, m := range k.mats {
-		if m.perEdge {
-			continue
-		}
-		if _, leaf := leafBySlot[m.slot]; leaf {
-			direct = false // a materialized row leaf needs the staging copy
-		}
-		matCount[m.slot]++
-	}
-	if !direct {
-		return
-	}
-	sp.directRows = true
-	for ci := range sp.rowCopies {
-		if li, ok := leafBySlot[sp.rowCopies[ci].slot]; ok {
-			sp.rowCopies[ci].leaf = li
-		}
-	}
-	sp.directEpi = true
-	sp.aggMat = make([]int32, len(k.aggs))
-	sp.matDirect = make([]bool, len(k.mats))
-	for ai := range sp.aggMat {
-		sp.aggMat[ai] = -1
-	}
-	for mi, m := range k.mats {
-		if m.perEdge || matCount[m.slot] != 1 {
-			continue
-		}
-		if ai, ok := aggBySlot[m.slot]; ok {
-			sp.aggMat[ai] = int32(mi)
-			sp.matDirect[mi] = true
-		}
-	}
 }
 
 // matchTerm resolves one aggregation input slot to a term form. A wide
@@ -1057,15 +972,24 @@ type specTermState struct {
 	t      *specTerm
 	target []float32
 	kind   gir.AggKind
-	data   []float32 // gather/typed: leaf tensor data
+	data   []float32 // gather/typed: the source's data (wideData), bound per row
 	wd     []float32 // typed: weight data
-	tmp    []float32 // typed: transform scratch row
+	tmp    []float32 // typed: transform output row
 	buf    []float32 // batch: per-block scale buffer
 }
 
 // runRowsSpec executes rows [lo, hi) through the compiled plan: the VM's
 // one row loop. It computes what refinterp's definition does, value for
 // value and fold for fold (see the bitwise contract above).
+//
+// The row stages — pre-row steps, the row copies into the scalar bank,
+// the row-constant wide vectors and the post steps — read and write every
+// slot through the worker's slot table, bound where the value lies: a row
+// leaf's slot is its tensor row and a materialization a row step computes
+// is its output row, both rebound at every row, so the step writes it in
+// place; a const leaf's slot is the launch's bound data; an aggregate's
+// slot is its accumulator, which a materialized aggregate is copied from
+// once per row. No row value is staged.
 //
 // Edges are walked in blocks of at most specBlock, and on a hierarchical
 // kernel a block never crosses an edge-type change. Each block runs the
@@ -1081,10 +1005,13 @@ type specTermState struct {
 // reordering work across independent accumulators stays bitwise-equal.
 func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi int) {
 	sp := k.spec
-	scratch, accs, v, rowVec := a.scratch, a.accs, a.svals, a.rowVec
+	slots, accs, v := a.slots, a.accs, a.svals
 	rowT, matT, params := k.rowT, k.matT, k.paramT
 	leafData := k.specLeafData
 	matData := k.specMatData
+	for i, ld := range k.constLeaves {
+		slots[ld.slot] = k.constT[i].Data()
+	}
 
 	ts := a.tstate
 	for ti := range sp.terms {
@@ -1095,18 +1022,9 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 		if t.hier {
 			s.target, s.kind = a.inner[t.agg], t.inner
 		}
-		s.data = nil
-		if t.kind != termScalar {
-			switch t.wide.from {
-			case fromLeaf:
-				s.data = leafData[t.wide.ref]
-			case fromCol:
-				s.data = a.wcols[t.wide.ref]
-			} // row-constant sources rebind per row
-		}
 		if t.kind == termTyped {
 			s.wd = k.specWd[ti]
-			s.tmp = scratch[t.tmpSlot]
+			s.tmp = slots[t.tmpSlot]
 		}
 	}
 
@@ -1149,48 +1067,30 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 	for pi, p := range sp.rowProg {
 		a.rowProg[pi] = rowOp(p, v)
 	}
-	rowLeafData := a.rowLeafData
-	if sp.directRows {
-		rowLeafData = rowLeafData[:0]
-		for i := range k.rowLeaves {
-			rowLeafData = append(rowLeafData, rowT[i].Data())
-		}
-	}
 	edgeWork := len(sp.prog) > 0 || len(sp.rest) > 0
 
 	for r := lo; r < hi; r++ {
 		vid := int(csr.RowIDs[r])
-		if !sp.directRows {
-			for i, ld := range k.rowLeaves {
-				copy(scratch[ld.slot], rowT[i].Row(vid))
+		for i, ld := range k.rowLeaves {
+			slots[ld.slot] = rowT[i].Row(vid)
+		}
+		for mi, m := range k.mats {
+			if m.inPlace {
+				slots[m.slot] = matT[mi].Row(vid)
 			}
 		}
 		for _, st := range k.preRow {
-			evalStep(st, scratch, params, 0)
+			evalStep(st, slots, params, 0)
 		}
-		for ci := range sp.rowCopies {
-			rc := &sp.rowCopies[ci]
-			if rc.leaf >= 0 {
-				v[rc.dst] = rowLeafData[rc.leaf][vid]
-			} else {
-				v[rc.dst] = scratch[rc.slot][0]
-			}
+		for _, rc := range sp.rowCopies {
+			v[rc.dst] = slots[rc.slot][0]
 		}
 		if len(a.rowProg) > 0 {
 			k.execProg(a, a.rowProg, zeroIdx[:1], zeroIdx[:1], g)
 		}
-		if len(sp.rowVecs) > 0 {
-			for i, rv := range sp.rowVecs {
-				if rv.leaf >= 0 {
-					rowVec[i] = rowT[rv.leaf].Row(vid)
-				} else {
-					rowVec[i] = scratch[rv.slot]
-				}
-			}
-			for ti := range sp.terms {
-				if t := &sp.terms[ti]; t.kind != termScalar && t.wide.from == fromRowVec {
-					ts[ti].data = rowVec[t.wide.ref]
-				}
+		for ti := range ts {
+			if s := &ts[ti]; s.t.kind != termScalar {
+				s.data = k.wideData(a, s.t.wide)
 			}
 		}
 		for i, ag := range k.aggs {
@@ -1205,20 +1105,14 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 		}
 		for ai, ag := range k.aggs {
 			finalizeAcc(accs[ai], ag.node, len(nbrs))
-			if sp.directEpi && sp.aggMat[ai] >= 0 {
-				copy(matT[sp.aggMat[ai]].Row(vid), accs[ai])
-			} else {
-				copy(scratch[ag.out], accs[ai])
-			}
 		}
 		for _, st := range k.post {
-			evalStep(st, scratch, params, 0)
+			evalStep(st, slots, params, 0)
 		}
 		for mi, m := range k.mats {
-			if m.perEdge || (sp.directEpi && sp.matDirect[mi]) {
-				continue
+			if !m.perEdge && !m.inPlace {
+				copy(matT[mi].Row(vid), slots[m.slot])
 			}
-			copy(matT[mi].Row(vid), scratch[m.slot])
 		}
 	}
 }
@@ -1576,13 +1470,13 @@ func (k *Kernel) execProg(a *runArena, prog []specOp, nbrsB, eidsB []int32, g *g
 }
 
 // wideData returns the backing data ws indexes into: the bound edge
-// leaf's tensor, the current row's vector, or an opStep's block column.
+// leaf's tensor, the current row's slot, or an opStep's block column.
 func (k *Kernel) wideData(a *runArena, ws wideSrc) []float32 {
 	switch ws.from {
 	case fromLeaf:
 		return k.specLeafData[ws.ref]
 	case fromRowVec:
-		return a.rowVec[ws.ref]
+		return a.slots[ws.ref]
 	}
 	return a.wcols[ws.ref]
 }

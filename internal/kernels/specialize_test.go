@@ -474,3 +474,69 @@ func TestSpecializeOpSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecializeRowStages pins the row slot table: the row stages read
+// and write every slot where its value lies. Each case puts one binding
+// on the path — a pre-row output that an edge term reads as a
+// row-constant wide vector, a width-1 row leaf that an opStep and a post
+// step both read, a parameter that a post stage reads (bias then
+// sigmoid), a materialized post output that a second post step reads —
+// and must match refinterp bit for bit: the layer output (checkBitwise),
+// every value the forward units materialize and the backward pass, in
+// both SIMD modes and at 1 and 2 workers. The ladder graph covers every
+// block remainder on serial launches; the Zipf graph's launches split
+// across workers.
+func TestSpecializeRowStages(t *testing.T) {
+	cases := []struct {
+		name string
+		plan string // the forward unit's plan
+		mats int    // how many values it materializes
+		body func(v *gir.Vertex, bias *gir.Value) *gir.Value
+	}{
+		{"prerow-rowvec", "scaled-rowvec", 2, func(v *gir.Vertex, _ *gir.Value) *gir.Value {
+			return v.Self("x").Tanh().Mul(v.Nbr("a")).AggSum()
+		}},
+		{"rowleaf-step-post", "step[2]+col", 3, func(v *gir.Vertex, _ *gir.Value) *gir.Value {
+			return v.Nbr("x").Mul(v.Self("b")).Sigmoid().AggSum().Mul(v.Self("b"))
+		}},
+		{"bias-sigmoid", "scaled-gather", 1, func(v *gir.Vertex, bias *gir.Value) *gir.Value {
+			return v.Nbr("x").Mul(v.Nbr("a")).AggSum().Add(bias).Sigmoid()
+		}},
+		{"mat-post-post", "gather", 2, func(v *gir.Vertex, bias *gir.Value) *gir.Value {
+			return v.Nbr("x").AggSum().Add(bias).Sigmoid().MulScalar(2)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := gir.NewBuilder()
+			b.VFeature("x", 16)
+			b.VFeature("a", 1)
+			b.VFeature("b", 1)
+			bias := b.Param("bias", 16)
+			dag, err := b.Build(func(v *gir.Vertex) *gir.Value { return tc.body(v, bias) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(91))
+			for _, g := range []*graph.Graph{
+				ladderGraph(t, rng, 0),
+				graph.ZipfDegree(rng, 3000, 8, 1.0).SortByDegree(),
+			} {
+				vfeat := map[string]*tensor.Tensor{
+					"x": tensor.Randn(rng, 0.5, g.N, 16),
+					"a": tensor.Randn(rng, 0.5, g.N, 1),
+					"b": tensor.Uniform(rng, 0.2, 1, g.N, 1),
+				}
+				params := map[string]*tensor.Tensor{"bias": tensor.Randn(rng, 0.5, 16)}
+				bc := newBackwardCase(t, dag, g, rng, vfeat, nil, params)
+				u := bc.c.Fwd.Plan.Units[len(bc.c.Fwd.Plan.Units)-1]
+				if name, n := bc.c.Fwd.Kernel(u).Specialized(), len(bc.c.Fwd.Materialized(u)); name != tc.plan || n != tc.mats {
+					t.Fatalf("forward unit compiled as %q materializing %d values, want %q materializing %d", name, n, tc.plan, tc.mats)
+				}
+				checkBitwise(t, bc.c, g, vfeat, nil, params)
+				bc.checkForward(t)
+				bc.checkBitwise(t)
+			}
+		})
+	}
+}

@@ -36,9 +36,6 @@ func (h *Hist) Observe(d time.Duration) {
 	h.sumNs.Add(int64(d))
 }
 
-// Count returns the number of observations.
-func (h *Hist) Count() int64 { return h.count.Load() }
-
 // SumNs returns the total observed time in nanoseconds.
 func (h *Hist) SumNs() int64 { return h.sumNs.Load() }
 

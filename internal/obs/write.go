@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -92,19 +91,4 @@ func (r *Registry) ChromeEvents() []map[string]any {
 		})
 	}
 	return out
-}
-
-// WriteChromeTrace writes the default registry's trace buffer as a
-// standalone Chrome trace JSON array.
-func WriteChromeTrace(w io.Writer) error { return Default.WriteChromeTrace(w) }
-
-// WriteChromeTrace writes r's buffer; see the package-level
-// WriteChromeTrace.
-func (r *Registry) WriteChromeTrace(w io.Writer) error {
-	evs := r.ChromeEvents()
-	enc := json.NewEncoder(w)
-	if evs == nil {
-		evs = []map[string]any{}
-	}
-	return enc.Encode(evs)
 }

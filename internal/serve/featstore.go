@@ -43,9 +43,6 @@ func NewFeatStore(t *tensor.Tensor) *FeatStore {
 	return fs
 }
 
-// NumRows returns the vertex count; Dim the feature width.
-func (fs *FeatStore) NumRows() int { return fs.n }
-
 // Dim returns the feature width.
 func (fs *FeatStore) Dim() int { return fs.d }
 

@@ -2,9 +2,9 @@
 # CI quality ladder, cheapest check first:
 #   gofmt → one architecture table → vertex programs traced in one
 #   package → simulator only where the paper is reproduced → one unit
-#   loop in exec → no post ops outside a plan → no test-only exports →
-#   vet → staticcheck → tests+coverage ratchet → fuzz smoke → race
-#   suites → doc lint.
+#   loop in exec → no post ops outside a plan → no value staged in the
+#   kernel VM → no test-only exports → vet → staticcheck →
+#   tests+coverage ratchet → fuzz smoke → race suites → doc lint.
 #
 # Knobs:
 #   FUZZ_TIME     per-target fuzz duration (default 10s; nightly uses 5m)
@@ -91,6 +91,18 @@ if [ -n "$out" ]; then
 	exit 1
 fi
 
+# The kernel VM reads and writes every row-stage value where it lies: a
+# row leaf is its tensor row, an aggregate its accumulator, a value a row
+# step materializes its output row (internal/kernels/specialize.go,
+# runRowsSpec). No value is copied into a staging buffer and back out.
+echo "== the kernel VM stages no value through scratch =="
+out=$(grep -nE 'copy\(.*scratch\[|copy\([a-z.]*slots\[' internal/kernels/*.go | grep -v '_test\.go:' || true)
+if [ -n "$out" ]; then
+	echo "a value staged through a slot buffer in internal/kernels:"
+	echo "$out"
+	exit 1
+fi
+
 # An exported func or method that only tests call is not production code:
 # it moves into its package's tests or goes. benchmark/, examples/ and
 # cmd/ count as callers; scripts/test_only_exports.txt lists, with a
@@ -117,8 +129,9 @@ go test -coverprofile=cover.out ./...
 echo "== go test (benchmark module: its own go.mod, invisible to ./... above) =="
 (cd benchmark && go test ./...)
 
-echo "== serve request, delta, shard resync, thin and wide GEMM, sampler, mini-batch epoch and cold store epoch micro-benchmarks, one iteration (so that they cannot rot) =="
+echo "== serve request, delta, shard resync, kernel VM, thin and wide GEMM, sampler, mini-batch epoch and cold store epoch micro-benchmarks, one iteration (so that they cannot rot) =="
 go test -run='^$' -bench='BenchmarkServeRequest|BenchmarkDelta' -benchtime=1x ./internal/serve
+go test -run='^$' -bench=BenchmarkKernelVM -benchtime=1x ./internal/kernels
 go test -run='^$' -bench=BenchmarkShardSync -benchtime=1x ./internal/shard
 go test -run='^$' -bench='BenchmarkThinGemm|BenchmarkWideGemm' -benchtime=1x ./internal/tensor
 go test -run='^$' -bench=BenchmarkSample -benchtime=1x ./internal/sampling

@@ -1,15 +1,19 @@
 // Command testonly fails on exported functions and methods that only
-// tests call. It reads every non-test .go file under the given root in
-// one pass and counts each identifier outside comments and string
-// literals; benchmark/, examples/ and cmd/ count as callers. An exported
-// func or method declared outside benchmark/ whose name occurs nowhere
-// but at its own declarations is reported, unless the allowlist names it.
+// tests call. It type-checks every non-test .go file under the given root
+// (go/types, with the standard library read from source) and resolves
+// each call, method value and method expression to the func or method it
+// names; benchmark/, examples/ and cmd/ count as callers. An exported func
+// or method declared outside benchmark/ that no non-test line resolves to
+// is reported, unless the allowlist names it.
 //
 //	go run ./scripts/testonly . scripts/test_only_exports.txt
 //
-// The check is by name: a method name that several types share counts
-// as used once any of them is called, so it can miss a dead method but
-// never reports a used one.
+// The check is by type: when two types share a method name, a call of one
+// does not count for the other. A method that satisfies an interface the
+// standard library declares (fmt.Stringer's String, error's Error, …), or
+// an interface of the tree whose method some line calls, counts as called:
+// the scan cannot see a call made through an interface value, so it can
+// miss a dead method but never reports a used one.
 //
 // Each allowlist line is a key — pkg.Func or pkg.Type.Method — and the
 // reason it stays; '#' starts a comment line. An entry with no reason,
@@ -21,11 +25,14 @@ import (
 	"bufio"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
-	"go/scanner"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -58,18 +65,11 @@ func check(root, allowPath string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	uses, decls, err := scan(root)
+	decls, err := scan(root)
 	if err != nil {
 		return nil, err
 	}
-	perName := map[string]int{}
 	for _, d := range decls {
-		perName[d.name]++
-	}
-	for _, d := range decls {
-		if uses[d.name] > perName[d.name] {
-			continue
-		}
 		if allow[d.key] {
 			delete(allow, d.key)
 			continue
@@ -86,63 +86,229 @@ func check(root, allowPath string) ([]string, error) {
 
 // decl is one declaration of an exported func or method.
 type decl struct {
-	key  string // pkg.Func or pkg.Type.Method
-	name string // the bare identifier the scan counts
-	pos  string // file:line
+	key string // pkg.Func or pkg.Type.Method
+	pos string // file:line
 }
 
-// scan counts identifiers over every non-test .go file under root and
-// lists the exported funcs and methods declared outside benchmark/.
-func scan(root string) (map[string]int, []decl, error) {
-	uses := map[string]int{}
-	var decls []decl
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
+// pkgSrc is one directory's non-test package: its parsed files and, once
+// checked, its types and the objects its identifiers resolve to.
+type pkgSrc struct {
+	dir   string
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+}
+
+// loader type-checks the tree's packages on demand; every other import
+// is read from the standard library's source.
+type loader struct {
+	fset *token.FileSet
+	pkgs map[string]*pkgSrc // by import path
+	std  types.Importer
+}
+
+func (l *loader) Import(path string) (*types.Package, error) {
+	p, ok := l.pkgs[path]
+	if !ok {
+		return l.std.Import(path)
+	}
+	if p.types == nil {
+		p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		conf := types.Config{Importer: l}
+		t, err := conf.Check(path, l.fset, p.files, p.info)
+		if err != nil {
+			return nil, err
+		}
+		p.types = t
+	}
+	return p.types, nil
+}
+
+// scan type-checks every non-test package under root and lists the
+// exported funcs and methods declared outside benchmark/ that no non-test
+// line resolves to.
+func scan(root string) ([]decl, error) {
+	l := &loader{fset: token.NewFileSet(), pkgs: map[string]*pkgSrc{}}
+	build.Default.CgoEnabled = false // the source importer reads build.Default
+	l.std = importer.ForCompiler(l.fset, "source", nil)
+	mods := map[string]string{} // module root dir → module path
+	files := map[string][]*ast.File{}
+	err := filepath.WalkDir(root, func(p string, e fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if e.IsDir() {
-			if n := e.Name(); path != root && (n == "testdata" || strings.HasPrefix(n, ".")) {
+			if n := e.Name(); p != root && (n == "testdata" || strings.HasPrefix(n, ".")) {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
+		dir, name := filepath.Split(p)
+		dir = filepath.Clean(dir)
+		if name == "go.mod" {
+			mod, err := modulePath(p)
+			mods[dir] = mod
 			return err
 		}
-		var s scanner.Scanner
-		s.Init(fset.AddFile(path, -1, len(src)), src, nil, 0)
-		for _, tok, lit := s.Scan(); tok != token.EOF; _, tok, lit = s.Scan() {
-			if tok == token.IDENT {
-				uses[lit]++
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(l.fset, p, nil, parser.SkipObjectResolution)
+		files[dir] = append(files[dir], f)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for dir, fs := range files {
+		ip, err := importPath(mods, root, dir)
+		if err != nil {
+			return nil, err
+		}
+		l.pkgs[ip] = &pkgSrc{dir: dir, files: fs}
+	}
+	paths := make([]string, 0, len(l.pkgs))
+	for ip := range l.pkgs {
+		paths = append(paths, ip)
+	}
+	sort.Strings(paths)
+	used := map[types.Object]bool{}
+	for _, ip := range paths {
+		if _, err := l.Import(ip); err != nil {
+			return nil, err
+		}
+		for _, obj := range l.pkgs[ip].info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				used[fn.Origin()] = true
 			}
 		}
-		rel, _ := filepath.Rel(root, path)
-		if strings.HasPrefix(filepath.ToSlash(rel), "benchmark/") {
-			return nil
+	}
+	markInterfaceCalls(l, used)
+	var decls []decl
+	for _, ip := range paths {
+		p := l.pkgs[ip]
+		rel, _ := filepath.Rel(root, p.dir)
+		if rel = filepath.ToSlash(rel); rel == "benchmark" || strings.HasPrefix(rel, "benchmark/") {
+			continue
 		}
-		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
-		if err != nil {
-			return err
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || !fn.Name.IsExported() {
+					continue
+				}
+				obj := p.info.Defs[fn.Name].(*types.Func)
+				if used[obj] {
+					continue
+				}
+				key := f.Name.Name + "." + fn.Name.Name
+				if fn.Recv != nil {
+					key = f.Name.Name + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
+				}
+				pos := l.fset.Position(fn.Pos())
+				file, _ := filepath.Rel(root, pos.Filename)
+				decls = append(decls, decl{key, fmt.Sprintf("%s:%d", filepath.ToSlash(file), pos.Line)})
+			}
 		}
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() {
+	}
+	return decls, nil
+}
+
+// modulePath reads the module path a go.mod declares.
+func modulePath(gomod string) (string, error) {
+	src, err := os.ReadFile(gomod)
+	if err != nil {
+		return "", err
+	}
+	for _, line := range strings.Split(string(src), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+			return f[1], nil
+		}
+	}
+	return "", fmt.Errorf("%s declares no module", gomod)
+}
+
+// importPath is dir's import path under the nearest enclosing module.
+func importPath(mods map[string]string, root, dir string) (string, error) {
+	for d := dir; ; d = filepath.Dir(d) {
+		if mod, ok := mods[d]; ok {
+			rel, _ := filepath.Rel(d, dir)
+			return path.Join(mod, filepath.ToSlash(rel)), nil
+		}
+		if d == root || d == filepath.Dir(d) {
+			return "", fmt.Errorf("%s is in no module under %s", dir, root)
+		}
+	}
+}
+
+// markInterfaceCalls marks as called each method through which a named
+// type of the tree satisfies an interface method that a line may call:
+// every method of error and of a standard-library interface, whose calls
+// the scan cannot see, and each method of one of the tree's interfaces
+// that a non-test line calls. A value may be boxed as its pointer, so the
+// pointer's method set is the one checked.
+func markInterfaceCalls(l *loader, used map[types.Object]bool) {
+	type iface struct {
+		t   *types.Interface
+		std bool
+	}
+	byName := map[string][]iface{}
+	add := func(t *types.Interface, std bool) {
+		for i := 0; i < t.NumMethods(); i++ {
+			byName[t.Method(i).Name()] = append(byName[t.Method(i).Name()], iface{t, std})
+		}
+	}
+	add(types.Universe.Lookup("error").Type().Underlying().(*types.Interface), true)
+	var named []*types.Named
+	seen := map[*types.Package]bool{}
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		_, own := l.pkgs[p.Path()]
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
 				continue
 			}
-			key := f.Name.Name + "." + fn.Name.Name
-			if fn.Recv != nil {
-				key = f.Name.Name + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
+			if t, ok := tn.Type().Underlying().(*types.Interface); ok {
+				add(t, !own)
+			} else if n, ok := tn.Type().(*types.Named); ok && own && n.TypeParams().Len() == 0 {
+				named = append(named, n)
 			}
-			decls = append(decls, decl{key, fn.Name.Name, fmt.Sprintf("%s:%d", rel, fset.Position(fn.Pos()).Line)})
 		}
-		return nil
-	})
-	return uses, decls, err
+		for _, imp := range p.Imports() {
+			visit(imp)
+		}
+	}
+	for _, p := range l.pkgs {
+		visit(p.types)
+	}
+	for _, n := range named {
+		ptr := types.NewPointer(n)
+		ms := types.NewMethodSet(ptr)
+		checked := map[*types.Interface]bool{}
+		for i := 0; i < ms.Len(); i++ {
+			for _, it := range byName[ms.At(i).Obj().Name()] {
+				if checked[it.t] || !types.Implements(ptr, it.t) {
+					checked[it.t] = true
+					continue
+				}
+				checked[it.t] = true
+				for j := 0; j < it.t.NumMethods(); j++ {
+					if m := it.t.Method(j); it.std || used[m] {
+						obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name())
+						used[obj.(*types.Func).Origin()] = true
+					}
+				}
+			}
+		}
+	}
 }
 
 // recvName is a method receiver's type name without pointer or type
