@@ -27,10 +27,11 @@ func blockGraph(t *testing.T, rng *rand.Rand, n, d, m, rels int) *graph.Graph {
 			dsts[i] = int32(rng.Intn(d))
 		}
 	}
-	g, err := graph.FromEdgesSorted(n, srcs, dsts)
+	g, err := graph.FromEdges(n, srcs, dsts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g = g.SortByDegree()
 	types := make([]int32, m)
 	for i := range types {
 		types[i] = int32(rng.Intn(rels))
@@ -119,7 +120,7 @@ func TestBlockMatchesSquare(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, shape := range []struct{ n, d, m int }{{300, 40, 500}, {700, 300, 1500}} {
 		g := blockGraph(t, rng, shape.n, shape.d, shape.m, rels)
-		blk, err := g.DstPrefix(shape.d)
+		blk, err := g.DstPrefix(shape.d, g.N)
 		if err != nil {
 			t.Fatal(err)
 		}

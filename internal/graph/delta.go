@@ -393,8 +393,8 @@ func (dg *DeltaGraph) Flatten() *Graph {
 		dg.flat = &Graph{
 			N: dg.n, M: dg.m,
 			Srcs: srcs, Dsts: dsts,
-			In:           buildCSR(dg.n, dsts, srcs, false),
-			Out:          buildCSR(dg.n, srcs, dsts, false),
+			In:           buildCSR(dg.n, dsts, srcs, nil),
+			Out:          buildCSR(dg.n, srcs, dsts, nil),
 			NumEdgeTypes: 1,
 		}
 	})

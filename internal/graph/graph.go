@@ -7,15 +7,18 @@
 //
 // N counts the vertex rows a neighbour id may name (the sources); the
 // in-CSR has one row per destination, the vertices [0, D) with D ≤ N.
-// Usually D == N. A block has D < N: a training batch's DstPrefix, a shard
-// fragment's owned rows over its locals (internal/part), a delta's dirty
-// rows over the whole graph (internal/serve); the last two have no out-CSR
-// or edge list. The compiled program's D-typed tensors have D rows
+// Usually D == N. A block has D < N: a sampled batch's per-stage
+// DstPrefix, a shard fragment's owned rows over its locals
+// (internal/part), a delta's dirty rows over the whole graph
+// (internal/serve). A graph a forward pass alone walks may have no
+// out-CSR (a sampled batch, FromInEdges) and no edge list either (the
+// last two). The compiled program's D-typed tensors have D rows
 // (internal/exec).
 package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -32,7 +35,8 @@ type CSR struct {
 	Nbrs    []int32
 	EdgeIDs []int32
 	RowIDs  []int32
-	// Sorted records whether rows are in descending degree order.
+	// Sorted records whether rows are in descending degree order: over
+	// all rows, or level by level in a graph FromInEdges built.
 	Sorted bool
 }
 
@@ -96,8 +100,8 @@ func FromEdges(n int, srcs, dsts []int32) (*Graph, error) {
 		N: n, M: len(srcs),
 		Srcs: append([]int32(nil), srcs...),
 		Dsts: append([]int32(nil), dsts...),
-		In:   buildCSR(n, dsts, srcs, false),
-		Out:  buildCSR(n, srcs, dsts, false),
+		In:   buildCSR(n, dsts, srcs, nil),
+		Out:  buildCSR(n, srcs, dsts, nil),
 	}
 	g.NumEdgeTypes = 1
 	return g, nil
@@ -117,20 +121,25 @@ func checkEdges(n int, srcs, dsts []int32) error {
 }
 
 // buildCSR groups edges by their "row" endpoint (counting sort), each
-// row's slots in edge-id order. Rows are in vertex order, or in
-// DegreeOrder when sorted.
-func buildCSR(n int, rowOf, nbrOf []int32, sorted bool) CSR {
+// row's slots in edge-id order. Rows are in vertex order without levels;
+// with levels, the ends of consecutive vertex-id ranges (the last one n),
+// each range's rows come in DegreeOrder after those of the ranges before.
+func buildCSR(n int, rowOf, nbrOf []int32, levels []int) CSR {
 	deg := make([]int32, n)
 	for _, r := range rowOf {
 		deg[r]++
 	}
-	var rowIDs []int32
-	if sorted {
-		rowIDs = DegreeOrder(deg)
-	} else {
-		rowIDs = make([]int32, n)
+	rowIDs := make([]int32, n)
+	if levels == nil {
 		for i := range rowIDs {
 			rowIDs[i] = int32(i)
+		}
+	} else {
+		var start []int32 // one counting-sort table, reused by every level
+		lo := 0
+		for _, hi := range levels {
+			start = degreeOrder(rowIDs[lo:hi], deg[lo:hi], int32(lo), start)
+			lo = hi
 		}
 	}
 	offsets := make([]int64, n+1)
@@ -147,7 +156,7 @@ func buildCSR(n int, rowOf, nbrOf []int32, sorted bool) CSR {
 		nbrs[p] = nbrOf[e]
 		eids[p] = int32(e)
 	}
-	return CSR{Offsets: offsets, Nbrs: nbrs, EdgeIDs: eids, RowIDs: rowIDs, Sorted: sorted}
+	return CSR{Offsets: offsets, Nbrs: nbrs, EdgeIDs: eids, RowIDs: rowIDs, Sorted: levels != nil}
 }
 
 // WithEdgeTypes attaches a relation type to every edge. Types must be in
@@ -176,9 +185,16 @@ func (g *Graph) InDegrees() []int32 {
 	return d
 }
 
-// OutDegrees returns the out-degree of every vertex.
+// OutDegrees returns the out-degree of every vertex, counted from the
+// edge list when g has no out-CSR.
 func (g *Graph) OutDegrees() []int32 {
 	d := make([]int32, g.N)
+	if g.Out.Offsets == nil {
+		for _, u := range g.Srcs {
+			d[u]++
+		}
+		return d
+	}
 	for v := 0; v < g.N; v++ {
 		d[g.Out.RowIDs[v]] = int32(g.Out.Degree(v))
 	}
@@ -207,62 +223,93 @@ func (g *Graph) DeviceBytes() int64 {
 // SortByDegree returns a copy of g whose CSR rows are reordered in
 // descending degree (in-degree for In, out-degree for Out), the
 // preprocessing required by the paper's dynamic load balancing (§6.3.3).
-// Edge ids and neighbour ids are unchanged; only row order moves.
+// Edge ids and neighbour ids are unchanged; only row order moves. A graph
+// without an out-CSR stays without one.
 func (g *Graph) SortByDegree() *Graph {
 	out := &Graph{
 		N: g.N, M: g.M,
 		Srcs: g.Srcs, Dsts: g.Dsts,
 		EdgeTypes: g.EdgeTypes, NumEdgeTypes: g.NumEdgeTypes,
-		In:  sortCSRByDegree(&g.In),
-		Out: sortCSRByDegree(&g.Out),
+		In: sortCSRByDegree(&g.In),
+	}
+	if g.Out.Offsets != nil {
+		out.Out = sortCSRByDegree(&g.Out)
 	}
 	return out
 }
 
-// FromEdgesSorted is FromEdges(n, srcs, dsts).SortByDegree() built in one
-// pass: each CSR's rows are counted, put in DegreeOrder, and filled by
-// scattering the edges in id order, so no unsorted CSR is ever built. The
-// graph takes ownership of srcs and dsts as its edge list.
-func FromEdgesSorted(n int, srcs, dsts []int32) (*Graph, error) {
+// FromInEdges builds the in-only graph of an edge list over n vertices:
+// its in-CSR, built straight into level-by-level degree order (buildCSR),
+// and no out-CSR — a forward pass walks none, and OutDegrees counts the
+// edge list. levels are the ends of consecutive vertex-id ranges, the last
+// one n; with levels {n} the in-CSR is FromEdges(n, srcs, dsts).
+// SortByDegree()'s. A sampled batch passes its hop boundaries, so the
+// vertices within k hops are the first rows and their in-edges the first
+// slots: every stage's block is a DstPrefix (internal/sampling). The graph
+// takes ownership of srcs and dsts as its edge list.
+func FromInEdges(n int, srcs, dsts []int32, levels []int) (*Graph, error) {
 	if err := checkEdges(n, srcs, dsts); err != nil {
 		return nil, err
+	}
+	if len(levels) == 0 || levels[0] < 0 || levels[len(levels)-1] != n || !slices.IsSorted(levels) {
+		return nil, fmt.Errorf("graph: levels %v are not ascending range ends up to %d", levels, n)
 	}
 	return &Graph{
 		N: n, M: len(srcs), NumEdgeTypes: 1,
 		Srcs: srcs, Dsts: dsts,
-		In:  buildCSR(n, dsts, srcs, true),
-		Out: buildCSR(n, srcs, dsts, true),
+		In: buildCSR(n, dsts, srcs, levels),
 	}, nil
 }
 
-// DstPrefix returns the block of g's first d vertices: a view sharing g's
-// vertices (N, the sources), edges, edge types and out-CSR, whose in-CSR
-// is cut to its first d rows, the destinations. It is exact, not a
-// truncation: it succeeds only when g's in-CSR is degree-sorted, its
-// first d rows hold the vertices [0, d) and they hold every edge. A
-// sampled batch numbers its vertices breadth-first, so the vertices it
-// expanded are [0, d), every other one has in-degree 0, and DegreeOrder
-// puts those zero-degree rows last with ties by ascending id. The check
-// costs O(d).
-func (g *Graph) DstPrefix(d int) (*Graph, error) {
+// DstPrefix returns the block of g's first d destinations over its first
+// n vertices: a view sharing g's arrays whose in-CSR is cut to its first d
+// rows, whose edges (M, the edge list, edge types) are those rows' slots,
+// and whose N is n. It keeps g's out-CSR only when nothing but rows is
+// cut (all edges, N unchanged). It is exact, not a truncation: it
+// succeeds only when g's in-CSR is degree-sorted, its first d rows hold
+// the vertices [0, d), their slots hold the edges [0, M) and every
+// neighbour is below n. A sampled batch numbers vertices and edges hop by
+// hop and sorts its in-CSR hop-major (FromInEdges), so the vertices
+// within k hops are such a prefix with those within k+1 hops as sources.
+// The check costs O(d + M).
+func (g *Graph) DstPrefix(d, n int) (*Graph, error) {
 	if d < 0 || d > g.In.NumRows() {
 		return nil, fmt.Errorf("graph: destination prefix %d outside the %d-row in-CSR", d, g.In.NumRows())
 	}
+	if n < d || n > g.N {
+		return nil, fmt.Errorf("graph: %d sources for %d destinations of %d vertices", n, d, g.N)
+	}
 	if !g.In.Sorted {
 		return nil, fmt.Errorf("graph: destination prefix needs a degree-sorted in-CSR")
-	}
-	if in := g.In.Offsets[d]; in != int64(g.M) {
-		return nil, fmt.Errorf("graph: %d of %d edges enter a vertex past the first %d", int64(g.M)-in, g.M, d)
 	}
 	for k, v := range g.In.RowIDs[:d] {
 		if int(v) >= d {
 			return nil, fmt.Errorf("graph: in-CSR row %d holds vertex %d, past the first %d", k, v, d)
 		}
 	}
+	m := g.In.Offsets[d]
+	for i, e := range g.In.EdgeIDs[:m] {
+		if int64(e) >= m {
+			return nil, fmt.Errorf("graph: the first %d rows hold edge %d, past their %d slots", d, e, m)
+		}
+		if u := g.In.Nbrs[i]; int(u) >= n {
+			return nil, fmt.Errorf("graph: edge %d leaves vertex %d, past the first %d", e, u, n)
+		}
+	}
 	b := *g
+	b.N, b.M = n, int(m)
 	b.In = CSR{
-		Offsets: g.In.Offsets[:d+1], Nbrs: g.In.Nbrs, EdgeIDs: g.In.EdgeIDs,
+		Offsets: g.In.Offsets[:d+1], Nbrs: g.In.Nbrs[:m], EdgeIDs: g.In.EdgeIDs[:m],
 		RowIDs: g.In.RowIDs[:d], Sorted: true,
+	}
+	if b.M < g.M || n < g.N {
+		b.Out = CSR{}
+	}
+	if g.Srcs != nil {
+		b.Srcs, b.Dsts = g.Srcs[:m], g.Dsts[:m]
+	}
+	if g.EdgeTypes != nil {
+		b.EdgeTypes = g.EdgeTypes[:m]
 	}
 	return &b, nil
 }
@@ -271,12 +318,25 @@ func (g *Graph) DstPrefix(d int) (*Graph, error) {
 // ascending id: the row order of a degree-sorted CSR. It is a counting
 // sort, linear in len(deg) plus the largest degree.
 func DegreeOrder(deg []int32) []int32 {
+	order := make([]int32, len(deg))
+	degreeOrder(order, deg, 0, nil)
+	return order
+}
+
+// degreeOrder writes into order the ids base..base+len(deg)-1 in
+// DegreeOrder of deg, counting in start (grown when too short) and
+// returning it for the next call.
+func degreeOrder(order, deg []int32, base int32, start []int32) []int32 {
 	var maxDeg int32
 	for _, d := range deg {
 		maxDeg = max(maxDeg, d)
 	}
 	// start[d] is the first position of degree d: after every higher one.
-	start := make([]int32, maxDeg+1)
+	if int(maxDeg) >= len(start) {
+		start = make([]int32, maxDeg+1)
+	} else {
+		clear(start[:maxDeg+1])
+	}
 	for _, d := range deg {
 		start[d]++
 	}
@@ -284,12 +344,11 @@ func DegreeOrder(deg []int32) []int32 {
 	for d := maxDeg; d >= 0; d-- {
 		start[d], pos = pos, pos+start[d]
 	}
-	order := make([]int32, len(deg))
 	for v, d := range deg {
-		order[start[d]] = int32(v)
+		order[start[d]] = base + int32(v)
 		start[d]++
 	}
-	return order
+	return start
 }
 
 // sortCSRByDegree copies c's rows into DegreeOrder of the vertices they

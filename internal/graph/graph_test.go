@@ -309,10 +309,12 @@ func shuffleRows(rng *rand.Rand, c *CSR) *CSR {
 	return out
 }
 
-// TestDegreeOrderProperties: FromEdgesSorted is FromEdges().SortByDegree()
-// field for field, and SortByDegree's counting sort puts rows where the
-// comparison sort did, also when the rows it starts from are permuted.
-// Covers n = 0, m = 0, empty rows, self-loops and repeated edges.
+// TestDegreeOrderProperties: FromInEdges with one level is
+// FromEdges().SortByDegree() without the out-CSR, with levels each
+// level's rows follow the levels before it in that level's DegreeOrder,
+// and SortByDegree's counting sort puts rows where the comparison sort
+// did, also when the rows it starts from are permuted. Covers n = 0,
+// m = 0, empty rows, empty levels, self-loops and repeated edges.
 func TestDegreeOrderProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 300; trial++ {
@@ -327,24 +329,64 @@ func TestDegreeOrderProperties(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := g.SortByDegree()
-		got, err := FromEdgesSorted(n, slices.Clone(srcs), slices.Clone(dsts))
+		want.Out = CSR{}
+		got, err := FromInEdges(n, slices.Clone(srcs), slices.Clone(dsts), []int{n})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("n=%d m=%d: FromEdgesSorted differs from FromEdges().SortByDegree()", n, m)
+			t.Fatalf("n=%d m=%d: FromInEdges differs from FromEdges().SortByDegree()", n, m)
 		}
 		if err := got.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range []*CSR{&g.In, &g.Out, &want.In, shuffleRows(rng, &g.In), shuffleRows(rng, &want.Out)} {
+		if !reflect.DeepEqual(got.OutDegrees(), g.OutDegrees()) {
+			t.Fatalf("n=%d m=%d: out-degrees from the edge list %v, from the out-CSR %v", n, m, got.OutDegrees(), g.OutDegrees())
+		}
+		for _, c := range []*CSR{&g.In, &g.Out, &want.In, shuffleRows(rng, &g.In), shuffleRows(rng, &g.SortByDegree().Out)} {
 			if got, want := sortCSRByDegree(c), comparatorSort(c); !reflect.DeepEqual(got, want) {
 				t.Fatalf("n=%d m=%d: counting sort %v, comparison sort %v", n, m, got.RowIDs, want.RowIDs)
 			}
 		}
+
+		var levels []int
+		for lo := 0; lo < n; {
+			lo += rng.Intn(n - lo + 1)
+			levels = append(levels, lo)
+		}
+		levels = append(levels, n)
+		lv, err := FromInEdges(n, slices.Clone(srcs), slices.Clone(dsts), levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lv.Validate(); err != nil {
+			t.Fatalf("n=%d levels %v: %v", n, levels, err)
+		}
+		deg := g.InDegrees()
+		lo := 0
+		for _, hi := range levels {
+			order := DegreeOrder(deg[lo:hi])
+			for k, v := range order {
+				if lv.In.RowIDs[lo+k] != int32(lo)+v {
+					t.Fatalf("n=%d levels %v: rows %v, want level [%d,%d) in degree order %v", n, levels, lv.In.RowIDs, lo, hi, order)
+				}
+			}
+			lo = hi
+		}
+		// Each row keeps its slots in edge-id order, whatever the levels.
+		for k := 0; k < lv.In.NumRows(); k++ {
+			if _, eids := lv.In.Row(k); !slices.IsSorted(eids) {
+				t.Fatalf("n=%d levels %v: row %d slots %v out of edge-id order", n, levels, k, eids)
+			}
+		}
 	}
-	if _, err := FromEdgesSorted(2, []int32{0}, []int32{2}); err == nil {
-		t.Fatal("FromEdgesSorted accepted an out-of-range edge")
+	if _, err := FromInEdges(2, []int32{0}, []int32{2}, []int{2}); err == nil {
+		t.Fatal("FromInEdges accepted an out-of-range edge")
+	}
+	for _, levels := range [][]int{nil, {1}, {2, 1, 3}, {1, 4}} {
+		if _, err := FromInEdges(3, []int32{0}, []int32{1}, levels); err == nil {
+			t.Errorf("FromInEdges accepted levels %v over 3 vertices", levels)
+		}
 	}
 }
 
@@ -379,20 +421,18 @@ func TestQuickTypeSortPreservesEdgeSets(t *testing.T) {
 }
 
 // TestDstPrefix pins the block view: a prefix that holds every edge cuts
-// the in-CSR and keeps everything else, and a prefix that is not exact is
-// refused rather than truncated. Vertex 1 has no in-edge, so it sorts
-// among the zero-degree rows, ahead of 3..5 by its smaller id.
+// the in-CSR and keeps everything else, one that holds some of them cuts
+// the edges and sources too, and a prefix that is not exact is refused
+// rather than truncated. Vertex 1 has no in-edge, so it sorts among the
+// zero-degree rows, ahead of 3..5 by its smaller id.
 func TestDstPrefix(t *testing.T) {
 	srcs := []int32{3, 4, 5, 0, 2}
 	dsts := []int32{0, 0, 2, 2, 0}
-	g, err := FromEdgesSorted(6, slices.Clone(srcs), slices.Clone(dsts))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := mustFromEdges(t, 6, srcs, dsts).SortByDegree()
 	if err := g.WithEdgeTypes([]int32{0, 1, 1, 0, 1}, 2); err != nil {
 		t.Fatal(err)
 	}
-	b, err := g.DstPrefix(3)
+	b, err := g.DstPrefix(3, g.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +455,7 @@ func TestDstPrefix(t *testing.T) {
 	if rg, _ := g.TypeStorageRatio(); rb != rg {
 		t.Fatalf("type storage ratio %v on the block, %v on the graph", rb, rg)
 	}
-	if full, err := g.DstPrefix(g.N); err != nil || full.In.NumRows() != g.N || full.Validate() != nil {
+	if full, err := g.DstPrefix(g.N, g.N); err != nil || full.In.NumRows() != g.N || full.Validate() != nil {
 		t.Fatalf("the whole graph as its own prefix: %v", err)
 	}
 	// The block's in-CSR alone, as a shard fragment or a delta frontier is
@@ -430,18 +470,41 @@ func TestDstPrefix(t *testing.T) {
 		t.Error("Validate accepted a block whose N counts its destinations")
 	}
 
+	// Hops as a sampler numbers them: seed 0; 1 and 2 one hop out, their
+	// edges 0 and 1; 3 two hops out, edges 2..4 entering 1 and 2.
+	hop, err := FromInEdges(4, []int32{1, 2, 3, 0, 3}, []int32{0, 0, 1, 2, 2}, []int{1, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds, err := hop.DstPrefix(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seeds.Validate(); err != nil {
+		t.Fatalf("seed block: %v", err)
+	}
+	if seeds.In.NumRows() != 1 || seeds.N != 3 || seeds.M != 2 || len(seeds.Srcs) != 2 || seeds.Out.Offsets != nil {
+		t.Fatalf("seed block has %d in-rows, N=%d M=%d, %d listed edges; want 1 row over 3 sources, 2 edges", seeds.In.NumRows(), seeds.N, seeds.M, len(seeds.Srcs))
+	}
+	if out := seeds.OutDegrees(); !slices.Equal(out, []int32{0, 1, 1}) {
+		t.Fatalf("seed block out-degrees %v", out)
+	}
+
 	for _, tc := range []struct {
 		name string
 		g    *Graph
-		d    int
+		d, n int
 	}{
-		{"misses an edge", g, 1},       // row 0 is vertex 0; two edges enter vertex 2
-		{"holds a later vertex", g, 2}, // rows 0, 1 are vertices 0 and 2
-		{"past the rows", g, g.N + 1},  // no such row
-		{"unsorted", mustFromEdges(t, 6, srcs, dsts), 3},
+		{"misses an edge", g, 1, g.N},          // row 0 is vertex 0 with edge 4, but edges 2 and 3 enter vertex 2
+		{"holds a later vertex", g, 2, g.N},    // rows 0, 1 are vertices 0 and 2
+		{"past the rows", g, g.N + 1, g.N},     // no such row
+		{"too few sources", g, 3, 3},           // vertices 3..5 send edges into the prefix
+		{"fewer sources than rows", hop, 3, 2}, // a destination is a source too
+		{"unsorted", mustFromEdges(t, 6, srcs, dsts), 3, 6},
+		{"past a hop's sources", hop, 1, 2}, // vertex 2 sends edge 1
 	} {
-		if _, err := tc.g.DstPrefix(tc.d); err == nil {
-			t.Errorf("%s: DstPrefix(%d) accepted", tc.name, tc.d)
+		if _, err := tc.g.DstPrefix(tc.d, tc.n); err == nil {
+			t.Errorf("%s: DstPrefix(%d, %d) accepted", tc.name, tc.d, tc.n)
 		}
 	}
 

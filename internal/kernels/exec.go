@@ -71,6 +71,9 @@ func (k *Kernel) Run(g *graph.Graph, b *Bindings, outs map[*gir.Node]*tensor.Ten
 	defer sp.End()
 	csr := &g.In
 	if k.Dir == gir.AggToSrc {
+		if g.Out.Offsets == nil {
+			return fmt.Errorf("kernels: unit %d aggregates to sources but the graph has no out-CSR", k.Unit.ID)
+		}
 		csr = &g.Out
 	}
 	if k.usesEdgeType && g.EdgeTypes == nil {
@@ -206,9 +209,15 @@ func (k *Kernel) resolve(b *Bindings, outs map[*gir.Node]*tensor.Tensor) error {
 	return nil
 }
 
-// releaseResolved drops tensor references after a launch so the kernel
-// does not pin freed buffers across iterations.
+// releaseResolved drops tensor references after a launch, the kernel's
+// and its arenas', so the kernel does not pin freed buffers across
+// iterations.
 func (k *Kernel) releaseResolved() {
+	for _, a := range k.arenas {
+		if a != nil {
+			a.unbind(k)
+		}
+	}
 	for i := range k.rowT {
 		k.rowT[i] = nil
 	}
@@ -351,6 +360,38 @@ func (k *Kernel) arena(w int) *runArena {
 		k.arenas[w] = a
 	}
 	return a
+}
+
+// unbind drops a's views of the last launch's tensors: the slots bound
+// where a value lies (row, sweep and const leaves, values written in
+// place), the opStep operand views, the bound edge program's data and
+// the terms' data. Every launch binds them again before reading them;
+// slots that own their storage keep it. It costs O(slots).
+func (a *runArena) unbind(k *Kernel) {
+	for _, ld := range k.rowLeaves {
+		a.slots[ld.slot] = nil
+	}
+	for _, ld := range k.constLeaves {
+		a.slots[ld.slot] = nil
+	}
+	for _, li := range k.sweepLoads {
+		a.slots[k.edgeLeaves[li].slot] = nil
+	}
+	for _, m := range k.mats {
+		if m.inPlace {
+			a.slots[m.slot] = nil
+		}
+	}
+	for _, m := range k.nbrMats {
+		a.slots[m.slot] = nil
+	}
+	clear(a.view)
+	for i := range a.prog {
+		a.prog[i].data = nil
+	}
+	for i := range a.tstate {
+		a.tstate[i].data, a.tstate[i].wd = nil, nil
+	}
 }
 
 // runSweep materializes neighbour-typed values for vertices [lo, hi):

@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"seastar/internal/device"
 	"seastar/internal/fusion"
 	"seastar/internal/gir"
 	"seastar/internal/graph"
+	"seastar/internal/sched"
 	"seastar/internal/tensor"
 )
 
@@ -582,5 +584,137 @@ func TestRunErrorsOnMissingBindings(t *testing.T) {
 		&Bindings{VFeat: map[string]*tensor.Tensor{"h": tensor.New(4, 2)}},
 		map[*gir.Node]*tensor.Tensor{}); err == nil {
 		t.Fatal("missing output tensor accepted")
+	}
+}
+
+// TestRunRefusesAggToSrcWithoutOutCSR: an A:S unit launched on a graph
+// that carries no out-CSR (a sampled batch, a shard fragment) is an
+// error, not an index fault.
+func TestRunRefusesAggToSrcWithoutOutCSR(t *testing.T) {
+	b := gir.NewBuilder()
+	b.VFeature("x", 1)
+	dag, err := b.Build(func(v *gir.Vertex) *gir.Value { return v.Nbr("x").AggSum() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := dag.Outputs[0]
+	agg.Dir, agg.Type = gir.AggToSrc, gir.TypeS
+	dag.Nodes[0].LeafKind, dag.Nodes[0].Type = gir.LeafDstFeat, gir.TypeD
+	plan, err := fusion.Partition(dag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := Compile(plan.Units[0], plan.Materialized(nil)[plan.Units[0]], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := graph.Figure7()
+	inOnly, err := graph.FromInEdges(full.N, full.Srcs, full.Dsts, []int{full.N})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = k.Run(inOnly, &Bindings{VFeat: map[string]*tensor.Tensor{"x": tensor.New(4, 1)}},
+		map[*gir.Node]*tensor.Tensor{agg: tensor.New(4, 1)})
+	if err == nil || !strings.Contains(err.Error(), "out-CSR") {
+		t.Fatalf("an A:S launch without an out-CSR returned %v", err)
+	}
+}
+
+// overlaps reports whether slice x shares memory with t's data.
+func overlaps(x []float32, t *tensor.Tensor) bool {
+	d := t.Data()
+	if cap(x) == 0 || len(d) == 0 {
+		return false
+	}
+	x0 := uintptr(unsafe.Pointer(unsafe.SliceData(x)))
+	d0 := uintptr(unsafe.Pointer(unsafe.SliceData(d)))
+	return x0 < d0+uintptr(len(d))*4 && d0 < x0+uintptr(cap(x))*4
+}
+
+// arenaViews lists every slice a's fields hold.
+func arenaViews(a *runArena) [][]float32 {
+	var out [][]float32
+	for _, group := range [][][]float32{a.slots, a.accs, a.inner, a.cols, a.wcols, a.view, {a.svals}} {
+		out = append(out, group...)
+	}
+	for _, s := range a.tstate {
+		out = append(out, s.target, s.data, s.wd, s.tmp, s.buf)
+	}
+	for _, ops := range [][]specOp{a.prog, a.rowProg} {
+		for _, op := range ops {
+			out = append(out, op.data, op.oc, op.ac, op.bc)
+		}
+	}
+	return out
+}
+
+// TestRunLeavesNoTensorInArenas: after Run returns, no worker arena holds
+// a view of the launch's input or output tensors — the slot table's
+// bindings, the bound programs' data and the terms' data are dropped
+// with the kernel's own, so a kernel pins no buffer between launches.
+// Both the serial and the parallel launch path are covered, on a GAT
+// forward: row leaves, gathers, stored edge and row values.
+func TestRunLeavesNoTensorInArenas(t *testing.T) {
+	defer sched.SetMaxProcs(sched.MaxProcs)
+	rng := rand.New(rand.NewSource(15))
+	g := graph.PowerLaw(rng, 3000, 6).SortByDegree()
+	gat, _ := gatPlan(t, 16)
+	in := map[string]*tensor.Tensor{
+		"eu": tensor.Randn(rng, 1, g.N, 1), "ev": tensor.Randn(rng, 1, g.N, 1), "h": tensor.Randn(rng, 1, g.N, 16),
+	}
+	for _, procs := range []int{1, 4} {
+		sched.SetMaxProcs(procs)
+		mat := gat.Materialized(nil)
+		avail := map[*gir.Node]bool{}
+		for _, ns := range mat {
+			for _, n := range ns {
+				avail[n] = true
+			}
+		}
+		inter := map[*gir.Node]*tensor.Tensor{}
+		var tensors []*tensor.Tensor
+		for _, x := range in {
+			tensors = append(tensors, x)
+		}
+		var kerns []*Kernel
+		for _, u := range gat.Units {
+			k, err := Compile(u, mat[u], avail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs := map[*gir.Node]*tensor.Tensor{}
+			for _, m := range mat[u] {
+				rows := g.N
+				if m.Type == gir.TypeE {
+					rows = g.M
+				}
+				outs[m] = tensor.New(rows, m.Dim())
+				tensors = append(tensors, outs[m])
+			}
+			if err := k.Run(g, &Bindings{VFeat: in, Inter: inter}, outs); err != nil {
+				t.Fatal(err)
+			}
+			for n, x := range outs {
+				inter[n] = x
+			}
+			kerns = append(kerns, k)
+		}
+		for ki, k := range kerns {
+			if len(k.arenas) == 0 {
+				t.Fatalf("procs %d: unit %d ran without an arena", procs, ki)
+			}
+			for w, a := range k.arenas {
+				if a == nil {
+					continue
+				}
+				for _, x := range arenaViews(a) {
+					for ti, tt := range tensors {
+						if overlaps(x, tt) {
+							t.Fatalf("procs %d: unit %d arena %d still holds a view of launch tensor %d after Run", procs, ki, w, ti)
+						}
+					}
+				}
+			}
+		}
 	}
 }

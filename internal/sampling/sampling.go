@@ -3,18 +3,25 @@
 // AliGraph that the paper positions Seastar as a training engine for
 // (§8). A Sampler draws a fixed fan-out of in-neighbours per layer from
 // seed vertices, producing an induced Batch subgraph with compact ids;
-// compiled Seastar programs then run on the batch graph unchanged. The
-// batch subgraph is born degree-sorted (§6.3.3): its CSRs are built
-// straight into degree order from the drawn edges, so no later stage
-// sorts it.
+// compiled Seastar programs then run on the batch graph unchanged.
 //
 // A batch holds only what the model reads, given one fan-out entry per
 // aggregating layer. Vertices and edges are numbered breadth-first, hop by
 // hop, so a sample with FanOut[:d] is a prefix of the FanOut sample drawn
-// with the same seed: the same draws, the first d hops. The same numbering
-// makes the vertices the sampler expanded (the seeds, for one hop) the
-// first rows of the degree-sorted in-CSR, holding every edge, so
-// Sub.DstPrefix cuts a batch to the block a trainer computes on.
+// with the same seed: the same draws, the first d hops. The batch records
+// where each hop ends (HopVertices, HopEdges).
+//
+// The batch subgraph carries one in-CSR and no out-CSR: a forward pass
+// walks in-edges only, and a normalizer reading out-degrees counts the
+// edge list. Its rows are hop-major, each hop's rows in degree order
+// (§6.3.3, graph.FromInEdges), built straight from the drawn edges so no
+// later stage sorts them. A vertex's in-edges are all drawn in the hop
+// after the one that reached it, so the vertices within k hops are the
+// first rows and their in-edges the first slots. A model of L layers
+// needs layer l's output only within L−1−l hops of the seeds: Block cuts
+// each layer its block, a row prefix of the one in-CSR
+// (graph.Graph.DstPrefix), and a layer past the sampled hops gets the
+// whole batch.
 package sampling
 
 import (
@@ -27,14 +34,10 @@ import (
 	"seastar/internal/tensor"
 )
 
-// Sampler draws layered neighbourhoods from a base graph.
-//
-// The sampler owns two independent RNG streams derived from its base
-// seed: one for batch-order shuffling (Batches) and one for neighbour
-// draws (Sample). Keeping them separate means interleaving Sample calls
-// between Batches calls cannot perturb the epoch's batch order — the
-// coupling that used to make the training curve depend on how many
-// batches had been sampled so far.
+// Sampler draws layered neighbourhoods from a base graph. It holds no
+// RNG: every draw takes the caller's (SampleRNG) or one seeded per call
+// (SampleSeeded, SampleAs), and epoch plans derive theirs from the base
+// seed (PlanEpoch).
 type Sampler struct {
 	G *graph.Graph
 	// FanOut[l] bounds the in-neighbours sampled per vertex at layer l
@@ -43,8 +46,6 @@ type Sampler struct {
 	FanOut []int
 
 	baseSeed int64
-	shuffle  *rand.Rand // batch-order stream (Batches)
-	sample   *rand.Rand // neighbour-draw stream (Sample)
 
 	rowOnce sync.Once
 	rowOf   []int32
@@ -54,7 +55,8 @@ type Sampler struct {
 }
 
 // Stream tags name the derived RNG streams so their seeds cannot collide
-// with per-batch seeds (which use epoch ≥ 0, batch ≥ 0).
+// with per-batch seeds (which use epoch ≥ 0, batch ≥ 0): epoch plans
+// shuffle under streamShuffle, and SampleAs draws under streamSample.
 const (
 	streamShuffle = -1
 	streamSample  = -2
@@ -70,13 +72,7 @@ func NewSampler(g *graph.Graph, fanOut []int, seed int64) (*Sampler, error) {
 			return nil, fmt.Errorf("sampling: fan-out must be ≥ 1, got %d", f)
 		}
 	}
-	return &Sampler{
-		G:        g,
-		FanOut:   fanOut,
-		baseSeed: seed,
-		shuffle:  rand.New(rand.NewSource(DeriveSeed(seed, streamShuffle, 0))),
-		sample:   rand.New(rand.NewSource(DeriveSeed(seed, streamSample, 0))),
-	}, nil
+	return &Sampler{G: g, FanOut: fanOut, baseSeed: seed}, nil
 }
 
 // BaseSeed returns the seed the sampler was constructed with; pipelined
@@ -106,31 +102,31 @@ func DeriveSeed(base int64, epoch, batch int) int64 {
 // Batch is one sampled subgraph.
 type Batch struct {
 	// Sub is the induced subgraph over the sampled vertices, with
-	// compact ids 0..n-1, degree-sorted.
+	// compact ids 0..n-1: in-CSR only, hop-major (package doc).
 	Sub *graph.Graph
 	// Vertices maps compact ids back to base-graph ids.
 	Vertices []int32
 	// SeedCount is the number of distinct seeds; they occupy compact ids
 	// 0..SeedCount-1 in order of first appearance.
 	SeedCount int
+	// HopVertices[k] counts the vertices within k hops of the seeds and
+	// HopEdges[k] the edges drawn in hops 1..k, for k = 0..len(FanOut):
+	// HopVertices[0] is SeedCount, HopEdges[0] is 0. Hops past an empty
+	// frontier repeat the counts of the last one drawn.
+	HopVertices, HopEdges []int
 }
 
-// Sample draws one batch for the given seed vertices using the
-// sampler's own neighbour-draw stream.
-func (s *Sampler) Sample(seeds []int32) (*Batch, error) {
-	return s.SampleRNG(seeds, s.sample)
-}
-
-// SampleSeeded draws one batch with a fresh RNG seeded by seed, leaving
-// the sampler's streams untouched. This is the entry point for pipeline
-// workers: the batch depends only on (graph, fan-out, seeds, seed).
+// SampleSeeded draws one batch with a fresh RNG seeded by seed. This is
+// the entry point for pipeline workers: the batch depends only on (graph,
+// fan-out, seeds, seed).
 func (s *Sampler) SampleSeeded(seeds []int32, seed int64) (*Batch, error) {
 	return s.SampleRNG(seeds, rand.New(rand.NewSource(seed)))
 }
 
-// SampleAs draws the batch NewSampler(G, FanOut, seed).Sample(seeds)
-// would draw first, without building that sampler: one RNG per call, and
-// the row index this sampler already holds. Serving keeps one sampler per
+// SampleAs draws the batch a sampler seeded with seed draws first from
+// its neighbour-draw stream, the one derived from seed under
+// streamSample, without building that sampler: one RNG per call, and the
+// row index this sampler already holds. Serving keeps one sampler per
 // published graph and calls this per request with the request's seed.
 func (s *Sampler) SampleAs(seeds []int32, seed int64) (*Batch, error) {
 	return s.SampleSeeded(seeds, DeriveSeed(seed, streamSample, 0))
@@ -142,8 +138,8 @@ func (s *Sampler) SampleAs(seeds []int32, seed int64) (*Batch, error) {
 // takes a scratch of its own).
 //
 // Each distinct seed is expanded once: it draws at most FanOut[0]
-// in-edges however often it is listed. The returned subgraph is already
-// degree-sorted (graph.FromEdgesSorted).
+// in-edges however often it is listed. The returned subgraph's in-CSR is
+// already hop-major (graph.FromInEdges).
 func (s *Sampler) SampleRNG(seeds []int32, rng *rand.Rand) (*Batch, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("sampling: no seeds")
@@ -159,6 +155,9 @@ func (s *Sampler) SampleRNG(seeds []int32, rng *rand.Rand) (*Batch, error) {
 		sc.add(v)
 	}
 	seedCount := len(sc.verts) // distinct seeds: a repeated one keeps its first id
+	hopVerts := make([]int, 1, len(s.FanOut)+1)
+	hopEdges := make([]int, 1, len(s.FanOut)+1)
+	hopVerts[0] = seedCount
 
 	// CSR rows are permuted when the base graph is degree-sorted; build
 	// a vertex→row index once.
@@ -179,19 +178,35 @@ func (s *Sampler) SampleRNG(seeds []int32, rng *rand.Rand) (*Batch, error) {
 				sc.dsts = append(sc.dsts, dst)
 			}
 		}
+		// A hop past an empty frontier draws nothing and repeats the counts.
+		hopVerts = append(hopVerts, len(sc.verts))
+		hopEdges = append(hopEdges, len(sc.srcs))
 		frontier, next = next, frontier[:0]
-		if len(frontier) == 0 {
-			break
-		}
 	}
 	sc.frontier, sc.next = frontier, next
 
 	vertices := slices.Clone(sc.verts)
-	sub, err := graph.FromEdgesSorted(len(vertices), slices.Clone(sc.srcs), slices.Clone(sc.dsts))
+	sub, err := graph.FromInEdges(len(vertices), slices.Clone(sc.srcs), slices.Clone(sc.dsts), hopVerts)
 	if err != nil {
 		return nil, err
 	}
-	return &Batch{Sub: sub, Vertices: vertices, SeedCount: seedCount}, nil
+	return &Batch{Sub: sub, Vertices: vertices, SeedCount: seedCount, HopVertices: hopVerts, HopEdges: hopEdges}, nil
+}
+
+// Block returns the graph a layer walks whose output the batch's next k
+// layers read (k = 0 for the last layer): its destinations are the
+// vertices within k hops of the seeds, its edges those of hops 1..k+1 and
+// its sources (N) the vertices within k+1 hops — a row prefix of Sub
+// (graph.Graph.DstPrefix). With k ≥ len(FanOut), and wherever the
+// frontier emptied before hop k, it is the whole of Sub.
+func (b *Batch) Block(k int) (*graph.Graph, error) {
+	if k < 0 {
+		return nil, fmt.Errorf("sampling: block %d hops deep", k)
+	}
+	if k+1 >= len(b.HopVertices) || b.HopVertices[k] == b.Sub.N {
+		return b.Sub, nil
+	}
+	return b.Sub.DstPrefix(b.HopVertices[k], b.HopVertices[k+1])
 }
 
 // scratch is one SampleRNG call's working memory, reused across calls.
@@ -320,9 +335,9 @@ func (b *Batch) GatherFeaturesInto(dst, base *tensor.Tensor) {
 }
 
 // PlanEpoch returns the seed batches for one epoch, shuffled by an RNG
-// derived from (baseSeed, epoch) alone. Unlike Batches it is stateless:
-// any caller — a resumed checkpoint, a prefetching pipeline, a serial
-// reference run — gets the identical plan for the same epoch.
+// derived from (baseSeed, epoch) alone. It is stateless: any caller — a
+// resumed checkpoint, a prefetching pipeline, a serial reference run —
+// gets the identical plan for the same epoch.
 func (s *Sampler) PlanEpoch(epoch, batchSize int) ([][]int32, error) {
 	if batchSize < 1 {
 		return nil, fmt.Errorf("sampling: batch size must be ≥ 1")

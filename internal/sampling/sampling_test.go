@@ -2,8 +2,10 @@ package sampling
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -55,9 +57,35 @@ func TestSampleStructure(t *testing.T) {
 	if err := b.Sub.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// The block is born degree-sorted: sorting it again changes nothing.
-	if !b.Sub.In.Sorted || !reflect.DeepEqual(b.Sub, b.Sub.SortByDegree()) {
-		t.Fatal("sampled subgraph is not in degree order")
+	// The subgraph is in-only, its in-CSR born hop-major: each hop's rows
+	// follow the hops before it, in that hop's degree order, with every
+	// row's slots in edge-id order.
+	if b.Sub.Out.Offsets != nil || !b.Sub.In.Sorted {
+		t.Fatal("sampled subgraph carries an out-CSR or an unsorted in-CSR")
+	}
+	if len(b.HopVertices) != 3 || len(b.HopEdges) != 3 || b.HopVertices[0] != 3 || b.HopEdges[0] != 0 ||
+		b.HopVertices[2] != b.Sub.N || b.HopEdges[2] != b.Sub.M {
+		t.Fatalf("hop boundaries: vertices %v, edges %v for %d vertices, %d edges", b.HopVertices, b.HopEdges, b.Sub.N, b.Sub.M)
+	}
+	deg := b.Sub.InDegrees()
+	lo := 0
+	for k, hi := range b.HopVertices {
+		for i, v := range graph.DegreeOrder(deg[lo:hi]) {
+			if b.Sub.In.RowIDs[lo+i] != int32(lo)+v {
+				t.Fatalf("hop %d: rows %v, want vertices [%d,%d) in degree order", k, b.Sub.In.RowIDs[lo:hi], lo, hi)
+			}
+		}
+		lo = hi
+	}
+	for k := 0; k < b.Sub.In.NumRows(); k++ {
+		if _, eids := b.Sub.In.Row(k); !slices.IsSorted(eids) {
+			t.Fatalf("row %d slots %v out of edge-id order", k, eids)
+		}
+	}
+	// Sorting the rows by degree alone keeps every row's in-edges.
+	sorted := b.Sub.SortByDegree()
+	if !reflect.DeepEqual(sorted.InDegrees(), deg) || sorted.Out.Offsets != nil || sorted.Validate() != nil {
+		t.Fatal("SortByDegree of the sample lost its in-edges or grew an out-CSR")
 	}
 	if b.SeedCount != 3 {
 		t.Fatalf("seed count %d", b.SeedCount)
@@ -308,9 +336,9 @@ func TestSamplePrefixOfDeeperSample(t *testing.T) {
 // on: every sampled subgraph's vertices the sampler expanded are a
 // destination prefix (graph.Graph.DstPrefix) holding every edge. The
 // expanded vertices are those of the sample one hop shallower (the seeds,
-// for one hop), numbered first; every other vertex has no in-edge, and
-// DegreeOrder puts the zero-degree rows last with ties by ascending id, so
-// an expanded vertex without an in-edge still sorts ahead of them.
+// for one hop), numbered first; every other vertex is of the last hop,
+// whose rows come last in the hop-major in-CSR, so an expanded vertex
+// without an in-edge still sorts ahead of them.
 func TestSampleIsABlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	hollow := 0 // batches with an expanded vertex no edge enters, ahead of an unexpanded one
@@ -355,7 +383,7 @@ func TestSampleIsABlock(t *testing.T) {
 				}
 				expanded = len(shallow.Vertices)
 			}
-			blk, err := b.Sub.DstPrefix(expanded)
+			blk, err := b.Sub.DstPrefix(expanded, b.Sub.N)
 			if err != nil {
 				t.Fatalf("trial %d batch %d, fan-out %v: %d expanded of %d vertices: %v",
 					trial, batch, fan, expanded, b.Sub.N, err)
@@ -517,7 +545,13 @@ func TestMiniBatchTrainingWithSeastar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt := exec.NewRuntime(e, batch.Sub)
+			// The backward walks out-edges, which a batch does not carry:
+			// the trainer builds its out-CSR itself.
+			sub, err := graph.FromEdges(batch.Sub.N, batch.Sub.Srcs, batch.Sub.Dsts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt := exec.NewRuntime(e, sub)
 			h := e.Input(batch.GatherFeatures(feat), "h")
 			out, err := c.Apply(rt, map[string]*nn.Variable{"h": h}, nil,
 				map[string]*nn.Variable{"W": w})
@@ -737,5 +771,169 @@ func TestGatherFeaturesInto(t *testing.T) {
 				t.Fatalf("row %d col %d: %g != %g", i, j, dst.At(i, j), want.At(i, j))
 			}
 		}
+	}
+}
+
+// TestNewSamplerAllocatesLittle: a sampler holds no RNG state, so serving,
+// which builds one per published graph, pays a few hundred bytes for it,
+// not two math/rand sources (≈ 5 KB each).
+func TestNewSamplerAllocatesLittle(t *testing.T) {
+	g := graph.Figure7()
+	fan := []int{10, 5}
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for rep := 0; rep < 5; rep++ { // the least of a few reads, in case the runtime allocated between two
+		runtime.ReadMemStats(&before)
+		s, err := NewSampler(g, fan, int64(rep))
+		runtime.ReadMemStats(&after)
+		if err != nil || s == nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 1024 {
+		t.Fatalf("NewSampler allocates %d bytes, want < 1 KB", least)
+	}
+}
+
+// TestSampleAsIsFirstSample pins SampleAs's contract: it draws what a
+// sampler seeded with the request's seed draws first, whichever sampler
+// over the same graph and fan-out serves it.
+func TestSampleAsIsFirstSample(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	g := graph.PowerLaw(rng, 300, 4).SortByDegree()
+	serving, err := NewSampler(g, []int{4, 3}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 20; trial++ {
+		seeds := []int32{int32(rng.Intn(300)), int32(rng.Intn(300))}
+		seed := rng.Int63()
+		fresh, err := NewSampler(g, []int{4, 3}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Sample(seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := serving.SampleAs(seeds, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBatch(got, want) {
+			t.Fatalf("trial %d: SampleAs(%v, %d) differs from a fresh sampler's first Sample", trial, seeds, seed)
+		}
+	}
+}
+
+// sameBatch reports whether two batches hold the same vertices, hops and
+// edges in the same rows; an empty slice equals a nil one.
+func sameBatch(a, b *Batch) bool {
+	x, y := a.Sub, b.Sub
+	return a.SeedCount == b.SeedCount && x.N == y.N && x.M == y.M &&
+		slices.Equal(a.Vertices, b.Vertices) &&
+		slices.Equal(a.HopVertices, b.HopVertices) && slices.Equal(a.HopEdges, b.HopEdges) &&
+		slices.Equal(x.Srcs, y.Srcs) && slices.Equal(x.Dsts, y.Dsts) &&
+		slices.Equal(x.In.Offsets, y.In.Offsets) && slices.Equal(x.In.RowIDs, y.In.RowIDs) &&
+		slices.Equal(x.In.Nbrs, y.In.Nbrs) && slices.Equal(x.In.EdgeIDs, y.In.EdgeIDs)
+}
+
+// TestBlockCut is the property a sampled forward's per-layer blocks rest
+// on, over random graphs, fan-outs and seed lists (repeats allowed): the
+// hop boundaries count what each hop drew, and Block(k) — the block of a
+// layer whose output the next k layers read — is a valid graph whose
+// destinations are the vertices within k hops, whose edges are those of
+// hops 1..k+1 and every in-edge of those destinations, and whose sources
+// are the vertices within k+1 hops. Past the sampled hops, and past a
+// frontier that emptied, the block is the whole batch.
+func TestBlockCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	emptied, cut := 0, 0
+	for trial := 0; trial < 80; trial++ {
+		n := 5 + rng.Intn(200)
+		var g *graph.Graph
+		switch trial % 3 {
+		case 0: // sparse: frontiers often empty before the last hop
+			g = graph.GNM(rng, n, rng.Intn(n))
+		case 1:
+			g = graph.PowerLaw(rng, n, 1+rng.Intn(4))
+		default:
+			g = graph.ZipfDegree(rng, n, 1+rng.Intn(6), 1.0).SortByDegree()
+		}
+		fan := make([]int, 1+rng.Intn(3))
+		for i := range fan {
+			fan[i] = 1 + rng.Intn(5)
+		}
+		s, err := NewSampler(g, fan, rng.Int63())
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds := make([]int32, 1+rng.Intn(6))
+		for i := range seeds {
+			seeds[i] = int32(rng.Intn(n)) // repeats allowed
+		}
+		b, err := s.SampleSeeded(seeds, rng.Int63())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, hv, he := b.Sub, b.HopVertices, b.HopEdges
+		if sub.Out.Offsets != nil {
+			t.Fatalf("trial %d: the batch carries an out-CSR", trial)
+		}
+		if len(hv) != len(fan)+1 || len(he) != len(fan)+1 || hv[0] != b.SeedCount || he[0] != 0 ||
+			hv[len(fan)] != sub.N || he[len(fan)] != sub.M {
+			t.Fatalf("trial %d, fan-out %v: hop boundaries %v / %v for %d seeds, %d vertices, %d edges",
+				trial, fan, hv, he, b.SeedCount, sub.N, sub.M)
+		}
+		for k := 1; k <= len(fan); k++ {
+			if hv[k] < hv[k-1] || he[k] < he[k-1] {
+				t.Fatalf("trial %d: hop boundaries shrink: %v / %v", trial, hv, he)
+			}
+			if hv[k] == hv[k-1] && k < len(fan) {
+				emptied++
+			}
+		}
+		// An edge of hop k enters a vertex k−1 hops out from one within k.
+		for k := 1; k <= len(fan); k++ {
+			lo := 0
+			if k > 1 {
+				lo = hv[k-2]
+			}
+			for e := he[k-1]; e < he[k]; e++ {
+				if d, u := int(sub.Dsts[e]), int(sub.Srcs[e]); d < lo || d >= hv[k-1] || u >= hv[k] {
+					t.Fatalf("trial %d: hop-%d edge %d is %d→%d, boundaries %v", trial, k, e, u, d, hv)
+				}
+			}
+		}
+		for k := 0; k <= len(fan)+1; k++ {
+			blk, err := b.Block(k)
+			if err != nil {
+				t.Fatalf("trial %d, fan-out %v: block %d: %v", trial, fan, k, err)
+			}
+			if err := blk.Validate(); err != nil {
+				t.Fatalf("trial %d, fan-out %v: block %d: %v", trial, fan, k, err)
+			}
+			d, m, src := sub.N, sub.M, sub.N
+			if k < len(fan) {
+				d, m, src = hv[k], he[k+1], hv[k+1]
+			}
+			if blk.In.NumRows() != d || blk.M != m || blk.N != src {
+				t.Fatalf("trial %d, fan-out %v, hops %v / %v: block %d has %d rows, %d edges, %d sources; want %d, %d, %d",
+					trial, fan, hv, he, k, blk.In.NumRows(), blk.M, blk.N, d, m, src)
+			}
+			// Every in-edge of a destination is in the block.
+			for e := m; e < sub.M; e++ {
+				if int(sub.Dsts[e]) < d {
+					t.Fatalf("trial %d: block %d misses edge %d into destination %d", trial, k, e, sub.Dsts[e])
+				}
+			}
+			if blk != sub {
+				cut++
+			}
+		}
+	}
+	if emptied == 0 || cut == 0 {
+		t.Fatalf("%d samples emptied a frontier early, %d blocks were cut: the grid misses a case", emptied, cut)
 	}
 }

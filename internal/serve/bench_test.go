@@ -116,8 +116,10 @@ func BenchmarkDelta(b *testing.B) {
 // BenchmarkServeRequest times one request at a time against an idle
 // engine, in the shapes of benchmark/'s serve-sampled and
 // serve-embed-mixed workloads (100 k-vertex Zipf graph, width 64): what a
-// request costs when it waits for nobody. `make bench-serve` prints it;
-// scripts/ci.sh runs it once so it cannot rot. The gate is benchmark/.
+// request costs when it waits for nobody, and how many of its tensor
+// draws the pool could not serve (misses/op). `make bench-serve` prints
+// it; scripts/ci.sh runs it once so it cannot rot. The gate is
+// benchmark/.
 func BenchmarkServeRequest(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
@@ -149,11 +151,14 @@ func BenchmarkServeRequest(b *testing.B) {
 			for i := 0; i < 32; i++ { // compile the plan, fill the pool and the caches
 				infer(i)
 			}
+			misses := eng.PoolStats().Misses
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				infer(i)
 			}
+			b.StopTimer()
+			b.ReportMetric(float64(eng.PoolStats().Misses-misses)/float64(b.N), "misses/op")
 		})
 	}
 }

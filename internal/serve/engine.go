@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"seastar/internal/graph"
 	"seastar/internal/obs"
 	"seastar/internal/sampling"
 	"seastar/internal/tensor"
@@ -538,9 +539,15 @@ func (e *Engine) runSampledBatch(batch []*request, pub *published, model *Model)
 	}
 }
 
-// inferSampled answers one sampled request. Everything but the returned
-// [len(nodes), classes] rows — gathered features, dense products, layer
-// outputs — is drawn from the pool and back in it on return.
+// inferSampled answers one sampled request. Stage l of L walks its
+// block of the sample (sampling.Batch.Block(L−1−l)), so it computes only
+// the rows the stages after it read, the last one the seeds'; the
+// normalizers are bound once from the whole sample, and every dense
+// product is dispatched from the whole sample's row count, so each row
+// has the bits the all-rows forward gives it. Everything but the
+// returned [len(nodes), classes] rows — gathered features, dense
+// products, layer outputs — is drawn from the pool and back in it on
+// return.
 func (e *Engine) inferSampled(nodes []int32, pub *published, model *Model) (*tensor.Tensor, error) {
 	snap := pub.snap
 	if err := checkNodes(nodes, snap.NumVertices()); err != nil {
@@ -551,7 +558,13 @@ func (e *Engine) inferSampled(nodes []int32, pub *published, model *Model) (*ten
 		return nil, err
 	}
 	feat := snap.Features()
-	env := &ForwardEnv{G: b.Sub, Pool: e.pool, scoped: true}
+	stages := len(model.prog.Stages)
+	env := &ForwardEnv{G: b.Sub, Pool: e.pool, scoped: true, blocks: make([]*graph.Graph, stages)}
+	for l := range env.blocks {
+		if env.blocks[l], err = b.Block(stages - 1 - l); err != nil {
+			return nil, err
+		}
+	}
 	defer env.release()
 	env.Feat = env.get(len(b.Vertices), feat.Cols())
 	b.GatherFeaturesInto(env.Feat, feat)

@@ -40,6 +40,10 @@ func (m *Model) SupportsIncremental() bool { return m.prog.Incremental() }
 type ForwardEnv struct {
 	G    *graph.Graph
 	Feat *tensor.Tensor
+	// blocks, when set, holds the graph each stage walks: on a sampled
+	// forward, stage l's block of the sample G (sampling.Batch.Block).
+	// Unset, every stage walks G.
+	blocks []*graph.Graph
 	// Dev is ignored: serving charges no simulated device. It stays only
 	// because benchmark/ still sets it; ROADMAP item 10(e) removes it.
 	Dev  *device.Device
@@ -54,6 +58,14 @@ type ForwardEnv struct {
 	// (EnsureEmbeddings, deltas) leaves it off.
 	scoped bool
 	drawn  []*tensor.Tensor
+}
+
+// stage returns the graph stage l walks.
+func (env *ForwardEnv) stage(l int) *graph.Graph {
+	if env.blocks == nil {
+		return env.G
+	}
+	return env.blocks[l]
 }
 
 // get returns a zeroed tensor for one forward intermediate or result:
@@ -113,9 +125,11 @@ func BuildModel(spec ModelSpec, inDim, numRelations int) (*Model, error) {
 	return newModel(spec, inDim, numRelations, spec.Declare(inDim, numRelations))
 }
 
-// Forward runs the full inference pass over env.G, returning [N, classes]
-// logits. Every tensor it makes comes from env (see ForwardEnv.get), so
-// any number of Forwards can run concurrently on the same Model.
+// Forward runs the full inference pass over env.G, returning [D, classes]
+// logits for the last stage's D destinations: all N vertices, or on a
+// sampled forward the seeds. Every tensor it makes comes from env (see
+// ForwardEnv.get), so any number of Forwards can run concurrently on the
+// same Model.
 func (m *Model) Forward(env *ForwardEnv) (*tensor.Tensor, error) {
 	st, err := m.runAll(env)
 	if err != nil {
@@ -124,8 +138,9 @@ func (m *Model) Forward(env *ForwardEnv) (*tensor.Tensor, error) {
 	return st.logits, nil
 }
 
-// runAll is the all-rows driver of the program runner. The dense
-// products stay with the state (aux) when the delta path can patch them.
+// runAll is the all-rows driver of the program runner: stage l computes
+// every row of the graph it walks (ForwardEnv.stage). The dense products
+// stay with the state (aux) when the delta path can patch them.
 func (m *Model) runAll(env *ForwardEnv) (*embedState, error) {
 	if m.prog.Typed() && env.G.EdgeTypes == nil {
 		return nil, fmt.Errorf("serve: %s requires a heterogeneous graph", m.Spec.Arch)

@@ -110,7 +110,8 @@ type run struct {
 	done int            // stages completed
 }
 
-// step runs the next stage over all rows of env.G, or (patch) over f's:
+// step runs the next stage over all rows of the graph it walks
+// (ForwardEnv.stage), or (patch) over f's:
 // the plan then walks f.g, reading Nbr-side inputs from the value tensors
 // and Self-side ones gathered to f.rows. h becomes the stage's output.
 func (r *run) step(f *frontier) error {
@@ -163,7 +164,7 @@ func (r *run) dense(f *frontier) {
 func (r *run) aggregate(f *frontier) (*tensor.Tensor, error) {
 	s := &r.m.prog.Stages[r.done]
 	in := r.h
-	ie := &exec.InferEnv{G: r.env.G, Pool: r.env.Pool, Result: r.env.get}
+	ie := &exec.InferEnv{G: r.env.stage(r.done), Pool: r.env.Pool, Result: r.env.get}
 	if f != nil {
 		ie.G = f.g
 	}

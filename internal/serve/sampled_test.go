@@ -9,6 +9,8 @@ import (
 	"slices"
 	"testing"
 
+	"seastar/internal/graph"
+	"seastar/internal/obs"
 	"seastar/internal/sampling"
 	"seastar/internal/serve"
 	"seastar/internal/tensor"
@@ -16,28 +18,15 @@ import (
 
 // sampledReference answers one sampled request the way the engine did
 // when every request built a sampler of its own: seed it from (snapshot,
-// config seed, nodes), sample, degree-sort the subgraph, gather features,
-// run the forward on ordinary tensors. The engine now shares one sampler
-// per published snapshot and draws its tensors from the pool; answers
-// must not have moved by a bit.
+// config seed, nodes), draw that sampler's first sample (SampleAs, whose
+// contract the sampling tests pin), degree-sort the subgraph, gather
+// features, run the all-rows forward on ordinary tensors. The engine now
+// shares one sampler per published snapshot, runs each layer on its block
+// of the sample and draws its tensors from the pool; answers must not
+// have moved by a bit.
 func sampledReference(t *testing.T, cfg serve.Config, snap *serve.Snapshot, nodes []int32) *tensor.Tensor {
 	t.Helper()
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], snap.Fingerprint()^uint64(cfg.SampleSeed))
-	h.Write(buf[:])
-	for _, v := range nodes {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(v))
-		h.Write(buf[:4])
-	}
-	s, err := sampling.NewSampler(snap.G, cfg.FanOut, int64(h.Sum64()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.Sample(nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := requestBatch(t, cfg, snap, nodes)
 	m, err := serve.BuildModel(cfg.Spec, snap.FeatDim(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -56,6 +45,29 @@ func sampledReference(t *testing.T, cfg serve.Config, snap *serve.Snapshot, node
 		rows[i] = int32(slices.Index(b.Vertices, v))
 	}
 	return tensor.GatherRows(logits, rows)
+}
+
+// requestBatch is the sample the engine draws for a request: seeded from
+// (snapshot, config seed, nodes), the first draw of a sampler seeded so.
+func requestBatch(t *testing.T, cfg serve.Config, snap *serve.Snapshot, nodes []int32) *sampling.Batch {
+	t.Helper()
+	h := fnv.New64a()
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], snap.Fingerprint()^uint64(cfg.SampleSeed))
+	h.Write(buf[:])
+	for _, v := range nodes {
+		binary.LittleEndian.PutUint32(buf[:4], uint32(v))
+		h.Write(buf[:4])
+	}
+	s, err := sampling.NewSampler(snap.G, cfg.FanOut, int64(h.Sum64()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.SampleAs(nodes, int64(h.Sum64()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // distinctNodes draws k different vertices of [0, n).
@@ -92,6 +104,149 @@ func TestSampledMatchesPerRequestSampler(t *testing.T) {
 				if !sameTensorBits(res.Logits, sampledReference(t, cfg, snap, nodes)) {
 					t.Fatalf("request %d %v: answer differs from a per-request sampler's", i, nodes)
 				}
+			}
+		})
+	}
+}
+
+// TestSampledBlocksBitwise: a sampled forward runs each layer on its
+// block of the sample, and its answers equal the all-rows forward over the
+// whole sample bit for bit, in both SIMD modes — over random graphs and
+// fan-outs, requests repeating a node, frontiers that empty before the
+// last hop (the sparse graphs), and more layers than hops (APPNP, K = 3).
+func TestSampledBlocksBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	type graphCase struct {
+		snap *serve.Snapshot
+		fan  []int
+	}
+	var cases []graphCase
+	for trial := 0; trial < 6; trial++ {
+		n := 30 + rng.Intn(150)
+		var g *graph.Graph
+		switch trial % 3 {
+		case 0: // fewer edges than vertices: many frontiers empty early
+			g = graph.GNM(rng, n, n/2)
+		case 1:
+			g = graph.PowerLaw(rng, n, 1+rng.Intn(4))
+		default:
+			g = graph.ZipfDegree(rng, n, 2+rng.Intn(5), 1.0)
+		}
+		snap, err := serve.NewSnapshot(g.SortByDegree(), tensor.Randn(rng, 1, n, 6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fan := make([]int, 1+rng.Intn(2))
+		for i := range fan {
+			fan[i] = 1 + rng.Intn(4)
+		}
+		cases = append(cases, graphCase{snap, fan})
+	}
+	emptied, deeper := 0, 0
+	for _, simd := range []bool{false, true} {
+		prev := tensor.SetSIMD(simd)
+		for ci, gc := range cases {
+			for _, arch := range []string{"gcn", "gat", "appnp"} {
+				cfg := serve.Config{
+					Spec:   serve.ModelSpec{Arch: arch, Hidden: 5, Classes: 3, K: 3, Seed: 4},
+					FanOut: gc.fan, SampleSeed: int64(ci),
+				}
+				if len(cfg.Spec.Declare(1, 1).Stages) > len(gc.fan) {
+					deeper++
+				}
+				eng, err := serve.New(cfg, gc.snap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 8; i++ {
+					nodes := make([]int32, 1+rng.Intn(4))
+					for j := range nodes {
+						nodes[j] = int32(rng.Intn(gc.snap.NumVertices()))
+					}
+					if i%2 == 0 {
+						nodes = append(nodes, nodes[0])
+					}
+					hv := requestBatch(t, cfg, gc.snap, nodes).HopVertices
+					for k := 1; k < len(hv)-1; k++ {
+						if hv[k] == hv[k-1] {
+							emptied++
+							break
+						}
+					}
+					res, err := eng.Infer(context.Background(), nodes)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameTensorBits(res.Logits, sampledReference(t, cfg, gc.snap, nodes)) {
+						t.Fatalf("simd=%v graph %d %s fan-out %v, request %v: answer differs from the all-rows forward",
+							simd, ci, arch, gc.fan, nodes)
+					}
+				}
+				eng.Close()
+			}
+		}
+		tensor.SetSIMD(prev)
+	}
+	if emptied == 0 || deeper == 0 {
+		t.Fatalf("%d requests emptied a frontier early, %d models were deeper than their fan-out: the grid misses a case", emptied, deeper)
+	}
+}
+
+// TestSampledKernelRowsAreBlockRows: in one sampled request every fused
+// unit launches once per layer, and its kern "rows" counter sums to the
+// destination rows of the layers' blocks — the seeds for the last layer,
+// not the whole sample for every layer.
+func TestSampledKernelRowsAreBlockRows(t *testing.T) {
+	snap := snapFor(t, "cora", 0.1, 1)
+	nodes := []int32{3, 17, 3, 40}
+	for _, arch := range []string{"gcn", "gat", "appnp"} {
+		t.Run(arch, func(t *testing.T) {
+			cfg := serve.Config{
+				Spec:   serve.ModelSpec{Arch: arch, Hidden: 8, Classes: 5, K: 3, Seed: 3},
+				FanOut: []int{4, 3}, SampleSeed: 11,
+			}
+			eng, err := serve.New(cfg, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			if _, err := eng.Infer(context.Background(), nodes); err != nil { // compile outside the trace
+				t.Fatal(err)
+			}
+			b := requestBatch(t, cfg, snap, nodes)
+			stages := len(cfg.Spec.Declare(1, 1).Stages)
+			var want int64
+			for l := 0; l < stages; l++ {
+				blk, err := b.Block(stages - 1 - l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want += int64(blk.In.NumRows())
+			}
+			if want >= int64(stages*b.Sub.N) {
+				t.Fatalf("blocks of %d rows in all over a %d-vertex sample cut nothing", want, b.Sub.N)
+			}
+			obs.Reset()
+			obs.Enable()
+			_, err = eng.Infer(context.Background(), nodes)
+			obs.Disable()
+			defer obs.Reset()
+			if err != nil {
+				t.Fatal(err)
+			}
+			units := 0
+			for _, e := range obs.Snapshot() {
+				if e.Cat != "kern" {
+					continue
+				}
+				units++
+				if e.Count != int64(stages) || e.Counters["rows"] != want {
+					t.Errorf("%s: %d launches over %d rows, want %d launches over the blocks' %d destination rows",
+						e.Name, e.Count, e.Counters["rows"], stages, want)
+				}
+			}
+			if units == 0 {
+				t.Fatal("the request launched no traced kernel")
 			}
 		})
 	}

@@ -127,7 +127,7 @@ type MiniBatchResult struct {
 // neighbour-sampled mini-batches. Each batch is sampled only as many hops
 // as the model aggregates over (DrawnFanOut), so the batch holds only the
 // rows the seed rows' loss reads, and the step runs on its block
-// (graph.Graph.DstPrefix): destination-typed rows exist for the seeds
+// (sampling.Batch.Block): destination-typed rows exist for the seeds
 // alone. With identical options except
 // Prefetch/SampleWorkers, the per-batch loss curve is bitwise-identical
 // — the pipeline only overlaps stages, it never reorders or reseeds
@@ -204,7 +204,7 @@ func RunMiniBatch(ctx context.Context, ds *datasets.Dataset, opts MiniBatchOptio
 		// The one-layer model's destinations are the seeds: the step runs
 		// on their block, so its output, loss and backward have a row per
 		// seed, not per sampled vertex.
-		blk, err := b.B.Sub.DstPrefix(b.B.SeedCount)
+		blk, err := b.B.Block(0)
 		if err != nil {
 			return err
 		}

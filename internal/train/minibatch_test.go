@@ -260,7 +260,7 @@ func depthStep(t *testing.T, prog *program.Program, ds *datasets.Dataset, b *sam
 		labels[i], mask[i] = ds.Labels[v], i < b.SeedCount
 	}
 	if block {
-		if g, err = g.DstPrefix(b.SeedCount); err != nil {
+		if g, err = b.Block(0); err != nil {
 			t.Fatal(err)
 		}
 		labels, mask = labels[:b.SeedCount], nil
