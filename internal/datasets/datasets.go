@@ -121,22 +121,27 @@ func Load(name string, scale float64, seed int64) (*Dataset, error) {
 	}
 	m := int(float64(s.m) * scale)
 
-	var g *graph.Graph
+	var srcs, dsts []int32
 	if s.powerLaw {
 		epv := m / n
 		if epv < 1 {
 			epv = 1
 		}
-		g = graph.PowerLaw(rng, n, epv)
+		srcs, dsts = graph.PowerLawEdges(rng, n, epv)
 	} else {
 		maxM := n * (n - 1) / 2
 		if m > maxM {
 			m = maxM
 		}
-		g = graph.GNM(rng, n, m)
+		srcs, dsts = graph.GNMEdges(rng, n, m)
 	}
+	var types []int32 // drawn after the edges, one per edge of the list
 	if s.relations > 1 {
-		graph.RandomEdgeTypes(rng, g, s.relations)
+		types = graph.RandomTypes(rng, len(srcs), s.relations)
+	}
+	g, err := graph.FromTypedEdges(n, srcs, dsts, types, s.relations)
+	if err != nil {
+		return nil, err
 	}
 	return finishDataset(name, g, scale, seed)
 }

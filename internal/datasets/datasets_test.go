@@ -2,6 +2,7 @@ package datasets
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -90,11 +91,9 @@ func TestLoadHeteroDatasets(t *testing.T) {
 	}
 	// Edge types must be sorted within rows (required by hetero kernel).
 	for k := 0; k < d.G.N; k++ {
-		_, eids := d.G.In.Row(k)
-		for i := 0; i+1 < len(eids); i++ {
-			if d.G.EdgeTypes[eids[i]] > d.G.EdgeTypes[eids[i+1]] {
-				t.Fatal("edge types not sorted")
-			}
+		types := d.G.EdgeTypes[d.G.In.Offsets[k]:d.G.In.Offsets[k+1]] // a row's slots are its edge ids
+		if !slices.IsSorted(types) {
+			t.Fatal("edge types not sorted")
 		}
 	}
 }

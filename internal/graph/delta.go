@@ -8,9 +8,10 @@
 // adjacency instead of O(M). Edge ids are stable: a surviving edge keeps
 // its id in every later generation, and added edges take fresh ids past
 // every id handed out, in delta order, so every row's slots stay in
-// ascending-id order. Flatten() ranks the surviving ids once, which makes
-// it structurally identical to FromEdges over the canonical edge list
-// (parent edges in order, minus removals, plus additions in delta order).
+// ascending-id order. These internal ids are not the flat form's: Flatten()
+// ranks the surviving ids once into the canonical edge list (parent edges
+// in order, minus removals, plus additions in delta order) and builds it
+// with FromEdges, which numbers edges by in-CSR slot.
 // Removals leave gaps in the id space; an Apply that leaves more than
 // 2·M + DeltaChunkRows ids handed out re-chunks the child densely, so the
 // id space stays bounded by the graph rather than by its history.
@@ -124,8 +125,8 @@ func (dg *DeltaGraph) InDegrees() []int32 { return dg.in.Degrees() }
 func (dg *DeltaGraph) OutDegrees() []int32 { return dg.out.Degrees() }
 
 // NewDeltaGraph chunks an edge list into the copy-on-write representation
-// (counting sort per direction, O(N+M)). Edge i gets id i, matching
-// FromEdges.
+// (counting sort per direction, O(N+M)). Edge i gets internal id i, so the
+// list is the generation's canonical edge list.
 func NewDeltaGraph(n int, srcs, dsts []int32) (*DeltaGraph, error) {
 	if err := checkEdges(n, srcs, dsts); err != nil {
 		return nil, err
@@ -137,8 +138,9 @@ func NewDeltaGraph(n int, srcs, dsts []int32) (*DeltaGraph, error) {
 	}, nil
 }
 
-// FromGraph chunks an existing homogeneous graph's edge list. The source
-// may be degree-sorted; the chunked form is always in vertex-id order.
+// FromGraph chunks an existing homogeneous graph's edge list, in edge-id
+// order. The source may be degree-sorted; the chunked form is always in
+// vertex-id order.
 func FromGraph(g *Graph) (*DeltaGraph, error) {
 	if g.EdgeTypes != nil {
 		return nil, fmt.Errorf("graph: deltas do not support heterogeneous graphs (edge types present)")
@@ -308,10 +310,10 @@ func (dg *DeltaGraph) Apply(d *Delta) (*DeltaGraph, *ApplyStats, error) {
 	}
 	if child.ids > 2*child.m+DeltaChunkRows {
 		// Removals have left over half the id space as gaps: re-chunk the
-		// flat form, which numbers densely. O(M), paid at most once per
-		// M + DeltaChunkRows added edges.
-		g := child.Flatten()
-		child, _ = NewDeltaGraph(g.N, g.Srcs, g.Dsts) // a flat form's edges are in range
+		// canonical edge list, which numbers densely. O(M), paid at most
+		// once per M + DeltaChunkRows added edges.
+		srcs, dsts := child.edgeList()
+		child, _ = NewDeltaGraph(child.n, srcs, dsts) // the chunks' edges are in range
 		st.SharedChunks, st.CopiedChunks = 0, len(child.in.chunks)+len(child.out.chunks)
 	}
 	return child, st, nil
@@ -364,41 +366,42 @@ func rebuildChunk(old *ChunkedCSR, lo, hi int, removed map[int32]bool, adds map[
 }
 
 // Flatten materializes the flat Graph form (computed once and cached):
-// edge e of the chunks becomes edge rank[e], the number of surviving ids
-// below e, and both CSR directions are built from that edge list the way
-// FromEdges builds them. The result is structurally identical to
-// FromEdges over the canonical edge list of this generation.
+// FromEdges over the canonical edge list of this generation (parent edges
+// in order, minus removals, plus additions in delta order), so its edges
+// are numbered by in-CSR slot like every flat graph's. It takes no edge
+// types.
 func (dg *DeltaGraph) Flatten() *Graph {
 	dg.flatOnce.Do(func() {
-		rank := make([]int32, dg.ids)
-		for _, ch := range dg.in.chunks {
-			for _, e := range ch.eids {
-				rank[e] = 1
-			}
-		}
-		var next int32
-		for e, alive := range rank {
-			rank[e] = next
-			next += alive
-		}
-		srcs := make([]int32, dg.m)
-		dsts := make([]int32, dg.m)
-		for v := 0; v < dg.n; v++ {
-			nbrs, eids := dg.in.Row(int32(v))
-			for i, u := range nbrs {
-				srcs[rank[eids[i]]] = u
-				dsts[rank[eids[i]]] = int32(v)
-			}
-		}
-		dg.flat = &Graph{
-			N: dg.n, M: dg.m,
-			Srcs: srcs, Dsts: dsts,
-			In:           buildCSR(dg.n, dsts, srcs, nil),
-			Out:          buildCSR(dg.n, srcs, dsts, nil),
-			NumEdgeTypes: 1,
-		}
+		srcs, dsts := dg.edgeList()
+		dg.flat, _ = FromEdges(dg.n, srcs, dsts) // the chunks' edges are in range
 	})
 	return dg.flat
+}
+
+// edgeList returns the canonical edge list: the surviving edges in
+// ascending id, which ranks them densely.
+func (dg *DeltaGraph) edgeList() (srcs, dsts []int32) {
+	rank := make([]int32, dg.ids)
+	for _, ch := range dg.in.chunks {
+		for _, e := range ch.eids {
+			rank[e] = 1
+		}
+	}
+	var next int32
+	for e, alive := range rank {
+		rank[e] = next
+		next += alive
+	}
+	srcs = make([]int32, dg.m)
+	dsts = make([]int32, dg.m)
+	for v := 0; v < dg.n; v++ {
+		nbrs, eids := dg.in.Row(int32(v))
+		for i, u := range nbrs {
+			srcs[rank[eids[i]]] = u
+			dsts[rank[eids[i]]] = int32(v)
+		}
+	}
+	return srcs, dsts
 }
 
 // ExpandOut returns seed ∪ out-neighbours(seed) as a sorted vertex set —

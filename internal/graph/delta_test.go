@@ -95,7 +95,13 @@ func TestDeltaGraphFlattenMatchesFromEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireFlatEqual(t, dg.Flatten(), g)
+	// The chunks' canonical list is g's edge list in id order: in-slot
+	// order, so the flat form's in-CSR and edge list are g's, and its
+	// out-rows list each vertex's edges in that order.
+	requireFlatEqual(t, dg.Flatten(), mustFromEdges(t, g.N, g.Srcs, g.Dsts))
+	if flat := dg.Flatten(); !reflect.DeepEqual(flat.In, g.In) || !slices.Equal(flat.Srcs, g.Srcs) {
+		t.Fatal("flatten changed the in-CSR or the edge list")
+	}
 	if err := dg.Flatten().Validate(); err != nil {
 		t.Fatalf("flatten validate: %v", err)
 	}

@@ -10,6 +10,12 @@ import (
 // distinct edges (no self loops). It panics if m exceeds n*(n-1) for small
 // n; for large graphs collisions are resampled.
 func GNM(rng *rand.Rand, n, m int) *Graph {
+	srcs, dsts := GNMEdges(rng, n, m)
+	return mustGraph(n, srcs, dsts)
+}
+
+// GNMEdges is GNM's edge list, in draw order.
+func GNMEdges(rng *rand.Rand, n, m int) (srcs, dsts []int32) {
 	if n < 1 {
 		panic("graph: GNM needs n >= 1")
 	}
@@ -18,8 +24,7 @@ func GNM(rng *rand.Rand, n, m int) *Graph {
 		panic(fmt.Sprintf("graph: GNM m=%d exceeds max %d", m, maxEdges))
 	}
 	seen := make(map[int64]struct{}, m)
-	srcs := make([]int32, 0, m)
-	dsts := make([]int32, 0, m)
+	srcs, dsts = make([]int32, 0, m), make([]int32, 0, m)
 	for len(srcs) < m {
 		u := int32(rng.Intn(n))
 		v := int32(rng.Intn(n))
@@ -34,11 +39,7 @@ func GNM(rng *rand.Rand, n, m int) *Graph {
 		srcs = append(srcs, u)
 		dsts = append(dsts, v)
 	}
-	g, err := FromEdges(n, srcs, dsts)
-	if err != nil {
-		panic(err)
-	}
-	return g
+	return srcs, dsts
 }
 
 // PowerLaw generates a directed graph with a skewed in-degree
@@ -48,14 +49,19 @@ func GNM(rng *rand.Rand, n, m int) *Graph {
 // degree skew of graphs like reddit that the paper's dynamic load
 // balancing targets (§6.3.3).
 func PowerLaw(rng *rand.Rand, n, edgesPerVertex int) *Graph {
+	srcs, dsts := PowerLawEdges(rng, n, edgesPerVertex)
+	return mustGraph(n, srcs, dsts)
+}
+
+// PowerLawEdges is PowerLaw's edge list, in draw order.
+func PowerLawEdges(rng *rand.Rand, n, edgesPerVertex int) (srcs, dsts []int32) {
 	if n < 2 {
 		panic("graph: PowerLaw needs n >= 2")
 	}
 	if edgesPerVertex < 1 {
 		edgesPerVertex = 1
 	}
-	srcs := make([]int32, 0, n*edgesPerVertex)
-	dsts := make([]int32, 0, n*edgesPerVertex)
+	srcs, dsts = make([]int32, 0, n*edgesPerVertex), make([]int32, 0, n*edgesPerVertex)
 	// Standard Barabási–Albert pool: both endpoints of every edge enter
 	// the attachment pool, so sampling a uniform element is sampling
 	// ∝ (degree + 1); hubs grow like m·√n rather than swallowing a
@@ -79,11 +85,7 @@ func PowerLaw(rng *rand.Rand, n, edgesPerVertex int) *Graph {
 			targets = append(targets, t, int32(v))
 		}
 	}
-	g, err := FromEdges(n, srcs, dsts)
-	if err != nil {
-		panic(err)
-	}
-	return g
+	return srcs, dsts
 }
 
 // ZipfDegree generates a directed graph whose in-degree sequence follows
@@ -96,6 +98,12 @@ func PowerLaw(rng *rand.Rand, n, edgesPerVertex int) *Graph {
 // PowerLaw (preferential attachment), the skew here is exact and
 // tunable, which benchmarks need.
 func ZipfDegree(rng *rand.Rand, n, avgDeg int, alpha float64) *Graph {
+	srcs, dsts := ZipfDegreeEdges(rng, n, avgDeg, alpha)
+	return mustGraph(n, srcs, dsts)
+}
+
+// ZipfDegreeEdges is ZipfDegree's edge list, in draw order.
+func ZipfDegreeEdges(rng *rand.Rand, n, avgDeg int, alpha float64) (srcs, dsts []int32) {
 	if n < 2 {
 		panic("graph: ZipfDegree needs n >= 2")
 	}
@@ -112,8 +120,7 @@ func ZipfDegree(rng *rand.Rand, n, avgDeg int, alpha float64) *Graph {
 	// Ranks are assigned to shuffled vertex ids so callers exercise the
 	// degree-sorting path rather than receiving a pre-sorted graph.
 	perm := rng.Perm(n)
-	srcs := make([]int32, 0, n*avgDeg)
-	dsts := make([]int32, 0, n*avgDeg)
+	srcs, dsts = make([]int32, 0, n*avgDeg), make([]int32, 0, n*avgDeg)
 	for r := 0; r < n; r++ {
 		v := int32(perm[r])
 		deg := int(scale*weights[r] + 0.5)
@@ -129,23 +136,34 @@ func ZipfDegree(rng *rand.Rand, n, avgDeg int, alpha float64) *Graph {
 			dsts = append(dsts, v)
 		}
 	}
+	return srcs, dsts
+}
+
+// RandomEdgeTypes assigns each edge a uniform type in [0, numTypes),
+// drawn in edge-id order, and attaches it to g.
+func RandomEdgeTypes(rng *rand.Rand, g *Graph, numTypes int) {
+	if err := g.WithEdgeTypes(RandomTypes(rng, g.M, numTypes), numTypes); err != nil {
+		panic(err)
+	}
+}
+
+// RandomTypes draws m uniform types in [0, numTypes): with an edge-list
+// generator's list, the input of FromTypedEdges.
+func RandomTypes(rng *rand.Rand, m, numTypes int) []int32 {
+	types := make([]int32, m)
+	for i := range types {
+		types[i] = int32(rng.Intn(numTypes))
+	}
+	return types
+}
+
+// mustGraph is FromEdges over a generated, in-range edge list.
+func mustGraph(n int, srcs, dsts []int32) *Graph {
 	g, err := FromEdges(n, srcs, dsts)
 	if err != nil {
 		panic(err)
 	}
 	return g
-}
-
-// RandomEdgeTypes assigns each edge a uniform type in [0, numTypes) and
-// attaches it to g.
-func RandomEdgeTypes(rng *rand.Rand, g *Graph, numTypes int) {
-	types := make([]int32, g.M)
-	for i := range types {
-		types[i] = int32(rng.Intn(numTypes))
-	}
-	if err := g.WithEdgeTypes(types, numTypes); err != nil {
-		panic(err)
-	}
 }
 
 // Star returns the graph with edges leaf_i → center for i in [1, n).
@@ -155,11 +173,7 @@ func Star(n int) *Graph {
 	for i := 1; i < n; i++ {
 		srcs[i-1] = int32(i)
 	}
-	g, err := FromEdges(n, srcs, dsts)
-	if err != nil {
-		panic(err)
-	}
-	return g
+	return mustGraph(n, srcs, dsts)
 }
 
 // Figure7 returns a 4-vertex, 7-edge example graph in the spirit of the
@@ -182,9 +196,5 @@ func Figure7() *Graph {
 	for i, e := range edges {
 		srcs[i], dsts[i] = e[0], e[1]
 	}
-	g, err := FromEdges(4, srcs, dsts)
-	if err != nil {
-		panic(err)
-	}
-	return g
+	return mustGraph(4, srcs, dsts)
 }

@@ -1,9 +1,17 @@
 // Package graph implements the graph and data representation of Seastar
 // (paper §6.1): Compressed Sparse Row storage for in-edges plus a reverse
-// CSR for the backward pass, both with explicit edge-id arrays; optional
-// descending-degree row sorting for the kernel-level load-balancing
-// optimizations (§6.3.3); and a secondary per-row sort on edge type for
-// heterogeneous models (§6.3.5).
+// CSR for the backward pass; optional descending-degree row sorting for
+// the kernel-level load-balancing optimizations (§6.3.3); and a secondary
+// per-row sort on edge type for heterogeneous models (§6.3.5).
+//
+// Every graph numbers its edges by in-CSR slot: edge e is slot e of In,
+// so a forward pass, which walks In, finds each row's edge-typed values
+// side by side, and the in-CSR carries no edge-id array. The out-CSR's
+// EdgeIDs map each of its slots to that edge id, the reverse CSR's
+// edge-id array of §6.3.4. Each constructor renumbers the edges it is
+// given and permutes the edge list and edge types to match; a
+// renumbering is stable, so in-rows keep their neighbour order and
+// out-rows the relative order of the list they were built from.
 //
 // N counts the vertex rows a neighbour id may name (the sources); the
 // in-CSR has one row per destination, the vertices [0, D) with D ≤ N.
@@ -17,19 +25,22 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
+
+	"seastar/internal/sched"
 )
 
 // CSR stores one direction of a graph's adjacency.
 //
 // Row k describes vertex RowIDs[k] (identity when unsorted). The
-// neighbours of that vertex occupy slots Offsets[k]..Offsets[k+1] of Nbrs,
-// and EdgeIDs holds the global edge id of each slot so edge-wise (E-type)
-// tensors can be addressed from either direction — the paper keeps a
-// separate edge-id array precisely because the reverse CSR invalidates the
-// slot-index↔edge-id mapping (§6.3.4).
+// neighbours of that vertex occupy slots Offsets[k]..Offsets[k+1] of Nbrs.
+// An in-CSR's slots are the edge ids. An out-CSR's EdgeIDs holds the edge
+// id (in-CSR slot) of each of its slots, so edge-wise (E-type) tensors are
+// addressed from the reverse direction too — the paper keeps a separate
+// edge-id array precisely because the reverse CSR invalidates the
+// slot-index↔edge-id mapping (§6.3.4). It is nil on an in-CSR.
 type CSR struct {
 	Offsets []int64
 	Nbrs    []int32
@@ -46,10 +57,9 @@ func (c *CSR) NumRows() int { return len(c.Offsets) - 1 }
 // Degree returns the number of neighbours stored in row k.
 func (c *CSR) Degree(k int) int { return int(c.Offsets[k+1] - c.Offsets[k]) }
 
-// Row returns the neighbour and edge-id slices of row k.
-func (c *CSR) Row(k int) (nbrs, eids []int32) {
-	lo, hi := c.Offsets[k], c.Offsets[k+1]
-	return c.Nbrs[lo:hi], c.EdgeIDs[lo:hi]
+// Row returns the neighbours of row k, slots Offsets[k]..Offsets[k+1].
+func (c *CSR) Row(k int) []int32 {
+	return c.Nbrs[c.Offsets[k]:c.Offsets[k+1]]
 }
 
 // MaxDegree returns the largest row degree.
@@ -80,31 +90,76 @@ type Graph struct {
 	// Out is the out-edge CSR: row u lists v for every edge u→v.
 	Out CSR
 
-	// EdgeTypes maps global edge id to relation type; nil when the graph
-	// is homogeneous.
+	// EdgeTypes maps edge id to relation type; nil when the graph is
+	// homogeneous.
 	EdgeTypes    []int32
 	NumEdgeTypes int
 
-	// Srcs and Dsts are the original edge list indexed by edge id.
+	// Srcs and Dsts are the edge list indexed by edge id: Srcs[e] is
+	// In.Nbrs[e] (the constructors share the array) and Dsts[e] the vertex
+	// of the in-row holding slot e.
 	Srcs, Dsts []int32
 }
 
 // FromEdges builds a graph over n vertices from parallel src/dst arrays.
-// Edge i gets global edge id i. Both CSRs are built unsorted (RowIDs =
-// identity).
+// Both CSRs are built unsorted (RowIDs = identity); edge i of the list
+// gets the id of its in-CSR slot: in-row dsts[i], after the earlier edges
+// into that vertex.
 func FromEdges(n int, srcs, dsts []int32) (*Graph, error) {
+	return FromTypedEdges(n, srcs, dsts, nil, 1)
+}
+
+// FromTypedEdges is FromEdges with types[i] in [0, numTypes) the relation
+// type of edge i of the list, permuted with the edges into edge-id order;
+// types nil builds a homogeneous graph.
+func FromTypedEdges(n int, srcs, dsts, types []int32, numTypes int) (*Graph, error) {
 	if err := checkEdges(n, srcs, dsts); err != nil {
 		return nil, err
 	}
-	g := &Graph{
-		N: n, M: len(srcs),
-		Srcs: append([]int32(nil), srcs...),
-		Dsts: append([]int32(nil), dsts...),
-		In:   buildCSR(n, dsts, srcs, nil),
-		Out:  buildCSR(n, srcs, dsts, nil),
+	g, slot := slotGraph(n, srcs, dsts, nil)
+	g.Out, _ = buildCSR(n, srcs, dsts, slot, nil)
+	if types != nil {
+		if err := checkTypes(types, len(srcs), numTypes); err != nil {
+			return nil, err
+		}
+		g.EdgeTypes, g.NumEdgeTypes = permute(types, slot), numTypes
 	}
-	g.NumEdgeTypes = 1
 	return g, nil
+}
+
+// slotGraph builds the in-only graph of an edge list with its edges
+// numbered by in-CSR slot (buildCSR with levels), the edge list permuted
+// to match, and returns slot[i], the id edge i of the list took.
+func slotGraph(n int, srcs, dsts []int32, levels []int) (*Graph, []int32) {
+	in, slot := buildCSR(n, dsts, srcs, nil, levels)
+	return &Graph{
+		N: n, M: len(srcs), NumEdgeTypes: 1,
+		In: in, Srcs: in.Nbrs, Dsts: rowVertices(&in),
+	}, slot
+}
+
+// rowVertices returns, for every slot of c, the vertex of the row holding
+// it: the in-CSR's is the edge list's Dsts.
+func rowVertices(c *CSR) []int32 {
+	out := make([]int32, len(c.Nbrs))
+	for k, v := range c.RowIDs {
+		for s := c.Offsets[k]; s < c.Offsets[k+1]; s++ {
+			out[s] = v
+		}
+	}
+	return out
+}
+
+// permute returns x with x[i] moved to slot[i]; nil stays nil.
+func permute(x, slot []int32) []int32 {
+	if x == nil {
+		return nil
+	}
+	out := make([]int32, len(x))
+	for i, s := range slot {
+		out[s] = x[i]
+	}
+	return out
 }
 
 // checkEdges validates an edge list over n vertices.
@@ -120,11 +175,14 @@ func checkEdges(n int, srcs, dsts []int32) error {
 	return nil
 }
 
-// buildCSR groups edges by their "row" endpoint (counting sort), each
-// row's slots in edge-id order. Rows are in vertex order without levels;
-// with levels, the ends of consecutive vertex-id ranges (the last one n),
-// each range's rows come in DegreeOrder after those of the ranges before.
-func buildCSR(n int, rowOf, nbrOf []int32, levels []int) CSR {
+// buildCSR groups the edges of a list by their "row" endpoint (counting
+// sort), each row's slots in list order. Rows are in vertex order without
+// levels; with levels, the ends of consecutive vertex-id ranges (the last
+// one n), each range's rows come in DegreeOrder after those of the ranges
+// before. With ids, the slot edge i takes records ids[i] as its edge id
+// (an out-CSR); without, it returns slot[i], the slot edge i took (an
+// in-CSR, whose slots are the edge ids).
+func buildCSR(n int, rowOf, nbrOf, ids []int32, levels []int) (CSR, []int32) {
 	deg := make([]int32, n)
 	for _, r := range rowOf {
 		deg[r]++
@@ -148,30 +206,45 @@ func buildCSR(n int, rowOf, nbrOf []int32, levels []int) CSR {
 		cursor[v] = offsets[k]
 		offsets[k+1] = offsets[k] + int64(deg[v])
 	}
-	nbrs := make([]int32, len(rowOf))
-	eids := make([]int32, len(rowOf))
+	c := CSR{Offsets: offsets, Nbrs: make([]int32, len(rowOf)), RowIDs: rowIDs, Sorted: levels != nil}
+	slot := make([]int32, len(rowOf))
+	if ids != nil {
+		c.EdgeIDs, slot = slot, nil
+	}
 	for e, r := range rowOf {
 		p := cursor[r]
 		cursor[r]++
-		nbrs[p] = nbrOf[e]
-		eids[p] = int32(e)
+		c.Nbrs[p] = nbrOf[e]
+		if ids != nil {
+			c.EdgeIDs[p] = ids[e]
+		} else {
+			slot[e] = int32(p)
+		}
 	}
-	return CSR{Offsets: offsets, Nbrs: nbrs, EdgeIDs: eids, RowIDs: rowIDs, Sorted: levels != nil}
+	return c, slot
 }
 
-// WithEdgeTypes attaches a relation type to every edge. Types must be in
-// [0, numTypes).
+// WithEdgeTypes attaches a relation type to every edge: types[e], in
+// [0, numTypes), is edge e's (in-CSR slot e). FromTypedEdges takes types
+// in the order of an edge list instead.
 func (g *Graph) WithEdgeTypes(types []int32, numTypes int) error {
-	if len(types) != g.M {
-		return fmt.Errorf("graph: %d edge types for %d edges", len(types), g.M)
+	if err := checkTypes(types, g.M, numTypes); err != nil {
+		return err
+	}
+	g.EdgeTypes, g.NumEdgeTypes = slices.Clone(types), numTypes
+	return nil
+}
+
+// checkTypes validates m edge types in [0, numTypes).
+func checkTypes(types []int32, m, numTypes int) error {
+	if len(types) != m {
+		return fmt.Errorf("graph: %d edge types for %d edges", len(types), m)
 	}
 	for i, t := range types {
 		if t < 0 || int(t) >= numTypes {
 			return fmt.Errorf("graph: edge %d type %d out of range [0,%d)", i, t, numTypes)
 		}
 	}
-	g.EdgeTypes = append([]int32(nil), types...)
-	g.NumEdgeTypes = numTypes
 	return nil
 }
 
@@ -223,17 +296,18 @@ func (g *Graph) DeviceBytes() int64 {
 // SortByDegree returns a copy of g whose CSR rows are reordered in
 // descending degree (in-degree for In, out-degree for Out), the
 // preprocessing required by the paper's dynamic load balancing (§6.3.3).
-// Edge ids and neighbour ids are unchanged; only row order moves. A graph
-// without an out-CSR stays without one.
+// Rows keep their contents and neighbour ids; the in-rows' slots move, so
+// the edges are renumbered by their new slots, with the edge list and
+// types permuted and the out-CSR's ids remapped to match. A graph without
+// an out-CSR stays without one.
 func (g *Graph) SortByDegree() *Graph {
-	out := &Graph{
-		N: g.N, M: g.M,
-		Srcs: g.Srcs, Dsts: g.Dsts,
-		EdgeTypes: g.EdgeTypes, NumEdgeTypes: g.NumEdgeTypes,
-		In: sortCSRByDegree(&g.In),
+	in, slot := sortCSRByDegree(&g.In, nil)
+	out := &Graph{N: g.N, M: g.M, In: in, EdgeTypes: permute(g.EdgeTypes, slot), NumEdgeTypes: g.NumEdgeTypes}
+	if g.Srcs != nil {
+		out.Srcs, out.Dsts = in.Nbrs, rowVertices(&in)
 	}
 	if g.Out.Offsets != nil {
-		out.Out = sortCSRByDegree(&g.Out)
+		out.Out, _ = sortCSRByDegree(&g.Out, slot)
 	}
 	return out
 }
@@ -242,11 +316,11 @@ func (g *Graph) SortByDegree() *Graph {
 // its in-CSR, built straight into level-by-level degree order (buildCSR),
 // and no out-CSR — a forward pass walks none, and OutDegrees counts the
 // edge list. levels are the ends of consecutive vertex-id ranges, the last
-// one n; with levels {n} the in-CSR is FromEdges(n, srcs, dsts).
-// SortByDegree()'s. A sampled batch passes its hop boundaries, so the
+// one n; with levels {n} it is FromEdges(n, srcs, dsts).SortByDegree()
+// without the out-CSR. A sampled batch passes its hop boundaries, so the
 // vertices within k hops are the first rows and their in-edges the first
-// slots: every stage's block is a DstPrefix (internal/sampling). The graph
-// takes ownership of srcs and dsts as its edge list.
+// slots, which are the edges [0, M') of that block: every stage's block is
+// a DstPrefix (internal/sampling). srcs and dsts are not retained.
 func FromInEdges(n int, srcs, dsts []int32, levels []int) (*Graph, error) {
 	if err := checkEdges(n, srcs, dsts); err != nil {
 		return nil, err
@@ -254,24 +328,20 @@ func FromInEdges(n int, srcs, dsts []int32, levels []int) (*Graph, error) {
 	if len(levels) == 0 || levels[0] < 0 || levels[len(levels)-1] != n || !slices.IsSorted(levels) {
 		return nil, fmt.Errorf("graph: levels %v are not ascending range ends up to %d", levels, n)
 	}
-	return &Graph{
-		N: n, M: len(srcs), NumEdgeTypes: 1,
-		Srcs: srcs, Dsts: dsts,
-		In: buildCSR(n, dsts, srcs, levels),
-	}, nil
+	g, _ := slotGraph(n, srcs, dsts, levels)
+	return g, nil
 }
 
 // DstPrefix returns the block of g's first d destinations over its first
 // n vertices: a view sharing g's arrays whose in-CSR is cut to its first d
-// rows, whose edges (M, the edge list, edge types) are those rows' slots,
-// and whose N is n. It keeps g's out-CSR only when nothing but rows is
-// cut (all edges, N unchanged). It is exact, not a truncation: it
-// succeeds only when g's in-CSR is degree-sorted, its first d rows hold
-// the vertices [0, d), their slots hold the edges [0, M) and every
-// neighbour is below n. A sampled batch numbers vertices and edges hop by
-// hop and sorts its in-CSR hop-major (FromInEdges), so the vertices
-// within k hops are such a prefix with those within k+1 hops as sources.
-// The check costs O(d + M).
+// rows, whose edges (M, the edge list, edge types) are those rows' slots —
+// the edges [0, M) — and whose N is n. It keeps g's out-CSR only when
+// nothing but rows is cut (all edges, N unchanged). It is exact, not a
+// truncation: it succeeds only when g's in-CSR is degree-sorted, its first
+// d rows hold the vertices [0, d) and every neighbour in their slots is
+// below n. A sampled batch numbers vertices hop by hop and sorts its
+// in-CSR hop-major (FromInEdges), so the vertices within k hops are such a
+// prefix with those within k+1 hops as sources. The check costs O(d + M).
 func (g *Graph) DstPrefix(d, n int) (*Graph, error) {
 	if d < 0 || d > g.In.NumRows() {
 		return nil, fmt.Errorf("graph: destination prefix %d outside the %d-row in-CSR", d, g.In.NumRows())
@@ -288,20 +358,14 @@ func (g *Graph) DstPrefix(d, n int) (*Graph, error) {
 		}
 	}
 	m := g.In.Offsets[d]
-	for i, e := range g.In.EdgeIDs[:m] {
-		if int64(e) >= m {
-			return nil, fmt.Errorf("graph: the first %d rows hold edge %d, past their %d slots", d, e, m)
-		}
-		if u := g.In.Nbrs[i]; int(u) >= n {
+	for e, u := range g.In.Nbrs[:m] {
+		if int(u) >= n {
 			return nil, fmt.Errorf("graph: edge %d leaves vertex %d, past the first %d", e, u, n)
 		}
 	}
 	b := *g
 	b.N, b.M = n, int(m)
-	b.In = CSR{
-		Offsets: g.In.Offsets[:d+1], Nbrs: g.In.Nbrs[:m], EdgeIDs: g.In.EdgeIDs[:m],
-		RowIDs: g.In.RowIDs[:d], Sorted: true,
-	}
+	b.In = CSR{Offsets: g.In.Offsets[:d+1], Nbrs: g.In.Nbrs[:m], RowIDs: g.In.RowIDs[:d], Sorted: true}
 	if b.M < g.M || n < g.N {
 		b.Out = CSR{}
 	}
@@ -352,61 +416,87 @@ func degreeOrder(order, deg []int32, base int32, start []int32) []int32 {
 }
 
 // sortCSRByDegree copies c's rows into DegreeOrder of the vertices they
-// describe (c.RowIDs is a permutation of them).
-func sortCSRByDegree(c *CSR) CSR {
+// describe (c.RowIDs is a permutation of them), rows in parallel (the
+// out-CSR's remap is a gather over M that every snapshot pays). An
+// in-CSR (ids nil) comes back with slot[s], the new slot of its slot s;
+// an out-CSR's edge ids go through ids, the in-CSR's slot map.
+func sortCSRByDegree(c *CSR, ids []int32) (CSR, []int32) {
 	n := c.NumRows()
-	deg := make([]int32, n)
-	rowOf := make([]int32, n)
+	deg, rowOf := make([]int32, n), make([]int32, n)
 	for k, v := range c.RowIDs {
 		deg[v] = int32(c.Degree(k))
 		rowOf[v] = int32(k)
 	}
-	rowIDs := DegreeOrder(deg)
-	offsets := make([]int64, n+1)
-	nbrs := make([]int32, len(c.Nbrs))
-	eids := make([]int32, len(c.EdgeIDs))
-	for k, v := range rowIDs {
-		lo, hi := c.Offsets[rowOf[v]], c.Offsets[rowOf[v]+1]
-		copy(nbrs[offsets[k]:], c.Nbrs[lo:hi])
-		copy(eids[offsets[k]:], c.EdgeIDs[lo:hi])
-		offsets[k+1] = offsets[k] + hi - lo
+	out := CSR{Offsets: make([]int64, n+1), Nbrs: make([]int32, len(c.Nbrs)), RowIDs: DegreeOrder(deg), Sorted: true}
+	for k, v := range out.RowIDs {
+		out.Offsets[k+1] = out.Offsets[k] + int64(deg[v])
 	}
-	return CSR{Offsets: offsets, Nbrs: nbrs, EdgeIDs: eids, RowIDs: rowIDs, Sorted: true}
+	slot := make([]int32, len(c.Nbrs))
+	if ids != nil {
+		out.EdgeIDs, slot = slot, nil
+	}
+	sched.For(n, 4096, func(lo, hi int) {
+		for k, v := range out.RowIDs[lo:hi] {
+			old, p := c.Offsets[rowOf[v]], out.Offsets[lo+k]
+			row := c.Nbrs[old : old+out.Offsets[lo+k+1]-p]
+			copy(out.Nbrs[p:], row)
+			if ids != nil {
+				for i, e := range c.EdgeIDs[old : old+int64(len(row))] {
+					out.EdgeIDs[p+int64(i)] = ids[e]
+				}
+				continue
+			}
+			for i := range row {
+				slot[old+int64(i)] = int32(p) + int32(i)
+			}
+		}
+	})
+	return out, slot
 }
 
 // SortEdgesByType reorders each CSR row's slots so that edges of the same
 // relation type are contiguous (stable within a type), enabling the
 // sequential hierarchical aggregation of heterogeneous Seastar (§6.3.5).
-// It requires edge types to be attached.
+// The in-rows' slots move, so the edges are renumbered as SortByDegree
+// renumbers them. It requires edge types to be attached.
 func (g *Graph) SortEdgesByType() error {
 	if g.EdgeTypes == nil {
 		return fmt.Errorf("graph: SortEdgesByType requires edge types")
 	}
-	sortRowsByType(&g.In, g.EdgeTypes)
-	sortRowsByType(&g.Out, g.EdgeTypes)
+	slot := typeOrder(&g.In, func(s int64) int32 { return g.EdgeTypes[s] })
+	g.In.Nbrs = permute(g.In.Nbrs, slot)
+	if g.Srcs != nil {
+		g.Srcs = g.In.Nbrs // a row's slots share one destination: Dsts stays
+	}
+	g.EdgeTypes = permute(g.EdgeTypes, slot)
+	if g.Out.Offsets != nil {
+		ids := make([]int32, len(g.Out.EdgeIDs))
+		for q, e := range g.Out.EdgeIDs {
+			ids[q] = slot[e]
+		}
+		out := typeOrder(&g.Out, func(q int64) int32 { return g.EdgeTypes[ids[q]] })
+		g.Out.Nbrs, g.Out.EdgeIDs = permute(g.Out.Nbrs, out), permute(ids, out)
+	}
 	return nil
 }
 
-func sortRowsByType(c *CSR, types []int32) {
+// typeOrder returns the slot each slot of c moves to when every row's
+// slots are stably sorted by the type typeOf names.
+func typeOrder(c *CSR, typeOf func(slot int64) int32) []int32 {
+	slot := make([]int32, len(c.Nbrs))
+	var row []int64
 	for k := 0; k < c.NumRows(); k++ {
 		lo, hi := c.Offsets[k], c.Offsets[k+1]
-		nbrs := c.Nbrs[lo:hi]
-		eids := c.EdgeIDs[lo:hi]
-		idx := make([]int, len(eids))
-		for i := range idx {
-			idx[i] = i
+		row = row[:0]
+		for s := lo; s < hi; s++ {
+			row = append(row, s)
 		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			return types[eids[idx[a]]] < types[eids[idx[b]]]
-		})
-		nn := make([]int32, len(nbrs))
-		ne := make([]int32, len(eids))
-		for i, j := range idx {
-			nn[i], ne[i] = nbrs[j], eids[j]
+		slices.SortStableFunc(row, func(a, b int64) int { return cmp.Compare(typeOf(a), typeOf(b)) })
+		for i, s := range row {
+			slot[s] = int32(lo) + int32(i)
 		}
-		copy(nbrs, nn)
-		copy(eids, ne)
 	}
+	return slot
 }
 
 // TypeStorageRatio returns N_e / N_t from the paper's §6.3.5 analysis of
@@ -422,12 +512,9 @@ func (g *Graph) TypeStorageRatio() (float64, error) {
 	var nt int
 	seen := make(map[int32]bool, g.NumEdgeTypes)
 	for k := 0; k < g.In.NumRows(); k++ {
-		_, eids := g.In.Row(k)
-		for t := range seen {
-			delete(seen, t)
-		}
-		for _, e := range eids {
-			seen[g.EdgeTypes[e]] = true
+		clear(seen)
+		for _, t := range g.EdgeTypes[g.In.Offsets[k]:g.In.Offsets[k+1]] {
+			seen[t] = true
 		}
 		nt += len(seen)
 	}
@@ -438,18 +525,24 @@ func (g *Graph) TypeStorageRatio() (float64, error) {
 }
 
 // Validate checks structural invariants: monotone offsets, ids in range,
-// edge ids forming a permutation in each direction, and CSR/edge-list
-// agreement. The in-CSR's D ≤ N rows are the vertices [0, D); the
-// out-CSR and the edge list, which a forward-only block (a shard fragment,
-// a delta frontier) lacks, are checked when present. It is used by tests
-// and generators.
+// and the one edge numbering — the in-CSR carries no edge-id array, the
+// out-CSR's EdgeIDs are a permutation of [0, M) whose in-slots hold the
+// same (src, dst) pair, and the edge list and edge types are indexed by
+// in-slot. The in-CSR's D ≤ N rows are the vertices [0, D); the out-CSR
+// and the edge list, which a forward-only block (a shard fragment, a delta
+// frontier) lacks, are checked when present. It is used by tests and
+// generators.
 func (g *Graph) Validate() error {
 	if r := g.In.NumRows(); r < 0 || r > g.N {
 		return fmt.Errorf("graph: in-CSR has %d rows for %d vertices", r, g.N)
 	}
+	if g.In.EdgeIDs != nil {
+		return fmt.Errorf("graph: in-CSR carries an edge-id array; its slots are the edge ids")
+	}
 	if err := validateCSR(&g.In, g.N, g.M, "in"); err != nil {
 		return err
 	}
+	dst := rowVertices(&g.In) // dst[e]: the vertex of the in-row holding slot e
 	if g.Out.Offsets != nil {
 		if r := g.Out.NumRows(); r != g.N {
 			return fmt.Errorf("graph: out-CSR has %d rows, want %d", r, g.N)
@@ -457,27 +550,39 @@ func (g *Graph) Validate() error {
 		if err := validateCSR(&g.Out, g.N, g.M, "out"); err != nil {
 			return err
 		}
+		if len(g.Out.EdgeIDs) != g.M {
+			return fmt.Errorf("graph: out-CSR has %d edge ids for %d edges", len(g.Out.EdgeIDs), g.M)
+		}
+		seen := make([]bool, g.M)
+		for k, u := range g.Out.RowIDs {
+			for q := g.Out.Offsets[k]; q < g.Out.Offsets[k+1]; q++ {
+				e := g.Out.EdgeIDs[q]
+				if e < 0 || int(e) >= g.M || seen[e] {
+					return fmt.Errorf("graph: out-CSR edge ids not a permutation of [0,%d)", g.M)
+				}
+				seen[e] = true
+				if g.In.Nbrs[e] != u || dst[e] != g.Out.Nbrs[q] {
+					return fmt.Errorf("graph: out-CSR slot %d (%d→%d) names in-slot %d (%d→%d)",
+						q, u, g.Out.Nbrs[q], e, g.In.Nbrs[e], dst[e])
+				}
+			}
+		}
+	}
+	if g.EdgeTypes != nil && len(g.EdgeTypes) != g.M {
+		return fmt.Errorf("graph: %d edge types for %d edges", len(g.EdgeTypes), g.M)
 	}
 	if g.Srcs == nil {
 		return nil
 	}
-	// Every in-CSR slot must match the original edge list, so no edge
-	// enters a vertex past a block's prefix.
-	if err := matchEdges(&g.In, g.Dsts, g.Srcs, "in"); err != nil {
-		return err
+	// The edge list is indexed by in-slot, so no edge enters a vertex past
+	// a block's prefix.
+	if len(g.Srcs) != g.M || len(g.Dsts) != g.M {
+		return fmt.Errorf("graph: edge list of %d/%d for %d edges", len(g.Srcs), len(g.Dsts), g.M)
 	}
-	return matchEdges(&g.Out, g.Srcs, g.Dsts, "out")
-}
-
-// matchEdges checks every slot of c against the edge list: row k's
-// vertex is the slot's edge's row end, its neighbour the other end.
-func matchEdges(c *CSR, rowEnd, nbrEnd []int32, dir string) error {
-	for k := 0; k < c.NumRows(); k++ {
-		nbrs, eids := c.Row(k)
-		for i, e := range eids {
-			if nbrEnd[e] != nbrs[i] || rowEnd[e] != c.RowIDs[k] {
-				return fmt.Errorf("graph: %s-CSR slot (row %d, slot %d) edge %d mismatch", dir, k, i, e)
-			}
+	for e := range g.Srcs {
+		if g.Srcs[e] != g.In.Nbrs[e] || g.Dsts[e] != dst[e] {
+			return fmt.Errorf("graph: edge %d (%d→%d) is not its in-CSR slot (%d→%d)",
+				e, g.Srcs[e], g.Dsts[e], g.In.Nbrs[e], dst[e])
 		}
 	}
 	return nil
@@ -487,10 +592,10 @@ func matchEdges(c *CSR, rowEnd, nbrEnd []int32, dir string) error {
 // the vertices [0, NumRows()) in some order.
 func validateCSR(c *CSR, n, m int, dir string) error {
 	rows := c.NumRows()
-	if c.Offsets[0] != 0 || c.Offsets[rows] != int64(m) {
-		return fmt.Errorf("graph: %s-CSR offsets span [%d,%d], want [0,%d]", dir, c.Offsets[0], c.Offsets[rows], m)
+	if c.Offsets[0] != 0 || c.Offsets[rows] != int64(m) || len(c.Nbrs) != m {
+		return fmt.Errorf("graph: %s-CSR offsets span [%d,%d] over %d slots, want [0,%d]",
+			dir, c.Offsets[0], c.Offsets[rows], len(c.Nbrs), m)
 	}
-	seen := make([]bool, m)
 	for k := 0; k < rows; k++ {
 		if c.Offsets[k] > c.Offsets[k+1] {
 			return fmt.Errorf("graph: %s-CSR offsets not monotone at %d", dir, k)
@@ -510,12 +615,6 @@ func validateCSR(c *CSR, n, m int, dir string) error {
 		if u < 0 || int(u) >= n {
 			return fmt.Errorf("graph: %s-CSR neighbour %d out of range at slot %d", dir, u, i)
 		}
-	}
-	for _, e := range c.EdgeIDs {
-		if e < 0 || int(e) >= m || seen[e] {
-			return fmt.Errorf("graph: %s-CSR edge ids not a permutation", dir)
-		}
-		seen[e] = true
 	}
 	return nil
 }

@@ -44,16 +44,19 @@ func TestFromEdgesRejectsBadInput(t *testing.T) {
 
 func TestCSRRowContents(t *testing.T) {
 	g := Figure7()
-	// Unsorted in-CSR row 0 is vertex A with in-neighbours B, C, D.
-	nbrs, eids := g.In.Row(0)
-	if len(nbrs) != 3 {
+	// Unsorted in-CSR row 0 is vertex A with in-neighbours B, C, D, in
+	// list order; its slots 0..2 are the ids of those edges.
+	if nbrs := g.In.Row(0); !slices.Equal(nbrs, []int32{1, 2, 3}) {
 		t.Fatalf("row A: %v", nbrs)
 	}
-	want := map[int32]int32{1: 0, 2: 1, 3: 2} // nbr -> edge id
-	for i, u := range nbrs {
-		if want[u] != eids[i] {
-			t.Fatalf("slot %d: nbr %d eid %d", i, u, eids[i])
+	for e := 0; e < 3; e++ {
+		if g.Dsts[e] != 0 || g.Srcs[e] != int32(e)+1 {
+			t.Fatalf("edge %d is %d→%d, want %d→0", e, g.Srcs[e], g.Dsts[e], e+1)
 		}
+	}
+	// A's out-row lists B (list edge 3, the first into B): in-slot 3.
+	if nbrs, ids := g.Out.Row(0), g.Out.EdgeIDs[g.Out.Offsets[0]:g.Out.Offsets[1]]; !slices.Equal(nbrs, []int32{1}) || !slices.Equal(ids, []int32{3}) {
+		t.Fatalf("out-row A: %v ids %v", nbrs, ids)
 	}
 	if g.In.MaxDegree() != 3 {
 		t.Fatalf("max degree %d", g.In.MaxDegree())
@@ -83,8 +86,8 @@ func TestSortByDegree(t *testing.T) {
 	for k := 0; k < g.N; k++ {
 		v := g.In.RowIDs[k]
 		// find v's row in orig (identity layout).
-		wantNbrs, _ := orig.In.Row(int(v))
-		gotNbrs, _ := g.In.Row(k)
+		wantNbrs := orig.In.Row(int(v))
+		gotNbrs := g.In.Row(k)
 		if len(wantNbrs) != len(gotNbrs) {
 			t.Fatalf("vertex %d degree changed", v)
 		}
@@ -115,14 +118,16 @@ func TestEdgeTypesAndTypeSort(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Within every in-CSR row, edge types must be non-decreasing.
+	// Within every in-CSR row, edge types must be non-decreasing; a
+	// row's slots are its edges' ids.
 	for k := 0; k < g.N; k++ {
-		_, eids := g.In.Row(k)
-		for i := 0; i+1 < len(eids); i++ {
-			if g.EdgeTypes[eids[i]] > g.EdgeTypes[eids[i+1]] {
-				t.Fatalf("row %d not type-sorted: %v", k, eids)
-			}
+		if types := g.EdgeTypes[g.In.Offsets[k]:g.In.Offsets[k+1]]; !slices.IsSorted(types) {
+			t.Fatalf("row %d not type-sorted: %v", k, types)
 		}
+	}
+	// A's in-edges B, C, D have list types 2, 0, 1: C, D, B once sorted.
+	if nbrs := g.In.Row(0); !slices.Equal(nbrs, []int32{2, 3, 1}) {
+		t.Fatalf("row A after the type sort: %v", nbrs)
 	}
 }
 
@@ -284,11 +289,15 @@ func comparatorSort(c *CSR) CSR {
 		}
 		return c.RowIDs[order[a]] < c.RowIDs[order[b]]
 	})
-	out := CSR{Offsets: []int64{0}, Nbrs: []int32{}, EdgeIDs: []int32{}, RowIDs: []int32{}, Sorted: true}
+	out := CSR{Offsets: []int64{0}, Nbrs: []int32{}, RowIDs: []int32{}, Sorted: true}
+	if c.EdgeIDs != nil {
+		out.EdgeIDs = []int32{}
+	}
 	for _, old := range order {
-		nbrs, eids := c.Row(old)
-		out.Nbrs = append(out.Nbrs, nbrs...)
-		out.EdgeIDs = append(out.EdgeIDs, eids...)
+		out.Nbrs = append(out.Nbrs, c.Row(old)...)
+		if c.EdgeIDs != nil {
+			out.EdgeIDs = append(out.EdgeIDs, c.EdgeIDs[c.Offsets[old]:c.Offsets[old+1]]...)
+		}
 		out.Offsets = append(out.Offsets, int64(len(out.Nbrs)))
 		out.RowIDs = append(out.RowIDs, c.RowIDs[old])
 	}
@@ -298,11 +307,15 @@ func comparatorSort(c *CSR) CSR {
 // shuffleRows returns c with its rows in a random order: the same
 // vertices and rows, non-identity RowIDs.
 func shuffleRows(rng *rand.Rand, c *CSR) *CSR {
-	out := &CSR{Offsets: []int64{0}, Nbrs: []int32{}, EdgeIDs: []int32{}, RowIDs: []int32{}}
+	out := &CSR{Offsets: []int64{0}, Nbrs: []int32{}, RowIDs: []int32{}}
+	if c.EdgeIDs != nil {
+		out.EdgeIDs = []int32{}
+	}
 	for _, k := range rng.Perm(c.NumRows()) {
-		nbrs, eids := c.Row(k)
-		out.Nbrs = append(out.Nbrs, nbrs...)
-		out.EdgeIDs = append(out.EdgeIDs, eids...)
+		out.Nbrs = append(out.Nbrs, c.Row(k)...)
+		if c.EdgeIDs != nil {
+			out.EdgeIDs = append(out.EdgeIDs, c.EdgeIDs[c.Offsets[k]:c.Offsets[k+1]]...)
+		}
 		out.Offsets = append(out.Offsets, int64(len(out.Nbrs)))
 		out.RowIDs = append(out.RowIDs, c.RowIDs[k])
 	}
@@ -343,9 +356,17 @@ func TestDegreeOrderProperties(t *testing.T) {
 		if !reflect.DeepEqual(got.OutDegrees(), g.OutDegrees()) {
 			t.Fatalf("n=%d m=%d: out-degrees from the edge list %v, from the out-CSR %v", n, m, got.OutDegrees(), g.OutDegrees())
 		}
+		ident := make([]int32, m) // an out-CSR's ids mapped to themselves
+		for e := range ident {
+			ident[e] = int32(e)
+		}
 		for _, c := range []*CSR{&g.In, &g.Out, &want.In, shuffleRows(rng, &g.In), shuffleRows(rng, &g.SortByDegree().Out)} {
-			if got, want := sortCSRByDegree(c), comparatorSort(c); !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d m=%d: counting sort %v, comparison sort %v", n, m, got.RowIDs, want.RowIDs)
+			var ids []int32
+			if c.EdgeIDs != nil {
+				ids = ident
+			}
+			if got, _ := sortCSRByDegree(c, ids); !reflect.DeepEqual(got, comparatorSort(c)) {
+				t.Fatalf("n=%d m=%d: counting sort %v, comparison sort %v", n, m, got.RowIDs, comparatorSort(c).RowIDs)
 			}
 		}
 
@@ -373,12 +394,6 @@ func TestDegreeOrderProperties(t *testing.T) {
 			}
 			lo = hi
 		}
-		// Each row keeps its slots in edge-id order, whatever the levels.
-		for k := 0; k < lv.In.NumRows(); k++ {
-			if _, eids := lv.In.Row(k); !slices.IsSorted(eids) {
-				t.Fatalf("n=%d levels %v: row %d slots %v out of edge-id order", n, levels, k, eids)
-			}
-		}
 	}
 	if _, err := FromInEdges(2, []int32{0}, []int32{2}, []int{2}); err == nil {
 		t.Fatal("FromInEdges accepted an out-of-range edge")
@@ -397,9 +412,9 @@ func TestQuickTypeSortPreservesEdgeSets(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := GNM(rng, n, n*2%(n*(n-1)/2+1)+1)
 		RandomEdgeTypes(rng, g, nt)
-		before := map[int32]int32{}
+		before := map[[3]int32]int{}
 		for e := 0; e < g.M; e++ {
-			before[int32(e)] = g.EdgeTypes[e]
+			before[[3]int32{g.Srcs[e], g.Dsts[e], g.EdgeTypes[e]}]++
 		}
 		if g.SortEdgesByType() != nil {
 			return false
@@ -407,9 +422,12 @@ func TestQuickTypeSortPreservesEdgeSets(t *testing.T) {
 		if g.Validate() != nil {
 			return false
 		}
-		// Edge ids and types unchanged globally.
+		// The edges are renumbered; each keeps its endpoints and type.
 		for e := 0; e < g.M; e++ {
-			if before[int32(e)] != g.EdgeTypes[e] {
+			before[[3]int32{g.Srcs[e], g.Dsts[e], g.EdgeTypes[e]}]--
+		}
+		for _, c := range before {
+			if c != 0 {
 				return false
 			}
 		}
@@ -422,8 +440,9 @@ func TestQuickTypeSortPreservesEdgeSets(t *testing.T) {
 
 // TestDstPrefix pins the block view: a prefix that holds every edge cuts
 // the in-CSR and keeps everything else, one that holds some of them cuts
-// the edges and sources too, and a prefix that is not exact is refused
-// rather than truncated. Vertex 1 has no in-edge, so it sorts among the
+// the edges (those are its slots, the edges [0, M) of the block) and
+// sources too, and a prefix that is not exact is refused rather than
+// truncated. Vertex 1 has no in-edge, so it sorts among the
 // zero-degree rows, ahead of 3..5 by its smaller id.
 func TestDstPrefix(t *testing.T) {
 	srcs := []int32{3, 4, 5, 0, 2}
@@ -495,7 +514,6 @@ func TestDstPrefix(t *testing.T) {
 		g    *Graph
 		d, n int
 	}{
-		{"misses an edge", g, 1, g.N},          // row 0 is vertex 0 with edge 4, but edges 2 and 3 enter vertex 2
 		{"holds a later vertex", g, 2, g.N},    // rows 0, 1 are vertices 0 and 2
 		{"past the rows", g, g.N + 1, g.N},     // no such row
 		{"too few sources", g, 3, 3},           // vertices 3..5 send edges into the prefix

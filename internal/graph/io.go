@@ -86,18 +86,12 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 	if err := binary.Read(br, binary.LittleEndian, dsts); err != nil {
 		return nil, fmt.Errorf("graph: reading dsts: %w", err)
 	}
-	g, err := FromEdges(int(n), srcs, dsts)
-	if err != nil {
-		return nil, err
-	}
+	var ets []int32
 	if types > 1 {
-		ets := make([]int32, m)
+		ets = make([]int32, m)
 		if err := binary.Read(br, binary.LittleEndian, ets); err != nil {
 			return nil, fmt.Errorf("graph: reading edge types: %w", err)
 		}
-		if err := g.WithEdgeTypes(ets, int(types)); err != nil {
-			return nil, err
-		}
 	}
-	return g, nil
+	return FromTypedEdges(int(n), srcs, dsts, ets, int(types))
 }

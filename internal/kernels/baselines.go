@@ -205,20 +205,23 @@ func BinaryReduce(dev *device.Device, g *graph.Graph, l, r Operand, op BinOp,
 	counts := make([]int32, g.N)
 	row := make([]float32, width)
 	// Deterministic functional evaluation: accumulate per CSR row.
-	csr := &g.In
+	csr, ids := &g.In, []int32(nil) // an in-CSR's slots are its edge ids
 	if !toDst {
-		csr = &g.Out
+		csr, ids = &g.Out, g.Out.EdgeIDs
 	}
 	for k := 0; k < csr.NumRows(); k++ {
 		t := int(csr.RowIDs[k])
-		nbrs, eids := csr.Row(k)
+		nbrs := csr.Row(k)
 		or := out.Row(t)
 		for i := range nbrs {
 			src, dst := int(nbrs[i]), t
 			if !toDst {
 				src, dst = t, int(nbrs[i])
 			}
-			eid := int(eids[i])
+			eid := int(csr.Offsets[k]) + i
+			if ids != nil {
+				eid = int(ids[eid])
+			}
 			var rr []float32
 			if r.T != nil {
 				rr = operandRow(r, src, dst, eid)
@@ -298,16 +301,19 @@ func Gather(dev *device.Device, g *graph.Graph, x *tensor.Tensor, fromSrc bool, 
 func ScatterSum(dev *device.Device, g *graph.Graph, e *tensor.Tensor, toDst bool, name string) *tensor.Tensor {
 	width := e.Cols()
 	out := tensor.New(g.N, width)
-	csr := &g.In
+	csr, ids := &g.In, []int32(nil) // an in-CSR's slots are its edge ids
 	if !toDst {
-		csr = &g.Out
+		csr, ids = &g.Out, g.Out.EdgeIDs
 	}
 	for k := 0; k < csr.NumRows(); k++ {
 		t := int(csr.RowIDs[k])
-		_, eids := csr.Row(k)
 		or := out.Row(t)
-		for _, eid := range eids {
-			er := e.Row(int(eid))
+		for s := csr.Offsets[k]; s < csr.Offsets[k+1]; s++ {
+			eid := int(s)
+			if ids != nil {
+				eid = int(ids[s])
+			}
+			er := e.Row(eid)
 			for j := range or {
 				or[j] += er[j]
 			}

@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"seastar/internal/gir"
 	"seastar/internal/graph"
@@ -69,12 +70,12 @@ func (b *Bindings) Resolve(n *gir.Node) (*tensor.Tensor, error) {
 func (k *Kernel) Run(g *graph.Graph, b *Bindings, outs map[*gir.Node]*tensor.Tensor) error {
 	sp := obs.Begin("kern", k.obsLabel)
 	defer sp.End()
-	csr := &g.In
+	csr, ids := &g.In, []int32(nil) // an in-walk's slots are its edge ids
 	if k.Dir == gir.AggToSrc {
 		if g.Out.Offsets == nil {
 			return fmt.Errorf("kernels: unit %d aggregates to sources but the graph has no out-CSR", k.Unit.ID)
 		}
-		csr = &g.Out
+		csr, ids = &g.Out, g.Out.EdgeIDs
 	}
 	if k.usesEdgeType && g.EdgeTypes == nil {
 		return fmt.Errorf("kernels: unit %d needs edge types but the graph has none", k.Unit.ID)
@@ -104,7 +105,7 @@ func (k *Kernel) Run(g *graph.Graph, b *Bindings, outs map[*gir.Node]*tensor.Ten
 		// Serial fast path: the fan-out overhead exceeds the work.
 		a := k.arena(0)
 		k.runSweep(a, 0, g.N)
-		k.runRowsSpec(a, csr, g, 0, n)
+		k.runRowsSpec(a, csr, ids, g, 0, n)
 	} else {
 		ranges := k.partition(csr)
 		workers := sched.Workers(len(ranges))
@@ -123,7 +124,7 @@ func (k *Kernel) Run(g *graph.Graph, b *Bindings, outs map[*gir.Node]*tensor.Ten
 		}
 		sched.Do(len(ranges), workers, func(w, c int) {
 			r := ranges[c]
-			k.runRowsSpec(k.arena(w), csr, g, r.Lo, r.Hi)
+			k.runRowsSpec(k.arena(w), csr, ids, g, r.Lo, r.Hi)
 		})
 	}
 	return nil
@@ -218,43 +219,40 @@ func (k *Kernel) releaseResolved() {
 			a.unbind(k)
 		}
 	}
-	for i := range k.rowT {
-		k.rowT[i] = nil
-	}
-	for i := range k.edgeT {
-		k.edgeT[i] = nil
-	}
-	for i := range k.constT {
-		k.constT[i] = nil
-	}
-	for i := range k.matT {
-		k.matT[i] = nil
-	}
-	for i := range k.nbrMatT {
-		k.nbrMatT[i] = nil
-	}
+	clear(k.rowT)
+	clear(k.edgeT)
+	clear(k.constT)
+	clear(k.matT)
+	clear(k.nbrMatT)
 	for p := range k.paramT {
 		k.paramT[p] = nil
 	}
-	for i := range k.specLeafData {
-		k.specLeafData[i] = nil
-	}
-	for i := range k.specWd {
-		k.specWd[i] = nil
-	}
-	for i := range k.specMatData {
-		k.specMatData[i] = nil
-	}
+	clear(k.specLeafData)
+	clear(k.specWd)
+	clear(k.specMatData)
 }
 
-// partition returns (and caches) the row chunking for csr.
+// partition returns (and caches) the row chunking for csr. The cache is
+// keyed by the address and length of csr's offsets, not a reference, so
+// the last launch's graph (a request's sample, a batch's block) is not
+// kept alive by the kernel, while repeated launches over one graph reuse
+// its chunking. A later graph whose offsets land at a freed one's address
+// with its length may take its chunking: any chunking of the rows
+// computes the same bits (Partition), so that costs balance at most.
 func (k *Kernel) partition(csr *graph.CSR) []sched.Range {
-	if k.rangeCSR == csr && k.rangeProcs == sched.MaxProcs && k.ranges != nil {
+	key := rangeKey{uintptr(unsafe.Pointer(unsafe.SliceData(csr.Offsets))), len(csr.Offsets), sched.MaxProcs}
+	if k.rangeKey == key && k.ranges != nil {
 		return k.ranges
 	}
-	rs := Partition(csr, sched.MaxProcs)
-	k.rangeCSR, k.rangeProcs, k.ranges = csr, sched.MaxProcs, rs
-	return rs
+	k.rangeKey, k.ranges = key, Partition(csr, sched.MaxProcs)
+	return k.ranges
+}
+
+// rangeKey names the offsets a cached partition was built for and the
+// worker bound it was built with (tests vary sched.MaxProcs).
+type rangeKey struct {
+	offsets   uintptr
+	len, proc int
 }
 
 const (
@@ -299,13 +297,13 @@ type runArena struct {
 	// data slices), rebuilt per chunk; batched terms keep a permanent
 	// specBlock-sized scale buffer in their slot.
 	tstate []specTermState
-	// prog and rowProg are the launch-bound edge and row programs,
-	// rebuilt per chunk from the plan's static instructions.
-	prog, rowProg []specOp
 	// cols holds the per-block edge columns, one specBlock-wide slice per
-	// bank slot carrying a per-edge value; wcols one specBlock × w column
-	// per opStep (a width-1 step's is also its bank column).
-	cols, wcols [][]float32
+	// bank slot carrying a per-edge value — on an in-walk an edge load's
+	// is rebound per block to the leaf's slots, in place; wcols one
+	// specBlock × w column per opStep (a width-1 step's is also its bank
+	// column). rowCols are the row program's columns: one-element views
+	// of the scalar bank.
+	cols, wcols, rowCols [][]float32
 	// view is the slot table opSteps hand evalStep: each operand slot
 	// points at its value's storage in place, rebound per edge — which the
 	// row stages must not see, so it is not slots.
@@ -336,8 +334,6 @@ func (k *Kernel) arena(w int) *runArena {
 		sp := k.spec
 		a.svals = make([]float32, sp.nScalar)
 		a.tstate = make([]specTermState, len(sp.terms))
-		a.prog = make([]specOp, len(sp.prog))
-		a.rowProg = make([]specOp, len(sp.rowProg))
 		for ti := range sp.terms {
 			if sp.terms[ti].batch {
 				a.tstate[ti].buf = make([]float32, specBlock)
@@ -356,6 +352,10 @@ func (k *Kernel) arena(w int) *runArena {
 				a.cols[i] = make([]float32, specBlock)
 			}
 		}
+		a.rowCols = make([][]float32, sp.nScalar)
+		for i := range a.rowCols {
+			a.rowCols[i] = a.svals[i : i+1]
+		}
 		a.view = make([][]float32, k.numSlots)
 		k.arenas[w] = a
 	}
@@ -364,9 +364,9 @@ func (k *Kernel) arena(w int) *runArena {
 
 // unbind drops a's views of the last launch's tensors: the slots bound
 // where a value lies (row, sweep and const leaves, values written in
-// place), the opStep operand views, the bound edge program's data and
+// place), the opStep operand views, an in-walk's edge-load columns and
 // the terms' data. Every launch binds them again before reading them;
-// slots that own their storage keep it. It costs O(slots).
+// slots and columns that own their storage keep it. It costs O(slots).
 func (a *runArena) unbind(k *Kernel) {
 	for _, ld := range k.rowLeaves {
 		a.slots[ld.slot] = nil
@@ -386,11 +386,13 @@ func (a *runArena) unbind(k *Kernel) {
 		a.slots[m.slot] = nil
 	}
 	clear(a.view)
-	for i := range a.prog {
-		a.prog[i].data = nil
+	for _, ld := range k.spec.edgeLoads {
+		if ld.byEdgeID && k.Dir != gir.AggToSrc {
+			a.cols[ld.dst] = nil // an in-walk's load column is its leaf's slots
+		}
 	}
 	for i := range a.tstate {
-		a.tstate[i].data, a.tstate[i].wd = nil, nil
+		a.tstate[i].wd = nil
 	}
 }
 

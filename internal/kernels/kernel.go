@@ -25,7 +25,6 @@ import (
 	"seastar/internal/device"
 	"seastar/internal/fusion"
 	"seastar/internal/gir"
-	"seastar/internal/graph"
 	"seastar/internal/sched"
 	"seastar/internal/tensor"
 )
@@ -158,11 +157,9 @@ type Kernel struct {
 	mu     sync.Mutex
 	arenas []*runArena
 
-	// Cached row partition, keyed by CSR identity and the worker bound
-	// it was built for (tests vary sched.MaxProcs between launches).
-	ranges     []sched.Range
-	rangeCSR   *graph.CSR
-	rangeProcs int
+	// Cached row partition (partition).
+	ranges   []sched.Range
+	rangeKey rangeKey
 
 	// Resolved binding slices, reused between launches (cleared on
 	// return so tensors are not pinned past the call).

@@ -3,8 +3,11 @@ package kernels
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 
 	"seastar/internal/device"
@@ -128,7 +131,7 @@ func naiveGAT(g *graph.Graph, eu, ev, h *tensor.Tensor, slope float32) *tensor.T
 	out := tensor.New(n, d)
 	for k := 0; k < n; k++ {
 		v := int(g.In.RowIDs[k])
-		nbrs, _ := g.In.Row(k)
+		nbrs := g.In.Row(k)
 		if len(nbrs) == 0 {
 			continue
 		}
@@ -634,24 +637,20 @@ func overlaps(x []float32, t *tensor.Tensor) bool {
 // arenaViews lists every slice a's fields hold.
 func arenaViews(a *runArena) [][]float32 {
 	var out [][]float32
-	for _, group := range [][][]float32{a.slots, a.accs, a.inner, a.cols, a.wcols, a.view, {a.svals}} {
+	for _, group := range [][][]float32{a.slots, a.accs, a.inner, a.cols, a.wcols, a.rowCols, a.view, {a.svals}} {
 		out = append(out, group...)
 	}
 	for _, s := range a.tstate {
-		out = append(out, s.target, s.data, s.wd, s.tmp, s.buf)
-	}
-	for _, ops := range [][]specOp{a.prog, a.rowProg} {
-		for _, op := range ops {
-			out = append(out, op.data, op.oc, op.ac, op.bc)
-		}
+		out = append(out, s.target, s.wd, s.tmp, s.buf)
 	}
 	return out
 }
 
 // TestRunLeavesNoTensorInArenas: after Run returns, no worker arena holds
 // a view of the launch's input or output tensors — the slot table's
-// bindings, the bound programs' data and the terms' data are dropped
-// with the kernel's own, so a kernel pins no buffer between launches.
+// bindings, an in-walk's in-place edge columns and the terms' data are
+// dropped with the kernel's own, so a kernel pins no buffer between
+// launches.
 // Both the serial and the parallel launch path are covered, on a GAT
 // forward: row leaves, gathers, stored edge and row values.
 func TestRunLeavesNoTensorInArenas(t *testing.T) {
@@ -716,5 +715,65 @@ func TestRunLeavesNoTensorInArenas(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunDoesNotPinGraph: once Run returns, the kernel holds no reference
+// to the graph it ran on — the row partition it caches for the next launch
+// over the same graph is keyed by the offsets' address, not a pointer — so
+// a request's sample or a batch's block is freed as soon as its caller
+// drops it, while repeated launches over one graph still reuse their
+// partition. The launches take the parallel path, the one that partitions.
+func TestRunDoesNotPinGraph(t *testing.T) {
+	defer sched.SetMaxProcs(sched.MaxProcs)
+	sched.SetMaxProcs(4)
+	rng := rand.New(rand.NewSource(16))
+	const n = 3000
+	gat, _ := gatPlan(t, 16)
+	mat := gat.Materialized(nil)
+	u := gat.Units[0]
+	k, err := Compile(u, mat[u], map[*gir.Node]bool{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := map[string]*tensor.Tensor{
+		"eu": tensor.Randn(rng, 1, n, 1), "ev": tensor.Randn(rng, 1, n, 1), "h": tensor.Randn(rng, 1, n, 16),
+	}
+	run := func(g *graph.Graph) {
+		outs := map[*gir.Node]*tensor.Tensor{}
+		for _, m := range mat[u] {
+			rows := g.N
+			if m.Type == gir.TypeE {
+				rows = g.M
+			}
+			outs[m] = tensor.New(rows, m.Dim())
+		}
+		if err := k.Run(g, &Bindings{VFeat: in}, outs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var freed atomic.Bool
+	func() {
+		g := graph.PowerLaw(rng, n, 6).SortByDegree()
+		run(g)
+		runtime.SetFinalizer(g, func(*graph.Graph) { freed.Store(true) })
+	}()
+	if k.ranges == nil {
+		t.Fatal("the launch took the serial path; the test needs the partitioned one")
+	}
+	for i := 0; i < 20 && !freed.Load(); i++ {
+		runtime.GC() // a finalizer runs on its own goroutine after the cycle
+		time.Sleep(5 * time.Millisecond)
+	}
+	if !freed.Load() {
+		t.Fatal("the kernel still holds the graph it last ran on after Run returned")
+	}
+
+	g := graph.PowerLaw(rng, n, 6).SortByDegree()
+	run(g)
+	first := &k.ranges[0]
+	run(g)
+	if &k.ranges[0] != first {
+		t.Error("a second launch over the same graph rebuilt its row partition")
 	}
 }

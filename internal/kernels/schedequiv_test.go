@@ -253,11 +253,8 @@ func unsortedHubGraph(t *testing.T, rng *rand.Rand) *graph.Graph {
 			types = append(types, int32(ri%numTypes))
 		}
 	}
-	g, err := graph.FromEdges(base.N+1, srcs, dsts)
+	g, err := graph.FromTypedEdges(base.N+1, srcs, dsts, types, numTypes)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.WithEdgeTypes(types, numTypes); err != nil {
 		t.Fatal(err)
 	}
 	g = g.SortByDegree()
@@ -267,10 +264,10 @@ func unsortedHubGraph(t *testing.T, rng *rand.Rand) *graph.Graph {
 		if id != hub {
 			continue
 		}
-		_, eids := g.In.Row(r)
+		types := g.EdgeTypes[g.In.Offsets[r]:g.In.Offsets[r+1]] // a row's slots are its edge ids
 		var runs []int
-		for i := range eids {
-			if i == 0 || g.EdgeTypes[eids[i]] != g.EdgeTypes[eids[i-1]] {
+		for i := range types {
+			if i == 0 || types[i] != types[i-1] {
 				runs = append(runs, 0)
 			}
 			runs[len(runs)-1]++
@@ -288,9 +285,9 @@ func unsortedHubGraph(t *testing.T, rng *rand.Rand) *graph.Graph {
 // must handle without cross-chunk state.
 func hasMidChunkTypeBoundary(g *graph.Graph, ranges []sched.Range) bool {
 	multiType := func(r int) bool {
-		_, eids := g.In.Row(r)
-		for i := 1; i < len(eids); i++ {
-			if g.EdgeTypes[eids[i]] != g.EdgeTypes[eids[i-1]] {
+		types := g.EdgeTypes[g.In.Offsets[r]:g.In.Offsets[r+1]]
+		for i := 1; i < len(types); i++ {
+			if types[i] != types[i-1] {
 				return true
 			}
 		}

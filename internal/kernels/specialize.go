@@ -97,27 +97,14 @@ type wideSrc struct {
 
 // zeroIdx is the gather index vector of a row-constant source: every
 // edge of the block reads row 0 of the vector itself. iotaIdx is that of
-// a block column: edge j reads row j.
+// a block column — edge j reads row j — and of an in-walk's edge leaf,
+// read from the block's first slot on.
 var zeroIdx, iotaIdx [specBlock]int32
 
 func init() {
 	for i := range iotaIdx {
 		iotaIdx[i] = int32(i)
 	}
-}
-
-// index picks the index vector that selects ws's row for each edge of a
-// block whose neighbour and edge ids are nbrs and eids.
-func (ws wideSrc) index(nbrs, eids []int32) []int32 {
-	switch {
-	case ws.from == fromRowVec:
-		return zeroIdx[:len(nbrs)]
-	case ws.from == fromCol:
-		return iotaIdx[:len(nbrs)]
-	case ws.byEdgeID:
-		return eids
-	}
-	return nbrs
 }
 
 // specStep is one opStep instruction: an edge step the grammar does not
@@ -237,44 +224,25 @@ const (
 	opCopy                            // v[o] = v[a] (RowSum at width 1)
 	opStoreMat                        // data[eid] = v[a]
 	opAccScalar                       // data[0] += v[a] (sum/mean scalar term)
-	opStoreBuf                        // data[i-b0] = v[a] (batched term's scale)
 	opStep                            // col[j] = evalStep(steps[ref]) per edge j
 	opStoreWide                       // data[eid] = col[j] (wide per-edge materialization)
 )
 
-// specProgOp is one static instruction of the edge program: an opcode,
-// scalar-bank operand indexes, an immediate, and — for loads, dots, steps,
-// stores and folds — a reference resolved at launch time (leaf index,
-// sp.dots index, sp.steps index, materialization index, or term index
-// respectively). opStoreWide names its source step in a.
+// specProgOp is one instruction of the edge program: an opcode, scalar-
+// bank operand indexes, an immediate, and — for loads, dots, steps, stores
+// and folds — a reference the executor resolves against the launch (leaf
+// index, sp.dots index, sp.steps index, materialization index, or term
+// index respectively). opStoreWide names its source step in a.
 //
 // aSc/bSc mark operands that are row-constant scalars (read from the
-// bank) rather than per-edge columns — on opStep and opStoreWide, which
-// have no bank operands, both are set — and a non-negative sink redirects
-// the output column into that term's gather scale buffer — the store
-// instruction it replaces is elided.
+// bank) rather than per-edge columns; on opStep and opStoreWide, which
+// have no bank operands, both are set.
 type specProgOp struct {
 	code     specOpCode
 	o, a, b  int32
 	c        float32
 	ref      int32
 	aSc, bSc bool
-	sink     int32
-}
-
-// specOp is the launch-bound form of specProgOp: ref is resolved to the
-// tensor data / accumulator / scale buffer the instruction touches, and
-// o/a/b to their block columns — or, for a rowProg instruction, to
-// one-element views of the scalar bank.
-type specOp struct {
-	code       specOpCode
-	a, b       int32
-	c          float32
-	aSc, bSc   bool
-	data       []float32
-	oc, ac, bc []float32
-	dot        *specDot
-	step       *specStep
 }
 
 // specPlan is the compiled closure program for a specialized unit. It is
@@ -295,9 +263,9 @@ type specPlan struct {
 
 	// prog is the flat per-edge instruction array: loads, dots, then the
 	// scalar chain and the opSteps in edge-stage order, then
-	// materialization stores, then in-program term folds
-	// (opAccScalar/opStoreBuf). chainLen counts the chain instructions for
-	// the pattern name; rest indexes the terms the program does not fold —
+	// materialization stores, then in-program term folds (opAccScalar).
+	// chainLen counts the chain instructions for the pattern name; rest
+	// indexes the terms neither the program nor the batched drain folds —
 	// they run through the generic per-edge term switch after it.
 	prog     []specProgOp
 	chainLen int
@@ -652,48 +620,36 @@ func (k *Kernel) buildSpecPlan() (*specPlan, error) {
 		if ld.byEdgeID {
 			code = opLoadEdge
 		}
-		sp.prog = append(sp.prog, specProgOp{code: code, o: int32(ld.dst), ref: int32(ld.leaf), sink: -1})
+		sp.prog = append(sp.prog, specProgOp{code: code, o: int32(ld.dst), ref: int32(ld.leaf)})
 	}
 	for di, d := range sp.dots {
-		sp.prog = append(sp.prog, specProgOp{code: opDot, o: int32(d.dst), ref: int32(di), sink: -1})
+		sp.prog = append(sp.prog, specProgOp{code: opDot, o: int32(d.dst), ref: int32(di)})
 	}
 	for _, st := range k.edge {
 		if op, ok := edgeChain[st.out]; ok {
-			op.sink = -1
 			sp.prog = append(sp.prog, op)
 		} else if si, ok := m.stepOf[st.out]; ok {
-			sp.prog = append(sp.prog, specProgOp{code: opStep, o: -1, ref: int32(si), aSc: true, bSc: true, sink: -1})
+			sp.prog = append(sp.prog, specProgOp{code: opStep, o: -1, ref: int32(si), aSc: true, bSc: true})
 		}
 	}
 	for _, mt := range sp.edgeMats {
 		if mt.src < 0 {
-			sp.prog = append(sp.prog, specProgOp{code: opStoreWide, o: -1, a: int32(mt.step), ref: int32(mt.mat), aSc: true, bSc: true, sink: -1})
+			sp.prog = append(sp.prog, specProgOp{code: opStoreWide, o: -1, a: int32(mt.step), ref: int32(mt.mat), aSc: true, bSc: true})
 			continue
 		}
 		sp.prog = append(sp.prog, specProgOp{
-			code: opStoreMat, a: int32(mt.src), ref: int32(mt.mat),
-			aSc: !sp.colSlot[mt.src], sink: -1,
+			code: opStoreMat, a: int32(mt.src), ref: int32(mt.mat), aSc: !sp.colSlot[mt.src],
 		})
 	}
 	for ti := range sp.terms {
 		t := &sp.terms[ti]
 		switch {
 		case t.scalar01:
-			sp.prog = append(sp.prog, specProgOp{
-				code: opAccScalar, a: int32(t.src), ref: int32(ti),
-				aSc: !sp.colSlot[t.src], sink: -1,
-			})
-		case t.batch:
-			sp.prog = append(sp.prog, specProgOp{
-				code: opStoreBuf, a: int32(t.scale), ref: int32(ti),
-				aSc: !sp.colSlot[t.scale], sink: -1,
-			})
-		default:
+			sp.prog = append(sp.prog, specProgOp{code: opAccScalar, a: int32(t.src), ref: int32(ti), aSc: !sp.colSlot[t.src]})
+		case !t.batch: // a batched term drains after the program
 			sp.rest = append(sp.rest, int32(ti))
 		}
 	}
-
-	sp.fuseBufSinks()
 
 	sp.name = specPlanName(sp)
 	return sp, nil
@@ -707,59 +663,6 @@ func opReadsB(code specOpCode) bool {
 		return true
 	}
 	return false
-}
-
-// fuseBufSinks redirects a column consumed only by an opStoreBuf into the
-// term's scale buffer itself: the producing instruction writes the buffer
-// directly and the store is elided. Bank slots are written exactly once,
-// so a single-use source column has exactly one producer.
-func (sp *specPlan) fuseBufSinks() {
-	uses := make([]int, sp.nScalar)
-	for _, op := range sp.prog {
-		switch op.code {
-		case opLoadNbr, opLoadEdge, opDot, opStoreWide:
-			continue // no bank operands
-		case opStep:
-			for _, in := range sp.steps[op.ref].ins {
-				if in.bank >= 0 {
-					uses[in.bank]++
-				}
-			}
-			continue
-		}
-		if !op.aSc {
-			uses[op.a]++
-		}
-		if opReadsB(op.code) && !op.bSc {
-			uses[op.b]++
-		}
-	}
-	for _, ti := range sp.rest {
-		t := &sp.terms[ti]
-		if t.kind == termScalar {
-			uses[t.src]++
-		} else if t.scale >= 0 {
-			uses[t.scale]++
-		}
-	}
-	kept := sp.prog[:0]
-	for _, op := range sp.prog {
-		if op.code == opStoreBuf && !op.aSc && uses[op.a] == 1 {
-			for pi := range kept {
-				if p := &kept[pi]; p.code != opStoreMat && p.code != opAccScalar &&
-					p.code != opStoreBuf && p.o == op.a {
-					p.sink = op.ref
-					op.code = 0 // elided
-					break
-				}
-			}
-			if op.code == 0 {
-				continue
-			}
-		}
-		kept = append(kept, op)
-	}
-	sp.prog = kept
 }
 
 // matchTerm resolves one aggregation input slot to a term form. A wide
@@ -972,15 +875,54 @@ type specTermState struct {
 	t      *specTerm
 	target []float32
 	kind   gir.AggKind
-	data   []float32 // gather/typed: the source's data (wideData), bound per row
 	wd     []float32 // typed: weight data
 	tmp    []float32 // typed: transform output row
-	buf    []float32 // batch: per-block scale buffer
+	buf    []float32 // batch: per-block column of a row-constant scale
 }
 
-// runRowsSpec executes rows [lo, hi) through the compiled plan: the VM's
-// one row loop. It computes what refinterp's definition does, value for
-// value and fold for fold (see the bitwise contract above).
+// edgeBlock is the run of one row's edges a block walks: their neighbour
+// ids and, on an out-walk, their edge ids (the out-CSR's EdgeIDs). An
+// in-walk's edges are the slots [e0, e0+len(nbrs)), which are their ids
+// (package graph), so eids is nil there: the block's edge-typed values
+// lie side by side in every edge column and are read and written in place.
+type edgeBlock struct {
+	nbrs, eids []int32
+	e0         int
+}
+
+// eid returns the id of the block's edge j.
+func (b *edgeBlock) eid(j int) int {
+	if b.eids == nil {
+		return b.e0 + j
+	}
+	return int(b.eids[j])
+}
+
+// rows returns the data ws reads in place over block b and the index
+// vector that selects each edge's row of it: row 0 of a row-constant
+// vector, row j of an opStep's column, a leaf's row by neighbour id or,
+// on an out-walk, by edge id. An in-walk's edge leaf is read from the
+// block's first slot on, row j for edge j.
+func (k *Kernel) rows(a *runArena, ws wideSrc, b *edgeBlock) ([]float32, []int32) {
+	n := len(b.nbrs)
+	switch {
+	case ws.from == fromRowVec:
+		return a.slots[ws.ref], zeroIdx[:n]
+	case ws.from == fromCol:
+		return a.wcols[ws.ref], iotaIdx[:n]
+	case !ws.byEdgeID:
+		return k.specLeafData[ws.ref], b.nbrs
+	case b.eids == nil:
+		return k.specLeafData[ws.ref][b.e0*ws.w:], iotaIdx[:n]
+	}
+	return k.specLeafData[ws.ref], b.eids
+}
+
+// runRowsSpec executes rows [lo, hi) of csr through the compiled plan: the
+// VM's one row loop. ids is the out-CSR's EdgeIDs on an out-walk and nil
+// on an in-walk, whose slots are its edge ids. It computes what
+// refinterp's definition does, value for value and fold for fold (see the
+// bitwise contract above).
 //
 // The row stages — pre-row steps, the row copies into the scalar bank,
 // the row-constant wide vectors and the post steps — read and write every
@@ -997,18 +939,16 @@ type specTermState struct {
 // and a tight loop over the block's edges, with per-edge values held in
 // block columns. The remaining terms (max/min folds, typed transforms,
 // opStep columns) then walk the block per edge, and every batched term
-// drains with one GatherMulAdd over the block — the CSR's own nbr/eid
-// slices are the gather index vector. After a type run's last block every
-// hierarchical accumulator folds inner into outer, at the edges where the
-// definition folds. Each scalar is computed from the same pure dataflow
-// and each accumulator folds its own edge sequence in edge order, so
-// reordering work across independent accumulators stays bitwise-equal.
-func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi int) {
+// drains with one GatherMulAdd over the block. After a type run's last
+// block every hierarchical accumulator folds inner into outer, at the
+// edges where the definition folds. Each scalar is computed from the same
+// pure dataflow and each accumulator folds its own edge sequence in edge
+// order, so reordering work across independent accumulators stays
+// bitwise-equal.
+func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, ids []int32, g *graph.Graph, lo, hi int) {
 	sp := k.spec
 	slots, accs, v := a.slots, a.accs, a.svals
 	rowT, matT, params := k.rowT, k.matT, k.paramT
-	leafData := k.specLeafData
-	matData := k.specMatData
 	for i, ld := range k.constLeaves {
 		slots[ld.slot] = k.constT[i].Data()
 	}
@@ -1027,47 +967,8 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 			s.tmp = slots[t.tmpSlot]
 		}
 	}
-
-	// Bind the edge program against this launch's tensors, this worker's
-	// accumulators and block columns, and the row program against
-	// one-element columns over the scalar bank.
-	cols := a.cols
-	for pi, p := range sp.prog {
-		b := specOp{code: p.code, a: p.a, b: p.b, c: p.c, aSc: p.aSc, bSc: p.bSc}
-		switch p.code {
-		case opLoadNbr, opLoadEdge:
-			b.data = leafData[p.ref]
-		case opDot:
-			b.dot = &sp.dots[p.ref]
-		case opStep:
-			b.step, b.oc = &sp.steps[p.ref], a.wcols[p.ref]
-		case opStoreWide:
-			b.step, b.ac, b.data = &sp.steps[p.a], a.wcols[p.a], matData[p.ref]
-		case opStoreMat:
-			b.data = matData[p.ref]
-		case opAccScalar:
-			b.data = ts[p.ref].target
-		case opStoreBuf:
-			b.data = ts[p.ref].buf
-		}
-		if p.o >= 0 {
-			b.oc = cols[p.o]
-		}
-		if p.sink >= 0 {
-			b.oc = ts[p.sink].buf
-		}
-		if !p.aSc {
-			b.ac = cols[p.a]
-		}
-		if !p.bSc {
-			b.bc = cols[p.b]
-		}
-		a.prog[pi] = b
-	}
-	for pi, p := range sp.rowProg {
-		a.rowProg[pi] = rowOp(p, v)
-	}
-	edgeWork := len(sp.prog) > 0 || len(sp.rest) > 0
+	edgeWork := len(sp.prog) > 0 || len(sp.rest) > 0 || sp.batched
+	rowBlk := edgeBlock{nbrs: zeroIdx[:1]} // the row program's one-element block
 
 	for r := lo; r < hi; r++ {
 		vid := int(csr.RowIDs[r])
@@ -1085,13 +986,8 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 		for _, rc := range sp.rowCopies {
 			v[rc.dst] = slots[rc.slot][0]
 		}
-		if len(a.rowProg) > 0 {
-			k.execProg(a, a.rowProg, zeroIdx[:1], zeroIdx[:1], g)
-		}
-		for ti := range ts {
-			if s := &ts[ti]; s.t.kind != termScalar {
-				s.data = k.wideData(a, s.t.wide)
-			}
+		if len(sp.rowProg) > 0 {
+			k.execProg(a, sp.rowProg, a.rowCols, &rowBlk, g)
 		}
 		for i, ag := range k.aggs {
 			initAcc(accs[i], outerKind(ag.node))
@@ -1099,12 +995,16 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 				initAcc(a.inner[i], ag.node.Attr.InnerOp)
 			}
 		}
-		nbrs, eids := csr.Row(r)
+		s0, s1 := csr.Offsets[r], csr.Offsets[r+1]
 		if edgeWork {
-			k.runEdgesCol(a, nbrs, eids, g)
+			row := edgeBlock{nbrs: csr.Nbrs[s0:s1], e0: int(s0)}
+			if ids != nil {
+				row.eids = ids[s0:s1]
+			}
+			k.runEdgesCol(a, &row, g)
 		}
 		for ai, ag := range k.aggs {
-			finalizeAcc(accs[ai], ag.node, len(nbrs))
+			finalizeAcc(accs[ai], ag.node, int(s1-s0))
 		}
 		for _, st := range k.post {
 			evalStep(st, slots, params, 0)
@@ -1117,44 +1017,37 @@ func (k *Kernel) runRowsSpec(a *runArena, csr *graph.CSR, g *graph.Graph, lo, hi
 	}
 }
 
-// rowOp binds a row-program instruction to one-element columns over the
-// scalar bank v.
-func rowOp(p specProgOp, v []float32) specOp {
-	return specOp{code: p.code, c: p.c, oc: v[p.o : p.o+1], ac: v[p.a : p.a+1], bc: v[p.b : p.b+1]}
-}
-
 // runEdgesCol walks one row's edges column-at-a-time: per block, the edge
 // program runs op-major (execProg), then the leftover terms walk the block
 // per edge, then every batched term drains through GatherMulAdd. On a
 // hierarchical kernel blocks end at every edge-type change too, and after
 // a type run's last block each AggHier accumulator folds inner into outer.
-func (k *Kernel) runEdgesCol(a *runArena, nbrs, eids []int32, g *graph.Graph) {
+func (k *Kernel) runEdgesCol(a *runArena, row *edgeBlock, g *graph.Graph) {
 	sp, ts, v, cols := k.spec, a.tstate, a.svals, a.cols
 	typed := k.usesEdgeType
-	for b0 := 0; b0 < len(nbrs); {
-		b1 := min(b0+specBlock, len(nbrs))
+	for b0 := 0; b0 < len(row.nbrs); {
+		b1 := min(b0+specBlock, len(row.nbrs))
 		runEnd := false
 		if k.hier {
-			et := g.EdgeTypes[eids[b0]]
+			et := g.EdgeTypes[row.eid(b0)]
 			for i := b0 + 1; i < b1; i++ {
-				if g.EdgeTypes[eids[i]] != et {
+				if g.EdgeTypes[row.eid(i)] != et {
 					b1 = i
 					break
 				}
 			}
-			runEnd = b1 == len(nbrs) || g.EdgeTypes[eids[b1]] != et
+			runEnd = b1 == len(row.nbrs) || g.EdgeTypes[row.eid(b1)] != et
 		}
 		n := b1 - b0
-		nbrsB := nbrs[b0:b1]
-		eidsB := eids[b0:b1]
-		k.execProg(a, a.prog, nbrsB, eidsB, g)
+		blk := edgeBlock{nbrs: row.nbrs[b0:b1], e0: row.e0 + b0}
+		if row.eids != nil {
+			blk.eids = row.eids[b0:b1]
+		}
+		k.execProg(a, sp.prog, cols, &blk, g)
 		for _, si := range sp.rest {
 			s := &ts[si]
 			t := s.t
-			idx := t.wide.index(nbrsB, eidsB)
-			lw := t.wide.w
-			switch t.kind {
-			case termScalar:
+			if t.kind == termScalar {
 				if sp.colSlot[t.src] {
 					col := cols[t.src][:n]
 					for j := range col {
@@ -1165,39 +1058,37 @@ func (k *Kernel) runEdgesCol(a *runArena, nbrs, eids []int32, g *graph.Graph) {
 						accumulate(s.target, v[t.src:t.src+1], s.kind, 1)
 					}
 				}
+				continue
+			}
+			data, idx := k.rows(a, t.wide, &blk)
+			lw := t.wide.w
+			switch t.kind {
 			case termGather:
 				for _, ix := range idx {
 					base := int(ix) * lw
-					accumulate(s.target, s.data[base:base+lw], s.kind, lw)
+					accumulate(s.target, data[base:base+lw], s.kind, lw)
 				}
 			case termScaledGather:
-				var scCol []float32
-				if sp.colSlot[t.scale] {
-					scCol = cols[t.scale]
-				}
+				scCol := column(cols, t.scale, !sp.colSlot[t.scale])
 				for j, ix := range idx {
-					sc := v[t.scale]
-					if scCol != nil {
-						sc = scCol[j]
-					}
 					base := int(ix) * lw
-					scaledAccumulate(s.target, s.data[base:base+lw], sc, s.kind)
+					scaledAccumulate(s.target, data[base:base+lw], at(v, scCol, t.scale, j), s.kind)
 				}
 			default: // termTyped
 				var scCol []float32
-				if t.scale >= 0 && sp.colSlot[t.scale] {
-					scCol = cols[t.scale]
+				if t.scale >= 0 {
+					scCol = column(cols, t.scale, !sp.colSlot[t.scale])
 				}
 				for j, ix := range idx {
 					if j+1 < n {
 						nb := int(idx[j+1])
-						tensor.Prefetch(s.data[nb*lw : nb*lw+lw])
+						tensor.Prefetch(data[nb*lw : nb*lw+lw])
 					}
 					base := int(ix) * lw
-					x := s.data[base : base+lw]
+					x := data[base : base+lw]
 					et := 0
 					if typed {
-						et = int(g.EdgeTypes[eidsB[j]])
+						et = int(g.EdgeTypes[blk.eid(j)])
 					}
 					wbase := et * t.din * t.dout
 					wd := s.wd[wbase : wbase+t.din*t.dout]
@@ -1205,11 +1096,7 @@ func (k *Kernel) runEdgesCol(a *runArena, nbrs, eids []int32, g *graph.Graph) {
 						tensor.GemvAdd(s.target, s.tmp, wd, x)
 						continue
 					}
-					sc := v[t.scale]
-					if scCol != nil {
-						sc = scCol[j]
-					}
-					tensor.GemvMulAdd(s.target, s.tmp, wd, x, sc)
+					tensor.GemvMulAdd(s.target, s.tmp, wd, x, at(v, scCol, t.scale, j))
 				}
 			}
 		}
@@ -1219,7 +1106,15 @@ func (k *Kernel) runEdgesCol(a *runArena, nbrs, eids []int32, g *graph.Graph) {
 				if !s.t.batch {
 					continue
 				}
-				tensor.GatherMulAdd(s.target, s.data, s.t.wide.index(nbrsB, eidsB), s.buf[:n])
+				scales := column(cols, s.t.scale, !sp.colSlot[s.t.scale])
+				if scales == nil { // a row-constant scale
+					scales = s.buf
+					for j := range scales[:n] {
+						scales[j] = v[s.t.scale]
+					}
+				}
+				data, idx := k.rows(a, s.t.wide, &blk)
+				tensor.GatherMulAdd(s.target, data, idx, scales[:n])
 			}
 		}
 		if runEnd {
@@ -1234,133 +1129,164 @@ func (k *Kernel) runEdgesCol(a *runArena, nbrs, eids []int32, g *graph.Graph) {
 	}
 }
 
-// execProg runs a bound program over one block: the VM's single
-// instruction executor. An edge block passes its neighbour and edge ids;
-// the row program passes zeroIdx[:1], a one-element block whose ids none
-// of its instructions read. The block length is taken from the id slices
-// so that the compiler can drop the column bounds checks.
-func (k *Kernel) execProg(a *runArena, prog []specOp, nbrsB, eidsB []int32, g *graph.Graph) {
+// column returns the block column of bank slot i, or nil when it is a
+// row-constant scalar (sc), read from the bank.
+func column(cols [][]float32, i int, sc bool) []float32 {
+	if sc {
+		return nil
+	}
+	return cols[i]
+}
+
+// at reads bank slot i for block element j: element j of its column col,
+// or the row-constant bank scalar v[i] when col is nil.
+func at(v, col []float32, i, j int) float32 {
+	if col == nil {
+		return v[i]
+	}
+	return col[j]
+}
+
+// execProg runs a program over one block: the VM's single instruction
+// executor. cols is the block column of each bank slot — the arena's
+// columns for the edge program, one-element views of the scalar bank for
+// the row program, whose block (zeroIdx[:1]) none of its instructions
+// read. The block length is taken from the neighbour ids so that the
+// compiler can drop the column bounds checks. On an in-walk an edge load
+// binds its column to the leaf's slots in place and a store writes the
+// block's slots directly; on an out-walk both go through the edge ids.
+func (k *Kernel) execProg(a *runArena, prog []specProgOp, cols [][]float32, blk *edgeBlock, g *graph.Graph) {
 	v := a.svals
-	n := len(nbrsB)
-	eidsB = eidsB[:n]
+	nbrs := blk.nbrs
+	n := len(nbrs)
+	eids, e0 := blk.eids, blk.e0
 	for pi := range prog {
 		p := &prog[pi]
 		switch p.code {
 		case opLoadNbr:
-			o, d := p.oc[:n], p.data
-			for j, ix := range nbrsB {
+			o, d := cols[p.o][:n], k.specLeafData[p.ref]
+			for j, ix := range nbrs {
 				o[j] = d[ix]
 			}
 		case opLoadEdge:
-			o, d := p.oc[:n], p.data
-			for j, ix := range eidsB {
+			d := k.specLeafData[p.ref]
+			if eids == nil {
+				cols[p.o] = d[e0 : e0+n]
+				break
+			}
+			o := cols[p.o][:n]
+			for j, ix := range eids[:n] {
 				o[j] = d[ix]
 			}
 		case opDot:
-			d := p.dot
-			tensor.GatherDot(p.oc[:n],
-				k.wideData(a, d.a), d.a.index(nbrsB, eidsB),
-				k.wideData(a, d.b), d.b.index(nbrsB, eidsB), d.a.w)
+			d := &k.spec.dots[p.ref]
+			da, ia := k.rows(a, d.a, blk)
+			db, ib := k.rows(a, d.b, blk)
+			tensor.GatherDot(cols[p.o][:n], da, ia, db, ib, d.a.w)
 		case opStep:
-			k.runStep(a, p.step, p.oc, nbrsB, eidsB, g)
+			k.runStep(a, &k.spec.steps[p.ref], a.wcols[p.ref], blk, g)
 		case opStoreWide:
-			w, col, d := p.step.w, p.ac, p.data
-			for j, e := range eidsB {
+			w, col, d := k.spec.steps[p.a].w, a.wcols[p.a], k.specMatData[p.ref]
+			if eids == nil {
+				copy(d[e0*w:(e0+n)*w], col[:n*w])
+				break
+			}
+			for j, e := range eids[:n] {
 				copy(d[int(e)*w:(int(e)+1)*w], col[j*w:(j+1)*w])
 			}
 		case opAdd:
-			o := p.oc[:n]
+			o := cols[p.o][:n]
 			switch {
 			case p.aSc:
-				s, b := v[p.a], p.bc[:n]
+				s, b := v[p.a], cols[p.b][:n]
 				for j := range o {
 					o[j] = s + b[j]
 				}
 			case p.bSc:
-				a, s := p.ac[:n], v[p.b]
+				a, s := cols[p.a][:n], v[p.b]
 				for j := range o {
 					o[j] = a[j] + s
 				}
 			default:
-				a, b := p.ac[:n], p.bc[:n]
+				a, b := cols[p.a][:n], cols[p.b][:n]
 				for j := range o {
 					o[j] = a[j] + b[j]
 				}
 			}
 		case opSub:
-			o := p.oc[:n]
+			o := cols[p.o][:n]
 			switch {
 			case p.aSc:
-				s, b := v[p.a], p.bc[:n]
+				s, b := v[p.a], cols[p.b][:n]
 				for j := range o {
 					o[j] = s - b[j]
 				}
 			case p.bSc:
-				a, s := p.ac[:n], v[p.b]
+				a, s := cols[p.a][:n], v[p.b]
 				for j := range o {
 					o[j] = a[j] - s
 				}
 			default:
-				a, b := p.ac[:n], p.bc[:n]
+				a, b := cols[p.a][:n], cols[p.b][:n]
 				for j := range o {
 					o[j] = a[j] - b[j]
 				}
 			}
 		case opMul:
-			o := p.oc[:n]
+			o := cols[p.o][:n]
 			switch {
 			case p.aSc:
-				s, b := v[p.a], p.bc[:n]
+				s, b := v[p.a], cols[p.b][:n]
 				for j := range o {
 					o[j] = s * b[j]
 				}
 			case p.bSc:
-				a, s := p.ac[:n], v[p.b]
+				a, s := cols[p.a][:n], v[p.b]
 				for j := range o {
 					o[j] = a[j] * s
 				}
 			default:
-				a, b := p.ac[:n], p.bc[:n]
+				a, b := cols[p.a][:n], cols[p.b][:n]
 				for j := range o {
 					o[j] = a[j] * b[j]
 				}
 			}
 		case opDiv:
-			o := p.oc[:n]
+			o := cols[p.o][:n]
 			switch {
 			case p.aSc:
-				s, b := v[p.a], p.bc[:n]
+				s, b := v[p.a], cols[p.b][:n]
 				for j := range o {
 					o[j] = s / b[j]
 				}
 			case p.bSc:
-				a, s := p.ac[:n], v[p.b]
+				a, s := cols[p.a][:n], v[p.b]
 				for j := range o {
 					o[j] = a[j] / s
 				}
 			default:
-				a, b := p.ac[:n], p.bc[:n]
+				a, b := cols[p.a][:n], cols[p.b][:n]
 				for j := range o {
 					o[j] = a[j] / b[j]
 				}
 			}
 		case opNeg:
-			o, a := p.oc[:n], p.ac[:n]
+			o, a := cols[p.o][:n], cols[p.a][:n]
 			for j := range o {
 				o[j] = -a[j]
 			}
 		case opExp:
-			o, a := p.oc[:n], p.ac[:n]
+			o, a := cols[p.o][:n], cols[p.a][:n]
 			for j := range o {
 				o[j] = float32(math.Exp(float64(a[j])))
 			}
 		case opLog:
-			o, a := p.oc[:n], p.ac[:n]
+			o, a := cols[p.o][:n], cols[p.a][:n]
 			for j := range o {
 				o[j] = float32(math.Log(float64(a[j])))
 			}
 		case opLeakyReLU:
-			o, a, c := p.oc[:n], p.ac[:n], p.c
+			o, a, c := cols[p.o][:n], cols[p.a][:n], p.c
 			for j := range o {
 				x := a[j]
 				if x < 0 {
@@ -1369,7 +1295,7 @@ func (k *Kernel) execProg(a *runArena, prog []specOp, nbrsB, eidsB []int32, g *g
 				o[j] = x
 			}
 		case opReLU:
-			o, a := p.oc[:n], p.ac[:n]
+			o, a := cols[p.o][:n], cols[p.a][:n]
 			for j := range o {
 				if x := a[j]; x > 0 {
 					o[j] = x
@@ -1378,71 +1304,68 @@ func (k *Kernel) execProg(a *runArena, prog []specOp, nbrsB, eidsB []int32, g *g
 				}
 			}
 		case opSigmoid:
-			o, a := p.oc[:n], p.ac[:n]
+			o, a := cols[p.o][:n], cols[p.a][:n]
 			for j := range o {
 				o[j] = 1 / (1 + float32(math.Exp(float64(-a[j]))))
 			}
 		case opTanh:
-			o, a := p.oc[:n], p.ac[:n]
+			o, a := cols[p.o][:n], cols[p.a][:n]
 			for j := range o {
 				o[j] = float32(math.Tanh(float64(a[j])))
 			}
 		case opMulConst:
-			o, a, c := p.oc[:n], p.ac[:n], p.c
+			o, a, c := cols[p.o][:n], cols[p.a][:n], p.c
 			for j := range o {
 				o[j] = c * a[j]
 			}
 		case opAddConst:
-			o, a, c := p.oc[:n], p.ac[:n], p.c
+			o, a, c := cols[p.o][:n], cols[p.a][:n], p.c
 			for j := range o {
 				o[j] = c + a[j]
 			}
 		case opLeakyReLUGrad:
-			o := p.oc[:n]
+			o, x, y := cols[p.o][:n], column(cols, int(p.a), p.aSc), column(cols, int(p.b), p.bSc)
 			for j := range o {
-				if p.opA(v, j) > 0 {
-					o[j] = p.opB(v, j)
+				if at(v, x, int(p.a), j) > 0 {
+					o[j] = at(v, y, int(p.b), j)
 				} else {
-					o[j] = p.c * p.opB(v, j)
+					o[j] = p.c * at(v, y, int(p.b), j)
 				}
 			}
 		case opReLUGrad:
-			o := p.oc[:n]
+			o, x, y := cols[p.o][:n], column(cols, int(p.a), p.aSc), column(cols, int(p.b), p.bSc)
 			for j := range o {
-				if p.opA(v, j) > 0 {
-					o[j] = p.opB(v, j)
+				if at(v, x, int(p.a), j) > 0 {
+					o[j] = at(v, y, int(p.b), j)
 				} else {
 					o[j] = 0
 				}
 			}
 		case opSigmoidGrad:
-			o := p.oc[:n]
+			o, x, y := cols[p.o][:n], column(cols, int(p.a), p.aSc), column(cols, int(p.b), p.bSc)
 			for j := range o {
-				y := p.opA(v, j)
-				o[j] = p.opB(v, j) * y * (1 - y)
+				yv := at(v, x, int(p.a), j)
+				o[j] = at(v, y, int(p.b), j) * yv * (1 - yv)
 			}
 		case opTanhGrad:
-			o := p.oc[:n]
+			o, x, y := cols[p.o][:n], column(cols, int(p.a), p.aSc), column(cols, int(p.b), p.bSc)
 			for j := range o {
-				y := p.opA(v, j)
-				o[j] = p.opB(v, j) * (1 - y*y)
+				yv := at(v, x, int(p.a), j)
+				o[j] = at(v, y, int(p.b), j) * (1 - yv*yv)
 			}
 		case opCopy:
-			copy(p.oc[:n], p.ac[:n])
+			copy(cols[p.o][:n], cols[p.a][:n])
 		case opStoreMat:
-			if p.aSc {
-				s, d := v[p.a], p.data
-				for _, e := range eidsB {
-					d[e] = s
-				}
-			} else {
-				a, d := p.ac[:n], p.data
-				for j, e := range eidsB {
-					d[e] = a[j]
-				}
+			d, x := k.specMatData[p.ref], column(cols, int(p.a), p.aSc)
+			if eids == nil && x != nil {
+				copy(d[e0:e0+n], x[:n])
+				break
+			}
+			for j := 0; j < n; j++ {
+				d[blk.eid(j)] = at(v, x, int(p.a), j)
 			}
 		case opAccScalar:
-			t := p.data
+			t := a.tstate[p.ref].target
 			s0 := t[0]
 			if p.aSc {
 				s := v[p.a]
@@ -1450,50 +1373,30 @@ func (k *Kernel) execProg(a *runArena, prog []specOp, nbrsB, eidsB []int32, g *g
 					s0 += s
 				}
 			} else {
-				a := p.ac[:n]
+				a := cols[p.a][:n]
 				for j := range a {
 					s0 += a[j]
 				}
 			}
 			t[0] = s0
-		case opStoreBuf:
-			if p.aSc {
-				s, d := v[p.a], p.data[:n]
-				for j := range d {
-					d[j] = s
-				}
-			} else {
-				copy(p.data[:n], p.ac[:n])
-			}
 		}
 	}
-}
-
-// wideData returns the backing data ws indexes into: the bound edge
-// leaf's tensor, the current row's slot, or an opStep's block column.
-func (k *Kernel) wideData(a *runArena, ws wideSrc) []float32 {
-	switch ws.from {
-	case fromLeaf:
-		return k.specLeafData[ws.ref]
-	case fromRowVec:
-		return a.slots[ws.ref]
-	}
-	return a.wcols[ws.ref]
 }
 
 // runStep runs one opStep over a block: evalStep once per edge, in edge
 // order, with every operand slot viewed in place and the output written
 // to row j of the step's block column out.
-func (k *Kernel) runStep(a *runArena, ss *specStep, out []float32, nbrsB, eidsB []int32, g *graph.Graph) {
+func (k *Kernel) runStep(a *runArena, ss *specStep, out []float32, blk *edgeBlock, g *graph.Graph) {
 	view, w := a.view, ss.w
-	for j, eid := range eidsB {
+	for j := range blk.nbrs {
 		for i := range ss.ins {
 			in := &ss.ins[i]
 			switch {
 			case in.bank < 0:
-				ix, sw := int(in.src.index(nbrsB, eidsB)[j]), in.src.w
-				view[in.slot] = k.wideData(a, in.src)[ix*sw : (ix+1)*sw]
-			case a.cols[in.bank] != nil:
+				d, idx := k.rows(a, in.src, blk)
+				ix, sw := int(idx[j]), in.src.w
+				view[in.slot] = d[ix*sw : (ix+1)*sw]
+			case k.spec.colSlot[in.bank]:
 				view[in.slot] = a.cols[in.bank][j : j+1]
 			default:
 				view[in.slot] = a.svals[in.bank : in.bank+1] // row-constant
@@ -1502,26 +1405,10 @@ func (k *Kernel) runStep(a *runArena, ss *specStep, out []float32, nbrsB, eidsB 
 		view[ss.st.out] = out[j*w : (j+1)*w]
 		et := 0
 		if k.usesEdgeType {
-			et = int(g.EdgeTypes[eid])
+			et = int(g.EdgeTypes[blk.eid(j)])
 		}
 		evalStep(ss.st, view, k.paramT, et)
 	}
-}
-
-// opA reads instruction operand a for block element j.
-func (p *specOp) opA(v []float32, j int) float32 {
-	if p.aSc {
-		return v[p.a]
-	}
-	return p.ac[j]
-}
-
-// opB reads instruction operand b for block element j.
-func (p *specOp) opB(v []float32, j int) float32 {
-	if p.bSc {
-		return v[p.b]
-	}
-	return p.bc[j]
 }
 
 // scaledAccumulate folds s·src into acc under kind with the product

@@ -5,9 +5,9 @@ package kernels
 // bit — including the grad opcodes, which reach the edge program only
 // through compiled backward chains — whether its operands are
 // one-element views of the scalar bank (a rowProg instruction) or block
-// columns mixed with bank scalars (an edge-program instruction). opA/opB
-// are the grad arms' operand readers; their scalar/column dispatch is
-// pinned here directly.
+// columns mixed with bank scalars (an edge-program instruction). column
+// and at are the grad arms' operand readers; their scalar/column dispatch
+// is pinned here directly.
 
 import (
 	"math"
@@ -67,9 +67,11 @@ func TestRunScalarOpArms(t *testing.T) {
 	for _, tc := range cases {
 		p := tc.op
 
-		// One-element columns over the scalar bank, as rowProg binds them.
+		// One-element columns over the scalar bank, as the row program
+		// runs.
 		v := []float32{0.75, -1.5, 0}
-		k.execProg(&runArena{svals: v}, []specOp{rowOp(p, v)}, zeroIdx[:1], zeroIdx[:1], nil)
+		rowCols := [][]float32{v[0:1], v[1:2], v[2:3]}
+		k.execProg(&runArena{svals: v}, []specProgOp{p}, rowCols, &edgeBlock{nbrs: zeroIdx[:1]}, nil)
 		check(tc.name+"/row", v[2:3], tc.want)
 
 		// A block mixing bank scalars and columns: every operand form a
@@ -85,15 +87,18 @@ func TestRunScalarOpArms(t *testing.T) {
 		}
 		for _, f := range forms {
 			v := []float32{0.75, -1.5, 0}
-			blk := specOp{code: p.code, c: p.c, a: p.a, b: p.b, aSc: f.aSc, bSc: f.bSc, oc: make([]float32, n)}
+			op := p
+			op.aSc, op.bSc = f.aSc, f.bSc
+			cols := make([][]float32, 3)
+			cols[2] = make([]float32, n)
 			if !f.aSc {
-				blk.ac = fill(v[p.a], n)
+				cols[p.a] = fill(v[p.a], n)
 			}
-			if !f.bSc {
-				blk.bc = fill(v[p.b], n)
+			if !f.bSc && opReadsB(p.code) {
+				cols[p.b] = fill(v[p.b], n)
 			}
-			k.execProg(&runArena{svals: v}, []specOp{blk}, make([]int32, n), make([]int32, n), nil)
-			check(tc.name+"/block-"+f.name, blk.oc, tc.want)
+			k.execProg(&runArena{svals: v}, []specProgOp{op}, cols, &edgeBlock{nbrs: make([]int32, n)}, nil)
+			check(tc.name+"/block-"+f.name, cols[2], tc.want)
 		}
 	}
 }
@@ -101,18 +106,17 @@ func TestRunScalarOpArms(t *testing.T) {
 func TestSpecOpOperandReaders(t *testing.T) {
 	v := []float32{10, 20}
 	col := []float32{1, 2, 3}
-	sc := &specOp{a: 0, b: 1, aSc: true, bSc: true}
-	if got := sc.opA(v, 2); got != 10 {
-		t.Errorf("scalar opA = %v, want 10", got)
+	cols := [][]float32{col, col}
+	if got := at(v, column(cols, 0, true), 0, 2); got != 10 {
+		t.Errorf("scalar operand a = %v, want 10", got)
 	}
-	if got := sc.opB(v, 2); got != 20 {
-		t.Errorf("scalar opB = %v, want 20", got)
+	if got := at(v, column(cols, 1, true), 1, 2); got != 20 {
+		t.Errorf("scalar operand b = %v, want 20", got)
 	}
-	cl := &specOp{ac: col, bc: col}
-	if got := cl.opA(v, 1); got != 2 {
-		t.Errorf("column opA = %v, want 2", got)
+	if got := at(v, column(cols, 0, false), 0, 1); got != 2 {
+		t.Errorf("column operand a = %v, want 2", got)
 	}
-	if got := cl.opB(v, 2); got != 3 {
-		t.Errorf("column opB = %v, want 3", got)
+	if got := at(v, column(cols, 1, false), 1, 2); got != 3 {
+		t.Errorf("column operand b = %v, want 3", got)
 	}
 }

@@ -118,13 +118,7 @@ func (e *Engine) Sigmoid(a *Variable) *Variable {
 	out := tensor.Sigmoid(a.Value, e.like(a.Value))
 	e.chargeEW("sigmoid", out.Size(), 1)
 	return e.node("sigmoid", out, []*Variable{a}, func(g *tensor.Tensor) {
-		d := e.like(out)
-		d.CopyFrom(out)
-		dd, gd := d.Data(), g.Data()
-		for i := range dd {
-			dd[i] = gd[i] * dd[i] * (1 - dd[i])
-		}
-		a.accumulate(d)
+		a.accumulate(tensor.SigmoidGrad(out, g, e.like(g)))
 	})
 }
 
@@ -133,14 +127,7 @@ func (e *Engine) ReLU(a *Variable) *Variable {
 	out := tensor.ReLU(a.Value, e.like(a.Value))
 	e.chargeEW("relu", out.Size(), 1)
 	return e.node("relu", out, []*Variable{a}, func(g *tensor.Tensor) {
-		d := e.like(g)
-		ad, gd, dd := a.Value.Data(), g.Data(), d.Data()
-		for i := range dd {
-			if ad[i] > 0 {
-				dd[i] = gd[i]
-			}
-		}
-		a.accumulate(d)
+		a.accumulate(tensor.ReLUGrad(a.Value, g, e.like(g)))
 	})
 }
 
@@ -149,16 +136,7 @@ func (e *Engine) LeakyReLU(a *Variable, slope float32) *Variable {
 	out := tensor.LeakyReLU(a.Value, slope, e.like(a.Value))
 	e.chargeEW("leakyrelu", out.Size(), 1)
 	return e.node("leakyrelu", out, []*Variable{a}, func(g *tensor.Tensor) {
-		d := e.like(g)
-		ad, gd, dd := a.Value.Data(), g.Data(), d.Data()
-		for i := range dd {
-			if ad[i] > 0 {
-				dd[i] = gd[i]
-			} else {
-				dd[i] = gd[i] * slope
-			}
-		}
-		a.accumulate(d)
+		a.accumulate(tensor.LeakyReLUGrad(a.Value, g, slope, e.like(g)))
 	})
 }
 
@@ -167,12 +145,7 @@ func (e *Engine) Tanh(a *Variable) *Variable {
 	out := tensor.Tanh(a.Value, e.like(a.Value))
 	e.chargeEW("tanh", out.Size(), 1)
 	return e.node("tanh", out, []*Variable{a}, func(g *tensor.Tensor) {
-		d := e.like(g)
-		od, gd, dd := out.Data(), g.Data(), d.Data()
-		for i := range dd {
-			dd[i] = gd[i] * (1 - od[i]*od[i])
-		}
-		a.accumulate(d)
+		a.accumulate(tensor.TanhGrad(out, g, e.like(g)))
 	})
 }
 

@@ -367,13 +367,10 @@ func ownedInCSR(g *graph.Graph, f *Fragment) *graph.Graph {
 	for _, d := range f.GlobalInDeg[:f.Owned] {
 		m += int(d)
 	}
-	in := graph.CSR{Offsets: make([]int64, 1, f.Owned+1), Nbrs: make([]int32, 0, m),
-		EdgeIDs: make([]int32, 0, m), RowIDs: order, Sorted: true}
+	in := graph.CSR{Offsets: make([]int64, 1, f.Owned+1), Nbrs: make([]int32, 0, m), RowIDs: order, Sorted: true}
 	rowOf := invertRowIDs(g.In.RowIDs)
 	for _, l := range order {
-		row, _ := g.In.Row(int(rowOf[f.Locals[l]]))
-		for _, u := range row {
-			in.EdgeIDs = append(in.EdgeIDs, int32(len(in.Nbrs)))
+		for _, u := range g.In.Row(int(rowOf[f.Locals[l]])) {
 			in.Nbrs = append(in.Nbrs, f.LocalOf[u]-1)
 		}
 		in.Offsets = append(in.Offsets, int64(len(in.Nbrs)))

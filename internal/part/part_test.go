@@ -90,9 +90,9 @@ func checkInvariants(t *testing.T, g *graph.Graph, p *Partition) {
 					t.Fatalf("shard %d: rows %d and %d not in descending degree, ties by local id", s, k-1, k)
 				}
 			}
-			nbrs, eids := fg.In.Row(k)
+			nbrs := fg.In.Row(k)
 			v := f.Locals[l]
-			wantNbrs, _ := g.In.Row(int(rowOf[v]))
+			wantNbrs := g.In.Row(int(rowOf[v]))
 			if len(nbrs) != len(wantNbrs) {
 				t.Fatalf("shard %d vertex %d: %d in-edges, full graph has %d",
 					s, v, len(nbrs), len(wantNbrs))
@@ -101,9 +101,6 @@ func checkInvariants(t *testing.T, g *graph.Graph, p *Partition) {
 				if got := f.Locals[lu]; got != wantNbrs[i] {
 					t.Fatalf("shard %d vertex %d slot %d: neighbour %d, full graph has %d (order broken)",
 						s, v, i, got, wantNbrs[i])
-				}
-				if want := int32(fg.In.Offsets[k]) + int32(i); eids[i] != want {
-					t.Fatalf("shard %d vertex %d slot %d: edge id %d, want the slot index %d", s, v, i, eids[i], want)
 				}
 			}
 		}

@@ -152,19 +152,25 @@ func evalAgg(n *gir.Node, g *graph.Graph, vals map[*gir.Node]*tensor.Tensor) (*t
 	t := vals[in]
 	out := tensor.New(g.N, n.Dim())
 	toDst := n.Dir == gir.AggToDst
-	csr := &g.In
+	csr, ids := &g.In, []int32(nil) // an in-CSR's slots are its edge ids
 	if !toDst {
-		csr = &g.Out
+		csr, ids = &g.Out, g.Out.EdgeIDs
 	}
 	for k := 0; k < csr.NumRows(); k++ {
 		v := int(csr.RowIDs[k])
-		nbrs, eids := csr.Row(k)
+		nbrs, lo := csr.Row(k), csr.Offsets[k]
+		eid := func(i int) int {
+			if ids == nil {
+				return int(lo) + i
+			}
+			return int(ids[lo+int64(i)])
+		}
 		or := out.Row(v)
 		if len(nbrs) == 0 {
 			continue
 		}
 		if n.Op == gir.OpAggHier {
-			if err := aggHierRow(n, g, in, t, v, nbrs, eids, toDst, or); err != nil {
+			if err := aggHierRow(n, g, in, t, v, nbrs, eid, toDst, or); err != nil {
 				return nil, err
 			}
 			continue
@@ -177,7 +183,7 @@ func evalAgg(n *gir.Node, g *graph.Graph, vals map[*gir.Node]*tensor.Tensor) (*t
 			if !toDst {
 				src, dst = v, int(nbrs[i])
 			}
-			row := rowAt(in, t, src, dst, int(eids[i]))
+			row := rowAt(in, t, src, dst, eid(i))
 			reduceRow(or, row, kind)
 		}
 		if kind == gir.AggMean {
@@ -191,7 +197,7 @@ func evalAgg(n *gir.Node, g *graph.Graph, vals map[*gir.Node]*tensor.Tensor) (*t
 }
 
 func aggHierRow(n *gir.Node, g *graph.Graph, in *gir.Node, t *tensor.Tensor,
-	v int, nbrs, eids []int32, toDst bool, or []float32) error {
+	v int, nbrs []int32, eid func(int) int, toDst bool, or []float32) error {
 	if g.EdgeTypes == nil {
 		return fmt.Errorf("hierarchical aggregation needs edge types")
 	}
@@ -200,7 +206,7 @@ func aggHierRow(n *gir.Node, g *graph.Graph, in *gir.Node, t *tensor.Tensor,
 	curType := int32(-1)
 	started := false
 	for i := range nbrs {
-		et := g.EdgeTypes[eids[i]]
+		et := g.EdgeTypes[eid(i)]
 		if started && et != curType {
 			reduceRow(or, inner, n.Attr.OuterOp)
 			initRow(inner, n.Attr.InnerOp)
@@ -213,7 +219,7 @@ func aggHierRow(n *gir.Node, g *graph.Graph, in *gir.Node, t *tensor.Tensor,
 		if !toDst {
 			src, dst = v, int(nbrs[i])
 		}
-		reduceRow(inner, rowAt(in, t, src, dst, int(eids[i])), n.Attr.InnerOp)
+		reduceRow(inner, rowAt(in, t, src, dst, eid(i)), n.Attr.InnerOp)
 	}
 	if started {
 		reduceRow(or, inner, n.Attr.OuterOp)

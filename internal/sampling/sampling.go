@@ -6,10 +6,10 @@
 // compiled Seastar programs then run on the batch graph unchanged.
 //
 // A batch holds only what the model reads, given one fan-out entry per
-// aggregating layer. Vertices and edges are numbered breadth-first, hop by
-// hop, so a sample with FanOut[:d] is a prefix of the FanOut sample drawn
-// with the same seed: the same draws, the first d hops. The batch records
-// where each hop ends (HopVertices, HopEdges).
+// aggregating layer. Vertices are numbered breadth-first, hop by hop, and
+// edges by in-CSR slot, so a sample with FanOut[:d] is a prefix of the
+// FanOut sample drawn with the same seed: the same draws, the first d
+// hops. The batch records where each hop ends (HopVertices, HopEdges).
 //
 // The batch subgraph carries one in-CSR and no out-CSR: a forward pass
 // walks in-edges only, and a normalizer reading out-degrees counts the
@@ -167,7 +167,7 @@ func (s *Sampler) SampleRNG(seeds []int32, rng *rand.Rand) (*Batch, error) {
 	next := sc.next[:0]
 	for _, fan := range s.FanOut {
 		for _, v := range frontier {
-			nbrs, _ := s.G.In.Row(int(rowOf[v]))
+			nbrs := s.G.In.Row(int(rowOf[v]))
 			dst := sc.slot[v] - 1
 			for _, i := range sc.draw(rng, len(nbrs), fan) {
 				u := nbrs[i]
@@ -186,7 +186,7 @@ func (s *Sampler) SampleRNG(seeds []int32, rng *rand.Rand) (*Batch, error) {
 	sc.frontier, sc.next = frontier, next
 
 	vertices := slices.Clone(sc.verts)
-	sub, err := graph.FromInEdges(len(vertices), slices.Clone(sc.srcs), slices.Clone(sc.dsts), hopVerts)
+	sub, err := graph.FromInEdges(len(vertices), sc.srcs, sc.dsts, hopVerts)
 	if err != nil {
 		return nil, err
 	}

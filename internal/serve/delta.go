@@ -291,8 +291,9 @@ func dirtyFrontiers(dg *graph.DeltaGraph, fd []int32, sets [][]int32) []frontier
 		offsets[r+1] = offsets[r] + int64(in.Degree(v))
 	}
 	m := int(offsets[len(rows)])
-	// ident serves as both the edge ids and the row ids: each is 0, 1, 2, …
-	nbrs, ident := make([]int32, 0, m), make([]int32, max(m, len(rows)))
+	// The rows are numbered 0, 1, 2, … and the edges by slot, as in every
+	// graph.
+	nbrs, ident := make([]int32, 0, m), make([]int32, len(rows))
 	for _, v := range rows {
 		row, _ := in.Row(v)
 		nbrs = append(nbrs, row...)
@@ -305,7 +306,7 @@ func dirtyFrontiers(dg *graph.DeltaGraph, fd []int32, sets [][]int32) []frontier
 		k := len(set)
 		mk := int(offsets[k])
 		hops[l] = frontier{fd, rows[:k], &graph.Graph{N: dg.N(), M: mk, NumEdgeTypes: 1, In: graph.CSR{
-			Offsets: offsets[:k+1], Nbrs: nbrs[:mk], EdgeIDs: ident[:mk], RowIDs: ident[:k],
+			Offsets: offsets[:k+1], Nbrs: nbrs[:mk], RowIDs: ident[:k],
 		}}}
 		fd = rows[:k]
 	}

@@ -24,7 +24,9 @@ import (
 // deltaMirror is the brute-force model of a delta chain: a plain edge
 // list plus dense feature rows, rebuilt from scratch after every step.
 // It replicates graph.Delta semantics (removals first, vertex removal
-// isolates, survivors keep their order, adds append in delta order).
+// isolates, survivors keep their order, adds append in delta order). The
+// list starts as the root snapshot's (degree-sorted) graph's edge list in
+// edge-id order, the order a delta's canonical list keeps.
 type deltaMirror struct {
 	n     int
 	d     int
@@ -45,6 +47,14 @@ func newDeltaMirror(rng *rand.Rand, n, d, m int) *deltaMirror {
 			row[j] = rng.Float32()*2 - 1
 		}
 		mir.feat = append(mir.feat, row)
+	}
+	g, err := graph.FromEdges(n, srcs(mir.edges), dsts(mir.edges))
+	if err != nil {
+		panic(err)
+	}
+	g = g.SortByDegree()
+	for e := range mir.edges {
+		mir.edges[e] = graph.Edge{Src: g.Srcs[e], Dst: g.Dsts[e]}
 	}
 	return mir
 }
@@ -86,16 +96,28 @@ func (m *deltaMirror) clone() *deltaMirror {
 
 func (m *deltaMirror) graph(t testing.TB) *graph.Graph {
 	t.Helper()
-	srcs := make([]int32, len(m.edges))
-	dsts := make([]int32, len(m.edges))
-	for i, e := range m.edges {
-		srcs[i], dsts[i] = e.Src, e.Dst
-	}
-	g, err := graph.FromEdges(m.n, srcs, dsts)
+	g, err := graph.FromEdges(m.n, srcs(m.edges), dsts(m.edges))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// srcs and dsts split an edge list.
+func srcs(edges []graph.Edge) []int32 {
+	out := make([]int32, len(edges))
+	for i, e := range edges {
+		out[i] = e.Src
+	}
+	return out
+}
+
+func dsts(edges []graph.Edge) []int32 {
+	out := make([]int32, len(edges))
+	for i, e := range edges {
+		out[i] = e.Dst
+	}
+	return out
 }
 
 func (m *deltaMirror) featTensor() *tensor.Tensor {
@@ -181,7 +203,6 @@ func requireGraphEqual(t *testing.T, got, want *graph.Graph) {
 	eq32("srcs", got.Srcs, want.Srcs)
 	eq32("dsts", got.Dsts, want.Dsts)
 	eq32("in.nbrs", got.In.Nbrs, want.In.Nbrs)
-	eq32("in.eids", got.In.EdgeIDs, want.In.EdgeIDs)
 	eq32("out.nbrs", got.Out.Nbrs, want.Out.Nbrs)
 	eq32("out.eids", got.Out.EdgeIDs, want.Out.EdgeIDs)
 	for v := 0; v <= got.N; v++ {

@@ -36,8 +36,11 @@ func TestModelGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.ZipfDegree(rng, 48, 4, 1.0)
 	feat := tensor.Randn(rng, 1, g.N, 6)
-	typed := graph.ZipfDegree(rng, 48, 4, 1.0)
-	graph.RandomEdgeTypes(rng, typed, 3)
+	srcs, dsts := graph.ZipfDegreeEdges(rng, 48, 4, 1.0)
+	typed, err := graph.FromTypedEdges(48, srcs, dsts, graph.RandomTypes(rng, len(srcs), 3), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := typed.SortEdgesByType(); err != nil {
 		t.Fatal(err)
 	}

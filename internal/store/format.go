@@ -34,8 +34,10 @@ const (
 	PageSize = 4096
 	// Magic identifies a seastar graph store file.
 	Magic = "SGSTORE1"
-	// FormatVersion is the current on-disk format version.
-	FormatVersion = 1
+	// FormatVersion is the current on-disk format version. Version 2
+	// numbers edges by in-CSR slot and stores no in-CSR edge-id section;
+	// a version-1 file is rejected.
+	FormatVersion = 2
 
 	// orderSentinel is written in native byte order; a reader on a
 	// host with different endianness sees a scrambled value.
@@ -46,7 +48,6 @@ const (
 const (
 	secInOffsets = iota
 	secInNbrs
-	secInEids
 	secOutOffsets
 	secOutNbrs
 	secOutEids
@@ -72,8 +73,8 @@ const (
 	offFingerprint  = 56
 	offSectionCount = 64
 	offSections     = 72
-	offChecksum     = offSections + numSections*16 // 264
-	headerSize      = offChecksum + 8              // 272
+	offChecksum     = offSections + numSections*16 // 248
+	headerSize      = offChecksum + 8              // 256
 )
 
 // maxDim bounds n, m and n*featDim so int32 vertex/edge ids and int
@@ -173,7 +174,6 @@ func sectionLens(n, m, featDim uint64, hetero bool) [numSections]uint64 {
 	var l [numSections]uint64
 	l[secInOffsets] = (n + 1) * 8
 	l[secInNbrs] = m * 4
-	l[secInEids] = m * 4
 	l[secOutOffsets] = (n + 1) * 8
 	l[secOutNbrs] = m * 4
 	l[secOutEids] = m * 4
@@ -207,8 +207,11 @@ func validateSource(src *Source) error {
 	if g.In.Sorted || g.Out.Sorted {
 		return fmt.Errorf("store: graph is degree-sorted; convert the unsorted graph (degree sort is applied per batch at run time)")
 	}
+	if g.In.EdgeIDs != nil || len(g.Out.EdgeIDs) != g.M {
+		return fmt.Errorf("store: edge ids inconsistent with m=%d (the in-CSR's slots are the edge ids)", g.M)
+	}
 	for _, c := range []*graph.CSR{&g.In, &g.Out} {
-		if len(c.Offsets) != g.N+1 || len(c.Nbrs) != g.M || len(c.EdgeIDs) != g.M || len(c.RowIDs) != g.N {
+		if len(c.Offsets) != g.N+1 || len(c.Nbrs) != g.M || len(c.RowIDs) != g.N {
 			return fmt.Errorf("store: CSR arrays inconsistent with n=%d m=%d", g.N, g.M)
 		}
 		for i, r := range c.RowIDs {
@@ -301,7 +304,6 @@ func Write(w io.Writer, src *Source) error {
 	payload := [numSections][]byte{
 		secInOffsets:  i64Bytes(g.In.Offsets),
 		secInNbrs:     i32Bytes(g.In.Nbrs),
-		secInEids:     i32Bytes(g.In.EdgeIDs),
 		secOutOffsets: i64Bytes(g.Out.Offsets),
 		secOutNbrs:    i32Bytes(g.Out.Nbrs),
 		secOutEids:    i32Bytes(g.Out.EdgeIDs),

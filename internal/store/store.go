@@ -116,7 +116,6 @@ func (s *Store) build() {
 		In: graph.CSR{
 			Offsets: bytesI64(s.section(secInOffsets)),
 			Nbrs:    bytesI32(s.section(secInNbrs)),
-			EdgeIDs: bytesI32(s.section(secInEids)),
 			RowIDs:  rowIDs,
 		},
 		Out: graph.CSR{

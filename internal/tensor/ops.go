@@ -54,6 +54,10 @@ const (
 	opTanh
 	opReLU
 	opLeakyReLU
+	opReLUGrad
+	opLeakyReLUGrad
+	opSigmoidGrad
+	opTanhGrad
 )
 
 // elementwise returns op applied to every element of a — and of b, nil
@@ -125,6 +129,30 @@ func elementwise(op elemOp, a, b *Tensor, s float32, into []*Tensor) *Tensor {
 				} else {
 					o[i] = s * v
 				}
+			}
+		case opReLUGrad:
+			for i, v := range x {
+				if v > 0 {
+					o[i] = y[i]
+				} else {
+					o[i] = 0
+				}
+			}
+		case opLeakyReLUGrad:
+			for i, v := range x {
+				if v > 0 {
+					o[i] = y[i]
+				} else {
+					o[i] = y[i] * s
+				}
+			}
+		case opSigmoidGrad:
+			for i, v := range x {
+				o[i] = y[i] * v * (1 - v)
+			}
+		case opTanhGrad:
+			for i, v := range x {
+				o[i] = y[i] * (1 - v*v)
 			}
 		}
 	})
@@ -217,6 +245,23 @@ func ReLU(a *Tensor, into ...*Tensor) *Tensor { return elementwise(opReLU, a, ni
 func LeakyReLU(a *Tensor, slope float32, into ...*Tensor) *Tensor {
 	return elementwise(opLeakyReLU, a, nil, slope, into)
 }
+
+// ReLUGrad returns the gradient g of ReLU's output passed to its input x:
+// x > 0 ? g : 0 elementwise.
+func ReLUGrad(x, g *Tensor, into ...*Tensor) *Tensor { return elementwise(opReLUGrad, x, g, 0, into) }
+
+// LeakyReLUGrad returns x > 0 ? g : g*slope elementwise.
+func LeakyReLUGrad(x, g *Tensor, slope float32, into ...*Tensor) *Tensor {
+	return elementwise(opLeakyReLUGrad, x, g, slope, into)
+}
+
+// SigmoidGrad returns g*y*(1-y) elementwise for the sigmoid's output y.
+func SigmoidGrad(y, g *Tensor, into ...*Tensor) *Tensor {
+	return elementwise(opSigmoidGrad, y, g, 0, into)
+}
+
+// TanhGrad returns g*(1-y*y) elementwise for tanh's output y.
+func TanhGrad(y, g *Tensor, into ...*Tensor) *Tensor { return elementwise(opTanhGrad, y, g, 0, into) }
 
 // GatherRows returns a matrix whose i-th row is m[idx[i]].
 func GatherRows(m *Tensor, idx []int32) *Tensor {

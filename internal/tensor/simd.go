@@ -28,9 +28,12 @@ func simdDisabledByEnv() bool {
 
 // SetSIMD swaps between the portable and vector kernel implementations
 // and returns the previous state. Enabling is a no-op on hosts without
-// vector support. It is a test and benchmark hook — both backends are
-// bitwise-equal by construction — and must not be called concurrently
-// with running kernels.
+// vector support. It is a test and benchmark hook and must not be called
+// concurrently with running kernels. The two backends are not one
+// numerical contract: the gather, dot and axpy kernels are bitwise-equal,
+// but the vector GEMM fuses each multiply-add (VFMADD231PS) where the
+// portable one rounds twice, so a product above the serial cutoff — and
+// any loss that reads one — can differ in the low bits between modes.
 func SetSIMD(enable bool) bool {
 	prev := simdOn
 	if simdInstall == nil || (enable && !simdAvailable) {

@@ -3,7 +3,8 @@
 #   gofmt → one architecture table → vertex programs traced in one
 #   package → simulator only where the paper is reproduced → one unit
 #   loop in exec → no post ops outside a plan → no value staged in the
-#   kernel VM → no test-only exports → vet → staticcheck →
+#   kernel VM → edge ids only through the out-CSR → no test-only exports
+#   → vet → staticcheck →
 #   tests+coverage ratchet → fuzz smoke → race suites → doc lint.
 #
 # Knobs:
@@ -99,6 +100,20 @@ echo "== the kernel VM stages no value through scratch =="
 out=$(grep -nE 'copy\(.*scratch\[|copy\([a-z.]*slots\[' internal/kernels/*.go | grep -v '_test\.go:' || true)
 if [ -n "$out" ]; then
 	echo "a value staged through a slot buffer in internal/kernels:"
+	echo "$out"
+	exit 1
+fi
+
+# Every graph numbers its edges by in-CSR slot: an in-walk's edge ids
+# are its slots, and only the out-CSR carries an edge-id array. Outside
+# internal/graph, which builds the arrays, no non-test line names
+# EdgeIDs but through an out-CSR (the store maps its out-CSR section).
+echo "== edge ids are read only through the out-CSR =="
+out=$(grep -rnE --include='*.go' '\bEdgeIDs\b' . |
+	grep -v -e '_test\.go:' -e ':[0-9]*:[[:space:]]*//' -e '^\./internal/graph/' \
+		-e 'Out\.EdgeIDs' -e 'EdgeIDs: bytesI32(s\.section(secOutEids))' || true)
+if [ -n "$out" ]; then
+	echo "an edge-id array read from an in-CSR or an in-walk:"
 	echo "$out"
 	exit 1
 fi
